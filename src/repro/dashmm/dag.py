@@ -77,12 +77,18 @@ class DagNode:
 
 @dataclass
 class Edge:
-    """One DAG edge: ``aux`` carries operator geometry (octant, delta, dir)."""
+    """One DAG edge: ``aux`` carries operator geometry (octant, delta, dir).
+
+    ``pos`` is the edge's position in its source node's out-edge list,
+    stamped at assembly: ``(src, pos)`` is the edge's canonical identity
+    (parcel wire format and per-LCO dedup key).
+    """
 
     src: int
     dst: int
     op: str
     aux: object = None
+    pos: int = -1
 
 
 @dataclass
@@ -115,7 +121,8 @@ class DAG:
         return nid
 
     def add_edge(self, src: int, dst: int, op: str, aux=None) -> None:
-        self.out_edges[src].append(Edge(src=src, dst=dst, op=op, aux=aux))
+        out = self.out_edges[src]
+        out.append(Edge(src=src, dst=dst, op=op, aux=aux, pos=len(out)))
         self.in_degree[dst] += 1
 
     # -- statistics (Tables I and II) -------------------------------------------
@@ -267,11 +274,13 @@ def _batch_edges(dag: DAG, srcs, dsts, op: str, auxs=None) -> None:
     dsts = dsts.tolist() if isinstance(dsts, np.ndarray) else dsts
     if auxs is None:
         for s, d in zip(srcs, dsts):
-            oe[s].append(Edge(src=s, dst=d, op=op))
+            out = oe[s]
+            out.append(Edge(s, d, op, None, len(out)))
     else:
         auxs = auxs.tolist() if isinstance(auxs, np.ndarray) else auxs
         for s, d, a in zip(srcs, dsts, auxs):
-            oe[s].append(Edge(src=s, dst=d, op=op, aux=a))
+            out = oe[s]
+            out.append(Edge(s, d, op, a, len(out)))
 
 
 def _deltas(sa, ta, tis: np.ndarray, sis: np.ndarray):

@@ -1,0 +1,258 @@
+"""The flush plan: the batched numeric stages as index arrays over the DAG.
+
+In batched mode the registrar computes nothing for the exponential
+bridge (M->I, I->I, I->L), the downward shift (L->L) and the leaf
+outputs (S->T, M->T, L->T) while the runtime drains: those edges only
+count down their target LCOs.  Their numeric work runs afterwards, stage
+by stage, as stacked array operations
+(:meth:`repro.dashmm.registrar.Registrar.flush_deferred`).  Which edges
+stack together, and in which order, is a function of the DAG and the
+node localities alone, so it is compiled here once per registrar - the
+dependency data is the program - and executed unchanged by a cold
+``evaluate()``, every warm or drift submit of a session, and each
+real-parallel worker (which compiles the slice of edges it executes).
+
+Canonical composition (what makes every path produce the same bits):
+
+* every edge executes at its destination node's locality, and every
+  group key ends in that locality: a worker's groups are exactly the
+  simulator's groups of its rank, so the stacked GEMM operands agree
+  row for row;
+* within a group edges are ordered by ``(src, dst)`` (the bridge and
+  L->L) - an order that depends on the DAG only, never on the schedule;
+* leaf-output groups are visited in order of first appearance in the
+  ``(src, dst)``-sorted edge list, which fixes the order in which
+  contributions are added into each target point.
+
+The source- and target-side intermediate expansions of one level live in
+two dense matrices, one row per node and ``6 * nterms`` columns
+(direction-major, :data:`FULL_DIRS` order); the plan holds the row of
+every node and, per I->I group, the gather rows, the rows of the level's
+table of distinct translations and the ``reduceat`` segment starts.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+#: canonical direction order of the dense plane-wave matrices and of the
+#: full-width M->I / I->L operator stacks
+FULL_DIRS = tuple(sorted(("+z", "-z", "+x", "-x", "+y", "-y")))
+_DIR_IDX = {d: i for i, d in enumerate(FULL_DIRS)}
+
+#: edge classes whose numeric value the plan computes after the drain
+BRIDGE_OPS = ("M2I", "I2I", "I2L", "L2L")
+OUTPUT_OPS = ("S2T", "M2T", "L2T")
+PLANNED_OPS = frozenset(BRIDGE_OPS + OUTPUT_OPS)
+
+
+@dataclass(frozen=True)
+class BridgeLevel:
+    """M->I, I->I and I->L of one tree level (I->I is same-level).
+
+    Rows ``[0, n_is_local)`` of the source-side matrix are written by
+    this plan's M->I groups; the remaining ``is_ids`` are sources of
+    local I->I edges whose M->I ran on another locality and are copied
+    in from the mirror.  Likewise for the target side and I->L.
+    """
+
+    level: int
+    is_ids: list  # Is node id per row of the source-side matrix
+    n_is_local: int
+    it_ids: list  # It node id per row of the target-side matrix
+    n_it_local: int
+    m2i: list  # (first row, M node ids): one GEMM per group
+    deltas: list  # distinct (direction, delta) translations of the level
+    i2i: list  # (direction index, Is rows, delta rows, segment starts, It rows)
+    i2l: list  # (It rows, L node ids): one GEMM per group
+
+
+@dataclass(frozen=True)
+class OutputGroup:
+    """Leaf-output edges sharing one stacked evaluation.
+
+    ``sub`` is the source node id for S->T (one direct sum per source
+    leaf) and the source level for M->T / L->T (one operator scale);
+    ``[lo, hi)`` is the group's slice of the plan's ``out_*`` arrays.
+    """
+
+    op: str
+    sub: int
+    loc: int
+    lo: int
+    hi: int
+
+
+@dataclass(frozen=True)
+class FlushPlan:
+    """The compiled stages; see the module docstring for the ordering rules."""
+
+    bridge: list  # BridgeLevel per level with list-2 work
+    l2l: list  # (parent level, [(octant, parent L ids, child L ids)]), coarse first
+    outputs: list  # OutputGroup, in accumulation order
+    out_src: list  # source node id per leaf-output edge, group-contiguous
+    out_sbox: np.ndarray  # its box index in the source (S, M) or target (L) tree
+    out_tbox: np.ndarray  # target box index of the edge's T node
+
+
+def _group_slices(*keys: np.ndarray) -> list[tuple[int, int]]:
+    """``[lo, hi)`` runs of equal key tuples in already-sorted arrays."""
+    n = len(keys[0])
+    if n == 0:
+        return []
+    change = np.zeros(n - 1, dtype=bool)
+    for k in keys:
+        change |= k[1:] != k[:-1]
+    cuts = np.flatnonzero(change) + 1
+    return list(zip([0, *cuts.tolist()], [*cuts.tolist(), n]))
+
+
+def _rows_of(ids: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix rows of ``ids`` given the locally produced nodes ``local``
+    (rows ``0..len(local)-1``); unknown ids are appended as mirrored
+    rows.  Returns ``(rows, all node ids by row)``."""
+    mirrored = np.setdiff1d(ids, local)
+    by_row = np.concatenate([local, mirrored])
+    order = np.argsort(by_row, kind="stable")
+    return order[np.searchsorted(by_row, ids, sorter=order)], by_row
+
+
+def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
+    """Compile the flush stages of ``dag`` under its current localities.
+
+    ``rank`` restricts the plan to the edges executing at that locality
+    (the real-parallel worker's share); ``None`` takes all of them.
+    """
+    nodes = dag.nodes
+    n = len(nodes)
+    level = np.fromiter((nd.level for nd in nodes), np.int64, n)
+    loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
+    box = np.fromiter((nd.box_index for nd in nodes), np.int64, n)
+    cols: dict[str, tuple[list, list, list]] = {op: ([], [], []) for op in PLANNED_OPS}
+    for out in dag.out_edges:
+        for e in out:
+            c = cols.get(e.op)
+            if c is not None:
+                c[0].append(e.src)
+                c[1].append(e.dst)
+                c[2].append(e.aux)
+
+    def endpoints(op: str, aux: np.ndarray | None = None):
+        src = np.array(cols[op][0], dtype=np.int64)
+        dst = np.array(cols[op][1], dtype=np.int64)
+        if rank is not None:
+            keep = loc[dst] == rank
+            src, dst = src[keep], dst[keep]
+            aux = aux if aux is None else aux[keep]
+        return src, dst, aux
+
+    # -- exponential bridge ------------------------------------------------------
+    m_src, m_dst, _ = endpoints("M2I")
+    order = np.lexsort((m_dst, m_src, loc[m_dst], level[m_src]))
+    m_src, m_dst = m_src[order], m_dst[order]
+
+    pairs: dict[tuple, int] = {}
+    code = np.fromiter(
+        (pairs.setdefault(a, len(pairs)) for a in cols["I2I"][2]),
+        np.int64,
+        len(cols["I2I"][2]),
+    )
+    pair_list = list(pairs)
+    pair_dir = np.array([_DIR_IDX[d] for d, _ in pair_list], dtype=np.int64)
+    w_src, w_dst, code = endpoints("I2I", code)
+    w_dir = pair_dir[code]
+    order = np.lexsort((w_src, w_dst, loc[w_dst], w_dir, level[w_src]))
+    w_src, w_dst, w_dir, code = w_src[order], w_dst[order], w_dir[order], code[order]
+
+    l_src, l_dst, _ = endpoints("I2L")
+    order = np.lexsort((l_dst, l_src, loc[l_dst], level[l_src]))
+    l_src, l_dst = l_src[order], l_dst[order]
+
+    bridge = []
+    for lvl in np.unique(np.concatenate([level[m_src], level[w_src], level[l_src]])).tolist():
+        ms, md = (a[level[m_src] == lvl] for a in (m_src, m_dst))
+        at = level[w_src] == lvl
+        ws, wd, wdir, wcode = w_src[at], w_dst[at], w_dir[at], code[at]
+        ls, ld = (a[level[l_src] == lvl] for a in (l_src, l_dst))
+
+        is_rows, is_ids = _rows_of(ws, md)
+        it_local = np.unique(wd)
+        it_of_dst = np.searchsorted(it_local, wd)
+        it_rows, it_ids = _rows_of(ls, it_local)
+        used, delta_rows = np.unique(wcode, return_inverse=True)
+
+        i2i = []
+        for lo, hi in _group_slices(wdir, loc[wd]):
+            dst = wd[lo:hi]
+            starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+            i2i.append(
+                (
+                    int(wdir[lo]),
+                    is_rows[lo:hi],
+                    delta_rows[lo:hi],
+                    starts,
+                    it_of_dst[lo:hi][starts],
+                )
+            )
+        bridge.append(
+            BridgeLevel(
+                level=lvl,
+                is_ids=is_ids.tolist(),
+                n_is_local=len(md),
+                it_ids=it_ids.tolist(),
+                n_it_local=len(it_local),
+                m2i=[(lo, ms[lo:hi].tolist()) for lo, hi in _group_slices(loc[md])],
+                deltas=[pair_list[i] for i in used.tolist()],
+                i2i=i2i,
+                i2l=[
+                    (it_rows[lo:hi], ld[lo:hi].tolist())
+                    for lo, hi in _group_slices(loc[ld])
+                ],
+            )
+        )
+
+    # -- downward shift ----------------------------------------------------------
+    octant = np.array(cols["L2L"][2], dtype=np.int64)
+    d_src, d_dst, octant = endpoints("L2L", octant)
+    order = np.lexsort((d_dst, d_src, loc[d_dst], octant, level[d_src]))
+    d_src, d_dst, octant = d_src[order], d_dst[order], octant[order]
+    l2l: list = []
+    for lo, hi in _group_slices(level[d_src], octant, loc[d_dst]):
+        lvl = int(level[d_src[lo]])
+        if not l2l or l2l[-1][0] != lvl:
+            l2l.append((lvl, []))
+        l2l[-1][1].append((int(octant[lo]), d_src[lo:hi].tolist(), d_dst[lo:hi].tolist()))
+
+    # -- leaf outputs ------------------------------------------------------------
+    ops, srcs, dsts = [], [], []
+    for i, op in enumerate(OUTPUT_OPS):
+        s, d, _ = endpoints(op)
+        ops.append(np.full(len(s), i, dtype=np.int64))
+        srcs.append(s)
+        dsts.append(d)
+    o_op, o_src, o_dst = (np.concatenate(a) for a in (ops, srcs, dsts))
+    order = np.lexsort((o_dst, o_src))
+    o_op, o_src, o_dst = o_op[order], o_src[order], o_dst[order]
+    o_sub = np.where(o_op == 0, o_src, level[o_src])
+    # one integer per (op, sub, locality) key; groups in first-appearance order
+    key = (o_op * (n + 1) + o_sub) * (int(loc.max(initial=0)) + 2) + (loc[o_dst] + 1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank_of_group = np.empty(len(first), dtype=np.int64)
+    rank_of_group[np.argsort(first)] = np.arange(len(first))
+    group = rank_of_group[inverse]
+    order = np.argsort(group, kind="stable")
+    o_op, o_src, o_dst, o_sub = o_op[order], o_src[order], o_dst[order], o_sub[order]
+    outputs = [
+        OutputGroup(OUTPUT_OPS[o_op[lo]], int(o_sub[lo]), int(loc[o_dst[lo]]), lo, hi)
+        for lo, hi in _group_slices(group[order])
+    ]
+    return FlushPlan(
+        bridge=bridge,
+        l2l=l2l,
+        outputs=outputs,
+        out_src=o_src.tolist(),
+        out_sbox=box[o_src],
+        out_tbox=box[o_dst],
+    )

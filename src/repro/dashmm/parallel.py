@@ -27,19 +27,19 @@ Why the result is bit-identical to the simulator:
 
 * LCO contributions fold at trigger time in canonical dedup-key order,
   so fold order never depends on arrival order (PRs 4/5).
-* Every batched flush groups by a canonical key that *includes the
-  destination node's locality*, and an edge always executes at its
-  destination's locality - so the markers one worker accumulates are
-  exactly one locality-keyed simulator group, and the stacked GEMM
-  operands (hence the floats) match byte for byte.
-* The lazy bridge/downward cascade needs remote expansion data only at
-  flush time, which runs as a staged pipeline with deterministic
-  exchanges: dataflow quiescence, then M->I flush (M data already
-  mirrored), Is exchange, I->I flush, It exchange, I->L flush, a
-  per-level L->L loop (parent-L exchange before each level), a final-L
-  exchange for remote L->T reads, and the deferred leaf-output flush.
-  Exchange contents and barrier counts are derived from the replicated
-  DAG, identically on every rank.
+* Every flush-plan group is keyed by the executing locality, and an
+  edge always executes at its destination's locality - so the plan a
+  worker compiles for its rank (:mod:`repro.dashmm.flushplan`) holds
+  exactly the simulator's groups of that locality, and the stacked
+  GEMM operands (hence the floats) match byte for byte.
+* The bridge/downward stages need remote expansion data only at flush
+  time, which runs as a staged pipeline with deterministic exchanges:
+  dataflow quiescence, then the M->I stage (M data already mirrored),
+  Is exchange, I->I stage, It exchange, I->L stage, a per-level L->L
+  loop (parent-L exchange before each level), a final-L exchange for
+  remote L->T reads, and the leaf-output stage.  Exchange contents and
+  barrier counts are derived from the replicated DAG, identically on
+  every rank.
 """
 
 from __future__ import annotations
@@ -72,20 +72,19 @@ class ParallelRegistrar(Registrar):
     * :meth:`allocate` creates LCOs only for this rank's nodes;
     * :meth:`_data_of` falls back to the parcel/stage mirror for remote
       nodes;
-    * ``_mp_localities`` restricts the batched leaf-multipole fit to
-      this rank's batches (the base keying already matches).
+    * ``_rank`` restricts the stacked leaf-multipole fit and the flush
+      plan to the edges executing at this rank (the base group keying
+      already matches).
     """
 
     def __init__(self, rank: int, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._rank = rank
         self._mirror: dict[int, object] = {}
-        super().__init__(*args, **kwargs)
-        self._mp_localities = {rank}
 
     def _data_of(self, node_id: int):
-        lco = self.lcos.get(node_id)
-        if lco is not None:
-            return lco.data
+        if self._nodes[node_id].locality == self._rank:
+            return super()._data_of(node_id)
         return self._mirror[node_id]
 
     def allocate(self) -> None:
@@ -111,7 +110,7 @@ def _stage_plan(dag, rank: int, n: int) -> dict:
     """Deterministic exchange plan for the staged flush pipeline.
 
     For each stage, which locally-owned expansion nodes this rank must
-    ship to which peers (source nodes of cross-locality lazy edges),
+    ship to which peers (source nodes of cross-locality planned edges),
     plus the global, rank-independent list of L->L parent levels (every
     rank walks the same level sequence so the barrier counts line up).
     """
@@ -246,10 +245,6 @@ class _WorkerBody:
             centers=centers,
         )
         self.reg.geom_cache = self._geom_cache
-        # flush plans pay off exactly when rounds repeat; a rebuilt
-        # registrar starts with fresh plans, so a changed assignment
-        # can never replay stale group compositions
-        self.reg.plan_caching = self._geom_cache is not None
         # all ranks share the one result vector; each writes only the
         # target-box slices of its own T nodes (disjoint by construction)
         self.reg.result = self.arena.get("result")
@@ -297,13 +292,9 @@ class _WorkerBody:
             source_weights=weights,
             vectorized=self.ev.vectorized_setup,
         )
-        cache = self._geom_cache
-        if cache:
-            # coordinate-derived matrices are stale; i2i translation
-            # stacks only depend on the DAG and survive a same-shape move
-            for k in list(cache):
-                if k[0] != "i2i":
-                    del cache[k]
+        if self._geom_cache:
+            # every cached matrix is a function of the coordinates
+            self._geom_cache.clear()
         if dual_shape_fingerprint(new_dual) == old_shape:
             refresh_n_points(self.dag, new_dual)
             old_locs = [nd.locality for nd in self.dag.nodes]
@@ -314,16 +305,10 @@ class _WorkerBody:
                 self.reg.reset(zero_result=False)
             else:
                 # ownership moved: the local LCO set changes, so the
-                # network reallocates (box centers stay shape-valid).
-                # The surviving i2i stacks are keyed by locality and
-                # could alias a different group of the same size under
-                # the new cuts - drop them too.
-                if cache:
-                    cache.clear()
+                # network reallocates and the new registrar compiles a
+                # fresh flush plan (box centers stay shape-valid)
                 self._make_registrar(new_dual, self.dag, centers=self.reg._centers)
             return
-        if cache:
-            cache.clear()
         dag, _ = self.ev.build_dag(new_dual)
         self.ev.policy.assign(dag, new_dual, self.n)
         self.dual, self.dag = new_dual, dag
@@ -428,28 +413,25 @@ class _WorkerBody:
             self._drain(block=True, timeout=0.05)
 
     def _run_flushes(self) -> None:
-        reg, plan = self.reg, self.plan
-        sends = plan["sends"]
-        if reg._lazy_m2i:
-            reg._flush_m2i()
+        """This rank's slice of the flush plan, one exchange barrier
+        before each stage that reads another locality's expansions."""
+        reg, sends = self.reg, self.plan["sends"]
+        flush = reg.flush_plan()
+        reg._flush_m2i(flush)
         if self.n > 1:
             self._exchange("i2i", sends["i2i"])
-        if reg._lazy_i2i:
-            reg._flush_i2i()
+        reg._flush_i2i(flush)
         if self.n > 1:
             self._exchange("i2l", sends["i2l"])
-        if reg._lazy_i2l:
-            reg._flush_i2l()
-        by_level = dict(reg._l2l_by_level())
-        for level in plan["l2l_levels"]:
+        reg._flush_i2l(flush)
+        by_level = dict(flush.l2l)
+        for level in self.plan["l2l_levels"]:
             if self.n > 1:
                 self._exchange(("l2l", level), sends.get(("l2l", level), {}))
-            edges = by_level.get(level)
-            if edges:
-                reg._flush_l2l_level(level, edges)
+            reg._flush_l2l_level(level, by_level.get(level, ()))
         if self.n > 1:
             self._exchange("l2t", sends["l2t"])
-        reg.flush_deferred()
+        reg._flush_outputs(flush)
 
     # -- protocol --------------------------------------------------------------
     def run(self) -> None:

@@ -17,8 +17,8 @@ continuation processes the out-edge list:
   of the paper's design choice).
 
 Source (S) nodes have no inputs; an initial task per source leaf
-processes their out-edges (S->M, S->T, S->L) at time zero.  Execution
-modes:
+processes their out-edges (S->M, S->T, S->L) at time zero, as does one
+per expansion node no edge reaches.  Execution modes:
 
 * ``numeric`` - edge transforms really compute (fitted operators,
   kernel evaluations); the result is numerically identical to the
@@ -34,11 +34,12 @@ from collections import defaultdict
 import numpy as np
 
 from repro.dashmm.dag import DAG, DagNode
+from repro.dashmm.flushplan import FULL_DIRS, PLANNED_OPS, FlushPlan, compile_flush_plan
 from repro.hpx.lco import LCO
 from repro.hpx.parcel import Parcel
 from repro.hpx.runtime import Runtime
 from repro.hpx.scheduler import HIGH, LOW, Task
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, pair_distances
 from repro.kernels.fitops import OperatorFactory
 from repro.sim.costmodel import CostModel, SizeModel
 
@@ -54,88 +55,6 @@ CRITICAL_OPS = ("S2M", "M2M", "M2I", "I2I", "I2L", "M2L", "L2L", "S2L")
 FILLER_OPS = ("S2T", "M2T", "L2T")
 
 
-class _Deferred:
-    """Placeholder value for a leaf-output edge (S->T, M->T, L->T).
-
-    The batched path sets these into target LCOs instead of computed
-    potentials; the numeric work happens once per (op, level) group in
-    :meth:`Registrar.flush_deferred` after the runtime drains.  Trigger
-    counting, effect ordering and the virtual clock are untouched
-    because none of them depend on the payload.
-    """
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-class _LazyAmps:
-    """Placeholder for an M->I value (outgoing plane-wave amplitudes).
-
-    All pending M->I edges are materialized together - one GEMM per
-    (direction set, level) against the row-stacked operator - the first
-    time any intermediate expansion is read, so the 7 MB operator stack
-    streams through memory once per wave instead of once per edge.
-    """
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-class _LazyWave:
-    """Placeholder for an I->I value (translated plane-wave amplitudes);
-    materialized in bulk like :class:`_LazyAmps`."""
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-class _LazyLocal:
-    """Placeholder for an I->L value (local expansion contribution);
-    materialized in bulk like :class:`_LazyAmps`."""
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-class _LazyDown:
-    """Placeholder for an L->L value (parent-to-child local shift);
-    materialized level by level once the upward/bridge flushes ran."""
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-#: marker types ignored by the reducers (values tracked registrar-side)
-_LAZY = (_LazyAmps, _LazyWave, _LazyLocal, _LazyDown)
-
-
-def _marker_order(m) -> tuple:
-    """Canonical sort key for a lazy marker.
-
-    Markers are appended in task-execution order, which varies with
-    network timing (and under fault injection, with the fault
-    schedule); every flush sorts them first so grouping and
-    accumulation order - hence the floating-point result - depend only
-    on the DAG.
-    """
-    e = m.edge
-    return (e.src, e.dst, repr(e.aux))
-
-#: canonical direction order for the padded full-width operator stacks
-_FULL_DIRS = tuple(sorted(("+z", "-z", "+x", "-x", "+y", "-y")))
-_DIR_IDX = {d: i for i, d in enumerate(_FULL_DIRS)}
-
-
 class ExpansionLCO(LCO):
     """User-defined LCO: expansion data + DAG out-edge list (Fig. 2).
 
@@ -147,7 +66,10 @@ class ExpansionLCO(LCO):
     - bit-identical across schedules, which is what lets a faulty run
     under the reliable transport reproduce the fault-free potentials
     exactly.  Contributions without a key fold in arrival order, after
-    all keyed ones.
+    all keyed ones.  A ``None`` contribution only counts down: phantom
+    runs carry no values, and in batched numeric mode the value of every
+    edge class in :data:`~repro.dashmm.flushplan.PLANNED_OPS` is
+    computed after the drain by the flush plan.
     """
 
     def __init__(self, runtime, locality: int, node: DagNode, n_inputs: int, registrar):
@@ -156,8 +78,6 @@ class ExpansionLCO(LCO):
         self.remaining = n_inputs
         self.registrar = registrar
         self.data = None
-        #: deferred leaf-output edges, in canonical fold order (T nodes)
-        self.pending = None
         self._inbox: list = []
         self._unkeyed = 0
 
@@ -189,15 +109,8 @@ class ExpansionLCO(LCO):
         self._inbox = []
 
     def _reduce(self, value) -> None:
-        if type(value) is _Deferred:
-            if self.pending is None:
-                self.pending = []
-            self.pending.append(value.edge)
-        elif type(value) in _LAZY:
-            # tracked registrar-side; materialized in bulk on first read
-            pass
-        elif self.node.kind == "It":
-            # per-direction plane-wave accumulators
+        if self.node.kind == "It":
+            # per-direction plane-wave accumulators (per-edge path)
             direction, amps = value
             if self.data is None:
                 self.data = {}
@@ -247,37 +160,34 @@ class Registrar:
         #: cache locality ... but sacrifices parallelism".  False spawns
         #: one task per local edge instead (the road not taken).
         self.sequential_edges = sequential_edges
-        #: Batched numeric fast path: a node's local out-edges that
-        #: share an operator (all S2T/M2T/L2T leaf outputs, S2L edges at
-        #: one level) are executed as a single stacked NumPy operation
-        #: instead of one small matvec per edge.  Virtual-clock charges
-        #: and effect ordering are identical either way; only wall-clock
-        #: time changes.  False restores per-edge execution (ablation).
+        #: Batched numeric path: a node's S2L edges at one level run as
+        #: one stacked operation, leaf multipoles are fitted level by
+        #: level, and every edge class in PLANNED_OPS only counts down
+        #: its target LCO during the drain - its numeric work runs
+        #: afterwards, stage by stage, from the flush plan.  Virtual-clock
+        #: charges and effect ordering are identical either way; only
+        #: wall-clock time changes.  False restores per-edge execution
+        #: (ablation), as does one task per edge, whose tasks read
+        #: expansions while the drain is still running.
         self.batch_edges = batch_edges
-        #: node id -> sorted receiving directions, filled lazily by the
-        #: batched M->I fast path (the set is static per DAG)
-        self._m2i_dirs: dict[int, tuple] = {}
-        #: leaf-output edges whose numeric value was deferred; evaluated
-        #: in one stacked pass per (op, level) by :meth:`flush_deferred`
-        self._deferred: list = []
+        self._batched = batch_edges and sequential_edges and mode == "numeric"
+        #: the compiled flush stages (see :mod:`repro.dashmm.flushplan`);
+        #: built on the first numeric flush, so phantom runs never pay
+        #: for it, and kept for every later flush of this registrar
+        self._plan: FlushPlan | None = None
+        #: planned edges have run since the last flush
+        self._flush_pending = False
+        #: per-level dense (source-side, target-side) plane-wave
+        #: matrices, alive between the bridge stages of one flush
+        self._waves: dict[int, list] = {}
         #: source box index -> multipole, all leaves fitted in one
         #: stacked pass per level (batched path, built on first S->M)
         self._s2m: dict[int, np.ndarray] | None = None
-        #: restrict _leaf_multipoles to these M-node localities (set by
-        #: the parallel backend to the worker's own rank); None = all
-        self._mp_localities: "set[int] | None" = None
-        #: M->I / I->I / I->L / L->L edges whose value is pending bulk
-        #: materialization (the exponential bridge and the downward
-        #: shift are lazy end to end)
-        self._lazy_m2i: list = []
-        self._lazy_i2i: list = []
-        self._lazy_i2l: list = []
-        self._lazy_l2l: list = []
+        #: restrict the stacked numeric passes (leaf multipoles, flush
+        #: plan) to the edges executing at this locality (set by the
+        #: parallel backend to the worker's own rank); None = all
+        self._rank: int | None = None
         self.lcos: dict[int, ExpansionLCO] = {}
-        #: node id -> {id(edge): position in its out-edge list}; edge
-        #: positions are both the parcel wire format and the per-LCO
-        #: dedup keys, so retried contributions fold exactly once
-        self._pos: dict[int, dict] = {}
         self.result = np.zeros(dual.target.n_points) if dual is not None else None
         #: box centers are a pure function of the box keys and the
         #: domain - i.e. of the tree *shape* - so a persistent session
@@ -288,25 +198,13 @@ class Registrar:
             "target": np.array([dual.domain.box_center(b.key) for b in dual.target.boxes]),
         }
         #: optional cache of geometry-derived operator matrices (p2m
-        #: basis rows, i2i stacks, s2t greens chunks, m2t/l2t evaluation
-        #: matrices), owned by the persistent session.  None (the
-        #: default) disables caching entirely; when set, the flush paths
-        #: populate it and reuse entries on later warm runs.  Entries
-        #: are keyed so a hit reproduces the cold stacked operands bit
-        #: for bit; the session is responsible for invalidation when
-        #: points or shape move.
+        #: basis rows, s2t greens chunks, m2t/l2t evaluation matrices),
+        #: owned by the persistent session.  None (the default) disables
+        #: caching entirely; when set, the stacked passes populate it and
+        #: reuse entries on later warm runs.  Entries are keyed so a hit
+        #: reproduces the cold stacked operands bit for bit; the session
+        #: clears it when points move.
         self.geom_cache: dict | None = None
-        #: flush-plan recording (persistent sessions): the first batched
-        #: m2i/i2i flush records its marker group compositions and a
-        #: dense row index into the stacked amplitude matrix, so warm
-        #: re-runs skip the marker sort/grouping and gather plane-wave
-        #: rows with one fancy index instead of a 50k-item Python loop.
-        #: Plans bake node localities in; anything that reassigns nodes
-        #: under a live registrar must call :meth:`invalidate_plans`.
-        self.plan_caching = False
-        self._m2i_plan: tuple | None = None
-        self._i2i_plan: tuple | None = None
-        self._is_mat: np.ndarray | None = None
         # hot references resolved once (touched per edge in the runs)
         self._nodes = dag.nodes
         self._sboxes = dual.source.boxes if dual is not None else None
@@ -345,8 +243,8 @@ class Registrar:
                     dag, cost_model=self.cost, levels=pol.n_levels - 1
                 )
         runtime.register_action("dashmm_edges", self._edges_action)
-        # per-evaluation mutable state outside the GAS (lazy/deferred
-        # accumulators, the result vector, recorded flush plans) rides
+        # per-evaluation mutable state outside the GAS (the stacked
+        # multipoles, the pending-flush flag, the result vector) rides
         # checkpoints through the participant protocol
         participants = getattr(runtime, "checkpoint_participants", None)
         if participants is not None:
@@ -360,8 +258,17 @@ class Registrar:
         lookup.  The real-parallel backend overrides it: data of a
         remote node comes from the mirror filled by arriving parcels
         and staged flush exchanges (:mod:`repro.dashmm.parallel`).
+        ``None`` stands for the zero expansion of a node nothing
+        contributed to.
         """
-        return self.lcos[node_id].data
+        lco = self.lcos.get(node_id)
+        return None if lco is None else lco.data
+
+    def _stacked_data(self, node_ids) -> np.ndarray:
+        """Row-stacked spherical expansions of ``node_ids``."""
+        data_of = self._data_of
+        zero = np.zeros(self.kernel.size, dtype=complex)
+        return np.stack([zero if (d := data_of(i)) is None else d for i in node_ids])
 
     # -- allocation (Fig. 2, t0/t1) ------------------------------------------------
     def allocate(self) -> None:
@@ -383,10 +290,15 @@ class Registrar:
             )
 
     def initial_tasks(self) -> int:
-        """Enqueue the time-zero tasks (out-edges of every S node)."""
+        """Enqueue the time-zero tasks: the out-edges of every node
+        without inputs.  Those are the S nodes and, in a tree that fills
+        only a corner of its domain, coarse L nodes that no list reaches:
+        their expansion is zero, but their children still count the
+        L->L edge among their inputs."""
         count = 0
+        in_degree = self.dag.in_degree
         for node in self.dag.nodes:
-            if node.kind != "S":
+            if in_degree[node.id]:
                 continue
             edges = self.dag.out_edges[node.id]
             if not edges:
@@ -408,7 +320,7 @@ class Registrar:
                     Task(
                         fn=self._process_edges,
                         args=(node.id, group),
-                        op_class="edges:S",
+                        op_class=f"edges:{node.kind}",
                         priority=pr,
                     ),
                     node.locality,
@@ -423,11 +335,10 @@ class Registrar:
         After ``reset`` the registrar is observationally equivalent to a
         freshly allocated one over the same DAG: every LCO has its full
         input count outstanding, an empty inbox, no data, and its
-        continuation re-registered; all lazy/deferred accumulators are
-        empty.  Static shape-derived state - the LCO objects themselves
-        (and their GAS addresses), ``_pos`` dedup positions, ``_centers``
-        and ``_m2i_dirs`` - survives, which is the point: a same-shape
-        resubmission skips allocation entirely.
+        continuation re-registered; no flush is pending.  Static
+        shape-derived state - the LCO objects themselves (and their GAS
+        addresses), ``_centers`` and the flush plan - survives, which is
+        the point: a same-shape resubmission skips allocation entirely.
         """
         in_degree = self.dag.in_degree
         for nid, lco in self.lcos.items():
@@ -438,7 +349,6 @@ class Registrar:
             lco.locality = lco.node.locality
             lco.triggered = False
             lco.data = None
-            lco.pending = None
             lco._inbox = []
             lco._unkeyed = 0
             lco._seen_keys = None
@@ -452,12 +362,8 @@ class Registrar:
                     priority=self._node_priority(node),
                 )
             )
-        self._deferred = []
         self._s2m = None
-        self._lazy_m2i = []
-        self._lazy_i2i = []
-        self._lazy_i2l = []
-        self._lazy_l2l = []
+        self._flush_pending = False
         if zero_result and self.result is not None:
             self.result[:] = 0.0
 
@@ -466,59 +372,42 @@ class Registrar:
 
         The registrar's LCOs live in the GAS and are snapshotted there
         (:mod:`repro.hpx.checkpoint`); this covers everything else that
-        changes while an evaluation runs: the lazy marker lists and
-        deferred leaf outputs, the stacked-multipole cache, the result
-        vector, and the recorded flush plans (which are
-        schedule-dependent under fuzzing, so a restore must rewind them
-        with everything else).
+        changes while an evaluation runs: the stacked-multipole cache,
+        whether planned edges have run, and the result vector.  The
+        flush plan is a function of the DAG and the localities, neither
+        of which a restore rewinds, so it is not part of the snapshot.
         """
         return {
-            "deferred": list(self._deferred),
             "s2m": None if self._s2m is None else dict(self._s2m),
-            "lazy_m2i": list(self._lazy_m2i),
-            "lazy_i2i": list(self._lazy_i2i),
-            "lazy_i2l": list(self._lazy_i2l),
-            "lazy_l2l": list(self._lazy_l2l),
-            "m2i_dirs": dict(self._m2i_dirs),
-            "m2i_plan": self._m2i_plan,
-            "i2i_plan": self._i2i_plan,
-            "is_mat": self._is_mat,
+            "flush_pending": self._flush_pending,
             "result": None if self.result is None else self.result.copy(),
         }
 
     def restore_state(self, state: dict) -> None:
         """Write a :meth:`checkpoint_state` snapshot back in place."""
-        self._deferred = list(state["deferred"])
         self._s2m = None if state["s2m"] is None else dict(state["s2m"])
-        self._lazy_m2i = list(state["lazy_m2i"])
-        self._lazy_i2i = list(state["lazy_i2i"])
-        self._lazy_i2l = list(state["lazy_i2l"])
-        self._lazy_l2l = list(state["lazy_l2l"])
-        self._m2i_dirs = dict(state["m2i_dirs"])
-        self._m2i_plan = state["m2i_plan"]
-        self._i2i_plan = state["i2i_plan"]
-        self._is_mat = state["is_mat"]
+        self._flush_pending = state["flush_pending"]
         if state["result"] is not None:
             # in place: closures and the evaluator hold this array
             self.result[:] = state["result"]
 
+    def flush_plan(self) -> FlushPlan:
+        """The compiled flush stages, built on first use."""
+        if self._plan is None:
+            self._plan = compile_flush_plan(self.dag, self._rank)
+        return self._plan
+
     def invalidate_plans(self) -> None:
-        """Drop recorded flush plans (group compositions + gather rows).
+        """Drop the flush plan and the geometry cache.
 
         Required whenever node localities change under a live registrar:
-        the plans bake the (direction, level, locality) group keys - and
-        hence the stacked operand compositions - of the run that
-        recorded them.  The next flush re-records from scratch.
+        the plan bakes the locality-keyed group compositions - hence the
+        stacked operands - in, and geometry-cache entries are keyed by
+        those groups.  The next flush recompiles from the DAG.
         """
-        self._m2i_plan = None
-        self._i2i_plan = None
-        self._is_mat = None
-
-    def _record_plans(self) -> bool:
-        """Flush plans are only sound when every flush sees the full
-        marker set, i.e. in sequential batched mode where markers
-        accumulate until one global flush cascade."""
-        return self.plan_caching and self.sequential_edges and self.batch_edges
+        self._plan = None
+        if self.geom_cache:
+            self.geom_cache.clear()
 
     def rebind(self, dual) -> None:
         """Point the registrar at a replacement dual tree of the *same shape*.
@@ -573,29 +462,18 @@ class Registrar:
             box = self.dual.target.boxes[node.box_index]
             lco = self.lcos[node_id]
             if lco.data is not None:
+                # per-edge path; batched leaf outputs land at the flush
                 self.result[box.start : box.stop] = lco.data
-            if lco.pending:
-                self._deferred.extend(lco.pending)
-                lco.pending = None
 
-    def _pos_for(self, node_id: int) -> dict:
-        d = self._pos.get(node_id)
-        if d is None:
-            d = self._pos[node_id] = {
-                id(e): i for i, e in enumerate(self.dag.out_edges[node_id])
-            }
-        return d
-
-    def _edge_key(self, e) -> tuple:
-        """Canonical identity of one edge: (source node, out-list position)."""
-        return (e.src, self._pos_for(e.src)[id(e)])
+    @staticmethod
+    def _edge_key(e) -> tuple:
+        """Canonical identity of one edge: (source node, out-list
+        position) - the per-LCO dedup key, so a retried contribution
+        folds exactly once; the position is also the parcel wire format."""
+        return (e.src, e.pos)
 
     def _process_edges(self, ctx, node_id: int, edges) -> None:
         node = self.dag.nodes[node_id]
-        all_edges = self.dag.out_edges[node_id]
-        # positions within the node's full out-edge list travel in
-        # parcels; built lazily since purely local nodes never need it
-        pos: dict[int, int] | None = None
         by_loc: dict[int, list] = defaultdict(list)
         nodes = self._nodes
         for e in edges:
@@ -618,15 +496,13 @@ class Registrar:
                     for e in group:
                         ctx.spawn(
                             Task(
-                                fn=self._run_edge_task,
+                                fn=self._run_edge,
                                 args=(e,),
                                 op_class=e.op,
                                 priority=self._edge_priority([e]),
                             )
                         )
             elif self.coalesce:
-                if pos is None:
-                    pos = self._pos_for(node_id)
                 data_bytes = self.sizes.payload_bytes(
                     group[0].op, n_src_points=node.n_points
                 )
@@ -636,15 +512,13 @@ class Registrar:
                     Parcel(
                         action="dashmm_edges",
                         target=loc,
-                        args=(node_id, tuple(pos[id(e)] for e in group)),
+                        args=(node_id, tuple(e.pos for e in group)),
                         size_bytes=nbytes,
                         op_class="parcel:edges",
                         priority=self._edge_priority(group),
                     )
                 )
             else:
-                if pos is None:
-                    pos = self._pos_for(node_id)
                 for e in group:
                     data_bytes = self.sizes.payload_bytes(e.op, n_src_points=node.n_points)
                     nb1 = self.sizes.parcel_bytes(data_bytes, 1)
@@ -653,7 +527,7 @@ class Registrar:
                         Parcel(
                             action="dashmm_edges",
                             target=loc,
-                            args=(node_id, (pos[id(e)],)),
+                            args=(node_id, (e.pos,)),
                             size_bytes=nb1,
                             op_class="parcel:edges",
                             priority=self._edge_priority([e]),
@@ -676,11 +550,6 @@ class Registrar:
         if not self._split:
             return LOW
         return HIGH if any(e.op in CRITICAL_OPS for e in edges) else LOW
-
-    def _run_edge_task(self, ctx, e) -> None:
-        if self._lazy_m2i or self._lazy_i2l:
-            self._flush_lazy(e.src)
-        self._run_edge(ctx, e)
 
     def _edges_action(self, ctx, target, node_id: int, edge_indices) -> None:
         """Parcel action: evaluate coalesced remote edges at the destination."""
@@ -741,6 +610,8 @@ class Registrar:
             return self.kernel.p2l(
                 rel, self.dual.source.weights[sbox.start : sbox.stop], h
             )
+        if self._data_of(e.src) is None:
+            return None  # the zero expansion contributes nothing
         if op == "M2M":
             h = self.dual.domain.box_size(src_node.level)
             return self.factory.m2m(e.aux, h) @ self._data_of(e.src)
@@ -760,11 +631,10 @@ class Registrar:
         if op == "I2L":
             h = self.dual.domain.box_size(src_node.level)
             acc = None
-            data = self._data_of(e.src) or {}
-            for d, V in sorted(data.items()):
+            for d, V in sorted(self._data_of(e.src).items()):
                 c = self.factory.i2l(d, h) @ V
                 acc = c if acc is None else acc + c
-            return acc if acc is not None else np.zeros(self.kernel.size, dtype=complex)
+            return acc
         if op == "L2L":
             h = self.dual.domain.box_size(src_node.level)
             return self.factory.l2l(e.aux, h) @ self._data_of(e.src)
@@ -792,332 +662,53 @@ class Registrar:
         value = self._edge_value(e) if self.mode == "numeric" else None
         ctx.lco_set(self.lcos[e.dst], value, key=self._edge_key(e), op_class=e.op)
 
-    # -- batched fast path ----------------------------------------------------------------
-    def _edge_value_fast(self, e):
-        """Numeric value of one edge using stacked (batched) operators.
+    # -- batched path: during the drain ---------------------------------------------------
+    def _run_edges(self, ctx, edges) -> None:
+        """Execute local edges of one node, batching compatible groups.
 
-        M->I collapses all receiving directions into one matvec over the
-        row-stacked operator; I->L collapses all incoming directions
-        into one matvec over the column-stacked operator.  Every other
-        op falls through to the per-edge reference evaluation.
+        Charges are emitted per edge in the original order and LCO sets
+        are buffered per edge in the original order, so the virtual
+        clock, the trace and the downstream trigger sequence are
+        identical to the sequential per-edge path.  Planned edges set
+        ``None``: their values come from :meth:`flush_deferred`.
         """
-        op = e.op
-        if op == "S2M":
-            if self._s2m is None:
-                self._s2m = self._leaf_multipoles()
-            return self._s2m[self.dag.nodes[e.src].box_index]
-        if op == "M2I":
-            dirs = self._m2i_dirs.get(e.dst)
-            if dirs is None:
-                dirs = tuple(
-                    sorted({ee.aux[0] for ee in self.dag.out_edges[e.dst] if ee.op == "I2I"})
-                )
-                self._m2i_dirs[e.dst] = dirs
-            if not dirs:
-                return {}
-            marker = _LazyAmps(e)
-            self._lazy_m2i.append(marker)
-            return marker
-        if op == "I2I":
-            marker = _LazyWave(e)
-            self._lazy_i2i.append(marker)
-            return marker
-        if op == "I2L":
-            marker = _LazyLocal(e)
-            self._lazy_i2l.append(marker)
-            return marker
-        if op == "L2L":
-            marker = _LazyDown(e)
-            self._lazy_l2l.append(marker)
-            return marker
-        return self._edge_value(e)
-
-    def _flush_m2i(self) -> None:
-        """Materialize every pending M->I value in stacked GEMMs.
-
-        One ``(edges, size) @ (size, 6 * nterms)`` product per level
-        against the full-width direction stack computes the same
-        per-direction dot products the per-edge path does, but reads
-        the operator once for the whole wave (directions a node does
-        not radiate into are computed and discarded - the FLOPs are
-        negligible next to the saved memory traffic).
-
-        Groups are keyed by (source level, destination locality).  Every
-        edge executes at its destination node's locality, so adding the
-        locality makes each group exactly the set of markers one
-        real-parallel worker accumulates: the stacked operands - hence
-        the floating-point results - are bit-identical whether the flush
-        runs globally (simulator) or per worker (parallel backend).
-        The same keying applies to every flush below.
-        """
-        lazy, self._lazy_m2i = self._lazy_m2i, []
-        plan = self._m2i_plan
-        if plan is not None and len(lazy) == plan[0]:
-            self._flush_m2i_planned(plan)
+        if not self._batched:
+            run = self._run_edge
+            for e in edges:
+                run(ctx, e)
             return
-        lazy.sort(key=_marker_order)
-        nodes, lcos = self._nodes, self.lcos
-        groups: dict[tuple, list] = {}
-        for m in lazy:
-            e = m.edge
-            groups.setdefault(
-                (nodes[e.src].level, nodes[e.dst].locality), []
-            ).append(e)
-        record = self._record_plans()
-        plan_groups: list = []
-        mats: list = []
-        rows: dict[int, int] = {}
-        off = 0
-        for (level, _), grp in groups.items():
-            h = self.dual.domain.box_size(level)
-            stack = self.factory.m2i_stack(_FULL_DIRS, h)
-            M = np.stack([self._data_of(e.src) for e in grp])
-            amps = M @ stack.T
-            per = amps.shape[1] // len(_FULL_DIRS)
-            for row, e in zip(amps, grp):
-                lcos[e.dst].data = {
-                    d: row[_DIR_IDX[d] * per : (_DIR_IDX[d] + 1) * per]
-                    for d in self._m2i_dirs[e.dst]
-                }
-            if record:
-                plan_groups.append((level, grp, off))
-                for i, e in enumerate(grp):
-                    rows[e.dst] = off + i
-                mats.append(amps)
-                off += len(grp)
-        if record and mats:
-            self._m2i_plan = (len(lazy), plan_groups, rows)
-            self._is_mat = (
-                np.concatenate(mats) if len(mats) > 1 else mats[0].copy()
-            )
-
-    def _flush_m2i_planned(self, plan: tuple) -> None:
-        """Warm-path M->I flush over a recorded plan: same stacked GEMMs
-        per recorded group (hence bit-identical amplitudes), no marker
-        sort or regrouping; each group's rows land in the shared dense
-        amplitude matrix the planned I->I gather fancy-indexes."""
-        _, groups, _rows = plan
-        lcos = self.lcos
-        is_mat = self._is_mat
-        dom = self.dual.domain
-        for level, grp, off in groups:
-            h = dom.box_size(level)
-            stack = self.factory.m2i_stack(_FULL_DIRS, h)
-            M = np.stack([self._data_of(e.src) for e in grp])
-            amps = M @ stack.T
-            is_mat[off : off + len(grp)] = amps
-            per = amps.shape[1] // len(_FULL_DIRS)
-            for row, e in zip(amps, grp):
-                lcos[e.dst].data = {
-                    d: row[_DIR_IDX[d] * per : (_DIR_IDX[d] + 1) * per]
-                    for d in self._m2i_dirs[e.dst]
-                }
-
-    def _flush_i2i(self) -> None:
-        """Materialize every pending I->I value: one broadcast multiply
-        per (direction, level) wave, then a segmented reduction into
-        the per-direction accumulators of each target node."""
-        lazy, self._lazy_i2i = self._lazy_i2i, []
-        plan = self._i2i_plan
-        if plan is not None and len(lazy) == plan[0]:
-            self._flush_i2i_planned(plan)
+        if not edges:
             return
-        lazy.sort(key=_marker_order)
-        nodes, lcos = self._nodes, self.lcos
-        groups: dict[tuple, list] = {}
-        for m in lazy:
-            e = m.edge
-            groups.setdefault(
-                (e.aux[0], nodes[e.src].level, nodes[e.dst].locality), []
-            ).append(e)
-        cache = self.geom_cache
-        record = self._record_plans()
-        m2i_plan = self._m2i_plan
-        rows = m2i_plan[2] if m2i_plan is not None else None
-        plan_groups: list = []
-        for (d, level, loc), grp in groups.items():
-            h = self.dual.domain.box_size(level)
-            grp.sort(key=lambda e: e.dst)
-            # the translation stack depends only on the DAG's edge set
-            # (directions, deltas, levels) - not on point coordinates -
-            # so it survives even a *geometry* change as long as the
-            # shape (and hence the DAG template) is reused.  The group
-            # composition is deterministic given the DAG, making the
-            # group key + size a faithful identity for the stack.
-            ck = ("i2i", d, level, loc, len(grp))
-            F = cache.get(ck) if cache is not None else None
-            if F is None:
-                i2i = self.factory.i2i
-                F = np.stack([i2i(d, e.aux[1], h) for e in grp])
-                if cache is not None:
-                    cache[ck] = F
-            W = np.stack([self._data_of(e.src)[d] for e in grp])
-            amps = W * F
-            starts = [
-                i for i in range(len(grp)) if i == 0 or grp[i].dst != grp[i - 1].dst
-            ]
-            sums = np.add.reduceat(amps, starts, axis=0)
-            for i, s in zip(starts, sums):
-                dst = lcos[grp[i].dst]
-                if dst.data is None:
-                    dst.data = {d: s}
-                else:
-                    cur = dst.data.get(d)
-                    dst.data[d] = s if cur is None else cur + s
-            if record:
-                # a None row index means some source's plane waves were
-                # not fitted locally (parallel backend, mirrored data):
-                # that group keeps the per-edge gather on warm runs
-                row_idx = None
-                if rows is not None:
-                    try:
-                        row_idx = np.fromiter(
-                            (rows[e.src] for e in grp),
-                            dtype=np.intp,
-                            count=len(grp),
-                        )
-                    except KeyError:
-                        row_idx = None
-                per = F.shape[1]
-                lo = _DIR_IDX[d] * per
-                plan_groups.append(
-                    (
-                        d,
-                        lo,
-                        lo + per,
-                        row_idx,
-                        grp,
-                        F,
-                        np.asarray(starts, dtype=np.intp),
-                        [grp[i].dst for i in starts],
-                    )
-                )
-        if record:
-            self._i2i_plan = (len(lazy), plan_groups)
-
-    def _flush_i2i_planned(self, plan: tuple) -> None:
-        """Warm-path I->I flush over a recorded plan.
-
-        The wave stack W is gathered with one fancy index per group out
-        of the dense amplitude matrix the planned M->I flush filled -
-        the gathered rows carry exactly the values the per-edge lookup
-        reads out of each source's direction dict, so the broadcast
-        multiply and segmented reduction are bit-identical to the
-        recording run."""
-        lcos = self.lcos
-        is_mat = self._is_mat
-        data_of = self._data_of
-        for d, lo, hi, row_idx, grp, F, starts, dsts in plan[1]:
-            if row_idx is not None and is_mat is not None:
-                W = is_mat[row_idx, lo:hi]
-            else:
-                W = np.stack([data_of(e.src)[d] for e in grp])
-            amps = W * F
-            sums = np.add.reduceat(amps, starts, axis=0)
-            for dst_id, s in zip(dsts, sums):
-                dst = lcos[dst_id]
-                if dst.data is None:
-                    dst.data = {d: s}
-                else:
-                    cur = dst.data.get(d)
-                    dst.data[d] = s if cur is None else cur + s
-
-    def _flush_i2l(self) -> None:
-        """Materialize every pending I->L value in stacked GEMMs against
-        the full-width direction stack (absent directions are zero rows,
-        which contribute exactly nothing), accumulating each result into
-        its target local expansion."""
-        lazy, self._lazy_i2l = self._lazy_i2l, []
-        lazy.sort(key=_marker_order)
-        nodes, lcos = self._nodes, self.lcos
-        groups: dict[tuple, list] = {}
-        for m in lazy:
-            e = m.edge
-            groups.setdefault(
-                (nodes[e.src].level, nodes[e.dst].locality), []
-            ).append(e)
-        for (level, _), grp in groups.items():
-            h = self.dual.domain.box_size(level)
-            stack = self.factory.i2l_stack(_FULL_DIRS, h)
-            nt = stack.shape[1] // len(_FULL_DIRS)
-            V = np.zeros((len(grp), stack.shape[1]), dtype=complex)
-            for i, e in enumerate(grp):
-                for d, amps in self._data_of(e.src).items():
-                    j = _DIR_IDX[d]
-                    V[i, j * nt : (j + 1) * nt] = amps
-            locs = V @ stack.T
-            for row, e in zip(locs, grp):
-                dst = lcos[e.dst]
-                dst.data = row if dst.data is None else dst.data + row
-
-    def _flush_l2l(self) -> None:
-        """Materialize every pending L->L value, coarse levels first.
-
-        Parents strictly precede children in the downward pass, so
-        processing levels in ascending order guarantees every parent
-        local expansion is complete (its own lazy inputs flushed) before
-        its children consume it; within a level the edges sharing an
-        octant operator run as one GEMM.
-        """
-        for level, edges in self._l2l_by_level():
-            self._flush_l2l_level(level, edges)
-
-    def _l2l_by_level(self) -> list[tuple[int, list]]:
-        """Drain pending L->L markers into (level, edges) batches,
-        coarse levels first, edges in canonical marker order."""
-        lazy, self._lazy_l2l = self._lazy_l2l, []
-        lazy.sort(key=_marker_order)
-        nodes = self._nodes
-        by_level: dict[int, list] = {}
-        for m in lazy:
-            by_level.setdefault(nodes[m.edge.src].level, []).append(m.edge)
-        return [(level, by_level[level]) for level in sorted(by_level)]
-
-    def _flush_l2l_level(self, level: int, edges) -> None:
-        """One downward-shift level: grouped GEMMs per (octant, dst
-        locality).  Split out so the parallel backend can interleave a
-        parent-data exchange barrier between levels."""
-        nodes, lcos = self._nodes, self.lcos
-        groups: dict[tuple, list] = {}
+        charge = self._charge_edge
         for e in edges:
-            groups.setdefault((e.aux, nodes[e.dst].locality), []).append(e)
-        h = self.dual.domain.box_size(level)
-        for (octant, _), grp in groups.items():
-            op = self.factory.l2l(octant, h)
-            P = np.stack([self._data_of(e.src) for e in grp])
-            vals = P @ op.T
-            for row, e in zip(vals, grp):
-                dst = lcos[e.dst]
-                dst.data = row if dst.data is None else dst.data + row
-
-    def _flush_lazy(self, src_id: int) -> None:
-        """Materialize pending lazy values before ``src_id``'s data is read.
-
-        The exponential bridge and the downward shift are lazy end to
-        end, so in batched sequential mode nothing reads an intermediate
-        or local expansion during the run and the entire cascade runs
-        once, at full batch width, from :meth:`flush_deferred`.  This
-        hook serves the per-edge-task ablation paths, which do read
-        expansions eagerly.
-        """
-        kind = self._nodes[src_id].kind
-        if kind == "Is":
-            if self._lazy_m2i:
-                self._flush_m2i()
-        elif kind == "It":
-            if self._lazy_m2i:
-                self._flush_m2i()
-            if self._lazy_i2i:
-                self._flush_i2i()
-        elif kind == "L":
-            if self._lazy_m2i:
-                self._flush_m2i()
-            if self._lazy_i2i:
-                self._flush_i2i()
-            if self._lazy_i2l:
-                self._flush_i2l()
-            if self._lazy_l2l:
-                self._flush_l2l()
+            charge(ctx, e)
+        nodes = self._nodes
+        values: dict[int, object] = {}
+        # all out-edges being processed share the source node, so S2L
+        # edges at one target level share the operator scale
+        s2l: dict[int, list] = {}
+        for e in edges:
+            op = e.op
+            if op in PLANNED_OPS:
+                self._flush_pending = True
+            elif op == "S2L":
+                s2l.setdefault(nodes[e.dst].level, []).append(e)
+            elif op == "S2M":
+                if self._s2m is None:
+                    self._s2m = self._leaf_multipoles()
+                values[id(e)] = self._s2m[nodes[e.src].box_index]
+            else:
+                values[id(e)] = self._edge_value(e)
+        for group in s2l.values():
+            if len(group) == 1:
+                values[id(group[0])] = self._edge_value(group[0])
+            else:
+                self._batch_values(group, values)
+        lco_set = ctx.lco_set
+        lcos = self.lcos
+        value_of = values.get
+        for e in edges:
+            lco_set(lcos[e.dst], value_of(id(e)), key=(e.src, e.pos), op_class=e.op)
 
     def _leaf_multipoles(self) -> dict[int, np.ndarray]:
         """Multipoles of every source leaf, one stacked fit per level.
@@ -1129,8 +720,8 @@ class Registrar:
 
         Batches are keyed by (level, locality of the leaf's M node) -
         the locality at which the S->M edge executes - so each batch is
-        exactly what one parallel worker fits; ``_mp_localities`` (set
-        by the parallel backend) restricts fitting to the worker's own
+        exactly what one parallel worker fits; ``_rank`` (set by the
+        parallel backend) restricts fitting to the worker's own
         batches.  Leaves with no M node group under locality -1.
         """
         src = self.dual.source
@@ -1138,13 +729,13 @@ class Registrar:
         centers = self._centers["source"]
         m_index = self.dag.index.get("M", {})
         dnodes = self.dag.nodes
-        only = self._mp_localities
+        only = self._rank
         by_level: dict[tuple, list] = {}
         for b in src.boxes:
             if b.is_leaf and b.count > 0:
                 mid = m_index.get(b.index)
                 loc = dnodes[mid].locality if mid is not None else -1
-                if only is not None and loc not in only:
+                if only is not None and loc != only:
                     continue
                 by_level.setdefault((b.level, loc), []).append(b)
         cache = self.geom_cache
@@ -1180,68 +771,9 @@ class Registrar:
             for b, c in zip(boxes, coeffs):
                 out[b.index] = c
         return out
-    def _batch_key(self, e):
-        """Edges of one node sharing a key run as one stacked operation.
-
-        All out-edges being processed share the source node, so S2L
-        edges at one target level share the operator scale.  Everything
-        else is either lazy (the exponential bridge, leaf outputs) or
-        gains nothing from stacking, and returns None.
-        """
-        op = e.op
-        if op == "S2L":
-            return (op, self.dag.nodes[e.dst].level)
-        return None
-
-    def _run_edges(self, ctx, edges) -> None:
-        """Execute local edges of one node, batching compatible groups.
-
-        Charges are emitted per edge in the original order and LCO sets
-        are buffered per edge in the original order, so the virtual
-        clock, the trace and the downstream trigger sequence are
-        identical to the sequential per-edge path.
-        """
-        if not self.batch_edges or self.mode != "numeric":
-            run = self._run_edge
-            for e in edges:
-                run(ctx, e)
-            return
-        if not edges:
-            return
-        charge = self._charge_edge
-        for e in edges:
-            charge(ctx, e)
-        values: dict[int, object] = {}
-        groups: dict[object, list] = {}
-        value_fast = self._edge_value_fast
-        batch_key = self._batch_key
-        for e in edges:
-            if e.op in FILLER_OPS:
-                # leaf-output values are only read at the final gather:
-                # defer them and evaluate all of them in stacked passes
-                values[id(e)] = _Deferred(e)
-            else:
-                key = batch_key(e)
-                if key is None:
-                    values[id(e)] = value_fast(e)
-                else:
-                    groups.setdefault(key, []).append(e)
-        for key, group in groups.items():
-            if len(group) == 1:
-                values[id(group[0])] = self._edge_value(group[0])
-            else:
-                self._batch_values(key, group, values)
-        lco_set = ctx.lco_set
-        lcos = self.lcos
-        edge_key = self._edge_key
-        for e in edges:
-            lco_set(lcos[e.dst], values[id(e)], key=edge_key(e), op_class=e.op)
-
-    def _batch_values(self, key, group, values: dict) -> None:
-        """Stacked numeric evaluation of one (op, operator-key) group.
-
-        S2L: one p2l matrix build for all target boxes at this level.
-        """
+    def _batch_values(self, group, values: dict) -> None:
+        """Stacked S2L values of one source leaf at one target level:
+        one p2l matrix build for all the target boxes."""
         src_node = self.dag.nodes[group[0].src]
         tgt = self.dual.target
         tboxes = [tgt.boxes[self.dag.nodes[e.dst].box_index] for e in group]
@@ -1262,119 +794,183 @@ class Registrar:
         for e, c in zip(group, coeffs):
             values[id(e)] = c
 
+    # -- batched path: the flush stages -----------------------------------------------------
     def flush_deferred(self) -> None:
-        """Evaluate all deferred leaf-output edges in stacked passes.
+        """Run the numeric work of every planned edge, stage by stage.
 
-        Grouping is global: every M->T (resp. L->T) edge at one source
-        level shares one evaluation-matrix build over the concatenated
-        target points, with each point dotted against its own edge's
-        coefficient row; S->T edges regroup by source leaf so each leaf
-        does a single direct sum over all its target points, even when
-        the runtime split its out-edges across tasks or parcels.
-        Contributions are accumulated into the result in group order -
-        each per-point value is the same dot product the per-edge path
-        computes, so potentials agree to roundoff.
+        M->I, I->I, I->L, L->L level by level (coarse first, so every
+        parent local expansion is complete before its children read it),
+        then the leaf outputs, which read the final local expansions.
+        The stages execute the compiled :class:`FlushPlan`; a no-op when
+        no planned edge has run since the last flush (phantom and
+        per-edge runs never have one).
         """
-        # materialize the lazy bridge and downward shift first: the
-        # deferred L->T outputs below read the final local expansions
-        if self._lazy_m2i:
-            self._flush_m2i()
-        if self._lazy_i2i:
-            self._flush_i2i()
-        if self._lazy_i2l:
-            self._flush_i2l()
-        if self._lazy_l2l:
-            self._flush_l2l()
-        if not self._deferred:
+        if not self._flush_pending:
+            return
+        self._flush_pending = False
+        plan = self.flush_plan()
+        self._flush_m2i(plan)
+        self._flush_i2i(plan)
+        self._flush_i2l(plan)
+        for level, groups in plan.l2l:
+            self._flush_l2l_level(level, groups)
+        self._flush_outputs(plan)
+
+    def _flush_m2i(self, plan: FlushPlan) -> None:
+        """Outgoing plane waves of every source box: per (level,
+        locality) group one ``(edges, size) @ (size, 6 * nterms)``
+        product against the full-width direction stack, written straight
+        into the rows of the level's dense source-side matrix.  The
+        product reads the operator once for the whole group; directions
+        a node does not radiate into are computed and never gathered.
+        """
+        dom, lcos, data_of = self.dual.domain, self.lcos, self._data_of
+        self._waves = {}
+        for b in plan.bridge:
+            h = dom.box_size(b.level)
+            width = len(FULL_DIRS) * self.factory.quadrature(h).nterms
+            src_side = np.empty((len(b.is_ids), width), dtype=complex)
+            if b.m2i:
+                stack = self.factory.m2i_stack(FULL_DIRS, h)
+            for lo, m_ids in b.m2i:
+                src_side[lo : lo + len(m_ids)] = (
+                    np.stack([data_of(m) for m in m_ids]) @ stack.T
+                )
+            for nid, row in zip(b.is_ids[: b.n_is_local], src_side):
+                lcos[nid].data = row
+            self._waves[b.level] = [src_side, None]
+
+    def _flush_i2i(self, plan: FlushPlan) -> None:
+        """Translated plane waves: per (direction, locality) group one
+        gather of source rows, one broadcast multiply by the gathered
+        translation factors and one segmented sum per target node,
+        scattered into the level's dense target-side matrix.  Each
+        (target node, direction) slot belongs to exactly one segment of
+        one group; slots no translation reaches stay zero.
+        """
+        dom, lcos, data_of = self.dual.domain, self.lcos, self._data_of
+        i2i = self.factory.i2i
+        for b in plan.bridge:
+            waves = self._waves[b.level]
+            src_side = waves[0]
+            for nid, row in zip(b.is_ids[b.n_is_local :], src_side[b.n_is_local :]):
+                row[:] = data_of(nid)
+            nt = src_side.shape[1] // len(FULL_DIRS)
+            tgt_side = waves[1] = np.zeros((len(b.it_ids), src_side.shape[1]), dtype=complex)
+            if b.i2i:
+                h = dom.box_size(b.level)
+                table = np.stack([i2i(d, delta, h) for d, delta in b.deltas])
+            for d, is_rows, delta_rows, starts, it_rows in b.i2i:
+                lo = d * nt
+                waves_d = src_side[is_rows, lo : lo + nt]
+                waves_d *= table[delta_rows]
+                tgt_side[it_rows, lo : lo + nt] = np.add.reduceat(waves_d, starts, axis=0)
+            for nid, row in zip(b.it_ids[: b.n_it_local], tgt_side):
+                lcos[nid].data = row
+
+    def _flush_i2l(self, plan: FlushPlan) -> None:
+        """Local-expansion contributions of the incoming plane waves:
+        per (level, locality) group one GEMM of the gathered target-side
+        rows against the full-width direction stack (absent directions
+        are zero columns, which contribute exactly nothing)."""
+        dom, data_of = self.dual.domain, self._data_of
+        for b in plan.bridge:
+            tgt_side = self._waves[b.level][1]
+            for nid, row in zip(b.it_ids[b.n_it_local :], tgt_side[b.n_it_local :]):
+                row[:] = data_of(nid)
+            if b.i2l:
+                stack = self.factory.i2l_stack(FULL_DIRS, dom.box_size(b.level))
+            for it_rows, l_ids in b.i2l:
+                self._accumulate(l_ids, tgt_side[it_rows] @ stack.T)
+        self._waves = {}
+
+    def _flush_l2l_level(self, level: int, groups) -> None:
+        """One downward-shift level: one GEMM per (octant, locality)
+        group.  A stage of its own so the parallel backend can exchange
+        parent expansions between levels."""
+        h = self.dual.domain.box_size(level)
+        for octant, parents, children in groups:
+            self._accumulate(children, self._stacked_data(parents) @ self.factory.l2l(octant, h).T)
+
+    def _accumulate(self, node_ids, rows) -> None:
+        """Add one contribution row into each node's local expansion."""
+        lcos = self.lcos
+        for nid, row in zip(node_ids, rows):
+            dst = lcos[nid]
+            dst.data = row if dst.data is None else dst.data + row
+
+    def _flush_outputs(self, plan: FlushPlan) -> None:
+        """Leaf outputs: one direct sum per source leaf over all its
+        target points (S->T), one evaluation-matrix build per source
+        level over the concatenated target points with each point dotted
+        against its own edge's coefficient row (M->T, L->T).  Each
+        per-point value is the dot product the per-edge path computes,
+        so potentials agree to roundoff; contributions are added into
+        the result in plan order, edge by edge.
+        """
+        if not plan.outputs:
             return
         dom = self.dual.domain
-        tgt = self.dual.target
-        res = self.result
-        # canonical order: the deferred list accumulates in T-continuation
-        # run order, which is timing/fault dependent
-        self._deferred.sort(key=lambda e: (e.src, e.dst, e.op))
-        groups: dict[object, list] = {}
-        dnodes = self.dag.nodes
-        for e in self._deferred:
-            op = e.op
-            # the destination locality rides in every key so the group
-            # compositions (and stacked operands) match between a global
-            # flush and the per-worker flushes of the parallel backend
-            if op == "S2T":
-                key = (op, e.src, dnodes[e.dst].locality)
-            else:  # M2T / L2T share the operator scale per source level
-                key = (op, dnodes[e.src].level, dnodes[e.dst].locality)
-            groups.setdefault(key, []).append(e)
-        self._deferred = []
-        nodes = self.dag.nodes
-        cache = self.geom_cache
-        for (op, sub, loc), group in groups.items():
-            tboxes = [tgt.boxes[nodes[e.dst].box_index] for e in group]
-            pts = np.concatenate([tgt.points[b.start : b.stop] for b in tboxes])
-            if op == "S2T":
-                sbox = self.dual.source.boxes[nodes[group[0].src].box_index]
-                spts = self.dual.source.points[sbox.start : sbox.stop]
-                sw = self.dual.source.weights[sbox.start : sbox.stop]
-                if cache is None or type(self.kernel).direct is not Kernel.direct:
-                    out = self.kernel.direct(pts, spts, sw)
+        src, tgt = self.dual.source, self.dual.target
+        res, cache, kernel, data_of = self.result, self.geom_cache, self.kernel, self._data_of
+        cached_direct = cache is not None and type(kernel).direct is Kernel.direct
+        # target-point index of every (edge, point) pair, in plan order
+        ta = tgt.arrays
+        counts = ta.counts[plan.out_tbox]
+        ends = np.cumsum(counts)
+        point_idx = np.repeat(ta.starts[plan.out_tbox] - (ends - counts), counts)
+        point_idx += np.arange(len(point_idx))
+        for g in plan.outputs:
+            p_lo = ends[g.lo] - counts[g.lo]
+            idx = point_idx[p_lo : ends[g.hi - 1]]
+            pts = tgt.points[idx]
+            if g.op == "S2T":
+                sbox = src.boxes[plan.out_sbox[g.lo]]
+                spts = src.points[sbox.start : sbox.stop]
+                sw = src.weights[sbox.start : sbox.stop]
+                if not cached_direct:
+                    out = kernel.direct(pts, spts, sw)
                 else:
-                    # replicate Kernel.direct chunk for chunk, caching
-                    # each chunk's greens matrix: it depends on the
+                    # Kernel.direct chunk for chunk, caching each
+                    # chunk's greens matrix: it depends on the
                     # coordinates only, so a warm re-query pays one
                     # matvec against the fresh charges.  Identical
-                    # chunking + identical per-chunk matvec operands
-                    # make hit and miss bit-identical to the uncached
-                    # direct sum.
+                    # chunking and per-chunk matvec operands make hit
+                    # and miss bit-identical to the uncached direct sum.
                     out = np.zeros(len(pts))
                     for lo in range(0, len(pts), 2048):
-                        hi = lo + 2048
-                        ck = (op, sub, loc, len(pts), sbox.count, lo)
+                        ck = (g.op, g.sub, g.loc, lo)
                         G = cache.get(ck)
                         if G is None:
-                            t = pts[lo:hi]
-                            r = np.linalg.norm(
-                                t[:, None, :] - spts[None, :, :], axis=-1
+                            G = cache[ck] = kernel.greens(
+                                pair_distances(pts[lo : lo + 2048], spts)
                             )
-                            G = self.kernel.greens(r)
-                            cache[ck] = G
-                        out[lo:hi] = G @ sw
+                        out[lo : lo + 2048] = G @ sw
             else:
-                h = dom.box_size(sub)
-                side = "source" if op == "M2T" else "target"
-                centers = self._centers[side][[nodes[e.src].box_index for e in group]]
-                coeffs = np.stack([self._data_of(e.src) for e in group])
-                # which edge owns each concatenated point (small intp
-                # array; the per-point center/coefficient rows are
-                # gathered per chunk so every temporary stays
-                # cache-resident instead of streaming through memory)
-                eidx = np.repeat(
-                    np.arange(len(group)), [b.count for b in tboxes]
-                )
+                h = dom.box_size(g.sub)
+                side = "source" if g.op == "M2T" else "target"
+                centers = self._centers[side][plan.out_sbox[g.lo : g.hi]]
+                coeffs = self._stacked_data(plan.out_src[g.lo : g.hi])
+                # which edge owns each concatenated point (the per-point
+                # center/coefficient rows are gathered per chunk so
+                # every temporary stays cache-resident)
+                eidx = np.repeat(np.arange(g.hi - g.lo), counts[g.lo : g.hi])
                 # per-chunk evaluation matrices depend on the target
-                # points and box centers (geometry + shape) but not on
-                # the expansion coefficients, so a warm re-evaluation
-                # over unmoved points skips the basis build and only
-                # pays the row-dot against the fresh coefficients - the
-                # same (matrix * rows).sum contraction as m2t_rows /
-                # l2t_rows, hence bit-identical.
-                matf = self.kernel.m2t_matrix if op == "M2T" else self.kernel.l2t_matrix
+                # points and box centers but not on the coefficients, so
+                # a warm re-evaluation over unmoved points only pays the
+                # row-dot - the same (matrix * rows).sum contraction as
+                # m2t_rows / l2t_rows, hence bit-identical
+                matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
                 out = np.empty(len(pts))
                 for lo in range(0, len(pts), 2048):
-                    hi = lo + 2048
-                    sel = eidx[lo:hi]
-                    mat = None
-                    if cache is not None:
-                        ck = (op, sub, loc, len(pts), lo)
-                        mat = cache.get(ck)
+                    sel = eidx[lo : lo + 2048]
+                    ck = (g.op, g.sub, g.loc, lo)
+                    mat = cache.get(ck) if cache is not None else None
                     if mat is None:
-                        rel = (pts[lo:hi] - centers[sel]) / h
-                        mat = matf(rel, h)
+                        mat = matf((pts[lo : lo + 2048] - centers[sel]) / h, h)
                         if cache is not None:
                             cache[ck] = mat
-                    out[lo:hi] = (mat * coeffs[sel]).sum(axis=1).real
-            off = 0
-            for b in tboxes:
-                res[b.start : b.stop] += out[off : off + b.count]
-                off += b.count
-
-
+                    out[lo : lo + 2048] = (mat * coeffs[sel]).sum(axis=1).real
+            # sequential, like the per-box loop it replaces: a target
+            # box may appear under several M->T edges of one group
+            np.add.at(res, idx, out)

@@ -42,7 +42,8 @@ from typing import Any
 import numpy as np
 
 from repro.dashmm.dag import DAG, refresh_n_points
-from repro.dashmm.registrar import Registrar, _marker_order
+from repro.dashmm.flushplan import PLANNED_OPS
+from repro.dashmm.registrar import Registrar
 from repro.hpx.scheduler import Task, resolve_policy
 from repro.tree.box import Domain
 from repro.tree.dualtree import DualTree, build_dual_tree
@@ -191,12 +192,10 @@ class _Template:
     replay: "Any | None" = None
 
 
-#: edge ops the replay fast path knows how to re-execute; a DAG with
+#: edge ops the replay fast path knows how to re-execute (the eager
+#: ones; planned ones run from the registrar's flush plan); a DAG with
 #: anything else (a future method) falls back to the full task drain
-_REPLAY_EAGER = frozenset({"S2M", "M2M", "S2L", "M2L"})
-_REPLAY_LAZY = frozenset({"M2I", "I2I", "I2L", "L2L"})
-_REPLAY_DEFERRED = frozenset({"S2T", "M2T", "L2T"})
-_REPLAY_OPS = _REPLAY_EAGER | _REPLAY_LAZY | _REPLAY_DEFERRED
+_REPLAY_OPS = frozenset({"S2M", "M2M", "S2L", "M2L"}) | PLANNED_OPS
 
 
 @dataclass
@@ -205,12 +204,12 @@ class _ReplayPlan:
 
     The task drain only decides *when* values are computed and folded;
     *what* is computed is fixed by the DAG (eager edge set, batch group
-    compositions, canonical fold order) and the flush cascade groups
-    its markers canonically regardless of accumulation order.  The plan
-    therefore stores the eager fold lists, the cold S->L batch groups
-    and the pre-sorted lazy/deferred edge lists; replaying them against
-    fresh weights/coordinates reproduces the drained run bit for bit
-    while skipping every task-queue and LCO-inbox round trip.
+    compositions, canonical fold order), and every planned edge runs
+    from the registrar's flush plan whatever the drain did.  The plan
+    therefore stores the eager fold lists and the cold S->L batch
+    groups; replaying them against fresh weights/coordinates reproduces
+    the drained run bit for bit while skipping every task-queue and
+    LCO-inbox round trip.
 
     Validity: shape + node assignment.  Geometry and weights may change
     freely (everything coordinate-dependent is recomputed or served by
@@ -222,13 +221,11 @@ class _ReplayPlan:
     m_folds: list  # (dst id, in-edges sorted by fold key), deepest level first
     l_folds: list  # (dst id, eager in-edges sorted by fold key)
     s2l_groups: list  # cold batch groups: [[edge, ...], ...]
-    lazy: tuple  # canonically pre-sorted (m2i, i2i, i2l, l2l) marker lists
-    deferred: list  # canonically pre-sorted leaf-output edges
 
 
 def _capture_replay(reg: Registrar) -> "_ReplayPlan | None":
-    """Record a replay plan from a just-drained registrar (pre-flush)."""
-    if not (reg.sequential_edges and reg.batch_edges and reg.mode == "numeric"):
+    """Record a replay plan from a just-drained registrar."""
+    if not reg._batched:
         return None
     dag = reg.dag
     nodes = dag.nodes
@@ -268,27 +265,7 @@ def _capture_replay(reg: Registrar) -> "_ReplayPlan | None":
         m_folds=[(dst, es) for _, dst, es in m_folds],
         l_folds=l_folds,
         s2l_groups=list(s2l_map.values()),
-        lazy=(
-            sorted(reg._lazy_m2i, key=_marker_order),
-            sorted(reg._lazy_i2i, key=_marker_order),
-            sorted(reg._lazy_i2l, key=_marker_order),
-            sorted(reg._lazy_l2l, key=_marker_order),
-        ),
-        deferred=sorted(reg._deferred, key=lambda e: (e.src, e.dst, e.op)),
     )
-
-
-def _drop_geometry_entries(cache: dict) -> None:
-    """Invalidate point-geometry-derived matrices, keep shape-only ones.
-
-    The i2i translation stacks depend only on the DAG's edge set, so
-    they survive a point perturbation that preserves the shape; the p2m
-    basis rows and the m2t/l2t evaluation matrices are functions of the
-    coordinates and must go.
-    """
-    for k in list(cache):
-        if k[0] != "i2i":
-            del cache[k]
 
 
 class EvaluatorSession:
@@ -488,7 +465,6 @@ class EvaluatorSession:
             batch_edges=ev.batch_edges,
         )
         reg.geom_cache = {}
-        reg.plan_caching = True
         reg.allocate()
         return _Template(
             dual=dual,
@@ -521,16 +497,14 @@ class EvaluatorSession:
                     tpl.dag, dual, ev._resolved_config().n_localities
                 )
                 if [nd.locality for nd in tpl.dag.nodes] != old_locs:
-                    # the replay plan, the flush plans and the i2i
-                    # stacks all bake group-by-locality compositions
-                    # in; a shifted assignment makes them stale (the
-                    # locality-keyed cache entries could otherwise
-                    # alias a different group of the same size)
+                    # the replay plan and the flush plan both bake
+                    # group-by-locality compositions in; a shifted
+                    # assignment makes them stale
                     tpl.replay = None
                     reg.invalidate_plans()
-                    reg.geom_cache.clear()
                 tpl.full_fp = full
-            _drop_geometry_entries(reg.geom_cache)
+            # every cached matrix is a function of the coordinates
+            reg.geom_cache.clear()
             tpl.geom_token = gt
             tpl.dual = dual
         reg.reset()
@@ -553,10 +527,9 @@ class EvaluatorSession:
         """Re-execute a recorded plan against the current tree + charges.
 
         Leaves the registrar in exactly the state a full task drain
-        leaves it in - M/L expansions folded in canonical key order,
-        marker and deferred lists populated in canonical order - so the
-        ordinary :meth:`Registrar.flush_deferred` cascade finishes the
-        evaluation bit-identically.
+        leaves it in - M/L expansions folded in canonical key order, a
+        flush pending - so the ordinary :meth:`Registrar.flush_deferred`
+        stages finish the evaluation bit-identically.
         """
         reg = tpl.registrar
         rp = tpl.replay
@@ -581,8 +554,7 @@ class EvaluatorSession:
             if len(group) == 1:
                 values[id(group[0])] = reg._edge_value(group[0])
             else:
-                key = ("S2L", nodes[group[0].dst].level)
-                reg._batch_values(key, group, values)
+                reg._batch_values(group, values)
         for dst, es in rp.l_folds:
             acc = None
             for e in es:
@@ -590,12 +562,7 @@ class EvaluatorSession:
                 acc = v if acc is None else acc + v
             lcos[dst].data = acc
         # the bridge, downward shift and leaf outputs flush from here
-        m2i, i2i, i2l, l2l = rp.lazy
-        reg._lazy_m2i = list(m2i)
-        reg._lazy_i2i = list(i2i)
-        reg._lazy_i2l = list(i2l)
-        reg._lazy_l2l = list(l2l)
-        reg._deferred = list(rp.deferred)
+        reg._flush_pending = True
 
     # -- parallel backend --------------------------------------------------------
     def _submit_parallel(self, sources, weights, targets) -> np.ndarray:

@@ -16,6 +16,7 @@ exactly the discipline DASHMM has to follow.
 
 from __future__ import annotations
 
+import itertools
 import os
 import weakref
 from dataclasses import dataclass
@@ -231,6 +232,11 @@ def _unlink_segments(names) -> None:
         names.discard(name)
 
 
+#: segment numbers are drawn process-wide: names live in one /dev/shm
+#: namespace per pid, so two live arenas must never restart at 0
+_segment_numbers = itertools.count()
+
+
 class ShmArena:
     """Allocator/registry of shared-memory blocks for one evaluation.
 
@@ -255,7 +261,6 @@ class ShmArena:
         self.prefix = prefix
         self.owner = True
         self._blocks: dict[str, ShmBlock] = {}
-        self._count = 0
         # fail-safe cleanup: if the owning process dies without running
         # destroy() (exception unwind, gc of a leaked arena, interpreter
         # exit), the finalizer unlinks whatever segments are still live.
@@ -277,8 +282,7 @@ class ShmArena:
             raise ValueError(f"shm block {label!r} already allocated")
         dt = np.dtype(dtype)
         nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * dt.itemsize)
-        name = f"{self.prefix}_{os.getpid()}_{self._count}"
-        self._count += 1
+        name = f"{self.prefix}_{os.getpid()}_{next(_segment_numbers)}"
         # the arena owns cleanup (destroy()/unlink() in a finally), so
         # the segment never enters the resource tracker
         with _suppress_tracker():
@@ -325,7 +329,6 @@ class ShmArena:
         arena.prefix = ""
         arena.owner = False
         arena._blocks = {}
-        arena._count = 0
         arena._live_names = set()  # attached arenas never unlink
         with _suppress_tracker():
             for label, (name, shape, dtype) in manifest["blocks"].items():

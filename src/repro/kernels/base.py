@@ -36,6 +36,28 @@ import numpy as np
 from repro.kernels.sphharm import Harmonics
 
 
+def pair_distances(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every target and every source: ``(T, S)``.
+
+    ``sqrt((dx*dx + dy*dy) + dz*dz)`` on three ``(T, S)`` planes.  The
+    association is the one ``np.linalg.norm(t[:, None] - s[None],
+    axis=-1)`` uses for its length-3 reduction, so the result is
+    bit-identical to it - without the ``(T, S, 3)`` temporary and the
+    strided reduction over its last axis, which dominate the direct sum.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.float64)
+    d2 = targets[:, 0, None] - sources[None, :, 0]
+    d2 *= d2
+    d = targets[:, 1, None] - sources[None, :, 1]
+    d *= d
+    d2 += d
+    np.subtract(targets[:, 2, None], sources[None, :, 2], out=d)
+    d *= d
+    d2 += d
+    return np.sqrt(d2, out=d2)
+
+
 @dataclass
 class Expansion:
     """A series expansion attached to a box.
@@ -88,8 +110,7 @@ class Kernel(ABC):
         sources = np.atleast_2d(sources)
         out = np.zeros(len(targets))
         for lo in range(0, len(targets), chunk):
-            t = targets[lo : lo + chunk]
-            r = np.linalg.norm(t[:, None, :] - sources[None, :, :], axis=-1)
+            r = pair_distances(targets[lo : lo + chunk], sources)
             out[lo : lo + chunk] = self.greens(r) @ weights
         return out
 

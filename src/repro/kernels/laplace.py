@@ -31,8 +31,9 @@ class LaplaceKernel(Kernel):
     scale_variant = False
 
     def greens(self, r: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            g = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+        r = np.asarray(r, dtype=np.float64)
+        g = np.zeros_like(r)
+        np.divide(1.0, r, out=g, where=r > 0)
         return g
 
     def greens_gradient(self, d: np.ndarray) -> np.ndarray:

@@ -53,8 +53,10 @@ class YukawaKernel(Kernel):
         self.lam = float(lam)
 
     def greens(self, r: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            g = np.where(r > 0, np.exp(-self.lam * r) / np.where(r > 0, r, 1.0), 0.0)
+        r = np.asarray(r, dtype=np.float64)
+        g = np.zeros_like(r)
+        with np.errstate(over="ignore"):
+            np.divide(np.exp(-self.lam * r), r, out=g, where=r > 0)
         return g
 
     def greens_gradient(self, d: np.ndarray) -> np.ndarray:

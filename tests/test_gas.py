@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.hpx.gas import GlobalAddress, GlobalAddressSpace
+import os
+
+import numpy as np
+
+from repro.hpx.gas import GlobalAddress, GlobalAddressSpace, ShmArena
 
 
 def test_alloc_and_translate():
@@ -61,3 +65,25 @@ def test_locality_bounds():
 
 def test_address_repr():
     assert repr(GlobalAddress(3, 17)) == "ga(3:17)"
+
+
+def test_two_live_arenas_never_share_segment_names():
+    """Segment numbers are process-wide: a second arena (a second
+    parallel session in the same process) must not restart at 0."""
+    a, b = ShmArena(), ShmArena()
+    try:
+        a.put("x", np.arange(4.0))
+        b.put("x", np.ones(3))  # FileExistsError with a per-arena counter
+        a.alloc("y", (2,))
+        names = a.segment_names() + b.segment_names()
+        assert len(set(names)) == 3
+        # the {prefix}_{pid}_{n} format leaked()/reap_orphans() parse
+        for name in names:
+            prefix, pid, n = name.split("_")
+            assert (prefix, pid) == ("hmmgas", str(os.getpid())) and n.isdigit()
+        assert np.array_equal(a.get("x"), np.arange(4.0))
+        assert np.array_equal(b.get("x"), np.ones(3))
+    finally:
+        a.destroy()
+        b.destroy()
+    assert not set(names) & set(ShmArena.leaked(f"hmmgas_{os.getpid()}_"))

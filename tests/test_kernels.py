@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels.base import pair_distances
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.yukawa import YukawaKernel
 
@@ -33,6 +34,54 @@ def test_direct_excludes_self(kernel):
     w = np.ones(10)
     phi = kernel.direct(pts, pts, w)
     assert np.isfinite(phi).all()
+
+
+def _norm_distances(t, s):
+    """The reduction ``pair_distances`` replaced (reference)."""
+    return np.linalg.norm(t[:, None, :] - s[None, :, :], axis=-1)
+
+
+def _direct_norm_loop(kernel, targets, sources, weights, chunk=2048):
+    """``Kernel.direct`` as it was before ``pair_distances`` (reference)."""
+    out = np.zeros(len(targets))
+    for lo in range(0, len(targets), chunk):
+        r = _norm_distances(targets[lo : lo + chunk], sources)
+        out[lo : lo + chunk] = kernel.greens(r) @ weights
+    return out
+
+
+@pytest.mark.parametrize("magnitude", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_pair_distances_bit_identical_to_norm(magnitude):
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=(257, 3)) * magnitude
+    s = rng.normal(size=(63, 3)) * magnitude
+    # mixed magnitudes inside one difference vector too
+    s[::7, 1] *= 1e-6
+    assert np.array_equal(pair_distances(t, s), _norm_distances(t, s))
+
+
+def test_pair_distances_degenerate_shapes(kernel):
+    rng = np.random.default_rng(6)
+    pts = rng.random((9, 3))
+    r = pair_distances(pts, pts)
+    assert np.array_equal(r, _norm_distances(pts, pts))
+    assert np.all(np.diag(r) == 0.0)
+    assert np.all(np.diag(kernel.greens(r)) == 0.0)  # coincident points drop out
+    assert pair_distances(pts[:0], pts).shape == (0, 9)
+    assert pair_distances(pts, pts[:0]).shape == (9, 0)
+    assert np.array_equal(pair_distances(pts[:1], pts[1:2]), _norm_distances(pts[:1], pts[1:2]))
+    assert kernel.direct(pts[:0], pts, np.ones(9)).shape == (0,)
+    assert np.array_equal(kernel.direct(pts, pts[:0], np.ones(0)), np.zeros(9))
+
+
+@pytest.mark.parametrize("n_targets", [1, 700, 2049])
+def test_direct_bit_identical_to_norm_loop(kernel, n_targets):
+    """2 049 targets cross the 2 048-row chunk boundary."""
+    rng = np.random.default_rng(n_targets)
+    tgt = rng.random((n_targets, 3))
+    src = np.concatenate([rng.random((40, 3)), tgt[:3]])  # a few coincident pairs
+    w = rng.normal(size=len(src))
+    assert np.array_equal(kernel.direct(tgt, src, w), _direct_norm_loop(kernel, tgt, src, w))
 
 
 def test_multipole_accuracy(kernel):

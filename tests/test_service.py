@@ -280,6 +280,23 @@ def _parallel_evaluator(n_localities=2, threshold=20):
 
 
 @pytest.mark.parallel
+def test_two_live_parallel_sessions():
+    """Two sessions of one process each own a shm arena: their segment
+    names must not collide, and each serves its own inputs."""
+    rng = np.random.default_rng(13)
+    n = 300
+    pts_a, pts_b = rng.random((n, 3)), rng.random((n, 3))
+    w = rng.random(n)
+    ev = _parallel_evaluator()
+    with EvaluatorSession(ev) as a, EvaluatorSession(ev) as b:
+        out_a = a.submit(pts_a, w)
+        out_b = b.submit(pts_b, w)  # FileExistsError with per-arena numbering
+        assert np.array_equal(a.submit(pts_a, w), out_a)
+    assert np.array_equal(out_a, ev.evaluate(pts_a, w, pts_a).potentials)
+    assert np.array_equal(out_b, ev.evaluate(pts_b, w, pts_b).potentials)
+
+
+@pytest.mark.parallel
 def test_round_survives_worker_kill():
     """A worker killed between rounds: respawn + re-drive, same bits."""
     rng = np.random.default_rng(11)
