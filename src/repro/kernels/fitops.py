@@ -7,7 +7,21 @@ design), the maps are *fitted by least squares from the analytic
 particle-side operators*: random unit sources are placed in the
 relevant geometry, both the input and the output expansion of each
 sample are computed analytically, and the dense matrix relating them is
-recovered with :func:`numpy.linalg.lstsq`.
+recovered as the minimum-norm least-squares solution.
+
+The left-hand side of a fit depends only on the *input expansion space*,
+never on the operator, so each of the three spaces draws one sample set
+and is factored once per level key (:class:`SpaceFactor`, a truncated
+SVD); every operator is then two matrix products against that factor:
+
+* ``"multipole-box"`` - sources inside the unit box, rows
+  ``p2m_matrix``: M->M, M->L, M->I and ``m2l_coarse``;
+* ``"local-far"`` - sources outside the near zone, rows ``p2l_matrix``:
+  L->L;
+* ``"plane-wave-cone"`` - sources in the incoming cone of a direction,
+  rows ``p2w_matrix``: I->L.  In the frame of its own direction the
+  cone is the same point set for all six directions, so the six I->L
+  operators share one left-hand side and are fitted together.
 
 Because the input expansions of the samples span the realizable
 coefficient manifold, the fitted operator agrees with the exact
@@ -39,14 +53,15 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import svd
 
 from repro.kernels.base import Kernel
-from repro.kernels.expo import frame, i2i_factor, p2w_matrix
+from repro.kernels.expo import DIRECTIONS, frame, i2i_factor, p2w_matrix
 from repro.kernels.quadrature import build_quadrature
 
 #: bump when the fitting procedure or the on-disk layout changes; caches
 #: written with a different version are rejected on load
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 _OCTANTS = [
     np.array([(0.5 if b else -0.5) / 2.0 for b in ((o >> 0) & 1, (o >> 1) & 1, (o >> 2) & 1)])
@@ -59,10 +74,31 @@ def octant_offset(octant: int) -> np.ndarray:
     return _OCTANTS[octant]
 
 
-def fit_linear_map(inputs: np.ndarray, outputs: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Least-squares T with ``outputs ~ inputs @ T.T`` (rows = samples)."""
-    sol, *_ = np.linalg.lstsq(inputs, outputs, rcond=rcond)
-    return sol.T
+class SpaceFactor:
+    """Truncated SVD of one input space's sample matrix (rows = samples).
+
+    Singular values at or below ``rcond`` times the largest are dropped,
+    so :meth:`fit` returns the minimum-norm least-squares solution that
+    ``np.linalg.lstsq(inputs, outputs, rcond=rcond)`` returns - for any
+    number of right-hand sides, at the cost of two matrix products each.
+
+    ``inputs`` is consumed: the transpose is what gets factored,
+    ``inputs.T = W S Zh``, because a C-ordered sample matrix is
+    Fortran-ordered once transposed and LAPACK can then work in the
+    caller's buffer (left holding garbage) instead of a copy - 8 MB for
+    the plane-wave cone.  Pass a copy to keep the matrix.
+    """
+
+    def __init__(self, inputs: np.ndarray, rcond: float = 1e-10):
+        w, s, zh = svd(inputs.T, full_matrices=False, overwrite_a=True, check_finite=False)
+        rank = int(np.count_nonzero(s > rcond * s[0]))
+        # pinv(inputs) = conj(W) S^-1 conj(Zh), kept as its two thin factors
+        self._right = zh[:rank].conj()  # (rank, samples)
+        self._left_t = (w[:, :rank] / s[:rank]).conj().T  # (rank, dim)
+
+    def fit(self, outputs: np.ndarray) -> np.ndarray:
+        """Least-squares T with ``outputs ~ inputs @ T.T``."""
+        return (self._right @ outputs).T @ self._left_t
 
 
 class OperatorFactory:
@@ -80,10 +116,10 @@ class OperatorFactory:
     seed:
         Seed of the sample generator; fits are deterministic given it.
 
-    Fitted operators are expensive (one ``lstsq`` each), so the cache
-    can be shared process-wide (:meth:`shared`) and persisted to disk
-    (:meth:`save`/:meth:`load`) as a versioned ``.npz`` keyed by the
-    full fit signature (kernel name + parameters, ``p``, ``eps``,
+    Fitting costs one factorization per (input space, level key), so
+    the cache can be shared process-wide (:meth:`shared`) and persisted
+    to disk (:meth:`save`/:meth:`load`) as a versioned ``.npz`` keyed by
+    the full fit signature (kernel name + parameters, ``p``, ``eps``,
     ``n_extra``, ``seed``).
     """
 
@@ -97,8 +133,11 @@ class OperatorFactory:
         self.seed = seed
         self.hits = 0
         self.misses = 0
+        self.factorizations = 0
         self._cache: dict = {}
         self._quads: dict = {}
+        #: (space, level key) -> (samples, SpaceFactor); never persisted
+        self._spaces: dict = {}
 
     # -- sharing & persistence ------------------------------------------------
     @classmethod
@@ -181,25 +220,42 @@ class OperatorFactory:
                 self._cache[ast.literal_eval(name[4:])] = data[name]
         return True
 
-    # -- sample helpers ------------------------------------------------------
-    def _rng(self, tag: str) -> np.random.Generator:
+    # -- input spaces -----------------------------------------------------------
+    def _rng(self, space: str) -> np.random.Generator:
+        # Seeded by the name of the input space, never by an operator's
+        # geometry: every operator on a space regresses on the same samples.
         # crc32, not hash(): string hashing is randomized per process, which
         # would make fitted operators (and persisted caches) irreproducible
         # across runs
-        return np.random.default_rng((self.seed, zlib.crc32(tag.encode())))
+        return np.random.default_rng((self.seed, zlib.crc32(space.encode())))
 
-    def _box_samples(self, n: int, tag: str) -> np.ndarray:
-        return self._rng(tag).uniform(-0.5, 0.5, size=(n, 3))
+    def _factor(self, rows: np.ndarray) -> SpaceFactor:
+        self.factorizations += 1
+        return SpaceFactor(rows)
 
-    def _far_samples(self, n: int, tag: str, lo: float = 1.6, hi: float = 5.0) -> np.ndarray:
-        """Points outside the near zone (|x|_inf > lo), within |x|_inf < hi."""
-        rng = self._rng(tag)
-        out = np.empty((0, 3))
-        while len(out) < n:
-            cand = rng.uniform(-hi, hi, size=(2 * n, 3))
-            keep = np.abs(cand).max(axis=1) > lo
-            out = np.vstack([out, cand[keep]])
-        return out[:n]
+    def _multipole_space(self, scale: float) -> tuple[np.ndarray, SpaceFactor]:
+        """Unit-box samples and the factor of their multipole rows."""
+        key = ("multipole-box", self.kernel.level_key(scale))
+        if key not in self._spaces:
+            n = self.kernel.size + self.n_extra
+            u = self._rng(key[0]).uniform(-0.5, 0.5, size=(n, 3))
+            self._spaces[key] = (u, self._factor(self.kernel.p2m_matrix(u, scale)))
+        return self._spaces[key]
+
+    def _local_space(self, scale: float) -> tuple[np.ndarray, SpaceFactor]:
+        """Samples outside the near zone (``1.6 < |x|_inf < 5``) and the
+        factor of their local rows."""
+        key = ("local-far", self.kernel.level_key(scale))
+        if key not in self._spaces:
+            n = self.kernel.size + self.n_extra
+            rng = self._rng(key[0])
+            x = np.empty((0, 3))
+            while len(x) < n:
+                cand = rng.uniform(-5.0, 5.0, size=(2 * n, 3))
+                x = np.vstack([x, cand[np.abs(cand).max(axis=1) > 1.6]])
+            x = x[:n]
+            self._spaces[key] = (x, self._factor(self.kernel.p2l_matrix(x, scale)))
+        return self._spaces[key]
 
     # -- quadratures ----------------------------------------------------------
     def quadrature(self, scale: float):
@@ -224,12 +280,9 @@ class OperatorFactory:
         key = ("m2m", octant, k.level_key(child_scale))
         op = self._lookup(key)
         if op is None:
-            n = k.size + self.n_extra
-            u = self._box_samples(n, f"m2m{octant}")
-            off = octant_offset(octant)
-            mi = k.p2m_matrix(u, child_scale)
-            mo = k.p2m_matrix(off + u / 2.0, 2.0 * child_scale)
-            self._cache[key] = op = fit_linear_map(mi, mo)
+            u, factor = self._multipole_space(child_scale)
+            mo = k.p2m_matrix(octant_offset(octant) + u / 2.0, 2.0 * child_scale)
+            self._cache[key] = op = factor.fit(mo)
         return op
 
     def l2l(self, octant: int, parent_scale: float) -> np.ndarray:
@@ -238,12 +291,9 @@ class OperatorFactory:
         key = ("l2l", octant, k.level_key(parent_scale))
         op = self._lookup(key)
         if op is None:
-            n = k.size + self.n_extra
-            x = self._far_samples(n, f"l2l{octant}")
-            off = octant_offset(octant)
-            li = k.p2l_matrix(x, parent_scale)
-            lo = k.p2l_matrix((x - off) * 2.0, parent_scale / 2.0)
-            self._cache[key] = op = fit_linear_map(li, lo)
+            x, factor = self._local_space(parent_scale)
+            lo = k.p2l_matrix((x - octant_offset(octant)) * 2.0, parent_scale / 2.0)
+            self._cache[key] = op = factor.fit(lo)
         return op
 
     def m2l(self, delta: tuple[int, int, int], scale: float) -> np.ndarray:
@@ -252,26 +302,19 @@ class OperatorFactory:
         key = ("m2l", tuple(int(v) for v in delta), k.level_key(scale))
         op = self._lookup(key)
         if op is None:
-            n = k.size + self.n_extra
-            u = self._box_samples(n, f"m2l{delta}")
-            d = np.asarray(delta, dtype=float)
-            mi = k.p2m_matrix(u, scale)
-            lo = k.p2l_matrix(u - d, scale)
-            self._cache[key] = op = fit_linear_map(mi, lo)
+            u, factor = self._multipole_space(scale)
+            lo = k.p2l_matrix(u - np.asarray(delta, dtype=float), scale)
+            self._cache[key] = op = factor.fit(lo)
         return op
 
     def m2i(self, direction: str, scale: float) -> np.ndarray:
         """Source multipole -> outgoing plane-wave amplitudes (M->I)."""
-        k = self.kernel
-        key = ("m2i", direction, k.level_key(scale))
+        key = ("m2i", direction, self.kernel.level_key(scale))
         op = self._lookup(key)
         if op is None:
-            quad = self.quadrature(scale)
-            n = k.size + self.n_extra
-            u = self._box_samples(n, f"m2i{direction}")
-            mi = k.p2m_matrix(u, scale)
-            wo = p2w_matrix(quad, direction, u, scale)
-            self._cache[key] = op = fit_linear_map(mi, wo)
+            u, factor = self._multipole_space(scale)
+            wo = p2w_matrix(self.quadrature(scale), direction, u, scale)
+            self._cache[key] = op = factor.fit(wo)
         return op
 
     def m2i_stack(self, directions: tuple, scale: float) -> np.ndarray:
@@ -287,37 +330,54 @@ class OperatorFactory:
             self._cache[key] = op = np.vstack([self.m2i(d, scale) for d in directions])
         return op
 
+    def _fit_i2l_family(self, scale: float) -> None:
+        """Fit I->L for all six directions from one cone factorization.
+
+        Samples are unit sources in the incoming cone, drawn once in the
+        *local* frame ``(e1, e2, d)`` of a direction: separation along d
+        between 1.5 and 3.5 box units (list-2 centres sit 2-3 boxes away,
+        sources within half a box of the centre, so the quadrature's
+        design window z in [1, 4] covers every sample-target separation),
+        lateral offset up to 3.5.  ``p2w_matrix`` only ever sees the
+        local coordinates, so its rows - the left-hand side - are the
+        same for every direction (``frame("+z")`` is the identity); only
+        the right-hand sides see the cone rotated to ``local @ frame(d)``.
+
+        The factor is the one large one (about 12 MB at p=6) and is
+        dropped on return; directions a loaded cache already holds keep
+        their loaded operators.
+        """
+        k = self.kernel
+        quad = self.quadrature(scale)
+        n = quad.nterms + 2 * self.n_extra
+        rng = self._rng("plane-wave-cone")
+        uz = rng.uniform(-3.5, -1.5, size=n)
+        ux = rng.uniform(-3.5, 3.5, size=n)
+        uy = rng.uniform(-3.5, 3.5, size=n)
+        local = np.stack([ux, uy, uz], axis=1)
+        # incoming amplitudes of each sample: outgoing from the source
+        # position, translated to the target center.  Using p2w around
+        # the target center directly encodes both steps.
+        factor = self._factor(p2w_matrix(quad, "+z", local, scale))
+        lo = np.hstack([k.p2l_matrix(local @ frame(d), scale) for d in DIRECTIONS])
+        ops = factor.fit(lo)  # (6 * size, nterms)
+        level = k.level_key(scale)
+        for i, d in enumerate(DIRECTIONS):
+            self._cache.setdefault(("i2l", d, level), ops[i * k.size : (i + 1) * k.size])
+
     def i2l(self, direction: str, scale: float) -> np.ndarray:
         """Incoming plane-wave amplitudes -> target local (I->L).
 
-        Samples are unit sources placed in the incoming cone of the
-        direction (separation along d between 1 and 4 box units, lateral
-        offset up to 4), i.e. exactly where list-2 sources live relative
-        to the target box.
+        The first miss fits the whole six-direction family in one
+        multi-right-hand-side solve (:meth:`_fit_i2l_family`), always in
+        that one shape, so an operator's bits do not depend on which
+        direction was asked for first.
         """
-        k = self.kernel
-        key = ("i2l", direction, k.level_key(scale))
+        key = ("i2l", direction, self.kernel.level_key(scale))
         op = self._lookup(key)
         if op is None:
-            quad = self.quadrature(scale)
-            n = quad.nterms + 2 * self.n_extra
-            rng = self._rng(f"i2l{direction}")
-            fr = frame(direction)
-            # Positions relative to the *target* center, box units.  The
-            # range is the actual list-2 source cone (centres 2-3 boxes
-            # away along d, sources within half a box of the centre), so
-            # the quadrature's design window z in [1, 4] covers the
-            # whole separation between any sample and any target point.
-            uz = rng.uniform(-3.5, -1.5, size=n)
-            ux = rng.uniform(-3.5, 3.5, size=n)
-            uy = rng.uniform(-3.5, 3.5, size=n)
-            pts = np.stack([ux, uy, uz], axis=1) @ fr  # back to xyz coords
-            # incoming amplitudes of each sample: outgoing from the
-            # source position, translated to the target center.  Using
-            # p2w around the target center directly encodes both steps.
-            vi = p2w_matrix(quad, direction, pts, scale)
-            lo = k.p2l_matrix(pts, scale)
-            self._cache[key] = op = fit_linear_map(vi, lo)
+            self._fit_i2l_family(scale)
+            op = self._cache[key]
         return op
 
     def i2l_stack(self, directions: tuple, scale: float) -> np.ndarray:
@@ -353,12 +413,10 @@ class OperatorFactory:
         )
         op = self._lookup(key)
         if op is None:
-            n = k.size + self.n_extra
-            u = self._box_samples(n, f"m2lc{key[1]}")
+            u, factor = self._multipole_space(source_scale)
             d = np.asarray(delta, dtype=float)
-            mi = k.p2m_matrix(u, source_scale)
             lo = k.p2l_matrix((u - d) / ratio, target_scale)
-            self._cache[key] = op = fit_linear_map(mi, lo)
+            self._cache[key] = op = factor.fit(lo)
         return op
 
     def i2i(self, direction: str, delta, scale: float) -> np.ndarray:
@@ -391,8 +449,13 @@ class OperatorFactory:
         return op
 
     def cache_stats(self) -> dict[str, int]:
-        """Cached-operator counts per type plus hit/miss counters."""
-        out: dict[str, int] = {"hits": self.hits, "misses": self.misses}
+        """Cached-operator counts per type, cache-probe hit/miss counters
+        and the number of input-space factorizations performed."""
+        out: dict[str, int] = {
+            "hits": self.hits,
+            "misses": self.misses,
+            "factorizations": self.factorizations,
+        }
         for key in self._cache:
             out[key[0]] = out.get(key[0], 0) + 1
         return out

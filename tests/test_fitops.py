@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.kernels.expo import assign_direction
-from repro.kernels.fitops import OperatorFactory, fit_linear_map, octant_offset
+from repro.dashmm.evaluator import DashmmEvaluator
+from repro.kernels.expo import DIRECTIONS, assign_direction
+from repro.kernels.fitops import OperatorFactory, SpaceFactor, octant_offset
+from repro.kernels.laplace import LaplaceKernel
+from repro.kernels.yukawa import YukawaKernel
 
 RNG = np.random.default_rng(55)
 
@@ -20,12 +23,24 @@ def test_octant_offsets_distinct():
         assert np.all(np.abs(octant_offset(o)) == 0.25)
 
 
-def test_fit_linear_map_recovers_exact_map():
+def test_space_factor_recovers_exact_map():
     A = RNG.normal(size=(50, 8)) + 1j * RNG.normal(size=(50, 8))
     T_true = RNG.normal(size=(6, 8))
     B = A @ T_true.T
-    T = fit_linear_map(A, B)
-    assert np.allclose(T, T_true, atol=1e-10)
+    factor = SpaceFactor(A)  # consumes A
+    assert np.allclose(factor.fit(B), T_true, atol=1e-10)
+    # one factor serves any number of right-hand sides
+    assert np.allclose(factor.fit(B[:, :2]), T_true[:2], atol=1e-10)
+
+
+def test_space_factor_rank_deficient_gives_min_norm_solution():
+    """Duplicated input columns: the answer is lstsq's min-norm one."""
+    base = RNG.normal(size=(60, 7)) + 1j * RNG.normal(size=(60, 7))
+    A = np.hstack([base, base[:, :4]])
+    B = RNG.normal(size=(60, 5)) + 1j * RNG.normal(size=(60, 5))
+    ref, _, rank, _ = np.linalg.lstsq(A, B, rcond=1e-10)
+    assert rank == 7
+    np.testing.assert_allclose(SpaceFactor(A).fit(B), ref.T, atol=1e-9, rtol=0)
 
 
 @pytest.mark.parametrize("kern", ["laplace", "yukawa"])
@@ -127,3 +142,96 @@ def test_cache_stats(laplace_factory):
     laplace_factory.m2m(0, 0.5)
     stats = laplace_factory.cache_stats()
     assert stats.get("m2m", 0) >= 1
+
+
+# -- one factorization per input space ---------------------------------------
+
+H = 0.5
+
+
+def _small():
+    return OperatorFactory(LaplaceKernel(4), eps=1e-3, n_extra=16, seed=11)
+
+
+@pytest.mark.parametrize("op", ["m2l", "m2l_coarse"])
+def test_delta_spelling_does_not_change_the_operator(op):
+    """tuple / ndarray / tuple-of-numpy-ints hit one cache key, so they
+    must be one operator whichever spelling a fresh factory sees first."""
+    spellings = [(2, 0, 1), np.array([2, 0, 1]), tuple(np.array([2, 0, 1]))]
+    args = (H,) if op == "m2l" else (H, H / 2)
+    ref, *others = [getattr(_small(), op)(delta, *args) for delta in spellings]
+    for other in others:
+        np.testing.assert_array_equal(other, ref)
+
+
+def test_i2l_alone_or_through_the_stack_is_bit_identical():
+    alone, stacked = _small(), _small()
+    first = alone.i2l("+x", H)
+    stack = stacked.i2l_stack(DIRECTIONS, H)
+    nterms = alone.quadrature(H).nterms
+    np.testing.assert_array_equal(first, stacked.i2l("+x", H))
+    for i, d in enumerate(DIRECTIONS):
+        np.testing.assert_array_equal(stack[:, i * nterms : (i + 1) * nterms], alone.i2l(d, H))
+    # the whole family came from one factorization, whichever came first
+    assert alone.cache_stats()["factorizations"] == 1
+    assert stacked.cache_stats()["factorizations"] == 1
+
+
+def test_m2i_alone_or_through_the_stack_is_bit_identical():
+    alone, stacked = _small(), _small()
+    first = alone.m2i("-y", H)
+    stack = stacked.m2i_stack(DIRECTIONS, H)
+    nterms = alone.quadrature(H).nterms
+    np.testing.assert_array_equal(first, stacked.m2i("-y", H))
+    for i, d in enumerate(DIRECTIONS):
+        np.testing.assert_array_equal(stack[i * nterms : (i + 1) * nterms], alone.m2i(d, H))
+
+
+def test_request_order_does_not_change_the_operators():
+    deltas = [(2, 0, 0), (3, -2, 1), (-2, 3, -3), (0, 2, -1)]
+    fwd, rev = _small(), _small()
+    ops_fwd = {("l2l", o): fwd.l2l(o, H) for o in range(8)}
+    ops_fwd.update({("m2l", d): fwd.m2l(d, H) for d in deltas})
+    ops_fwd.update({("m2m", o): fwd.m2m(o, H) for o in range(8)})
+    ops_rev = {("m2m", o): rev.m2m(o, H) for o in reversed(range(8))}
+    ops_rev.update({("m2l", d): rev.m2l(d, H) for d in reversed(deltas)})
+    ops_rev.update({("l2l", o): rev.l2l(o, H) for o in reversed(range(8))})
+    for key, op in ops_fwd.items():
+        np.testing.assert_array_equal(ops_rev[key], op)
+    assert fwd.cache_stats()["factorizations"] == rev.cache_stats()["factorizations"] == 2
+
+
+def _cloud(n=400):
+    rng = np.random.default_rng(8)
+    return rng.uniform(0, 1, (n, 3)), rng.normal(size=n), rng.uniform(0, 1, (n, 3))
+
+
+def _spaces_in_cache(factory):
+    """Distinct (input space, level key) pairs behind the cached operators."""
+    space_of = {"m2m": "M", "m2l": "M", "m2lc": "M", "m2i": "M", "l2l": "L", "i2l": "I"}
+    return {(space_of[k[0]], k[-1]) for k in factory._cache if k[0] in space_of}
+
+
+@pytest.mark.parametrize("method, expected", [("fmm", 3), ("fmm-basic", 2)])
+def test_laplace_evaluate_factorization_count(method, expected):
+    """Timing-free guard: a fresh factory factors each input space once."""
+    sources, weights, targets = _cloud()
+    factory = OperatorFactory(LaplaceKernel(4), eps=1e-3)
+    ev = DashmmEvaluator(factory.kernel, method=method, threshold=4, eps=1e-3, factory=factory)
+    ev.evaluate(sources, weights, targets)
+    assert factory.cache_stats()["factorizations"] == expected
+    assert len(_spaces_in_cache(factory)) == expected
+    ev.evaluate(sources, weights, targets)
+    assert factory.cache_stats()["factorizations"] == expected
+
+
+def test_yukawa_evaluate_factors_once_per_space_and_level():
+    sources, weights, targets = _cloud()
+    factory = OperatorFactory(YukawaKernel(4, lam=2.0), eps=1e-3)
+    ev = DashmmEvaluator(factory.kernel, method="fmm", threshold=4, eps=1e-3, factory=factory)
+    ev.evaluate(sources, weights, targets)
+    spaces = _spaces_in_cache(factory)
+    # scale-variant kernel: every space occurs at more than one level
+    assert {s for s, _ in spaces} == {"M", "L", "I"}
+    assert len(spaces) > 3
+    assert factory.cache_stats()["factorizations"] == len(spaces)
