@@ -16,9 +16,11 @@ estimator available on a shared box.
 
 A second section times the *setup phase* (tree carving, interaction
 lists, DAG assembly) with the vectorised array passes against the
-per-box reference loops, gated on the two producing structurally
-identical output, and appends its own record to the same trajectory
-file.
+per-box reference functions called directly (``carve_reference`` ->
+``build_lists_reference`` -> ``build_fmm_dag_reference``; the Morton
+sort is shared, so only the array passes are charged for it), gated on
+the two producing structurally identical output, and appends its own
+record to the same trajectory file.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ import numpy as np
 
 from benchmarks.conftest import write_report
 from benchmarks.trajectory import append_record
-from repro.dashmm.dag import build_fmm_dag
+from repro.dashmm.dag import build_fmm_dag, build_fmm_dag_reference
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
+from tests.reference_chain import reference_dual, reference_lists
 
 #: quickstart-sized workload (examples/quickstart.py)
 N = 4000
@@ -140,22 +143,36 @@ def test_wallclock_setup_phase():
     """Vectorised vs reference setup: tree carve, lists, DAG assembly."""
     src, w, tgt = _problem()
 
-    def setup(vec: bool):
+    def staged(tree_stage, lists_stage, dag_stage):
         stages = {}
         t0 = time.process_time()
-        dual = build_dual_tree(src, tgt, THRESHOLD, source_weights=w, vectorized=vec)
+        dual = tree_stage()
         stages["tree"] = time.process_time() - t0
         t0 = time.process_time()
-        lists = build_lists(dual, vectorized=vec)
+        lists = lists_stage(dual)
         stages["lists"] = time.process_time() - t0
         t0 = time.process_time()
-        dag = build_fmm_dag(dual, lists, advanced=True, vectorized=vec)
+        dag = dag_stage(dual, lists)
         stages["dag"] = time.process_time() - t0
         return dual, lists, dag, stages
 
+    def vectorized():
+        return staged(
+            lambda: build_dual_tree(src, tgt, THRESHOLD, source_weights=w),
+            build_lists,
+            build_fmm_dag,
+        )
+
+    def reference():
+        return staged(
+            lambda: reference_dual(dual_v),
+            reference_lists,
+            lambda dual, lists: build_fmm_dag_reference(dual, lists, advanced=True),
+        )
+
     # correctness gate: identical structure before timing anything
-    dual_v, lists_v, dag_v, _ = setup(True)
-    dual_r, lists_r, dag_r, _ = setup(False)
+    dual_v, lists_v, dag_v, _ = vectorized()
+    dual_r, lists_r, dag_r, _ = reference()
     assert len(dual_v.source.boxes) == len(dual_r.source.boxes)
     assert len(dual_v.target.boxes) == len(dual_r.target.boxes)
     for name in ("l1", "l2", "l3", "l4"):
@@ -172,9 +189,9 @@ def test_wallclock_setup_phase():
 
     vec_runs, ref_runs = [], []
     for _ in range(SAMPLES):
-        *_, sv = setup(True)
+        *_, sv = vectorized()
         vec_runs.append(sv)
-        *_, sr = setup(False)
+        *_, sr = reference()
         ref_runs.append(sr)
 
     def best(runs):

@@ -1,11 +1,9 @@
 """Declarative DAG schema: node/edge kinds, validated builder, export/diff.
 
-The explicit DAG used to be assembled by method-specific imperative code
-(:func:`repro.dashmm.dag.build_fmm_dag` / ``build_bh_dag``); nothing
-type-checked the graph before the runtime executed it.  Following the
-explicit-wiring architecture of the QUARK and Charm++ FMM pipelines -
-the method is *data* consumed by a generic engine - this module turns
-the graph into a declared, validated intermediate representation:
+This module is the one place the explicit DAG is assembled.  Following
+the explicit-wiring architecture of the QUARK and Charm++ FMM pipelines
+- the method is *data* consumed by a generic engine - the graph is a
+declared, validated intermediate representation:
 
 * **Kind catalogs** (:data:`NODE_KIND_CATALOG`, :data:`EDGE_KIND_CATALOG`)
   describe every node class (S, M, Is, It, L, T - tree side, level
@@ -23,12 +21,13 @@ the graph into a declared, validated intermediate representation:
   priorities on request, and exposes a canonical :func:`export_dag` /
   :func:`dag_fingerprint` and a structural :func:`diff_dags`.
 
-Node ids, edge order and aux payloads are bit-identical to the legacy
-imperative assembly (kept alive as the oracle), so the executed output
-- potentials AND virtual clock - does not depend on which assembly
-produced the graph.  The golden-graph regression suite
-(``tests/goldens/``) pins the canonical exports so refactors cannot
-silently reshape the graph.
+Node ids, edge order and aux payloads are held bit-identical to the
+per-box reference loops
+(:func:`repro.dashmm.dag.build_fmm_dag_reference` /
+``build_bh_dag_reference`` - functions the tests call, not a mode of the
+builder), and the golden-graph regression suite (``tests/goldens/``)
+pins the canonical exports so refactors cannot silently reshape the
+graph.
 """
 
 from __future__ import annotations
@@ -501,9 +500,8 @@ def export_dag(dag: DAG, schema: MethodSchema | None = None) -> dict:
     and sorted; edges reference endpoints by node key and are sorted by
     ``(op, src key, dst key, aux)``.  Localities are *excluded*: they
     are a distribution-policy decision, not graph structure.  The same
-    graph exports identically no matter which assembly (declarative or
-    legacy, vectorized or reference) produced it or how node ids were
-    allocated.
+    graph exports identically whether the builder or a reference loop
+    produced it and however node ids were allocated.
     """
     nodes = [[n.kind, n.tree, n.box_index, n.level, n.n_points] for n in dag.nodes]
     nodes.sort()
@@ -897,9 +895,9 @@ class DagBuilder:
 
         ``lists`` feeds the FMM list rules, ``mac_pairs`` the
         Barnes-Hut MAC rule; passing the wrong one for the schema's
-        declared rules raises immediately.  Bumps the shared assembly
-        counter (:data:`repro.dashmm.dag.COUNTERS`) exactly like the
-        legacy builders, so template-reuse accounting sees both paths.
+        declared rules raises immediately.  Bumps the assembly counter
+        (:data:`repro.dashmm.dag.COUNTERS`) that template-reuse
+        accounting reads.
         """
         for rule in self.schema.assembly:
             if rule in _NEEDS_LISTS and lists is None:

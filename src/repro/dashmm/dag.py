@@ -13,13 +13,16 @@ and adaptive-list operators (M2L, M2T, S2L) the traced cube run happens
 not to exercise.
 
 Construction (Section IV stresses it must stay a negligible fraction of
-end-to-end time) has two interchangeable paths: the *vectorised*
-default derives every node table and edge endpoint array from the
-trees' columnar box tables (decoded coordinates, leaf masks, parent
-indices) with whole-array operations, then materialises the node/edge
-objects in one tight pass; the per-box *reference* loop is retained as
-the oracle.  Both paths emit identical node ids, edge order and aux
-payloads, so the simulated virtual clock does not depend on the choice.
+end-to-end time) has one implementation: :class:`repro.dag.DagBuilder`
+runs the wiring rules a method's schema declares, each deriving its
+node table and edge endpoint arrays from the trees' columnar box tables
+(decoded coordinates, leaf masks, parent indices) with whole-array
+operations, then materialises the node/edge objects in one tight pass
+through the helpers below.  :func:`build_fmm_dag` / :func:`build_bh_dag`
+are that builder with the method's schema filled in.
+:func:`build_fmm_dag_reference` / :func:`build_bh_dag_reference` are the
+per-box loops the builder is tested against (identical node ids, edge
+order and aux payloads); nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from repro.kernels.expo import DIRECTIONS, assign_direction
 from repro.tree.dualtree import DualTree
-from repro.tree.lists import InteractionLists, list_pairs
+from repro.tree.lists import InteractionLists
 from repro.tree.morton import decode_morton
 
 NODE_KINDS = ("S", "M", "Is", "It", "L", "T")
@@ -294,17 +297,12 @@ def _delta_tuples(dx, dy, dz) -> list[tuple[int, int, int]]:
     return list(zip(dx.tolist(), dy.tolist(), dz.tolist()))
 
 
-def build_fmm_dag(
-    dual: DualTree,
-    lists: InteractionLists,
-    advanced: bool = True,
-    vectorized: bool = True,
-) -> DAG:
+def build_fmm_dag(dual: DualTree, lists: InteractionLists, advanced: bool = True) -> DAG:
     """Build the explicit FMM DAG (basic 8-operator or advanced 11-operator)."""
-    COUNTERS["assemblies"] += 1
-    if vectorized:
-        return _build_fmm_dag_vectorized(dual, lists, advanced)
-    return _build_fmm_dag_reference(dual, lists, advanced)
+    from repro.dag import DagBuilder, method_schema
+
+    schema = method_schema("fmm" if advanced else "fmm-basic")
+    return DagBuilder(schema, validate=False).build(dual, lists=lists)
 
 
 def refresh_n_points(dag: DAG, dual: DualTree) -> None:
@@ -325,145 +323,7 @@ def refresh_n_points(dag: DAG, dual: DualTree) -> None:
             node.n_points = int(tgt_counts[node.box_index])
 
 
-def _build_fmm_dag_vectorized(dual: DualTree, lists: InteractionLists, advanced: bool) -> DAG:
-    """Array-pass assembly: node tables and edge endpoint/aux arrays are
-    derived from the columnar box tables, then materialised in creation
-    order; ``in_degree`` is one bincount over the destination arrays."""
-    src, tgt = dual.source, dual.target
-    sa, ta = src.arrays, tgt.arrays
-    nsb, ntb = len(src.boxes), len(tgt.boxes)
-    dag = DAG()
-    dst_acc: list[np.ndarray] = []  # all edge destinations, for in_degree
-
-    dead = _dead_mask(tgt, lists.pruned)
-    pruned_mask = np.zeros(ntb, dtype=bool)
-    if lists.pruned:
-        pruned_mask[
-            np.fromiter(lists.pruned, dtype=np.int64, count=len(lists.pruned))
-        ] = True
-
-    # --- source side: M everywhere (node id == box index), S at leaves --------
-    _batch_nodes(dag, "M", np.arange(nsb, dtype=np.int64), sa.levels, "source")
-    s_boxes = np.flatnonzero(sa.leaf & (sa.counts > 0))
-    s_base = _batch_nodes(dag, "S", s_boxes, sa.levels[s_boxes], "source", sa.counts[s_boxes])
-    s_ids = np.arange(s_base, s_base + s_boxes.size, dtype=np.int64)
-    s_of = np.full(nsb, -1, dtype=np.int64)
-    s_of[s_boxes] = s_ids
-    _batch_edges(dag, s_ids, s_boxes, "S2M")
-    dst_acc.append(s_boxes)
-    kids = np.arange(1, nsb, dtype=np.int64)
-    m2m_dst = sa.parent[kids]
-    _batch_edges(dag, kids, m2m_dst, "M2M", auxs=sa.keys[kids] & 7)
-    dst_acc.append(m2m_dst)
-
-    # --- target side: L for live boxes at level >= 2, T at eval boxes ----------
-    l_boxes = np.flatnonzero(~dead & (ta.levels >= 2))
-    l_base = _batch_nodes(dag, "L", l_boxes, ta.levels[l_boxes], "target")
-    l_of = np.full(ntb, -1, dtype=np.int64)
-    l_of[l_boxes] = np.arange(l_base, l_base + l_boxes.size, dtype=np.int64)
-    t_boxes = np.flatnonzero(~dead & (ta.counts > 0) & (ta.leaf | pruned_mask))
-    t_base = _batch_nodes(dag, "T", t_boxes, ta.levels[t_boxes], "target", ta.counts[t_boxes])
-    t_of = np.full(ntb, -1, dtype=np.int64)
-    t_of[t_boxes] = np.arange(t_base, t_base + t_boxes.size, dtype=np.int64)
-    has_l = l_of[t_boxes] >= 0
-    l2t_dst = t_of[t_boxes[has_l]]
-    _batch_edges(dag, l_of[t_boxes[has_l]], l2t_dst, "L2T")
-    dst_acc.append(l2t_dst)
-    # L2L downward
-    ll = np.flatnonzero((l_of >= 0) & (ta.levels >= 3))
-    ll = ll[l_of[ta.parent[ll]] >= 0]
-    l2l_dst = l_of[ll]
-    _batch_edges(dag, l_of[ta.parent[ll]], l2l_dst, "L2L", auxs=ta.keys[ll] & 7)
-    dst_acc.append(l2l_dst)
-
-    # --- list 2 ------------------------------------------------------------------
-    ti2, si2 = list_pairs(lists.l2)
-    if ti2.size:
-        dx, dy, dz = _deltas(sa, ta, ti2, si2)
-        if advanced:
-            # It at each target-group start, Is at the first pair-scan
-            # occurrence of each source box (the reference's lazy order)
-            group_pos = np.flatnonzero(np.r_[True, ti2[1:] != ti2[:-1]])
-            uniq_si, first_pos = np.unique(si2, return_index=True)
-            ev_pos = np.concatenate([group_pos, first_pos])
-            ev_is = np.concatenate(
-                [np.zeros(group_pos.size, np.int64), np.ones(first_pos.size, np.int64)]
-            )
-            ev_box = np.concatenate([ti2[group_pos], uniq_si])
-            order = np.lexsort((ev_is, ev_pos))
-            it_of = np.full(ntb, -1, dtype=np.int64)
-            is_of = np.full(nsb, -1, dtype=np.int64)
-            nodes, oe = dag.nodes, dag.out_edges
-            it_index, is_index = dag.index["It"], dag.index["Is"]
-            i2l_src: list[int] = []
-            m2i_src: list[int] = []
-            m2i_dst: list[int] = []
-            t_levels = ta.levels
-            s_levels = sa.levels
-            for is_source, box in zip(ev_is[order].tolist(), ev_box[order].tolist()):
-                nid = len(nodes)
-                if is_source:
-                    nodes.append(
-                        DagNode(id=nid, kind="Is", box_index=box, level=int(s_levels[box]), tree="source")
-                    )
-                    oe.append([])
-                    is_index[box] = nid
-                    is_of[box] = nid
-                    m2i_src.append(box)
-                    m2i_dst.append(nid)
-                else:
-                    nodes.append(
-                        DagNode(id=nid, kind="It", box_index=box, level=int(t_levels[box]), tree="target")
-                    )
-                    oe.append([])
-                    it_index[box] = nid
-                    it_of[box] = nid
-                    i2l_src.append(nid)
-            i2l_dst = l_of[ti2[group_pos]]
-            _batch_edges(dag, i2l_src, i2l_dst, "I2L")
-            dst_acc.append(i2l_dst)
-            _batch_edges(dag, m2i_src, m2i_dst, "M2I")
-            dst_acc.append(np.asarray(m2i_dst, dtype=np.int64))
-            d_codes = assign_direction_arrays(dx, dy, dz)
-            auxs = list(zip(_DIR_LABELS[d_codes].tolist(), _delta_tuples(dx, dy, dz)))
-            i2i_dst = it_of[ti2]
-            _batch_edges(dag, is_of[si2], i2i_dst, "I2I", auxs=auxs)
-            dst_acc.append(i2i_dst)
-        else:
-            m2l_dst = l_of[ti2]
-            _batch_edges(dag, si2, m2l_dst, "M2L", auxs=_delta_tuples(dx, dy, dz))
-            dst_acc.append(m2l_dst)
-
-    # --- adaptive lists -------------------------------------------------------------
-    ti3, si3 = list_pairs(lists.l3)
-    if ti3.size:
-        keep = t_of[ti3] >= 0
-        m2t_dst = t_of[ti3[keep]]
-        _batch_edges(dag, si3[keep], m2t_dst, "M2T")
-        dst_acc.append(m2t_dst)
-    ti4, si4 = list_pairs(lists.l4)
-    if ti4.size:
-        keep = s_of[si4] >= 0
-        s2l_dst = l_of[ti4[keep]]
-        _batch_edges(dag, s_of[si4[keep]], s2l_dst, "S2L")
-        dst_acc.append(s2l_dst)
-    ti1, si1 = list_pairs(lists.l1)
-    if ti1.size:
-        keep = (t_of[ti1] >= 0) & (s_of[si1] >= 0)
-        s2t_dst = t_of[ti1[keep]]
-        _batch_edges(dag, s_of[si1[keep]], s2t_dst, "S2T")
-        dst_acc.append(s2t_dst)
-
-    n_nodes = len(dag.nodes)
-    if dst_acc:
-        all_dst = np.concatenate([np.asarray(d, dtype=np.int64) for d in dst_acc])
-        dag.in_degree = np.bincount(all_dst, minlength=n_nodes).tolist()
-    else:
-        dag.in_degree = [0] * n_nodes
-    return dag
-
-
-def _build_fmm_dag_reference(dual: DualTree, lists: InteractionLists, advanced: bool) -> DAG:
+def build_fmm_dag_reference(dual: DualTree, lists: InteractionLists, advanced: bool) -> DAG:
     """Per-box reference assembly (the oracle loop path)."""
     src, tgt = dual.source, dual.target
     dag = DAG()
@@ -563,74 +423,18 @@ def _build_fmm_dag_reference(dual: DualTree, lists: InteractionLists, advanced: 
     return dag
 
 
-def build_bh_dag(
-    dual: DualTree,
-    mac_pairs: dict[int, list[tuple[str, int]]],
-    vectorized: bool = True,
-) -> DAG:
+def build_bh_dag(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) -> DAG:
     """Explicit DAG for Barnes-Hut.
 
     ``mac_pairs`` maps target leaf box index -> list of ("M2T"|"S2T",
     source box index) decisions from the MAC traversal.
     """
-    COUNTERS["assemblies"] += 1
-    if vectorized:
-        return _build_bh_dag_vectorized(dual, mac_pairs)
-    return _build_bh_dag_reference(dual, mac_pairs)
+    from repro.dag import DagBuilder, method_schema
+
+    return DagBuilder(method_schema("bh"), validate=False).build(dual, mac_pairs=mac_pairs)
 
 
-def _build_bh_dag_vectorized(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) -> DAG:
-    src, tgt = dual.source, dual.target
-    sa, ta = src.arrays, tgt.arrays
-    nsb = len(src.boxes)
-    dag = DAG()
-    dst_acc: list[np.ndarray] = []
-
-    _batch_nodes(dag, "M", np.arange(nsb, dtype=np.int64), sa.levels, "source")
-    s_boxes = np.flatnonzero(sa.leaf & (sa.counts > 0))
-    s_base = _batch_nodes(dag, "S", s_boxes, sa.levels[s_boxes], "source", sa.counts[s_boxes])
-    s_of = np.full(nsb, -1, dtype=np.int64)
-    s_of[s_boxes] = np.arange(s_base, s_base + s_boxes.size, dtype=np.int64)
-    _batch_edges(dag, s_of[s_boxes], s_boxes, "S2M")
-    dst_acc.append(s_boxes)
-    kids = np.arange(1, nsb, dtype=np.int64)
-    m2m_dst = sa.parent[kids]
-    _batch_edges(dag, kids, m2m_dst, "M2M", auxs=sa.keys[kids] & 7)
-    dst_acc.append(m2m_dst)
-
-    # flatten the MAC decisions (dict order == target-leaf box order)
-    t_keys = np.fromiter(mac_pairs.keys(), dtype=np.int64, count=len(mac_pairs))
-    lens = np.fromiter(
-        (len(v) for v in mac_pairs.values()), dtype=np.int64, count=len(mac_pairs)
-    )
-    total = int(lens.sum())
-    flat_s = np.fromiter(
-        (si for ops in mac_pairs.values() for _, si in ops), dtype=np.int64, count=total
-    )
-    flat_m2t = np.fromiter(
-        (op == "M2T" for ops in mac_pairs.values() for op, _ in ops),
-        dtype=bool,
-        count=total,
-    )
-    t_base = _batch_nodes(dag, "T", t_keys, ta.levels[t_keys], "target", ta.counts[t_keys])
-    t_ids = np.arange(t_base, t_base + t_keys.size, dtype=np.int64)
-    flat_t = np.repeat(t_ids, lens)
-
-    m2t_dst = flat_t[flat_m2t]
-    _batch_edges(dag, flat_s[flat_m2t], m2t_dst, "M2T")
-    dst_acc.append(m2t_dst)
-    s2t_mask = ~flat_m2t & (s_of[flat_s] >= 0)
-    s2t_dst = flat_t[s2t_mask]
-    _batch_edges(dag, s_of[flat_s[s2t_mask]], s2t_dst, "S2T")
-    dst_acc.append(s2t_dst)
-
-    n_nodes = len(dag.nodes)
-    all_dst = np.concatenate(dst_acc) if dst_acc else np.empty(0, np.int64)
-    dag.in_degree = np.bincount(all_dst, minlength=n_nodes).tolist()
-    return dag
-
-
-def _build_bh_dag_reference(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) -> DAG:
+def build_bh_dag_reference(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) -> DAG:
     src, tgt = dual.source, dual.target
     dag = DAG()
     for b in src.boxes:

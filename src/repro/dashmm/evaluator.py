@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.dashmm.dag import DAG, build_bh_dag, build_fmm_dag
+from repro.dashmm.dag import DAG
 from repro.dashmm.distribution import DistributionPolicy, FmmPolicy
 from repro.dashmm.registrar import Registrar
 from repro.hpx.runtime import Runtime, RuntimeConfig
@@ -73,23 +73,11 @@ class DashmmEvaluator:
         cost/communication only.
     theta:
         Barnes-Hut opening angle (ignored for FMM).
-    vectorized_setup:
-        Run the whole setup phase (tree carving, interaction lists, MAC
-        traversal, DAG assembly) through the array-based passes (the
-        default).  ``False`` selects the per-box reference loops; both
-        produce identical trees, lists and DAGs, hence identical virtual
-        clocks.
-    assembly:
-        ``"declarative"`` (default) materializes the DAG through the
-        method's declared schema and the validated
-        :class:`repro.dag.DagBuilder`; ``"legacy"`` keeps the original
-        imperative assembly (the bit-identity oracle).  Both produce
-        the same graph, potentials and virtual clock.
     validate_dag:
-        Type-check the built graph against its schema on every build
-        (declarative assembly only).  Off by default on the evaluation
-        hot path - the golden-graph and property suites gate the
-        builder - but cheap enough to enable for debugging.
+        Type-check the built graph against its schema on every build.
+        Off by default on the evaluation hot path - the golden-graph
+        and property suites gate the builder - but cheap enough to
+        enable for debugging.
     """
 
     def __init__(
@@ -108,17 +96,12 @@ class DashmmEvaluator:
         theta: float = 0.5,
         eps: float = 1e-4,
         factory: OperatorFactory | None = None,
-        vectorized_setup: bool = True,
-        assembly: str = "declarative",
         validate_dag: bool = False,
     ):
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if assembly not in ("declarative", "legacy"):
-            raise ValueError("assembly must be 'declarative' or 'legacy'")
         self.kernel = kernel
         self.method = method
-        self.assembly = assembly
         self.validate_dag = validate_dag
         self.threshold = threshold
         self.policy = policy or FmmPolicy()
@@ -131,7 +114,6 @@ class DashmmEvaluator:
         self.batch_edges = batch_edges
         self.theta = theta
         self.eps = eps
-        self.vectorized_setup = vectorized_setup
         # the shared factory fits each translation operator at most once
         # per process, no matter how many evaluators are constructed
         self.factory = factory or (
@@ -146,29 +128,19 @@ class DashmmEvaluator:
 
         return method_schema(self.method)
 
-    def _builder(self):
-        from repro.dag import DagBuilder
-
-        return DagBuilder(self.schema, validate=self.validate_dag)
-
     def build_dag(
         self,
         dual: DualTree,
         lists: InteractionLists | None = None,
     ) -> tuple[DAG, InteractionLists | None]:
-        vec = self.vectorized_setup
-        declarative = self.assembly == "declarative"
+        from repro.dag import DagBuilder
+
+        builder = DagBuilder(self.schema, validate=self.validate_dag)
         if self.method == "bh":
-            pairs = mac_pairs(dual, self.theta, vectorized=vec)
-            if declarative:
-                return self._builder().build(dual, mac_pairs=pairs), None
-            return build_bh_dag(dual, pairs, vectorized=vec), None
+            return builder.build(dual, mac_pairs=mac_pairs(dual, self.theta)), None
         if lists is None:
-            lists = build_lists(dual, vectorized=vec)
-        if declarative:
-            return self._builder().build(dual, lists=lists), lists
-        dag = build_fmm_dag(dual, lists, advanced=(self.method == "fmm"), vectorized=vec)
-        return dag, lists
+            lists = build_lists(dual)
+        return builder.build(dual, lists=lists), lists
 
     def _resolved_config(self) -> RuntimeConfig:
         """The runtime config with method-aware policy resolution.
@@ -212,18 +184,15 @@ class DashmmEvaluator:
         if self.runtime_config.backend == "parallel":
             # real-core execution: every worker process rebuilds the
             # setup deterministically from the raw arrays, so prebuilt
-            # structures are not consumed here (the parent derives the
-            # identical ones for the report)
+            # structures cannot be consumed there and are rejected
             from repro.dashmm.parallel import evaluate_parallel
 
-            return evaluate_parallel(self, sources, weights, targets)
+            return evaluate_parallel(
+                self, sources, weights, targets, dual=dual, lists=lists, dag=dag
+            )
         if dual is None:
             dual = build_dual_tree(
-                sources,
-                targets,
-                self.threshold,
-                source_weights=weights,
-                vectorized=self.vectorized_setup,
+                sources, targets, self.threshold, source_weights=weights
             )
         if dag is None:
             dag, lists = self.build_dag(dual, lists)

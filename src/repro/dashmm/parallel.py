@@ -56,7 +56,6 @@ from repro.dashmm.registrar import Registrar
 from repro.hpx.parallel import (
     LocalityRuntime,
     ParallelError,
-    ParallelRuntime,
     QueueChannel,
     WorkerScheduler,
     seed_worker_rngs,
@@ -192,23 +191,23 @@ class _WorkerBody:
             theta=spec["theta"],
             eps=spec["eps"],
             factory=factory,
-            vectorized_setup=spec["vectorized_setup"],
         )
-        # a persistent session pins the root cube so trees of every
-        # round live in one coordinate frame (absent for single-shot)
+        # a session pins the root cube so trees of every round live in
+        # one coordinate frame (None - the bounding cube - for a
+        # one-shot evaluate)
         self.dual = build_dual_tree(
             sources,
             targets,
             self.ev.threshold,
             source_weights=weights,
-            vectorized=self.ev.vectorized_setup,
-            domain=spec.get("domain"),
+            domain=spec["domain"],
         )
         self.dag, _ = self.ev.build_dag(self.dual)
         self.ev.policy.assign(self.dag, self.dual, self.n)
         # geometry-matrix cache shared by every registrar this body
-        # builds across rounds; only worth the memory when rounds repeat
-        self._geom_cache = {} if spec.get("persistent") else None
+        # builds across rounds; only worth the memory when rounds
+        # repeat, so it is allocated when a second round arrives
+        self._geom_cache: dict | None = None
         self._make_registrar(self.dual, self.dag)
 
     def _make_registrar(self, dual, dag, centers: dict | None = None) -> None:
@@ -221,7 +220,7 @@ class _WorkerBody:
         """
         ev = self.ev
         rcfg = ev._resolved_config()
-        policy = resolve_policy(rcfg.policy, rcfg.priorities)
+        policy = resolve_policy(rcfg.policy)
         driver = (
             ScheduleFuzzer(rcfg.fuzz_schedule + self.rank)
             if rcfg.fuzz_schedule is not None
@@ -277,6 +276,8 @@ class _WorkerBody:
         self.reg._mirror.clear()
         self._stage_ends.clear()
         self.sched.lco_sets_applied = 0
+        if self._geom_cache is None:
+            self._geom_cache = self.reg.geom_cache = {}
         sources = self.arena.get("sources")
         weights = self.arena.get("weights")
         targets = self.arena.get("targets")
@@ -286,15 +287,10 @@ class _WorkerBody:
             return
         old_shape = dual_shape_fingerprint(self.dual)
         new_dual, _info = update_dual_tree(
-            self.dual,
-            sources,
-            targets,
-            source_weights=weights,
-            vectorized=self.ev.vectorized_setup,
+            self.dual, sources, targets, source_weights=weights
         )
-        if self._geom_cache:
-            # every cached matrix is a function of the coordinates
-            self._geom_cache.clear()
+        # every cached matrix is a function of the coordinates
+        self._geom_cache.clear()
         if dual_shape_fingerprint(new_dual) == old_shape:
             refresh_n_points(self.dag, new_dual)
             old_locs = [nd.locality for nd in self.dag.nodes]
@@ -437,9 +433,11 @@ class _WorkerBody:
     def run(self) -> None:
         """READY, then rounds of GO -> evaluate -> DONE until STOP.
 
-        The single-shot runtime sends ``("go",)`` then ``("stop",)``; a
-        persistent service sends ``("go", update)`` per submission and
-        one final STOP.  Round boundaries are quiet by construction -
+        The service sends a bare ``("go",)`` for the cold round (and
+        for a re-drive on respawned workers), ``("go", update)`` per
+        later submission and one final STOP; a one-shot evaluate is
+        the cold round followed by STOP.  Round boundaries are quiet by
+        construction -
         every exchange barriers on its acks, so no frame is in flight
         when DONE is posted - which is what makes the per-round state
         rewind in :meth:`_round_update` sufficient.
@@ -489,7 +487,7 @@ def _worker_main(rank: int, n: int, spec: dict, manifest: dict, inboxes, parent_
             raise
 
 
-def _validate(evaluator) -> None:
+def _validate(evaluator, **prebuilt) -> None:
     cfg = evaluator.runtime_config
     if evaluator.mode != "numeric":
         raise ValueError(
@@ -512,83 +510,54 @@ def _validate(evaluator) -> None:
             "the happens-before detector instruments the simulator's "
             "virtual clock; run hazard detection on backend='sim'"
         )
+    for name, value in prebuilt.items():
+        if value is not None:
+            raise ValueError(
+                f"backend='parallel' cannot consume a prebuilt {name}=: "
+                "every worker rebuilds the setup from the raw arrays; "
+                "drop the argument or evaluate on backend='sim'"
+            )
 
 
-def evaluate_parallel(evaluator, sources, weights, targets):
+def evaluate_parallel(evaluator, sources, weights, targets, **prebuilt):
     """Run one evaluation on real cores; returns an EvaluationReport.
 
-    Setup (trees, DAG, operator fits) is rebuilt deterministically in
-    every worker and excluded from the timed window, which spans GO to
-    the last worker's DONE.  The parent's fitted-operator cache is
-    handed to workers through a disk snapshot so fits warmed by a prior
-    simulator run are not refitted per rank.
+    A one-shot evaluate is a one-round :class:`PersistentParallelService`:
+    spawn, cold round, teardown - including the service's respawn and
+    re-drive if a worker dies mid-round.  Setup (trees, DAG, operator
+    fits) is rebuilt deterministically in every worker and excluded
+    from the timed window, which spans GO to the last worker's DONE.
+    ``prebuilt`` (``dual=`` / ``lists=`` / ``dag=``) cannot reach the
+    workers and is rejected rather than silently ignored.
     """
     from repro.dashmm.evaluator import EvaluationReport
     from repro.hpx.tracing import Tracer
-    from repro.tree.dualtree import build_dual_tree
 
-    _validate(evaluator)
+    _validate(evaluator, **prebuilt)
     cfg = evaluator.runtime_config
-    sources = np.ascontiguousarray(sources, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    service = PersistentParallelService(evaluator, domain=None)
+    try:
+        potentials, _info = service.start(sources, weights, targets)
+    finally:
+        service.close()
 
-    # parent-side replica of the setup, for the report and the inverse
-    # permutation (identical to what every worker derives)
-    dual = build_dual_tree(
-        sources,
-        targets,
-        evaluator.threshold,
-        source_weights=weights,
-        vectorized=evaluator.vectorized_setup,
-    )
+    # parent-side replica of the setup for the report (identical to
+    # what every worker derived)
+    dual = service._dual
     dag, lists = evaluator.build_dag(dual)
     evaluator.policy.assign(dag, dual, cfg.n_localities)
-
-    tmpdir = tempfile.mkdtemp(prefix="hmmops_")
-    try:
-        factory_path = None
-        if evaluator.factory is not None:
-            factory_path = str(evaluator.factory.save(directory=tmpdir))
-        spec = {
-            "kernel": evaluator.kernel,
-            "method": evaluator.method,
-            "threshold": evaluator.threshold,
-            "policy": evaluator.policy,
-            "config": cfg,
-            "cost_model": evaluator.cost_model,
-            "size_model": evaluator.size_model,
-            "theta": evaluator.theta,
-            "eps": evaluator.eps,
-            "vectorized_setup": evaluator.vectorized_setup,
-            "factory_path": factory_path,
-            "seed": cfg.seed,
-        }
-        runtime = ParallelRuntime(
-            cfg.n_localities,
-            _worker_main,
-            spec,
-            arrays={"sources": sources, "weights": weights, "targets": targets},
-            outputs={"result": ((dual.target.n_points,), np.float64)},
-            start_method=cfg.start_method,
-        )
-        out = runtime.run()
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-    potentials = np.empty(dual.target.n_points)
-    potentials[dual.target.perm] = out["result"]
+    cold = service.round_stats[0]
     stats = {
         "backend": "parallel",
         "n_localities": cfg.n_localities,
         "start_method": cfg.start_method,
-        "wall_time": runtime.wall_time,
-        "tasks": sum(w["tasks_run"] for w in runtime.worker_stats),
-        "workers": runtime.worker_stats,
+        "wall_time": cold["wall_time"],
+        "tasks": sum(w["tasks_run"] for w in cold["workers"]),
+        "workers": cold["workers"],
     }
     return EvaluationReport(
         potentials=potentials,
-        time=runtime.wall_time,
+        time=cold["wall_time"],
         runtime_stats=stats,
         tracer=Tracer(enabled=False),
         dag=dag,
@@ -599,15 +568,15 @@ def evaluate_parallel(evaluator, sources, weights, targets):
 
 
 class PersistentParallelService:
-    """Parent half of the persistent parallel backend.
+    """Parent half of the parallel backend: the one worker-fleet manager.
 
-    Where :func:`evaluate_parallel` spawns, runs one round and tears
-    everything down, this keeps the worker processes, their attached
-    shared-memory arena and each worker's rebuilt metadata (tree, DAG,
-    LCO network, operator and geometry caches) alive across
-    submissions.  A warm round costs one in-place array overwrite, one
-    GO/DONE handshake and the numeric work - no process spawn, no
-    operator refit, no tree carve.
+    Keeps the worker processes, their attached shared-memory arena and
+    each worker's rebuilt metadata (tree, DAG, LCO network, operator
+    and geometry caches) alive across submissions.  A warm round costs
+    one in-place array overwrite, one GO/DONE handshake and the numeric
+    work - no process spawn, no operator refit, no tree carve.
+    :func:`evaluate_parallel` is the degenerate case: :meth:`start`,
+    then :meth:`close`.
 
     The parent keeps its own tree replica (updated incrementally, like
     every worker) purely for the inverse permutation that unsorts the
@@ -650,14 +619,10 @@ class PersistentParallelService:
     # -- lifecycle ---------------------------------------------------------------
     def start(self, sources, weights, targets):
         """Spawn workers and run the cold round."""
-        import multiprocessing as mp
-
         from repro.hpx.gas import ShmArena
-        from repro.hpx.parallel import _THREAD_ENV, await_workers
         from repro.tree.dualtree import build_dual_tree
 
         ev = self.evaluator
-        cfg = ev.runtime_config
         sources = np.ascontiguousarray(sources, dtype=np.float64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         targets = np.ascontiguousarray(targets, dtype=np.float64)
@@ -667,7 +632,6 @@ class PersistentParallelService:
             targets,
             ev.threshold,
             source_weights=weights,
-            vectorized=ev.vectorized_setup,
             domain=self.domain,
         )
 
@@ -679,22 +643,7 @@ class PersistentParallelService:
             factory_path = None
             if ev.factory is not None:
                 factory_path = str(ev.factory.save(directory=self._tmpdir))
-            self._spec = {
-                "kernel": ev.kernel,
-                "method": ev.method,
-                "threshold": ev.threshold,
-                "policy": ev.policy,
-                "config": cfg,
-                "cost_model": ev.cost_model,
-                "size_model": ev.size_model,
-                "theta": ev.theta,
-                "eps": ev.eps,
-                "vectorized_setup": ev.vectorized_setup,
-                "factory_path": factory_path,
-                "seed": cfg.seed,
-                "domain": self.domain,
-                "persistent": True,
-            }
+            self._spec = self._worker_spec(factory_path)
             arena.put("sources", sources)
             arena.put("weights", weights)
             arena.put("targets", targets)
@@ -708,6 +657,25 @@ class PersistentParallelService:
             raise
         out = self._round(None)
         return out, self._round_info({"source": "built", "target": "built"})
+
+    def _worker_spec(self, factory_path: str | None) -> dict:
+        """Everything a worker needs besides the shared arrays (pickled
+        to every rank; the key set is pinned by tests/test_api_surface.py)."""
+        ev = self.evaluator
+        return {
+            "kernel": ev.kernel,
+            "method": ev.method,
+            "threshold": ev.threshold,
+            "policy": ev.policy,
+            "config": ev.runtime_config,
+            "cost_model": ev.cost_model,
+            "size_model": ev.size_model,
+            "theta": ev.theta,
+            "eps": ev.eps,
+            "factory_path": factory_path,
+            "seed": ev.runtime_config.seed,
+            "domain": self.domain,
+        }
 
     def _spawn_workers(self) -> None:
         """Bring up a fresh worker fleet from the retained spec/manifest.
@@ -811,11 +779,7 @@ class PersistentParallelService:
             shm_s[:] = sources
             shm_t[:] = targets
             self._dual, info = update_dual_tree(
-                self._dual,
-                sources,
-                targets,
-                source_weights=weights,
-                vectorized=self.evaluator.vectorized_setup,
+                self._dual, sources, targets, source_weights=weights
             )
             update = {"kind": "points"}
         out = self._round(update)

@@ -404,11 +404,7 @@ class EvaluatorSession:
             and cur.dual.target.n_points == len(targets)
         ):
             dual, info = update_dual_tree(
-                cur.dual,
-                sources,
-                targets,
-                source_weights=weights,
-                vectorized=ev.vectorized_setup,
+                cur.dual, sources, targets, source_weights=weights
             )
         if dual is None:
             dual = build_dual_tree(
@@ -416,7 +412,6 @@ class EvaluatorSession:
                 targets,
                 ev.threshold,
                 source_weights=weights,
-                vectorized=ev.vectorized_setup,
                 domain=self.domain,
             )
         self.stats["tree_updates"].append(info)
@@ -448,9 +443,7 @@ class EvaluatorSession:
         cfg = ev._resolved_config()
         dag, lists = ev.build_dag(dual)
         ev.policy.assign(dag, dual, cfg.n_localities)
-        runtime = _DirectRuntime(
-            cfg.n_localities, resolve_policy(cfg.policy, cfg.priorities)
-        )
+        runtime = _DirectRuntime(cfg.n_localities, resolve_policy(cfg.policy))
         reg = Registrar(
             runtime,
             dag,

@@ -8,8 +8,11 @@ lives in POSIX shared memory (:class:`repro.hpx.gas.ShmArena`), and
 parcels travel over OS queues wrapped in the same
 :class:`~repro.hpx.transport.Framing` seq/ack/dedup protocol the
 simulated reliable transport uses.  The pieces here are generic
-runtime machinery; the DASHMM worker body that drives an evaluation
-DAG through them is :mod:`repro.dashmm.parallel`.
+worker-side runtime machinery plus the parent's wait loop; the DASHMM
+worker body that drives an evaluation DAG through them, and the one
+parent-side fleet manager that spawns and respawns workers
+(``PersistentParallelService`` - a one-shot ``evaluate()`` is a
+one-round service), are in :mod:`repro.dashmm.parallel`.
 
 Design points:
 
@@ -38,7 +41,6 @@ Design points:
 
 from __future__ import annotations
 
-import os
 import queue as _queue
 import time
 from collections import deque
@@ -253,107 +255,12 @@ def seed_worker_rngs(base_seed: int, rank: int) -> None:
     np.random.seed((base_seed + rank) % (2**32))
 
 
-class ParallelRuntime:
-    """Parent-side manager of one real-parallel run.
-
-    Spawns ``n_localities`` worker processes running ``worker_fn(rank,
-    n, spec, manifest, inboxes, parent_q)``, wires the queue mesh and
-    the shared-memory arena, and times the parallel region from GO to
-    the last DONE (setup - tree builds, operator fits from cache,
-    allocation - happens before READY and is excluded, matching the
-    iterative-evaluation regime the paper targets).
-
-    ``arrays`` are copied into shared memory; ``outputs`` allocates
-    zero-filled shared blocks (``label -> (shape, dtype)``) the workers
-    fill and the parent reads back.
-    """
-
-    def __init__(
-        self,
-        n_localities: int,
-        worker_fn: Callable,
-        spec: dict,
-        arrays: dict | None = None,
-        outputs: dict | None = None,
-        start_method: str = "spawn",
-        timeout: float = 600.0,
-    ):
-        if n_localities < 1:
-            raise ValueError("need at least one locality")
-        self.n = n_localities
-        self.worker_fn = worker_fn
-        self.spec = spec
-        self.arrays = arrays or {}
-        self.outputs = outputs or {}
-        self.start_method = start_method
-        self.timeout = timeout
-        self.wall_time: float | None = None
-        self.worker_stats: list[dict] = []
-
-    def run(self) -> dict:
-        """Execute the run; returns ``{label: array}`` output copies."""
-        import multiprocessing as mp
-
-        from repro.hpx.gas import ShmArena
-
-        ctx = mp.get_context(self.start_method)
-        arena = ShmArena()
-        procs: list = []
-        try:
-            for label, arr in self.arrays.items():
-                arena.put(label, arr)
-            for label, (shape, dtype) in self.outputs.items():
-                arena.alloc(label, shape, dtype)
-            manifest = arena.manifest()
-            inboxes = [ctx.Queue() for _ in range(self.n)]
-            parent_q = ctx.Queue()
-            saved = {k: os.environ.get(k) for k in _THREAD_ENV}
-            try:
-                os.environ.update({k: "1" for k in _THREAD_ENV})
-                for rank in range(self.n):
-                    p = ctx.Process(
-                        target=self.worker_fn,
-                        args=(rank, self.n, self.spec, manifest, inboxes, parent_q),
-                        daemon=True,
-                    )
-                    p.start()
-                    procs.append(p)
-            finally:
-                for k, v in saved.items():
-                    if v is None:
-                        os.environ.pop(k, None)
-                    else:
-                        os.environ[k] = v
-
-            self._await(parent_q, procs, "ready")
-            t0 = time.perf_counter()
-            for q in inboxes:
-                q.put(("go",))
-            self.worker_stats = self._await(parent_q, procs, "done")
-            self.wall_time = time.perf_counter() - t0
-            for q in inboxes:
-                q.put(("stop",))
-            for p in procs:
-                p.join(timeout=30.0)
-            out = {label: arena.get(label).copy() for label in self.outputs}
-            return out
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=5.0)
-            arena.destroy()
-
-    def _await(self, parent_q, procs, expected: str) -> list:
-        return await_workers(parent_q, procs, self.n, expected, self.timeout)
-
-
 def await_workers(parent_q, procs, n: int, expected: str, timeout: float) -> list:
     """Collect one ``expected`` message per worker, rank-ordered.
 
-    Shared by the single-shot :class:`ParallelRuntime` and the
-    persistent service (:mod:`repro.dashmm.parallel`), which awaits a
-    DONE per round over the same queue protocol.
+    The parent-side fleet manager
+    (:class:`repro.dashmm.parallel.PersistentParallelService`) awaits
+    READY once per spawn and a DONE per round with it.
     """
     got: dict[int, object] = {}
     deadline = time.monotonic() + timeout

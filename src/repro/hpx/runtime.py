@@ -37,11 +37,9 @@ class RuntimeConfig:
     extension), ``"critical-path"`` (offline critical-path levels with
     near/far interleaving and eager parcel release), or a
     :class:`~repro.hpx.scheduler.SchedulingPolicy` instance.
-    ``priorities`` is the legacy boolean spelling of ``"binary"`` and
-    is ignored when ``policy`` is given.  ``progress_cost`` models the
-    time HPX-5's network progress charges on the receiving locality per
-    remote parcel - the paper attributes a small part of the
-    utilization deficit to it.
+    ``progress_cost`` models the time HPX-5's network progress charges
+    on the receiving locality per remote parcel - the paper attributes
+    a small part of the utilization deficit to it.
 
     ``reliable`` turns on the sequence-numbered, acknowledged,
     retry-with-backoff parcel transport (see
@@ -93,7 +91,6 @@ class RuntimeConfig:
     n_localities: int = 1
     workers_per_locality: int = 32
     network: NetworkModel = field(default_factory=NetworkModel)
-    priorities: bool = False
     policy: "str | SchedulingPolicy | None" = None
     tracing: bool = True
     steal_seed: int = 12345
@@ -148,7 +145,7 @@ class Runtime:
             raise ValueError(
                 "Runtime is the simulator engine; backend="
                 f"{self.config.backend!r} runs are dispatched by "
-                "DashmmEvaluator to repro.hpx.parallel.ParallelRuntime"
+                "DashmmEvaluator to repro.dashmm.parallel.evaluate_parallel"
             )
         self.gas = GlobalAddressSpace(self.config.n_localities)
         self.tracer = Tracer(enabled=self.config.tracing)
@@ -162,7 +159,6 @@ class Runtime:
             workers_per_locality=self.config.workers_per_locality,
             network=self.network,
             tracer=self.tracer,
-            priorities=self.config.priorities,
             policy=self.config.policy,
             steal_seed=self.config.steal_seed,
             measure_costs=self.config.measure_costs,

@@ -26,8 +26,7 @@ discipline beyond that is owned by a :class:`SchedulingPolicy`:
   measured configuration); the default.
 * ``binary`` - each worker keeps a high- and a low-priority deque and
   always drains high first: exactly the "binary choice between low and
-  high priority" extension the paper's Section VI proposes for HPX-5
-  (also reachable via the legacy ``priorities=True`` knob).
+  high priority" extension the paper's Section VI proposes for HPX-5.
 * ``critical-path`` - tasks carry a quantized critical-path level
   stamped offline (longest downstream path through the explicit DAG,
   see :func:`repro.analysis.critical_path.node_priorities`); the last
@@ -126,7 +125,7 @@ class SchedulingPolicy:
 
 
 class BinaryPriorityPolicy(SchedulingPolicy):
-    """Section VI's binary high/low extension (legacy ``priorities=True``)."""
+    """Section VI's binary high/low extension."""
 
     name = "binary"
     prioritized = True
@@ -220,12 +219,10 @@ POLICIES = {
 }
 
 
-def resolve_policy(
-    policy: "SchedulingPolicy | str | None" = None, priorities: bool = False
-) -> SchedulingPolicy:
-    """Resolve a policy spec (instance, name, or None + legacy flag)."""
+def resolve_policy(policy: "SchedulingPolicy | str | None" = None) -> SchedulingPolicy:
+    """Resolve a policy spec (instance, name, or None for stock)."""
     if policy is None:
-        return BinaryPriorityPolicy() if priorities else SchedulingPolicy()
+        return SchedulingPolicy()
     if isinstance(policy, str):
         cls = POLICIES.get(policy)
         if cls is None:
@@ -428,7 +425,6 @@ class Scheduler:
         workers_per_locality: int,
         network,
         tracer: Tracer | None = None,
-        priorities: bool = False,
         steal_seed: int = 12345,
         measure_costs: bool = False,
         measure_scale: float = 1.0,
@@ -441,11 +437,8 @@ class Scheduler:
         self.n_workers = n_localities * workers_per_locality
         self.network = network
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        #: the ready-queue discipline; ``priorities=True`` is the legacy
-        #: spelling of the binary policy and is ignored when an explicit
-        #: policy is given
-        self.policy = resolve_policy(policy, priorities)
-        self.priorities = self.policy.prioritized
+        #: the ready-queue discipline
+        self.policy = resolve_policy(policy)
         self.measure_costs = measure_costs
         self.measure_scale = measure_scale
         self._rng = random.Random(steal_seed)

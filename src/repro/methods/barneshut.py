@@ -49,27 +49,7 @@ class BhStats:
         self.ops[op] += n
 
 
-def mac_pairs(
-    dual: DualTree, theta: float, vectorized: bool = True
-) -> dict[int, list[tuple[str, int]]]:
-    """MAC traversal decisions: target leaf index -> [(op, source box)].
-
-    ``op`` is "M2T" when the source box passes the acceptance criterion
-    (its multipole is evaluated at the leaf's points) and "S2T" when the
-    traversal bottoms out in a direct interaction.  This is the explicit
-    form of the Barnes-Hut DAG consumed by the DASHMM layer.
-
-    Both paths emit each target's ops sorted by source box index (the
-    decision *set* per target is traversal-order independent), so the
-    vectorised breadth-first descent and the reference depth-first stack
-    produce identical dictionaries.
-    """
-    if vectorized:
-        return _mac_pairs_vectorized(dual, theta)
-    return _mac_pairs_reference(dual, theta)
-
-
-def _mac_pairs_reference(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
+def mac_pairs_reference(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
     src, tgt = dual.source, dual.target
     dom = dual.domain
     centers = np.array([dom.box_center(b.key) for b in src.boxes])
@@ -99,12 +79,21 @@ def _mac_pairs_reference(dual: DualTree, theta: float) -> dict[int, list[tuple[s
     return out
 
 
-def _mac_pairs_vectorized(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
-    """Level-synchronous MAC descent over flat (target, source) frontiers.
+def mac_pairs(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
+    """MAC traversal decisions: target leaf index -> [(op, source box)].
 
-    Identical float formulation to the reference (same elementwise
-    center/radius arithmetic and the same guarded division), so the
-    per-pair accept/recurse decisions agree bit for bit.
+    ``op`` is "M2T" when the source box passes the acceptance criterion
+    (its multipole is evaluated at the leaf's points) and "S2T" when the
+    traversal bottoms out in a direct interaction.  This is the explicit
+    form of the Barnes-Hut DAG consumed by the DASHMM layer.
+
+    A level-synchronous descent over flat (target, source) frontiers
+    with the float formulation of :func:`mac_pairs_reference` (same
+    elementwise center/radius arithmetic and the same guarded division),
+    so the per-pair accept/recurse decisions agree bit for bit; each
+    target's ops are sorted by source box index, as the reference's are
+    (the decision *set* per target is traversal-order independent), so
+    the two return identical dictionaries.
     """
     src, tgt = dual.source, dual.target
     dom = dual.domain

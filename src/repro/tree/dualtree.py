@@ -8,14 +8,12 @@ refinement *threshold*; empty children are pruned.  The
 domain; the ensembles may be identical, partially overlapping, or
 disjoint.
 
-Two carving strategies produce bit-identical box tables:
-
-* the *vectorised* default discovers every level's boxes in a handful
-  of whole-array passes over the sorted deep keys (shifted-prefix run
-  detection plus ``searchsorted`` range splits), and
-* the *reference* loop refines one box at a time, exactly as the paper
-  describes the algorithm; it is retained as the oracle the vectorised
-  path is property-tested against.
+Trees are carved by whole-array passes over the sorted deep keys: every
+level's boxes are discovered at once (shifted-prefix run detection plus
+``searchsorted`` range splits).  :func:`carve_reference` refines one
+box at a time, exactly as the paper describes the algorithm; nothing in
+the package calls it - it is the oracle the array carve is
+property-tested against, box table for box table.
 """
 
 from __future__ import annotations
@@ -201,7 +199,7 @@ class DualTree:
     threshold: int
 
 
-def _carve_reference(
+def carve_reference(
     deep_sorted: np.ndarray, n: int, threshold: int
 ) -> tuple[list[Box], dict[int, int], list[list[int]]]:
     """Per-box breadth-first refinement (the oracle loop path).
@@ -278,7 +276,7 @@ def _carve_vectorized(
     array passes: a run-boundary scan of the shifted prefixes restricted
     to the over-threshold parent ranges, a ``searchsorted`` to attribute
     each run to its parent, and a clipped shift to find run stops.  The
-    resulting box table is bit-identical to :func:`_carve_reference`.
+    resulting box table is bit-identical to :func:`carve_reference`.
     """
     boxes = [Box(key=1, level=0, start=0, stop=n, parent=None, children=[], index=0)]
     key_to_index: dict[int, int] = {1: 0}
@@ -353,15 +351,12 @@ def build_tree(
     domain: Domain,
     threshold: int,
     weights: np.ndarray | None = None,
-    vectorized: bool = True,
 ) -> Tree:
     """Build one adaptive octree.
 
     The points are sorted once by their level-``DEEP_LEVEL`` Morton key;
-    every box then owns a contiguous slice of the sorted order.  With
-    ``vectorized=True`` (the default) whole levels of boxes are carved
-    per array pass; ``vectorized=False`` runs the per-box reference
-    loop.  Both produce bit-identical trees.
+    every box then owns a contiguous slice of the sorted order, and
+    whole levels of boxes are carved per array pass.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -380,9 +375,8 @@ def build_tree(
             raise ValueError("weights must have shape (N,)")
         weights_sorted = weights[perm]
 
-    carve = _carve_vectorized if vectorized else _carve_reference
     COUNTERS["full_carves"] += 1
-    boxes, key_to_index, levels = carve(deep_sorted, n, threshold)
+    boxes, key_to_index, levels = _carve_vectorized(deep_sorted, n, threshold)
 
     return Tree(
         domain=domain,
@@ -402,7 +396,6 @@ def build_dual_tree(
     targets: np.ndarray,
     threshold: int,
     source_weights: np.ndarray | None = None,
-    vectorized: bool = True,
     domain: Domain | None = None,
 ) -> DualTree:
     """Build the dual tree over the common domain of both ensembles.
@@ -414,8 +407,6 @@ def build_dual_tree(
     """
     if domain is None:
         domain = Domain.bounding(sources, targets)
-    src = build_tree(
-        sources, domain, threshold, weights=source_weights, vectorized=vectorized
-    )
-    tgt = build_tree(targets, domain, threshold, vectorized=vectorized)
+    src = build_tree(sources, domain, threshold, weights=source_weights)
+    tgt = build_tree(targets, domain, threshold)
     return DualTree(domain=domain, source=src, target=tgt, threshold=threshold)

@@ -262,7 +262,6 @@ def update_tree(
     tree: Tree,
     points: np.ndarray,
     weights: np.ndarray | None = None,
-    vectorized: bool = True,
 ) -> tuple[Tree, str]:
     """Rebuild ``tree`` for perturbed ``points``, reusing what survived.
 
@@ -277,9 +276,7 @@ def update_tree(
         raise ValueError("points must have shape (N, 3)")
     domain = tree.domain
     if len(points) != tree.n_points or tree.deep_sorted is None:
-        new = build_tree(
-            points, domain, tree.threshold, weights=weights, vectorized=vectorized
-        )
+        new = build_tree(points, domain, tree.threshold, weights=weights)
         return new, "rebuilt"
 
     n = len(points)
@@ -349,7 +346,6 @@ def update_dual_tree(
     sources: np.ndarray,
     targets: np.ndarray,
     source_weights: np.ndarray | None = None,
-    vectorized: bool = True,
 ) -> tuple[DualTree, dict]:
     """Incremental :func:`~repro.tree.dualtree.build_dual_tree`.
 
@@ -357,10 +353,8 @@ def update_dual_tree(
     step against one fixed cube); callers that let the domain float must
     rebuild from scratch instead.
     """
-    src, s_status = update_tree(
-        dual.source, sources, weights=source_weights, vectorized=vectorized
-    )
-    tgt, t_status = update_tree(dual.target, targets, vectorized=vectorized)
+    src, s_status = update_tree(dual.source, sources, weights=source_weights)
+    tgt, t_status = update_tree(dual.target, targets)
     new = DualTree(
         domain=dual.domain, source=src, target=tgt, threshold=dual.threshold
     )

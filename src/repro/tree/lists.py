@@ -26,15 +26,16 @@ of candidates entirely; the sub-tree below it can then be pruned (the
 local expansion is evaluated directly at every point below), which the
 paper notes reduces arithmetic complexity [11].
 
-Two constructions are provided.  The *vectorised* default processes one
-target level at a time: the whole frontier of (target, candidate) pairs
-is classified with lattice-coordinate adjacency over the trees' cached
-decoded-coordinate tables (no per-pair Morton decoding), and the L1/L3
-refinement below adjacent colleagues runs as a breadth-wise array
-descent.  The per-box *reference* loop is retained as the oracle.  Both
-paths return the same canonical ordering (targets ascending, each list
-sorted by source box index), so everything downstream - DAG assembly
-included - is invariant to the choice.
+:func:`build_lists` processes one target level at a time: the whole
+frontier of (target, candidate) pairs is classified with
+lattice-coordinate adjacency over the trees' cached decoded-coordinate
+tables (no per-pair Morton decoding), and the L1/L3 refinement below
+adjacent colleagues runs as a breadth-wise array descent.  Lists come
+out in canonical order (targets ascending, each list sorted by source
+box index).  :func:`build_lists_reference` is the per-box descent the
+array construction is tested against; nothing in the package calls it,
+and :func:`canonicalize` puts its natural visit order into the same
+canonical form.
 """
 
 from __future__ import annotations
@@ -149,16 +150,10 @@ def canonicalize(lists: InteractionLists) -> InteractionLists:
 COUNTERS = {"builds": 0}
 
 
-def build_lists(dual: DualTree, vectorized: bool = True) -> InteractionLists:
-    """Construct L1-L4 for every target box of a dual tree.
-
-    ``vectorized=False`` runs the per-box reference descent; both paths
-    return identical, canonically ordered lists.
-    """
+def build_lists(dual: DualTree) -> InteractionLists:
+    """Construct L1-L4, canonically ordered, for every target box of a dual tree."""
     COUNTERS["builds"] += 1
-    if vectorized:
-        return _build_lists_vectorized(dual)
-    return canonicalize(build_lists_reference(dual))
+    return _build_lists_vectorized(dual)
 
 
 def build_lists_reference(dual: DualTree) -> InteractionLists:

@@ -130,12 +130,12 @@ def test_coalescing_reduces_parcels(laplace, cloud):
 def test_priorities_preserve_numerics(laplace, laplace_factory, cloud):
     src, w, tgt = cloud
     reps = []
-    for prio in (False, True):
+    for policy in ("stock", "binary"):
         ev = DashmmEvaluator(
             laplace,
             threshold=30,
             runtime_config=RuntimeConfig(
-                n_localities=2, workers_per_locality=2, priorities=prio
+                n_localities=2, workers_per_locality=2, policy=policy
             ),
             factory=laplace_factory,
         )

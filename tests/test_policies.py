@@ -5,7 +5,7 @@ policies"):
 
 * the stock policy is bit-identical to the historical scheduler -
   same virtual clock, same potentials, same trace;
-* ``policy="binary"`` is exactly the legacy ``priorities=True``;
+* ``policy="binary"`` is the paper's Section VI high/low split;
 * critical-path levels from the offline DAG analysis are monotone
   along every edge, so draining low levels first always advances the
   critical path;
@@ -62,14 +62,11 @@ def _evaluate(kernel, cloud, mode="numeric", **cfg_kwargs):
 
 def test_resolve_policy_spellings():
     assert type(resolve_policy(None)) is SchedulingPolicy
-    assert type(resolve_policy(None, priorities=True)) is BinaryPriorityPolicy
     assert type(resolve_policy("stock")) is SchedulingPolicy
     assert type(resolve_policy("binary")) is BinaryPriorityPolicy
     assert type(resolve_policy("critical-path")) is CriticalPathPolicy
     inst = CriticalPathPolicy(levels=6)
     assert resolve_policy(inst) is inst
-    # an explicit policy wins over the legacy flag
-    assert type(resolve_policy("stock", priorities=True)) is SchedulingPolicy
 
 
 def test_unknown_policy_rejected():
@@ -128,14 +125,6 @@ def test_stock_policy_bit_identical_to_default(kernel, cloud):
     assert np.array_equal(stock.potentials, plain.potentials)
     assert stock.tracer.events() == plain.tracer.events()
     assert stock.runtime_stats["steals"] == plain.runtime_stats["steals"]
-
-
-def test_binary_policy_matches_legacy_flag(kernel, cloud):
-    legacy = _evaluate(kernel, cloud, priorities=True)
-    binary = _evaluate(kernel, cloud, policy="binary")
-    assert binary.time == legacy.time
-    assert np.array_equal(binary.potentials, legacy.potentials)
-    assert binary.tracer.events() == legacy.tracer.events()
 
 
 def test_priority_policies_preserve_potentials(kernel, cloud):

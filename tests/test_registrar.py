@@ -25,8 +25,8 @@ def setup():
     return src, w, tgt, dual, lists, dag
 
 
-def _registrar(dag, dual, priorities=False, coalesce=True):
-    cfg = RuntimeConfig(n_localities=3, workers_per_locality=2, priorities=priorities)
+def _registrar(dag, dual, policy=None, coalesce=True):
+    cfg = RuntimeConfig(n_localities=3, workers_per_locality=2, policy=policy)
     rt = Runtime(cfg)
     FmmPolicy().assign(dag, dual, 3)
     reg = Registrar(rt, dag, dual, LaplaceKernel(8), None, mode="phantom", coalesce=coalesce)
@@ -54,7 +54,7 @@ def test_initial_tasks_one_per_s_node(setup):
 
 def test_initial_tasks_split_under_priorities(setup):
     _, _, _, dual, _, dag = setup
-    rt, reg = _registrar(dag, dual, priorities=True)
+    rt, reg = _registrar(dag, dual, policy="binary")
     reg.allocate()
     n_tasks = reg.initial_tasks()
     n_s = sum(1 for n in dag.nodes if n.kind == "S" and dag.out_edges[n.id])

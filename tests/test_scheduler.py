@@ -8,13 +8,13 @@ from repro.hpx.scheduler import HIGH, LOW, ScheduleFuzzer, Scheduler, Task
 from repro.hpx.tracing import Tracer
 
 
-def make_sched(L=1, W=2, priorities=False, seed=1):
+def make_sched(L=1, W=2, policy=None, seed=1):
     return Scheduler(
         n_localities=L,
         workers_per_locality=W,
         network=NetworkModel(),
         tracer=Tracer(enabled=True),
-        priorities=priorities,
+        policy=policy,
         steal_seed=seed,
     )
 
@@ -62,7 +62,7 @@ def test_no_cross_locality_stealing():
 
 
 def test_priorities_order_execution():
-    s = make_sched(W=1, priorities=True)
+    s = make_sched(W=1, policy="binary")
     order = []
 
     def tagged(tag):
@@ -80,7 +80,7 @@ def test_priorities_order_execution():
 
 
 def test_priorities_ignored_when_disabled():
-    s = make_sched(W=1, priorities=False)
+    s = make_sched(W=1)
     order = []
 
     def tagged(tag):

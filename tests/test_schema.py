@@ -1,8 +1,8 @@
 """Declarative DAG schema: declarations, builder, validator, export/diff.
 
 Unit coverage for :mod:`repro.dag.schema`: the kind catalogs and method
-declarations, bit-identity of the validated builder against the legacy
-imperative assembly, the canonical export / fingerprint / diff tooling,
+declarations, bit-identity of the validated builder against the per-box
+reference loops, the canonical export / fingerprint / diff tooling,
 priority stamping, and the structured validation errors.  The
 cross-assembly executed-output oracle lives in
 ``tests/test_schema_oracle.py``; randomized validator properties in
@@ -30,7 +30,7 @@ from repro.dag import (
     node_kinds,
     validate_dag,
 )
-from repro.dashmm.dag import DAG, build_bh_dag, build_fmm_dag
+from repro.dashmm.dag import DAG, build_bh_dag_reference, build_fmm_dag_reference
 from repro.methods.barneshut import BH_SCHEMA, mac_pairs
 from repro.methods.fmm import FMM_BASIC_SCHEMA, FMM_SCHEMA
 from repro.tree.dualtree import build_dual_tree
@@ -62,9 +62,10 @@ def _build(schema, dual, lists, mac):
 
 
 def _legacy(schema, dual, lists, mac):
+    """The per-box reference loop for ``schema``'s method."""
     if schema.name == "bh":
-        return build_bh_dag(dual, mac)
-    return build_fmm_dag(dual, lists, advanced=(schema.name == "fmm"))
+        return build_bh_dag_reference(dual, mac)
+    return build_fmm_dag_reference(dual, lists, advanced=(schema.name == "fmm"))
 
 
 ALL_SCHEMAS = (FMM_SCHEMA, FMM_BASIC_SCHEMA, BH_SCHEMA)
@@ -149,7 +150,7 @@ def test_schema_rejects_incoherent_declarations():
         )
 
 
-# -- builder bit-identity against the legacy assembly ------------------------------
+# -- builder bit-identity against the reference loops -----------------------------
 
 
 @pytest.mark.parametrize("schema", ALL_SCHEMAS, ids=lambda s: s.name)
@@ -171,9 +172,9 @@ def test_builder_matches_legacy_exactly(schema, dual, lists, mac):
 
 
 def test_builder_matches_reference_loop_assembly(dual, lists):
-    """The per-box reference loops allocate node ids differently; the
-    canonical export is id-free, so diff and fingerprint still agree."""
-    ref = build_fmm_dag(dual, lists, advanced=True, vectorized=False)
+    """The canonical export is id-free: diff and fingerprint agree with
+    the per-box reference loop without comparing node numbering."""
+    ref = build_fmm_dag_reference(dual, lists, advanced=True)
     decl = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     assert diff_dags(ref, decl).empty
     assert dag_fingerprint(ref) == dag_fingerprint(decl)

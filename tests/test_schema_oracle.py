@@ -1,13 +1,15 @@
-"""Cross-assembly oracle: declarative builder vs legacy imperative assembly.
+"""Cross-chain oracle: the production setup vs the per-box reference chain.
 
-The legacy assembly (:func:`repro.dashmm.dag.build_fmm_dag` /
-``build_bh_dag``) stays alive as the oracle for the declarative
-:class:`repro.dag.DagBuilder`.  Across methods x kernels the two
-assemblies must produce ``diff``-empty graphs and *bit-identical
-executed output* - potentials AND virtual clock - and the identity must
-survive fuzzed schedules (the fuzz-sweep machinery of
-``tests/test_schedule_fuzz.py`` re-used with the declarative evaluator
-against the legacy baseline).
+Production reaches one setup chain (array tree carve -> array lists /
+MAC descent -> :class:`repro.dag.DagBuilder`).  The per-box reference
+loops it is held against are plain functions; here they are strung
+together (``tests/reference_chain.py``) and *executed* through the
+evaluator's injection point ``evaluate(dual=, lists=, dag=)``.  Across
+methods x kernels the two chains must produce ``diff``-empty graphs and
+*bit-identical executed output* - potentials AND virtual clock AND
+runtime stats - and the identity must survive fuzzed schedules (the
+fuzz-sweep machinery of ``tests/test_schedule_fuzz.py`` re-used with
+the production chain against the reference baseline).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.dashmm.evaluator import DashmmEvaluator
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.yukawa import YukawaKernel
+from tests.reference_chain import reference_setup
 
 METHODS = ("fmm", "fmm-basic", "bh")
 
@@ -36,36 +39,37 @@ def cloud():
     return rng.random((300, 3)), rng.random(300), rng.random((200, 3))
 
 
-def _evaluate(kernel, cloud, method, assembly, **cfg_kwargs):
+def _evaluate(kernel, cloud, method, chain, **cfg_kwargs):
+    """Evaluate over the ``"declarative"`` (production) chain, or over
+    structures built by the ``"reference"`` loops and injected."""
     sources, weights, targets = cloud
     cfg = RuntimeConfig(n_localities=2, workers_per_locality=2, **cfg_kwargs)
     ev = DashmmEvaluator(
-        kernel,
-        method=method,
-        threshold=30,
-        runtime_config=cfg,
-        assembly=assembly,
-        validate_dag=(assembly == "declarative"),
+        kernel, method=method, threshold=30, runtime_config=cfg, validate_dag=True
     )
-    return ev.evaluate(sources, weights, targets)
+    if chain == "declarative":
+        return ev.evaluate(sources, weights, targets)
+    assert chain == "reference"
+    prebuilt = reference_setup(method, sources, weights, targets, 30, theta=ev.theta)
+    return ev.evaluate(sources, weights, targets, **prebuilt)
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kernel_name", ("laplace", "yukawa"))
 def test_assemblies_bit_identical(kernels, cloud, method, kernel_name):
     kernel = kernels[kernel_name]
-    legacy = _evaluate(kernel, cloud, method, "legacy")
+    ref = _evaluate(kernel, cloud, method, "reference")
     decl = _evaluate(kernel, cloud, method, "declarative")
-    assert diff_dags(legacy.dag, decl.dag).empty
-    assert np.array_equal(legacy.potentials, decl.potentials)
-    assert legacy.time == decl.time
-    assert legacy.runtime_stats == decl.runtime_stats
+    assert diff_dags(ref.dag, decl.dag).empty
+    assert np.array_equal(ref.potentials, decl.potentials)
+    assert ref.time == decl.time
+    assert ref.runtime_stats == decl.runtime_stats
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_declarative_fuzz_sweep_vs_legacy_baseline(kernels, cloud, method):
-    """Fuzzed declarative runs reproduce the *legacy* unfuzzed baseline
-    bit for bit: assembly choice and schedule are both irrelevant."""
+    """Fuzzed production runs reproduce the *reference-chain* unfuzzed
+    baseline bit for bit: setup chain and schedule are both irrelevant."""
     kernel = kernels["laplace"]
 
     def run(seed):
@@ -78,7 +82,7 @@ def test_declarative_fuzz_sweep_vs_legacy_baseline(kernels, cloud, method):
             detect_hazards=True,
         )
 
-    baseline = _evaluate(kernel, cloud, method, "legacy")
+    baseline = _evaluate(kernel, cloud, method, "reference")
     result = fuzz_sweep(run, seeds=range(3), baseline=baseline)
     assert result.all_bit_identical, result.summary()
     assert result.total_hazards == 0, result.summary()
@@ -86,10 +90,11 @@ def test_declarative_fuzz_sweep_vs_legacy_baseline(kernels, cloud, method):
 
 
 def test_fuzzed_trace_replays_across_assemblies(kernels, cloud, tmp_path):
-    """A schedule recorded under one assembly replays under the other:
-    same graph fingerprint, same decisions, same clock and potentials."""
+    """A schedule recorded over the reference chain replays over the
+    production one: same graph fingerprint, same decisions, same clock
+    and potentials."""
     kernel = kernels["laplace"]
-    fuzzed = _evaluate(kernel, cloud, "fmm", "legacy", fuzz_schedule=13)
+    fuzzed = _evaluate(kernel, cloud, "fmm", "reference", fuzz_schedule=13)
     trace = fuzzed.extras["schedule_trace"]
     assert "graph_fingerprint" in trace.meta
     path = tmp_path / "trace.json"
@@ -130,7 +135,7 @@ def test_oracle_full_sweep(kernels, cloud, method, kernel_name):
             detect_hazards=True,
         )
 
-    baseline = _evaluate(kernel, cloud, method, "legacy")
+    baseline = _evaluate(kernel, cloud, method, "reference")
     result = fuzz_sweep(run, seeds=range(25), baseline=baseline)
     assert result.all_bit_identical, result.summary()
     assert result.total_hazards == 0, result.summary()

@@ -7,6 +7,11 @@ node/edge multisets and in-degrees, and hence the same simulated
 virtual clock.  Property tests sweep random identical, overlapping and
 disjoint ensembles; deterministic cases pin the pruned-subtree and
 degenerate-point paths.
+
+The reference loops are plain functions (``carve_reference``,
+``build_lists_reference``, ``mac_pairs_reference``,
+``build_*_dag_reference``), called here directly through
+``tests/reference_chain.py``; no production entry point can select them.
 """
 
 import numpy as np
@@ -14,12 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dashmm.dag import build_bh_dag, build_fmm_dag
+from repro.dashmm.dag import (
+    build_bh_dag,
+    build_bh_dag_reference,
+    build_fmm_dag,
+    build_fmm_dag_reference,
+)
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.kernels.laplace import LaplaceKernel
-from repro.methods.barneshut import mac_pairs
-from repro.tree.dualtree import build_dual_tree
+from repro.methods.barneshut import mac_pairs, mac_pairs_reference
+from repro.tree.dualtree import build_dual_tree, carve_reference
 from repro.tree.lists import build_lists, build_lists_reference, canonicalize, list_pairs
+from tests.reference_chain import reference_dual, reference_lists, reference_setup
 
 
 def _ensemble(mode: str, n_src: int, n_tgt: int, seed: int):
@@ -78,27 +89,27 @@ ENSEMBLES = st.tuples(
 @given(params=ENSEMBLES, threshold=st.sampled_from([1, 4, 16]))
 def test_property_setup_pipeline_matches_reference(params, threshold):
     src, tgt = _ensemble(*params)
-    dual_v = build_dual_tree(src, tgt, threshold=threshold, vectorized=True)
-    dual_r = build_dual_tree(src, tgt, threshold=threshold, vectorized=False)
+    dual_v = build_dual_tree(src, tgt, threshold=threshold)
+    dual_r = reference_dual(dual_v)
     assert_trees_equal(dual_v.source, dual_r.source)
     assert_trees_equal(dual_v.target, dual_r.target)
 
-    lists_v = build_lists(dual_v, vectorized=True)
-    lists_r = build_lists(dual_r, vectorized=False)
+    lists_v = build_lists(dual_v)
+    lists_r = reference_lists(dual_r)
     assert_lists_equal(lists_v, lists_r)
 
     for advanced in (True, False):
         assert_dags_equal(
-            build_fmm_dag(dual_v, lists_v, advanced=advanced, vectorized=True),
-            build_fmm_dag(dual_r, lists_r, advanced=advanced, vectorized=False),
+            build_fmm_dag(dual_v, lists_v, advanced=advanced),
+            build_fmm_dag_reference(dual_r, lists_r, advanced=advanced),
         )
 
-    pairs_v = mac_pairs(dual_v, 0.5, vectorized=True)
-    pairs_r = mac_pairs(dual_r, 0.5, vectorized=False)
+    pairs_v = mac_pairs(dual_v, 0.5)
+    pairs_r = mac_pairs_reference(dual_r, 0.5)
     assert list(pairs_v.items()) == list(pairs_r.items())
     assert_dags_equal(
-        build_bh_dag(dual_v, pairs_v, vectorized=True),
-        build_bh_dag(dual_r, pairs_r, vectorized=False),
+        build_bh_dag(dual_v, pairs_v),
+        build_bh_dag_reference(dual_r, pairs_r),
     )
 
 
@@ -108,25 +119,25 @@ def test_disjoint_ensembles_prune_and_match():
     rng = np.random.default_rng(3)
     src = rng.random((400, 3)) * 0.2
     tgt = rng.random((400, 3)) * 0.2 + 0.8
-    dual_v = build_dual_tree(src, tgt, threshold=10, vectorized=True)
-    dual_r = build_dual_tree(src, tgt, threshold=10, vectorized=False)
-    lists_v = build_lists(dual_v, vectorized=True)
-    lists_r = build_lists(dual_r, vectorized=False)
+    dual_v = build_dual_tree(src, tgt, threshold=10)
+    dual_r = reference_dual(dual_v)
+    lists_v = build_lists(dual_v)
+    lists_r = reference_lists(dual_r)
     assert lists_v.pruned, "expected pruned boxes for disjoint clusters"
     assert_lists_equal(lists_v, lists_r)
     assert_dags_equal(
-        build_fmm_dag(dual_v, lists_v, vectorized=True),
-        build_fmm_dag(dual_r, lists_r, vectorized=False),
+        build_fmm_dag(dual_v, lists_v),
+        build_fmm_dag_reference(dual_r, lists_r, advanced=True),
     )
 
 
 def test_degenerate_coincident_points():
     # all points identical: carving bottoms out at the depth cap
     pts = np.ones((50, 3)) * 0.3
-    dual_v = build_dual_tree(pts, pts, threshold=4, vectorized=True)
-    dual_r = build_dual_tree(pts, pts, threshold=4, vectorized=False)
+    dual_v = build_dual_tree(pts, pts, threshold=4)
+    dual_r = reference_dual(dual_v)
     assert_trees_equal(dual_v.source, dual_r.source)
-    assert_lists_equal(build_lists(dual_v), build_lists(dual_r, vectorized=False))
+    assert_lists_equal(build_lists(dual_v), reference_lists(dual_r))
 
 
 def test_canonical_order_is_sorted():
@@ -150,12 +161,9 @@ def test_phantom_virtual_time_identical():
     w = rng.random(700)
     k = LaplaceKernel(p=3)
     for method in ("fmm", "fmm-basic", "bh"):
-        t_vec = DashmmEvaluator(
-            k, method=method, threshold=15, mode="phantom", vectorized_setup=True
-        ).evaluate(src, w, tgt)
-        t_ref = DashmmEvaluator(
-            k, method=method, threshold=15, mode="phantom", vectorized_setup=False
-        ).evaluate(src, w, tgt)
+        ev = DashmmEvaluator(k, method=method, threshold=15, mode="phantom")
+        t_vec = ev.evaluate(src, w, tgt)
+        t_ref = ev.evaluate(src, w, tgt, **reference_setup(method, src, w, tgt, 15))
         assert t_vec.time == t_ref.time, method
         assert len(t_vec.dag.nodes) == len(t_ref.dag.nodes)
         assert t_vec.dag.n_edges == t_ref.dag.n_edges
@@ -192,16 +200,27 @@ def test_setup_smoke_vectorized_not_slower():
     src = rng.random((4000, 3))
     tgt = rng.random((4000, 3))
 
-    def run(vec: bool) -> float:
+    def vectorized():
+        dual = build_dual_tree(src, tgt, threshold=60)
+        build_fmm_dag(dual, build_lists(dual))
+
+    sorted_dual = build_dual_tree(src, tgt, threshold=60)
+
+    def reference():
+        # the Morton sort is charged to the array passes only
+        for tree in (sorted_dual.source, sorted_dual.target):
+            carve_reference(tree.deep_sorted, tree.n_points, 60)
+        lists = canonicalize(build_lists_reference(sorted_dual))
+        build_fmm_dag_reference(sorted_dual, lists, advanced=True)
+
+    def run(setup) -> float:
         best = float("inf")
         for _ in range(2):
             t0 = time.process_time()
-            dual = build_dual_tree(src, tgt, threshold=60, vectorized=vec)
-            lists = build_lists(dual, vectorized=vec)
-            build_fmm_dag(dual, lists, vectorized=vec)
+            setup()
             best = min(best, time.process_time() - t0)
         return best
 
-    t_ref = run(False)
-    t_vec = run(True)
+    t_ref = run(reference)
+    t_vec = run(vectorized)
     assert t_vec <= t_ref, f"vectorized setup slower: {t_vec:.3f}s vs {t_ref:.3f}s"
