@@ -43,7 +43,7 @@ from repro.dashmm.dag import (
     COUNTERS,
     DAG,
     DagNode,
-    _batch_edges,
+    _append_edges,
     _batch_nodes,
     _dead_mask,
     _delta_tuples,
@@ -683,11 +683,11 @@ def _rule_source_upward(st: _BuildState) -> None:
     s_ids = np.arange(s_base, s_base + s_boxes.size, dtype=np.int64)
     st.s_of = np.full(nsb, -1, dtype=np.int64)
     st.s_of[s_boxes] = s_ids
-    _batch_edges(dag, s_ids, s_boxes, "S2M")
+    _append_edges(dag, s_ids, s_boxes, "S2M")
     st.dst_acc.append(s_boxes)
     kids = np.arange(1, nsb, dtype=np.int64)
     m2m_dst = sa.parent[kids]
-    _batch_edges(dag, kids, m2m_dst, "M2M", auxs=sa.keys[kids] & 7)
+    _append_edges(dag, kids, m2m_dst, "M2M", auxs=sa.keys[kids] & 7)
     st.dst_acc.append(m2m_dst)
 
 
@@ -710,12 +710,12 @@ def _rule_target_downward(st: _BuildState) -> None:
     t_of[t_boxes] = np.arange(t_base, t_base + t_boxes.size, dtype=np.int64)
     has_l = l_of[t_boxes] >= 0
     l2t_dst = t_of[t_boxes[has_l]]
-    _batch_edges(dag, l_of[t_boxes[has_l]], l2t_dst, "L2T")
+    _append_edges(dag, l_of[t_boxes[has_l]], l2t_dst, "L2T")
     st.dst_acc.append(l2t_dst)
     ll = np.flatnonzero((l_of >= 0) & (ta.levels >= 3))
     ll = ll[l_of[ta.parent[ll]] >= 0]
     l2l_dst = l_of[ll]
-    _batch_edges(dag, l_of[ta.parent[ll]], l2l_dst, "L2L", auxs=ta.keys[ll] & 7)
+    _append_edges(dag, l_of[ta.parent[ll]], l2l_dst, "L2L", auxs=ta.keys[ll] & 7)
     st.dst_acc.append(l2l_dst)
 
 
@@ -765,14 +765,14 @@ def _rule_list2_merge_shift(st: _BuildState) -> None:
             it_of[box] = nid
             i2l_src.append(nid)
     i2l_dst = st.l_of[ti2[group_pos]]
-    _batch_edges(dag, i2l_src, i2l_dst, "I2L")
+    _append_edges(dag, i2l_src, i2l_dst, "I2L")
     st.dst_acc.append(i2l_dst)
-    _batch_edges(dag, m2i_src, m2i_dst, "M2I")
+    _append_edges(dag, m2i_src, m2i_dst, "M2I")
     st.dst_acc.append(np.asarray(m2i_dst, dtype=np.int64))
     d_codes = assign_direction_arrays(dx, dy, dz)
     auxs = list(zip(_DIR_LABELS[d_codes].tolist(), _delta_tuples(dx, dy, dz)))
     i2i_dst = it_of[ti2]
-    _batch_edges(dag, is_of[si2], i2i_dst, "I2I", auxs=auxs)
+    _append_edges(dag, is_of[si2], i2i_dst, "I2I", auxs=auxs)
     st.dst_acc.append(i2i_dst)
 
 
@@ -783,7 +783,7 @@ def _rule_list2_direct(st: _BuildState) -> None:
         return
     dx, dy, dz = _deltas(st.sa, st.ta, ti2, si2)
     m2l_dst = st.l_of[ti2]
-    _batch_edges(st.dag, si2, m2l_dst, "M2L", auxs=_delta_tuples(dx, dy, dz))
+    _append_edges(st.dag, si2, m2l_dst, "M2L", auxs=_delta_tuples(dx, dy, dz))
     st.dst_acc.append(m2l_dst)
 
 
@@ -794,7 +794,7 @@ def _rule_list3_m2t(st: _BuildState) -> None:
         return
     keep = st.t_of[ti3] >= 0
     m2t_dst = st.t_of[ti3[keep]]
-    _batch_edges(st.dag, si3[keep], m2t_dst, "M2T")
+    _append_edges(st.dag, si3[keep], m2t_dst, "M2T")
     st.dst_acc.append(m2t_dst)
 
 
@@ -805,7 +805,7 @@ def _rule_list4_s2l(st: _BuildState) -> None:
         return
     keep = st.s_of[si4] >= 0
     s2l_dst = st.l_of[ti4[keep]]
-    _batch_edges(st.dag, st.s_of[si4[keep]], s2l_dst, "S2L")
+    _append_edges(st.dag, st.s_of[si4[keep]], s2l_dst, "S2L")
     st.dst_acc.append(s2l_dst)
 
 
@@ -816,7 +816,7 @@ def _rule_list1_s2t(st: _BuildState) -> None:
         return
     keep = (st.t_of[ti1] >= 0) & (st.s_of[si1] >= 0)
     s2t_dst = st.t_of[ti1[keep]]
-    _batch_edges(st.dag, st.s_of[si1[keep]], s2t_dst, "S2T")
+    _append_edges(st.dag, st.s_of[si1[keep]], s2t_dst, "S2T")
     st.dst_acc.append(s2t_dst)
 
 
@@ -838,11 +838,11 @@ def _rule_bh_mac(st: _BuildState) -> None:
     flat_t = np.repeat(t_ids, lens)
 
     m2t_dst = flat_t[flat_m2t]
-    _batch_edges(dag, flat_s[flat_m2t], m2t_dst, "M2T")
+    _append_edges(dag, flat_s[flat_m2t], m2t_dst, "M2T")
     st.dst_acc.append(m2t_dst)
     s2t_mask = ~flat_m2t & (st.s_of[flat_s] >= 0)
     s2t_dst = flat_t[s2t_mask]
-    _batch_edges(dag, st.s_of[flat_s[s2t_mask]], s2t_dst, "S2T")
+    _append_edges(dag, st.s_of[flat_s[s2t_mask]], s2t_dst, "S2T")
     st.dst_acc.append(s2t_dst)
 
 

@@ -270,7 +270,7 @@ def _batch_nodes(dag: DAG, kind: str, box_idx, levels, tree: str, n_points=None)
     return base
 
 
-def _batch_edges(dag: DAG, srcs, dsts, op: str, auxs=None) -> None:
+def _append_edges(dag: DAG, srcs, dsts, op: str, auxs=None) -> None:
     """Materialise one operator class of edges from endpoint arrays."""
     oe = dag.out_edges
     srcs = srcs.tolist() if isinstance(srcs, np.ndarray) else srcs

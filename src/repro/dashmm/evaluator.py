@@ -92,7 +92,6 @@ class DashmmEvaluator:
         size_model: SizeModel | None = None,
         coalesce: bool = True,
         sequential_edges: bool = True,
-        batch_edges: bool = True,
         theta: float = 0.5,
         eps: float = 1e-4,
         factory: OperatorFactory | None = None,
@@ -111,7 +110,6 @@ class DashmmEvaluator:
         self.size_model = size_model or SizeModel()
         self.coalesce = coalesce
         self.sequential_edges = sequential_edges
-        self.batch_edges = batch_edges
         self.theta = theta
         self.eps = eps
         # the shared factory fits each translation operator at most once
@@ -225,24 +223,28 @@ class DashmmEvaluator:
             size_model=self.size_model,
             coalesce=self.coalesce,
             sequential_edges=self.sequential_edges,
-            batch_edges=self.batch_edges,
         )
         reg.allocate()
         reg.initial_tasks()
-        t = runtime.run()
+        return self._drive(runtime, reg, lists)
 
+    def _drive(self, runtime, reg, lists, **extras) -> EvaluationReport:
+        """Run ``runtime`` to completion, flush and report: the shared
+        tail of :meth:`evaluate` and :meth:`resume`."""
+        t = runtime.run()
+        dag, dual = reg.dag, reg.dual
         potentials = None
         if self.mode == "numeric":
             reg.flush_deferred()
             potentials = np.empty(dual.target.n_points)
             potentials[dual.target.perm] = reg.result
-        extras: dict[str, Any] = {
-            "untriggered": sum(1 for l in reg.lcos.values() if not l.triggered),
+        extras.update(
+            untriggered=sum(1 for l in reg.lcos.values() if not l.triggered),
             # the live runtime and registrar, so a checkpointed
             # evaluation can be rewound and resumed (see resume())
-            "runtime": runtime,
-            "registrar": reg,
-        }
+            runtime=runtime,
+            registrar=reg,
+        )
         if runtime.checkpoints:
             extras["checkpoints"] = runtime.checkpoints
         if runtime.hazard_detector is not None:
@@ -279,29 +281,7 @@ class DashmmEvaluator:
         capture, never its correctness.
         """
         runtime = report.extras["runtime"]
-        reg = report.extras["registrar"]
         runtime.restore(checkpoint)
-        t = runtime.run()
-        potentials = None
-        if self.mode == "numeric":
-            reg.flush_deferred()
-            potentials = np.empty(report.dual.target.n_points)
-            potentials[report.dual.target.perm] = reg.result
-        extras: dict[str, Any] = {
-            "untriggered": sum(1 for l in reg.lcos.values() if not l.triggered),
-            "runtime": runtime,
-            "registrar": reg,
-            "resumed_from": checkpoint.time,
-        }
-        if runtime.checkpoints:
-            extras["checkpoints"] = runtime.checkpoints
-        return EvaluationReport(
-            potentials=potentials,
-            time=t,
-            runtime_stats=runtime.stats(),
-            tracer=runtime.tracer,
-            dag=report.dag,
-            dual=report.dual,
-            lists=report.lists,
-            extras=extras,
+        return self._drive(
+            runtime, report.extras["registrar"], report.lists, resumed_from=checkpoint.time
         )

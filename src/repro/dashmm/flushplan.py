@@ -1,16 +1,27 @@
-"""The flush plan: the batched numeric stages as index arrays over the DAG.
+"""The execution plan: every numeric stage as index data over the DAG.
 
-In batched mode the registrar computes nothing for the exponential
-bridge (M->I, I->I, I->L), the downward shift (L->L) and the leaf
-outputs (S->T, M->T, L->T) while the runtime drains: those edges only
-count down their target LCOs.  Their numeric work runs afterwards, stage
-by stage, as stacked array operations
-(:meth:`repro.dashmm.registrar.Registrar.flush_deferred`).  Which edges
-stack together, and in which order, is a function of the DAG and the
-node localities alone, so it is compiled here once per registrar - the
-dependency data is the program - and executed unchanged by a cold
-``evaluate()``, every warm or drift submit of a session, and each
-real-parallel worker (which compiles the slice of edges it executes).
+Which edges stack together, in which order, and what crosses ranks is a
+function of the DAG and the node localities alone, so it is compiled
+here - the dependency data is the program - and whatever drives it
+(:class:`repro.dashmm.registrar.Registrar`) stays thin.  Two sections,
+each compiled on first use and dropped by
+:meth:`~repro.dashmm.registrar.Registrar.invalidate_plans`:
+
+* **Flush stages** (:func:`compile_flush_plan`).  In batched mode the
+  registrar computes nothing for the exponential bridge (M->I, I->I,
+  I->L), the downward shift (L->L) and the leaf outputs (S->T, M->T,
+  L->T) while the runtime drains: those edges only count down their
+  target LCOs.  Their numeric work runs afterwards, stage by stage, as
+  stacked array operations
+  (:meth:`~repro.dashmm.registrar.Registrar.flush_stages`), unchanged
+  for a cold ``evaluate()``, every submit of a session, and each
+  real-parallel worker, which compiles the slice of edges it executes
+  together with ``sends``: the expansions it owes every other rank
+  before each stage.
+* **Eager section** (:func:`compile_eager_plan`): the classes a drain
+  computes as real dataflow (S->M, M->M, S->L, M->L), as canonical fold
+  lists.  Only a session compiles it; it runs it in place of the drain
+  (:meth:`~repro.dashmm.registrar.Registrar.run_eager`).
 
 Canonical composition (what makes every path produce the same bits):
 
@@ -23,6 +34,9 @@ Canonical composition (what makes every path produce the same bits):
 * leaf-output groups are visited in order of first appearance in the
   ``(src, dst)``-sorted edge list, which fixes the order in which
   contributions are added into each target point.
+
+* eager folds add a node's in-edges in fold-key order ``(src, out-list
+  position)``, the order an expansion LCO folds its inbox in.
 
 The source- and target-side intermediate expansions of one level live in
 two dense matrices, one row per node and ``6 * nterms`` columns
@@ -90,11 +104,27 @@ class FlushPlan:
     """The compiled stages; see the module docstring for the ordering rules."""
 
     bridge: list  # BridgeLevel per level with list-2 work
-    l2l: list  # (parent level, [(octant, parent L ids, child L ids)]), coarse first
+    #: (parent level, [(octant, parent L ids, child L ids)]), coarse
+    #: first; every level of the DAG appears (with no groups where this
+    #: rank executes none), so all ranks walk one stage sequence
+    l2l: list
     outputs: list  # OutputGroup, in accumulation order
     out_src: list  # source node id per leaf-output edge, group-contiguous
     out_sbox: np.ndarray  # its box index in the source (S, M) or target (L) tree
     out_tbox: np.ndarray  # target box index of the edge's T node
+    #: rank-restricted plans: stage name -> {peer: sorted ids of this
+    #: rank's nodes that the peer's stage reads}; a key per stage that
+    #: needs an exchange, on every rank, so the barriers line up
+    sends: dict
+
+
+@dataclass(frozen=True)
+class EagerPlan:
+    """The eager classes as fold lists; see :func:`compile_eager_plan`."""
+
+    m_folds: list  # (M node id, in-edges in fold order), deepest level first
+    l_folds: list  # (L node id, S->L / M->L in-edges in fold order)
+    s2l_groups: list  # S->L edges sharing one stacked p2l build
 
 
 def _group_slices(*keys: np.ndarray) -> list[tuple[int, int]]:
@@ -119,6 +149,16 @@ def _rows_of(ids: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order[np.searchsorted(by_row, ids, sorter=order)], by_row
 
 
+def _owed(src: np.ndarray, dst: np.ndarray, loc: np.ndarray, rank: int) -> dict:
+    """``{peer: sorted ids}`` of ``rank``'s source nodes per reading peer."""
+    peer = loc[dst]
+    crossing = (loc[src] == rank) & (peer != rank)
+    return {
+        p: np.unique(src[crossing & (peer == p)]).tolist()
+        for p in np.unique(peer[crossing]).tolist()
+    }
+
+
 def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
     """Compile the flush stages of ``dag`` under its current localities.
 
@@ -139,9 +179,11 @@ def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
                 c[1].append(e.dst)
                 c[2].append(e.aux)
 
+    def every(op: str):
+        return np.array(cols[op][0], dtype=np.int64), np.array(cols[op][1], dtype=np.int64)
+
     def endpoints(op: str, aux: np.ndarray | None = None):
-        src = np.array(cols[op][0], dtype=np.int64)
-        dst = np.array(cols[op][1], dtype=np.int64)
+        src, dst = every(op)
         if rank is not None:
             keep = loc[dst] == rank
             src, dst = src[keep], dst[keep]
@@ -218,12 +260,12 @@ def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
     d_src, d_dst, octant = endpoints("L2L", octant)
     order = np.lexsort((d_dst, d_src, loc[d_dst], octant, level[d_src]))
     d_src, d_dst, octant = d_src[order], d_dst[order], octant[order]
-    l2l: list = []
+    l2l = [(lvl, []) for lvl in np.unique(level[every("L2L")[0]]).tolist()]
+    groups_of = dict(l2l)
     for lo, hi in _group_slices(level[d_src], octant, loc[d_dst]):
-        lvl = int(level[d_src[lo]])
-        if not l2l or l2l[-1][0] != lvl:
-            l2l.append((lvl, []))
-        l2l[-1][1].append((int(octant[lo]), d_src[lo:hi].tolist(), d_dst[lo:hi].tolist()))
+        groups_of[int(level[d_src[lo]])].append(
+            (int(octant[lo]), d_src[lo:hi].tolist(), d_dst[lo:hi].tolist())
+        )
 
     # -- leaf outputs ------------------------------------------------------------
     ops, srcs, dsts = [], [], []
@@ -248,6 +290,17 @@ def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
         OutputGroup(OUTPUT_OPS[o_op[lo]], int(o_sub[lo]), int(loc[o_dst[lo]]), lo, hi)
         for lo, hi in _group_slices(group[order])
     ]
+    # -- what crosses ranks ------------------------------------------------------
+    # M->I, M->T and the eager classes read expansions that the drain's
+    # parcels already mirrored; these four read ones the flush completes
+    sends: dict = {}
+    if rank is not None:
+        for stage, op in (("i2i", "I2I"), ("i2l", "I2L"), ("outputs", "L2T")):
+            sends[stage] = _owed(*every(op), loc, rank)
+        src, dst = every("L2L")
+        for lvl, _ in l2l:
+            at = level[src] == lvl
+            sends["l2l", lvl] = _owed(src[at], dst[at], loc, rank)
     return FlushPlan(
         bridge=bridge,
         l2l=l2l,
@@ -255,4 +308,40 @@ def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
         out_src=o_src.tolist(),
         out_sbox=box[o_src],
         out_tbox=box[o_dst],
+        sends=sends,
+    )
+
+
+def compile_eager_plan(dag) -> EagerPlan:
+    """Compile the eager section of ``dag`` under its current localities.
+
+    A drain only decides *when* the eager classes are computed and
+    folded; *what* is computed is fixed by the DAG: each expansion folds
+    its in-edges in fold-key order - the order ``out_edges`` is walked
+    in here - and one source leaf's S->L edges stack per (destination
+    locality, target level), the composition ``Registrar._run_edges``
+    sees after ``_process_edges`` split the leaf's out-edges by locality.
+    """
+    nodes = dag.nodes
+    ins_m: dict[int, list] = {}
+    ins_l: dict[int, list] = {}
+    s2l: dict[tuple, list] = {}
+    for edges in dag.out_edges:
+        for e in edges:
+            op = e.op
+            if op in ("S2M", "M2M"):
+                ins_m.setdefault(e.dst, []).append(e)
+            elif op in ("S2L", "M2L"):
+                ins_l.setdefault(e.dst, []).append(e)
+                if op == "S2L":
+                    dst = nodes[e.dst]
+                    s2l.setdefault((e.src, dst.locality, dst.level), []).append(e)
+            elif op not in PLANNED_OPS:
+                raise ValueError(f"unknown edge op {op}")
+    # children strictly precede parents: deepest destinations first
+    upward = sorted(ins_m, key=lambda dst: (-nodes[dst].level, dst))
+    return EagerPlan(
+        m_folds=[(dst, ins_m[dst]) for dst in upward],
+        l_folds=list(ins_l.items()),
+        s2l_groups=list(s2l.values()),
     )

@@ -33,13 +33,13 @@ Why the result is bit-identical to the simulator:
   exactly the simulator's groups of that locality, and the stacked
   GEMM operands (hence the floats) match byte for byte.
 * The bridge/downward stages need remote expansion data only at flush
-  time, which runs as a staged pipeline with deterministic exchanges:
-  dataflow quiescence, then the M->I stage (M data already mirrored),
-  Is exchange, I->I stage, It exchange, I->L stage, a per-level L->L
-  loop (parent-L exchange before each level), a final-L exchange for
-  remote L->T reads, and the leaf-output stage.  Exchange contents and
-  barrier counts are derived from the replicated DAG, identically on
-  every rank.
+  time.  After dataflow quiescence the worker walks the registrar's
+  one stage list (:meth:`~repro.dashmm.registrar.Registrar.flush_stages`:
+  M->I, I->I, I->L, L->L per level, leaf outputs) and puts an exchange
+  barrier in front of every stage its plan's ``sends`` name (Is rows,
+  It rows, parent L per level, final L under remote L->T; M data is
+  already mirrored).  Exchange contents and the stage sequence are
+  compiled from the replicated DAG, identically on every rank.
 """
 
 from __future__ import annotations
@@ -68,12 +68,11 @@ class ParallelRegistrar(Registrar):
 
     Differences from the simulator registrar, all confined here:
 
-    * :meth:`allocate` creates LCOs only for this rank's nodes;
+    * ``_rank`` restricts the LCO allocation, the stacked leaf-multipole
+      fit and the flush plan to the nodes and edges of this rank (the
+      base group keying already matches);
     * :meth:`_data_of` falls back to the parcel/stage mirror for remote
-      nodes;
-    * ``_rank`` restricts the stacked leaf-multipole fit and the flush
-      plan to the edges executing at this rank (the base group keying
-      already matches).
+      nodes.
     """
 
     def __init__(self, rank: int, *args, **kwargs):
@@ -85,65 +84,6 @@ class ParallelRegistrar(Registrar):
         if self._nodes[node_id].locality == self._rank:
             return super()._data_of(node_id)
         return self._mirror[node_id]
-
-    def allocate(self) -> None:
-        from repro.dashmm.registrar import ExpansionLCO
-
-        for node in self.dag.nodes:
-            n_in = self.dag.in_degree[node.id]
-            if node.kind == "S" or n_in == 0 or node.locality != self._rank:
-                continue
-            lco = ExpansionLCO(self.runtime, node.locality, node, n_in, self)
-            self.lcos[node.id] = lco
-            lco.register_continuation(
-                Task(
-                    fn=self._continuation,
-                    args=(node.id,),
-                    op_class=f"edges:{node.kind}",
-                    priority=self._node_priority(node),
-                )
-            )
-
-
-def _stage_plan(dag, rank: int, n: int) -> dict:
-    """Deterministic exchange plan for the staged flush pipeline.
-
-    For each stage, which locally-owned expansion nodes this rank must
-    ship to which peers (source nodes of cross-locality planned edges),
-    plus the global, rank-independent list of L->L parent levels (every
-    rank walks the same level sequence so the barrier counts line up).
-    """
-    nodes = dag.nodes
-    sends: dict[object, dict[int, set]] = {
-        "i2i": {}, "i2l": {}, "l2t": {}
-    }
-    l2l_levels: set[int] = set()
-    for edges in dag.out_edges:
-        for e in edges:
-            op = e.op
-            if op == "I2I":
-                stage: object = "i2i"
-            elif op == "I2L":
-                stage = "i2l"
-            elif op == "L2T":
-                stage = "l2t"
-            elif op == "L2L":
-                lvl = nodes[e.src].level
-                l2l_levels.add(lvl)
-                stage = ("l2l", lvl)
-                sends.setdefault(stage, {})
-            else:
-                continue
-            sloc, dloc = nodes[e.src].locality, nodes[e.dst].locality
-            if sloc == rank and dloc != rank:
-                sends[stage].setdefault(dloc, set()).add(e.src)
-    return {
-        "sends": {
-            k: {dst: sorted(v) for dst, v in m.items()}
-            for k, m in sends.items()
-        },
-        "l2l_levels": sorted(l2l_levels),
-    }
 
 
 class _WorkerBody:
@@ -169,7 +109,7 @@ class _WorkerBody:
         from repro.tree.dualtree import build_dual_tree
 
         spec = self.spec
-        seed_worker_rngs(spec["seed"], self.rank)
+        seed_worker_rngs(spec["config"].seed, self.rank)
         self.arena = ShmArena.attach(manifest)
         sources = self.arena.get("sources")
         weights = self.arena.get("weights")
@@ -238,9 +178,6 @@ class _WorkerBody:
             mode="numeric",
             cost_model=ev.cost_model,
             size_model=ev.size_model,
-            coalesce=True,
-            sequential_edges=True,
-            batch_edges=True,
             centers=centers,
         )
         self.reg.geom_cache = self._geom_cache
@@ -251,7 +188,6 @@ class _WorkerBody:
         self._expected = sum(
             dag.in_degree[nid] for nid in self.reg.lcos
         )
-        self.plan = _stage_plan(dag, self.rank, self.n)
         from repro.hpx.parallel import ParallelContext
 
         self.ctx = ParallelContext(self.sched, self._on_parcel)
@@ -332,6 +268,12 @@ class _WorkerBody:
             msg = self.inbox.get(block, timeout) if block else self.inbox.get_nowait()
         except _queue.Empty:
             return False
+        self._handle(msg)
+        return True
+
+    def _handle(self, msg) -> None:
+        """Everything an inbox carries except GO, which only :meth:`run`
+        expects, between rounds."""
         tag = msg[0]
         if tag == "frame":
             _, src, seq, kind, payload = msg
@@ -341,8 +283,8 @@ class _WorkerBody:
             self.channel.handle_ack(msg[2])
         elif tag == "stop":
             self._stopped = True
-        # "go" is consumed by run() before the loops start
-        return True
+        else:  # pragma: no cover - defensive
+            raise ParallelError(f"unexpected message {tag!r}")
 
     def _dispatch(self, kind: str, payload) -> None:
         if kind == "edges":
@@ -408,27 +350,6 @@ class _WorkerBody:
         ):
             self._drain(block=True, timeout=0.05)
 
-    def _run_flushes(self) -> None:
-        """This rank's slice of the flush plan, one exchange barrier
-        before each stage that reads another locality's expansions."""
-        reg, sends = self.reg, self.plan["sends"]
-        flush = reg.flush_plan()
-        reg._flush_m2i(flush)
-        if self.n > 1:
-            self._exchange("i2i", sends["i2i"])
-        reg._flush_i2i(flush)
-        if self.n > 1:
-            self._exchange("i2l", sends["i2l"])
-        reg._flush_i2l(flush)
-        by_level = dict(flush.l2l)
-        for level in self.plan["l2l_levels"]:
-            if self.n > 1:
-                self._exchange(("l2l", level), sends.get(("l2l", level), {}))
-            reg._flush_l2l_level(level, by_level.get(level, ()))
-        if self.n > 1:
-            self._exchange("l2t", sends["l2t"])
-        reg._flush_outputs(flush)
-
     # -- protocol --------------------------------------------------------------
     def run(self) -> None:
         """READY, then rounds of GO -> evaluate -> DONE until STOP.
@@ -445,24 +366,20 @@ class _WorkerBody:
         self.parent_q.put(("ready", self.rank))
         while not self._stopped:
             msg = self.inbox.get()
-            tag = msg[0]
-            if tag == "stop":
-                break
-            if tag == "frame":  # stragglers between rounds (defensive)
-                _, src, seq, kind, payload = msg
-                if self.channel.handle_frame(src, seq, kind):
-                    self._dispatch(kind, payload)
+            if msg[0] != "go":
+                self._handle(msg)  # STOP, or stragglers between rounds (defensive)
                 continue
-            if tag == "ack":
-                self.channel.handle_ack(msg[2])
-                continue
-            if tag != "go":  # pragma: no cover - defensive
-                raise ParallelError(f"unexpected message {tag!r} between rounds")
             update = msg[1] if len(msg) > 1 else None
             if update is not None:
                 self._round_update(update)
             self._run_dataflow()
-            self._run_flushes()
+            # this rank's slice of the flush stages, one exchange barrier
+            # before each stage that reads another rank's expansions
+            sends = self.reg.flush_plan().sends
+            for name, stage in self.reg.flush_stages():
+                if name in sends:
+                    self._exchange(name, sends[name])
+                stage()
             self.parent_q.put(("done", self.rank, self.stats()))
         self.arena.close()
 
@@ -494,11 +411,11 @@ def _validate(evaluator, **prebuilt) -> None:
             "backend='parallel' computes real potentials; phantom-mode "
             "scaling studies run on the simulator backend"
         )
-    for flag in ("coalesce", "sequential_edges", "batch_edges"):
+    for flag in ("coalesce", "sequential_edges"):
         if not getattr(evaluator, flag):
             raise ValueError(
                 f"backend='parallel' requires {flag}=True (the ablation "
-                "paths are simulator-only)"
+                "paths run through evaluate() on backend='sim')"
             )
     if cfg.replay_schedule is not None:
         raise ValueError(
@@ -673,7 +590,6 @@ class PersistentParallelService:
             "theta": ev.theta,
             "eps": ev.eps,
             "factory_path": factory_path,
-            "seed": ev.runtime_config.seed,
             "domain": self.domain,
         }
 
@@ -762,26 +678,28 @@ class PersistentParallelService:
         sources = np.ascontiguousarray(sources, dtype=np.float64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         targets = np.ascontiguousarray(targets, dtype=np.float64)
+        if not self.compatible(len(sources), len(targets)):
+            raise ValueError("a running service cannot change its point counts")
         shm_s = self._arena.get("sources")
         shm_w = self._arena.get("weights")
         shm_t = self._arena.get("targets")
-        same_geometry = np.array_equal(shm_s, sources) and np.array_equal(
-            shm_t, targets
-        )
-        # workers are blocked on their inboxes between rounds, so the
-        # parent owns the arena here and in-place writes are race-free
-        shm_w[:] = weights
-        if same_geometry:
+        # the tree layer validates the inputs (shapes, finiteness) before
+        # a byte reaches the arena: a rejected submit leaves the shared
+        # arrays, the tree replica and the fleet as they were
+        if np.array_equal(shm_s, sources) and np.array_equal(shm_t, targets):
             self._dual.source.set_weights(weights)
             info = {"source": "unchanged", "target": "unchanged"}
             update = {"kind": "weights"}
         else:
-            shm_s[:] = sources
-            shm_t[:] = targets
             self._dual, info = update_dual_tree(
                 self._dual, sources, targets, source_weights=weights
             )
             update = {"kind": "points"}
+            shm_s[:] = sources
+            shm_t[:] = targets
+        # workers are blocked on their inboxes between rounds, so the
+        # parent owns the arena here and in-place writes are race-free
+        shm_w[:] = weights
         out = self._round(update)
         return out, self._round_info(info)
 

@@ -25,16 +25,30 @@ per expansion node no edge reaches.  Execution modes:
   synchronous FMM up to summation order.
 * ``phantom`` - transforms are skipped, only costs/messages are
   simulated; used for paper-scale scaling studies.
+
+What the numeric stages stack, in which order, and what crosses ranks
+is compiled by :mod:`repro.dashmm.flushplan`; this module executes it:
+:meth:`Registrar.flush_stages` after a drain (``evaluate()``, workers),
+:meth:`Registrar.run_eager` plus the same stages in place of one
+(sessions).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 
 import numpy as np
 
 from repro.dashmm.dag import DAG, DagNode
-from repro.dashmm.flushplan import FULL_DIRS, PLANNED_OPS, FlushPlan, compile_flush_plan
+from repro.dashmm.flushplan import (
+    FULL_DIRS,
+    PLANNED_OPS,
+    EagerPlan,
+    FlushPlan,
+    compile_eager_plan,
+    compile_flush_plan,
+)
 from repro.hpx.lco import LCO
 from repro.hpx.parcel import Parcel
 from repro.hpx.runtime import Runtime
@@ -140,7 +154,6 @@ class Registrar:
         size_model: SizeModel | None = None,
         coalesce: bool = True,
         sequential_edges: bool = True,
-        batch_edges: bool = True,
         centers: dict | None = None,
     ):
         if mode not in ("numeric", "phantom"):
@@ -158,23 +171,26 @@ class Registrar:
         self.coalesce = coalesce
         #: Section VI: "the sequential execution of out edges maximizes
         #: cache locality ... but sacrifices parallelism".  False spawns
-        #: one task per local edge instead (the road not taken).
+        #: one task per local edge instead (the road not taken), whose
+        #: tasks read expansions while the drain is still running - so
+        #: they compute every edge one by one (the per-edge reference).
         self.sequential_edges = sequential_edges
         #: Batched numeric path: a node's S2L edges at one level run as
         #: one stacked operation, leaf multipoles are fitted level by
         #: level, and every edge class in PLANNED_OPS only counts down
         #: its target LCO during the drain - its numeric work runs
         #: afterwards, stage by stage, from the flush plan.  Virtual-clock
-        #: charges and effect ordering are identical either way; only
-        #: wall-clock time changes.  False restores per-edge execution
-        #: (ablation), as does one task per edge, whose tasks read
-        #: expansions while the drain is still running.
-        self.batch_edges = batch_edges
-        self._batched = batch_edges and sequential_edges and mode == "numeric"
+        #: charges and effect ordering are those of the per-edge loop
+        #: (phantom mode runs exactly that loop); only wall-clock time
+        #: changes.
+        self._batched = sequential_edges and mode == "numeric"
         #: the compiled flush stages (see :mod:`repro.dashmm.flushplan`);
         #: built on the first numeric flush, so phantom runs never pay
         #: for it, and kept for every later flush of this registrar
         self._plan: FlushPlan | None = None
+        #: the compiled eager section; only :meth:`run_eager` - a
+        #: session - builds it, a drain computes those classes as dataflow
+        self._eager: EagerPlan | None = None
         #: planned edges have run since the last flush
         self._flush_pending = False
         #: per-level dense (source-side, target-side) plane-wave
@@ -183,9 +199,10 @@ class Registrar:
         #: source box index -> multipole, all leaves fitted in one
         #: stacked pass per level (batched path, built on first S->M)
         self._s2m: dict[int, np.ndarray] | None = None
-        #: restrict the stacked numeric passes (leaf multipoles, flush
-        #: plan) to the edges executing at this locality (set by the
-        #: parallel backend to the worker's own rank); None = all
+        #: restrict LCO allocation and the stacked numeric passes (leaf
+        #: multipoles, flush plan) to the nodes and edges of this
+        #: locality (set by the parallel backend to the worker's own
+        #: rank); None = all
         self._rank: int | None = None
         self.lcos: dict[int, ExpansionLCO] = {}
         self.result = np.zeros(dual.target.n_points) if dual is not None else None
@@ -272,22 +289,30 @@ class Registrar:
 
     # -- allocation (Fig. 2, t0/t1) ------------------------------------------------
     def allocate(self) -> None:
-        """Allocate an LCO per DAG node with inputs; register continuations."""
+        """Allocate an LCO per DAG node with inputs (of this rank, when
+        restricted to one); register continuations."""
+        only = self._rank
         for node in self.dag.nodes:
             n_in = self.dag.in_degree[node.id]
             if node.kind == "S" or n_in == 0:
                 continue
+            if only is not None and node.locality != only:
+                continue
             lco = ExpansionLCO(self.runtime, node.locality, node, n_in, self)
             self.lcos[node.id] = lco
-            pr = self._node_priority(node)
-            lco.register_continuation(
-                Task(
-                    fn=self._continuation,
-                    args=(node.id,),
-                    op_class=f"edges:{node.kind}",
-                    priority=pr,
-                )
+            self._arm(lco)
+
+    def _arm(self, lco: ExpansionLCO) -> None:
+        """Register the continuation that processes the node's out-edges."""
+        node = lco.node
+        lco.register_continuation(
+            Task(
+                fn=self._continuation,
+                args=(node.id,),
+                op_class=f"edges:{node.kind}",
+                priority=self._node_priority(node),
             )
+        )
 
     def initial_tasks(self) -> int:
         """Enqueue the time-zero tasks: the out-edges of every node
@@ -353,15 +378,7 @@ class Registrar:
             lco._unkeyed = 0
             lco._seen_keys = None
             lco._continuations.clear()
-            node = lco.node
-            lco.register_continuation(
-                Task(
-                    fn=self._continuation,
-                    args=(node.id,),
-                    op_class=f"edges:{node.kind}",
-                    priority=self._node_priority(node),
-                )
-            )
+            self._arm(lco)
         self._s2m = None
         self._flush_pending = False
         if zero_result and self.result is not None:
@@ -398,14 +415,14 @@ class Registrar:
         return self._plan
 
     def invalidate_plans(self) -> None:
-        """Drop the flush plan and the geometry cache.
+        """Drop both plan sections and the geometry cache.
 
         Required whenever node localities change under a live registrar:
-        the plan bakes the locality-keyed group compositions - hence the
+        the plans bake the locality-keyed group compositions - hence the
         stacked operands - in, and geometry-cache entries are keyed by
-        those groups.  The next flush recompiles from the DAG.
+        those groups.  The next use recompiles from the DAG.
         """
-        self._plan = None
+        self._plan = self._eager = None
         if self.geom_cache:
             self.geom_cache.clear()
 
@@ -771,6 +788,7 @@ class Registrar:
             for b, c in zip(boxes, coeffs):
                 out[b.index] = c
         return out
+
     def _batch_values(self, group, values: dict) -> None:
         """Stacked S2L values of one source leaf at one target level:
         one p2l matrix build for all the target boxes."""
@@ -794,27 +812,82 @@ class Registrar:
         for e, c in zip(group, coeffs):
             values[id(e)] = c
 
+    # -- batched path: in place of the drain ------------------------------------------------
+    def run_eager(self) -> None:
+        """Compute the eager classes from the compiled fold lists.
+
+        Leaves a freshly :meth:`reset` registrar in exactly the state a
+        full task drain leaves it in - M/L expansions folded in
+        canonical key order, a flush pending - without enqueuing a
+        task, so :meth:`flush_deferred` finishes the evaluation
+        bit-identically.  Sessions run every submit this way.
+        """
+        if self._eager is None:
+            self._eager = compile_eager_plan(self.dag)
+        plan = self._eager
+        lcos = self.lcos
+        nodes = self._nodes
+        dom = self.dual.domain
+        m2m = self.factory.m2m
+        # upward sweep: stacked leaf fits, then per-node canonical folds
+        s2m = self._leaf_multipoles()
+        for dst, es in plan.m_folds:
+            acc = None
+            for e in es:
+                if e.op == "S2M":
+                    v = s2m[nodes[e.src].box_index]
+                else:
+                    v = m2m(e.aux, dom.box_size(nodes[e.src].level)) @ lcos[e.src].data
+                acc = v if acc is None else acc + v
+            lcos[dst].data = acc
+        # list-X contributions in the drain's batch compositions
+        values: dict[int, object] = {}
+        for group in plan.s2l_groups:
+            if len(group) == 1:
+                values[id(group[0])] = self._edge_value(group[0])
+            else:
+                self._batch_values(group, values)
+        for dst, es in plan.l_folds:
+            acc = None
+            for e in es:
+                v = values[id(e)] if e.op == "S2L" else self._edge_value(e)
+                acc = v if acc is None else acc + v
+            lcos[dst].data = acc
+        # the bridge, downward shift and leaf outputs flush from here
+        self._flush_pending = True
+
     # -- batched path: the flush stages -----------------------------------------------------
-    def flush_deferred(self) -> None:
-        """Run the numeric work of every planned edge, stage by stage.
+    def flush_stages(self) -> list:
+        """The numeric work of every planned edge as ``(name, thunk)``
+        stages, in the one order they may run in.
 
         M->I, I->I, I->L, L->L level by level (coarse first, so every
         parent local expansion is complete before its children read it),
         then the leaf outputs, which read the final local expansions.
-        The stages execute the compiled :class:`FlushPlan`; a no-op when
-        no planned edge has run since the last flush (phantom and
-        per-edge runs never have one).
+        The thunks execute the compiled :class:`FlushPlan`; a worker
+        puts the exchange the plan's ``sends`` name in front of each.
         """
+        plan = self.flush_plan()
+        return [
+            ("m2i", partial(self._flush_m2i, plan)),
+            ("i2i", partial(self._flush_i2i, plan)),
+            ("i2l", partial(self._flush_i2l, plan)),
+            *(
+                (("l2l", level), partial(self._flush_l2l_level, level, groups))
+                for level, groups in plan.l2l
+            ),
+            ("outputs", partial(self._flush_outputs, plan)),
+        ]
+
+    def flush_deferred(self) -> None:
+        """Run :meth:`flush_stages`; a no-op when no planned edge has
+        run since the last flush (phantom and per-edge runs never have
+        one)."""
         if not self._flush_pending:
             return
         self._flush_pending = False
-        plan = self.flush_plan()
-        self._flush_m2i(plan)
-        self._flush_i2i(plan)
-        self._flush_i2l(plan)
-        for level, groups in plan.l2l:
-            self._flush_l2l_level(level, groups)
-        self._flush_outputs(plan)
+        for _, stage in self.flush_stages():
+            stage()
 
     def _flush_m2i(self, plan: FlushPlan) -> None:
         """Outgoing plane waves of every source box: per (level,
@@ -886,8 +959,8 @@ class Registrar:
 
     def _flush_l2l_level(self, level: int, groups) -> None:
         """One downward-shift level: one GEMM per (octant, locality)
-        group.  A stage of its own so the parallel backend can exchange
-        parent expansions between levels."""
+        group.  A stage of its own so a worker can receive remote parent
+        expansions between levels."""
         h = self.dual.domain.box_size(level)
         for octant, parents, children in groups:
             self._accumulate(children, self._stacked_data(parents) @ self.factory.l2l(octant, h).T)

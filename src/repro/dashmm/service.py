@@ -19,34 +19,38 @@ amortizes all of that:
   (or schema) change misses instead of replaying a stale graph.
 * **A long-lived session**: :class:`EvaluatorSession` exposes
   ``submit(points, charges) -> potentials`` over both backends.  On
-  ``sim`` the template's registrar is re-driven in process; on
+  ``sim`` every submit - the first included - runs the template
+  registrar's compiled execution plan (:mod:`repro.dashmm.flushplan`):
+  ``reset -> run_eager -> flush_deferred``, no task enqueued; on
   ``parallel`` the worker processes, their shared-memory arena and
   their rebuilt metadata survive across submissions
   (:class:`repro.dashmm.parallel.PersistentParallelService`).
 
 Correctness bar: every ``submit`` returns potentials bit-identical to a
-cold-start evaluation over the same tree.  The warm path changes *when*
+cold-start evaluation over the same tree.  A drain only decides *when*
 work happens, never *what* is computed: LCO folds run in canonical
-dedup-key order and every batched flush groups canonically (see
-:mod:`repro.dashmm.registrar`), so the direct FIFO drive below is just
-another legal schedule of the same dataflow.
+dedup-key order and every batched stage groups canonically, both a
+function of the DAG and the node localities - which is what the plan
+compiles, so running it is just another legal schedule of the same
+dataflow.  A session has no virtual clock, so the Section VI ablations
+(``sequential_edges=False``, ``coalesce=False``) are rejected, not
+silently served with other arithmetic.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.dashmm.dag import DAG, refresh_n_points
-from repro.dashmm.flushplan import PLANNED_OPS
+from repro.dashmm.dag import refresh_n_points
 from repro.dashmm.registrar import Registrar
-from repro.hpx.scheduler import Task, resolve_policy
+from repro.hpx.runtime import Runtime
 from repro.tree.box import Domain
-from repro.tree.dualtree import DualTree, build_dual_tree
+from repro.tree.dualtree import DualTree, build_dual_tree, checked_points, checked_weights
 from repro.tree.fingerprint import (
     dual_full_fingerprint,
     dual_shape_fingerprint,
@@ -55,217 +59,14 @@ from repro.tree.fingerprint import (
 from repro.tree.incremental import update_dual_tree
 
 
-class _DirectScheduler:
-    """FIFO task drain with the scheduler surface the LCO layer expects.
-
-    The direct drive has no virtual clock and no worker mesh: tasks run
-    to completion in enqueue order, with effects applied immediately -
-    the same execution discipline as one parallel-backend worker
-    (:class:`repro.hpx.parallel.WorkerScheduler`), whose bit-identity
-    to the simulator is already certified.  Priorities are ignored on
-    purpose: result bits are schedule-independent by construction, and
-    a FIFO needs no level bookkeeping.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.schedule_driver = None
-        self.now = 0.0
-        self.hazards = None
-        self.lco_dedup = True
-        self.lco_dups_suppressed = 0
-        self.lco_sets_applied = 0
-        self.tasks_run = 0
-        self._fifo: deque = deque()
-
-    def enqueue(self, task: Task, locality: int, t: float = 0.0, worker_hint=None) -> None:
-        self._fifo.append((task, locality))
-
-    def pop(self):
-        if not self._fifo:
-            return None
-        self.tasks_run += 1
-        return self._fifo.popleft()
-
-    def has_ready(self) -> bool:
-        return bool(self._fifo)
-
-
-class _DirectContext:
-    """Task context for the direct drive.
-
-    Same surface as the simulator's ``TaskContext`` /
-    :class:`repro.hpx.parallel.ParallelContext`; ``locality`` is set by
-    the drain loop to the locality each task was enqueued at, so the
-    registrar's local/remote edge partitioning - and therefore the
-    batched group compositions - match the simulated run exactly.
-    """
-
-    __slots__ = ("scheduler", "runtime", "locality", "worker", "time", "hb")
-
-    def __init__(self, scheduler: _DirectScheduler, runtime: "_DirectRuntime"):
-        self.scheduler = scheduler
-        self.runtime = runtime
-        self.locality = 0
-        self.worker = 0
-        self.time = 0.0
-        self.hb = None
-
-    def charge(self, op_class: str, dt: float) -> None:
-        if dt < 0:
-            raise ValueError("negative charge")
-
-    def spawn(self, task: Task, locality: int | None = None) -> None:
-        self.scheduler.enqueue(task, self.locality if locality is None else locality)
-
-    def send_parcel(self, parcel) -> None:
-        fn = self.runtime.action(parcel.action)
-        self.scheduler.enqueue(
-            Task(
-                fn=lambda ctx, f=fn, p=parcel: f(ctx, p.target, *p.args, **p.kwargs),
-                op_class=parcel.op_class,
-                priority=parcel.priority,
-            ),
-            parcel.target_locality,
-        )
-
-    def lco_set(self, lco, value=None, key=None, op_class=None) -> None:
-        self.scheduler.lco_sets_applied += 1
-        lco._apply_set(value, 0.0, self.scheduler, key=key, op_class=op_class)
-
-    def call_at_completion(self, fn) -> None:
-        fn(0.0)
-
-
-class _DirectRuntime:
-    """In-process runtime facade backing one DAG template.
-
-    The subset of the :class:`~repro.hpx.runtime.Runtime` surface the
-    registrar touches; parcels short-circuit to task enqueues at the
-    destination locality (everything is in one address space).
-    """
-
-    def __init__(self, n_localities: int, policy):
-        from repro.hpx.gas import GlobalAddressSpace
-
-        self.scheduler = _DirectScheduler(policy)
-        self.gas = GlobalAddressSpace(n_localities)
-        self._actions: dict = {}
-
-    def register_action(self, name: str, fn) -> None:
-        if name in self._actions:
-            raise ValueError(f"action {name!r} already registered")
-        self._actions[name] = fn
-
-    def action(self, name: str):
-        fn = self._actions.get(name)
-        if fn is None:
-            raise KeyError(f"unregistered action {name!r}")
-        return fn
-
-    def enqueue_task(self, task: Task, locality: int) -> None:
-        self.scheduler.enqueue(task, locality)
-
-    def drain(self, ctx: _DirectContext) -> None:
-        sched = self.scheduler
-        while True:
-            item = sched.pop()
-            if item is None:
-                return
-            task, loc = item
-            ctx.locality = loc
-            task.fn(ctx, *task.args)
-
-
 @dataclass
 class _Template:
-    """One cached shape: structural DAG + live LCO network + caches."""
+    """One cached shape: the registrar (structural DAG, live LCO
+    network, current tree, plans, caches) + what its tree looked like."""
 
-    dual: DualTree
-    lists: Any
-    dag: DAG
-    runtime: _DirectRuntime
     registrar: Registrar
     full_fp: tuple
     geom_token: int
-    uses: int = 0
-    replay: "Any | None" = None
-
-
-#: edge ops the replay fast path knows how to re-execute (the eager
-#: ones; planned ones run from the registrar's flush plan); a DAG with
-#: anything else (a future method) falls back to the full task drain
-_REPLAY_OPS = frozenset({"S2M", "M2M", "S2L", "M2L"}) | PLANNED_OPS
-
-
-@dataclass
-class _ReplayPlan:
-    """Shape-frozen execution recipe recorded from one drained run.
-
-    The task drain only decides *when* values are computed and folded;
-    *what* is computed is fixed by the DAG (eager edge set, batch group
-    compositions, canonical fold order), and every planned edge runs
-    from the registrar's flush plan whatever the drain did.  The plan
-    therefore stores the eager fold lists and the cold S->L batch
-    groups; replaying them against fresh weights/coordinates reproduces
-    the drained run bit for bit while skipping every task-queue and
-    LCO-inbox round trip.
-
-    Validity: shape + node assignment.  Geometry and weights may change
-    freely (everything coordinate-dependent is recomputed or served by
-    ``geom_cache`` under its own invalidation); a locality reassignment
-    drops the plan because the S->L groups bake destination localities
-    in.
-    """
-
-    m_folds: list  # (dst id, in-edges sorted by fold key), deepest level first
-    l_folds: list  # (dst id, eager in-edges sorted by fold key)
-    s2l_groups: list  # cold batch groups: [[edge, ...], ...]
-
-
-def _capture_replay(reg: Registrar) -> "_ReplayPlan | None":
-    """Record a replay plan from a just-drained registrar."""
-    if not reg._batched:
-        return None
-    dag = reg.dag
-    nodes = dag.nodes
-    edge_key = reg._edge_key
-    ins_m: dict[int, list] = {}
-    ins_l: dict[int, list] = {}
-    s2l_map: "dict[tuple, list]" = {}
-    for edges in dag.out_edges:
-        for e in edges:
-            op = e.op
-            if op not in _REPLAY_OPS:
-                return None
-            if op in ("S2M", "M2M"):
-                ins_m.setdefault(e.dst, []).append(e)
-            elif op in ("S2L", "M2L"):
-                ins_l.setdefault(e.dst, []).append(e)
-                if op == "S2L":
-                    # one batch group per (source, destination locality,
-                    # target level): exactly the composition _run_edges
-                    # sees after _process_edges partitions by locality,
-                    # preserving out-edge order within the group
-                    dst = nodes[e.dst]
-                    s2l_map.setdefault(
-                        (e.src, dst.locality, dst.level), []
-                    ).append(e)
-    m_folds = []
-    for dst, es in ins_m.items():
-        es.sort(key=edge_key)
-        m_folds.append((nodes[dst].level, dst, es))
-    # children strictly precede parents: deepest destinations first
-    m_folds.sort(key=lambda t: (-t[0], t[1]))
-    l_folds = []
-    for dst, es in ins_l.items():
-        es.sort(key=edge_key)
-        l_folds.append((dst, es))
-    return _ReplayPlan(
-        m_folds=[(dst, es) for _, dst, es in m_folds],
-        l_folds=l_folds,
-        s2l_groups=list(s2l_map.values()),
-    )
 
 
 class EvaluatorSession:
@@ -304,6 +105,14 @@ class EvaluatorSession:
                 "EvaluatorSession serves numeric potentials; phantom-mode "
                 "scaling studies run through evaluate()"
             )
+        for flag in ("coalesce", "sequential_edges"):
+            # the Section VI ablations move the simulator's virtual
+            # clock; a session has none and runs the compiled plan only
+            if not getattr(evaluator, flag):
+                raise ValueError(
+                    f"EvaluatorSession requires {flag}=True (the ablation "
+                    "paths run through evaluate() on backend='sim')"
+                )
         self.evaluator = evaluator
         self.backend = evaluator.runtime_config.backend
         self.domain = domain
@@ -351,12 +160,13 @@ class EvaluatorSession:
         targets: np.ndarray | None = None,
     ) -> np.ndarray:
         """Potentials at ``targets`` (default: ``points``) due to ``charges``."""
-        sources = np.ascontiguousarray(points, dtype=np.float64)
-        charges = np.ascontiguousarray(charges, dtype=np.float64)
+        # validated here, before a bad first submit can pin the domain
+        sources = np.ascontiguousarray(checked_points(points))
+        charges = np.ascontiguousarray(checked_weights(charges, len(sources)))
         tgts = (
             sources
             if targets is None
-            else np.ascontiguousarray(targets, dtype=np.float64)
+            else np.ascontiguousarray(checked_points(targets))
         )
         if self.domain is None:
             # first use pins the session frame; identical to what a cold
@@ -395,24 +205,14 @@ class EvaluatorSession:
     # -- sim backend -------------------------------------------------------------
     def _submit_sim(self, sources, weights, targets) -> np.ndarray:
         ev = self.evaluator
-        cur = self._current
-        dual = None
-        info = {"source": "rebuilt", "target": "rebuilt"}
-        if (
-            cur is not None
-            and cur.dual.source.n_points == len(sources)
-            and cur.dual.target.n_points == len(targets)
-        ):
-            dual, info = update_dual_tree(
-                cur.dual, sources, targets, source_weights=weights
-            )
-        if dual is None:
+        cur = None if self._current is None else self._current.registrar.dual
+        sizes = (len(sources), len(targets))
+        if cur is not None and (cur.source.n_points, cur.target.n_points) == sizes:
+            dual, info = update_dual_tree(cur, sources, targets, source_weights=weights)
+        else:
+            info = {"source": "rebuilt", "target": "rebuilt"}
             dual = build_dual_tree(
-                sources,
-                targets,
-                ev.threshold,
-                source_weights=weights,
-                domain=self.domain,
+                sources, targets, ev.threshold, source_weights=weights, domain=self.domain
             )
         self.stats["tree_updates"].append(info)
 
@@ -434,18 +234,18 @@ class EvaluatorSession:
             self.stats["template_hits"] += 1
             self._templates.move_to_end(shape)
             self._refresh_template(tpl, dual, weights)
-        tpl.uses += 1
         self._current = tpl
         return self._execute(tpl)
 
     def _build_template(self, dual: DualTree) -> _Template:
         ev = self.evaluator
         cfg = ev._resolved_config()
-        dag, lists = ev.build_dag(dual)
+        dag, _ = ev.build_dag(dual)
         ev.policy.assign(dag, dual, cfg.n_localities)
-        runtime = _DirectRuntime(cfg.n_localities, resolve_policy(cfg.policy))
+        # never run: the runtime only provides the GAS the LCOs live in
+        # and the action table the registrar registers with
         reg = Registrar(
-            runtime,
+            Runtime(cfg),
             dag,
             dual,
             ev.kernel,
@@ -453,17 +253,10 @@ class EvaluatorSession:
             mode="numeric",
             cost_model=ev.cost_model,
             size_model=ev.size_model,
-            coalesce=ev.coalesce,
-            sequential_edges=ev.sequential_edges,
-            batch_edges=ev.batch_edges,
         )
         reg.geom_cache = {}
         reg.allocate()
         return _Template(
-            dual=dual,
-            lists=lists,
-            dag=dag,
-            runtime=runtime,
             registrar=reg,
             full_fp=dual_full_fingerprint(dual),
             geom_token=geometry_token(dual.source.points, dual.target.points),
@@ -477,85 +270,37 @@ class EvaluatorSession:
         if gt == tpl.geom_token:
             # pure re-query: same coordinates, (possibly) new charges -
             # keep the template's own tree and every geometry cache
-            tpl.dual.source.set_weights(weights)
+            reg.dual.source.set_weights(weights)
         else:
             reg.rebind(dual)
             full = dual_full_fingerprint(dual)
             if full != tpl.full_fp:
                 # points crossed leaf boundaries: node sizes and (under
                 # work balancing) locality cuts may have shifted
-                refresh_n_points(tpl.dag, dual)
-                old_locs = [nd.locality for nd in tpl.dag.nodes]
-                ev.policy.assign(
-                    tpl.dag, dual, ev._resolved_config().n_localities
-                )
-                if [nd.locality for nd in tpl.dag.nodes] != old_locs:
-                    # the replay plan and the flush plan both bake
-                    # group-by-locality compositions in; a shifted
-                    # assignment makes them stale
-                    tpl.replay = None
+                refresh_n_points(reg.dag, dual)
+                old_locs = [nd.locality for nd in reg.dag.nodes]
+                ev.policy.assign(reg.dag, dual, ev.runtime_config.n_localities)
+                if [nd.locality for nd in reg.dag.nodes] != old_locs:
+                    # both plan sections bake group-by-locality
+                    # compositions in; a shifted assignment makes them
+                    # stale
                     reg.invalidate_plans()
                 tpl.full_fp = full
             # every cached matrix is a function of the coordinates
             reg.geom_cache.clear()
             tpl.geom_token = gt
-            tpl.dual = dual
-        reg.reset()
 
     def _execute(self, tpl: _Template) -> np.ndarray:
-        reg, runtime = tpl.registrar, tpl.runtime
-        if tpl.replay is not None:
-            self._replay(tpl)
-        else:
-            ctx = _DirectContext(runtime.scheduler, runtime)
-            reg.initial_tasks()
-            runtime.drain(ctx)
-            tpl.replay = _capture_replay(reg)
-        reg.flush_deferred()
-        out = np.empty(tpl.dual.target.n_points)
-        out[tpl.dual.target.perm] = reg.result
-        return out
-
-    def _replay(self, tpl: _Template) -> None:
-        """Re-execute a recorded plan against the current tree + charges.
-
-        Leaves the registrar in exactly the state a full task drain
-        leaves it in - M/L expansions folded in canonical key order, a
-        flush pending - so the ordinary :meth:`Registrar.flush_deferred`
-        stages finish the evaluation bit-identically.
-        """
+        """Run the compiled plan over the template's current tree and
+        charges; no task is enqueued on any submit, the first included."""
         reg = tpl.registrar
-        rp = tpl.replay
-        lcos = reg.lcos
-        nodes = reg.dag.nodes
-        dom = reg.dual.domain
-        m2m = reg.factory.m2m
-        # upward sweep: stacked leaf fits, then per-node canonical folds
-        s2m = reg._leaf_multipoles()
-        for dst, es in rp.m_folds:
-            acc = None
-            for e in es:
-                if e.op == "S2M":
-                    v = s2m[nodes[e.src].box_index]
-                else:
-                    v = m2m(e.aux, dom.box_size(nodes[e.src].level)) @ lcos[e.src].data
-                acc = v if acc is None else acc + v
-            lcos[dst].data = acc
-        # list-X contributions in the cold batch compositions
-        values: dict[int, object] = {}
-        for group in rp.s2l_groups:
-            if len(group) == 1:
-                values[id(group[0])] = reg._edge_value(group[0])
-            else:
-                reg._batch_values(group, values)
-        for dst, es in rp.l_folds:
-            acc = None
-            for e in es:
-                v = values[id(e)] if e.op == "S2L" else reg._edge_value(e)
-                acc = v if acc is None else acc + v
-            lcos[dst].data = acc
-        # the bridge, downward shift and leaf outputs flush from here
-        reg._flush_pending = True
+        reg.reset()
+        reg.run_eager()
+        reg.flush_deferred()
+        target = reg.dual.target
+        out = np.empty(target.n_points)
+        out[target.perm] = reg.result
+        return out
 
     # -- parallel backend --------------------------------------------------------
     def _submit_parallel(self, sources, weights, targets) -> np.ndarray:
@@ -567,20 +312,23 @@ class EvaluatorSession:
             # respawns (the operator cache still carries over via disk)
             svc.close()
             svc = self._parallel = None
-        try:
-            if svc is None:
-                svc = self._parallel = PersistentParallelService(
-                    self.evaluator, self.domain
-                )
-                out, info = svc.start(sources, weights, targets)
-            else:
+        if svc is None:
+            # a failed start tears its fleet down before it raises
+            svc = PersistentParallelService(self.evaluator, self.domain)
+            out, info = svc.start(sources, weights, targets)
+            self._parallel = svc
+        else:
+            try:
                 out, info = svc.submit(sources, weights, targets)
-        except BaseException:
-            # a terminally failed service has already torn its fleet
-            # down; drop the reference so the next submit starts a
-            # fresh one instead of raising "service failed" forever
-            self._parallel = None
-            raise
+            except BaseException:
+                # a terminally failed service has already torn its fleet
+                # down; drop the reference so the next submit starts a
+                # fresh one instead of raising "service failed" forever.
+                # A submit rejected for its arguments leaves a healthy
+                # fleet, which stays.
+                if svc._failed is not None:
+                    self._parallel = None
+                raise
         self.stats["tree_updates"].append(info["tree"])
         shape = (self._schema_token(), info["shape"])
         if shape in self._shapes_seen:

@@ -183,10 +183,27 @@ class Tree:
         Supports the paper's iterative use case: the same DAG is
         evaluated many times for different inputs, amortizing all setup.
         """
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.n_points,):
-            raise ValueError("weights must have shape (N,)")
-        self.weights = weights[self.perm]
+        self.weights = checked_weights(weights, self.n_points)[self.perm]
+
+
+def checked_points(points) -> np.ndarray:
+    """``points`` as a float array, or ``ValueError``: shape (N, 3), finite."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("points must have shape (N, 3)")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite (found NaN or inf)")
+    return points
+
+
+def checked_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as a float array, or ``ValueError``: shape (n,), finite."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError("weights must have shape (N,)")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite (found NaN or inf)")
+    return weights
 
 
 @dataclass
@@ -358,9 +375,7 @@ def build_tree(
     every box then owns a contiguous slice of the sorted order, and
     whole levels of boxes are carved per array pass.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("points must have shape (N, 3)")
+    points = checked_points(points)
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     n = len(points)
@@ -370,10 +385,7 @@ def build_tree(
     points_sorted = points[perm]
     weights_sorted = None
     if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError("weights must have shape (N,)")
-        weights_sorted = weights[perm]
+        weights_sorted = checked_weights(weights, n)[perm]
 
     COUNTERS["full_carves"] += 1
     boxes, key_to_index, levels = _carve_vectorized(deep_sorted, n, threshold)
@@ -406,7 +418,8 @@ def build_dual_tree(
     two ensembles.
     """
     if domain is None:
-        domain = Domain.bounding(sources, targets)
+        # a non-finite coordinate must fail here, not become the domain
+        domain = Domain.bounding(checked_points(sources), checked_points(targets))
     src = build_tree(sources, domain, threshold, weights=source_weights)
     tgt = build_tree(targets, domain, threshold)
     return DualTree(domain=domain, source=src, target=tgt, threshold=threshold)

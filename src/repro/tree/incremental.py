@@ -51,6 +51,8 @@ from repro.tree.dualtree import (
     Tree,
     TreeArrays,
     build_tree,
+    checked_points,
+    checked_weights,
 )
 from repro.tree.morton import encode_points
 
@@ -271,9 +273,7 @@ def update_tree(
     :func:`~repro.tree.dualtree.build_tree` of the same points over the
     same domain; the old tree is never mutated.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("points must have shape (N, 3)")
+    points = checked_points(points)
     domain = tree.domain
     if len(points) != tree.n_points or tree.deep_sorted is None:
         new = build_tree(points, domain, tree.threshold, weights=weights)
@@ -286,10 +286,7 @@ def update_tree(
     points_sorted = points[perm]
     weights_sorted = None
     if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError("weights must have shape (N,)")
-        weights_sorted = weights[perm]
+        weights_sorted = checked_weights(weights, n)[perm]
 
     if np.array_equal(deep_sorted, tree.deep_sorted):
         # same key sequence: structure, ranges and numbering all carry over

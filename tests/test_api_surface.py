@@ -14,6 +14,8 @@ import inspect
 
 import pytest
 
+import repro.dashmm.parallel
+import repro.dashmm.service
 import repro.hpx.parallel
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.dashmm.parallel import PersistentParallelService
@@ -36,7 +38,6 @@ SIGNATURES = {
         "size_model",
         "coalesce",
         "sequential_edges",
-        "batch_edges",
         "theta",
         "eps",
         "factory",
@@ -53,7 +54,6 @@ SIGNATURES = {
         "size_model",
         "coalesce",
         "sequential_edges",
-        "batch_edges",
         "centers",
     ),
     PersistentParallelService.__init__: ("evaluator", "domain", "timeout", "max_respawns"),
@@ -97,7 +97,6 @@ WORKER_SPEC_KEYS = {
     "theta",
     "eps",
     "factory_path",
-    "seed",
     "domain",
 }
 
@@ -123,3 +122,12 @@ def test_worker_spec_keys_are_pinned():
 def test_one_fleet_manager():
     """The persistent service is the only parent-side spawner."""
     assert not hasattr(repro.hpx.parallel, "ParallelRuntime")
+
+
+def test_one_plan_model():
+    """Sessions run the compiled plan (:mod:`repro.dashmm.flushplan`):
+    no private runtime facade or captured replay in the service, no second
+    stage walker in the worker."""
+    service = vars(repro.dashmm.service)
+    assert not [name for name in service if name.startswith(("_Direct", "_ReplayPlan"))]
+    assert "_stage_plan" not in vars(repro.dashmm.parallel)

@@ -1,7 +1,11 @@
-"""Batched edge execution is an ablation, not a different algorithm:
-``batch_edges=True`` and ``False`` must produce the same potentials (to
-stacked-GEMM rounding) and the *bit-identical* virtual completion time,
-since charges and effect ordering are value-independent."""
+"""Batched edge execution is a way to compute, not a different algorithm.
+
+The default numeric run must produce the potentials of the per-edge
+reference (``sequential_edges=False`` computes every edge one by one) to
+stacked-GEMM rounding, and the *bit-identical* virtual completion time of
+the sequential per-edge loop - which is what ``mode="phantom"`` executes,
+with the same charges - since charges and effect ordering are
+value-independent."""
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ def cloud():
     return rng.uniform(0, 1, (n, 3)), rng.normal(size=n), rng.uniform(0, 1, (n, 3))
 
 
-def _run(batch, laplace, laplace_factory, cloud, method="fmm"):
+def _run(laplace, laplace_factory, cloud, method="fmm", **kw):
     src, w, tgt = cloud
     ev = DashmmEvaluator(
         laplace,
@@ -26,25 +30,26 @@ def _run(batch, laplace, laplace_factory, cloud, method="fmm"):
         threshold=30,
         runtime_config=RuntimeConfig(n_localities=2, workers_per_locality=4),
         factory=laplace_factory,
-        batch_edges=batch,
+        **kw,
     )
     return ev.evaluate(src, w, tgt)
 
 
 @pytest.mark.parametrize("method", ["fmm", "fmm-basic"])
 def test_batched_matches_per_edge(method, laplace, laplace_factory, cloud):
-    ref = _run(False, laplace, laplace_factory, cloud, method)
-    bat = _run(True, laplace, laplace_factory, cloud, method)
+    bat = _run(laplace, laplace_factory, cloud, method)
+    ref = _run(laplace, laplace_factory, cloud, method, sequential_edges=False)
     np.testing.assert_allclose(bat.potentials, ref.potentials, rtol=0, atol=1e-12)
     # identical DAG, charges and effect ordering -> identical virtual clock
-    assert bat.time == ref.time
-    assert bat.runtime_stats["tasks_run"] == ref.runtime_stats["tasks_run"]
-    assert bat.runtime_stats["steals"] == ref.runtime_stats["steals"]
+    loop = _run(laplace, laplace_factory, cloud, method, mode="phantom")
+    assert bat.time == loop.time
+    assert bat.runtime_stats["tasks_run"] == loop.runtime_stats["tasks_run"]
+    assert bat.runtime_stats["steals"] == loop.runtime_stats["steals"]
 
 
 def test_batched_is_accurate(laplace, laplace_factory, cloud):
     src, w, tgt = cloud
-    rep = _run(True, laplace, laplace_factory, cloud)
+    rep = _run(laplace, laplace_factory, cloud)
     exact = direct_potentials(laplace, tgt, src, w)
     err = np.linalg.norm(rep.potentials - exact) / np.linalg.norm(exact)
     assert err < 1e-3

@@ -1,11 +1,13 @@
-"""One flush plan, every path.
+"""One execution plan, every path.
 
 The batched numeric stages (M->I, I->I, I->L, L->L, leaf outputs) are
 compiled once from the DAG and the node localities and executed by a
 cold ``evaluate()``, by every submit of a session and after a
-checkpoint restore alike, so all of them must return the same bits.
-The per-edge ablations compute the same sums in another order and agree
-to roundoff.
+checkpoint restore alike; a session also runs the eager classes (S->M,
+M->M, S->L, M->L) from the plan instead of draining tasks.  All of them
+must return the same bits.  The per-edge ablation computes the same
+sums in another order and agrees to roundoff; a worker's rank-restricted
+plan is a slice of the full one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import pytest
 
 from repro.dashmm import DashmmEvaluator, EvaluatorSession, FmmPolicy
 from repro.dashmm.distribution import DistributionPolicy, RandomPolicy
-from repro.hpx.runtime import RuntimeConfig
+from repro.dashmm.flushplan import compile_flush_plan
+from repro.dashmm.registrar import Registrar
+from repro.hpx.runtime import Runtime, RuntimeConfig
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.yukawa import YukawaKernel
@@ -71,6 +75,12 @@ def _evaluator(factory, method, policy=None, **kw):
     )
 
 
+def _idle(runtime) -> bool:
+    """No task was ever enqueued on (let alone run by) ``runtime``."""
+    s = runtime.scheduler
+    return s.tasks_run == 0 and not s._heap and not any(q for qs in s.deques for q in qs)
+
+
 def _sibling_hop(dual, points):
     """``points`` with one point moved into a sibling leaf: per-leaf
     counts change (so the session re-runs the distribution policy), no
@@ -104,10 +114,16 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
     policy = _SwitchPolicy()
     ev = _evaluator(factory, method, policy)
     cold = ev.evaluate(pts, w, pts)
+    # a drain computes the eager classes as dataflow: nothing to compile
+    assert cold.extras["registrar"]._eager is None
     cold_w2 = ev.evaluate(pts, w2, pts).potentials
     with EvaluatorSession(ev) as session:
         assert np.array_equal(session.submit(pts, w), cold.potentials)  # cold submit
         domain = session.domain
+        # ... while a session runs the plan from its first submit
+        first = session._current.registrar
+        assert first._eager is not None
+        assert _idle(first.runtime)
         assert np.array_equal(session.submit(pts, w), cold.potentials)  # warm resubmit
         assert np.array_equal(session.submit(pts, w2), cold_w2)  # fresh charges
         session.submit(drifted, w2)  # drift ...
@@ -122,6 +138,7 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
         out = session.submit(hopped, w2)
         assert session.stats["template_hits"] == hits + 1  # same shape, same registrar
         assert session._current.registrar.flush_plan() is not before
+        assert _idle(first.runtime) and _idle(session._current.registrar.runtime)
     with EvaluatorSession(ev, domain=domain) as fresh:
         assert np.array_equal(out, fresh.submit(hopped, w2))
 
@@ -144,9 +161,8 @@ def test_resume_before_the_flush_and_per_edge_ablations(factories, cloud, kname,
         assert resumed.time == baseline.time
 
     scale = np.abs(baseline.potentials).max()
-    for ablation in ({"batch_edges": False}, {"sequential_edges": False}):
-        rep = _evaluator(factory, method, **ablation).evaluate(src, w, tgt)
-        assert np.abs(rep.potentials - baseline.potentials).max() < 1e-10 * scale
+    rep = _evaluator(factory, method, sequential_edges=False).evaluate(src, w, tgt)
+    assert np.abs(rep.potentials - baseline.potentials).max() < 1e-10 * scale
 
 
 def _corner_problem(cloud):
@@ -158,12 +174,12 @@ def _corner_problem(cloud):
     return corner, w, Domain.bounding(pts, pts)
 
 
-@pytest.mark.parametrize("batch_edges", [True, False])
-def test_expansions_without_inputs_still_release_their_children(factories, cloud, batch_edges):
+@pytest.mark.parametrize("sequential_edges", [True, False])
+def test_expansions_without_inputs_still_release_their_children(factories, cloud, sequential_edges):
     factory = factories["laplace"]
     corner, w, domain = _corner_problem(cloud)
     dual = build_dual_tree(corner, corner, THRESHOLD, source_weights=w, domain=domain)
-    ev = _evaluator(factory, "fmm", batch_edges=batch_edges)
+    ev = _evaluator(factory, "fmm", sequential_edges=sequential_edges)
     rep = ev.evaluate(corner, w, corner, dual=dual)
     assert any(
         n.kind == "L" and rep.dag.in_degree[n.id] == 0 and rep.dag.out_edges[n.id]
@@ -172,6 +188,11 @@ def test_expansions_without_inputs_still_release_their_children(factories, cloud
     assert rep.extras["untriggered"] == 0
     exact = direct_potentials(factory.kernel, corner, corner, w)
     assert np.linalg.norm(rep.potentials - exact) < 2e-3 * np.linalg.norm(exact)
+    if not sequential_edges:
+        # a session has no virtual clock for the ablation to move
+        with pytest.raises(ValueError, match="requires sequential_edges=True"):
+            EvaluatorSession(ev, domain=domain)
+        return
     with EvaluatorSession(ev, domain=domain) as session:
         assert np.array_equal(session.submit(corner, w), rep.potentials)
         assert np.array_equal(session.submit(corner, w), rep.potentials)
@@ -193,3 +214,115 @@ def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud):
     with EvaluatorSession(par, domain=domain) as a, EvaluatorSession(sim, domain=domain) as b:
         assert np.array_equal(a.submit(pts, w), b.submit(pts, w))
         assert np.array_equal(a.submit(corner, w), b.submit(corner, w))
+
+
+def _groups(plan) -> dict:
+    """Every stage's groups with plan-relative rows resolved to node ids,
+    so a rank's groups compare equal to the full plan's."""
+    out: dict = {"m2i": [], "i2i": [], "i2l": []}
+    for b in plan.bridge:
+        is_ids, it_ids = np.array(b.is_ids), np.array(b.it_ids)
+        out["m2i"] += [(b.level, tuple(b.is_ids[lo : lo + len(m)]), tuple(m)) for lo, m in b.m2i]
+        out["i2i"] += [
+            (
+                b.level,
+                d,
+                tuple(is_ids[rows]),
+                tuple(b.deltas[i] for i in delta_rows),
+                tuple(starts),
+                tuple(it_ids[it_rows]),
+            )
+            for d, rows, delta_rows, starts, it_rows in b.i2i
+        ]
+        out["i2l"] += [(b.level, tuple(it_ids[rows]), tuple(ls)) for rows, ls in b.i2l]
+    for level, groups in plan.l2l:
+        out["l2l", level] = [(o, tuple(ps), tuple(cs)) for o, ps, cs in groups]
+    out["outputs"] = [
+        (
+            g.op,
+            g.sub,
+            g.loc,
+            tuple(plan.out_src[g.lo : g.hi]),
+            tuple(plan.out_sbox[g.lo : g.hi]),
+            tuple(plan.out_tbox[g.lo : g.hi]),
+        )
+        for g in plan.outputs
+    ]
+    return out
+
+
+@pytest.mark.parametrize("n_localities", [2, 3])
+@pytest.mark.parametrize("method", ["fmm", "fmm-basic", "bh"])
+def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localities):
+    """What every worker compiles, checked without spawning one - under
+    a random scatter of *all* nodes of a four-level tree, so every
+    stage has edges crossing ranks (no shipped policy splits a leaf's
+    L from its T)."""
+    from repro.dashmm.parallel import ParallelRegistrar
+
+    factory = factories["laplace"]
+    pts, w, domain = _corner_problem(cloud)
+    cfg = RuntimeConfig(n_localities=n_localities)
+    dual = build_dual_tree(pts, pts, THRESHOLD, source_weights=w, domain=domain)
+    dag, _ = _evaluator(factory, method).build_dag(dual)
+    loc = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes)).tolist()
+    for node, rank in zip(dag.nodes, loc):
+        node.locality = rank
+    ranks = range(n_localities)
+
+    full = compile_flush_plan(dag)
+    plans = [compile_flush_plan(dag, r) for r in ranks]
+    assert full.sends == {}
+
+    # the ranks' groups partition the full plan's, stage by stage; leaf
+    # outputs also keep the full plan's accumulation order
+    whole = _groups(full)
+    parts = [_groups(p) for p in plans]
+    assert all(set(part) == set(whole) for part in parts)
+    for stage, groups in whole.items():
+        assert len(set(groups)) == len(groups)
+        assert sorted(g for part in parts for g in part[stage]) == sorted(groups)
+    for r in ranks:
+        assert parts[r]["outputs"] == [g for g in whole["outputs"] if g[2] == r]
+
+    # one stage sequence on every rank, so the barriers line up
+    def stage_names(reg):
+        return [name for name, _ in reg.flush_stages()]
+
+    names = stage_names(Registrar(Runtime(cfg), dag, dual, factory.kernel, factory))
+    assert names[:3] == ["m2i", "i2i", "i2l"] and names[-1] == "outputs"
+    assert names[3:-1] == [("l2l", level) for level, _ in full.l2l]
+    exchanged = [n for n in names if n != "m2i"]
+    for r in ranks:
+        reg = ParallelRegistrar(r, Runtime(cfg), dag, dual, factory.kernel, factory)
+        assert stage_names(reg) == names
+        assert sorted(plans[r].sends, key=str) == sorted(exchanged, key=str)
+
+    # rank r ships to dst exactly the r-owned nodes dst's stage reads
+    # from its mirror: foreign plane-wave rows, remote L->L parents and
+    # the local expansions under remote L->T edges
+    def reads(dst: int) -> dict:
+        plan = plans[dst]
+        need = {
+            "i2i": {i for b in plan.bridge for i in b.is_ids[b.n_is_local :]},
+            "i2l": {i for b in plan.bridge for i in b.it_ids[b.n_it_local :]},
+            "outputs": {
+                i for g in plan.outputs if g.op == "L2T" for i in plan.out_src[g.lo : g.hi]
+            },
+        }
+        for level, groups in plan.l2l:
+            need["l2l", level] = {p for _, parents, _ in groups for p in parents}
+        return need
+
+    crossing = dict.fromkeys(exchanged, 0)
+    for dst in ranks:
+        for stage, ids in reads(dst).items():
+            for r in ranks:
+                owed = sorted(i for i in ids if loc[i] == r) if r != dst else []
+                assert plans[r].sends[stage].get(dst, []) == owed
+                crossing[stage] += len(owed)
+    if method != "bh":  # Barnes-Hut has no expansion a flush stage completes
+        assert crossing["outputs"]
+        assert any(n for stage, n in crossing.items() if stage[0] == "l2l")
+    if method == "fmm":
+        assert crossing["i2i"] and crossing["i2l"]

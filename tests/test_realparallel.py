@@ -167,16 +167,17 @@ def test_parallel_rejects_simulator_only_modes(laplace, laplace_factory, cloud):
     ev = _pair(laplace, "fmm", laplace_factory, "parallel", detect_hazards=True)
     with pytest.raises(ValueError, match="hazard"):
         ev.evaluate(src, w, tgt)
-    ev = DashmmEvaluator(
-        laplace,
-        method="fmm",
-        threshold=THRESHOLD,
-        runtime_config=RuntimeConfig(backend="parallel"),
-        factory=laplace_factory,
-        batch_edges=False,
-    )
-    with pytest.raises(ValueError, match="batch_edges"):
-        ev.evaluate(src, w, tgt)
+    for flag in ("sequential_edges", "coalesce"):
+        ev = DashmmEvaluator(
+            laplace,
+            method="fmm",
+            threshold=THRESHOLD,
+            runtime_config=RuntimeConfig(backend="parallel"),
+            factory=laplace_factory,
+            **{flag: False},
+        )
+        with pytest.raises(ValueError, match=f"requires {flag}=True"):
+            ev.evaluate(src, w, tgt)
     ev = DashmmEvaluator(
         laplace,
         method="fmm",

@@ -225,6 +225,40 @@ def test_session_rejects_phantom_mode(kernel):
         EvaluatorSession(ev)
 
 
+def _hostile(pts, w):
+    """(points, charges) pairs a tree must refuse: non-finite or misshapen."""
+    nan_pts, inf_w = pts.copy(), w.copy()
+    nan_pts[3, 1] = np.nan
+    inf_w[5] = np.inf
+    return [(nan_pts, w), (pts, inf_w), (pts[:, :2], w), (pts, w[:-1])]
+
+
+def test_hostile_input_is_rejected_before_anything_is_pinned(evaluator, cloud):
+    rng, pts, w = cloud
+    for bad_pts, bad_w in _hostile(pts, w):
+        with pytest.raises(ValueError, match="must"):
+            evaluator.evaluate(bad_pts, bad_w, pts)
+    with pytest.raises(ValueError, match="points must be finite"):
+        evaluator.evaluate(pts, w, _hostile(pts, w)[0][0])  # NaN target
+    with EvaluatorSession(evaluator) as fresh:
+        good = fresh.submit(pts, w)
+    with EvaluatorSession(evaluator) as sess:
+        for bad_pts, bad_w in _hostile(pts, w):
+            with pytest.raises(ValueError, match="must"):
+                sess.submit(bad_pts, bad_w)
+            # a rejected first submit pins no frame
+            assert sess.domain is None and sess.stats["submits"] == 0
+        assert np.array_equal(sess.submit(pts, w), good)
+        # ... and a rejected later one leaves the warm state intact
+        domain, trees = sess.domain, _counters()
+        for bad_pts, bad_w in _hostile(pts, w):
+            with pytest.raises(ValueError, match="must"):
+                sess.submit(bad_pts, bad_w)
+        assert sess.domain is domain
+        assert np.array_equal(sess.submit(pts, w), good)
+        assert _counters() == trees
+
+
 @pytest.mark.parallel
 def test_parallel_session_bit_identical():
     rng = np.random.default_rng(7)
@@ -350,3 +384,49 @@ def test_worker_kill_without_respawn_budget_fails_cleanly():
         assert sess._parallel is None
         assert np.array_equal(sess.submit(pts, w), cold)
     assert ShmArena.leaked() == []
+
+
+@pytest.mark.parallel
+def test_rejected_submit_keeps_one_fleet_and_close_reaps_it():
+    """A submit refused for its arguments is not a service failure: the
+    fleet stays (one fleet, not a second one beside an orphan), the shared
+    arrays are untouched, and close() leaves no process, segment or
+    temp dir."""
+    import glob
+    import multiprocessing
+    import os
+    import tempfile
+
+    from repro.hpx.gas import ShmArena
+
+    def op_dirs():
+        return set(glob.glob(os.path.join(tempfile.gettempdir(), "hmmops_*")))
+
+    rng = np.random.default_rng(14)
+    n = 300
+    pts = rng.random((n, 3))
+    w = rng.random(n)
+    dirs_before = op_dirs()
+    with EvaluatorSession(_parallel_evaluator()) as sess:
+        good = sess.submit(pts, w)
+        svc = sess._parallel
+        children = multiprocessing.active_children()
+        assert len(children) == 2
+        arena = {name: svc._arena.get(name).copy() for name in ("sources", "weights", "targets")}
+        for bad_pts, bad_w in _hostile(pts, w):
+            with pytest.raises(ValueError, match="must"):
+                sess.submit(bad_pts, bad_w)
+            # the service itself refuses before a byte reaches the arena
+            with pytest.raises(ValueError):
+                svc.submit(bad_pts, bad_w, bad_pts)
+        with pytest.raises(ValueError, match="weights must have shape"):
+            svc.submit(pts, w[:-1], pts)
+        assert sess._parallel is svc and svc._failed is None
+        assert multiprocessing.active_children() == children
+        for name, kept in arena.items():
+            assert np.array_equal(svc._arena.get(name), kept)
+        assert np.array_equal(sess.submit(pts, w), good)
+        assert svc.respawns == 0
+    assert multiprocessing.active_children() == []
+    assert ShmArena.leaked() == []
+    assert op_dirs() == dirs_before
