@@ -537,11 +537,12 @@ class PersistentParallelService:
     def start(self, sources, weights, targets):
         """Spawn workers and run the cold round."""
         from repro.hpx.gas import ShmArena
-        from repro.tree.dualtree import build_dual_tree
+        from repro.tree.dualtree import build_dual_tree, checked_weights
 
         ev = self.evaluator
         sources = np.ascontiguousarray(sources, dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        # not a bare cast: that would drop an imaginary part unseen
+        weights = np.ascontiguousarray(checked_weights(weights, len(sources)))
         targets = np.ascontiguousarray(targets, dtype=np.float64)
         self._n_src, self._n_tgt = len(sources), len(targets)
         self._dual = build_dual_tree(
@@ -672,11 +673,12 @@ class PersistentParallelService:
     # -- rounds ------------------------------------------------------------------
     def submit(self, sources, weights, targets):
         """One warm round: overwrite inputs in place, GO, read result."""
+        from repro.tree.dualtree import checked_weights
         from repro.tree.incremental import update_dual_tree
 
         self._check_usable()
         sources = np.ascontiguousarray(sources, dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        weights = np.ascontiguousarray(checked_weights(weights, len(sources)))
         targets = np.ascontiguousarray(targets, dtype=np.float64)
         if not self.compatible(len(sources), len(targets)):
             raise ValueError("a running service cannot change its point counts")

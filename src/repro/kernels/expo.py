@@ -21,6 +21,16 @@ of points whose separation along ``d`` lies in the quadrature's design
 range; this is asserted in the test suite for both kernels.  The
 box-to-box operators M->I and I->L are least-squares fits against these
 analytic primitives (see :mod:`repro.kernels.fitops`).
+
+The quadrature carries only the azimuths in ``[0, pi)`` of each
+lambda-node, with doubled weights ``w_f``
+(:mod:`repro.kernels.quadrature`): the term at ``a_f + pi`` is the
+complex conjugate of the carried one at every stage above, provided the
+charges ``q_i`` are real.  Amplitudes are therefore meaningful only
+under the real part that ends every chain (``w2t`` here, L->T behind
+I->L), and only for real charges - which the tree layer checks on input.
+The functions of this module are elementwise in ``f`` and know nothing
+of the partners.
 """
 
 from __future__ import annotations

@@ -58,10 +58,11 @@ from scipy.linalg import svd
 from repro.kernels.base import Kernel
 from repro.kernels.expo import DIRECTIONS, frame, i2i_factor, p2w_matrix
 from repro.kernels.quadrature import build_quadrature
+from repro.kernels.sphharm import idx
 
 #: bump when the fitting procedure or the on-disk layout changes; caches
 #: written with a different version are rejected on load
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 _OCTANTS = [
     np.array([(0.5 if b else -0.5) / 2.0 for b in ((o >> 0) & 1, (o >> 1) & 1, (o >> 2) & 1)])
@@ -343,13 +344,32 @@ class OperatorFactory:
         same for every direction (``frame("+z")`` is the identity); only
         the right-hand sides see the cone rotated to ``local @ frame(d)``.
 
-        The factor is the one large one (about 12 MB at p=6) and is
+        The quadrature carries half of each node's azimuths; the term at
+        ``a + pi`` has the conjugate amplitude (real charges).  A local
+        expansion needs both, ``L = A V + B conj(V)``, which is linear in
+        ``(Re V, Im V)``: the left-hand side is the *real* design
+        ``[Re H, Im H]`` of the carried rows ``H`` (it spans what the
+        full-circle rows span), and the fitted ``L ~ Ya Re V + Yb Im V``
+        gives ``A = (Ya - i Yb)/2``, ``B = (Ya + i Yb)/2``.  What is
+        stored is the complex-linear ``X = A + P conj(B[flip])``
+        (``flip`` sends coefficient (n, m) to (n, -m), ``P = (-1)^m``).
+        L->T evaluates ``Re(E L)`` with ``conj(E_nm) = (-1)^m E_n,-m``,
+        so ``Re(E B conj(V)) = Re(conj(E) conj(B) V) = Re(E X_B V)`` with
+        ``X_B = P conj(B[flip])``: ``X V`` and ``L`` give the same
+        potentials, to roundoff.  That survives L->L, whose operators
+        are fitted on real-charge locals and so commute with the
+        symmetry ``c_nm -> (-1)^m conj(c_n,-m)`` that ``X V - L`` is odd
+        under.  Like the amplitudes, ``X V`` is meaningful only under
+        the real part.
+
+        The factor is the one large one (about 7 MB at p=6) and is
         dropped on return; directions a loaded cache already holds keep
         their loaded operators.
         """
         k = self.kernel
         quad = self.quadrature(scale)
-        n = quad.nterms + 2 * self.n_extra
+        nt = quad.nterms
+        n = 2 * (nt + self.n_extra)
         rng = self._rng("plane-wave-cone")
         uz = rng.uniform(-3.5, -1.5, size=n)
         ux = rng.uniform(-3.5, 3.5, size=n)
@@ -358,12 +378,17 @@ class OperatorFactory:
         # incoming amplitudes of each sample: outgoing from the source
         # position, translated to the target center.  Using p2w around
         # the target center directly encodes both steps.
-        factor = self._factor(p2w_matrix(quad, "+z", local, scale))
+        waves = p2w_matrix(quad, "+z", local, scale)
+        factor = self._factor(np.hstack([waves.real, waves.imag]))
         lo = np.hstack([k.p2l_matrix(local @ frame(d), scale) for d in DIRECTIONS])
-        ops = factor.fit(lo)  # (6 * size, nterms)
+        y = factor.fit(lo).reshape(len(DIRECTIONS), k.size, 2 * nt)
+        a = (y[..., :nt] - 1j * y[..., nt:]) / 2.0
+        b = (y[..., :nt] + 1j * y[..., nt:]) / 2.0
+        flip = idx(k.harm.ns, -k.harm.ms)
+        parity = ((-1.0) ** k.harm.ms)[:, None]
         level = k.level_key(scale)
-        for i, d in enumerate(DIRECTIONS):
-            self._cache.setdefault(("i2l", d, level), ops[i * k.size : (i + 1) * k.size])
+        for d, op in zip(DIRECTIONS, a + parity * b[:, flip].conj()):
+            self._cache.setdefault(("i2l", d, level), op)
 
     def i2l(self, direction: str, scale: float) -> np.ndarray:
         """Incoming plane-wave amplitudes -> target local (I->L).

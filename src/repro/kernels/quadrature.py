@@ -15,8 +15,21 @@ rules numerically:
    interpolation") of the matrix of candidate basis functions
    ``e^{-t z} J_0(lam rho)`` sampled over the translation geometry,
 3. re-fit the weights by least squares against the exact kernel,
-4. choose the number of equispaced azimuthal points per node by
-   directly testing the trapezoid rule's error in reproducing J_0.
+4. choose the (even) number ``M_k`` of equispaced azimuthal points per
+   node by directly testing the trapezoid rule's error in reproducing
+   J_0,
+5. carry only the ``M_k/2`` azimuths in ``[0, pi)``, with doubled
+   weights.  Azimuths ``a`` and ``a + pi`` of one node give
+   complex-conjugate exponentials, so for *real* charges the partner's
+   amplitude is the conjugate of the carried one through every stage of
+   P->W -> I->I, and the full-circle sum is twice the real part of the
+   half-circle sum.  Every consumer of plane-wave amplitudes ends in a
+   real part (``w2t``, and L->T behind I->L), so the half rule
+   reproduces the kernel unchanged; the amplitudes themselves are
+   meaningful only under that real part, and only for real charges.
+   The one stage that is not elementwise in the terms, the fit of I->L,
+   restores the partners' contribution itself
+   (:meth:`repro.kernels.fitops.OperatorFactory._fit_i2l_family`).
 
 The resulting rules are somewhat longer than the paper's optimal ones
 (documented in DESIGN.md); the cost model uses paper-calibrated message
@@ -44,20 +57,22 @@ RHO_MAX = 4.0 * np.sqrt(2.0)
 class ExpoQuadrature:
     """A discretized exponential representation, flattened over terms.
 
-    The representation is ``G(u) ~ sum_f w[f] e^{-t[f] u_z}
-    e^{i lam[f] (u_x cosa[f] + u_y sina[f])}`` where ``f`` runs over all
-    (node, azimuth) pairs.  ``node_counts[k]`` gives the number of
-    azimuthal terms of lambda-node ``k``.
+    The representation is ``G(u) ~ Re sum_f w[f] e^{-t[f] u_z}
+    e^{i lam[f] (u_x cosa[f] + u_y sina[f])}`` where ``f`` runs over the
+    carried (node, azimuth) pairs: the azimuths in ``[0, pi)`` of each
+    node's full-circle trapezoid rule.  ``node_counts[k]`` is the (even)
+    full-circle count ``M_k`` of lambda-node ``k``, of which ``M_k/2``
+    terms are carried.
     """
 
     lams: np.ndarray  # (s,) lambda nodes
     weights: np.ndarray  # (s,) fitted weights (include nu(lam))
-    node_counts: np.ndarray  # (s,) azimuthal points per node
+    node_counts: np.ndarray  # (s,) full-circle azimuthal points per node (even)
     ts: np.ndarray  # (s,) decay rates t(lam)
     # flattened per-term arrays
     lam_f: np.ndarray
     t_f: np.ndarray
-    w_f: np.ndarray  # weights[k] / node_counts[k]
+    w_f: np.ndarray  # weights[k] / (node_counts[k] / 2): partner's share included
     cosa: np.ndarray
     sina: np.ndarray
     eps: float
@@ -163,10 +178,13 @@ def build_quadrature(
         counts.append(_azimuth_count(lam_k, rho_max, min(0.3, tol_k)))
     counts = np.array(counts, dtype=int)
 
-    lam_f = np.repeat(lams, counts)
-    t_f = np.repeat(ts, counts)
-    w_f = np.repeat(weights / counts, counts)
-    ang = np.concatenate([2.0 * np.pi * np.arange(m) / m for m in counts])
+    # carry the [0, pi) half of each node's circle; the doubled weight
+    # stands in for the conjugate partner at a + pi
+    half = counts // 2
+    lam_f = np.repeat(lams, half)
+    t_f = np.repeat(ts, half)
+    w_f = np.repeat(weights / half, half)
+    ang = np.concatenate([2.0 * np.pi * np.arange(m // 2) / m for m in counts])
     return ExpoQuadrature(
         lams=lams,
         weights=weights,

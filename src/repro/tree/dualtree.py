@@ -197,8 +197,12 @@ def checked_points(points) -> np.ndarray:
 
 
 def checked_weights(weights, n: int) -> np.ndarray:
-    """``weights`` as a float array, or ``ValueError``: shape (n,), finite."""
-    weights = np.asarray(weights, dtype=float)
+    """``weights`` as a float array, or ``ValueError``: shape (n,), finite,
+    real (the plane-wave rule carries half its terms and relies on it)."""
+    weights = np.asarray(weights)
+    if np.iscomplexobj(weights) and np.any(weights.imag != 0):
+        raise ValueError("weights must be real (found a non-zero imaginary part)")
+    weights = np.asarray(weights.real, dtype=float)
     if weights.shape != (n,):
         raise ValueError("weights must have shape (N,)")
     if not np.isfinite(weights).all():

@@ -15,23 +15,56 @@ Two opt-in markers keep the default ``pytest -x -q`` lane fast:
 Tests carrying either marker are skipped unless a ``-m`` expression
 selects markers explicitly (``pytest -m fuzz``, ``pytest -m "slow or
 fuzz"``, ...).
+
+The session runs with BLAS capped at one thread (see below), so no lane
+depends on a hand-set environment.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+import sys
 
-from repro.kernels.fitops import OperatorFactory
-from repro.kernels.laplace import LaplaceKernel
-from repro.kernels.yukawa import YukawaKernel
+# Workers of the real-parallel backend cap their BLAS at one thread; the
+# ``parallel`` tests compare their potentials bit for bit with this
+# process, whose operator fits differ in the last bits under any other
+# thread count.  BLAS reads the caps when it is loaded, so they are set
+# here, before the first numpy import of the test session.
+_THREAD_ENV = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+_BLAS_PINNED = "numpy" not in sys.modules or all(
+    os.environ.get(var) == "1" for var in _THREAD_ENV
+)
+os.environ.update(dict.fromkeys(_THREAD_ENV, "1"))
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.hpx import parallel  # noqa: E402
+from repro.kernels.fitops import OperatorFactory  # noqa: E402
+from repro.kernels.laplace import LaplaceKernel  # noqa: E402
+from repro.kernels.yukawa import YukawaKernel  # noqa: E402
+
+assert _THREAD_ENV == parallel._THREAD_ENV
 
 OPT_IN_MARKERS = ("slow", "fuzz", "parallel")
 
 
+@pytest.hookimpl(trylast=True)  # after ``-m`` has deselected
 def pytest_collection_modifyitems(config, items):
     if config.getoption("-m"):
-        return  # an explicit marker expression overrides the default skip
+        # an explicit marker expression overrides the default skip
+        if not _BLAS_PINNED and any("parallel" in item.keywords for item in items):
+            raise pytest.UsageError(
+                "numpy was imported before tests/conftest.py could cap its BLAS: "
+                "the parallel tests compare one-thread workers with this process "
+                f"bit for bit, so export {'=1 '.join(_THREAD_ENV)}=1 and rerun"
+            )
+        return
     for marker in OPT_IN_MARKERS:
         skip = pytest.mark.skip(reason=f"{marker} test: select with -m {marker}")
         for item in items:

@@ -74,6 +74,44 @@ def test_chain_yukawa(yukawa):
     assert np.max(np.abs(phi - exact)) / np.max(np.abs(exact)) < 1e-3
 
 
+def _full_circle_sum(quad, direction, src, q, tgt, delta, scale):
+    """The rule the carried half stands for: every azimuth ``2 pi j/M_k``,
+    ``j < M_k``, of every node with weight ``weights[k]/M_k``, summed
+    term by term for each (target, source) pair."""
+    counts = quad.node_counts
+    lam = np.repeat(quad.lams, counts)
+    t = np.repeat(quad.ts, counts)
+    w = np.repeat(quad.weights / counts, counts)
+    ang = np.concatenate([2.0 * np.pi * np.arange(m) / m for m in counts])
+    u = ((tgt + delta)[:, None, :] - src[None, :, :]) @ frame(direction).T  # (T, S, 3)
+    terms = (w / scale) * np.exp(
+        -u[..., 2, None] * t
+        + 1j * lam * (u[..., 0, None] * np.cos(ang) + u[..., 1, None] * np.sin(ang))
+    )
+    total = np.einsum("tsf,s->t", terms, q)
+    assert np.max(np.abs(total.imag)) < 1e-12 * np.max(np.abs(total.real))
+    return total.real
+
+
+@pytest.mark.parametrize("kern", ["laplace", "yukawa"])
+@pytest.mark.parametrize("delta", [(0, 0, 2), (1, -2, 3), (-3, 1, 1), (2, 3, -1)])
+def test_half_rule_chain_equals_full_circle_sum(kern, delta, laplace, yukawa):
+    """Carrying the [0, pi) azimuths with doubled weights and taking the
+    real part is the full-circle rule, to roundoff - not to eps."""
+    k = laplace if kern == "laplace" else yukawa
+    scale = 0.5
+    quad = build_quadrature(k, scale, eps=1e-4)
+    d = assign_direction(delta)
+    src = RNG.uniform(-0.5, 0.5, (25, 3))
+    q = RNG.normal(size=25)
+    tgt = RNG.uniform(-0.5, 0.5, (15, 3))
+    delta = np.asarray(delta, dtype=float)
+    V = p2w(quad, d, src, q, scale) * i2i_factor(quad, d, delta)
+    phi = w2t(quad, d, V, tgt)
+    full = _full_circle_sum(quad, d, src, q, tgt, delta, scale)
+    assert np.max(np.abs(phi - full)) / np.max(np.abs(full)) < 1e-12
+
+
 def test_i2i_composes(laplace):
     """Translating by a+b equals translating by a then by b (diagonal)."""
     quad = build_quadrature(laplace, 0.5, eps=1e-3)

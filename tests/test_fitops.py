@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.dashmm.evaluator import DashmmEvaluator
-from repro.kernels.expo import DIRECTIONS, assign_direction
+from repro.kernels.expo import DIRECTIONS, assign_direction, frame, i2i_factor, p2w
 from repro.kernels.fitops import OperatorFactory, SpaceFactor, octant_offset
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.yukawa import YukawaKernel
+from repro.workloads.distributions import random_charges
 
 RNG = np.random.default_rng(55)
 
@@ -101,7 +102,9 @@ def test_exponential_chain_accuracy(kern, laplace, yukawa, laplace_factory, yuka
     h = 0.5
     src, q = _sources()
     M = k.p2m(src, q, h)
-    for delta in [(0, 0, 2), (1, 3, -2), (-3, 1, 0)]:
+    deltas = [(0, 0, 2), (1, 3, -2), (-3, 1, 0), (1, -1, -3), (2, 0, 1), (0, -2, 1)]
+    assert {assign_direction(delta) for delta in deltas} == set(DIRECTIONS)
+    for delta in deltas:
         d = assign_direction(delta)
         W = F.m2i(d, h) @ M
         V = W * F.i2i(d, delta, h)
@@ -177,6 +180,42 @@ def test_i2l_alone_or_through_the_stack_is_bit_identical():
     assert stacked.cache_stats()["factorizations"] == 1
 
 
+@pytest.mark.parametrize("kern", ["laplace", "yukawa"])
+def test_i2l_fold_equals_the_unfolded_pair_under_l2t(kern, monkeypatch):
+    """The stored I->L operator is complex-linear in the carried
+    amplitudes; the fit behind it is ``L = Ya Re V + Yb Im V`` (i.e.
+    ``A V + B conj(V)``, the carried terms plus their conjugate
+    partners).  Both must give the same L->T potentials."""
+    k = LaplaceKernel(4) if kern == "laplace" else YukawaKernel(4, lam=2.0)
+    factory = OperatorFactory(k, eps=1e-3, n_extra=16, seed=11)
+    fitted, fit = [], SpaceFactor.fit
+
+    def recording_fit(self, outputs):
+        fitted.append(fit(self, outputs))
+        return fitted[-1]
+
+    monkeypatch.setattr(SpaceFactor, "fit", recording_fit)
+    folded = {d: factory.i2l(d, H) for d in DIRECTIONS}
+    (y,) = fitted  # one real-design fit behind all six directions
+    quad = factory.quadrature(H)
+    nt = quad.nterms
+    assert y.shape == (6 * k.size, 2 * nt)
+    rng = np.random.default_rng(3)
+    tin = rng.uniform(-0.5, 0.5, (12, 3))
+    for i, d in enumerate(DIRECTIONS):
+        # incoming amplitudes of real charges two to three boxes up-cone
+        delta = np.array([1.0, -1.0, 2.0]) @ frame(d)
+        src, q = rng.uniform(-0.5, 0.5, (20, 3)), rng.normal(size=20)
+        V = p2w(quad, d, src, q, H) * i2i_factor(quad, d, delta)
+        rows = slice(i * k.size, (i + 1) * k.size)
+        unfolded = k.l2t(y[rows, :nt] @ V.real + y[rows, nt:] @ V.imag, tin, H)
+        gap = np.max(np.abs(k.l2t(folded[d] @ V, tin, H) - unfolded))
+        assert gap < 1e-12 * np.max(np.abs(unfolded))
+        # and the pair is a fit of the field, within the rule's accuracy
+        exact = k.direct((tin + delta) * H, src * H, q)
+        assert np.max(np.abs(unfolded - exact)) / np.max(np.abs(exact)) < 2e-2
+
+
 def test_m2i_alone_or_through_the_stack_is_bit_identical():
     alone, stacked = _small(), _small()
     first = alone.m2i("-y", H)
@@ -235,3 +274,24 @@ def test_yukawa_evaluate_factors_once_per_space_and_level():
     assert {s for s, _ in spaces} == {"M", "L", "I"}
     assert len(spaces) > 3
     assert factory.cache_stats()["factorizations"] == len(spaces)
+
+
+def test_canonical_slab_accuracy_pin():
+    """The ledger's canonical problem (benchmarks/perf/workloads.py: 32
+    points in each 8 x 8 x 2 level-3 leaf, seed 1, Laplace p=6, eps 1e-4,
+    threshold 60) and its error sample.  The plane-wave rule is the only
+    eps-sized term in it, so a change that moves this number changed the
+    rule or the I->L fit, not the roundoff."""
+    rng = np.random.default_rng(1)
+    cells = np.indices((8, 8, 2)).reshape(3, -1).T
+    points = ((cells[:, None, :] + rng.random((len(cells), 32, 3))) / 8.0).reshape(-1, 3)
+    points[:, 2] *= 0.96
+    weights = random_charges(len(points), 2)
+    factory = OperatorFactory(LaplaceKernel(6), eps=1e-4)
+    ev = DashmmEvaluator(factory.kernel, method="fmm", threshold=60, eps=1e-4, factory=factory)
+    potentials = ev.evaluate(points, weights, points).potentials
+    sample = np.linspace(0, len(points) - 1, 256).astype(int)
+    ref = factory.kernel.direct(points[sample], points, weights)
+    rel_err_l2 = np.linalg.norm(potentials[sample] - ref) / np.linalg.norm(ref)
+    assert rel_err_l2 == pytest.approx(1.4509e-4, rel=0.01)
+    assert factory.cache_stats()["factorizations"] == 3

@@ -92,10 +92,10 @@ def test_partial_i2l_cache_is_completed_without_touching_loaded(factory, tmp_pat
 
 
 def test_previous_format_version_rejected_then_refit(factory, tmp_path):
-    assert CACHE_FORMAT_VERSION == 3
+    assert CACHE_FORMAT_VERSION == 4
     ref = factory.m2m(0, 0.5)
-    old_sig = dict(factory.signature(), format=2)
-    path = tmp_path / "ops_v2.npz"
+    old_sig = dict(factory.signature(), format=3)
+    path = tmp_path / "ops_v3.npz"
     np.savez_compressed(
         path,
         __signature__=np.array(json.dumps(old_sig)),
@@ -112,7 +112,7 @@ def test_previous_format_version_rejected_then_refit(factory, tmp_path):
     stats = fresh.cache_stats()
     assert stats["misses"] == 1 and stats["factorizations"] == 1
     # and the default path of the new version does not name the old file
-    assert "_v3.npz" in fresh.default_cache_path(tmp_path).name
+    assert "_v4.npz" in fresh.default_cache_path(tmp_path).name
 
 
 def test_signature_mismatch_rejected(factory, tmp_path):

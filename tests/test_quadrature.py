@@ -49,20 +49,26 @@ def test_yukawa_length_depends_on_scale(yukawa):
 
 def test_flat_layout_consistency(laplace):
     quad = build_quadrature(laplace, 0.5, eps=1e-3)
-    assert quad.nterms == int(quad.node_counts.sum())
+    # the rule carries the [0, pi) half of each node's full circle
+    carried = quad.node_counts // 2
+    assert quad.nterms == int(carried.sum()) == int(quad.node_counts.sum()) // 2
     assert len(quad.lam_f) == len(quad.t_f) == len(quad.w_f) == len(quad.cosa)
-    # per-node flattened weights sum back to the node weight
+    # per-node flattened weights still sum to the node weight: each
+    # carried term holds its conjugate partner's share too
     pos = 0
-    for k, m in enumerate(quad.node_counts):
+    for k, m in enumerate(carried):
         assert np.allclose(quad.w_f[pos : pos + m].sum(), quad.weights[k])
+        ang = np.arctan2(quad.sina[pos : pos + m], quad.cosa[pos : pos + m])
+        assert np.allclose(ang, 2.0 * np.pi * np.arange(m) / quad.node_counts[k])
         pos += m
 
 
 def test_azimuthal_counts_even_and_bounded(laplace):
     quad = build_quadrature(laplace, 0.5, eps=1e-4)
-    assert np.all(quad.node_counts % 2 == 0)
+    assert np.all(quad.node_counts % 2 == 0)  # full circle: partners pair up
     assert np.all(quad.node_counts >= 4)
     assert np.all(quad.node_counts <= 256)
+    assert (quad.nnodes, quad.nterms) == (23, 313)
 
 
 def test_tighter_eps_needs_more_nodes(laplace):

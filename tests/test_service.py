@@ -226,11 +226,13 @@ def test_session_rejects_phantom_mode(kernel):
 
 
 def _hostile(pts, w):
-    """(points, charges) pairs a tree must refuse: non-finite or misshapen."""
-    nan_pts, inf_w = pts.copy(), w.copy()
+    """(points, charges) pairs a tree must refuse: non-finite, misshapen
+    or (the plane-wave rule carries half its terms) not real."""
+    nan_pts, inf_w, complex_w = pts.copy(), w.copy(), w.astype(complex)
     nan_pts[3, 1] = np.nan
     inf_w[5] = np.inf
-    return [(nan_pts, w), (pts, inf_w), (pts[:, :2], w), (pts, w[:-1])]
+    complex_w[7] += 0.5j
+    return [(nan_pts, w), (pts, inf_w), (pts[:, :2], w), (pts, w[:-1]), (pts, complex_w)]
 
 
 def test_hostile_input_is_rejected_before_anything_is_pinned(evaluator, cloud):
@@ -240,8 +242,14 @@ def test_hostile_input_is_rejected_before_anything_is_pinned(evaluator, cloud):
             evaluator.evaluate(bad_pts, bad_w, pts)
     with pytest.raises(ValueError, match="points must be finite"):
         evaluator.evaluate(pts, w, _hostile(pts, w)[0][0])  # NaN target
+    with pytest.raises(ValueError, match="weights must be real"):
+        evaluator.evaluate(*_hostile(pts, w)[-1], pts)
     with EvaluatorSession(evaluator) as fresh:
         good = fresh.submit(pts, w)
+        with pytest.raises(ValueError, match="weights must be real"):
+            fresh.submit(*_hostile(pts, w)[-1])
+        # a complex dtype alone is not an imaginary part
+        assert np.array_equal(fresh.submit(pts, w.astype(complex)), good)
     with EvaluatorSession(evaluator) as sess:
         for bad_pts, bad_w in _hostile(pts, w):
             with pytest.raises(ValueError, match="must"):
