@@ -26,11 +26,23 @@ each compiled on first use and dropped by
 Canonical composition (what makes every path produce the same bits):
 
 * every edge executes at its destination node's locality, and every
-  group key ends in that locality: a worker's groups are exactly the
-  simulator's groups of its rank, so the stacked GEMM operands agree
-  row for row;
-* within a group edges are ordered by ``(src, dst)`` (the bridge and
-  L->L) - an order that depends on the DAG only, never on the schedule;
+  GEMM group key ends in that locality: a worker's groups are exactly
+  the simulator's groups of its rank, so the stacked GEMM operands
+  agree row for row;
+* within a GEMM group (M->I, I->L, L->L) edges are ordered by
+  ``(src, dst)`` - an order that depends on the DAG only, never on the
+  schedule;
+* I->I is the one bridge class that is a sum per target and no GEMM: a
+  target row's value is ``P_t * sum_z Z^z * (sum of its offset-z source
+  rows, conj(P_s) applied)``, with the sources of each CSR row listed in
+  source *node id* order (``indptr``/``indices`` are built in that
+  order directly, never sorted by plan row), the offsets ``z`` ascending
+  and taken from all of the (level, direction)'s edges whatever the
+  rank, and the phases taken at the boxes' absolute lattice coordinates,
+  never relative to a plan's first row.  A row's sum therefore does not
+  depend on which other rows share its matrix, and the locality is not
+  part of the I->I group key: a rank's group is the row subset of the
+  full plan's;
 * leaf-output groups are visited in order of first appearance in the
   ``(src, dst)``-sorted edge list, which fixes the order in which
   contributions are added into each target point.
@@ -39,10 +51,11 @@ Canonical composition (what makes every path produce the same bits):
   position)``, the order an expansion LCO folds its inbox in.
 
 The source- and target-side intermediate expansions of one level live in
-two dense matrices, one row per node and ``6 * nterms`` columns
-(direction-major, :data:`FULL_DIRS` order); the plan holds the row of
-every node and, per I->I group, the gather rows, the rows of the level's
-table of distinct translations and the ``reduceat`` segment starts.
+two dense matrices, one row per node and one block of ``nterms`` columns
+per direction the level translates in at all (``BridgeLevel.dirs``, in
+:data:`FULL_DIRS` order - a slab never goes up or down, a third of the
+M->I and I->L width); the plan holds the row of every node and one
+:class:`Translation` per (level, direction).
 """
 
 from __future__ import annotations
@@ -51,15 +64,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.expo import frame
+
 #: canonical direction order of the dense plane-wave matrices and of the
-#: full-width M->I / I->L operator stacks
+#: M->I / I->L operator stacks (a level carries the subset it uses)
 FULL_DIRS = tuple(sorted(("+z", "-z", "+x", "-x", "+y", "-y")))
 _DIR_IDX = {d: i for i, d in enumerate(FULL_DIRS)}
+#: integer frame rows (e1, e2, d) per direction: lattice -> (u_x, u_y, u_z)
+_FRAMES = np.array([frame(d) for d in FULL_DIRS]).astype(np.int64)
 
 #: edge classes whose numeric value the plan computes after the drain
 BRIDGE_OPS = ("M2I", "I2I", "I2L", "L2L")
 OUTPUT_OPS = ("S2T", "M2T", "L2T")
 PLANNED_OPS = frozenset(BRIDGE_OPS + OUTPUT_OPS)
+
+
+@dataclass(frozen=True)
+class Translation:
+    """I->I of one (level, direction): ``V = P_t * sum_z Z^z * (A_z @
+    (conj(P_s) * W))`` as index data.
+
+    The translation factor of an edge, ``exp(-t u_z + i lam (u_x cos a +
+    u_y sin a))`` at ``u = frame(d) @ (c_t - c_s)``, separates into a
+    phase ``P`` of the target box, the conjugate phase of the source box
+    and a decay in the axial offset ``u_z``.  ``indptr``/``indices`` are
+    the 0/1 CSR matrices ``A_z`` stacked over ``offsets``: row ``i *
+    len(tgt_rows) + j`` lists, in source node id order, the entries of
+    ``src_rows`` that target ``tgt_rows[j]`` receives from at axial
+    offset ``offsets[i]``.
+    """
+
+    direction: int  # index into FULL_DIRS
+    src_rows: np.ndarray  # source-side matrix rows read, in node id order
+    tgt_rows: np.ndarray  # target-side matrix rows written, in node id order
+    #: distinct axial offsets of the (level, direction), ascending - of
+    #: all its edges, whatever the rank
+    offsets: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    #: transverse lattice coordinates (u_x, u_y) of the boxes behind
+    #: ``src_rows`` / ``tgt_rows``, absolute, in the direction's frame
+    src_uv: np.ndarray
+    tgt_uv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,13 +119,15 @@ class BridgeLevel:
     """
 
     level: int
+    #: indices into FULL_DIRS of the directions any I->I edge of the
+    #: level takes, on any rank: the column blocks of both matrices
+    dirs: tuple
     is_ids: list  # Is node id per row of the source-side matrix
     n_is_local: int
     it_ids: list  # It node id per row of the target-side matrix
     n_it_local: int
     m2i: list  # (first row, M node ids): one GEMM per group
-    deltas: list  # distinct (direction, delta) translations of the level
-    i2i: list  # (direction index, Is rows, delta rows, segment starts, It rows)
+    i2i: list  # Translation per direction with local edges
     i2l: list  # (It rows, L node ids): one GEMM per group
 
 
@@ -159,11 +207,14 @@ def _owed(src: np.ndarray, dst: np.ndarray, loc: np.ndarray, rank: int) -> dict:
     }
 
 
-def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
+def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     """Compile the flush stages of ``dag`` under its current localities.
 
-    ``rank`` restricts the plan to the edges executing at that locality
-    (the real-parallel worker's share); ``None`` takes all of them.
+    ``dual`` is the tree pair the DAG was assembled over; only its box
+    keys are read (the lattice coordinates behind the I->I phases), so a
+    plan outlives any rebind to a same-shape tree.  ``rank`` restricts
+    the plan to the edges executing at that locality (the real-parallel
+    worker's share); ``None`` takes all of them.
     """
     nodes = dag.nodes
     n = len(nodes)
@@ -195,18 +246,26 @@ def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
     order = np.lexsort((m_dst, m_src, loc[m_dst], level[m_src]))
     m_src, m_dst = m_src[order], m_dst[order]
 
-    pairs: dict[tuple, int] = {}
-    code = np.fromiter(
-        (pairs.setdefault(a, len(pairs)) for a in cols["I2I"][2]),
-        np.int64,
-        len(cols["I2I"][2]),
-    )
-    pair_list = list(pairs)
-    pair_dir = np.array([_DIR_IDX[d] for d, _ in pair_list], dtype=np.int64)
-    w_src, w_dst, code = endpoints("I2I", code)
-    w_dir = pair_dir[code]
-    order = np.lexsort((w_src, w_dst, loc[w_dst], w_dir, level[w_src]))
-    w_src, w_dst, w_dir, code = w_src[order], w_dst[order], w_dir[order], code[order]
+    # I->I: per edge the direction and the axial offset u_z = d . (c_t - c_s)
+    w_src, w_dst = every("I2I")
+    w_dir = np.array([_DIR_IDX[a[0]] for a in cols["I2I"][2]], dtype=np.int64)
+    sa, ta = dual.source.arrays, dual.target.arrays
+    s_xyz = np.stack([sa.ix, sa.iy, sa.iz], axis=1)
+    t_xyz = np.stack([ta.ix, ta.iy, ta.iz], axis=1)
+    axial = _FRAMES[w_dir, 2]
+    w_z = ((t_xyz[box[w_dst]] - s_xyz[box[w_src]]) * axial).sum(axis=1)
+    # the offsets of a (level, direction) are those of all its edges,
+    # before the rank takes its share
+    group = level[w_src] * len(FULL_DIRS) + w_dir
+    offsets_of = {
+        divmod(key, len(FULL_DIRS)): np.unique(w_z[group == key])
+        for key in np.unique(group).tolist()
+    }
+    if rank is not None:
+        keep = loc[w_dst] == rank
+        w_src, w_dst, w_dir, w_z = w_src[keep], w_dst[keep], w_dir[keep], w_z[keep]
+    order = np.lexsort((w_src, w_dst, w_z, w_dir, level[w_src]))
+    w_src, w_dst, w_dir, w_z = w_src[order], w_dst[order], w_dir[order], w_z[order]
 
     l_src, l_dst, _ = endpoints("I2L")
     order = np.lexsort((l_dst, l_src, loc[l_dst], level[l_src]))
@@ -216,37 +275,46 @@ def compile_flush_plan(dag, rank: int | None = None) -> FlushPlan:
     for lvl in np.unique(np.concatenate([level[m_src], level[w_src], level[l_src]])).tolist():
         ms, md = (a[level[m_src] == lvl] for a in (m_src, m_dst))
         at = level[w_src] == lvl
-        ws, wd, wdir, wcode = w_src[at], w_dst[at], w_dir[at], code[at]
+        ws, wd, wdir, wz = w_src[at], w_dst[at], w_dir[at], w_z[at]
         ls, ld = (a[level[l_src] == lvl] for a in (l_src, l_dst))
 
         is_rows, is_ids = _rows_of(ws, md)
         it_local = np.unique(wd)
-        it_of_dst = np.searchsorted(it_local, wd)
         it_rows, it_ids = _rows_of(ls, it_local)
-        used, delta_rows = np.unique(wcode, return_inverse=True)
 
         i2i = []
-        for lo, hi in _group_slices(wdir, loc[wd]):
-            dst = wd[lo:hi]
-            starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+        for lo, hi in _group_slices(wdir):
+            d = int(wdir[lo])
+            offsets = offsets_of[lvl, d]
+            src, first, col = np.unique(ws[lo:hi], return_index=True, return_inverse=True)
+            dst, row = np.unique(wd[lo:hi], return_inverse=True)
+            # edges arrive sorted by (offset, dst, src): the CSR rows in
+            # order, each row's sources in node id order
+            row += np.searchsorted(offsets, wz[lo:hi]) * len(dst)
+            indptr = np.zeros(len(offsets) * len(dst) + 1, dtype=np.int32)
+            np.cumsum(np.bincount(row, minlength=len(indptr) - 1), out=indptr[1:])
+            transverse = _FRAMES[d, :2].T
             i2i.append(
-                (
-                    int(wdir[lo]),
-                    is_rows[lo:hi],
-                    delta_rows[lo:hi],
-                    starts,
-                    it_of_dst[lo:hi][starts],
+                Translation(
+                    direction=d,
+                    src_rows=is_rows[lo:hi][first],
+                    tgt_rows=np.searchsorted(it_local, dst),
+                    offsets=offsets,
+                    indptr=indptr,
+                    indices=col.astype(np.int32),
+                    src_uv=s_xyz[box[src]] @ transverse,
+                    tgt_uv=t_xyz[box[dst]] @ transverse,
                 )
             )
         bridge.append(
             BridgeLevel(
                 level=lvl,
+                dirs=tuple(d for at_level, d in offsets_of if at_level == lvl),
                 is_ids=is_ids.tolist(),
                 n_is_local=len(md),
                 it_ids=it_ids.tolist(),
                 n_it_local=len(it_local),
                 m2i=[(lo, ms[lo:hi].tolist()) for lo, hi in _group_slices(loc[md])],
-                deltas=[pair_list[i] for i in used.tolist()],
                 i2i=i2i,
                 i2l=[
                     (it_rows[lo:hi], ld[lo:hi].tolist())

@@ -44,6 +44,7 @@ from repro.dashmm.dag import DAG, DagNode
 from repro.dashmm.flushplan import (
     FULL_DIRS,
     PLANNED_OPS,
+    BridgeLevel,
     EagerPlan,
     FlushPlan,
     compile_eager_plan,
@@ -54,6 +55,7 @@ from repro.hpx.parcel import Parcel
 from repro.hpx.runtime import Runtime
 from repro.hpx.scheduler import HIGH, LOW, Task
 from repro.kernels.base import Kernel, pair_distances
+from repro.kernels.expo import i2i_tables
 from repro.kernels.fitops import OperatorFactory
 from repro.sim.costmodel import CostModel, SizeModel
 
@@ -188,6 +190,8 @@ class Registrar:
         #: built on the first numeric flush, so phantom runs never pay
         #: for it, and kept for every later flush of this registrar
         self._plan: FlushPlan | None = None
+        #: level -> I->I phase tables and sparse matrices of ``_plan``
+        self._i2i_ops: dict[int, tuple] = {}
         #: the compiled eager section; only :meth:`run_eager` - a
         #: session - builds it, a drain computes those classes as dataflow
         self._eager: EagerPlan | None = None
@@ -411,7 +415,7 @@ class Registrar:
     def flush_plan(self) -> FlushPlan:
         """The compiled flush stages, built on first use."""
         if self._plan is None:
-            self._plan = compile_flush_plan(self.dag, self._rank)
+            self._plan = compile_flush_plan(self.dag, self.dual, self._rank)
         return self._plan
 
     def invalidate_plans(self) -> None:
@@ -423,6 +427,7 @@ class Registrar:
         those groups.  The next use recompiles from the DAG.
         """
         self._plan = self._eager = None
+        self._i2i_ops = {}
         if self.geom_cache:
             self.geom_cache.clear()
 
@@ -891,20 +896,21 @@ class Registrar:
 
     def _flush_m2i(self, plan: FlushPlan) -> None:
         """Outgoing plane waves of every source box: per (level,
-        locality) group one ``(edges, size) @ (size, 6 * nterms)``
-        product against the full-width direction stack, written straight
-        into the rows of the level's dense source-side matrix.  The
-        product reads the operator once for the whole group; directions
-        a node does not radiate into are computed and never gathered.
+        locality) group one ``(edges, size) @ (size, len(dirs) *
+        nterms)`` product against the stack of the directions the level
+        translates in, written straight into the rows of the level's
+        dense source-side matrix.  The product reads the operator once
+        for the whole group; of those directions, the ones a node does
+        not radiate into are computed and never gathered.
         """
         dom, lcos, data_of = self.dual.domain, self.lcos, self._data_of
         self._waves = {}
         for b in plan.bridge:
             h = dom.box_size(b.level)
-            width = len(FULL_DIRS) * self.factory.quadrature(h).nterms
+            width = len(b.dirs) * self.factory.quadrature(h).nterms
             src_side = np.empty((len(b.is_ids), width), dtype=complex)
             if b.m2i:
-                stack = self.factory.m2i_stack(FULL_DIRS, h)
+                stack = self.factory.m2i_stack(tuple(FULL_DIRS[d] for d in b.dirs), h)
             for lo, m_ids in b.m2i:
                 src_side[lo : lo + len(m_ids)] = (
                     np.stack([data_of(m) for m in m_ids]) @ stack.T
@@ -913,46 +919,81 @@ class Registrar:
                 lcos[nid].data = row
             self._waves[b.level] = [src_side, None]
 
+    def _i2i_operators(self, b: BridgeLevel) -> tuple:
+        """The level's phase/decay tables and one 0/1 CSR matrix per
+        :class:`~repro.dashmm.flushplan.Translation`, built on the first
+        flush of a plan: functions of the plan and the quadrature alone,
+        so they outlive every resubmission and drift."""
+        ops = self._i2i_ops.get(b.level)
+        if ops is None:
+            # phantom and per-edge runs never get here, nor pay the import
+            from scipy.sparse import csr_array
+
+            quad = self.factory.quadrature(self.dual.domain.box_size(b.level))
+            zmax = max((int(g.offsets[-1]) for g in b.i2i), default=0)
+            x, y, z = i2i_tables(quad, (1 << b.level) - 1, zmax)
+            mats = [
+                csr_array(
+                    (np.ones(len(g.indices)), g.indices, g.indptr),
+                    shape=(len(g.offsets) * len(g.tgt_rows), len(g.src_rows)),
+                )
+                for g in b.i2i
+            ]
+            ops = self._i2i_ops[b.level] = (x, y, z, mats)
+        return ops
+
     def _flush_i2i(self, plan: FlushPlan) -> None:
-        """Translated plane waves: per (direction, locality) group one
-        gather of source rows, one broadcast multiply by the gathered
-        translation factors and one segmented sum per target node,
-        scattered into the level's dense target-side matrix.  Each
-        (target node, direction) slot belongs to exactly one segment of
-        one group; slots no translation reaches stay zero.
+        """Translated plane waves, per (level, direction) as phase *
+        sparse sum * phase: the source rows times their conjugate
+        phases, one fused 0/1 sparse product on the float64 view that
+        sums every target's sources per axial offset, the offsets'
+        decays, the target phases - no per-edge multiply.  Each (target
+        node, direction) slot is written by exactly one row of one
+        translation; slots no translation reaches stay zero.
         """
-        dom, lcos, data_of = self.dual.domain, self.lcos, self._data_of
-        i2i = self.factory.i2i
+        lcos, data_of = self.lcos, self._data_of
         for b in plan.bridge:
             waves = self._waves[b.level]
             src_side = waves[0]
             for nid, row in zip(b.is_ids[b.n_is_local :], src_side[b.n_is_local :]):
                 row[:] = data_of(nid)
-            nt = src_side.shape[1] // len(FULL_DIRS)
+            nt = src_side.shape[1] // len(b.dirs)
             tgt_side = waves[1] = np.zeros((len(b.it_ids), src_side.shape[1]), dtype=complex)
-            if b.i2i:
-                h = dom.box_size(b.level)
-                table = np.stack([i2i(d, delta, h) for d, delta in b.deltas])
-            for d, is_rows, delta_rows, starts, it_rows in b.i2i:
-                lo = d * nt
-                waves_d = src_side[is_rows, lo : lo + nt]
-                waves_d *= table[delta_rows]
-                tgt_side[it_rows, lo : lo + nt] = np.add.reduceat(waves_d, starts, axis=0)
+            x, y, z, mats = self._i2i_operators(b)
+            kmax = len(x) // 2
+            for g, mat in zip(b.i2i, mats):
+                lo = b.dirs.index(g.direction) * nt
+                su, tu = kmax - g.src_uv, kmax + g.tgt_uv
+                waves_d = src_side[g.src_rows, lo : lo + nt]
+                waves_d *= x[su[:, 0]]
+                waves_d *= y[su[:, 1]]
+                sums = (mat @ waves_d.view(float)).view(complex).reshape(len(g.offsets), -1, nt)
+                acc = sums[0]
+                acc *= z[g.offsets[0]]
+                for zi, part in zip(g.offsets[1:], sums[1:]):
+                    part *= z[zi]
+                    acc += part
+                acc *= x[tu[:, 0]]
+                acc *= y[tu[:, 1]]
+                tgt_side[g.tgt_rows, lo : lo + nt] = acc
             for nid, row in zip(b.it_ids[: b.n_it_local], tgt_side):
                 lcos[nid].data = row
 
     def _flush_i2l(self, plan: FlushPlan) -> None:
         """Local-expansion contributions of the incoming plane waves:
         per (level, locality) group one GEMM of the gathered target-side
-        rows against the full-width direction stack (absent directions
-        are zero columns, which contribute exactly nothing)."""
+        rows against the stack of the level's directions (those a node
+        receives nothing from are zero columns, which contribute exactly
+        nothing)."""
         dom, data_of = self.dual.domain, self._data_of
         for b in plan.bridge:
             tgt_side = self._waves[b.level][1]
             for nid, row in zip(b.it_ids[b.n_it_local :], tgt_side[b.n_it_local :]):
                 row[:] = data_of(nid)
             if b.i2l:
-                stack = self.factory.i2l_stack(FULL_DIRS, dom.box_size(b.level))
+                stack = self.factory.i2l_stack(
+                    tuple(FULL_DIRS[d] for d in b.dirs), dom.box_size(b.level)
+                )
             for it_rows, l_ids in b.i2l:
                 self._accumulate(l_ids, tgt_side[it_rows] @ stack.T)
         self._waves = {}
@@ -996,13 +1037,14 @@ class Registrar:
         for g in plan.outputs:
             p_lo = ends[g.lo] - counts[g.lo]
             idx = point_idx[p_lo : ends[g.hi - 1]]
-            pts = tgt.points[idx]
+            # the target points are gathered chunk by chunk, and only
+            # where a chunk misses the geometry cache
             if g.op == "S2T":
                 sbox = src.boxes[plan.out_sbox[g.lo]]
                 spts = src.points[sbox.start : sbox.stop]
                 sw = src.weights[sbox.start : sbox.stop]
                 if not cached_direct:
-                    out = kernel.direct(pts, spts, sw)
+                    out = kernel.direct(tgt.points[idx], spts, sw)
                 else:
                     # Kernel.direct chunk for chunk, caching each
                     # chunk's greens matrix: it depends on the
@@ -1010,13 +1052,13 @@ class Registrar:
                     # matvec against the fresh charges.  Identical
                     # chunking and per-chunk matvec operands make hit
                     # and miss bit-identical to the uncached direct sum.
-                    out = np.zeros(len(pts))
-                    for lo in range(0, len(pts), 2048):
+                    out = np.zeros(len(idx))
+                    for lo in range(0, len(idx), 2048):
                         ck = (g.op, g.sub, g.loc, lo)
                         G = cache.get(ck)
                         if G is None:
                             G = cache[ck] = kernel.greens(
-                                pair_distances(pts[lo : lo + 2048], spts)
+                                pair_distances(tgt.points[idx[lo : lo + 2048]], spts)
                             )
                         out[lo : lo + 2048] = G @ sw
             else:
@@ -1034,13 +1076,13 @@ class Registrar:
                 # row-dot - the same (matrix * rows).sum contraction as
                 # m2t_rows / l2t_rows, hence bit-identical
                 matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
-                out = np.empty(len(pts))
-                for lo in range(0, len(pts), 2048):
+                out = np.empty(len(idx))
+                for lo in range(0, len(idx), 2048):
                     sel = eidx[lo : lo + 2048]
                     ck = (g.op, g.sub, g.loc, lo)
                     mat = cache.get(ck) if cache is not None else None
                     if mat is None:
-                        mat = matf((pts[lo : lo + 2048] - centers[sel]) / h, h)
+                        mat = matf((tgt.points[idx[lo : lo + 2048]] - centers[sel]) / h, h)
                         if cache is not None:
                             cache[ck] = mat
                     out[lo : lo + 2048] = (mat * coeffs[sel]).sum(axis=1).real

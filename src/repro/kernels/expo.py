@@ -117,3 +117,21 @@ def i2i_factor(quad: ExpoQuadrature, direction: str, delta: np.ndarray) -> np.nd
     return np.exp(
         -quad.t_f * u[2] + 1j * quad.lam_f * (u[0] * quad.cosa + u[1] * quad.sina)
     )
+
+
+def i2i_tables(quad: ExpoQuadrature, kmax: int, zmax: int) -> tuple:
+    """The separable pieces of :func:`i2i_factor` at integer coordinates.
+
+    With ``u_s``, ``u_t`` the lattice coordinates of the source and the
+    target box in the direction's frame, the factor at ``u_t - u_s`` is
+    ``P(u_t) * P(-u_s) * Z[u_t,z - u_s,z]`` where ``P(u) = X[kmax + u_x]
+    * Y[kmax + u_y]``: ``X`` and ``Y`` hold one row of unit-modulus
+    phases per transverse coordinate in ``[-kmax, kmax]``, ``Z`` one row
+    of decays per axial offset in ``[0, zmax]``.  None of them depends
+    on a direction, on the box geometry or on the charges.
+    """
+    k = np.arange(-kmax, kmax + 1)[:, None]
+    x = np.exp(1j * k * (quad.lam_f * quad.cosa))
+    y = np.exp(1j * k * (quad.lam_f * quad.sina))
+    z = np.exp(-np.arange(zmax + 1)[:, None] * quad.t_f)
+    return x, y, z

@@ -453,26 +453,6 @@ class OperatorFactory:
             self._cache[key] = op = i2i_factor(quad, direction, np.asarray(delta, dtype=float))
         return op
 
-    def i2i_factors(self, direction: str, deltas: tuple, scale: float) -> np.ndarray:
-        """Row-stacked I->I factors for several offsets of one direction.
-
-        One ``(len(deltas), nterms)`` array so a node's outgoing
-        amplitudes translate to every receiving cone in a single
-        broadcast multiply (rows in caller order).
-        """
-        key = (
-            "i2i_factors",
-            direction,
-            tuple(tuple(int(v) for v in d) for d in deltas),
-            self.kernel.level_key(scale),
-        )
-        op = self._lookup(key)
-        if op is None:
-            self._cache[key] = op = np.stack(
-                [self.i2i(direction, d, scale) for d in deltas]
-            )
-        return op
-
     def cache_stats(self) -> dict[str, int]:
         """Cached-operator counts per type, cache-probe hit/miss counters
         and the number of input-space factorizations performed."""

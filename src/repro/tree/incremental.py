@@ -273,6 +273,17 @@ def update_tree(
     :func:`~repro.tree.dualtree.build_tree` of the same points over the
     same domain; the old tree is never mutated.
     """
+    return _update_tree(tree, points, weights, None)
+
+
+def _update_tree(
+    tree: Tree,
+    points: np.ndarray,
+    weights: np.ndarray | None,
+    order: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[Tree, str]:
+    """:func:`update_tree`; ``order`` is the ``(perm, deep_sorted)`` of
+    these very points over ``tree.domain`` when a caller already has it."""
     points = checked_points(points)
     domain = tree.domain
     if len(points) != tree.n_points or tree.deep_sorted is None:
@@ -280,9 +291,12 @@ def update_tree(
         return new, "rebuilt"
 
     n = len(points)
-    deep = encode_points(points, domain.origin, domain.size, DEEP_LEVEL)
-    perm = np.argsort(deep, kind="stable")
-    deep_sorted = deep[perm]
+    if order is None:
+        deep = encode_points(points, domain.origin, domain.size, DEEP_LEVEL)
+        perm = np.argsort(deep, kind="stable")
+        deep_sorted = deep[perm]
+    else:
+        perm, deep_sorted = order
     points_sorted = points[perm]
     weights_sorted = None
     if weights is not None:
@@ -351,7 +365,10 @@ def update_dual_tree(
     rebuild from scratch instead.
     """
     src, s_status = update_tree(dual.source, sources, weights=source_weights)
-    tgt, t_status = update_tree(dual.target, targets)
+    # one ensemble on both sides (every default submit): the two trees
+    # share a domain, hence the Morton keys and their sort
+    order = (src.perm, src.deep_sorted) if targets is sources and s_status != "rebuilt" else None
+    tgt, t_status = _update_tree(dual.target, targets, None, order)
     new = DualTree(
         domain=dual.domain, source=src, target=tgt, threshold=dual.threshold
     )

@@ -219,21 +219,22 @@ def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud):
 def _groups(plan) -> dict:
     """Every stage's groups with plan-relative rows resolved to node ids,
     so a rank's groups compare equal to the full plan's."""
-    out: dict = {"m2i": [], "i2i": [], "i2l": []}
+    out: dict = {"dirs": {}, "m2i": [], "i2i": [], "i2l": []}
     for b in plan.bridge:
         is_ids, it_ids = np.array(b.is_ids), np.array(b.it_ids)
+        out["dirs"][b.level] = b.dirs
         out["m2i"] += [(b.level, tuple(b.is_ids[lo : lo + len(m)]), tuple(m)) for lo, m in b.m2i]
-        out["i2i"] += [
-            (
-                b.level,
-                d,
-                tuple(is_ids[rows]),
-                tuple(b.deltas[i] for i in delta_rows),
-                tuple(starts),
-                tuple(it_ids[it_rows]),
-            )
-            for d, rows, delta_rows, starts, it_rows in b.i2i
-        ]
+        # one entry per (target, direction): its sources per axial
+        # offset, in CSR order, with both ends' transverse coordinates
+        for g in b.i2i:
+            src = [(int(i), tuple(uv)) for i, uv in zip(is_ids[g.src_rows], g.src_uv.tolist())]
+            n_t = len(g.tgt_rows)
+            for j, (t, uv) in enumerate(zip(it_ids[g.tgt_rows].tolist(), g.tgt_uv.tolist())):
+                lists = tuple(
+                    tuple(src[c] for c in g.indices[g.indptr[r] : g.indptr[r + 1]])
+                    for r in range(j, len(g.offsets) * n_t, n_t)
+                )
+                out["i2i"].append((b.level, g.direction, t, tuple(uv), tuple(g.offsets), lists))
         out["i2l"] += [(b.level, tuple(it_ids[rows]), tuple(ls)) for rows, ls in b.i2l]
     for level, groups in plan.l2l:
         out["l2l", level] = [(o, tuple(ps), tuple(cs)) for o, ps, cs in groups]
@@ -270,8 +271,8 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
         node.locality = rank
     ranks = range(n_localities)
 
-    full = compile_flush_plan(dag)
-    plans = [compile_flush_plan(dag, r) for r in ranks]
+    full = compile_flush_plan(dag, dual)
+    plans = [compile_flush_plan(dag, dual, r) for r in ranks]
     assert full.sends == {}
 
     # the ranks' groups partition the full plan's, stage by stage; leaf
@@ -279,6 +280,9 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
     whole = _groups(full)
     parts = [_groups(p) for p in plans]
     assert all(set(part) == set(whole) for part in parts)
+    # the column blocks of a level are a fact of the DAG, not of the rank
+    dirs = whole.pop("dirs")
+    assert all(part.pop("dirs").items() <= dirs.items() for part in parts)
     for stage, groups in whole.items():
         assert len(set(groups)) == len(groups)
         assert sorted(g for part in parts for g in part[stage]) == sorted(groups)
@@ -326,3 +330,117 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
         assert any(n for stage, n in crossing.items() if stage[0] == "l2l")
     if method == "fmm":
         assert crossing["i2i"] and crossing["i2l"]
+
+
+UNIT = Domain(origin=np.zeros(3), size=1.0)
+
+
+def _stratified(cells, per_cell, scale, offset=0.0, seed=5):
+    """``per_cell`` uniform points in each cell of a ``cells`` grid of
+    edge ``scale``: the leaves of the tree, whatever the seed."""
+    rng = np.random.default_rng(seed)
+    grid = np.indices(cells).reshape(3, -1).T
+    pts = (grid[:, None, :] + rng.uniform(0.05, 0.95, (len(grid), per_cell, 3))) * scale
+    return pts.reshape(-1, 3) + offset
+
+
+_ALL_SIX = {"+x", "-x", "+y", "-y", "+z", "-z"}
+_FLAT = {"+x", "-x", "+y", "-y"}
+#: name -> (points, threshold, kernels, {level: directions of its I->I edges})
+TRANSLATION_PROBLEMS = {
+    # 8 x 8 x 8 leaves at level 3: every direction at both levels
+    "cube": (_stratified((8, 8, 8), 3, 1 / 8), 5, ("laplace",), {2: _ALL_SIX, 3: _ALL_SIX}),
+    # the ledger's slab, 8 x 8 x 2 leaves: nothing translates up or down
+    "slab": (_stratified((8, 8, 2), 4, 1 / 8), 8, ("laplace", "yukawa"), {2: _FLAT, 3: _FLAT}),
+    # 8 x 8 x 8 leaves at level 6 in the far corner of the domain, one
+    # point in each other octant: lattice coordinates 56..63
+    "deep": (
+        np.vstack(
+            [
+                _stratified((8, 8, 8), 2, 1 / 64, offset=7 / 8),
+                0.5 * np.indices((2, 2, 2)).reshape(3, -1).T[:-1] + 0.1,
+            ]
+        ),
+        3,
+        ("laplace",),
+        {5: _ALL_SIX, 6: _ALL_SIX},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "problem, kname",
+    [(name, k) for name, spec in TRANSLATION_PROBLEMS.items() for k in spec[2]],
+)
+def test_i2i_factored_equals_per_edge(factories, problem, kname):
+    """phase * 0/1-sparse sum * phase against the sum it factors: every
+    edge's source block times ``factory.i2i`` at the edge's own offset."""
+    from repro.dashmm.flushplan import FULL_DIRS
+
+    factory = factories[kname]
+    pts, threshold, _, directions = TRANSLATION_PROBLEMS[problem]
+    w = np.random.default_rng(6).normal(size=len(pts))
+    ev = DashmmEvaluator(
+        factory.kernel, method="fmm", threshold=threshold, eps=1e-3, factory=factory
+    )
+    with EvaluatorSession(ev, domain=UNIT) as session:
+        session.submit(pts, w)
+        reg = session._current.registrar
+    dag, plan = reg.dag, reg.flush_plan()
+    assert {b.level: {FULL_DIRS[d] for d in b.dirs} for b in plan.bridge} == directions
+    if kname == "yukawa":
+        assert len({factory.kernel.level_key(UNIT.box_size(b.level)) for b in plan.bridge}) == 2
+
+    for b in plan.bridge:
+        h = UNIT.box_size(b.level)
+        nt = factory.quadrature(h).nterms
+        block = {FULL_DIRS[d]: slice(i * nt, (i + 1) * nt) for i, d in enumerate(b.dirs)}
+        expected = {t: np.zeros(len(b.dirs) * nt, dtype=complex) for t in b.it_ids}
+        for s in b.is_ids:
+            W = reg.lcos[s].data
+            assert W.shape == (len(b.dirs) * nt,)  # unused directions are not carried
+            for e in dag.out_edges[s]:
+                d, delta = e.aux
+                expected[e.dst][block[d]] += W[block[d]] * factory.i2i(d, delta, h)
+        got = np.stack([reg.lcos[t].data for t in b.it_ids])
+        want = np.stack([expected[t] for t in b.it_ids])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if problem == "deep":
+        coords = np.concatenate([np.abs(g.tgt_uv).ravel() for g in plan.bridge[-1].i2i])
+        assert plan.bridge[-1].level == 6 and coords.max() == 63
+
+
+def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
+    """A 4-rank partition under a random scatter: each rank runs M->I
+    and I->I of its own plan - other row sets, other matrix shapes - and
+    its It rows come out bit-identical to the full plan's."""
+    from types import SimpleNamespace
+
+    factory = factories["laplace"]
+    pts, w, domain = _corner_problem(cloud)
+    cfg = RuntimeConfig(n_localities=4)
+    ev = _evaluator(factory, "fmm", RandomPolicy(seed=3), config=cfg)
+    with EvaluatorSession(ev, domain=domain) as session:
+        session.submit(pts, w)
+        full = session._current.registrar
+    kinds = {"M", "Is", "It"}
+    data = {nid: lco.data.copy() for nid, lco in full.lcos.items() if lco.node.kind in kinds}
+    written = 0
+    for rank in range(4):
+        reg = Registrar(Runtime(cfg), full.dag, full.dual, factory.kernel, factory)
+        reg._rank = rank
+        # the rank reads everyone's multipoles and source-side rows from
+        # its mirror; it must produce the target-side rows itself
+        reg.lcos = {
+            nid: SimpleNamespace(data=None if full.lcos[nid].node.kind == "It" else v)
+            for nid, v in data.items()
+        }
+        plan = reg.flush_plan()
+        reg._flush_m2i(plan)
+        reg._flush_i2i(plan)
+        for b in plan.bridge:
+            for t in b.it_ids[: b.n_it_local]:
+                assert full.dag.nodes[t].locality == rank
+                assert np.array_equal(reg.lcos[t].data, data[t])
+                written += 1
+    assert written == sum(full.lcos[nid].node.kind == "It" for nid in data)
