@@ -1,15 +1,19 @@
 #!/usr/bin/env python
-"""Where a warm submit spends its time: the flush, stage by stage.
+"""Where a warm submit spends its time, stage by stage.
 
-A session's submit is ``reset -> run_eager -> flush_deferred``, and the
-flush is the stage list ``Registrar.flush_stages()``.  This script times
-each of those thunks on the canonical problem of the performance ledger
-(4 096 points in the slab [0,1]^2 x [0,0.24], Laplace p=6, threshold 60,
-eps 1e-4, four simulated localities) after the session is warm, and
-prints the median milliseconds per stage.  It is a diagnostic, not a
-ledger metric: compare two commits only from interleaved runs.
+A session's submit is ``reset -> run_eager -> flush_deferred``: the one
+stage list ``Registrar.eager_stages() + Registrar.flush_stages()``.  This
+script times each of those thunks on the canonical problem of the
+performance ledger (4 096 points in the slab [0,1]^2 x [0,0.24], Laplace
+p=6, threshold 60, eps 1e-4, four simulated localities) after the
+session is warm, and prints the median milliseconds per stage.  With
+``--workers N`` it then serves the same submits from N worker processes,
+which walk the same list rank by rank, and prints each rank's medians
+from the round statistics: ``run`` inside the stage, ``wait`` posting its
+frames and waiting for the peers'.  It is a diagnostic, not a ledger
+metric: compare two commits only from interleaved runs.
 
-Run:  python examples/flush_stages.py [--repeats 15] [--seed 1]
+Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2]
 """
 
 import argparse
@@ -39,22 +43,60 @@ def timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=15)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+def stage_key(name) -> str:
+    """The sweeps are one stage per level; report each as one line."""
+    return name if isinstance(name, str) else name[0]
 
-    points, charges = slab_problem(args.seed)
+
+def canonical_evaluator(config: RuntimeConfig) -> DashmmEvaluator:
     kernel = LaplaceKernel(6)
-    evaluator = DashmmEvaluator(
+    return DashmmEvaluator(
         kernel,
         method="fmm",
         threshold=60,
         eps=1e-4,
         factory=OperatorFactory(kernel, eps=1e-4),
-        runtime_config=RuntimeConfig(n_localities=4, workers_per_locality=8),
+        runtime_config=config,
     )
+
+
+def worker_split(points, charges, expected, workers: int, repeats: int) -> None:
+    """Median per-rank stage and wait times of ``repeats`` warm rounds."""
+    evaluator = canonical_evaluator(RuntimeConfig(backend="parallel", n_localities=workers))
+    with EvaluatorSession(evaluator) as session:
+        for _ in range(2 + repeats):
+            out = session.submit(points, charges)
+        rounds = session._parallel.round_stats[2:]
+    # bit-identical only at equal locality counts (the ledger's sim
+    # session runs four): agreement to roundoff is all this checks
+    assert np.allclose(out, expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max())
+    wall = 1e3 * np.median([r["wall_time"] for r in rounds])
+    print(f"\n{workers} workers, median of {repeats} warm rounds: {wall:.2f} ms GO to last DONE")
+    names = list(rounds[0]["workers"][0]["stage_s"])
+    keys = [stage_key(name) for name in names]
+    for rank in range(workers):
+        stats = [r["workers"][rank] for r in rounds]
+        # seconds by (round, stage, run | wait)
+        t = np.array([[(w["stage_s"][n], w["wait_s"][n]) for n in names] for w in stats])
+        med = {
+            key: 1e3 * np.median(t[:, [k == key for k in keys]].sum(axis=1), axis=0)
+            for key in dict.fromkeys(keys)
+        }
+        run, wait = sum(med.values())
+        print(f"  rank {rank}: run {run:.2f} ms, wait {wait:.2f} ms")
+        for key, (run, wait) in med.items():
+            print(f"    {key:<8s} run {run:6.2f}  wait {wait:6.2f}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=15)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=0, help="also split a round of this many worker processes")
+    args = ap.parse_args()
+
+    points, charges = slab_problem(args.seed)
+    evaluator = canonical_evaluator(RuntimeConfig(n_localities=4, workers_per_locality=8))
     samples: dict = {}
     with EvaluatorSession(evaluator) as session:
         for _ in range(2):  # fit the operators, fill the geometry cache
@@ -62,11 +104,8 @@ def main() -> None:
         reg = session._current.registrar
         for _ in range(args.repeats):
             samples.setdefault("reset", []).append(timed(reg.reset))
-            samples.setdefault("eager", []).append(timed(reg.run_eager))
-            for name, stage in reg.flush_stages():
-                # the downward shift is one stage per level; report their sum
-                key = name if isinstance(name, str) else name[0]
-                samples.setdefault(key, []).append(timed(stage))
+            for name, stage in reg.eager_stages() + reg.flush_stages():
+                samples.setdefault(stage_key(name), []).append(timed(stage))
         out = np.empty(len(points))
         out[reg.dual.target.perm] = reg.result
         assert np.array_equal(out, expected), "staged run differs from submit()"
@@ -80,6 +119,8 @@ def main() -> None:
         ms = 1e3 * np.median(v)
         print(f"  {name:<8s} {ms:7.2f} ms  {100 * ms / (1e3 * total):5.1f} %")
     print(f"  {'total':<8s} {1e3 * total:7.2f} ms")
+    if args.workers:
+        worker_split(points, charges, expected, args.workers, args.repeats)
 
 
 if __name__ == "__main__":

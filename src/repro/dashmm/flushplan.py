@@ -15,13 +15,20 @@ each compiled on first use and dropped by
   stacked array operations
   (:meth:`~repro.dashmm.registrar.Registrar.flush_stages`), unchanged
   for a cold ``evaluate()``, every submit of a session, and each
-  real-parallel worker, which compiles the slice of edges it executes
-  together with ``sends``: the expansions it owes every other rank
-  before each stage.
+  real-parallel worker.
 * **Eager section** (:func:`compile_eager_plan`): the classes a drain
   computes as real dataflow (S->M, M->M, S->L, M->L), as canonical fold
-  lists.  Only a session compiles it; it runs it in place of the drain
-  (:meth:`~repro.dashmm.registrar.Registrar.run_eager`).
+  lists in stages of their own
+  (:meth:`~repro.dashmm.registrar.Registrar.eager_stages`).  Sessions
+  and workers run them in place of the drain; a cold ``evaluate()``
+  never compiles them.
+
+A real-parallel worker compiles both sections for its ``rank``: the
+slice of edges it executes, plus ``sends`` / ``recvs`` - per stage name,
+the expansions it owes each peer before the peer's stage runs and the
+ones it reads from each peer.  ``sends[stage][b]`` on rank ``a`` and
+``recvs[stage][a]`` on rank ``b`` are the same ids, and every stage
+name appears on every rank, so all ranks walk one stage sequence.
 
 Canonical composition (what makes every path produce the same bits):
 
@@ -162,17 +169,30 @@ class FlushPlan:
     out_tbox: np.ndarray  # target box index of the edge's T node
     #: rank-restricted plans: stage name -> {peer: sorted ids of this
     #: rank's nodes that the peer's stage reads}; a key per stage that
-    #: needs an exchange, on every rank, so the barriers line up
+    #: reads across ranks, on every rank
     sends: dict
+    #: the mirror image: stage name -> {peer: sorted ids of the peer's
+    #: nodes that this rank's stage reads}
+    recvs: dict
+    n_edges: int  # edges the plan's stages execute
 
 
 @dataclass(frozen=True)
 class EagerPlan:
     """The eager classes as fold lists; see :func:`compile_eager_plan`."""
 
-    m_folds: list  # (M node id, in-edges in fold order), deepest level first
+    #: (level, [(M node id, in-edges in fold order)]), deepest level
+    #: first; every level some rank folds at appears on every rank
+    m_folds: list
     l_folds: list  # (L node id, S->L / M->L in-edges in fold order)
     s2l_groups: list  # S->L edges sharing one stacked p2l build
+    #: as in :class:`FlushPlan`.  ``("m2m", level)``: the children's
+    #: multipoles under the level's folds; ``"m2l"``: every multipole a
+    #: peer reads once the upward sweep is over - its M->L there, its
+    #: M->I and M->T in the flush - all final at that point, shipped once
+    sends: dict
+    recvs: dict
+    n_edges: int  # edges the plan's stages execute
 
 
 def _group_slices(*keys: np.ndarray) -> list[tuple[int, int]]:
@@ -197,14 +217,19 @@ def _rows_of(ids: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order[np.searchsorted(by_row, ids, sorter=order)], by_row
 
 
-def _owed(src: np.ndarray, dst: np.ndarray, loc: np.ndarray, rank: int) -> dict:
-    """``{peer: sorted ids}`` of ``rank``'s source nodes per reading peer."""
-    peer = loc[dst]
-    crossing = (loc[src] == rank) & (peer != rank)
-    return {
-        p: np.unique(src[crossing & (peer == p)]).tolist()
-        for p in np.unique(peer[crossing]).tolist()
-    }
+def _crossing(src: np.ndarray, dst: np.ndarray, loc: np.ndarray, rank: int) -> tuple[dict, dict]:
+    """``(sends, recvs)`` of the edges ``src -> dst``, both ``{peer:
+    sorted source node ids}``: ``rank``'s sources per reading peer, and
+    each peer's sources that ``rank``'s destinations read."""
+
+    def by_peer(own: np.ndarray, peer: np.ndarray) -> dict:
+        crossing = (own == rank) & (peer != rank)
+        return {
+            p: np.unique(src[crossing & (peer == p)]).tolist()
+            for p in np.unique(peer[crossing]).tolist()
+        }
+
+    return by_peer(loc[src], loc[dst]), by_peer(loc[dst], loc[src])
 
 
 def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
@@ -359,16 +384,17 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
         for lo, hi in _group_slices(group[order])
     ]
     # -- what crosses ranks ------------------------------------------------------
-    # M->I, M->T and the eager classes read expansions that the drain's
-    # parcels already mirrored; these four read ones the flush completes
+    # the multipoles under M->I and M->T crossed with the eager section;
+    # these four stages read expansions the flush itself completes
     sends: dict = {}
+    recvs: dict = {}
     if rank is not None:
         for stage, op in (("i2i", "I2I"), ("i2l", "I2L"), ("outputs", "L2T")):
-            sends[stage] = _owed(*every(op), loc, rank)
+            sends[stage], recvs[stage] = _crossing(*every(op), loc, rank)
         src, dst = every("L2L")
         for lvl, _ in l2l:
             at = level[src] == lvl
-            sends["l2l", lvl] = _owed(src[at], dst[at], loc, rank)
+            sends["l2l", lvl], recvs["l2l", lvl] = _crossing(src[at], dst[at], loc, rank)
     return FlushPlan(
         bridge=bridge,
         l2l=l2l,
@@ -377,10 +403,12 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
         out_sbox=box[o_src],
         out_tbox=box[o_dst],
         sends=sends,
+        recvs=recvs,
+        n_edges=len(m_src) + len(w_src) + len(l_src) + len(d_src) + len(o_src),
     )
 
 
-def compile_eager_plan(dag) -> EagerPlan:
+def compile_eager_plan(dag, rank: int | None = None) -> EagerPlan:
     """Compile the eager section of ``dag`` under its current localities.
 
     A drain only decides *when* the eager classes are computed and
@@ -389,27 +417,60 @@ def compile_eager_plan(dag) -> EagerPlan:
     in here - and one source leaf's S->L edges stack per (destination
     locality, target level), the composition ``Registrar._run_edges``
     sees after ``_process_edges`` split the leaf's out-edges by locality.
+    ``rank`` restricts the folds and S->L groups to the destinations of
+    that locality, as in :func:`compile_flush_plan`.
     """
     nodes = dag.nodes
     ins_m: dict[int, list] = {}
     ins_l: dict[int, list] = {}
     s2l: dict[tuple, list] = {}
+    m2m: dict[int, tuple[list, list]] = {}  # fold level -> child, parent ids
+    reads_m: tuple[list, list] = ([], [])  # M -> reader, past the upward sweep
     for edges in dag.out_edges:
         for e in edges:
             op = e.op
+            dst = nodes[e.dst]
+            if op in ("M2L", "M2I", "M2T"):
+                reads_m[0].append(e.src)
+                reads_m[1].append(e.dst)
+            elif op == "M2M":
+                at = m2m.setdefault(dst.level, ([], []))
+                at[0].append(e.src)
+                at[1].append(e.dst)
+            if rank is not None and dst.locality != rank:
+                continue
             if op in ("S2M", "M2M"):
                 ins_m.setdefault(e.dst, []).append(e)
             elif op in ("S2L", "M2L"):
                 ins_l.setdefault(e.dst, []).append(e)
                 if op == "S2L":
-                    dst = nodes[e.dst]
                     s2l.setdefault((e.src, dst.locality, dst.level), []).append(e)
             elif op not in PLANNED_OPS:
                 raise ValueError(f"unknown edge op {op}")
     # children strictly precede parents: deepest destinations first
-    upward = sorted(ins_m, key=lambda dst: (-nodes[dst].level, dst))
+    m_levels = sorted(
+        {nd.level for nd in nodes if nd.kind == "M" and dag.in_degree[nd.id]}, reverse=True
+    )
+    by_level: dict[int, list] = {lvl: [] for lvl in m_levels}
+    for dst in sorted(ins_m):
+        by_level[nodes[dst].level].append((dst, ins_m[dst]))
+    sends: dict = {}
+    recvs: dict = {}
+    if rank is not None:
+        loc = np.fromiter((nd.locality for nd in nodes), np.int64, len(nodes))
+
+        def crossing(stage, src_dst) -> None:
+            src, dst = (np.array(a, dtype=np.int64) for a in src_dst)
+            sends[stage], recvs[stage] = _crossing(src, dst, loc, rank)
+
+        for lvl in m_levels:
+            crossing(("m2m", lvl), m2m.get(lvl, ([], [])))
+        crossing("m2l", reads_m)
     return EagerPlan(
-        m_folds=[(dst, ins_m[dst]) for dst in upward],
+        m_folds=list(by_level.items()),
         l_folds=list(ins_l.items()),
         s2l_groups=list(s2l.values()),
+        sends=sends,
+        recvs=recvs,
+        n_edges=sum(len(es) for es in ins_m.values()) + sum(len(es) for es in ins_l.values()),
     )

@@ -16,35 +16,60 @@ Execution model - *replicated metadata, partitioned execution*:
   lists, DAG and distribution from those arrays - setup is a pure
   function of the inputs, so all ranks (and the parent) agree on node
   ids, edge order and localities without shipping the structures.
-* Each worker allocates expansion LCOs only for *its* nodes and runs
-  the standard :class:`~repro.dashmm.registrar.Registrar` machinery on
-  them.  Remote out-edges leave as framed queue parcels through the
-  unchanged coalescing path; each parcel ships the source node's
-  expansion data, which the receiver mirrors so
-  ``Registrar._data_of`` works for remote sources.
+* Each worker allocates expansion LCOs only for *its* nodes and compiles
+  the execution plan (:mod:`repro.dashmm.flushplan`) for its rank: the
+  edges whose destination it owns, as one ordered stage list - leaf
+  fits, the upward sweep level by level, the S->L / M->L folds, M->I,
+  I->I, I->L, L->L level by level, leaf outputs
+  (:meth:`~repro.dashmm.registrar.Registrar.eager_stages` +
+  :meth:`~repro.dashmm.registrar.Registrar.flush_stages`) - with, per
+  stage, the expansions it owes each peer (``sends``) and reads from
+  each peer (``recvs``).  A round is what a session's submit is: walk
+  the list.  No task is enqueued and no LCO counts down.
+
+The pipeline (:meth:`_WorkerBody._round`), per stage: *post* to every
+peer in ``sends[stage]`` one frame with the rows that peer's stage
+reads - stacked into a fresh contiguous block, so nothing the sender
+computes later can reach it - *wait* for one frame from every peer in
+``recvs[stage]``, *run* the stage.  A frame's rows land in the
+registrar's mirror, where ``Registrar._data_of`` finds remote nodes.
+
+* Every shipped value is final when it is sent: the stage order puts
+  each producer before the stage its readers run, on every rank.  A
+  frame that arrives early (a fast peer is stages ahead) therefore just
+  waits in the mirror; there is no barrier between stages.
+* Deadlock rule: **a rank posts everything a stage's readers need
+  before it waits for anything of that stage.**  All ranks walk the same
+  stage names in the same order and posting never blocks, so by
+  induction over the stages the rank furthest behind can always run:
+  everything it waits for was posted by ranks that already reached that
+  stage.
+* Acks are drained once, before DONE: when a rank reports, every frame
+  it sent was processed and (``sends`` and ``recvs`` mirror each other)
+  every frame addressed to it was awaited by some stage, so no message
+  is in flight across a round boundary - except a peer's first frame of
+  the *next* round overtaking this rank's GO, which is held until the
+  round's state is in place.
 
 Why the result is bit-identical to the simulator:
 
-* LCO contributions fold at trigger time in canonical dedup-key order,
-  so fold order never depends on arrival order (PRs 4/5).
-* Every flush-plan group is keyed by the executing locality, and an
-  edge always executes at its destination's locality - so the plan a
-  worker compiles for its rank (:mod:`repro.dashmm.flushplan`) holds
-  exactly the simulator's groups of that locality, and the stacked
-  GEMM operands (hence the floats) match byte for byte.
-* The bridge/downward stages need remote expansion data only at flush
-  time.  After dataflow quiescence the worker walks the registrar's
-  one stage list (:meth:`~repro.dashmm.registrar.Registrar.flush_stages`:
-  M->I, I->I, I->L, L->L per level, leaf outputs) and puts an exchange
-  barrier in front of every stage its plan's ``sends`` name (Is rows,
-  It rows, parent L per level, final L under remote L->T; M data is
-  already mirrored).  Exchange contents and the stage sequence are
-  compiled from the replicated DAG, identically on every rank.
+* A drain only decides *when* an edge runs; every edge executes at its
+  destination's locality, folds are in canonical key order and every
+  GEMM group key ends in the executing locality.  A rank's folds, S->L
+  groups, GEMM groups and I->I rows are therefore row subsets of the
+  full plan's, operand for operand - the plan a one-process session
+  runs, which agrees with the drained ``evaluate()`` bit for bit.
+* What crosses ranks is copied, never recomputed, and a node nothing
+  contributed to crosses as exactly that (``None``, the zero expansion).
+
+Nothing in a worker consults a priority or makes a schedule decision:
+``RuntimeConfig.policy`` shapes the simulator's virtual clock only (any
+value is accepted and ignored here), and ``fuzz_schedule`` /
+``replay_schedule`` are rejected - fuzz the simulator.
 """
 
 from __future__ import annotations
 
-import queue as _queue
 import shutil
 import tempfile
 import time
@@ -57,10 +82,8 @@ from repro.hpx.parallel import (
     LocalityRuntime,
     ParallelError,
     QueueChannel,
-    WorkerScheduler,
     seed_worker_rngs,
 )
-from repro.hpx.scheduler import ScheduleFuzzer, Task, resolve_policy
 
 
 class ParallelRegistrar(Registrar):
@@ -69,10 +92,11 @@ class ParallelRegistrar(Registrar):
     Differences from the simulator registrar, all confined here:
 
     * ``_rank`` restricts the LCO allocation, the stacked leaf-multipole
-      fit and the flush plan to the nodes and edges of this rank (the
-      base group keying already matches);
-    * :meth:`_data_of` falls back to the parcel/stage mirror for remote
-      nodes.
+      fit and both plan sections to the nodes and edges of this rank
+      (the base group keying already matches);
+    * :meth:`_data_of` reads remote nodes from the mirror the stage
+      frames fill (a ``KeyError`` there is a plan whose ``recvs`` miss a
+      node one of its stages reads).
     """
 
     def __init__(self, rank: int, *args, **kwargs):
@@ -86,6 +110,10 @@ class ParallelRegistrar(Registrar):
         return self._mirror[node_id]
 
 
+class _Stop(Exception):
+    """STOP arrived inside a round: the parent is tearing the fleet down."""
+
+
 class _WorkerBody:
     """The evaluation loop of one locality process."""
 
@@ -96,9 +124,15 @@ class _WorkerBody:
         self.inbox = inboxes[rank]
         self.parent_q = parent_q
         self.channel = QueueChannel(rank, inboxes)
-        self._stage_ends: dict[object, int] = {}
-        self._expected = 0
-        self._stopped = False
+        #: (stage, peer) of every frame delivered this round
+        self._arrived: set = set()
+        #: messages that overtook this rank's GO
+        self._held: list = []
+        self._recvs: dict = {}
+        #: plan edges executed, all rounds; this round's seconds per stage
+        self.tasks_run = 0
+        self.stage_s: dict = {}
+        self.wait_s: dict = {}
         self._build(manifest)
 
     # -- deterministic setup (untimed) -----------------------------------------
@@ -155,22 +189,13 @@ class _WorkerBody:
 
         Called at setup and again whenever a round changes the node
         distribution or the tree shape; the shared-memory arena, the
-        parcel channel, the operator factory and the geometry cache all
+        frame channel, the operator factory and the geometry cache all
         survive rebuilds.
         """
         ev = self.ev
-        rcfg = ev._resolved_config()
-        policy = resolve_policy(rcfg.policy)
-        driver = (
-            ScheduleFuzzer(rcfg.fuzz_schedule + self.rank)
-            if rcfg.fuzz_schedule is not None
-            else None
-        )
-        self.sched = WorkerScheduler(self.rank, policy, schedule_driver=driver)
-        lrt = LocalityRuntime(self.rank, self.n, self.sched)
         self.reg = ParallelRegistrar(
             self.rank,
-            lrt,
+            LocalityRuntime(self.n),
             dag,
             dual,
             ev.kernel,
@@ -185,12 +210,6 @@ class _WorkerBody:
         # target-box slices of its own T nodes (disjoint by construction)
         self.reg.result = self.arena.get("result")
         self.reg.allocate()
-        self._expected = sum(
-            dag.in_degree[nid] for nid in self.reg.lcos
-        )
-        from repro.hpx.parallel import ParallelContext
-
-        self.ctx = ParallelContext(self.sched, self._on_parcel)
 
     # -- between-round state updates (persistent service) ----------------------
     def _round_update(self, update: dict) -> None:
@@ -198,7 +217,7 @@ class _WorkerBody:
         conclusion independently (replicated metadata, as at setup).
 
         ``kind="weights"``: coordinates untouched - swap the charges
-        into the existing tree and rewind the LCO network.
+        into the existing tree and rewind the expansions.
         ``kind="points"``: incrementally update the tree.  A preserved
         shape with an unchanged node distribution rebinds the live
         registrar; a shifted distribution or a changed shape rebuilds
@@ -210,8 +229,7 @@ class _WorkerBody:
         from repro.tree.incremental import update_dual_tree
 
         self.reg._mirror.clear()
-        self._stage_ends.clear()
-        self.sched.lco_sets_applied = 0
+        self._arrived.clear()
         if self._geom_cache is None:
             self._geom_cache = self.reg.geom_cache = {}
         sources = self.arena.get("sources")
@@ -237,8 +255,8 @@ class _WorkerBody:
                 self.reg.reset(zero_result=False)
             else:
                 # ownership moved: the local LCO set changes, so the
-                # network reallocates and the new registrar compiles a
-                # fresh flush plan (box centers stay shape-valid)
+                # network reallocates and the new registrar compiles
+                # fresh plans (box centers stay shape-valid)
                 self._make_registrar(new_dual, self.dag, centers=self.reg._centers)
             return
         dag, _ = self.ev.build_dag(new_dual)
@@ -246,109 +264,74 @@ class _WorkerBody:
         self.dual, self.dag = new_dual, dag
         self._make_registrar(new_dual, dag)
 
-    # -- parcel egress ---------------------------------------------------------
-    def _on_parcel(self, parcel) -> None:
-        if parcel.action != "dashmm_edges":
-            raise ParallelError(
-                f"parallel backend cannot route action {parcel.action!r}"
+    # -- frames ----------------------------------------------------------------
+    def _post(self, stage, owed: dict) -> None:
+        """One frame per reading peer: the final rows of the nodes it
+        reads in ``stage``, as ``(ids, stacked rows)`` blocks - one per
+        row width, i.e. one unless the bridge levels differ in width.
+        Nodes nothing contributed to are left out; the receiver knows
+        which ids to expect."""
+        data_of = self.reg._data_of
+        for dst in sorted(owed):
+            blocks: dict[int, tuple[list, list]] = {}
+            for nid in owed[dst]:
+                row = data_of(nid)
+                if row is not None:
+                    ids, rows = blocks.setdefault(len(row), ([], []))
+                    ids.append(nid)
+                    rows.append(row)
+            self.channel.send(
+                dst, stage, [(ids, np.stack(rows)) for ids, rows in blocks.values()]
             )
-        node_id, positions = parcel.args
-        lco = self.reg.lcos.get(node_id)
-        data = lco.data if lco is not None else None
-        self.channel.send(
-            parcel.target_locality,
-            "edges",
-            (node_id, positions, parcel.priority, data),
-        )
-
-    # -- frame ingress ---------------------------------------------------------
-    def _drain(self, block: bool = False, timeout: float = 0.05) -> bool:
-        """Process one inbox message; False when none was available."""
-        try:
-            msg = self.inbox.get(block, timeout) if block else self.inbox.get_nowait()
-        except _queue.Empty:
-            return False
-        self._handle(msg)
-        return True
 
     def _handle(self, msg) -> None:
-        """Everything an inbox carries except GO, which only :meth:`run`
-        expects, between rounds."""
+        """One inbox message of a round in progress."""
         tag = msg[0]
         if tag == "frame":
-            _, src, seq, kind, payload = msg
-            if self.channel.handle_frame(src, seq, kind):
-                self._dispatch(kind, payload)
+            _, src, seq, stage, blocks = msg
+            if self.channel.handle_frame(src, seq):
+                mirror = self.reg._mirror
+                mirror.update(dict.fromkeys(self._recvs[stage][src]))
+                for ids, rows in blocks:
+                    mirror.update(zip(ids, rows))
+                self._arrived.add((stage, src))
         elif tag == "ack":
             self.channel.handle_ack(msg[2])
         elif tag == "stop":
-            self._stopped = True
+            raise _Stop
         else:  # pragma: no cover - defensive
             raise ParallelError(f"unexpected message {tag!r}")
 
-    def _dispatch(self, kind: str, payload) -> None:
-        if kind == "edges":
-            node_id, positions, priority, data = payload
-            if data is not None:
-                self.reg._mirror[node_id] = data
-            self.sched.enqueue(
-                Task(
-                    fn=self.reg._edges_action,
-                    args=(self.rank, node_id, positions),
-                    op_class="parcel:edges",
-                    priority=priority,
-                ),
-                self.rank,
-            )
-        elif kind == "stage":
-            name, data = payload
-            self.reg._mirror.update(data)
-        elif kind == "stage_end":
-            self._stage_ends[payload] = self._stage_ends.get(payload, 0) + 1
-        else:  # pragma: no cover - defensive
-            raise ParallelError(f"unknown frame kind {kind!r}")
+    def _pump(self, done) -> None:
+        """Handle inbox messages until ``done()`` holds."""
+        while not done():
+            self._handle(self.inbox.get())
 
-    # -- dataflow phase --------------------------------------------------------
-    def _run_dataflow(self) -> None:
-        """Drive the DAG until local quiescence.
-
-        Local termination detection: this rank is done when every input
-        of every local LCO has been applied (``applied == expected``; an
-        arriving edge frame always applies at least one, so reaching the
-        total implies no frame is still in flight toward us), the ready
-        queues are empty, and all our outbound frames are acked.
-        """
-        self.reg.initial_tasks()
-        sched, ctx = self.sched, self.ctx
-        while (
-            sched.lco_sets_applied < self._expected
-            or sched.has_ready()
-            or self.channel.unacked
-        ):
-            while self._drain(block=False):
-                pass
-            task = sched.pop()
-            if task is not None:
-                task.fn(ctx, *task.args)
-            elif (
-                sched.lco_sets_applied < self._expected or self.channel.unacked
-            ):
-                self._drain(block=True, timeout=0.05)
-
-    # -- staged flush pipeline -------------------------------------------------
-    def _exchange(self, stage, send_map: dict) -> None:
-        """Ship stage data, then barrier on every peer's stage_end."""
-        for dst in sorted(send_map):
-            payload = {nid: self.reg._data_of(nid) for nid in send_map[dst]}
-            self.channel.send(dst, "stage", (stage, payload))
-        for dst in range(self.n):
-            if dst != self.rank:
-                self.channel.send(dst, "stage_end", stage)
-        while (
-            self._stage_ends.get(stage, 0) < self.n - 1
-            or self.channel.unacked
-        ):
-            self._drain(block=True, timeout=0.05)
+    # -- one round -------------------------------------------------------------
+    def _round(self) -> None:
+        """Walk the rank's stage list as a send-when-final /
+        wait-when-needed pipeline (module docstring)."""
+        reg = self.reg
+        eager, flush = reg.eager_plan(), reg.flush_plan()
+        sends = {**eager.sends, **flush.sends}
+        self._recvs = {**eager.recvs, **flush.recvs}
+        for msg in self._held:
+            self._handle(msg)
+        self._held.clear()
+        arrived = self._arrived
+        stage_s = self.stage_s = {}
+        wait_s = self.wait_s = {}
+        t = time.perf_counter()
+        for name, stage in reg.eager_stages() + reg.flush_stages():
+            self._post(name, sends.get(name, {}))
+            need = {(name, peer) for peer in self._recvs.get(name, ())}
+            self._pump(lambda: need <= arrived)
+            t_run = time.perf_counter()
+            stage()
+            wait_s[name], t = t_run - t, time.perf_counter()
+            stage_s[name] = t - t_run
+        self._pump(lambda: not self.channel.unacked)
+        self.tasks_run += eager.n_edges + flush.n_edges
 
     # -- protocol --------------------------------------------------------------
     def run(self) -> None:
@@ -357,38 +340,39 @@ class _WorkerBody:
         The service sends a bare ``("go",)`` for the cold round (and
         for a re-drive on respawned workers), ``("go", update)`` per
         later submission and one final STOP; a one-shot evaluate is
-        the cold round followed by STOP.  Round boundaries are quiet by
-        construction -
-        every exchange barriers on its acks, so no frame is in flight
-        when DONE is posted - which is what makes the per-round state
-        rewind in :meth:`_round_update` sufficient.
+        the cold round followed by STOP.  Anything else that arrives
+        between rounds is a peer's frame that overtook this rank's GO
+        (the parent posts GO inbox by inbox); it is held and handled
+        once :meth:`_round_update` has put the round's state in place.
         """
         self.parent_q.put(("ready", self.rank))
-        while not self._stopped:
-            msg = self.inbox.get()
-            if msg[0] != "go":
-                self._handle(msg)  # STOP, or stragglers between rounds (defensive)
-                continue
-            update = msg[1] if len(msg) > 1 else None
-            if update is not None:
-                self._round_update(update)
-            self._run_dataflow()
-            # this rank's slice of the flush stages, one exchange barrier
-            # before each stage that reads another rank's expansions
-            sends = self.reg.flush_plan().sends
-            for name, stage in self.reg.flush_stages():
-                if name in sends:
-                    self._exchange(name, sends[name])
-                stage()
-            self.parent_q.put(("done", self.rank, self.stats()))
-        self.arena.close()
+        try:
+            while True:
+                msg = self.inbox.get()
+                if msg[0] == "go":
+                    if len(msg) > 1:
+                        self._round_update(msg[1])
+                    self._round()
+                    self.parent_q.put(("done", self.rank, self.stats()))
+                elif msg[0] == "stop":
+                    break
+                else:
+                    self._held.append(msg)
+        except _Stop:
+            pass
+        finally:
+            self.arena.close()
 
     def stats(self) -> dict:
+        """Cumulative counters plus the last round's seconds per stage:
+        ``stage_s`` running it, ``wait_s`` posting its frames and
+        waiting for the peers' (both keyed by stage name)."""
         return {
             "rank": self.rank,
-            "tasks_run": self.sched.tasks_run,
-            "lco_sets": self.sched.lco_sets_applied,
+            "tasks_run": self.tasks_run,
             "lcos": len(self.reg.lcos),
+            "stage_s": self.stage_s,
+            "wait_s": self.wait_s,
             **self.channel.stats(),
         }
 
@@ -421,6 +405,11 @@ def _validate(evaluator, **prebuilt) -> None:
         raise ValueError(
             "schedule replay records simulator decisions; it cannot "
             "drive the parallel backend"
+        )
+    if cfg.fuzz_schedule is not None:
+        raise ValueError(
+            "a parallel worker walks its compiled plan and makes no "
+            "schedule decision to fuzz; run fuzz_schedule on backend='sim'"
         )
     if cfg.detect_hazards:
         raise ValueError(

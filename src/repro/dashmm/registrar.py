@@ -28,9 +28,9 @@ per expansion node no edge reaches.  Execution modes:
 
 What the numeric stages stack, in which order, and what crosses ranks
 is compiled by :mod:`repro.dashmm.flushplan`; this module executes it:
-:meth:`Registrar.flush_stages` after a drain (``evaluate()``, workers),
-:meth:`Registrar.run_eager` plus the same stages in place of one
-(sessions).
+:meth:`Registrar.flush_stages` after a drain (``evaluate()``),
+:meth:`Registrar.eager_stages` plus the same stages in place of one
+(sessions, parallel workers).
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ class Registrar:
         self._plan: FlushPlan | None = None
         #: level -> I->I phase tables and sparse matrices of ``_plan``
         self._i2i_ops: dict[int, tuple] = {}
-        #: the compiled eager section; only :meth:`run_eager` - a
-        #: session - builds it, a drain computes those classes as dataflow
+        #: the compiled eager section; only :meth:`eager_stages` - a
+        #: session, a worker - builds it, a drain computes those classes
+        #: as dataflow
         self._eager: EagerPlan | None = None
         #: planned edges have run since the last flush
         self._flush_pending = False
@@ -277,8 +278,8 @@ class Registrar:
 
         In the simulator every LCO is in-process, so this is a plain
         lookup.  The real-parallel backend overrides it: data of a
-        remote node comes from the mirror filled by arriving parcels
-        and staged flush exchanges (:mod:`repro.dashmm.parallel`).
+        remote node comes from the mirror filled by the peers' stage
+        frames (:mod:`repro.dashmm.parallel`).
         ``None`` stands for the zero expansion of a node nothing
         contributed to.
         """
@@ -417,6 +418,12 @@ class Registrar:
         if self._plan is None:
             self._plan = compile_flush_plan(self.dag, self.dual, self._rank)
         return self._plan
+
+    def eager_plan(self) -> EagerPlan:
+        """The compiled eager section, built on first use."""
+        if self._eager is None:
+            self._eager = compile_eager_plan(self.dag, self._rank)
+        return self._eager
 
     def invalidate_plans(self) -> None:
         """Drop both plan sections and the geometry cache.
@@ -818,6 +825,25 @@ class Registrar:
             values[id(e)] = c
 
     # -- batched path: in place of the drain ------------------------------------------------
+    def eager_stages(self) -> list:
+        """The eager classes as ``(name, thunk)`` stages that run ahead
+        of :meth:`flush_stages`: the stacked leaf fits, the upward sweep
+        level by level (deepest first, so every child multipole is
+        complete before its parent folds it), then the local-expansion
+        folds of S->L and M->L.  Sources are read through
+        :meth:`_data_of`, so a worker running its rank's slice folds the
+        multipoles its peers shipped.
+        """
+        plan = self.eager_plan()
+        return [
+            ("s2m", self._eager_s2m),
+            *(
+                (("m2m", level), partial(self._eager_m2m, folds))
+                for level, folds in plan.m_folds
+            ),
+            ("m2l", partial(self._eager_m2l, plan)),
+        ]
+
     def run_eager(self) -> None:
         """Compute the eager classes from the compiled fold lists.
 
@@ -827,25 +853,34 @@ class Registrar:
         task, so :meth:`flush_deferred` finishes the evaluation
         bit-identically.  Sessions run every submit this way.
         """
-        if self._eager is None:
-            self._eager = compile_eager_plan(self.dag)
-        plan = self._eager
-        lcos = self.lcos
-        nodes = self._nodes
-        dom = self.dual.domain
+        for _, stage in self.eager_stages():
+            stage()
+        # the bridge, downward shift and leaf outputs flush from here
+        self._flush_pending = True
+
+    def _eager_s2m(self) -> None:
+        self._s2m = self._leaf_multipoles()
+
+    def _eager_m2m(self, folds) -> None:
+        """The multipoles of one level, each folding its leaf fit and its
+        children's shifted multipoles in canonical order."""
+        lcos, nodes, s2m, data_of = self.lcos, self._nodes, self._s2m, self._data_of
         m2m = self.factory.m2m
-        # upward sweep: stacked leaf fits, then per-node canonical folds
-        s2m = self._leaf_multipoles()
-        for dst, es in plan.m_folds:
+        dom = self.dual.domain
+        for dst, es in folds:
             acc = None
             for e in es:
                 if e.op == "S2M":
                     v = s2m[nodes[e.src].box_index]
                 else:
-                    v = m2m(e.aux, dom.box_size(nodes[e.src].level)) @ lcos[e.src].data
+                    v = m2m(e.aux, dom.box_size(nodes[e.src].level)) @ data_of(e.src)
                 acc = v if acc is None else acc + v
             lcos[dst].data = acc
-        # list-X contributions in the drain's batch compositions
+
+    def _eager_m2l(self, plan: EagerPlan) -> None:
+        """List-X contributions in the drain's batch compositions, then
+        every local expansion's S->L / M->L fold."""
+        lcos = self.lcos
         values: dict[int, object] = {}
         for group in plan.s2l_groups:
             if len(group) == 1:
@@ -858,8 +893,6 @@ class Registrar:
                 v = values[id(e)] if e.op == "S2L" else self._edge_value(e)
                 acc = v if acc is None else acc + v
             lcos[dst].data = acc
-        # the bridge, downward shift and leaf outputs flush from here
-        self._flush_pending = True
 
     # -- batched path: the flush stages -----------------------------------------------------
     def flush_stages(self) -> list:
@@ -870,7 +903,8 @@ class Registrar:
         parent local expansion is complete before its children read it),
         then the leaf outputs, which read the final local expansions.
         The thunks execute the compiled :class:`FlushPlan`; a worker
-        puts the exchange the plan's ``sends`` name in front of each.
+        posts the plan's ``sends`` and awaits its ``recvs`` in front of
+        each.
         """
         plan = self.flush_plan()
         return [

@@ -5,28 +5,27 @@ whole cluster inside one interpreter on a virtual clock.  This module
 is the second backend (``RuntimeConfig(backend="parallel")``): each
 locality becomes a real ``multiprocessing`` worker process, bulk data
 lives in POSIX shared memory (:class:`repro.hpx.gas.ShmArena`), and
-parcels travel over OS queues wrapped in the same
-:class:`~repro.hpx.transport.Framing` seq/ack/dedup protocol the
-simulated reliable transport uses.  The pieces here are generic
+the expansions that cross localities travel over OS queues wrapped in
+the same :class:`~repro.hpx.transport.Framing` seq/ack/dedup protocol
+the simulated reliable transport uses.  The pieces here are generic
 worker-side runtime machinery plus the parent's wait loop; the DASHMM
-worker body that drives an evaluation DAG through them, and the one
+worker body that walks its rank's execution plan over them, and the one
 parent-side fleet manager that spawns and respawns workers
 (``PersistentParallelService`` - a one-shot ``evaluate()`` is a
 one-round service), are in :mod:`repro.dashmm.parallel`.
 
 Design points:
 
-* **Same scheduling policy, same decision funnel.**  A worker's ready
-  queue is a :class:`WorkerScheduler`: per-level deques identical to
-  one simulator worker's, popped through the shared
-  :func:`~repro.hpx.scheduler.pick_level` rule (critical levels first,
-  near/far interleaving), with every schedule-freedom decision routed
-  through the installed ``schedule_driver`` exactly like the
-  simulator - fuzz certification carries over.
+* **No scheduler in a worker.**  What a locality computes, and in which
+  order, is the compiled execution plan of its rank
+  (:mod:`repro.dashmm.flushplan`), walked stage by stage; a worker makes
+  no schedule decision, so scheduling policies and schedule fuzzing
+  belong to the simulator.  :class:`LocalityRuntime` is only what the
+  registrar and its expansion LCOs are constructed against.
 * **Reliable framing reuse.**  OS queues are lossless, but the
-  pending-until-ack ledger is what gives each worker a precise "all my
-  frames were processed" quiescence signal, and receiver dedup is a
-  second belt under the LCO dedup keys.
+  pending-until-ack ledger is what tells a worker "all my frames were
+  processed" before it reports a round done - which keeps round
+  boundaries quiet - and receiver dedup is a second belt.
 * **Start method.**  ``spawn`` is the default (see
   :class:`~repro.hpx.runtime.RuntimeConfig`): fresh interpreters can't
   inherit BLAS pools, operator caches or RNG state, so runs are
@@ -43,10 +42,9 @@ from __future__ import annotations
 
 import queue as _queue
 import time
-from collections import deque
-from typing import Callable
+from types import SimpleNamespace
 
-from repro.hpx.scheduler import SchedulingPolicy, Task, pick_level
+from repro.hpx.scheduler import SchedulingPolicy
 from repro.hpx.transport import Framing
 
 
@@ -63,65 +61,8 @@ _THREAD_ENV = (
 )
 
 
-class WorkerScheduler:
-    """One locality's ready queue, driven by a :class:`SchedulingPolicy`.
-
-    Implements the scheduler surface the LCO layer and the registrar
-    touch (``enqueue`` / ``policy`` / ``schedule_driver`` /
-    ``lco_dedup`` / ``hazards`` / ``now``) for a single real worker.
-    Level layout and pop order follow the same
-    :func:`~repro.hpx.scheduler.pick_level` rule as the simulator, so
-    the backend drains work in the same policy order.
-    """
-
-    def __init__(self, rank: int, policy: SchedulingPolicy, schedule_driver=None):
-        self.rank = rank
-        self.policy = policy
-        self.schedule_driver = schedule_driver
-        self.queues: tuple[deque, ...] = tuple(
-            deque() for _ in range(policy.n_levels)
-        )
-        self._level_of = policy.level_of
-        self._burst = 0
-        self.now = 0.0
-        self.tasks_run = 0
-        #: LCO-layer expectations (mirrors the simulated Scheduler)
-        self.hazards = None
-        self.lco_dedup = True
-        self.lco_dups_suppressed = 0
-        #: contributions applied through ctx.lco_set; the worker body
-        #: compares this against the summed in-degree of its local LCOs
-        #: for termination detection
-        self.lco_sets_applied = 0
-
-    def enqueue(self, task: Task, locality: int, t: float = 0.0, worker_hint=None) -> None:
-        if locality != self.rank:
-            raise ParallelError(
-                f"task for locality {locality} enqueued on worker {self.rank}; "
-                "remote work must travel as parcels"
-            )
-        self.queues[self._level_of(task)].append(task)
-
-    def pop(self) -> Task | None:
-        """The next task in policy order (owner pops LIFO), or None."""
-        lvl, self._burst = pick_level(
-            self.queues,
-            self.policy.n_levels,
-            self.policy.interleave,
-            self._burst,
-            self.schedule_driver,
-        )
-        if lvl < 0:
-            return None
-        self.tasks_run += 1
-        return self.queues[lvl].pop()
-
-    def has_ready(self) -> bool:
-        return any(self.queues)
-
-
 class QueueChannel:
-    """Framed parcel channel over the worker queue mesh.
+    """Framed channel over the worker queue mesh.
 
     ``inboxes[r]`` is worker ``r``'s (multi-producer) inbox queue.  All
     frames carry ``(src, seq)`` ids stamped by a :class:`Framing`
@@ -136,13 +77,13 @@ class QueueChannel:
         self.framing = Framing()
         self.frames_sent = 0
 
-    def send(self, dst: int, kind: str, payload) -> None:
+    def send(self, dst: int, kind, payload) -> None:
         seq = self.framing.stamp(self.rank)
         self.framing.track(seq, (dst, kind))
         self.frames_sent += 1
         self.inboxes[dst].put(("frame", self.rank, seq, kind, payload))
 
-    def handle_frame(self, src: int, seq, kind: str) -> bool:
+    def handle_frame(self, src: int, seq) -> bool:
         """Ack one arriving frame; True when it is fresh (deliver it)."""
         self.framing.acks_sent += 1
         self.inboxes[src].put(("ack", self.rank, seq))
@@ -159,81 +100,21 @@ class QueueChannel:
         return {"frames_sent": self.frames_sent, **self.framing.stats()}
 
 
-class ParallelContext:
-    """Task-context stand-in for real execution.
-
-    Same surface as the simulator's :class:`TaskContext`, but effects
-    apply immediately: on real cores there is no virtual completion
-    time to defer to, and result bit-identity never depended on
-    deferral - LCO folds happen in canonical dedup-key order and every
-    batched flush groups canonically (see
-    :mod:`repro.dashmm.registrar`), so application order is free.
-    Charges are dropped (the wall clock is the cost model here).
-    """
-
-    __slots__ = ("scheduler", "worker", "locality", "time", "hb", "_on_parcel")
-
-    def __init__(self, scheduler: WorkerScheduler, on_parcel: Callable):
-        self.scheduler = scheduler
-        self.worker = scheduler.rank
-        self.locality = scheduler.rank
-        self.time = 0.0
-        self.hb = None
-        self._on_parcel = on_parcel
-
-    def charge(self, op_class: str, dt: float) -> None:
-        if dt < 0:
-            raise ValueError("negative charge")
-
-    def spawn(self, task: Task, locality: int | None = None) -> None:
-        self.scheduler.enqueue(
-            task, self.locality if locality is None else locality
-        )
-
-    def send_parcel(self, parcel) -> None:
-        self._on_parcel(parcel)
-
-    def lco_set(self, lco, value=None, key=None, op_class=None) -> None:
-        self.scheduler.lco_sets_applied += 1
-        lco._apply_set(value, 0.0, self.scheduler, key=key, op_class=op_class)
-
-    def call_at_completion(self, fn: Callable) -> None:
-        fn(0.0)
-
-
 class LocalityRuntime:
-    """Worker-side runtime facade bound to one locality process.
+    """What a worker's registrar and its expansion LCOs are built
+    against: a GAS to allocate in and the stock flat scheduling policy
+    (nothing in a worker consults a priority, so none is computed).  No
+    task is ever enqueued and no parcel names an action, so registering
+    one records nothing."""
 
-    The subset of the :class:`~repro.hpx.runtime.Runtime` surface the
-    registrar and the LCO layer use; remote work arrives as framed
-    queue parcels handled by the worker loop, so ``enqueue_task``
-    silently skips tasks addressed to other localities (each process
-    enqueues its own).
-    """
-
-    def __init__(self, rank: int, n_localities: int, scheduler: WorkerScheduler):
+    def __init__(self, n_localities: int):
         from repro.hpx.gas import GlobalAddressSpace
 
-        self.rank = rank
-        self.n_localities = n_localities
-        self.scheduler = scheduler
         self.gas = GlobalAddressSpace(n_localities)
-        self._actions: dict[str, Callable] = {}
+        self.scheduler = SimpleNamespace(policy=SchedulingPolicy())
 
-    def register_action(self, name: str, fn: Callable) -> None:
-        if name in self._actions:
-            raise ValueError(f"action {name!r} already registered")
-        self._actions[name] = fn
-
-    def action(self, name: str) -> Callable:
-        fn = self._actions.get(name)
-        if fn is None:
-            raise KeyError(f"unregistered action {name!r}")
-        return fn
-
-    def enqueue_task(self, task: Task, locality: int) -> None:
-        if locality == self.rank:
-            self.scheduler.enqueue(task, locality)
+    def register_action(self, name: str, fn) -> None:
+        pass
 
 
 def seed_worker_rngs(base_seed: int, rank: int) -> None:

@@ -7,7 +7,8 @@ checkpoint restore alike; a session also runs the eager classes (S->M,
 M->M, S->L, M->L) from the plan instead of draining tasks.  All of them
 must return the same bits.  The per-edge ablation computes the same
 sums in another order and agrees to roundoff; a worker's rank-restricted
-plan is a slice of the full one.
+plan is a slice of the full one, and the ranks' slices, walked stage by
+stage with only the rows their ``sends`` name crossing, reproduce it.
 """
 
 from __future__ import annotations
@@ -199,21 +200,38 @@ def test_expansions_without_inputs_still_release_their_children(factories, cloud
 
 
 @pytest.mark.parallel
-def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud):
-    """Mirrored plane-wave rows and input-less expansions cross ranks."""
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud, workers):
+    """Mirrored plane-wave rows and input-less expansions cross ranks;
+    with three workers a stage waits for two peers."""
     factory = factories["laplace"]
     corner, w, domain = _corner_problem(cloud)
-    sim = _evaluator(factory, "fmm")
+    sim = _evaluator(factory, "fmm", config=RuntimeConfig(n_localities=workers))
     par = _evaluator(
-        factory, "fmm", config=RuntimeConfig(backend="parallel", n_localities=2)
+        factory, "fmm", config=RuntimeConfig(backend="parallel", n_localities=workers)
     )
     pts = cloud[0]
-    assert np.array_equal(
-        par.evaluate(pts, w, pts).potentials, sim.evaluate(pts, w, pts).potentials
-    )
+    cold = par.evaluate(pts, w, pts)
+    assert np.array_equal(cold.potentials, sim.evaluate(pts, w, pts).potentials)
     with EvaluatorSession(par, domain=domain) as a, EvaluatorSession(sim, domain=domain) as b:
         assert np.array_equal(a.submit(pts, w), b.submit(pts, w))
         assert np.array_equal(a.submit(corner, w), b.submit(corner, w))
+        reg = b._current.registrar
+        names = [name for name, _ in reg.eager_stages() + reg.flush_stages()]
+        edges = sum(len(out) for out in reg.dag.out_edges)
+        first, last = (r["workers"] for r in a._parallel.round_stats[-2:])
+    # what a rank reports per round: the seconds of every stage it walked
+    # and of the wait in front of it, the plan edges it executed (all
+    # rounds so far), and a frame count bounded by stages x peers - acked
+    # one for one before DONE
+    for rank in last:
+        assert list(rank["stage_s"]) == list(rank["wait_s"]) == names
+        assert rank["in_flight"] == 0
+    assert sum(r["tasks_run"] for r in last) - sum(r["tasks_run"] for r in first) == edges
+    frames = sum(r["frames_sent"] for r in last) - sum(r["frames_sent"] for r in first)
+    assert 0 < frames <= len(names) * workers * (workers - 1)
+    assert sum(r["acks_sent"] for r in last) == sum(r["frames_sent"] for r in last)
+    assert all(r["tasks_run"] > 0 for r in cold.runtime_stats["workers"])
 
 
 def _groups(plan) -> dict:
@@ -289,7 +307,7 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
     for r in ranks:
         assert parts[r]["outputs"] == [g for g in whole["outputs"] if g[2] == r]
 
-    # one stage sequence on every rank, so the barriers line up
+    # one stage sequence on every rank, so the frames line up
     def stage_names(reg):
         return [name for name, _ in reg.flush_stages()]
 
@@ -444,3 +462,137 @@ def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
                 assert np.array_equal(reg.lcos[t].data, data[t])
                 written += 1
     assert written == sum(full.lcos[nid].node.kind == "It" for nid in data)
+
+
+class _ScatterPolicy(DistributionPolicy):
+    """Every node on a random rank - leaf data included, which no shipped
+    policy does - so every stage of both plan sections reads across
+    ranks."""
+
+    name = "scatter"
+
+    def assign(self, dag, dual, n_localities):
+        ranks = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes))
+        for node, rank in zip(dag.nodes, ranks.tolist()):
+            node.locality = rank
+
+
+def _fold_lists(plan) -> tuple[dict, dict, list]:
+    """The eager section with edges resolved to their fold keys."""
+
+    def keys(edges):
+        return [(e.op, e.src, e.pos) for e in edges]
+
+    m = {dst: keys(es) for _, folds in plan.m_folds for dst, es in folds}
+    l = {dst: keys(es) for dst, es in plan.l_folds}
+    return m, l, sorted(keys(g) for g in plan.s2l_groups)
+
+
+@pytest.mark.parametrize("partition", ["contiguous-2", "scatter-4"])
+@pytest.mark.parametrize(
+    "problem, method", [("cube", "fmm"), ("cube", "fmm-basic"), ("cube", "bh"), ("slab", "fmm")]
+)
+def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, method, partition):
+    """A worker's round without the worker: rank-restricted registrars
+    walk the one stage list, and before each stage every rank hands each
+    peer exactly the rows its ``sends`` name (a dict assignment, no
+    queue).  Expansions and potentials must equal the full plan's and a
+    drained ``evaluate()``'s bit for bit."""
+    from repro.dashmm.parallel import ParallelRegistrar
+    from repro.hpx.parallel import LocalityRuntime
+
+    factory = factories["laplace"]
+    if problem == "cube":
+        # four levels, and coarse local expansions nothing contributes to
+        (pts, w, domain), threshold = _corner_problem(cloud), THRESHOLD
+    else:
+        (pts, threshold), domain = TRANSLATION_PROBLEMS["slab"][:2], UNIT
+        w = np.random.default_rng(6).normal(size=len(pts))
+    policy, n = {"contiguous-2": (None, 2), "scatter-4": (_ScatterPolicy(), 4)}[partition]
+    ev = DashmmEvaluator(
+        factory.kernel,
+        method=method,
+        threshold=threshold,
+        eps=1e-3,
+        factory=factory,
+        policy=policy,
+        runtime_config=RuntimeConfig(n_localities=n),
+    )
+    dual = build_dual_tree(pts, pts, threshold, source_weights=w, domain=domain)
+    drained = ev.evaluate(pts, w, pts, dual=dual).potentials
+    with EvaluatorSession(ev, domain=domain) as session:
+        assert np.array_equal(session.submit(pts, w), drained)
+        full = session._current.registrar
+    dag, dual = full.dag, full.dual
+    ranks = range(n)
+    result = np.zeros(len(pts))
+    regs = []
+    for r in ranks:
+        reg = ParallelRegistrar(r, LocalityRuntime(n), dag, dual, factory.kernel, factory)
+        reg.result = result  # disjoint target boxes, as in the shared arena
+        reg.allocate()
+        regs.append(reg)
+    sections = [(full.eager_plan(), [reg.eager_plan() for reg in regs])]
+    sections.append((full.flush_plan(), [reg.flush_plan() for reg in regs]))
+
+    # (a) the ranks' folds and S->L groups partition the full eager
+    # plan's, each fold list identical, every fold at its owner
+    whole, parts = sections[0]
+    m, l, s2l = _fold_lists(whole)
+    rank_lists = [_fold_lists(p) for p in parts]
+    for r, (rm, rl, _) in enumerate(rank_lists):
+        assert all(dag.nodes[dst].locality == r for dst in [*rm, *rl])
+        assert rm.items() <= m.items() and rl.items() <= l.items()
+    assert sum(len(rm) for rm, _, _ in rank_lists) == len(m)
+    assert sum(len(rl) for _, rl, _ in rank_lists) == len(l)
+    assert sorted(g for _, _, groups in rank_lists for g in groups) == s2l
+    for whole, parts in sections:
+        assert sum(p.n_edges for p in parts) == whole.n_edges
+    assert sum(whole.n_edges for whole, _ in sections) == sum(len(out) for out in dag.out_edges)
+
+    # (b) what a sends b is what b awaits from a, under the same stage
+    # name, and the sender owns every id; one stage sequence everywhere
+    stage_lists = [reg.eager_stages() + reg.flush_stages() for reg in regs]
+    names = [name for name, _ in full.eager_stages() + full.flush_stages()]
+    assert all([name for name, _ in stages] == names for stages in stage_lists)
+    sends = [{**e.sends, **f.sends} for e, f in zip(sections[0][1], sections[1][1])]
+    recvs = [{**e.recvs, **f.recvs} for e, f in zip(sections[0][1], sections[1][1])]
+    assert sections[0][0].sends == sections[0][0].recvs == sections[1][0].recvs == {}
+    crossing = dict.fromkeys(sends[0], 0)
+    for a in ranks:
+        assert set(sends[a]) == set(recvs[a]) == set(crossing) <= set(names)
+        for stage in crossing:
+            for b in ranks:
+                ids = sends[a][stage].get(b, [])
+                assert ids == recvs[b][stage].get(a, [])
+                assert a != b or not ids
+                assert all(dag.nodes[i].locality == a for i in ids)
+                crossing[stage] += len(ids)
+    if partition == "scatter-4":
+        expected = {"fmm": {"m2l", "i2i", "i2l", "outputs"}, "fmm-basic": {"m2l", "outputs"}}
+        for stage in expected.get(method, {"m2l"}):
+            assert crossing[stage]
+        assert any(n_ids for stage, n_ids in crossing.items() if stage[0] == "m2m")
+        if method != "bh":
+            assert any(n_ids for stage, n_ids in crossing.items() if stage[0] == "l2l")
+
+    # (c) the walk: post what the stage's readers need, then run it
+    zeros = 0  # expansions that cross as None, the zero expansion
+    for i, name in enumerate(names):
+        for a in ranks:
+            for b, ids in sends[a].get(name, {}).items():
+                regs[b]._mirror.update((nid, regs[a]._data_of(nid)) for nid in ids)
+                zeros += sum(regs[b]._mirror[nid] is None for nid in ids)
+        for stages in stage_lists:
+            stages[i][1]()
+    assert bool(zeros) == (problem == "cube" and method != "bh")
+    for reg in regs:
+        for nid, lco in reg.lcos.items():
+            if lco.node.kind in ("M", "L"):
+                want = full.lcos[nid].data
+                assert (lco.data is None) == (want is None)
+                assert want is None or np.array_equal(lco.data, want)
+    assert sum(len(reg.lcos) for reg in regs) == len(full.lcos)
+    out = np.empty(len(pts))
+    out[dual.target.perm] = result
+    assert np.array_equal(out, drained)

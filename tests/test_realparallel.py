@@ -1,16 +1,17 @@
 """Bit-identity oracle for the real-parallel backend.
 
 ``backend="parallel"`` must reproduce the simulator backend's
-potentials *bit for bit* for the same configuration: LCO folds happen
-in canonical dedup-key order and every batched flush groups by a
+potentials *bit for bit* for the same configuration: folds happen in
+canonical dedup-key order and every batched stage groups by a
 locality-including canonical key, so the floating-point reduction
 order is a function of the DAG and the distribution alone - never of
 which backend (or how many real processes) executed it.
 
 The tests that spawn worker processes carry the ``parallel`` marker,
 which keeps them out of the default lane (select with ``pytest -m
-parallel``); the configuration checks fail before any process exists
-and run everywhere.
+parallel``); the configuration checks fail before any process exists,
+the worker-protocol test runs its bodies on threads, and both run
+everywhere.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import queue
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -89,15 +93,105 @@ def test_single_worker_matches_single_locality_sim(laplace, laplace_factory, clo
     assert np.array_equal(ref.potentials, par.potentials)
 
 
-@parallel
 def test_bit_identity_under_schedule_fuzz(laplace, laplace_factory, cloud):
-    """Fuzzed per-worker schedule decisions must not move a single bit."""
+    """A worker walks its compiled plan and makes no schedule decision,
+    so there is nothing to fuzz: the flag is refused like a replay
+    trace, not accepted to certify nothing.  (Bit-identity under fuzzed
+    schedules is the simulator's certificate, test_schedule_fuzz.py;
+    a scheduling policy, which only shapes the virtual clock, is
+    accepted - see ``_pair``.)"""
+    from repro.dashmm.service import EvaluatorSession
+    from repro.hpx.tracing import ScheduleTrace
+
     src, w, tgt = cloud
-    ref = _pair(laplace, "fmm", laplace_factory, "sim").evaluate(src, w, tgt)
-    par = _pair(
-        laplace, "fmm", laplace_factory, "parallel", fuzz_schedule=99
-    ).evaluate(src, w, tgt)
-    assert np.array_equal(ref.potentials, par.potentials)
+    for flag, value in (("fuzz_schedule", 99), ("replay_schedule", ScheduleTrace())):
+        ev = _pair(laplace, "fmm", laplace_factory, "parallel", **{flag: value})
+        with pytest.raises(ValueError, match="backend='sim'|simulator"):
+            ev.evaluate(src, w, tgt)
+        with EvaluatorSession(ev) as session, pytest.raises(ValueError, match="sim"):
+            session.submit(src, w)
+    assert multiprocessing.active_children() == []
+
+
+class _ThreadFleet:
+    """The worker side of a ``PersistentParallelService`` without the
+    processes: one ``_WorkerBody`` per rank on a thread of this process,
+    plain ``queue.Queue`` inboxes, the arena owned here."""
+
+    def __init__(self, evaluator, sources, weights, targets):
+        from repro.dashmm.parallel import PersistentParallelService, _WorkerBody
+
+        self.n = evaluator.runtime_config.n_localities
+        self.arena = ShmArena()
+        for name, array in (("sources", sources), ("weights", weights), ("targets", targets)):
+            self.arena.put(name, np.ascontiguousarray(array, dtype=np.float64))
+        self.result = self.arena.alloc("result", (len(targets),), np.float64)
+        self.inboxes = [queue.Queue() for _ in range(self.n)]
+        self.parent_q = queue.Queue()
+        spec = PersistentParallelService(evaluator, domain=None)._worker_spec(None)
+        self.bodies = [
+            _WorkerBody(r, self.n, spec, self.arena.manifest(), self.inboxes, self.parent_q)
+            for r in range(self.n)
+        ]
+        self.threads = [threading.Thread(target=b.run, daemon=True) for b in self.bodies]
+        for t in self.threads:
+            t.start()
+        self.await_all("ready")
+
+    def await_all(self, tag: str) -> None:
+        got = [self.parent_q.get(timeout=60.0) for _ in range(self.n)]
+        assert sorted(msg[:2] for msg in got) == [(tag, r) for r in range(self.n)]
+
+    def potentials(self) -> np.ndarray:
+        out = np.empty(len(self.result))
+        out[self.bodies[0].dual.target.perm] = self.result
+        return out
+
+    def close(self) -> None:
+        for q in self.inboxes:
+            q.put(("stop",))
+        for t in self.threads:
+            t.join(timeout=60.0)
+        alive = [t for t in self.threads if t.is_alive()]
+        self.arena.destroy()
+        assert not alive
+
+
+def test_frame_that_overtakes_go_waits_for_the_round(laplace, cloud):
+    """The parent posts GO inbox by inbox, so rank 0's first frame can
+    reach rank 1 before rank 1's GO does.  Handled on arrival it would
+    land in a mirror the round update is about to clear; it must be held
+    and delivered once the round's state is in place."""
+    from repro.kernels.fitops import OperatorFactory
+
+    src, w, _ = cloud
+    # workers take OperatorFactory.shared: the reference must fit the same
+    factory = OperatorFactory.shared(laplace, eps=1e-4)
+    sim = _pair(laplace, "fmm", factory, "sim")
+    fleet = _ThreadFleet(_pair(laplace, "fmm", factory, "parallel"), src, w, src)
+    try:
+        for q in fleet.inboxes:
+            q.put(("go",))
+        fleet.await_all("done")
+        assert np.array_equal(fleet.potentials(), sim.evaluate(src, w, src).potentials)
+
+        w2 = w[::-1].copy()
+        fleet.arena.get("weights")[:] = w2
+        fleet.result[:] = 0.0
+        go = ("go", {"kind": "weights"})
+        fleet.inboxes[0].put(go)
+        late = fleet.bodies[1]
+        deadline = time.monotonic() + 60.0
+        while not late._held and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert [msg[0] for msg in late._held] == ["frame"] * len(late._held) != []
+        fleet.inboxes[1].put(go)
+        fleet.await_all("done")
+        assert late._held == []
+        assert np.array_equal(fleet.potentials(), sim.evaluate(src, w2, src).potentials)
+    finally:
+        fleet.close()
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
 
 
 def _operator_snapshot_dirs() -> set[str]:
