@@ -17,6 +17,7 @@ cost model only (no numerics), enabling paper-scale scaling studies.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -35,6 +36,28 @@ from repro.tree.dualtree import DualTree, build_dual_tree
 from repro.tree.lists import InteractionLists, build_lists
 
 METHODS = ("fmm", "fmm-basic", "bh")
+
+
+class _CollectorPaused:
+    """Hold CPython's cyclic collector off for one simulated evaluation.
+
+    An evaluation allocates ~10^5 long-lived objects (tree boxes, DAG
+    nodes and edges, LCOs, tasks) that the generational collector would
+    otherwise re-walk several times per run without ever finding garbage:
+    ownership points one way (report -> registrar -> runtime -> scheduler
+    -> LCOs, see DESIGN.md "Object lifetime"), so a dropped evaluation is
+    freed by reference counting alone.  Restores the caller's setting;
+    ``__exit__`` allocates nothing, so the young-generation pass the
+    pause defers runs at the caller's next allocation, not in here.
+    """
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.enabled:
+            gc.enable()
 
 
 @dataclass
@@ -188,6 +211,10 @@ class DashmmEvaluator:
             return evaluate_parallel(
                 self, sources, weights, targets, dual=dual, lists=lists, dag=dag
             )
+        with _CollectorPaused():
+            return self._evaluate_sim(sources, weights, targets, dual, lists, dag)
+
+    def _evaluate_sim(self, sources, weights, targets, dual, lists, dag) -> EvaluationReport:
         if dual is None:
             dual = build_dual_tree(
                 sources, targets, self.threshold, source_weights=weights
@@ -281,7 +308,8 @@ class DashmmEvaluator:
         capture, never its correctness.
         """
         runtime = report.extras["runtime"]
-        runtime.restore(checkpoint)
-        return self._drive(
-            runtime, report.extras["registrar"], report.lists, resumed_from=checkpoint.time
-        )
+        with _CollectorPaused():
+            runtime.restore(checkpoint)
+            return self._drive(
+                runtime, report.extras["registrar"], report.lists, resumed_from=checkpoint.time
+            )

@@ -35,6 +35,7 @@ is compiled by :mod:`repro.dashmm.flushplan`; this module executes it:
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from functools import partial
 
@@ -71,6 +72,12 @@ CRITICAL_OPS = ("S2M", "M2M", "M2I", "I2I", "I2L", "M2L", "L2L", "S2L")
 FILLER_OPS = ("S2T", "M2T", "L2T")
 
 
+def _weak_method(method):
+    """``method`` as a plain callable that holds its object weakly."""
+    ref, fn = weakref.ref(method.__self__), method.__func__
+    return lambda *args: fn(ref(), *args)
+
+
 class ExpansionLCO(LCO):
     """User-defined LCO: expansion data + DAG out-edge list (Fig. 2).
 
@@ -88,11 +95,10 @@ class ExpansionLCO(LCO):
     computed after the drain by the flush plan.
     """
 
-    def __init__(self, runtime, locality: int, node: DagNode, n_inputs: int, registrar):
+    def __init__(self, runtime, locality: int, node: DagNode, n_inputs: int):
         super().__init__(runtime, locality)
         self.node = node
         self.remaining = n_inputs
-        self.registrar = registrar
         self.data = None
         self._inbox: list = []
         self._unkeyed = 0
@@ -264,13 +270,22 @@ class Registrar:
                 self._node_levels = node_priorities(
                     dag, cost_model=self.cost, levels=pol.n_levels - 1
                 )
-        runtime.register_action("dashmm_edges", self._edges_action)
+        # the runtime sits below the registrar in the ownership chain:
+        # what is handed down into it - LCO continuations, time-zero and
+        # spawned tasks, the parcel action, the checkpoint participant
+        # slot - reaches the registrar by weak reference, so a dropped
+        # evaluation is freed by reference counting, not by a
+        # cyclic-collector pass
+        self._continuation_task = _weak_method(self._continuation)
+        self._process_edges_task = _weak_method(self._process_edges)
+        self._run_edge_task = _weak_method(self._run_edge)
+        runtime.register_action("dashmm_edges", _weak_method(self._edges_action))
         # per-evaluation mutable state outside the GAS (the stacked
         # multipoles, the pending-flush flag, the result vector) rides
         # checkpoints through the participant protocol
         participants = getattr(runtime, "checkpoint_participants", None)
         if participants is not None:
-            participants.append(self)
+            participants.append(weakref.ref(self))
 
     # -- expansion-data access ----------------------------------------------------
     def _data_of(self, node_id: int):
@@ -303,7 +318,7 @@ class Registrar:
                 continue
             if only is not None and node.locality != only:
                 continue
-            lco = ExpansionLCO(self.runtime, node.locality, node, n_in, self)
+            lco = ExpansionLCO(self.runtime, node.locality, node, n_in)
             self.lcos[node.id] = lco
             self._arm(lco)
 
@@ -312,7 +327,7 @@ class Registrar:
         node = lco.node
         lco.register_continuation(
             Task(
-                fn=self._continuation,
+                fn=self._continuation_task,
                 args=(node.id,),
                 op_class=f"edges:{node.kind}",
                 priority=self._node_priority(node),
@@ -348,7 +363,7 @@ class Registrar:
                     continue
                 self.runtime.enqueue_task(
                     Task(
-                        fn=self._process_edges,
+                        fn=self._process_edges_task,
                         args=(node.id, group),
                         op_class=f"edges:{node.kind}",
                         priority=pr,
@@ -479,7 +494,7 @@ class Registrar:
             if rest:
                 ctx.spawn(
                     Task(
-                        fn=self._process_edges,
+                        fn=self._process_edges_task,
                         args=(node_id, rest),
                         op_class=f"edges:{node.kind}",
                         priority=self._edge_priority(rest),
@@ -525,7 +540,7 @@ class Registrar:
                     for e in group:
                         ctx.spawn(
                             Task(
-                                fn=self._run_edge,
+                                fn=self._run_edge_task,
                                 args=(e,),
                                 op_class=e.op,
                                 priority=self._edge_priority([e]),

@@ -50,7 +50,7 @@ What a snapshot contains:
   is truncated on restore), or the replayer cursor;
 * **tracer** - the interval count (restored by truncation, so a
   resumed run does not double-record intervals);
-* **participants** - any object registered in
+* **participants** - any object registered (by weak reference) in
   ``Runtime.checkpoint_participants`` (e.g. the DASHMM registrar,
   whose lazy/deferred accumulators and result vector live outside the
   GAS) contributes an opaque state blob via the same protocol.
@@ -63,6 +63,7 @@ times (captured containers are copied again on every restore).
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 import numpy as np
@@ -100,7 +101,7 @@ class RuntimeCheckpoint:
     """
 
     __slots__ = (
-        "runtime",
+        "_runtime",
         "time",
         "label",
         "_sched",
@@ -121,7 +122,8 @@ class RuntimeCheckpoint:
     @classmethod
     def capture(cls, runtime, label: str = "periodic") -> "RuntimeCheckpoint":
         cp = cls.__new__(cls)
-        cp.runtime = runtime
+        # weak: the runtime keeps its checkpoints in Runtime.checkpoints
+        cp._runtime = weakref.ref(runtime)
         cp.label = label
         sched = runtime.scheduler
         cp.time = sched.now
@@ -241,13 +243,17 @@ class RuntimeCheckpoint:
 
         cp._trace_len = len(runtime.tracer)
 
-        participants = getattr(runtime, "checkpoint_participants", ())
-        cp._participants = tuple((p, p.checkpoint_state()) for p in participants)
+        # participants stay weak here too: a participant owns the runtime
+        cp._participants = tuple(
+            (ref, p.checkpoint_state())
+            for ref in getattr(runtime, "checkpoint_participants", ())
+            if (p := ref()) is not None
+        )
         return cp
 
     # -- restore -----------------------------------------------------------------
     def restore(self, runtime) -> None:
-        if runtime is not self.runtime:
+        if runtime is not self._runtime():
             raise ValueError(
                 "a RuntimeCheckpoint rewinds live object state in place "
                 "and can only be restored onto the runtime it was "
@@ -286,7 +292,7 @@ class RuntimeCheckpoint:
         for i, entry in enumerate(self._heap):
             if i in contexts:
                 worker, time, charges, effects, hb = contexts[i]
-                ctx = TaskContext(sched, worker, time)
+                ctx = TaskContext(worker, sched.worker_locality[worker], time)
                 ctx.charges.extend(charges)
                 ctx.effects.extend(copy_state(effects))
                 ctx.hb = hb
@@ -354,8 +360,10 @@ class RuntimeCheckpoint:
         del tracer._t0[n:]
         del tracer._t1[n:]
 
-        for participant, state in self._participants:
-            participant.restore_state(state)
+        for ref, state in self._participants:
+            participant = ref()
+            if participant is not None:
+                participant.restore_state(state)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (

@@ -43,6 +43,7 @@ which keeps clocks small on dataflow-shaped programs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -108,9 +109,10 @@ class HazardDetector:
     never alters the schedule, the virtual clock or any value.
     """
 
-    def __init__(self):
-        #: set at wiring time; only used to timestamp GAS reports
-        self.scheduler = None
+    def __init__(self, scheduler=None):
+        #: weak: the scheduler holds this detector as ``hazards``; only
+        #: used to timestamp GAS reports
+        self._scheduler = None if scheduler is None else weakref.ref(scheduler)
         self._next_chain = 1
         self._tips: dict[int, int] = {0: 0}
         #: everything done before (and after) the scheduler loop is
@@ -285,7 +287,8 @@ class HazardDetector:
 
     # -- GAS monitor (called from repro.hpx.gas) ----------------------------------------
     def _now(self) -> float:
-        return self.scheduler.now if self.scheduler is not None else 0.0
+        sched = None if self._scheduler is None else self._scheduler()
+        return sched.now if sched is not None else 0.0
 
     def on_gas_write(self, addr, t: float | None = None) -> None:
         if t is None:

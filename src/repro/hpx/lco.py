@@ -20,6 +20,7 @@ Semantics mirrored here:
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable
 
 from repro.hpx.scheduler import Task
@@ -71,7 +72,9 @@ class LCO:
     fold_commutative = True
 
     def __init__(self, runtime, locality: int):
-        self.runtime = runtime
+        # weak: the runtime's GAS holds this LCO; read only to enqueue a
+        # continuation registered after the trigger
+        self._runtime = weakref.ref(runtime)
         self.locality = locality
         self.triggered = False
         self._continuations: list[Task] = []
@@ -154,7 +157,7 @@ class LCO:
     def register_continuation(self, task: Task) -> None:
         """Attach a dependent task; runs at trigger (or now if triggered)."""
         if self.triggered:
-            sched = self.runtime.scheduler
+            sched = self._runtime().scheduler
             hz = sched.hazards
             if hz is not None and task.hb is None:
                 task.hb = hz.continuation_event(self, task.op_class, sched.now)
@@ -171,7 +174,7 @@ class LCO:
     # -- checkpoint/restore protocol (repro.hpx.checkpoint) ----------------------
     #: instance attributes excluded from the generic snapshot: fixed
     #: identity/wiring that never changes over an LCO's lifetime
-    _checkpoint_skip = ("runtime", "addr", "registrar")
+    _checkpoint_skip = ("_runtime", "addr")
 
     def checkpoint_state(self) -> dict:
         """Snapshot of this LCO's mutable state (trigger flag, fold

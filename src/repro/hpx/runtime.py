@@ -9,6 +9,7 @@ actions, allocate LCOs, enqueue initial parcels/tasks, call
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -164,10 +165,8 @@ class Runtime:
             measure_costs=self.config.measure_costs,
             measure_scale=self.config.measure_scale,
         )
-        self.scheduler.deliver_parcel = self._deliver
         if self.config.reliable:
             self.scheduler.transport = ReliableTransport(
-                self.scheduler,
                 timeout=self.config.retry_timeout,
                 backoff=self.config.retry_backoff,
                 retry_limit=self.config.retry_limit,
@@ -189,15 +188,15 @@ class Runtime:
             )
         self.hazard_detector: HazardDetector | None = None
         if self.config.detect_hazards:
-            self.hazard_detector = HazardDetector()
-            self.hazard_detector.scheduler = self.scheduler
+            self.hazard_detector = HazardDetector(self.scheduler)
             self.scheduler.hazards = self.hazard_detector
             self.gas.monitor = self.hazard_detector
         self._actions: dict[str, Callable] = {}
-        #: objects with per-run mutable state outside the GAS (e.g. the
-        #: DASHMM registrar) register here; each contributes an opaque
-        #: blob to every checkpoint via checkpoint_state()/restore_state()
-        self.checkpoint_participants: list = []
+        #: weak references to objects with per-run mutable state outside
+        #: the GAS (e.g. the DASHMM registrar, which owns this runtime);
+        #: each contributes an opaque blob to every checkpoint via
+        #: checkpoint_state()/restore_state()
+        self.checkpoint_participants: list[weakref.ref] = []
         #: checkpoints captured so far (periodic and abort), oldest first
         self.checkpoints: list[RuntimeCheckpoint] = []
 
@@ -274,9 +273,13 @@ class Runtime:
         if "_memget" in self._actions:
             return
 
+        # the action table is the runtime's own: the bodies close over
+        # the GAS, not the runtime
+        gas = self.gas
+
         def do_get(ctx, target, fut_addr, size_bytes):
-            value = self.gas.translate(target, ctx.locality)
-            fut = self.gas.translate(fut_addr, fut_addr.locality) if (
+            value = gas.translate(target, ctx.locality)
+            fut = gas.translate(fut_addr, fut_addr.locality) if (
                 fut_addr.locality == ctx.locality
             ) else None
             if fut is not None:
@@ -294,11 +297,11 @@ class Runtime:
                 )
 
         def do_reply(ctx, target, value):
-            fut = self.gas.translate(target, ctx.locality)
+            fut = gas.translate(target, ctx.locality)
             ctx.lco_set(fut, value)
 
         def do_put(ctx, target, value):
-            self.gas.put_local(target, value, ctx.locality)
+            gas.put_local(target, value, ctx.locality)
 
         self.register_action("_memget", do_get)
         self.register_action("_memget_reply", do_reply)
@@ -323,6 +326,8 @@ class Runtime:
         """
         sched = self.scheduler
         every = self.config.checkpoint_every
+        # bound for this span only: the scheduler sits below the runtime
+        sched.deliver_parcel = self._deliver
         try:
             if every is not None:
                 while True:
@@ -344,6 +349,8 @@ class Runtime:
                 sched.aborted = None
                 exc.checkpoint = self.checkpoint(label="abort")
             raise
+        finally:
+            sched.deliver_parcel = None
         if self.hazard_detector is not None:
             # post-run code (result gathers, test assertions) is
             # ordered after every task - no false races against setup

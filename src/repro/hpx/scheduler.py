@@ -356,14 +356,19 @@ class Task:
 
 
 class TaskContext:
-    """Handed to every task body; collects charges and buffered effects."""
+    """Handed to every task body; collects charges and buffered effects.
+
+    ``scheduler`` is bound only while the body runs: contexts are pooled
+    by, and queued in the heap of, the scheduler they would point back
+    to, so a context outside a body holds no reference up to it.
+    """
 
     __slots__ = ("scheduler", "worker", "locality", "time", "charges", "effects", "hb")
 
-    def __init__(self, scheduler: "Scheduler", worker: int, time: float):
-        self.scheduler = scheduler
+    def __init__(self, worker: int, locality: int, time: float):
+        self.scheduler: "Scheduler | None" = None
         self.worker = worker
-        self.locality = scheduler.worker_locality[worker]
+        self.locality = locality
         self.time = time
         self.charges: list[tuple[str, float]] = []
         self.effects: list[tuple[str, Any]] = []
@@ -475,10 +480,11 @@ class Scheduler:
         self.steals = 0
         self.parcels_sent = 0
         self.remote_bytes = 0
-        # set by the runtime so buffered parcel effects can be routed
+        #: parcel delivery handler; a Runtime binds its own for the span
+        #: of Runtime.run() only (it owns this scheduler)
         self.deliver_parcel: Callable | None = None
         #: routes remote parcels; the runtime swaps in ReliableTransport
-        self.transport = DirectTransport(self)
+        self.transport = DirectTransport()
         #: when True (reliable transport), repeated LCO dedup keys are
         #: suppressed and counted instead of raising LCOError
         self.lco_dedup = False
@@ -629,7 +635,7 @@ class Scheduler:
                 # cancelled timer must not drag the clock forward
                 if not data.cancelled:
                     self.now = t
-                    data.fn(t)
+                    data.fn(self, t)
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event kind {kind}")
             if self._abort is not None:
@@ -715,9 +721,9 @@ class Scheduler:
             self._idle[self.worker_locality[worker]].append(worker)
 
     def _acquire_ctx(self, worker: int, t: float) -> TaskContext:
-        """A fresh-looking TaskContext, recycled from the pool when possible.
+        """An empty TaskContext, recycled from the pool when possible.
 
-        Contexts are returned to the pool at the end of ``_finish``;
+        ``_finish`` empties a context before it returns it to the pool;
         recycling the object (and its charges/effects lists) removes
         three allocations from the per-task hot path.
         """
@@ -727,11 +733,8 @@ class Scheduler:
             ctx.worker = worker
             ctx.locality = self.worker_locality[worker]
             ctx.time = t
-            ctx.charges.clear()
-            ctx.effects.clear()
-            ctx.hb = None
             return ctx
-        return TaskContext(self, worker, t)
+        return TaskContext(worker, self.worker_locality[worker], t)
 
     def _execute(self, worker: int, task: Task, t: float) -> None:
         self.busy[worker] = True
@@ -743,6 +746,7 @@ class Scheduler:
             # bootstrap event here.  It is current for the body (GAS
             # accesses) and re-installed at completion for the effects.
             ctx.hb = hz.begin_task(task, t)
+        ctx.scheduler = self
         if self.measure_costs:
             w0 = _time.perf_counter()
             task.fn(ctx, *task.args)
@@ -756,6 +760,7 @@ class Scheduler:
             task.fn(ctx, *task.args)
             if not ctx.charges:
                 ctx.charge(task.op_class, task.cost if task.cost is not None else 0.0)
+        ctx.scheduler = None
         if hz is not None:
             hz.end_task()
         self.tasks_run += 1
@@ -787,7 +792,7 @@ class Scheduler:
             self.post_parcel_arrival(parcel, t)
         else:
             self.remote_bytes += parcel.size_bytes
-            self.transport.send(parcel, src, dst, t)
+            self.transport.send(self, parcel, src, dst, t)
 
     def _finish(self, data, t: float) -> None:
         worker, ctx = data
@@ -814,5 +819,10 @@ class Scheduler:
         if hz is not None:
             hz.current = None
         self.busy[worker] = False
+        # emptied on release, not on reuse: a pooled context must not
+        # pin its last task's LCOs, parcels and closures
+        ctx.charges.clear()
+        ctx.effects.clear()
+        ctx.hb = None
         self._ctx_pool.append(ctx)
         self._try_pick(worker, t)

@@ -117,8 +117,9 @@ class Framing:
         """Remember sender-side state until the frame is acked."""
         self._pending[seq] = state
 
-    def is_pending(self, seq) -> bool:
-        return seq in self._pending
+    def pending(self, seq):
+        """The tracked state of an unacked frame (None once acked)."""
+        return self._pending.get(seq)
 
     def ack(self, seq):
         """Process an incoming ack; returns the tracked state (None if
@@ -151,7 +152,12 @@ class Framing:
 
 
 class _Event:
-    """A cancellable scheduled callback (retry timers, arrivals, acks)."""
+    """A cancellable scheduled callback (retry timers, arrivals, acks).
+
+    The scheduler fires it as ``fn(scheduler, t)``.  A transport is owned
+    by the scheduler whose heap holds its events, so neither keeps a
+    reference to the scheduler: it is passed in at every entry point.
+    """
 
     __slots__ = ("fn", "cancelled")
 
@@ -165,11 +171,7 @@ class DirectTransport:
 
     reliable = False
 
-    def __init__(self, scheduler):
-        self.scheduler = scheduler
-
-    def send(self, parcel, src: int, dst: int, t: float) -> None:
-        sched = self.scheduler
+    def send(self, sched, parcel, src: int, dst: int, t: float) -> None:
         for ta in sched.network.delivery_times(src, dst, t, parcel.size_bytes):
             sched._push_event(ta, "parcel", parcel)
 
@@ -194,13 +196,17 @@ class _Pending:
 
 
 class ReliableTransport:
-    """Sequence numbers + receiver dedup + acks + bounded backoff retry."""
+    """Sequence numbers + receiver dedup + acks + bounded backoff retry.
+
+    Every entry point takes the scheduler that owns this transport (see
+    :class:`_Event`); timers and resumes name their parcel by frame id,
+    so no event holds its own pending entry.
+    """
 
     reliable = True
 
     def __init__(
         self,
-        scheduler,
         timeout: float = 50e-6,
         backoff: float = 2.0,
         retry_limit: int = 10,
@@ -208,7 +214,6 @@ class ReliableTransport:
     ):
         if timeout <= 0 or backoff < 1.0 or retry_limit < 0:
             raise ValueError("invalid reliable-transport configuration")
-        self.scheduler = scheduler
         self.timeout = timeout
         self.backoff = backoff
         self.retry_limit = retry_limit
@@ -224,23 +229,22 @@ class ReliableTransport:
         self.resumes = 0
 
     # -- sender side -------------------------------------------------------------
-    def send(self, parcel, src: int, dst: int, t: float) -> None:
+    def send(self, sched, parcel, src: int, dst: int, t: float) -> None:
         parcel.seq = self.framing.stamp(src)
         entry = _Pending(parcel, src, dst)
         self.framing.track(parcel.seq, entry)
-        self._transmit(entry, t)
+        self._transmit(sched, entry, t)
 
-    def _transmit(self, entry: _Pending, t: float) -> None:
-        sched = self.scheduler
+    def _transmit(self, sched, entry: _Pending, t: float) -> None:
         parcel = entry.parcel
         entry.last_send = t
         arrivals = sched.network.delivery_times(
             entry.src, entry.dst, t, parcel.size_bytes
         )
         for ta in arrivals:
-            arrive = _Event(lambda ta, p=parcel: self._on_receive(p, ta))
+            arrive = _Event(lambda s, ta, p=parcel: s.transport._on_receive(s, p, ta))
             sched._push_event(ta, "call", arrive)
-        timer = _Event(lambda tt, e=entry: self._on_timeout(e, tt))
+        timer = _Event(lambda s, tt, q=parcel.seq: s.transport._on_timeout(s, q, tt))
         entry.timer = timer
         # the retry clock starts from the copy's scheduled arrival (which
         # includes NIC-serialization queueing - think of a congestion
@@ -250,25 +254,26 @@ class ReliableTransport:
         # must not burn its retry budget while it drains.  A dropped
         # send has no arrival; its timer runs from the send time.
         base = max(arrivals) if arrivals else t
-        sched._push_event(base + self._timeout_for(entry), "call", timer)
+        sched._push_event(base + self._timeout_for(sched, entry), "call", timer)
 
-    def _timeout_for(self, entry: _Pending) -> float:
+    def _timeout_for(self, sched, entry: _Pending) -> float:
         # base timeout plus the transfer time of the payload itself, so
         # big coalesced parcels are not declared lost mid-injection
-        bandwidth = getattr(self.scheduler.network, "bandwidth", 0.0)
+        bandwidth = getattr(sched.network, "bandwidth", 0.0)
         transfer = entry.parcel.size_bytes / bandwidth if bandwidth else 0.0
         return (self.timeout + 2.0 * transfer) * (self.backoff**entry.attempts)
 
-    def _on_timeout(self, entry: _Pending, t: float) -> None:
-        if not self.framing.is_pending(entry.parcel.seq):
+    def _on_timeout(self, sched, seq, t: float) -> None:
+        entry = self.framing.pending(seq)
+        if entry is None:
             return  # acked between timer creation and firing
         if entry.attempts >= self.retry_limit:
-            resume_at = self._outage_resume_time(entry, t)
+            resume_at = self._outage_resume_time(sched, entry, t)
             if resume_at is not None:
                 # the exhaustion is explained by a known outage window:
                 # park the parcel and try again once the window lifts,
                 # instead of losing the whole evaluation
-                self._suspend(entry, resume_at)
+                self._suspend(sched, entry, resume_at)
                 return
             # genuinely unreachable: park the parcel anyway - the abort
             # checkpoint then holds it in the suspended table with an
@@ -277,8 +282,8 @@ class ReliableTransport:
             # route the failure through the structured scheduler abort
             # so the run loop raises *between* events with every
             # heap/LCO/transport invariant intact
-            self._suspend(entry, t)
-            self.scheduler.abort(
+            self._suspend(sched, entry, t)
+            sched.abort(
                 TransportError(
                     "parcel exhausted its retry budget",
                     parcel=entry.parcel,
@@ -289,9 +294,9 @@ class ReliableTransport:
             return
         entry.attempts += 1
         self.retries += 1
-        self._transmit(entry, t)
+        self._transmit(sched, entry, t)
 
-    def _outage_resume_time(self, entry: _Pending, t: float) -> float | None:
+    def _outage_resume_time(self, sched, entry: _Pending, t: float) -> float | None:
         """When (if ever) the outage blocking ``entry`` lifts.
 
         Returns the virtual time to reattempt delivery, or None when no
@@ -299,7 +304,7 @@ class ReliableTransport:
         retry period ``[entry.last_send, t]`` - in which case the
         destination is treated as genuinely unreachable.
         """
-        clear_fn = getattr(self.scheduler.network, "outage_clear", None)
+        clear_fn = getattr(sched.network, "outage_clear", None)
         if clear_fn is None:
             return None
         clear = clear_fn((entry.src, entry.dst), entry.last_send, t)
@@ -307,22 +312,24 @@ class ReliableTransport:
             return None
         return max(clear, t)
 
-    def _suspend(self, entry: _Pending, resume_at: float) -> None:
+    def _suspend(self, sched, entry: _Pending, resume_at: float) -> None:
         self.suspensions += 1
         entry.timer = None
-        self._suspended[entry.parcel.seq] = entry
-        resume = _Event(lambda tt, e=entry: self._on_resume(e, tt))
-        self.scheduler._push_event(resume_at, "call", resume)
+        seq = entry.parcel.seq
+        self._suspended[seq] = entry
+        resume = _Event(lambda s, tt, q=seq: s.transport._on_resume(s, q, tt))
+        sched._push_event(resume_at, "call", resume)
 
-    def _on_resume(self, entry: _Pending, t: float) -> None:
-        self._suspended.pop(entry.parcel.seq, None)
-        if not self.framing.is_pending(entry.parcel.seq):
+    def _on_resume(self, sched, seq, t: float) -> None:
+        self._suspended.pop(seq, None)
+        entry = self.framing.pending(seq)
+        if entry is None:
             return  # a straggler copy got through while suspended
         self.resumes += 1
         # the outage explains every failed transmission so far: restart
         # the retry budget for the post-outage reattempts
         entry.attempts = 0
-        self._transmit(entry, t)
+        self._transmit(sched, entry, t)
 
     def _on_ack(self, seq, t: float) -> None:
         entry = self.framing.ack(seq)
@@ -332,26 +339,27 @@ class ReliableTransport:
             entry.timer.cancelled = True
 
     # -- receiver side -----------------------------------------------------------
-    def _on_receive(self, parcel, t: float) -> None:
+    def _on_receive(self, sched, parcel, t: float) -> None:
         seq = parcel.seq
         fresh = self.framing.receive(seq)
         if not fresh:
-            hz = getattr(self.scheduler, "hazards", None)
+            hz = sched.hazards
             if hz is not None:
                 hz.note_transport_dup(parcel)
         # always (re-)ack: the sender may have missed the previous ack
-        self._send_ack(parcel, t)
+        self._send_ack(sched, parcel, t)
         if fresh:
-            self.scheduler.deliver_parcel(parcel, t)
+            sched.deliver_parcel(parcel, t)
 
-    def _send_ack(self, parcel, t: float) -> None:
-        sched = self.scheduler
+    def _send_ack(self, sched, parcel, t: float) -> None:
         self.framing.acks_sent += 1
         seq = parcel.seq
         for ta in sched.network.delivery_times(
             parcel.target_locality, parcel.origin, t, self.ack_bytes
         ):
-            sched._push_event(ta, "call", _Event(lambda tt, s=seq: self._on_ack(s, tt)))
+            sched._push_event(
+                ta, "call", _Event(lambda s, tt, q=seq: s.transport._on_ack(q, tt))
+            )
 
     # -- introspection -----------------------------------------------------------
     @property

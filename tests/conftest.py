@@ -17,13 +17,18 @@ selects markers explicitly (``pytest -m fuzz``, ``pytest -m "slow or
 fuzz"``, ...).
 
 The session runs with BLAS capped at one thread (see below), so no lane
-depends on a hand-set environment.
+depends on a hand-set environment, and it fails at the end if any test
+left a shared-memory segment, child process or operator-cache temp dir
+behind (``no_leaked_resources``).
 """
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
 import os
 import sys
+import tempfile
 
 # Workers of the real-parallel backend cap their BLAS at one thread; the
 # ``parallel`` tests compare their potentials bit for bit with this
@@ -45,6 +50,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from repro.hpx import parallel  # noqa: E402
+from repro.hpx.gas import ShmArena  # noqa: E402
 from repro.kernels.fitops import OperatorFactory  # noqa: E402
 from repro.kernels.laplace import LaplaceKernel  # noqa: E402
 from repro.kernels.yukawa import YukawaKernel  # noqa: E402
@@ -70,6 +76,24 @@ def pytest_collection_modifyitems(config, items):
         for item in items:
             if marker in item.keywords:
                 item.add_marker(skip)
+
+
+def _op_dirs() -> set[str]:
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "hmmops_*")))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_resources():
+    """Fail the run if it leaves a shared-memory segment of this process,
+    a live child process or an operator-cache directory behind (a test
+    that trips this gets its leak fixed, not an exemption)."""
+    dirs_before = _op_dirs()
+    yield
+    leaks = [f"shm segment {name}" for name in ShmArena.leaked(f"hmmgas_{os.getpid()}_")]
+    leaks += [f"child process {p.pid}" for p in multiprocessing.active_children()]
+    leaks += [f"temp dir {d}" for d in sorted(_op_dirs() - dirs_before)]
+    if leaks:
+        pytest.fail("the test session leaked: " + ", ".join(leaks), pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,171 @@
+"""Object lifetime: an evaluation is freed by reference counting alone.
+
+Ownership points one way - report -> registrar -> runtime -> scheduler,
+GAS, transport -> LCOs and tasks - so dropping a report frees its whole
+object graph at once, and ``evaluate()`` can hold CPython's cyclic
+collector off for its whole span (DESIGN.md "Object lifetime").  Checked
+here over every runtime mode, both execution modes and all methods: no
+cyclic garbage after ``del report``, no collector pass inside
+``evaluate()``, and a steady tracked-object count over a long loop of
+checkpointed evaluations that never collects.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.dashmm import DashmmEvaluator
+from repro.hpx import FaultyNetwork, RuntimeConfig
+from repro.kernels.laplace import LaplaceKernel
+
+RUNTIME_MODES = {
+    "default": {},
+    "tracing-off": {"tracing": False},
+    "critical-path": {"policy": "critical-path"},
+    "reliable": {
+        "reliable": True,
+        "network": FaultyNetwork(drop=0.05, duplicate=0.05, reorder=0.5, seed=5),
+    },
+    "fuzz": {"fuzz_schedule": 17},
+    "replay": {"replay_schedule": "recorded"},
+    "checkpoint": {"checkpoint_every": 2e-4},
+    "hazards": {"detect_hazards": True},
+}
+
+
+@pytest.fixture(scope="module")
+def cloud():
+    rng = np.random.default_rng(25)
+    n = 300
+    return rng.uniform(0, 1, (n, 3)), rng.normal(size=n), rng.uniform(0, 1, (n, 3))
+
+
+def _evaluator(laplace, laplace_factory, mode, method, **cfg):
+    return DashmmEvaluator(
+        laplace,
+        method=method,
+        threshold=20,
+        mode=mode,
+        factory=laplace_factory if mode == "numeric" else None,
+        runtime_config=RuntimeConfig(n_localities=2, workers_per_locality=2, **cfg),
+    )
+
+
+def cyclic_garbage(fn) -> list[str]:
+    """Type names of the objects only a collection could free after ``fn()``."""
+    gc.collect()  # unrelated garbage made before fn() must not count
+    fn()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+class PassCounter:
+    """Counts cyclic-collector passes through ``gc.callbacks``."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self.passes += 1
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        # no allocation before the removal: the young pass a paused
+        # evaluate defers belongs to the caller's next allocation
+        gc.callbacks.remove(self)
+
+
+@pytest.mark.parametrize("method", ["fmm", "fmm-basic", "bh"])
+@pytest.mark.parametrize("mode", ["numeric", "phantom"])
+@pytest.mark.parametrize("runtime_mode", list(RUNTIME_MODES))
+def test_evaluation_is_freed_by_refcount(
+    runtime_mode, mode, method, laplace, laplace_factory, cloud
+):
+    cfg = dict(RUNTIME_MODES[runtime_mode])
+    if cfg.get("replay_schedule") == "recorded":
+        recorder = _evaluator(laplace, laplace_factory, mode, method, fuzz_schedule=17)
+        cfg["replay_schedule"] = recorder.evaluate(*cloud).extras["schedule_trace"]
+    ev = _evaluator(laplace, laplace_factory, mode, method, **cfg)
+    ev.evaluate(*cloud)  # first-use imports and operator fits
+
+    refs = []
+
+    def evaluate_and_drop():
+        with PassCounter() as counter:
+            report = ev.evaluate(*cloud)
+        assert counter.passes == 0
+        assert gc.isenabled()
+        assert report.extras["untriggered"] == 0
+        if runtime_mode == "checkpoint":
+            assert report.extras["checkpoints"]
+        refs.extend(
+            weakref.ref(report.extras[k]) for k in ("runtime", "registrar")
+        )
+        del report
+
+    assert cyclic_garbage(evaluate_and_drop) == []
+    # dead before any collection ran: freed by reference counting
+    assert [r() for r in refs] == [None, None]
+
+
+def test_checkpointed_loop_holds_steady_without_collecting(cloud):
+    """30 back-to-back checkpointed evaluates, the collector never run
+    explicitly: each drops the previous report and ends where the first
+    did."""
+    ev = DashmmEvaluator(
+        LaplaceKernel(4),
+        threshold=20,
+        mode="phantom",
+        runtime_config=RuntimeConfig(
+            n_localities=2, workers_per_locality=2, checkpoint_every=2e-4
+        ),
+    )
+    report = ev.evaluate(*cloud)
+    assert report.extras["checkpoints"]
+    tracked = len(gc.get_objects())
+    for _ in range(29):
+        report = ev.evaluate(*cloud)
+    assert abs(len(gc.get_objects()) - tracked) <= 0.01 * tracked
+
+
+def test_resume_is_freed_by_refcount_too(laplace, laplace_factory, cloud):
+    ev = _evaluator(laplace, laplace_factory, "numeric", "fmm", checkpoint_every=2e-4)
+    baseline = ev.evaluate(*cloud)
+    cp = baseline.extras["checkpoints"][0]
+
+    def resume_and_drop():
+        with PassCounter() as counter:
+            resumed = ev.resume(baseline, cp)
+        assert counter.passes == 0
+        assert np.array_equal(resumed.potentials, baseline.potentials)
+
+    assert cyclic_garbage(resume_and_drop) == []
+
+
+def test_collector_setting_is_restored(laplace, laplace_factory, cloud):
+    ev = _evaluator(laplace, laplace_factory, "phantom", "fmm")
+    gc.disable()
+    try:
+        ev.evaluate(*cloud)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    src, w, tgt = cloud
+    bad = tgt.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        ev.evaluate(src, w, bad)
+    assert gc.isenabled()

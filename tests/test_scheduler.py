@@ -269,6 +269,26 @@ def test_fuzzed_wakeup_preserves_idle_order():
     assert len(remaining) == len(set(remaining))  # deduplicated
 
 
+def test_pooled_contexts_hold_nothing_after_run():
+    """Contexts go back to the pool empty and unbound: a finished run
+    does not pin its last tasks' LCOs, parcels or closures, and no pooled
+    context points back up at the scheduler that pools it."""
+    from repro.hpx.lco import AndLCO
+    from repro.hpx.runtime import Runtime, RuntimeConfig
+
+    rt = Runtime(RuntimeConfig(n_localities=1, workers_per_locality=2))
+    lco = AndLCO(rt, 0, 4)
+    for _ in range(4):
+        rt.enqueue_task(Task(fn=lambda ctx: ctx.lco_set(lco), cost=1e-6), 0)
+    rt.run()
+    assert lco.triggered
+    pool = rt.scheduler._ctx_pool
+    assert pool
+    for ctx in pool:
+        assert ctx.effects == [] and ctx.charges == []
+        assert ctx.scheduler is None and ctx.hb is None
+
+
 def test_invalid_configuration():
     with pytest.raises(ValueError):
         Scheduler(0, 1, NetworkModel())

@@ -415,7 +415,7 @@ def test_hazard_subject_names_the_dag_node(dual, lists):
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     node = next(n for n in dag.nodes if n.kind == "L")
     rt = Runtime(RuntimeConfig())
-    lco = ExpansionLCO(rt, 0, node, 1, None)
+    lco = ExpansionLCO(rt, 0, node, 1)
     det = HazardDetector()
     subject = det._lco_subject(lco)
     assert subject == lco.hazard_subject

@@ -11,6 +11,8 @@ record every tree carve, interaction-list build and DAG assembly.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.dashmm import DashmmEvaluator, EvaluatorSession
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
+from tests.test_lifetime import cyclic_garbage
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +220,30 @@ def test_barnes_hut_session(kernel, factory, cloud):
     with EvaluatorSession(ev) as sess:
         assert np.array_equal(sess.submit(pts, w), cold)
         assert np.array_equal(sess.submit(pts, w), cold)
+
+
+def test_sessions_are_freed_by_refcount(evaluator):
+    """A template owns its never-run runtime through the same one-way
+    chain as an evaluation: closing a session, or evicting a template
+    from its LRU, frees everything without a cyclic-collector pass."""
+    rng = np.random.default_rng(8)
+    pts, w = rng.uniform(0, 1, (600, 3)), rng.normal(size=600)
+
+    def two_submits_then_close():
+        sess = EvaluatorSession(evaluator)
+        sess.submit(pts, w)
+        sess.submit(pts, rng.normal(size=600))
+        sess.close()
+
+    two_submits_then_close()  # first-use imports and operator fits
+    assert cyclic_garbage(two_submits_then_close) == []
+
+    with EvaluatorSession(evaluator, max_templates=1) as sess:
+        sess.submit(pts, w)
+        first = weakref.ref(sess._current.registrar)
+        sess.submit(0.4 * pts + 0.1, w)  # a new shape evicts the first
+        assert sess.stats["template_misses"] == 2
+        assert first() is None
 
 
 def test_session_rejects_phantom_mode(kernel):

@@ -238,8 +238,7 @@ def test_exhaustion_outside_outage_still_aborts():
 
 
 def test_invalid_transport_configuration():
-    rt = _runtime()
     with pytest.raises(ValueError):
-        ReliableTransport(rt.scheduler, timeout=0.0)
+        ReliableTransport(timeout=0.0)
     with pytest.raises(ValueError):
-        ReliableTransport(rt.scheduler, backoff=0.5)
+        ReliableTransport(backoff=0.5)
