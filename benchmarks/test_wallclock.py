@@ -18,7 +18,7 @@ the most contention-robust estimator available on a shared box.
 The wall-clock number of record for an evaluation is
 ``cold-sim/op_s_p50`` in the performance ledger (``benchmarks/perf``);
 that the batched stages agree with the per-edge reference
-(``sequential_edges=False``) is asserted by
+(``tests/reference_chain.py``) is asserted by
 ``tests/test_batched_edges.py``.
 """
 

@@ -10,21 +10,28 @@ session is warm, and prints the median milliseconds per stage.  With
 ``--workers N`` it then serves the same submits from N worker processes,
 which walk the same list rank by rank, and prints each rank's medians
 from the round statistics: ``run`` inside the stage, ``wait`` posting its
-frames and waiting for the peers'.  It is a diagnostic, not a ledger
+frames and waiting for the peers'.  With ``--cold`` it first splits a
+cold ``evaluate()`` of the same problem the same way: tree, DAG,
+distribution, LCO allocation, the drain's compile (its tables and
+time-zero tasks) and run, the compile of the plan the drain owes, then
+every eager and flush stage of it.  It is a diagnostic, not a ledger
 metric: compare two commits only from interleaved runs.
 
-Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2]
+Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2] [--cold]
 """
 
 import argparse
+import gc
 import time
 
 import numpy as np
 
 from repro.dashmm import DashmmEvaluator, EvaluatorSession
-from repro.hpx.runtime import RuntimeConfig
+from repro.dashmm.registrar import Registrar
+from repro.hpx.runtime import Runtime, RuntimeConfig
 from repro.kernels import LaplaceKernel
 from repro.kernels.fitops import OperatorFactory
+from repro.tree.dualtree import build_dual_tree
 
 
 def slab_problem(seed: int, per_leaf: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -60,6 +67,68 @@ def canonical_evaluator(config: RuntimeConfig) -> DashmmEvaluator:
     )
 
 
+def print_medians(title: str, samples: dict, repeats: int) -> None:
+    """Median milliseconds per key over ``repeats`` (per-level stages
+    of one repeat summed first)."""
+    per_repeat = {k: np.reshape(v, (repeats, -1)).sum(axis=1) for k, v in samples.items()}
+    total = sum(np.median(v) for v in per_repeat.values())
+    print(f"{title}, median of {repeats} repeats")
+    for name, v in per_repeat.items():
+        ms = 1e3 * np.median(v)
+        print(f"  {name:<13s} {ms:7.2f} ms  {100 * ms / (1e3 * total):5.1f} %")
+    print(f"  {'total':<13s} {1e3 * total:7.2f} ms")
+
+
+def cold_split(points, charges, repeats: int) -> None:
+    """Median seconds of each phase of a cold ``evaluate()``, staged the
+    way ``DashmmEvaluator.evaluate`` runs it (collector paused)."""
+    config = RuntimeConfig(n_localities=4, workers_per_locality=8, tracing=False)
+    ev = canonical_evaluator(config)
+    expected = ev.evaluate(points, charges, points).potentials  # fit the operators
+    samples: dict = {}
+
+    def phase(name, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        samples.setdefault(name, []).append(time.perf_counter() - t0)
+        return out
+
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            dual = phase(
+                "tree",
+                lambda: build_dual_tree(points, points, ev.threshold, source_weights=charges),
+            )
+            dag, _ = phase("dag", lambda: ev.build_dag(dual))
+            phase("assign", lambda: ev.policy.assign(dag, dual, config.n_localities))
+            runtime = Runtime(config)
+
+            def allocate():
+                reg = Registrar(
+                    runtime, dag, dual, ev.kernel, ev.factory,
+                    cost_model=ev.cost_model, size_model=ev.size_model,
+                )
+                reg.allocate()
+                return reg
+
+            reg = phase("allocate", allocate)
+            phase("drain compile", reg.initial_tasks)
+            phase("drain run", runtime.run)
+            stages = phase("plan compile", lambda: reg.eager_stages() + reg.flush_stages())
+            for name, stage in stages:
+                phase(stage_key(name), stage)
+        finally:
+            gc.enable()
+        out = np.empty(len(points))
+        out[dual.target.perm] = reg.result
+        assert np.array_equal(out, expected), "staged evaluate differs from evaluate()"
+    edges = sum(len(out) for out in dag.out_edges)
+    print_medians(f"cold evaluate(), {len(points)} points, {edges} DAG edges", samples, repeats)
+    print()
+
+
 def worker_split(points, charges, expected, workers: int, repeats: int) -> None:
     """Median per-rank stage and wait times of ``repeats`` warm rounds."""
     evaluator = canonical_evaluator(RuntimeConfig(backend="parallel", n_localities=workers))
@@ -93,9 +162,12 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=15)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workers", type=int, default=0, help="also split a round of this many worker processes")
+    ap.add_argument("--cold", action="store_true", help="first split a cold evaluate() of the problem")
     args = ap.parse_args()
 
     points, charges = slab_problem(args.seed)
+    if args.cold:
+        cold_split(points, charges, args.repeats)
     evaluator = canonical_evaluator(RuntimeConfig(n_localities=4, workers_per_locality=8))
     samples: dict = {}
     with EvaluatorSession(evaluator) as session:
@@ -110,15 +182,8 @@ def main() -> None:
         out[reg.dual.target.perm] = reg.result
         assert np.array_equal(out, expected), "staged run differs from submit()"
 
-    per_repeat = {k: np.reshape(v, (args.repeats, -1)).sum(axis=1) for k, v in samples.items()}
-    total = sum(np.median(v) for v in per_repeat.values())
     edges = sum(len(out) for out in reg.dag.out_edges)
-    print(f"warm submit, {len(points)} points, {edges} DAG edges, "
-          f"median of {args.repeats} repeats")
-    for name, v in per_repeat.items():
-        ms = 1e3 * np.median(v)
-        print(f"  {name:<8s} {ms:7.2f} ms  {100 * ms / (1e3 * total):5.1f} %")
-    print(f"  {'total':<8s} {1e3 * total:7.2f} ms")
+    print_medians(f"warm submit, {len(points)} points, {edges} DAG edges", samples, args.repeats)
     if args.workers:
         worker_split(points, charges, expected, args.workers, args.repeats)
 

@@ -18,8 +18,11 @@ runs the wiring rules a method's schema declares, each deriving its
 node table and edge endpoint arrays from the trees' columnar box tables
 (decoded coordinates, leaf masks, parent indices) with whole-array
 operations, then materialises the node/edge objects in one tight pass
-through the helpers below.  :func:`build_fmm_dag` / :func:`build_bh_dag`
-are that builder with the method's schema filled in.
+through the helpers below.  The endpoint arrays are kept as well and
+become the DAG's CSR edge columns (:meth:`DAG.edge_columns`), which the
+plan and drain compilers read instead of the ``Edge`` objects.
+:func:`build_fmm_dag` / :func:`build_bh_dag` are that builder with the
+method's schema filled in.
 :func:`build_fmm_dag_reference` / :func:`build_bh_dag_reference` are the
 per-box loops the builder is tested against (identical node ids, edge
 order and aux payloads); nothing in the package calls them.
@@ -39,6 +42,8 @@ from repro.tree.morton import decode_morton
 
 NODE_KINDS = ("S", "M", "Is", "It", "L", "T")
 EDGE_OPS = ("S2T", "S2M", "M2M", "M2L", "M2I", "I2I", "I2L", "L2L", "L2T", "M2T", "S2L")
+#: op name -> code, the index into EDGE_OPS the edge columns store
+OP_CODE = {op: i for i, op in enumerate(EDGE_OPS)}
 
 #: Instrumentation for the persistent-evaluation layer: every from-scratch
 #: DAG assembly bumps this.  A warm-path submit that hits a DAG template
@@ -94,9 +99,36 @@ class Edge:
     pos: int = -1
 
 
+@dataclass(frozen=True)
+class EdgeColumns:
+    """The edge set as CSR columns, row for row the ``out_edges`` order.
+
+    Node ``i``'s out-edges are rows ``out_ptr[i]:out_ptr[i + 1]`` in
+    out-list order, so an edge's ``pos`` is its row minus
+    ``out_ptr[src]`` and ``(src, pos)`` - the canonical edge identity -
+    is implied by the row.
+    """
+
+    out_ptr: np.ndarray  # int64, one entry per node plus one
+    dst: np.ndarray  # int64 destination node id per row
+    op: np.ndarray  # int8 code into EDGE_OPS per row
+
+    @property
+    def src(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.out_ptr) - 1), np.diff(self.out_ptr))
+
+    @property
+    def pos(self) -> np.ndarray:
+        return np.arange(len(self.dst)) - np.repeat(self.out_ptr[:-1], np.diff(self.out_ptr))
+
+
 @dataclass
 class DAG:
-    """Explicit DAG: node table plus edges grouped by out-node."""
+    """Explicit DAG: node table plus edges grouped by out-node.
+
+    ``out_edges`` is the object view; :meth:`edge_columns` the same edge
+    set as arrays.
+    """
 
     nodes: list[DagNode] = field(default_factory=list)
     out_edges: list[list[Edge]] = field(default_factory=list)
@@ -112,6 +144,12 @@ class DAG:
     #: ``None`` until stamped; the registrar falls back to grading
     #: on the fly when absent or graded differently.
     priorities: dict | None = None
+    #: ``(src, dst, op code)`` arrays of each operator class in emission
+    #: order, as the builder appended them; None once anything
+    #: was added edge by edge, in which case the columns are read off
+    #: ``out_edges``
+    _edge_parts: list | None = field(default_factory=list, repr=False, compare=False)
+    _columns: EdgeColumns | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, kind: str, box_index: int, level: int, tree: str, n_points: int = 0) -> int:
         nid = len(self.nodes)
@@ -121,12 +159,45 @@ class DAG:
         self.out_edges.append([])
         self.in_degree.append(0)
         self.index[kind][box_index] = nid
+        self._columns = None
         return nid
 
     def add_edge(self, src: int, dst: int, op: str, aux=None) -> None:
         out = self.out_edges[src]
         out.append(Edge(src=src, dst=dst, op=op, aux=aux, pos=len(out)))
         self.in_degree[dst] += 1
+        self._edge_parts = self._columns = None
+
+    def edge_columns(self) -> EdgeColumns:
+        """The edge set as CSR columns, built once.
+
+        A builder-made DAG folds the endpoint arrays it was assembled
+        from (one stable sort by source); a DAG assembled edge by edge
+        (:meth:`add_edge`: the reference builders, the JSON loader) is
+        read off ``out_edges`` once.
+        """
+        cols = self._columns
+        if cols is not None:
+            return cols
+        n = len(self.nodes)
+        parts = self._edge_parts
+        if parts is None:
+            counts = np.fromiter((len(out) for out in self.out_edges), np.int64, n)
+            m = int(counts.sum())
+            dst = np.fromiter((e.dst for out in self.out_edges for e in out), np.int64, m)
+            op = np.fromiter((OP_CODE[e.op] for out in self.out_edges for e in out), np.int8, m)
+        else:
+            empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int8))
+            src, dst, op = (np.concatenate(col) for col in zip(empty, *parts))
+            # emission order within a source is out-list order
+            order = np.argsort(src, kind="stable")
+            dst, op = dst[order], op[order]
+            counts = np.bincount(src, minlength=n)
+        out_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=out_ptr[1:])
+        self._columns = cols = EdgeColumns(out_ptr=out_ptr, dst=dst, op=op)
+        self._edge_parts = None
+        return cols
 
     # -- statistics (Tables I and II) -------------------------------------------
     def node_stats(self, size_model=None) -> dict[str, dict]:
@@ -271,8 +342,15 @@ def _batch_nodes(dag: DAG, kind: str, box_idx, levels, tree: str, n_points=None)
 
 
 def _append_edges(dag: DAG, srcs, dsts, op: str, auxs=None) -> None:
-    """Materialise one operator class of edges from endpoint arrays."""
+    """Materialise one operator class of edges from endpoint arrays, and
+    keep the arrays for the DAG's edge columns."""
     oe = dag.out_edges
+    dag._columns = None
+    if dag._edge_parts is not None:
+        src_col = np.asarray(srcs, dtype=np.int64)
+        dag._edge_parts.append(
+            (src_col, np.asarray(dsts, dtype=np.int64), np.full(len(src_col), OP_CODE[op], np.int8))
+        )
     srcs = srcs.tolist() if isinstance(srcs, np.ndarray) else srcs
     dsts = dsts.tolist() if isinstance(dsts, np.ndarray) else dsts
     if auxs is None:

@@ -13,6 +13,9 @@ underlying runtime is required.  One call chain:
 
 ``mode="phantom"`` runs the same DAG through the same runtime with the
 cost model only (no numerics), enabling paper-scale scaling studies.
+The drain is the same in both modes - it never carries a value - so
+``mode`` decides only whether the compiled plan computes the numbers
+after it.
 """
 
 from __future__ import annotations
@@ -257,12 +260,14 @@ class DashmmEvaluator:
 
     def _drive(self, runtime, reg, lists, **extras) -> EvaluationReport:
         """Run ``runtime`` to completion, flush and report: the shared
-        tail of :meth:`evaluate` and :meth:`resume`."""
+        tail of :meth:`evaluate` and :meth:`resume`.  The drain only
+        schedules; in numeric mode the plan it owes computes the
+        expansions and potentials afterwards."""
         t = runtime.run()
         dag, dual = reg.dag, reg.dual
+        reg.flush_deferred()
         potentials = None
         if self.mode == "numeric":
-            reg.flush_deferred()
             potentials = np.empty(dual.target.n_points)
             potentials[dual.target.perm] = reg.result
         extras.update(

@@ -3,25 +3,24 @@
 Which edges stack together, in which order, and what crosses ranks is a
 function of the DAG and the node localities alone, so it is compiled
 here - the dependency data is the program - and whatever drives it
-(:class:`repro.dashmm.registrar.Registrar`) stays thin.  Two sections,
-each compiled on first use and dropped by
+(:class:`repro.dashmm.registrar.Registrar`) stays thin.  A simulated
+drain carries no values (its edges only count down their target LCOs),
+so every number of an evaluation comes from these two sections, each
+compiled from the DAG's edge columns on first use and dropped by
 :meth:`~repro.dashmm.registrar.Registrar.invalidate_plans`:
 
-* **Flush stages** (:func:`compile_flush_plan`).  In batched mode the
-  registrar computes nothing for the exponential bridge (M->I, I->I,
-  I->L), the downward shift (L->L) and the leaf outputs (S->T, M->T,
-  L->T) while the runtime drains: those edges only count down their
-  target LCOs.  Their numeric work runs afterwards, stage by stage, as
-  stacked array operations
-  (:meth:`~repro.dashmm.registrar.Registrar.flush_stages`), unchanged
-  for a cold ``evaluate()``, every submit of a session, and each
-  real-parallel worker.
-* **Eager section** (:func:`compile_eager_plan`): the classes a drain
-  computes as real dataflow (S->M, M->M, S->L, M->L), as canonical fold
-  lists in stages of their own
-  (:meth:`~repro.dashmm.registrar.Registrar.eager_stages`).  Sessions
-  and workers run them in place of the drain; a cold ``evaluate()``
-  never compiles them.
+* **Eager section** (:func:`compile_eager_plan`): the upward classes
+  and the local-expansion folds (S->M, M->M, S->L, M->L), as canonical
+  fold lists in stages of their own
+  (:meth:`~repro.dashmm.registrar.Registrar.eager_stages`).
+* **Flush stages** (:func:`compile_flush_plan`): the exponential bridge
+  (M->I, I->I, I->L), the downward shift (L->L) and the leaf outputs
+  (S->T, M->T, L->T), as stacked array operations
+  (:meth:`~repro.dashmm.registrar.Registrar.flush_stages`).
+
+A cold ``evaluate()`` runs both after its drain, a session's submit and a
+real-parallel worker's round run them in place of one - the same stages
+on every path.
 
 A real-parallel worker compiles both sections for its ``rank``: the
 slice of edges it executes, plus ``sends`` / ``recvs`` - per stage name,
@@ -52,10 +51,9 @@ Canonical composition (what makes every path produce the same bits):
   full plan's;
 * leaf-output groups are visited in order of first appearance in the
   ``(src, dst)``-sorted edge list, which fixes the order in which
-  contributions are added into each target point.
-
+  contributions are added into each target point;
 * eager folds add a node's in-edges in fold-key order ``(src, out-list
-  position)``, the order an expansion LCO folds its inbox in.
+  position)``, the edge's canonical identity.
 
 The source- and target-side intermediate expansions of one level live in
 two dense matrices, one row per node and one block of ``nterms`` columns
@@ -71,19 +69,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.expo import frame
+from repro.dashmm.dag import OP_CODE, assign_direction_arrays
+from repro.kernels.expo import DIRECTIONS, frame
 
 #: canonical direction order of the dense plane-wave matrices and of the
 #: M->I / I->L operator stacks (a level carries the subset it uses)
 FULL_DIRS = tuple(sorted(("+z", "-z", "+x", "-x", "+y", "-y")))
-_DIR_IDX = {d: i for i, d in enumerate(FULL_DIRS)}
+#: FULL_DIRS index of each assign_direction_arrays code
+_DIR_OF_CODE = np.array([FULL_DIRS.index(d) for d in DIRECTIONS])
 #: integer frame rows (e1, e2, d) per direction: lattice -> (u_x, u_y, u_z)
 _FRAMES = np.array([frame(d) for d in FULL_DIRS]).astype(np.int64)
 
-#: edge classes whose numeric value the plan computes after the drain
-BRIDGE_OPS = ("M2I", "I2I", "I2L", "L2L")
+#: the leaf-output classes, in the order their group keys rank them
 OUTPUT_OPS = ("S2T", "M2T", "L2T")
-PLANNED_OPS = frozenset(BRIDGE_OPS + OUTPUT_OPS)
 
 
 @dataclass(frozen=True)
@@ -246,17 +244,12 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     level = np.fromiter((nd.level for nd in nodes), np.int64, n)
     loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
     box = np.fromiter((nd.box_index for nd in nodes), np.int64, n)
-    cols: dict[str, tuple[list, list, list]] = {op: ([], [], []) for op in PLANNED_OPS}
-    for out in dag.out_edges:
-        for e in out:
-            c = cols.get(e.op)
-            if c is not None:
-                c[0].append(e.src)
-                c[1].append(e.dst)
-                c[2].append(e.aux)
+    cols = dag.edge_columns()
+    e_src = cols.src
 
     def every(op: str):
-        return np.array(cols[op][0], dtype=np.int64), np.array(cols[op][1], dtype=np.int64)
+        at = cols.op == OP_CODE[op]
+        return e_src[at], cols.dst[at]
 
     def endpoints(op: str, aux: np.ndarray | None = None):
         src, dst = every(op)
@@ -271,14 +264,15 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     order = np.lexsort((m_dst, m_src, loc[m_dst], level[m_src]))
     m_src, m_dst = m_src[order], m_dst[order]
 
-    # I->I: per edge the direction and the axial offset u_z = d . (c_t - c_s)
+    # I->I: per edge the direction - the one the builder stamped, a
+    # function of the lattice delta - and the axial offset u_z = d . delta
     w_src, w_dst = every("I2I")
-    w_dir = np.array([_DIR_IDX[a[0]] for a in cols["I2I"][2]], dtype=np.int64)
     sa, ta = dual.source.arrays, dual.target.arrays
     s_xyz = np.stack([sa.ix, sa.iy, sa.iz], axis=1)
     t_xyz = np.stack([ta.ix, ta.iy, ta.iz], axis=1)
-    axial = _FRAMES[w_dir, 2]
-    w_z = ((t_xyz[box[w_dst]] - s_xyz[box[w_src]]) * axial).sum(axis=1)
+    delta = t_xyz[box[w_dst]] - s_xyz[box[w_src]]
+    w_dir = _DIR_OF_CODE[assign_direction_arrays(*delta.T)]
+    w_z = (delta * _FRAMES[w_dir, 2]).sum(axis=1)
     # the offsets of a (level, direction) are those of all its edges,
     # before the rank takes its share
     group = level[w_src] * len(FULL_DIRS) + w_dir
@@ -349,7 +343,8 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
         )
 
     # -- downward shift ----------------------------------------------------------
-    octant = np.array(cols["L2L"][2], dtype=np.int64)
+    # the octant of an L->L edge is the child's position in its parent
+    octant = ta.keys[box[every("L2L")[1]]] & 7
     d_src, d_dst, octant = endpoints("L2L", octant)
     order = np.lexsort((d_dst, d_src, loc[d_dst], octant, level[d_src]))
     d_src, d_dst, octant = d_src[order], d_dst[order], octant[order]
@@ -411,66 +406,57 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
 def compile_eager_plan(dag, rank: int | None = None) -> EagerPlan:
     """Compile the eager section of ``dag`` under its current localities.
 
-    A drain only decides *when* the eager classes are computed and
-    folded; *what* is computed is fixed by the DAG: each expansion folds
-    its in-edges in fold-key order - the order ``out_edges`` is walked
-    in here - and one source leaf's S->L edges stack per (destination
-    locality, target level), the composition ``Registrar._run_edges``
-    sees after ``_process_edges`` split the leaf's out-edges by locality.
-    ``rank`` restricts the folds and S->L groups to the destinations of
-    that locality, as in :func:`compile_flush_plan`.
+    *What* is computed is fixed by the DAG: each expansion folds its
+    in-edges in fold-key order ``(src, out-list position)`` - the row
+    order of the edge columns - and one source leaf's S->L edges stack
+    per (destination locality, target level).  ``rank`` restricts the
+    folds and S->L groups to the destinations of that locality, as in
+    :func:`compile_flush_plan`.  The grouping runs over the columns; the
+    ``Edge`` objects are looked up only for the rows the folds carry.
     """
     nodes = dag.nodes
-    ins_m: dict[int, list] = {}
-    ins_l: dict[int, list] = {}
-    s2l: dict[tuple, list] = {}
-    m2m: dict[int, tuple[list, list]] = {}  # fold level -> child, parent ids
-    reads_m: tuple[list, list] = ([], [])  # M -> reader, past the upward sweep
-    for edges in dag.out_edges:
-        for e in edges:
-            op = e.op
-            dst = nodes[e.dst]
-            if op in ("M2L", "M2I", "M2T"):
-                reads_m[0].append(e.src)
-                reads_m[1].append(e.dst)
-            elif op == "M2M":
-                at = m2m.setdefault(dst.level, ([], []))
-                at[0].append(e.src)
-                at[1].append(e.dst)
-            if rank is not None and dst.locality != rank:
-                continue
-            if op in ("S2M", "M2M"):
-                ins_m.setdefault(e.dst, []).append(e)
-            elif op in ("S2L", "M2L"):
-                ins_l.setdefault(e.dst, []).append(e)
-                if op == "S2L":
-                    s2l.setdefault((e.src, dst.locality, dst.level), []).append(e)
-            elif op not in PLANNED_OPS:
-                raise ValueError(f"unknown edge op {op}")
+    n = len(nodes)
+    level = np.fromiter((nd.level for nd in nodes), np.int64, n)
+    loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
+    cols = dag.edge_columns()
+    src, dst, op, pos = cols.src, cols.dst, cols.op, cols.pos
+    out_edges = dag.out_edges
+
+    def rows_of(*ops, everywhere=False) -> np.ndarray:
+        at = np.isin(op, [OP_CODE[o] for o in ops])
+        if rank is not None and not everywhere:
+            at &= loc[dst] == rank
+        return np.flatnonzero(at)
+
+    def runs(rows: np.ndarray, *keys: np.ndarray) -> list:
+        """``rows`` as runs of equal ``keys`` (ascending, first key
+        major): ``(first row, its Edge objects in row order)``."""
+        rows = rows[np.lexsort([k[rows] for k in reversed(keys)])]
+        edges = [out_edges[s][p] for s, p in zip(src[rows].tolist(), pos[rows].tolist())]
+        return [(int(rows[lo]), edges[lo:hi]) for lo, hi in _group_slices(*(k[rows] for k in keys))]
+
+    m_rows = rows_of("S2M", "M2M")
+    l_rows = rows_of("S2L", "M2L")
     # children strictly precede parents: deepest destinations first
-    m_levels = sorted(
-        {nd.level for nd in nodes if nd.kind == "M" and dag.in_degree[nd.id]}, reverse=True
-    )
+    m_levels = np.unique(level[dst[rows_of("S2M", "M2M", everywhere=True)]])[::-1].tolist()
     by_level: dict[int, list] = {lvl: [] for lvl in m_levels}
-    for dst in sorted(ins_m):
-        by_level[nodes[dst].level].append((dst, ins_m[dst]))
+    for row, es in runs(m_rows, dst):
+        by_level[int(level[dst[row]])].append((int(dst[row]), es))
     sends: dict = {}
     recvs: dict = {}
     if rank is not None:
-        loc = np.fromiter((nd.locality for nd in nodes), np.int64, len(nodes))
-
-        def crossing(stage, src_dst) -> None:
-            src, dst = (np.array(a, dtype=np.int64) for a in src_dst)
-            sends[stage], recvs[stage] = _crossing(src, dst, loc, rank)
-
+        m2m = rows_of("M2M", everywhere=True)
         for lvl in m_levels:
-            crossing(("m2m", lvl), m2m.get(lvl, ([], [])))
-        crossing("m2l", reads_m)
+            at = m2m[level[dst[m2m]] == lvl]
+            sends["m2m", lvl], recvs["m2m", lvl] = _crossing(src[at], dst[at], loc, rank)
+        # M -> reader, past the upward sweep
+        at = rows_of("M2L", "M2I", "M2T", everywhere=True)
+        sends["m2l"], recvs["m2l"] = _crossing(src[at], dst[at], loc, rank)
     return EagerPlan(
         m_folds=list(by_level.items()),
-        l_folds=list(ins_l.items()),
-        s2l_groups=list(s2l.values()),
+        l_folds=[(int(dst[row]), es) for row, es in runs(l_rows, dst)],
+        s2l_groups=[es for _, es in runs(rows_of("S2L"), src, loc[dst], level[dst])],
         sends=sends,
         recvs=recvs,
-        n_edges=sum(len(es) for es in ins_m.values()) + sum(len(es) for es in ins_l.values()),
+        n_edges=len(m_rows) + len(l_rows),
     )

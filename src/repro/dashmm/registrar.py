@@ -1,50 +1,53 @@
 """The implicit DAG: expansion LCOs, out-edge processing, coalescing.
 
 This module realizes Section IV and Fig. 2 of the paper.  Every DAG
-node with inputs becomes a user-defined *expansion LCO* storing both
-the expansion data and the out-edge list.  During execution the LCO
-continuously reduces arriving inputs into the stored expansion; when
-the last input arrives it triggers and its single registered
-continuation processes the out-edge list:
+node with inputs becomes a user-defined *expansion LCO* that counts its
+outstanding in-edges and holds the node's expansion; when the last
+input arrives it triggers and its single registered continuation
+processes the out-edge list:
 
-* *local* edges (target on the same locality) are transformed
+* *local* edges (target on the same locality) are processed
   sequentially and set into their target LCOs, which may trigger
   further asynchronous evaluation;
 * *remote* edges are coalesced: one active-message parcel per
   destination locality carries the expansion data and the relevant
-  edges, which are then evaluated at the destination as normal
+  edges, which are then processed at the destination as normal
   (``coalesce=False`` sends one parcel per edge instead - the ablation
   of the paper's design choice).
 
 Source (S) nodes have no inputs; an initial task per source leaf
 processes their out-edges (S->M, S->T, S->L) at time zero, as does one
-per expansion node no edge reaches.  Execution modes:
+per expansion node no edge reaches.
 
-* ``numeric`` - edge transforms really compute (fitted operators,
-  kernel evaluations); the result is numerically identical to the
-  synchronous FMM up to summation order.
-* ``phantom`` - transforms are skipped, only costs/messages are
-  simulated; used for paper-scale scaling studies.
+The drain is a schedule only.  No edge carries a value: what an edge
+charges, the parcel it rides in and the LCO it counts down depend on the
+cost and size models and the DAG alone - the observation the paper's
+phantom mode rests on.  So on its first drain the registrar compiles
+every node's out-edges from the DAG's edge columns into contiguous
+per-destination groups (:class:`DrainTable`), and a task extends its
+context's charges and effects from them; the tables are dropped when
+the drain ends.  ``mode`` decides only whether the numbers are computed:
 
-What the numeric stages stack, in which order, and what crosses ranks
-is compiled by :mod:`repro.dashmm.flushplan`; this module executes it:
-:meth:`Registrar.flush_stages` after a drain (``evaluate()``),
-:meth:`Registrar.eager_stages` plus the same stages in place of one
-(sessions, parallel workers).
+* ``numeric`` - after the drain the compiled execution plan
+  (:mod:`repro.dashmm.flushplan`) computes every expansion and
+  potential, :meth:`Registrar.eager_stages` then
+  :meth:`Registrar.flush_stages`; sessions and parallel workers run the
+  same stages in place of a drain;
+* ``phantom`` - costs and messages only; used for paper-scale scaling
+  studies.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import defaultdict
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from repro.dashmm.dag import DAG, DagNode
+from repro.dashmm.dag import DAG, EDGE_OPS, OP_CODE, DagNode
 from repro.dashmm.flushplan import (
     FULL_DIRS,
-    PLANNED_OPS,
     BridgeLevel,
     EagerPlan,
     FlushPlan,
@@ -70,6 +73,8 @@ from repro.sim.costmodel import CostModel, SizeModel
 #: disappear.
 CRITICAL_OPS = ("S2M", "M2M", "M2I", "I2I", "I2L", "M2L", "L2L", "S2L")
 FILLER_OPS = ("S2T", "M2T", "L2T")
+#: per op code: is the class on the critical chain
+_CRITICAL = np.array([op in CRITICAL_OPS for op in EDGE_OPS])
 
 
 def _weak_method(method):
@@ -79,20 +84,15 @@ def _weak_method(method):
 
 
 class ExpansionLCO(LCO):
-    """User-defined LCO: expansion data + DAG out-edge list (Fig. 2).
+    """User-defined LCO (Fig. 2): a node's outstanding in-edge count and
+    its expansion.
 
-    Contributions are buffered as they arrive and folded *at trigger
-    time in canonical dedup-key order* (the key is the edge's position
-    in the DAG, see :meth:`Registrar._edge_key`).  Arrival order over a
-    network is timing- and fault-dependent; folding in key order makes
-    the floating-point reduction - and therefore the evaluation result
-    - bit-identical across schedules, which is what lets a faulty run
-    under the reliable transport reproduce the fault-free potentials
-    exactly.  Contributions without a key fold in arrival order, after
-    all keyed ones.  A ``None`` contribution only counts down: phantom
-    runs carry no values, and in batched numeric mode the value of every
-    edge class in :data:`~repro.dashmm.flushplan.PLANNED_OPS` is
-    computed after the drain by the flush plan.
+    An input only counts down - the drain carries no values - and the
+    base class folds each dedup key (the edge's ``(src, pos)`` identity,
+    see :class:`DrainTable`) at most once, so a retransmitted parcel
+    cannot count an edge twice.  ``data`` is written by the plan's
+    stages after (or in place of) a drain; ``None`` is the zero
+    expansion of a node nothing contributed to.
     """
 
     def __init__(self, runtime, locality: int, node: DagNode, n_inputs: int):
@@ -100,8 +100,6 @@ class ExpansionLCO(LCO):
         self.node = node
         self.remaining = n_inputs
         self.data = None
-        self._inbox: list = []
-        self._unkeyed = 0
 
     @property
     def hazard_subject(self) -> str:
@@ -113,38 +111,76 @@ class ExpansionLCO(LCO):
 
     def _fold(self, value, key) -> None:
         self.remaining -= 1
-        if value is None:
-            return
-        if key is None:
-            # sort unkeyed contributions after all DAG edges (node ids
-            # are >= 0), in arrival order
-            key = (1 << 60, self._unkeyed)
-            self._unkeyed += 1
-        self._inbox.append((key, value))
-
-    def _finalize(self) -> None:
-        inbox = self._inbox
-        inbox.sort(key=lambda kv: kv[0])
-        reduce = self._reduce
-        for _, value in inbox:
-            reduce(value)
-        self._inbox = []
-
-    def _reduce(self, value) -> None:
-        if self.node.kind == "It":
-            # per-direction plane-wave accumulators (per-edge path)
-            direction, amps = value
-            if self.data is None:
-                self.data = {}
-            if direction in self.data:
-                self.data[direction] = self.data[direction] + amps
-            else:
-                self.data[direction] = amps
-        else:
-            self.data = value if self.data is None else self.data + value
 
     def _predicate(self) -> bool:
         return self.remaining <= 0
+
+
+class DrainTable:
+    """Every node's out-edges compiled for one drain.
+
+    Edge *rows* are sorted by (source node, part, destination locality),
+    out-list order within.  A *part* is what one task processes: under a
+    prioritized policy a node's critical-chain edges (part 0) and its
+    leaf outputs (part 1), otherwise all of them (part 0).  A *group* is
+    a part's run of rows to one destination locality - one row per
+    group where edges leave the node's locality and ``coalesce`` is off.
+    Part ``k = 2 * node + part`` owns groups ``part_ptr[k]:part_ptr[k +
+    1]``, group ``g`` rows ``bounds[g]:bounds[g + 1]``; a parcel names its
+    group.  An edge's dedup key is ``(src, pos[row])``.
+
+    The table is alive at the end of a drain, where an evaluation's heap
+    peaks, so it holds no per-edge tuple: per-row lists of shared
+    objects, charges and parcel headers interned by value.
+    """
+
+    __slots__ = (
+        "part_ptr",  # per part: first group (CSR over groups)
+        "part_priority",  # per part: priority of a task processing it alone
+        "bounds",  # per group: first row; one more entry, the row count
+        "loc",  # per group: destination locality
+        #: per group: None where it executes at the node's locality, else
+        #: the parcel that carries it off, as (sender-side "_runtime"
+        #: charge or None, size in bytes, priority)
+        "send",
+        "lcos",  # per row: the destination's LCO
+        "ops",  # per row: the op class
+        "pos",  # per row: the out-list position
+        "charges",  # the positive (op, dt) charges of all rows, in row order
+        "cpos",  # per row boundary: index into charges
+    )
+
+
+def _distinct_rows(*columns: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct rows of equal-length columns as tuples of Python
+    scalars, and per row the index of its tuple."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        values, inverse = np.unique(col, return_inverse=True)
+        key = key * len(values) + inverse
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    return list(zip(*(col[first].tolist() for col in columns))), which
+
+
+def _interned(values: list, which: np.ndarray) -> np.ndarray:
+    """``values[which]`` as an object array of shared references, built
+    without a Python int per entry."""
+    objs = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        objs[i] = v  # element by element: a tuple stays one element
+    return objs[which]
+
+
+def _permuted(driver, groups, loc) -> list:
+    """``groups`` (ascending destination locality) with the destination
+    order drawn by the schedule driver: parcels to different localities
+    are unordered, while edges of one destination keep their order."""
+    by_loc: dict[int, list] = {}
+    for g in groups:
+        by_loc.setdefault(loc[g], []).append(g)
+    if len(by_loc) < 2:
+        return list(groups)
+    return [g for dst in driver.permute("coalesce", list(by_loc)) for g in by_loc[dst]]
 
 
 class Registrar:
@@ -179,36 +215,31 @@ class Registrar:
         self.coalesce = coalesce
         #: Section VI: "the sequential execution of out edges maximizes
         #: cache locality ... but sacrifices parallelism".  False spawns
-        #: one task per local edge instead (the road not taken), whose
-        #: tasks read expansions while the drain is still running - so
-        #: they compute every edge one by one (the per-edge reference).
+        #: one task per local edge instead (the road not taken) - a
+        #: schedule ablation: the numbers come from the plan either way
         self.sequential_edges = sequential_edges
-        #: Batched numeric path: a node's S2L edges at one level run as
-        #: one stacked operation, leaf multipoles are fitted level by
-        #: level, and every edge class in PLANNED_OPS only counts down
-        #: its target LCO during the drain - its numeric work runs
-        #: afterwards, stage by stage, from the flush plan.  Virtual-clock
-        #: charges and effect ordering are those of the per-edge loop
-        #: (phantom mode runs exactly that loop); only wall-clock time
-        #: changes.
-        self._batched = sequential_edges and mode == "numeric"
+        #: the drain's compiled out-edges, built on the first
+        #: initial_tasks() (sessions and workers never drain, so never
+        #: pay for it) and dropped when the drain ends
+        self._drain: DrainTable | None = None
         #: the compiled flush stages (see :mod:`repro.dashmm.flushplan`);
         #: built on the first numeric flush, so phantom runs never pay
         #: for it, and kept for every later flush of this registrar
         self._plan: FlushPlan | None = None
         #: level -> I->I phase tables and sparse matrices of ``_plan``
         self._i2i_ops: dict[int, tuple] = {}
-        #: the compiled eager section; only :meth:`eager_stages` - a
-        #: session, a worker - builds it, a drain computes those classes
-        #: as dataflow
+        #: the compiled eager section, built on first use
         self._eager: EagerPlan | None = None
-        #: planned edges have run since the last flush
+        #: the plan owes a flush: set by a numeric drain and by run_eager()
         self._flush_pending = False
+        #: the plan owes the eager section too: set by a numeric drain,
+        #: cleared by run_eager(), reset() and flush_deferred()
+        self._eager_owed = False
         #: per-level dense (source-side, target-side) plane-wave
         #: matrices, alive between the bridge stages of one flush
         self._waves: dict[int, list] = {}
         #: source box index -> multipole, all leaves fitted in one
-        #: stacked pass per level (batched path, built on first S->M)
+        #: stacked pass per level by the eager section's first stage
         self._s2m: dict[int, np.ndarray] | None = None
         #: restrict LCO allocation and the stacked numeric passes (leaf
         #: multipoles, flush plan) to the nodes and edges of this
@@ -220,10 +251,9 @@ class Registrar:
         #: box centers are a pure function of the box keys and the
         #: domain - i.e. of the tree *shape* - so a persistent session
         #: hands the dict of a previous same-shape evaluation back in
-        #: instead of recomputing the Python loop per submit
         self._centers = centers if centers is not None else {
-            "source": np.array([dual.domain.box_center(b.key) for b in dual.source.boxes]),
-            "target": np.array([dual.domain.box_center(b.key) for b in dual.target.boxes]),
+            "source": dual.domain.box_centers(dual.source.arrays.keys),
+            "target": dual.domain.box_centers(dual.target.arrays.keys),
         }
         #: optional cache of geometry-derived operator matrices (p2m
         #: basis rows, s2t greens chunks, m2t/l2t evaluation matrices),
@@ -233,10 +263,7 @@ class Registrar:
         #: reproduces the cold stacked operands bit for bit; the session
         #: clears it when points move.
         self.geom_cache: dict | None = None
-        # hot references resolved once (touched per edge in the runs)
         self._nodes = dag.nodes
-        self._sboxes = dual.source.boxes if dual is not None else None
-        self._tboxes = dual.target.boxes if dual is not None else None
         # scheduling-policy wiring: a prioritized policy splits the
         # critical chain from leaf outputs (binary HIGH/LOW or graded
         # levels); a graded one additionally stamps offline
@@ -280,9 +307,9 @@ class Registrar:
         self._process_edges_task = _weak_method(self._process_edges)
         self._run_edge_task = _weak_method(self._run_edge)
         runtime.register_action("dashmm_edges", _weak_method(self._edges_action))
-        # per-evaluation mutable state outside the GAS (the stacked
-        # multipoles, the pending-flush flag, the result vector) rides
-        # checkpoints through the participant protocol
+        # per-evaluation mutable state outside the GAS (the pending-flush
+        # flag, the result vector) rides checkpoints through the
+        # participant protocol
         participants = getattr(runtime, "checkpoint_participants", None)
         if participants is not None:
             participants.append(weakref.ref(self))
@@ -335,42 +362,34 @@ class Registrar:
         )
 
     def initial_tasks(self) -> int:
-        """Enqueue the time-zero tasks: the out-edges of every node
-        without inputs.  Those are the S nodes and, in a tree that fills
-        only a corner of its domain, coarse L nodes that no list reaches:
-        their expansion is zero, but their children still count the
-        L->L edge among their inputs."""
-        count = 0
+        """Compile the drain and enqueue its time-zero tasks: the
+        out-edges of every node without inputs.  Those are the S nodes
+        and, in a tree that fills only a corner of its domain, coarse L
+        nodes that no list reaches: their expansion is zero, but their
+        children still count the L->L edge among their inputs.  A
+        numeric drain owes the whole plan (:meth:`flush_deferred`)."""
+        table = self._table()
+        ptr, priority = table.part_ptr, table.part_priority
         in_degree = self.dag.in_degree
+        count = 0
         for node in self.dag.nodes:
             if in_degree[node.id]:
                 continue
-            edges = self.dag.out_edges[node.id]
-            if not edges:
-                continue
-            if self._split:
-                # split critical-path work (S->M, S->L) from the near
-                # field so the scheduler favours the expansion pipeline
-                crit = [e for e in edges if e.op in CRITICAL_OPS]
-                rest = [e for e in edges if e.op not in CRITICAL_OPS]
-                groups = [
-                    (g, self._edge_priority(g)) for g in (crit, rest) if g
-                ]
-            else:
-                groups = [(edges, LOW)]
-            for group, pr in groups:
-                if not group:
+            for k in (2 * node.id, 2 * node.id + 1):
+                if ptr[k] == ptr[k + 1]:
                     continue
                 self.runtime.enqueue_task(
                     Task(
                         fn=self._process_edges_task,
-                        args=(node.id, group),
+                        args=(node.id, k & 1),
                         op_class=f"edges:{node.kind}",
-                        priority=pr,
+                        priority=priority[k],
                     ),
                     node.locality,
                 )
                 count += 1
+        if self.mode == "numeric":
+            self._flush_pending = self._eager_owed = True
         return count
 
     # -- persistent-session support -------------------------------------------------
@@ -379,11 +398,11 @@ class Registrar:
 
         After ``reset`` the registrar is observationally equivalent to a
         freshly allocated one over the same DAG: every LCO has its full
-        input count outstanding, an empty inbox, no data, and its
+        input count outstanding, no data, no dedup keys and its
         continuation re-registered; no flush is pending.  Static
         shape-derived state - the LCO objects themselves (and their GAS
-        addresses), ``_centers`` and the flush plan - survives, which is
-        the point: a same-shape resubmission skips allocation entirely.
+        addresses), ``_centers`` and the plans - survives, which is the
+        point: a same-shape resubmission skips allocation entirely.
         """
         in_degree = self.dag.in_degree
         for nid, lco in self.lcos.items():
@@ -394,13 +413,11 @@ class Registrar:
             lco.locality = lco.node.locality
             lco.triggered = False
             lco.data = None
-            lco._inbox = []
-            lco._unkeyed = 0
             lco._seen_keys = None
             lco._continuations.clear()
             self._arm(lco)
         self._s2m = None
-        self._flush_pending = False
+        self._flush_pending = self._eager_owed = False
         if zero_result and self.result is not None:
             self.result[:] = 0.0
 
@@ -408,22 +425,26 @@ class Registrar:
         """Mutable per-evaluation state for a runtime checkpoint.
 
         The registrar's LCOs live in the GAS and are snapshotted there
-        (:mod:`repro.hpx.checkpoint`); this covers everything else that
-        changes while an evaluation runs: the stacked-multipole cache,
-        whether planned edges have run, and the result vector.  The
-        flush plan is a function of the DAG and the localities, neither
-        of which a restore rewinds, so it is not part of the snapshot.
+        (:mod:`repro.hpx.checkpoint`).  A checkpoint is taken inside the
+        drain, which carries no values, so all else it needs is whether
+        the plan is owed and the result vector.  The plans and drain
+        tables are functions of the DAG and the localities, neither of
+        which a restore rewinds.
         """
         return {
-            "s2m": None if self._s2m is None else dict(self._s2m),
             "flush_pending": self._flush_pending,
             "result": None if self.result is None else self.result.copy(),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Write a :meth:`checkpoint_state` snapshot back in place."""
-        self._s2m = None if state["s2m"] is None else dict(state["s2m"])
-        self._flush_pending = state["flush_pending"]
+        """Write a :meth:`checkpoint_state` snapshot back in place.
+
+        The restored drain has computed nothing, so the whole plan is
+        owed again, and its tables are recompiled on first use.
+        """
+        self._flush_pending = self._eager_owed = state["flush_pending"]
+        self._s2m = None
+        self._drain = None
         if state["result"] is not None:
             # in place: closures and the evaluator hold this array
             self.result[:] = state["result"]
@@ -465,8 +486,6 @@ class Registrar:
         distribution policy themselves if counts shifted.
         """
         self.dual = dual
-        self._sboxes = dual.source.boxes
-        self._tboxes = dual.target.boxes
 
     def _node_priority(self, node: DagNode) -> int:
         """Expansion nodes drive the critical chain; leaf data does not.
@@ -480,284 +499,227 @@ class Registrar:
             return LOW
         return HIGH if node.kind in ("M", "Is", "It", "L") else LOW
 
+    # -- the drain's compiled out-edges ----------------------------------------------------
+    def _table(self) -> DrainTable:
+        """This drain's :class:`DrainTable`, compiled on first use (a
+        restored drain recompiles it lazily)."""
+        table = self._drain
+        if table is None:
+            table = self._drain = self._compile_drain()
+        return table
+
+    def _priorities(self, bounds: np.ndarray, near, levels, critical) -> np.ndarray:
+        """Priority stamp of a task or parcel carrying each run of rows
+        starting at ``bounds``: under a graded policy the most critical
+        destination level of the run, except pure near-field (P2P) runs,
+        which land on the reserved filler level the policy interposes
+        under far-field bursts; under the binary policy HIGH when any
+        edge of the run is on the critical chain."""
+        if levels is not None:
+            return np.where(
+                np.logical_and.reduceat(near, bounds),
+                self._filler_level,
+                np.minimum.reduceat(levels, bounds),
+            )
+        if self._split:
+            return np.where(np.logical_or.reduceat(critical, bounds), HIGH, LOW)
+        return np.full(len(bounds), LOW)
+
+    def _compile_drain(self) -> DrainTable:
+        """Every node's out-edges as a :class:`DrainTable`, in array
+        passes over the DAG's edge columns.
+
+        Charges are the cost model's per-edge costs of the leaf boxes'
+        point counts (:meth:`CostModel.edge_costs`), a parcel's size and
+        sender-side handling cost those of the size and cost models, so
+        the virtual clock is that of a per-edge walk bit for bit.
+        """
+        dag, nodes = self.dag, self.dag.nodes
+        n = len(nodes)
+        cols = dag.edge_columns()
+        loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
+        box = np.fromiter((nd.box_index for nd in nodes), np.int64, n)
+        on_source = np.fromiter((nd.tree == "source" for nd in nodes), bool, n)
+        n_points = np.fromiter((nd.n_points for nd in nodes), np.int64, n)
+        # points of each node's own box (S and T nodes are leaves)
+        count = np.empty(n, dtype=np.int64)
+        count[on_source] = self.dual.source.arrays.counts[box[on_source]]
+        count[~on_source] = self.dual.target.arrays.counts[box[~on_source]]
+
+        critical = _CRITICAL[cols.op]
+        part = ~critical if self._split else np.zeros(len(critical), dtype=bool)
+        order = np.lexsort((loc[cols.dst], part, cols.src))
+        src, dst, op = cols.src[order], cols.dst[order], cols.op[order]
+        part, critical, pos = part[order], critical[order], cols.pos[order]
+        m = len(order)
+        dst_loc = loc[dst]
+        remote = dst_loc != loc[src]
+        new = np.ones(m, dtype=bool)
+        new[1:] = (src[1:] != src[:-1]) | (part[1:] != part[:-1]) | (dst_loc[1:] != dst_loc[:-1])
+        if not self.coalesce:
+            new |= remote
+        lo = np.flatnonzero(new)
+        bounds = np.append(lo, m)
+        part_of = 2 * src[lo] + part[lo]
+
+        if self._node_levels is not None:
+            levels = np.asarray(self._node_levels)[dst]
+            near = np.isin(op, [OP_CODE[o] for o in self._near_ops if o in OP_CODE])
+        else:
+            levels = near = None
+
+        t = DrainTable()
+        t.part_ptr = np.searchsorted(part_of, np.arange(2 * n + 1)).tolist()
+        part_priority = np.full(2 * n, LOW)
+        if self._split and m:
+            first = np.flatnonzero(np.r_[True, part_of[1:] != part_of[:-1]])
+            part_priority[part_of[first]] = self._priorities(lo[first], near, levels, critical)
+        t.part_priority = part_priority.tolist()
+        t.bounds, t.loc = bounds.tolist(), dst_loc[lo].tolist()
+
+        costs = self.cost.edge_costs(EDGE_OPS, op, count[src], count[dst])
+        if (costs < 0).any():
+            raise ValueError("negative charge")
+        # zero charges are not charged at all (TaskContext.charge drops them)
+        charged = costs > 0
+        kinds, which = _distinct_rows(op[charged], costs[charged])
+        t.charges = _interned([(EDGE_OPS[c], dt) for c, dt in kinds], which).tolist()
+        t.cpos = range(m + 1) if charged.all() else np.r_[0, np.cumsum(charged)].tolist()
+
+        # what a parcel to another locality costs its sender and carries
+        sent = np.flatnonzero(remote[lo])
+        first_row, n_edges = lo[sent], np.diff(bounds)[sent]
+        payload = np.empty(len(sent), dtype=np.int64)
+        for c in np.unique(op[first_row]).tolist():
+            at = op[first_row] == c
+            payload[at] = self.sizes.payload_bytes(
+                EDGE_OPS[c], n_src_points=n_points[src[first_row[at]]]
+            )
+        priority = self._priorities(lo, near, levels, critical)[sent] if m else sent
+        kinds, which = _distinct_rows(n_edges, self.sizes.parcel_bytes(payload, n_edges), priority)
+        parcels = []
+        for n_edge, nbytes, pr in kinds:
+            dt = self.cost.remote_handling_cost(n_edge, nbytes)
+            if dt < 0:
+                raise ValueError("negative charge")
+            parcels.append((("_runtime", dt) if dt > 0 else None, nbytes, pr))
+        send = np.full(len(lo), None, dtype=object)
+        send[sent] = _interned(parcels, which)
+        t.send = send.tolist()
+
+        lco_of = np.full(n, None, dtype=object)
+        for nid, lco in self.lcos.items():
+            lco_of[nid] = lco
+        t.lcos = lco_of[dst].tolist()
+        t.pos = pos.tolist()
+        t.ops = _interned(EDGE_OPS, op).tolist()
+        return t
+
     # -- execution ---------------------------------------------------------------------
     def _continuation(self, ctx, node_id: int) -> None:
-        node = self.dag.nodes[node_id]
-        edges = self.dag.out_edges[node_id]
-        if self._split and node.kind in ("M", "Is", "It", "L"):
-            # run the critical chain inline at the node's priority,
-            # defer the leaf-output edges (M->T, L->T) to a
-            # lower-priority sibling
-            crit = [e for e in edges if e.op in CRITICAL_OPS]
-            rest = [e for e in edges if e.op not in CRITICAL_OPS]
-            self._process_edges(ctx, node_id, crit)
-            if rest:
+        self._process_edges(ctx, node_id, 0)
+        if self._split:
+            # the critical chain ran inline at the node's priority; the
+            # leaf-output edges (M->T, L->T) go to a lower-priority sibling
+            k = 2 * node_id + 1
+            table = self._table()
+            if table.part_ptr[k] < table.part_ptr[k + 1]:
                 ctx.spawn(
                     Task(
                         fn=self._process_edges_task,
-                        args=(node_id, rest),
-                        op_class=f"edges:{node.kind}",
-                        priority=self._edge_priority(rest),
+                        args=(node_id, 1),
+                        op_class=f"edges:{self._nodes[node_id].kind}",
+                        priority=table.part_priority[k],
                     )
                 )
-        else:
-            self._process_edges(ctx, node_id, edges)
-        if node.kind == "T" and self.mode == "numeric":
-            box = self.dual.target.boxes[node.box_index]
-            lco = self.lcos[node_id]
-            if lco.data is not None:
-                # per-edge path; batched leaf outputs land at the flush
-                self.result[box.start : box.stop] = lco.data
 
-    @staticmethod
-    def _edge_key(e) -> tuple:
-        """Canonical identity of one edge: (source node, out-list
-        position) - the per-LCO dedup key, so a retried contribution
-        folds exactly once; the position is also the parcel wire format."""
-        return (e.src, e.pos)
-
-    def _process_edges(self, ctx, node_id: int, edges) -> None:
-        node = self.dag.nodes[node_id]
-        by_loc: dict[int, list] = defaultdict(list)
-        nodes = self._nodes
-        for e in edges:
-            by_loc[nodes[e.dst].locality].append(e)
-        here = ctx.locality
-        # destination order is schedule freedom: parcels to different
-        # localities are unordered, so the fuzzer permutes the canonical
-        # sorted order (edges *within* one parcel keep their dedup-key
-        # fold order - reordering destinations must not change results)
-        locs = sorted(by_loc)
+    def _process_edges(self, ctx, node_id: int, part: int) -> None:
+        """One part of a node's out-edges: local groups charge and count
+        down their LCOs here, the others leave as parcels."""
+        t = self._table()
+        k = 2 * node_id + part
+        groups = range(t.part_ptr[k], t.part_ptr[k + 1])
         drv = self.runtime.scheduler.schedule_driver
-        if drv is not None and len(locs) > 1:
-            locs = drv.permute("coalesce", locs)
-        for loc in locs:
-            group = by_loc[loc]
-            if loc == here:
+        if drv is not None:
+            # destination order is schedule freedom (edges within one
+            # parcel keep their order)
+            groups = _permuted(drv, groups, t.loc)
+        for g in groups:
+            send = t.send[g]
+            if send is None:
                 if self.sequential_edges:
-                    self._run_edges(ctx, group)
+                    self._run_group(ctx, t, node_id, g)
                 else:
-                    for e in group:
-                        ctx.spawn(
-                            Task(
-                                fn=self._run_edge_task,
-                                args=(e,),
-                                op_class=e.op,
-                                priority=self._edge_priority([e]),
-                            )
-                        )
-            elif self.coalesce:
-                data_bytes = self.sizes.payload_bytes(
-                    group[0].op, n_src_points=node.n_points
+                    for row in range(t.bounds[g], t.bounds[g + 1]):
+                        op_class = t.ops[row]
+                        priority = self._edge_priority(op_class, t.lcos[row].node.id)
+                        ctx.spawn(Task(self._run_edge_task, (node_id, row), op_class, None, priority))
+                continue
+            charge, nbytes, priority = send
+            if charge is not None:
+                ctx.charges.append(charge)
+            ctx.send_parcel(
+                Parcel(
+                    action="dashmm_edges",
+                    target=t.loc[g],
+                    args=(node_id, g),
+                    size_bytes=nbytes,
+                    op_class="parcel:edges",
+                    priority=priority,
                 )
-                nbytes = self.sizes.parcel_bytes(data_bytes, len(group))
-                ctx.charge("_runtime", self.cost.remote_handling_cost(len(group), nbytes))
-                ctx.send_parcel(
-                    Parcel(
-                        action="dashmm_edges",
-                        target=loc,
-                        args=(node_id, tuple(e.pos for e in group)),
-                        size_bytes=nbytes,
-                        op_class="parcel:edges",
-                        priority=self._edge_priority(group),
-                    )
-                )
-            else:
-                for e in group:
-                    data_bytes = self.sizes.payload_bytes(e.op, n_src_points=node.n_points)
-                    nb1 = self.sizes.parcel_bytes(data_bytes, 1)
-                    ctx.charge("_runtime", self.cost.remote_handling_cost(1, nb1))
-                    ctx.send_parcel(
-                        Parcel(
-                            action="dashmm_edges",
-                            target=loc,
-                            args=(node_id, (e.pos,)),
-                            size_bytes=nb1,
-                            op_class="parcel:edges",
-                            priority=self._edge_priority([e]),
-                        )
-                    )
-
-    def _edge_priority(self, edges) -> int:
-        """Priority stamp for a task/parcel carrying this edge group.
-
-        Graded: the most critical destination level in the group, except
-        pure near-field (P2P) groups, which land on the reserved filler
-        level the policy interposes under far-field bursts.  Binary:
-        HIGH when any edge is on the critical chain.
-        """
-        levels = self._node_levels
-        if levels is not None:
-            if all(e.op in self._near_ops for e in edges):
-                return self._filler_level
-            return min(levels[e.dst] for e in edges)
-        if not self._split:
-            return LOW
-        return HIGH if any(e.op in CRITICAL_OPS for e in edges) else LOW
-
-    def _edges_action(self, ctx, target, node_id: int, edge_indices) -> None:
-        """Parcel action: evaluate coalesced remote edges at the destination."""
-        edges = self.dag.out_edges[node_id]
-        self._run_edges(ctx, [edges[i] for i in edge_indices])
-
-    # -- edge transforms ------------------------------------------------------------------
-    def _charge_edge(self, ctx, e) -> None:
-        """Account the virtual-clock cost of one edge (both exec paths)."""
-        op = e.op
-        nodes = self._nodes
-        if op == "S2T":
-            sbox = self._sboxes[nodes[e.src].box_index]
-            tbox = self._tboxes[nodes[e.dst].box_index]
-            ctx.charge(op, self.cost.edge_cost(op, n_src=sbox.count, n_tgt=tbox.count))
-        elif op in ("S2M", "S2L"):
-            sbox = self._sboxes[nodes[e.src].box_index]
-            ctx.charge(op, self.cost.edge_cost(op, n_src=sbox.count))
-        elif op in ("L2T", "M2T"):
-            tbox = self._tboxes[nodes[e.dst].box_index]
-            ctx.charge(op, self.cost.edge_cost(op, n_tgt=tbox.count))
-        elif op in ("M2M", "M2L", "M2I", "I2I", "I2L", "L2L"):
-            ctx.charge(op, self.cost.edge_cost(op))
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown edge op {op}")
-
-    def _edge_value(self, e):
-        """Numeric value of one edge (per-edge reference path)."""
-        src_node = self.dag.nodes[e.src]
-        dst_node = self.dag.nodes[e.dst]
-        op = e.op
-        if op == "S2T":
-            sbox = self.dual.source.boxes[src_node.box_index]
-            tbox = self.dual.target.boxes[dst_node.box_index]
-            return self.kernel.direct(
-                self.dual.target.points[tbox.start : tbox.stop],
-                self.dual.source.points[sbox.start : sbox.stop],
-                self.dual.source.weights[sbox.start : sbox.stop],
             )
-        if op == "S2M":
-            sbox = self.dual.source.boxes[src_node.box_index]
-            h = self.dual.domain.box_size(sbox.level)
-            rel = (
-                self.dual.source.points[sbox.start : sbox.stop]
-                - self._centers["source"][sbox.index]
-            ) / h
-            return self.kernel.p2m(
-                rel, self.dual.source.weights[sbox.start : sbox.stop], h
+
+    def _run_group(self, ctx, t: DrainTable, node_id: int, g: int) -> None:
+        """Group ``g`` of ``node_id``'s out-edges executed here: its
+        charges, then one LCO count-down per edge under its dedup key."""
+        lo, hi = t.bounds[g], t.bounds[g + 1]
+        ctx.charges.extend(t.charges[t.cpos[lo] : t.cpos[hi]])
+        ctx.effects.extend(
+            zip(
+                repeat("lco_set"),
+                t.lcos[lo:hi],
+                repeat(None),
+                zip(repeat(node_id), t.pos[lo:hi]),
+                t.ops[lo:hi],
             )
-        if op == "S2L":
-            sbox = self.dual.source.boxes[src_node.box_index]
-            tbox = self.dual.target.boxes[dst_node.box_index]
-            h = self.dual.domain.box_size(tbox.level)
-            rel = (
-                self.dual.source.points[sbox.start : sbox.stop]
-                - self._centers["target"][tbox.index]
-            ) / h
-            return self.kernel.p2l(
-                rel, self.dual.source.weights[sbox.start : sbox.stop], h
-            )
-        if self._data_of(e.src) is None:
-            return None  # the zero expansion contributes nothing
-        if op == "M2M":
-            h = self.dual.domain.box_size(src_node.level)
-            return self.factory.m2m(e.aux, h) @ self._data_of(e.src)
-        if op == "M2L":
-            h = self.dual.domain.box_size(src_node.level)
-            return self.factory.m2l(e.aux, h) @ self._data_of(e.src)
-        if op == "M2I":
-            h = self.dual.domain.box_size(src_node.level)
-            dirs = {ee.aux[0] for ee in self.dag.out_edges[e.dst] if ee.op == "I2I"}
-            M = self._data_of(e.src)
-            return {d: self.factory.m2i(d, h) @ M for d in dirs}
-        if op == "I2I":
-            d, delta = e.aux
-            h = self.dual.domain.box_size(src_node.level)
-            W = self._data_of(e.src)[d]
-            return (d, W * self.factory.i2i(d, delta, h))
-        if op == "I2L":
-            h = self.dual.domain.box_size(src_node.level)
-            acc = None
-            for d, V in sorted(self._data_of(e.src).items()):
-                c = self.factory.i2l(d, h) @ V
-                acc = c if acc is None else acc + c
-            return acc
-        if op == "L2L":
-            h = self.dual.domain.box_size(src_node.level)
-            return self.factory.l2l(e.aux, h) @ self._data_of(e.src)
-        if op == "L2T":
-            tbox = self.dual.target.boxes[dst_node.box_index]
-            h = self.dual.domain.box_size(src_node.level)
-            rel = (
-                self.dual.target.points[tbox.start : tbox.stop]
-                - self._centers["target"][src_node.box_index]
-            ) / h
-            return self.kernel.l2t(self._data_of(e.src), rel, h)
-        if op == "M2T":
-            sbox = self.dual.source.boxes[src_node.box_index]
-            tbox = self.dual.target.boxes[dst_node.box_index]
-            h = self.dual.domain.box_size(sbox.level)
-            rel = (
-                self.dual.target.points[tbox.start : tbox.stop]
-                - self._centers["source"][sbox.index]
-            ) / h
-            return self.kernel.m2t(self._data_of(e.src), rel, h)
-        raise ValueError(f"unknown edge op {op}")  # pragma: no cover - defensive
+        )
 
-    def _run_edge(self, ctx, e) -> None:
-        self._charge_edge(ctx, e)
-        value = self._edge_value(e) if self.mode == "numeric" else None
-        ctx.lco_set(self.lcos[e.dst], value, key=self._edge_key(e), op_class=e.op)
+    def _edge_priority(self, op: str, dst: int) -> int:
+        """:meth:`_priorities` of a run of one edge."""
+        if self._node_levels is not None:
+            return self._filler_level if op in self._near_ops else self._node_levels[dst]
+        return HIGH if self._split and op in CRITICAL_OPS else LOW
 
-    # -- batched path: during the drain ---------------------------------------------------
-    def _run_edges(self, ctx, edges) -> None:
-        """Execute local edges of one node, batching compatible groups.
+    def _run_edge(self, ctx, node_id: int, row: int) -> None:
+        """The one-edge task of ``sequential_edges=False``: row ``row``
+        of a local group."""
+        t = self._table()
+        ctx.charges.extend(t.charges[t.cpos[row] : t.cpos[row + 1]])
+        ctx.lco_set(t.lcos[row], None, key=(node_id, t.pos[row]), op_class=t.ops[row])
 
-        Charges are emitted per edge in the original order and LCO sets
-        are buffered per edge in the original order, so the virtual
-        clock, the trace and the downstream trigger sequence are
-        identical to the sequential per-edge path.  Planned edges set
-        ``None``: their values come from :meth:`flush_deferred`.
-        """
-        if not self._batched:
-            run = self._run_edge
-            for e in edges:
-                run(ctx, e)
-            return
-        if not edges:
-            return
-        charge = self._charge_edge
-        for e in edges:
-            charge(ctx, e)
-        nodes = self._nodes
-        values: dict[int, object] = {}
-        # all out-edges being processed share the source node, so S2L
-        # edges at one target level share the operator scale
-        s2l: dict[int, list] = {}
-        for e in edges:
-            op = e.op
-            if op in PLANNED_OPS:
-                self._flush_pending = True
-            elif op == "S2L":
-                s2l.setdefault(nodes[e.dst].level, []).append(e)
-            elif op == "S2M":
-                if self._s2m is None:
-                    self._s2m = self._leaf_multipoles()
-                values[id(e)] = self._s2m[nodes[e.src].box_index]
-            else:
-                values[id(e)] = self._edge_value(e)
-        for group in s2l.values():
-            if len(group) == 1:
-                values[id(group[0])] = self._edge_value(group[0])
-            else:
-                self._batch_values(group, values)
-        lco_set = ctx.lco_set
-        lcos = self.lcos
-        value_of = values.get
-        for e in edges:
-            lco_set(lcos[e.dst], value_of(id(e)), key=(e.src, e.pos), op_class=e.op)
+    def _edges_action(self, ctx, target, node_id: int, g: int) -> None:
+        """Parcel action: group ``g`` of ``node_id``'s out-edges, at its
+        destination."""
+        self._run_group(ctx, self._table(), node_id, g)
+
+    # -- the plan: eager-section helpers ------------------------------------------------------
+    def _eager_value(self, e):
+        """S->L or M->L contribution of one edge (``None`` from a zero
+        multipole)."""
+        tbox = self.dual.target.boxes[self._nodes[e.dst].box_index]
+        h = self.dual.domain.box_size(tbox.level)
+        if e.op == "S2L":
+            src = self.dual.source
+            sbox = src.boxes[self._nodes[e.src].box_index]
+            rel = (src.points[sbox.start : sbox.stop] - self._centers["target"][tbox.index]) / h
+            return self.kernel.p2l(rel, src.weights[sbox.start : sbox.stop], h)
+        M = self._data_of(e.src)
+        return None if M is None else self.factory.m2l(e.aux, h) @ M
 
     def _leaf_multipoles(self) -> dict[int, np.ndarray]:
         """Multipoles of every source leaf, one stacked fit per level.
 
-        The per-edge path builds one ``p2m`` matrix per leaf; here all
+        A per-edge evaluation builds one ``p2m`` matrix per leaf; here all
         leaves at a level share a single matrix build over their
         concatenated points, and per-leaf coefficients fall out of a
         segmented reduction of the charge-weighted rows.
@@ -839,7 +801,7 @@ class Registrar:
         for e, c in zip(group, coeffs):
             values[id(e)] = c
 
-    # -- batched path: in place of the drain ------------------------------------------------
+    # -- the plan: eager section ----------------------------------------------------------------
     def eager_stages(self) -> list:
         """The eager classes as ``(name, thunk)`` stages that run ahead
         of :meth:`flush_stages`: the stacked leaf fits, the upward sweep
@@ -862,16 +824,15 @@ class Registrar:
     def run_eager(self) -> None:
         """Compute the eager classes from the compiled fold lists.
 
-        Leaves a freshly :meth:`reset` registrar in exactly the state a
-        full task drain leaves it in - M/L expansions folded in
-        canonical key order, a flush pending - without enqueuing a
-        task, so :meth:`flush_deferred` finishes the evaluation
-        bit-identically.  Sessions run every submit this way.
+        Leaves the M/L expansions folded in canonical key order and a
+        flush pending, without enqueuing a task, so
+        :meth:`flush_deferred` finishes the evaluation.  Sessions run
+        every submit as ``reset -> run_eager -> flush_deferred``.
         """
         for _, stage in self.eager_stages():
             stage()
         # the bridge, downward shift and leaf outputs flush from here
-        self._flush_pending = True
+        self._flush_pending, self._eager_owed = True, False
 
     def _eager_s2m(self) -> None:
         self._s2m = self._leaf_multipoles()
@@ -893,23 +854,23 @@ class Registrar:
             lcos[dst].data = acc
 
     def _eager_m2l(self, plan: EagerPlan) -> None:
-        """List-X contributions in the drain's batch compositions, then
+        """List-4 contributions in the plan's stacked compositions, then
         every local expansion's S->L / M->L fold."""
         lcos = self.lcos
         values: dict[int, object] = {}
         for group in plan.s2l_groups:
             if len(group) == 1:
-                values[id(group[0])] = self._edge_value(group[0])
+                values[id(group[0])] = self._eager_value(group[0])
             else:
                 self._batch_values(group, values)
         for dst, es in plan.l_folds:
             acc = None
             for e in es:
-                v = values[id(e)] if e.op == "S2L" else self._edge_value(e)
+                v = values[id(e)] if e.op == "S2L" else self._eager_value(e)
                 acc = v if acc is None else acc + v
             lcos[dst].data = acc
 
-    # -- batched path: the flush stages -----------------------------------------------------
+    # -- the plan: flush stages -------------------------------------------------------------
     def flush_stages(self) -> list:
         """The numeric work of every planned edge as ``(name, thunk)``
         stages, in the one order they may run in.
@@ -934,13 +895,18 @@ class Registrar:
         ]
 
     def flush_deferred(self) -> None:
-        """Run :meth:`flush_stages`; a no-op when no planned edge has
-        run since the last flush (phantom and per-edge runs never have
-        one)."""
+        """Finish an evaluation: drop the drain tables - the drain is
+        over - and run what the plan still owes: the eager section unless
+        :meth:`run_eager` ran it since the drain or the last reset, then
+        :meth:`flush_stages`.  Computes nothing when no plan is owed (a
+        phantom drain, a registrar already flushed)."""
+        self._drain = None
         if not self._flush_pending:
             return
         self._flush_pending = False
-        for _, stage in self.flush_stages():
+        stages = self.eager_stages() if self._eager_owed else []
+        self._eager_owed = False
+        for _, stage in stages + self.flush_stages():
             stage()
 
     def _flush_m2i(self, plan: FlushPlan) -> None:

@@ -10,7 +10,7 @@ reductions and permits user-defined classes; DASHMM's expansion LCO
 Semantics mirrored here:
 
 * inputs arrive through :meth:`TaskContext.lco_set` (applied when the
-  setting task completes) and are folded in by :meth:`_reduce`;
+  setting task completes) and are folded in by :meth:`_fold`;
 * after each input the :meth:`_predicate` is checked; on the first True
   the LCO triggers and all registered continuations are spawned as
   lightweight threads on the LCO's home locality;
@@ -55,7 +55,7 @@ class LCOError(RuntimeError):
 
 
 class LCO:
-    """Base LCO.  Subclasses override ``_reduce`` and ``_predicate``."""
+    """Base LCO.  Subclasses override ``_fold`` and ``_predicate``."""
 
     #: when the scheduler runs with LCO dedup on (reliable transport),
     #: a post-trigger set on a tolerant LCO is suppressed, not fatal -
@@ -82,18 +82,12 @@ class LCO:
         self.addr = runtime.gas.alloc(locality, self)
 
     # -- protocol for subclasses ------------------------------------------------
-    def _reduce(self, value: Any) -> None:
+    def _fold(self, value: Any, key: Any) -> None:
+        """Accept one input (``key`` is its dedup key, already checked)."""
         raise NotImplementedError
 
     def _predicate(self) -> bool:
         raise NotImplementedError
-
-    def _fold(self, value: Any, key: Any) -> None:
-        """Accept one input (default: immediate ``_reduce``)."""
-        self._reduce(value)
-
-    def _finalize(self) -> None:
-        """Hook run once, just before the LCO triggers."""
 
     # -- runtime-facing ---------------------------------------------------------
     def _apply_set(
@@ -143,7 +137,6 @@ class LCO:
             hz.on_lco_set(self, t, op_class=op_class)
         self._fold(value, key)
         if self._predicate():
-            self._finalize()
             self.triggered = True
             if hz is not None:
                 hz.on_lco_trigger(self, t)
@@ -215,7 +208,7 @@ class Future(LCO):
         self.value: Any = None
         self._set = False
 
-    def _reduce(self, value: Any) -> None:
+    def _fold(self, value: Any, key: Any) -> None:
         self.value = value
         self._set = True
 
@@ -232,7 +225,7 @@ class AndLCO(LCO):
         super().__init__(runtime, locality)
         self.remaining = n_inputs
 
-    def _reduce(self, value: Any) -> None:
+    def _fold(self, value: Any, key: Any) -> None:
         self.remaining -= 1
 
     def _predicate(self) -> bool:
@@ -266,7 +259,7 @@ class ReductionLCO(LCO):
         self.value = init
         self.fold_commutative = commutative
 
-    def _reduce(self, value: Any) -> None:
+    def _fold(self, value: Any, key: Any) -> None:
         self.value = self.op(self.value, value)
         self.remaining -= 1
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 #: paper Table II average execution times [s] (Laplace, 128 cores)
 PAPER_EDGE_TIMES = {
     "S2T": 1.89e-6,
@@ -103,6 +105,22 @@ class CostModel:
         if op == "S2L":
             return self.base["S2L_pt"] * n_src * f
         return self.base[op] * f
+
+    def edge_costs(
+        self, names, codes: np.ndarray, n_src: np.ndarray, n_tgt: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`edge_cost` of many edges at once, bit for bit.
+
+        Edge ``i`` is of class ``names[codes[i]]``; ``n_src`` / ``n_tgt``
+        hold the point counts of its source / target leaf box (read by
+        the point-dependent classes only).  Each class evaluates the
+        scalar formula elementwise, in the same operation order.
+        """
+        out = np.empty(len(codes))
+        for code in np.unique(codes).tolist():
+            at = codes == code
+            out[at] = self.edge_cost(names[code], n_src=n_src[at], n_tgt=n_tgt[at])
+        return out
 
     def remote_handling_cost(self, n_edges: int, payload_bytes: int) -> float:
         """Sender-side cost of staging remote out-edges into a parcel.

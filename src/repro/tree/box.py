@@ -62,8 +62,10 @@ class Domain:
         return self.origin + h * (np.array([ix, iy, iz], dtype=float) + 0.5)
 
     def box_centers(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`box_center` for an array of same-level keys."""
-        level, ix, iy, iz = decode_morton(np.asarray(keys))
+        """Vectorised :meth:`box_center`: one ``(3,)`` row per key, keys of
+        any mix of levels, bit-identical to the scalar version (an empty
+        key array gives a ``(0, 3)`` array)."""
+        level, ix, iy, iz = decode_morton(np.asarray(keys, dtype=np.int64))
         h = self.size / (1 << level).astype(float)
         idx = np.stack([ix, iy, iz], axis=-1).astype(float)
         return self.origin + (h[:, None] * (idx + 0.5))

@@ -1,11 +1,14 @@
-"""Batched edge execution is a way to compute, not a different algorithm.
+"""The drain is a schedule; the plan computes the numbers.
 
-The default numeric run must produce the potentials of the per-edge
-reference (``sequential_edges=False`` computes every edge one by one) to
-stacked-GEMM rounding, and the *bit-identical* virtual completion time of
-the sequential per-edge loop - which is what ``mode="phantom"`` executes,
-with the same charges - since charges and effect ordering are
-value-independent."""
+A simulated evaluation's drain carries no values, so every potential
+comes from the compiled execution plan's stacked stages.  Those must
+agree with the plain per-edge sums of the DAG - one operator per edge,
+folded in canonical key order (``tests/reference_chain.py``) - to
+stacked-GEMM rounding.  The schedule on the other hand is the virtual
+clock: a numeric run must keep the *bit-identical* clock, task and steal
+counts of ``mode="phantom"``, and the Section VI ablations
+(``sequential_edges=False``, ``coalesce=False``) move that clock but not
+a bit of the potentials."""
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from repro.dashmm import DashmmEvaluator
 from repro.hpx.runtime import RuntimeConfig
 from repro.methods.direct import direct_potentials
+from tests.reference_chain import per_edge_potentials
 
 
 @pytest.fixture(scope="module")
@@ -22,29 +26,44 @@ def cloud():
     return rng.uniform(0, 1, (n, 3)), rng.normal(size=n), rng.uniform(0, 1, (n, 3))
 
 
-def _run(laplace, laplace_factory, cloud, method="fmm", **kw):
+def _run(kernel, factory, cloud, method="fmm", **kw):
     src, w, tgt = cloud
     ev = DashmmEvaluator(
-        laplace,
+        kernel,
         method=method,
         threshold=30,
         runtime_config=RuntimeConfig(n_localities=2, workers_per_locality=4),
-        factory=laplace_factory,
+        factory=factory,
         **kw,
     )
     return ev.evaluate(src, w, tgt)
 
 
-@pytest.mark.parametrize("method", ["fmm", "fmm-basic"])
-def test_batched_matches_per_edge(method, laplace, laplace_factory, cloud):
-    bat = _run(laplace, laplace_factory, cloud, method)
-    ref = _run(laplace, laplace_factory, cloud, method, sequential_edges=False)
-    np.testing.assert_allclose(bat.potentials, ref.potentials, rtol=0, atol=1e-12)
-    # identical DAG, charges and effect ordering -> identical virtual clock
-    loop = _run(laplace, laplace_factory, cloud, method, mode="phantom")
-    assert bat.time == loop.time
-    assert bat.runtime_stats["tasks_run"] == loop.runtime_stats["tasks_run"]
-    assert bat.runtime_stats["steals"] == loop.runtime_stats["steals"]
+def _same_schedule(a, b) -> None:
+    assert a.time == b.time
+    for stat in ("tasks_run", "steals", "parcels_sent", "remote_bytes"):
+        assert a.runtime_stats[stat] == b.runtime_stats[stat], stat
+
+
+@pytest.mark.parametrize("method", ["fmm", "fmm-basic", "bh"])
+def test_batched_matches_per_edge(method, laplace, laplace_factory, yukawa, yukawa_factory, cloud):
+    for kernel, factory in ((laplace, laplace_factory), (yukawa, yukawa_factory)):
+        rep = _run(kernel, factory, cloud, method)
+        ref = per_edge_potentials(rep.dag, rep.dual, kernel, factory)
+        np.testing.assert_allclose(rep.potentials, ref, rtol=0, atol=1e-12)
+        # identical DAG, charges and effect ordering -> identical virtual clock
+        _same_schedule(rep, _run(kernel, factory, cloud, method, mode="phantom"))
+
+
+@pytest.mark.parametrize("ablation", ["sequential_edges", "coalesce"])
+def test_ablations_move_the_clock_not_the_bits(ablation, laplace, laplace_factory, cloud):
+    base = _run(laplace, laplace_factory, cloud)
+    rep = _run(laplace, laplace_factory, cloud, **{ablation: False})
+    assert np.array_equal(rep.potentials, base.potentials)
+    assert rep.runtime_stats["tasks_run"] != base.runtime_stats["tasks_run"] or (
+        rep.runtime_stats["parcels_sent"] != base.runtime_stats["parcels_sent"]
+    )
+    _same_schedule(rep, _run(laplace, laplace_factory, cloud, mode="phantom", **{ablation: False}))
 
 
 def test_batched_is_accurate(laplace, laplace_factory, cloud):

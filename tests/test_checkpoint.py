@@ -24,6 +24,7 @@ from repro.hpx import (
     TransportError,
 )
 from repro.hpx.scheduler import Task
+from tests.reference_chain import assert_each_edge_counted_once
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,8 @@ def _assert_resumes_bit_identical(ev, baseline, checkpoints, picks):
         )
         assert resumed.extras["resumed_from"] == checkpoints[i].time
         assert resumed.extras["untriggered"] == 0
+        # the restored ledgers plus the resumed drain count every edge once
+        assert_each_edge_counted_once(resumed.extras["registrar"])
 
 
 def test_kill_and_restore_at_every_checkpoint(laplace, laplace_factory, cloud):

@@ -1,13 +1,20 @@
 """Explicit DAG construction: node/edge classes, degrees, stats, topology."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.dashmm.dag import build_bh_dag, build_fmm_dag
+from repro.dashmm.dag import EDGE_OPS, build_bh_dag, build_fmm_dag
+from repro.dashmm.export import dag_from_json, dag_to_json
 from repro.methods.barneshut import mac_pairs
 from repro.sim.costmodel import SizeModel
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "goldens"))
+import generate  # noqa: E402  (the golden workload definitions)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,33 @@ def test_in_degree_matches_edges(setup):
         for e in edges:
             indeg[e.dst] += 1
     assert indeg == dag.in_degree
+
+
+def _column_rows(dag) -> list:
+    cols = dag.edge_columns()
+    ops = [EDGE_OPS[c] for c in cols.op.tolist()]
+    return list(zip(cols.src.tolist(), cols.dst.tolist(), ops, cols.pos.tolist()))
+
+
+def _object_rows(dag) -> list:
+    return [(e.src, e.dst, e.op, e.pos) for out in dag.out_edges for e in out]
+
+
+@pytest.mark.parametrize(
+    "method, ps", [(m, ps) for m in generate.METHODS for ps in generate.POINT_SETS]
+)
+def test_edge_columns_equal_the_edge_objects(method, ps):
+    """The CSR columns the builder keeps are the object view, row for row
+    - and so are the columns read off a DAG loaded edge by edge."""
+    _, dag = generate.build(method, "laplace", ps)
+    rows = _object_rows(dag)
+    assert rows and _column_rows(dag) == rows
+    cols = dag.edge_columns()
+    assert cols is dag.edge_columns()  # built once
+    assert np.array_equal(np.diff(cols.out_ptr), [len(out) for out in dag.out_edges])
+    loaded = dag_from_json(dag_to_json(dag))
+    assert loaded._edge_parts is None  # assembled by add_edge
+    assert _column_rows(loaded) == _object_rows(loaded) == rows
 
 
 def test_bh_dag(setup):

@@ -29,6 +29,19 @@ def test_domain_is_cubic():
     assert dom.size >= 10.0
 
 
+def test_box_centers_equal_the_per_box_loop():
+    """The vectorised centres of an adaptive tree - leaves on several
+    levels, odd origin and size - are the scalar ones bit for bit."""
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.normal(0.2, 0.01, (400, 3)), rng.uniform(-1.7, 2.3, (300, 3))])
+    tree = build_tree(pts, Domain.bounding(pts), threshold=10)
+    keys = tree.arrays.keys
+    assert len(set(tree.arrays.levels[tree.arrays.leaf].tolist())) > 2
+    loop = np.array([tree.domain.box_center(b.key) for b in tree.boxes])
+    assert np.array_equal(tree.domain.box_centers(keys), loop)
+    assert tree.domain.box_centers(keys[:0]).shape == (0, 3)
+
+
 def test_tree_partitions_points():
     pts = _random_points(2000)
     dom = Domain.bounding(pts)

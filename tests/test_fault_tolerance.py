@@ -14,6 +14,7 @@ import pytest
 from repro.analysis import degradation_report, degradation_sweep
 from repro.dashmm import DashmmEvaluator
 from repro.hpx import FaultyNetwork, LCOError, RuntimeConfig
+from tests.reference_chain import assert_each_edge_counted_once
 
 #: the acceptance-criteria fault mix, plus single-fault ablations
 FAULTS = {
@@ -47,7 +48,11 @@ def _evaluate(kernel, factory, cloud, method="fmm", net=None, reliable=True, **c
         factory=factory,
         theta=0.5,
     )
-    return ev.evaluate(src, w, tgt)
+    rep = ev.evaluate(src, w, tgt)
+    # the drain carries no values, so potentials cannot reveal an edge
+    # folded twice: check every LCO's dedup ledger instead
+    assert_each_edge_counted_once(rep.extras["registrar"])
+    return rep
 
 
 @pytest.mark.parametrize("mode", sorted(FAULTS))
@@ -64,7 +69,11 @@ def test_bit_identical_under_faults(mode, method, laplace, laplace_factory, clou
     # quiescence: every LCO triggered, nothing left in flight
     assert faulty.extras["untriggered"] == 0
     assert faulty.runtime_stats["transport"]["in_flight"] == 0
-    # exactly-once delivery: potentials agree to the bit
+    # exactly-once delivery: _evaluate checked that every edge counted
+    # once, which duplicates must have put to the test; potentials
+    # agree to the bit
+    if "duplicate" in FAULTS[mode]:
+        assert faulty.runtime_stats["network_faults"]["duplicated"] > 0
     assert np.array_equal(clean.potentials, faulty.potentials)
     # only the virtual clock may change (fault-shifted arrivals reshuffle
     # the steal schedule, so the makespan can move in either direction)
@@ -184,6 +193,8 @@ def test_phantom_mode_quiesces_under_faults(laplace, cloud):
     rep = ev.evaluate(src, w, tgt)
     assert rep.extras["untriggered"] == 0
     assert rep.runtime_stats["transport"]["in_flight"] == 0
+    assert rep.runtime_stats["network_faults"]["duplicated"] > 0
+    assert_each_edge_counted_once(rep.extras["registrar"])
 
 
 # -- degradation accounting ---------------------------------------------------

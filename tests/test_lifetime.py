@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.dashmm import DashmmEvaluator
+from repro.dashmm.registrar import Registrar
 from repro.hpx import FaultyNetwork, RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
 
@@ -109,6 +110,8 @@ def test_evaluation_is_freed_by_refcount(
         assert counter.passes == 0
         assert gc.isenabled()
         assert report.extras["untriggered"] == 0
+        # the drain's compiled tables go when the drain ends
+        assert report.extras["registrar"]._drain is None
         if runtime_mode == "checkpoint":
             assert report.extras["checkpoints"]
         refs.extend(
@@ -153,6 +156,29 @@ def test_resume_is_freed_by_refcount_too(laplace, laplace_factory, cloud):
         assert np.array_equal(resumed.potentials, baseline.potentials)
 
     assert cyclic_garbage(resume_and_drop) == []
+
+
+def test_resume_recompiles_the_drain_tables(laplace, laplace_factory, cloud, monkeypatch):
+    """A checkpoint holds no drain table: every resume compiles its own
+    on first use and drops it when its drain ends."""
+    compiled = []
+    compile_drain = Registrar._compile_drain
+
+    def counted(reg):
+        compiled.append(reg)
+        return compile_drain(reg)
+
+    monkeypatch.setattr(Registrar, "_compile_drain", counted)
+    ev = _evaluator(laplace, laplace_factory, "numeric", "fmm", checkpoint_every=2e-4)
+    baseline = ev.evaluate(*cloud)
+    reg = baseline.extras["registrar"]
+    checkpoints = baseline.extras["checkpoints"]
+    assert compiled == [reg] and len(checkpoints) > 1
+    for i, cp in enumerate(checkpoints):
+        resumed = ev.resume(baseline, cp)
+        assert np.array_equal(resumed.potentials, baseline.potentials)
+        assert compiled == [reg] * (i + 2)
+        assert reg._drain is None
 
 
 def test_collector_setting_is_restored(laplace, laplace_factory, cloud):

@@ -7,6 +7,7 @@ from repro.dashmm import DashmmEvaluator, FmmPolicy
 from repro.dashmm.registrar import CRITICAL_OPS, FILLER_OPS, Registrar
 from repro.hpx.runtime import Runtime, RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
+from repro.sim.costmodel import CostModel
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
 
@@ -25,12 +26,71 @@ def setup():
     return src, w, tgt, dual, lists, dag
 
 
-def _registrar(dag, dual, policy=None, coalesce=True):
+def _registrar(dag, dual, policy=None, coalesce=True, cost_model=None):
     cfg = RuntimeConfig(n_localities=3, workers_per_locality=2, policy=policy)
     rt = Runtime(cfg)
     FmmPolicy().assign(dag, dual, 3)
-    reg = Registrar(rt, dag, dual, LaplaceKernel(8), None, mode="phantom", coalesce=coalesce)
+    reg = Registrar(
+        rt, dag, dual, LaplaceKernel(8), None, mode="phantom", coalesce=coalesce, cost_model=cost_model
+    )
     return rt, reg
+
+
+def _charge_edge(cost, dual, dag, e) -> float:
+    """One edge's charge as a per-edge walk computes it, from the point
+    counts of the leaf boxes in the trees."""
+    def sbox():
+        return dual.source.boxes[dag.nodes[e.src].box_index]
+
+    def tbox():
+        return dual.target.boxes[dag.nodes[e.dst].box_index]
+
+    if e.op == "S2T":
+        return cost.edge_cost(e.op, n_src=sbox().count, n_tgt=tbox().count)
+    if e.op in ("S2M", "S2L"):
+        return cost.edge_cost(e.op, n_src=sbox().count)
+    if e.op in ("L2T", "M2T"):
+        return cost.edge_cost(e.op, n_tgt=tbox().count)
+    return cost.edge_cost(e.op)
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+@pytest.mark.parametrize("kernel", ["laplace", "yukawa", "free parcels"])
+def test_compiled_drain_charges_are_the_per_edge_charges(setup, kernel, coalesce):
+    """Every edge sits in exactly one group, with the charge of the
+    per-edge walk bit for bit, and every parcel carries the size and
+    sender-side cost the size and cost models give its group (none at
+    all when staging a parcel is free)."""
+    _, _, _, dual, _, dag = setup
+    if kernel == "free parcels":
+        cost = CostModel(remote_edge_alloc=0.0, copy_bandwidth=float("inf"))
+    else:
+        cost = CostModel.for_kernel(kernel)
+    _, reg = _registrar(dag, dual, policy="binary", coalesce=coalesce, cost_model=cost)
+    reg.allocate()
+    t = reg._compile_drain()
+    seen = set()
+    for k in range(2 * len(dag.nodes)):
+        node = dag.nodes[k // 2]
+        for g in range(t.part_ptr[k], t.part_ptr[k + 1]):
+            rows = range(t.bounds[g], t.bounds[g + 1])
+            edges = [dag.out_edges[node.id][t.pos[row]] for row in rows]
+            assert {dag.nodes[e.dst].locality for e in edges} == {t.loc[g]}
+            assert {e.op in CRITICAL_OPS for e in edges} == {k % 2 == 0}
+            for row, e in zip(rows, edges):
+                seen.add((e.src, e.pos))
+                charge = t.charges[t.cpos[row] : t.cpos[row + 1]]
+                assert charge == [(e.op, _charge_edge(cost, dual, dag, e))]
+                assert t.ops[row] == e.op and t.lcos[row] is reg.lcos[e.dst]
+            send = t.send[g]
+            assert (send is None) == (t.loc[g] == node.locality)
+            if send is not None:
+                assert coalesce or len(edges) == 1
+                payload = reg.sizes.payload_bytes(edges[0].op, n_src_points=node.n_points)
+                nbytes = reg.sizes.parcel_bytes(payload, len(edges))
+                handling = cost.remote_handling_cost(len(edges), nbytes)
+                assert send[:2] == ((("_runtime", handling) if handling else None), nbytes)
+    assert len(seen) == dag.n_edges
 
 
 def test_lco_count_equals_nodes_with_inputs(setup):

@@ -34,6 +34,7 @@ from repro.hpx.runtime import Runtime, RuntimeConfig
 from repro.hpx.scheduler import ReplayDivergence, Task
 from repro.hpx.tracing import SCHEDULE_DECISION_KINDS, ScheduleTrace
 from repro.kernels.laplace import LaplaceKernel
+from tests.reference_chain import assert_each_edge_counted_once
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,11 @@ def _evaluate(kernel, cloud, method="fmm", **cfg_kwargs):
     sources, weights, targets = cloud
     cfg = RuntimeConfig(n_localities=2, workers_per_locality=2, **cfg_kwargs)
     ev = DashmmEvaluator(kernel, method=method, threshold=30, runtime_config=cfg)
-    return ev.evaluate(sources, weights, targets)
+    rep = ev.evaluate(sources, weights, targets)
+    # whatever the schedule, every edge counted down its LCO exactly once
+    # (the drain carries no values, so the potentials could not tell)
+    assert_each_edge_counted_once(rep.extras["registrar"])
+    return rep
 
 
 # -- invisibility of the machinery when off -------------------------------------

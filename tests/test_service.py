@@ -20,6 +20,7 @@ import repro.dashmm.dag as dag_mod
 import repro.tree.dualtree as dualtree_mod
 import repro.tree.lists as lists_mod
 from repro.dashmm import DashmmEvaluator, EvaluatorSession
+from repro.dashmm.registrar import Registrar
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
@@ -220,6 +221,26 @@ def test_barnes_hut_session(kernel, factory, cloud):
     with EvaluatorSession(ev) as sess:
         assert np.array_equal(sess.submit(pts, w), cold)
         assert np.array_equal(sess.submit(pts, w), cold)
+
+
+def test_submits_never_compile_a_drain(evaluator, cloud, monkeypatch):
+    """A session runs the plan in place of a drain: its cold, warm,
+    charge-only and drift submits never pay for the drain's tables."""
+
+    def no_drain(reg):
+        raise AssertionError("a session submit compiled a drain table")
+
+    monkeypatch.setattr(Registrar, "_compile_drain", no_drain)
+    rng, pts, w = cloud
+    drifted = pts.copy()
+    drifted[:7] = np.clip(drifted[:7] + rng.normal(scale=1e-3, size=(7, 3)), pts.min(), pts.max())
+    with EvaluatorSession(evaluator) as sess:
+        sess.submit(pts, w)
+        sess.submit(pts, w)
+        sess.submit(pts, rng.normal(size=len(w)))
+        sess.submit(drifted, w)
+        assert sess.stats["template_hits"] == 3
+        assert sess._current.registrar._drain is None
 
 
 def test_sessions_are_freed_by_refcount(evaluator):
