@@ -124,7 +124,7 @@ def cold_split(points, charges, repeats: int) -> None:
         out = np.empty(len(points))
         out[dual.target.perm] = reg.result
         assert np.array_equal(out, expected), "staged evaluate differs from evaluate()"
-    edges = sum(len(out) for out in dag.out_edges)
+    edges = dag.n_edges
     print_medians(f"cold evaluate(), {len(points)} points, {edges} DAG edges", samples, repeats)
     print()
 
@@ -182,7 +182,7 @@ def main() -> None:
         out[reg.dual.target.perm] = reg.result
         assert np.array_equal(out, expected), "staged run differs from submit()"
 
-    edges = sum(len(out) for out in reg.dag.out_edges)
+    edges = reg.dag.n_edges
     print_medians(f"warm submit, {len(points)} points, {edges} DAG edges", samples, args.repeats)
     if args.workers:
         worker_split(points, charges, expected, args.workers, args.repeats)

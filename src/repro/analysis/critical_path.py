@@ -11,7 +11,7 @@ the (cheap) upward work throttles the whole evaluation.
 from __future__ import annotations
 
 from repro.dag.schema import EDGE_KIND_CATALOG
-from repro.dashmm.dag import DAG
+from repro.dashmm.dag import DAG, EDGE_OPS
 from repro.sim.costmodel import CostModel
 
 
@@ -46,13 +46,7 @@ def dag_critical_path(dag: DAG, cost_model: CostModel | None = None) -> dict:
     hops = dag.critical_path_length()
     out = {"edges": hops}
     if cost_model is not None:
-
-        def w(e):
-            s = dag.nodes[e.src]
-            t = dag.nodes[e.dst]
-            return cost_model.edge_cost(e.op, n_src=max(s.n_points, 1), n_tgt=max(t.n_points, 1))
-
-        out["seconds"] = dag.critical_path_length(cost_fn=w)
+        out["seconds"] = dag.critical_path_length(dag.edge_costs(cost_model))
     return out
 
 
@@ -76,26 +70,13 @@ def node_priorities(
     """
     n = len(dag.nodes)
     dist = [0.0] * n
-    nodes = dag.nodes
-    out_edges = dag.out_edges
-    if cost_model is not None:
-        edge_cost = cost_model.edge_cost
-
-        def w(e):
-            s, t = nodes[e.src], nodes[e.dst]
-            return edge_cost(
-                e.op, n_src=max(s.n_points, 1), n_tgt=max(t.n_points, 1)
-            )
-
-    else:
-
-        def w(e):
-            return 1.0
-
+    cols = dag.edge_columns()
+    ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
+    w = [1.0] * len(dst) if cost_model is None else dag.edge_costs(cost_model).tolist()
     for nid in reversed(dag._topological_order()):
         best = 0.0
-        for e in out_edges[nid]:
-            d = w(e) + dist[e.dst]
+        for r in range(ptr[nid], ptr[nid + 1]):
+            d = w[r] + dist[dst[r]]
             if d > best:
                 best = d
         dist[nid] = best
@@ -114,10 +95,8 @@ def work_by_group(dag: DAG, cost_model: CostModel) -> dict[str, float]:
     upward work is small compared to the bridge and downward groups.
     """
     acc = {g: 0.0 for g in GROUPS}
-    for edges in dag.out_edges:
-        for e in edges:
-            s, t = dag.nodes[e.src], dag.nodes[e.dst]
-            acc[op_group(e.op)] += cost_model.edge_cost(
-                e.op, n_src=max(s.n_points, 1), n_tgt=max(t.n_points, 1)
-            )
+    group = [op_group(op) for op in EDGE_OPS]
+    costs = dag.edge_costs(cost_model).tolist()
+    for code, c in zip(dag.edge_columns().op.tolist(), costs):
+        acc[group[code]] += c
     return acc

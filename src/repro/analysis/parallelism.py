@@ -23,17 +23,19 @@ def wavefront_profile(dag: DAG) -> np.ndarray:
     length of the profile is the DAG's depth in rounds; its values are
     the available parallelism assuming unit-time nodes.
     """
+    cols = dag.edge_columns()
+    ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
     indeg = list(dag.in_degree)
-    current = [n.id for n in dag.nodes if indeg[n.id] == 0]
+    current = [nid for nid in range(len(dag.nodes)) if indeg[nid] == 0]
     profile = []
     while current:
         profile.append(len(current))
         nxt = []
         for nid in current:
-            for e in dag.out_edges[nid]:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    nxt.append(e.dst)
+            for d in dst[ptr[nid] : ptr[nid + 1]]:
+                indeg[d] -= 1
+                if indeg[d] == 0:
+                    nxt.append(d)
         current = nxt
     return np.array(profile, dtype=np.int64)
 

@@ -42,13 +42,12 @@ import numpy as np
 from repro.dashmm.dag import (
     COUNTERS,
     DAG,
+    EDGE_OPS,
     DagNode,
     _append_edges,
     _batch_nodes,
     _dead_mask,
-    _delta_tuples,
     _deltas,
-    _DIR_LABELS,
     assign_direction_arrays,
 )
 from repro.kernels.expo import assign_direction
@@ -351,89 +350,89 @@ def validate_dag(schema: MethodSchema, dag: DAG) -> None:
                 node=node.id,
             )
 
-    # one pass over the edge set: recompute in-degrees, bucket by op,
-    # count per-(op, dst) multiplicity
+    # one pass over the edge columns: recompute in-degrees, bucket by
+    # op, count per-(op, dst) multiplicity
     indeg = [0] * n
     multiplicity: Counter = Counter()
-    for edges in dag.out_edges:
-        for e in edges:
-            eid = (e.src, e.dst, e.op)
-            ek = schema.edge_kind(e.op)
-            if ek is None:
+    cols = dag.edge_columns()
+    ops = [EDGE_OPS[c] for c in cols.op.tolist()]
+    for src, dst, op, aux in zip(cols.src.tolist(), cols.dst.tolist(), ops, cols.aux_values()):
+        eid = (src, dst, op)
+        ek = schema.edge_kind(op)
+        if ek is None:
+            raise SchemaValidationError(
+                "edge-op",
+                f"operator {op!r} is not declared by schema {schema.name!r}",
+                edge=eid,
+            )
+        if not (0 <= dst < n):
+            raise SchemaValidationError(
+                "edge-endpoints", "edge endpoint is not a node id", edge=eid
+            )
+        s, d = nodes[src], nodes[dst]
+        if s.kind != ek.src or d.kind != ek.dst:
+            raise SchemaValidationError(
+                "edge-endpoint-kind",
+                f"{ek.name} connects {ek.src}->{ek.dst}, got "
+                f"{_node_desc(s)} -> {_node_desc(d)}",
+                edge=eid,
+            )
+        if ek.level == "same":
+            ok = d.level == s.level
+        elif ek.level == "up":
+            ok = d.level == s.level - 1
+        elif ek.level == "down":
+            ok = d.level == s.level + 1
+        else:
+            ok = True
+        if not ok:
+            raise SchemaValidationError(
+                "edge-level",
+                f"{ek.name} requires a {ek.level!r} level relation, got "
+                f"L{s.level} -> L{d.level}",
+                edge=eid,
+            )
+        if ek.same_box and s.box_index != d.box_index:
+            raise SchemaValidationError(
+                "edge-box",
+                f"{ek.name} pins both endpoints to one box, got boxes "
+                f"{s.box_index} -> {d.box_index}",
+                edge=eid,
+            )
+        if ek.aux == "none":
+            if aux is not None:
                 raise SchemaValidationError(
-                    "edge-op",
-                    f"operator {e.op!r} is not declared by schema {schema.name!r}",
+                    "edge-aux", f"{ek.name} carries no aux, got {aux!r}", edge=eid
+                )
+        elif ek.aux == "octant":
+            if not isinstance(aux, (int, np.integer)) or not (0 <= aux <= 7):
+                raise SchemaValidationError(
+                    "edge-aux",
+                    f"{ek.name} aux must be an octant 0..7, got {aux!r}",
                     edge=eid,
                 )
-            if not (0 <= e.src < n) or not (0 <= e.dst < n):
+        elif ek.aux == "delta":
+            _check_delta(aux, ek, eid)
+        else:  # dir_delta
+            if not isinstance(aux, tuple) or len(aux) != 2:
                 raise SchemaValidationError(
-                    "edge-endpoints", "edge endpoint is not a node id", edge=eid
-                )
-            s, d = nodes[e.src], nodes[e.dst]
-            if s.kind != ek.src or d.kind != ek.dst:
-                raise SchemaValidationError(
-                    "edge-endpoint-kind",
-                    f"{ek.name} connects {ek.src}->{ek.dst}, got "
-                    f"{_node_desc(s)} -> {_node_desc(d)}",
+                    "edge-aux",
+                    f"{ek.name} aux must be (direction, delta), got {aux!r}",
                     edge=eid,
                 )
-            if ek.level == "same":
-                ok = d.level == s.level
-            elif ek.level == "up":
-                ok = d.level == s.level - 1
-            elif ek.level == "down":
-                ok = d.level == s.level + 1
-            else:
-                ok = True
-            if not ok:
+            direction, delta = aux
+            _check_delta(delta, ek, eid)
+            want = assign_direction(tuple(int(v) for v in delta))
+            if direction != want:
                 raise SchemaValidationError(
-                    "edge-level",
-                    f"{ek.name} requires a {ek.level!r} level relation, got "
-                    f"L{s.level} -> L{d.level}",
+                    "edge-direction",
+                    f"{ek.name} direction {direction!r} disagrees with its "
+                    f"delta {delta} (expected {want!r})",
                     edge=eid,
                 )
-            if ek.same_box and s.box_index != d.box_index:
-                raise SchemaValidationError(
-                    "edge-box",
-                    f"{ek.name} pins both endpoints to one box, got boxes "
-                    f"{s.box_index} -> {d.box_index}",
-                    edge=eid,
-                )
-            aux = e.aux
-            if ek.aux == "none":
-                if aux is not None:
-                    raise SchemaValidationError(
-                        "edge-aux", f"{ek.name} carries no aux, got {aux!r}", edge=eid
-                    )
-            elif ek.aux == "octant":
-                if not isinstance(aux, (int, np.integer)) or not (0 <= aux <= 7):
-                    raise SchemaValidationError(
-                        "edge-aux",
-                        f"{ek.name} aux must be an octant 0..7, got {aux!r}",
-                        edge=eid,
-                    )
-            elif ek.aux == "delta":
-                _check_delta(aux, ek, eid)
-            else:  # dir_delta
-                if not isinstance(aux, tuple) or len(aux) != 2:
-                    raise SchemaValidationError(
-                        "edge-aux",
-                        f"{ek.name} aux must be (direction, delta), got {aux!r}",
-                        edge=eid,
-                    )
-                direction, delta = aux
-                _check_delta(delta, ek, eid)
-                want = assign_direction(tuple(int(v) for v in delta))
-                if direction != want:
-                    raise SchemaValidationError(
-                        "edge-direction",
-                        f"{ek.name} direction {direction!r} disagrees with its "
-                        f"delta {delta} (expected {want!r})",
-                        edge=eid,
-                    )
-            indeg[e.dst] += 1
-            if ek.in_unique or ek.in_max_per_dst is not None:
-                multiplicity[(e.op, e.dst)] += 1
+        indeg[dst] += 1
+        if ek.in_unique or ek.in_max_per_dst is not None:
+            multiplicity[(op, dst)] += 1
 
     recorded = list(dag.in_degree)
     if indeg != recorded:
@@ -446,9 +445,10 @@ def validate_dag(schema: MethodSchema, dag: DAG) -> None:
             node=bad,
         )
 
+    out_degree = np.diff(cols.out_ptr).tolist()
     for node in nodes:
         kind = schema.node_kind(node.kind)
-        din, dout = indeg[node.id], len(dag.out_edges[node.id])
+        din, dout = indeg[node.id], out_degree[node.id]
         if din < kind.in_min or (kind.in_max is not None and din > kind.in_max):
             raise SchemaValidationError(
                 "in-degree",
@@ -503,26 +503,15 @@ def export_dag(dag: DAG, schema: MethodSchema | None = None) -> dict:
     graph exports identically whether the builder or a reference loop
     produced it and however node ids were allocated.
     """
-    nodes = [[n.kind, n.tree, n.box_index, n.level, n.n_points] for n in dag.nodes]
-    nodes.sort()
-    edges = []
-    dag_nodes = dag.nodes
-    for out in dag.out_edges:
-        for e in out:
-            s, d = dag_nodes[e.src], dag_nodes[e.dst]
-            edges.append(
-                [
-                    e.op,
-                    s.kind,
-                    s.tree,
-                    s.box_index,
-                    d.kind,
-                    d.tree,
-                    d.box_index,
-                    json.dumps(_aux_canon(e.aux)),
-                ]
-            )
-    edges.sort()
+    keys = [(n.kind, n.tree, n.box_index) for n in dag.nodes]
+    nodes = sorted([*key, n.level, n.n_points] for key, n in zip(keys, dag.nodes))
+    cols = dag.edge_columns()
+    edges = sorted(
+        [EDGE_OPS[op], *keys[src], *keys[dst], json.dumps(_aux_canon(aux))]
+        for op, src, dst, aux in zip(
+            cols.op.tolist(), cols.src.tolist(), cols.dst.tolist(), cols.aux_values()
+        )
+    )
     return {
         "format": 1,
         "schema": schema.name if schema is not None else None,
@@ -649,7 +638,6 @@ class _BuildState:
         "lists",
         "mac",
         "dag",
-        "dst_acc",
         "sa",
         "ta",
         "nsb",
@@ -664,7 +652,6 @@ class _BuildState:
         self.lists = lists
         self.mac = mac
         self.dag = DAG()
-        self.dst_acc: list[np.ndarray] = []
         self.sa = dual.source.arrays
         self.ta = dual.target.arrays
         self.nsb = len(dual.source.boxes)
@@ -684,11 +671,8 @@ def _rule_source_upward(st: _BuildState) -> None:
     st.s_of = np.full(nsb, -1, dtype=np.int64)
     st.s_of[s_boxes] = s_ids
     _append_edges(dag, s_ids, s_boxes, "S2M")
-    st.dst_acc.append(s_boxes)
     kids = np.arange(1, nsb, dtype=np.int64)
-    m2m_dst = sa.parent[kids]
-    _append_edges(dag, kids, m2m_dst, "M2M", auxs=sa.keys[kids] & 7)
-    st.dst_acc.append(m2m_dst)
+    _append_edges(dag, kids, sa.parent[kids], "M2M", octant=sa.keys[kids] & 7)
 
 
 def _rule_target_downward(st: _BuildState) -> None:
@@ -709,14 +693,10 @@ def _rule_target_downward(st: _BuildState) -> None:
     t_of = st.t_of = np.full(ntb, -1, dtype=np.int64)
     t_of[t_boxes] = np.arange(t_base, t_base + t_boxes.size, dtype=np.int64)
     has_l = l_of[t_boxes] >= 0
-    l2t_dst = t_of[t_boxes[has_l]]
-    _append_edges(dag, l_of[t_boxes[has_l]], l2t_dst, "L2T")
-    st.dst_acc.append(l2t_dst)
+    _append_edges(dag, l_of[t_boxes[has_l]], t_of[t_boxes[has_l]], "L2T")
     ll = np.flatnonzero((l_of >= 0) & (ta.levels >= 3))
     ll = ll[l_of[ta.parent[ll]] >= 0]
-    l2l_dst = l_of[ll]
-    _append_edges(dag, l_of[ta.parent[ll]], l2l_dst, "L2L", auxs=ta.keys[ll] & 7)
-    st.dst_acc.append(l2l_dst)
+    _append_edges(dag, l_of[ta.parent[ll]], l_of[ll], "L2L", octant=ta.keys[ll] & 7)
 
 
 def _rule_list2_merge_shift(st: _BuildState) -> None:
@@ -725,7 +705,7 @@ def _rule_list2_merge_shift(st: _BuildState) -> None:
     ti2, si2 = list_pairs(st.lists.l2)
     if not ti2.size:
         return
-    dx, dy, dz = _deltas(sa, ta, ti2, si2)
+    delta = _deltas(sa, ta, ti2, si2)
     # It at each target-group start, Is at the first pair-scan
     # occurrence of each source box (the reference's lazy order)
     group_pos = np.flatnonzero(np.r_[True, ti2[1:] != ti2[:-1]])
@@ -738,7 +718,7 @@ def _rule_list2_merge_shift(st: _BuildState) -> None:
     order = np.lexsort((ev_is, ev_pos))
     it_of = np.full(st.ntb, -1, dtype=np.int64)
     is_of = np.full(st.nsb, -1, dtype=np.int64)
-    nodes, oe = dag.nodes, dag.out_edges
+    nodes = dag.nodes
     it_index, is_index = dag.index["It"], dag.index["Is"]
     i2l_src: list[int] = []
     m2i_src: list[int] = []
@@ -751,7 +731,6 @@ def _rule_list2_merge_shift(st: _BuildState) -> None:
             nodes.append(
                 DagNode(id=nid, kind="Is", box_index=box, level=int(s_levels[box]), tree="source")
             )
-            oe.append([])
             is_index[box] = nid
             is_of[box] = nid
             m2i_src.append(box)
@@ -760,20 +739,14 @@ def _rule_list2_merge_shift(st: _BuildState) -> None:
             nodes.append(
                 DagNode(id=nid, kind="It", box_index=box, level=int(t_levels[box]), tree="target")
             )
-            oe.append([])
             it_index[box] = nid
             it_of[box] = nid
             i2l_src.append(nid)
-    i2l_dst = st.l_of[ti2[group_pos]]
-    _append_edges(dag, i2l_src, i2l_dst, "I2L")
-    st.dst_acc.append(i2l_dst)
+    _append_edges(dag, i2l_src, st.l_of[ti2[group_pos]], "I2L")
     _append_edges(dag, m2i_src, m2i_dst, "M2I")
-    st.dst_acc.append(np.asarray(m2i_dst, dtype=np.int64))
-    d_codes = assign_direction_arrays(dx, dy, dz)
-    auxs = list(zip(_DIR_LABELS[d_codes].tolist(), _delta_tuples(dx, dy, dz)))
-    i2i_dst = it_of[ti2]
-    _append_edges(dag, is_of[si2], i2i_dst, "I2I", auxs=auxs)
-    st.dst_acc.append(i2i_dst)
+    _append_edges(
+        dag, is_of[si2], it_of[ti2], "I2I", delta=delta, direction=assign_direction_arrays(*delta.T)
+    )
 
 
 def _rule_list2_direct(st: _BuildState) -> None:
@@ -781,10 +754,7 @@ def _rule_list2_direct(st: _BuildState) -> None:
     ti2, si2 = list_pairs(st.lists.l2)
     if not ti2.size:
         return
-    dx, dy, dz = _deltas(st.sa, st.ta, ti2, si2)
-    m2l_dst = st.l_of[ti2]
-    _append_edges(st.dag, si2, m2l_dst, "M2L", auxs=_delta_tuples(dx, dy, dz))
-    st.dst_acc.append(m2l_dst)
+    _append_edges(st.dag, si2, st.l_of[ti2], "M2L", delta=_deltas(st.sa, st.ta, ti2, si2))
 
 
 def _rule_list3_m2t(st: _BuildState) -> None:
@@ -793,9 +763,7 @@ def _rule_list3_m2t(st: _BuildState) -> None:
     if not ti3.size:
         return
     keep = st.t_of[ti3] >= 0
-    m2t_dst = st.t_of[ti3[keep]]
-    _append_edges(st.dag, si3[keep], m2t_dst, "M2T")
-    st.dst_acc.append(m2t_dst)
+    _append_edges(st.dag, si3[keep], st.t_of[ti3[keep]], "M2T")
 
 
 def _rule_list4_s2l(st: _BuildState) -> None:
@@ -804,9 +772,7 @@ def _rule_list4_s2l(st: _BuildState) -> None:
     if not ti4.size:
         return
     keep = st.s_of[si4] >= 0
-    s2l_dst = st.l_of[ti4[keep]]
-    _append_edges(st.dag, st.s_of[si4[keep]], s2l_dst, "S2L")
-    st.dst_acc.append(s2l_dst)
+    _append_edges(st.dag, st.s_of[si4[keep]], st.l_of[ti4[keep]], "S2L")
 
 
 def _rule_list1_s2t(st: _BuildState) -> None:
@@ -815,9 +781,7 @@ def _rule_list1_s2t(st: _BuildState) -> None:
     if not ti1.size:
         return
     keep = (st.t_of[ti1] >= 0) & (st.s_of[si1] >= 0)
-    s2t_dst = st.t_of[ti1[keep]]
-    _append_edges(st.dag, st.s_of[si1[keep]], s2t_dst, "S2T")
-    st.dst_acc.append(s2t_dst)
+    _append_edges(st.dag, st.s_of[si1[keep]], st.t_of[ti1[keep]], "S2T")
 
 
 def _rule_bh_mac(st: _BuildState) -> None:
@@ -837,13 +801,9 @@ def _rule_bh_mac(st: _BuildState) -> None:
     t_ids = np.arange(t_base, t_base + t_keys.size, dtype=np.int64)
     flat_t = np.repeat(t_ids, lens)
 
-    m2t_dst = flat_t[flat_m2t]
-    _append_edges(dag, flat_s[flat_m2t], m2t_dst, "M2T")
-    st.dst_acc.append(m2t_dst)
+    _append_edges(dag, flat_s[flat_m2t], flat_t[flat_m2t], "M2T")
     s2t_mask = ~flat_m2t & (st.s_of[flat_s] >= 0)
-    s2t_dst = flat_t[s2t_mask]
-    _append_edges(dag, st.s_of[flat_s[s2t_mask]], s2t_dst, "S2T")
-    st.dst_acc.append(s2t_dst)
+    _append_edges(dag, st.s_of[flat_s[s2t_mask]], flat_t[s2t_mask], "S2T")
 
 
 #: rule name -> implementation
@@ -909,12 +869,8 @@ class DagBuilder:
         rules = _ASSEMBLY_RULES
         for rule in self.schema.assembly:
             rules[rule](st)
-        n_nodes = len(st.dag.nodes)
-        if st.dst_acc:
-            all_dst = np.concatenate([np.asarray(d, dtype=np.int64) for d in st.dst_acc])
-            st.dag.in_degree = np.bincount(all_dst, minlength=n_nodes).tolist()
-        else:
-            st.dag.in_degree = [0] * n_nodes
+        dst = st.dag.edge_columns().dst
+        st.dag.in_degree = np.bincount(dst, minlength=len(st.dag.nodes)).tolist()
         if self.validate_on_build:
             self.validate(st.dag)
         return st.dag

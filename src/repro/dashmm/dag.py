@@ -12,20 +12,24 @@ expansion), ``Is`` (source-side intermediate expansion), ``It``
 and adaptive-list operators (M2L, M2T, S2L) the traced cube run happens
 not to exercise.
 
+The nodes are :class:`DagNode` objects; the edges are arrays only.
 Construction (Section IV stresses it must stay a negligible fraction of
 end-to-end time) has one implementation: :class:`repro.dag.DagBuilder`
 runs the wiring rules a method's schema declares, each deriving its
-node table and edge endpoint arrays from the trees' columnar box tables
-(decoded coordinates, leaf masks, parent indices) with whole-array
-operations, then materialises the node/edge objects in one tight pass
-through the helpers below.  The endpoint arrays are kept as well and
-become the DAG's CSR edge columns (:meth:`DAG.edge_columns`), which the
-plan and drain compilers read instead of the ``Edge`` objects.
+node table and edge endpoint arrays - and the operator geometry, as
+typed aux arrays - from the trees' columnar box tables with whole-array
+operations, and appends them to the DAG as one part per operator class
+(:func:`_append_edges`).  :meth:`DAG.edge_columns` folds the parts into
+CSR columns, the one edge store every compiler and analysis reads; an
+edge's identity is its row.  :attr:`DAG.out_edges` is a read-only view
+of :class:`Edge` records, built on first access for readers off the
+evaluate path (export, tests, tools).
 :func:`build_fmm_dag` / :func:`build_bh_dag` are that builder with the
 method's schema filled in.
 :func:`build_fmm_dag_reference` / :func:`build_bh_dag_reference` are the
 per-box loops the builder is tested against (identical node ids, edge
-order and aux payloads); nothing in the package calls them.
+order and aux payloads), assembling edge by edge through
+:meth:`DAG.add_edge`; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -44,16 +48,15 @@ NODE_KINDS = ("S", "M", "Is", "It", "L", "T")
 EDGE_OPS = ("S2T", "S2M", "M2M", "M2L", "M2I", "I2I", "I2L", "L2L", "L2T", "M2T", "S2L")
 #: op name -> code, the index into EDGE_OPS the edge columns store
 OP_CODE = {op: i for i, op in enumerate(EDGE_OPS)}
+#: the aux payloads the edge columns store, by code (the names of the
+#: schema's :attr:`repro.dag.EdgeKind.aux` signatures)
+AUX_KINDS = ("none", "octant", "delta", "dir_delta")
+_NO_AUX, _OCTANT, _DELTA, _DIR_DELTA = range(len(AUX_KINDS))
 
 #: Instrumentation for the persistent-evaluation layer: every from-scratch
 #: DAG assembly bumps this.  A warm-path submit that hits a DAG template
 #: must leave it untouched (asserted by the service tests).
 COUNTERS = {"assemblies": 0}
-
-#: direction labels indexed by 2*axis + (1 if the signed offset is
-#: non-positive), axis order z, x, y - mirrors assign_direction's
-#: tie-breaking exactly
-_DIR_LABELS = np.array(DIRECTIONS)
 
 
 def assign_direction_arrays(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -83,13 +86,13 @@ class DagNode:
     locality: int = -1  # assigned by the distribution policy
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
-    """One DAG edge: ``aux`` carries operator geometry (octant, delta, dir).
+    """One record of the read-only :attr:`DAG.out_edges` view.
 
-    ``pos`` is the edge's position in its source node's out-edge list,
-    stamped at assembly: ``(src, pos)`` is the edge's canonical identity
-    (parcel wire format and per-LCO dedup key).
+    ``aux`` is the operator geometry (octant, delta or ``(direction,
+    delta)``); ``pos`` the edge's position in its source node's
+    out-edges, so its row in the edge columns is ``out_ptr[src] + pos``.
     """
 
     src: int
@@ -101,37 +104,95 @@ class Edge:
 
 @dataclass(frozen=True)
 class EdgeColumns:
-    """The edge set as CSR columns, row for row the ``out_edges`` order.
+    """The edge set as CSR columns.
 
     Node ``i``'s out-edges are rows ``out_ptr[i]:out_ptr[i + 1]`` in
-    out-list order, so an edge's ``pos`` is its row minus
-    ``out_ptr[src]`` and ``(src, pos)`` - the canonical edge identity -
-    is implied by the row.
+    emission order; the row is the edge's identity (per-LCO dedup key,
+    fold key).  ``aux_kind`` (a code into :data:`AUX_KINDS`) says which
+    of ``octant`` / ``delta`` / ``direction`` a row carries; the others
+    hold zeros there.
     """
 
     out_ptr: np.ndarray  # int64, one entry per node plus one
+    src: np.ndarray  # int64 source node id per row
     dst: np.ndarray  # int64 destination node id per row
     op: np.ndarray  # int8 code into EDGE_OPS per row
+    aux_kind: np.ndarray  # int8 code into AUX_KINDS per row
+    octant: np.ndarray  # int8: M->M, L->L - the child's octant
+    delta: np.ndarray  # int32 (rows, 3): M->L, I->I - target minus source lattice
+    direction: np.ndarray  # int8 code into DIRECTIONS: I->I
 
-    @property
-    def src(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.out_ptr) - 1), np.diff(self.out_ptr))
+    def aux_values(self) -> list:
+        """Per row the aux payload as the ``Edge`` records state it."""
+        rows = zip(
+            self.aux_kind.tolist(),
+            self.octant.tolist(),
+            map(tuple, self.delta.tolist()),
+            self.direction.tolist(),
+        )
+        return [(None, o, d, (DIRECTIONS[k], d))[kind] for kind, o, d, k in rows]
 
-    @property
-    def pos(self) -> np.ndarray:
-        return np.arange(len(self.dst)) - np.repeat(self.out_ptr[:-1], np.diff(self.out_ptr))
+
+#: dtype of each EdgeColumns field after ``out_ptr``
+_DTYPES = (np.int64, np.int64, np.int8, np.int8, np.int8, np.int32, np.int8)
+
+
+def _part(src, dst, op: str, octant=None, delta=None, direction=None) -> tuple:
+    """One operator class of edges as column arrays, in :class:`EdgeColumns`
+    field order after ``out_ptr`` (cast to ``_DTYPES`` when folded)."""
+    m = len(src)
+    kind = (
+        _DIR_DELTA if direction is not None
+        else _DELTA if delta is not None
+        else _OCTANT if octant is not None
+        else _NO_AUX
+    )
+    zeros = np.zeros(m, np.int8)
+    return (
+        src,
+        dst,
+        np.full(m, OP_CODE[op], np.int8),
+        np.full(m, kind, np.int8),
+        zeros if octant is None else octant,
+        np.zeros((m, 3), np.int32) if delta is None else delta,
+        zeros if direction is None else direction,
+    )
+
+
+def _fits(v, dtype) -> bool:
+    info = np.iinfo(dtype)
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and info.min <= v <= info.max
+
+
+def _aux_row(aux) -> tuple:
+    """``(aux kind, octant, dx, dy, dz, direction)`` of one edge's aux;
+    ValueError where the columns cannot store it."""
+    if aux is None:
+        return (_NO_AUX, 0, 0, 0, 0, 0)
+    if _fits(aux, np.int8):
+        return (_OCTANT, aux, 0, 0, 0, 0)
+    paired = isinstance(aux, tuple) and len(aux) == 2 and aux[0] in DIRECTIONS
+    delta = aux[1] if paired else aux
+    if isinstance(delta, tuple) and len(delta) == 3 and all(_fits(v, np.int32) for v in delta):
+        if paired:
+            return (_DIR_DELTA, 0, *delta, DIRECTIONS.index(aux[0]))
+        return (_DELTA, 0, *delta, 0)
+    raise ValueError(
+        f"edge aux {aux!r} is none of: an int8 octant, a 3-int delta, "
+        "a (direction, 3-int delta) pair"
+    )
 
 
 @dataclass
 class DAG:
-    """Explicit DAG: node table plus edges grouped by out-node.
+    """Explicit DAG: node table plus the edge set as columns.
 
-    ``out_edges`` is the object view; :meth:`edge_columns` the same edge
-    set as arrays.
+    Edges are appended as parts (:func:`_append_edges` for a whole
+    operator class, :meth:`add_edge` for one edge) and folded into
+    :meth:`edge_columns` on first read.
     """
 
     nodes: list[DagNode] = field(default_factory=list)
-    out_edges: list[list[Edge]] = field(default_factory=list)
     in_degree: list[int] = field(default_factory=list)
     # node lookup: (kind, box_index) -> node id, per kind
     index: dict[str, dict[int, int]] = field(
@@ -144,60 +205,84 @@ class DAG:
     #: ``None`` until stamped; the registrar falls back to grading
     #: on the fly when absent or graded differently.
     priorities: dict | None = None
-    #: ``(src, dst, op code)`` arrays of each operator class in emission
-    #: order, as the builder appended them; None once anything
-    #: was added edge by edge, in which case the columns are read off
-    #: ``out_edges``
-    _edge_parts: list | None = field(default_factory=list, repr=False, compare=False)
+    #: edge parts in emission order: a tuple of column arrays per
+    #: operator class the builder appended, a list of row tuples per run
+    #: of add_edge() calls; one folded part once the columns are built
+    _parts: list = field(default_factory=list, repr=False, compare=False)
     _columns: EdgeColumns | None = field(default=None, repr=False, compare=False)
+    _view: tuple | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, kind: str, box_index: int, level: int, tree: str, n_points: int = 0) -> int:
         nid = len(self.nodes)
         self.nodes.append(
             DagNode(id=nid, kind=kind, box_index=box_index, level=level, tree=tree, n_points=n_points)
         )
-        self.out_edges.append([])
         self.in_degree.append(0)
         self.index[kind][box_index] = nid
-        self._columns = None
+        self._columns = self._view = None
         return nid
 
     def add_edge(self, src: int, dst: int, op: str, aux=None) -> None:
-        out = self.out_edges[src]
-        out.append(Edge(src=src, dst=dst, op=op, aux=aux, pos=len(out)))
+        """Append one edge; raises ValueError for an operator outside
+        ``EDGE_OPS`` or an aux the columns cannot store."""
+        if op not in OP_CODE:
+            raise ValueError(f"unknown edge operator {op!r}")
+        row = (src, dst, OP_CODE[op], *_aux_row(aux))
         self.in_degree[dst] += 1
-        self._edge_parts = self._columns = None
+        parts = self._parts
+        if not parts or not isinstance(parts[-1], list):
+            parts.append([])
+        parts[-1].append(row)
+        self._columns = self._view = None
 
     def edge_columns(self) -> EdgeColumns:
-        """The edge set as CSR columns, built once.
-
-        A builder-made DAG folds the endpoint arrays it was assembled
-        from (one stable sort by source); a DAG assembled edge by edge
-        (:meth:`add_edge`: the reference builders, the JSON loader) is
-        read off ``out_edges`` once.
-        """
+        """The edge set as CSR columns, folded once from the parts: one
+        stable sort by source, so a node's rows keep emission order."""
         cols = self._columns
         if cols is not None:
             return cols
         n = len(self.nodes)
-        parts = self._edge_parts
-        if parts is None:
-            counts = np.fromiter((len(out) for out in self.out_edges), np.int64, n)
-            m = int(counts.sum())
-            dst = np.fromiter((e.dst for out in self.out_edges for e in out), np.int64, m)
-            op = np.fromiter((OP_CODE[e.op] for out in self.out_edges for e in out), np.int8, m)
-        else:
-            empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int8))
-            src, dst, op = (np.concatenate(col) for col in zip(empty, *parts))
-            # emission order within a source is out-list order
-            order = np.argsort(src, kind="stable")
-            dst, op = dst[order], op[order]
-            counts = np.bincount(src, minlength=n)
+        parts = [_part([], [], EDGE_OPS[0])]
+        for p in self._parts:
+            if isinstance(p, list):  # add_edge rows
+                a = np.array(p, dtype=np.int64)
+                p = (*a[:, :5].T, a[:, 5:8], a[:, 8])
+            parts.append(p)
+        src, *rest = (np.concatenate(c).astype(t, copy=False) for c, t in zip(zip(*parts), _DTYPES))
+        order = np.argsort(src, kind="stable")
+        src = src[order]
+        rest = [col[order] for col in rest]
         out_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=out_ptr[1:])
-        self._columns = cols = EdgeColumns(out_ptr=out_ptr, dst=dst, op=op)
-        self._edge_parts = None
+        np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
+        self._columns = cols = EdgeColumns(out_ptr, src, *rest)
+        self._parts = [(src, *rest)]
         return cols
+
+    @property
+    def out_edges(self) -> tuple:
+        """Per node, its out-edges as :class:`Edge` records, in row order
+        - a read-only view of :meth:`edge_columns`, built on first
+        access and kept until the DAG changes."""
+        view = self._view
+        if view is None:
+            cols = self.edge_columns()
+            ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
+            ops = [EDGE_OPS[c] for c in cols.op.tolist()]
+            aux = cols.aux_values()
+            self._view = view = tuple(
+                tuple(Edge(s, dst[r], ops[r], aux[r], r - lo) for r in range(lo, hi))
+                for s, (lo, hi) in enumerate(zip(ptr, ptr[1:]))
+            )
+        return view
+
+    def edge_costs(self, cost_model) -> np.ndarray:
+        """Per row the cost model's charge for the edge, with the point
+        counts of its endpoint nodes (at least 1) - bit for bit the
+        scalar ``edge_cost`` of each edge."""
+        cols = self.edge_columns()
+        npts = np.fromiter((nd.n_points for nd in self.nodes), np.int64, len(self.nodes))
+        npts = np.maximum(npts, 1)
+        return cost_model.edge_costs(EDGE_OPS, cols.op, npts[cols.src], npts[cols.dst])
 
     # -- statistics (Tables I and II) -------------------------------------------
     def node_stats(self, size_model=None) -> dict[str, dict]:
@@ -206,11 +291,8 @@ class DAG:
         Degree extrema are array reductions over the whole node table
         rather than per-node Python scans.
         """
-        n = len(self.nodes)
         din = np.asarray(self.in_degree, dtype=np.int64)
-        dout = np.fromiter(
-            (len(e) for e in self.out_edges), dtype=np.int64, count=n
-        )
+        dout = np.diff(self.edge_columns().out_ptr)
         by_kind: dict[str, list[DagNode]] = defaultdict(list)
         for node in self.nodes:
             by_kind[node.kind].append(node)
@@ -235,53 +317,54 @@ class DAG:
         return stats
 
     def edge_stats(self, size_model=None) -> dict[str, dict]:
-        """Per-op count and message-size range (Table II)."""
-        counts: dict[str, int] = defaultdict(int)
-        smin: dict[str, int] = {}
-        smax: dict[str, int] = {}
-        for edges in self.out_edges:
-            for e in edges:
-                counts[e.op] += 1
-                if size_model is not None:
-                    npts = self.nodes[e.src].n_points
-                    b = size_model.payload_bytes(e.op, n_src_points=npts)
-                    smin[e.op] = min(smin.get(e.op, b), b)
-                    smax[e.op] = max(smax.get(e.op, b), b)
+        """Per-op count and message-size range (Table II), ops in order of
+        first appearance."""
+        cols = self.edge_columns()
+        codes, first, counts = np.unique(cols.op, return_index=True, return_counts=True)
+        if size_model is not None:
+            npts = np.fromiter((nd.n_points for nd in self.nodes), np.int64, len(self.nodes))
         out = {}
-        for op, c in counts.items():
-            entry = {"count": c}
+        for i in np.argsort(first).tolist():
+            op = EDGE_OPS[codes[i]]
+            entry = {"count": int(counts[i])}
             if size_model is not None:
-                entry["size_min"] = smin[op]
-                entry["size_max"] = smax[op]
+                at = cols.op == codes[i]
+                b = np.asarray(size_model.payload_bytes(op, n_src_points=npts[cols.src[at]]))
+                entry["size_min"] = int(b.min())
+                entry["size_max"] = int(b.max())
             out[op] = entry
         return out
 
     @property
     def n_edges(self) -> int:
-        return sum(len(e) for e in self.out_edges)
+        return len(self.edge_columns().dst)
 
-    def critical_path_length(self, cost_fn=None) -> float:
-        """Longest path through the DAG (unit edge cost by default)."""
-        order = self._topological_order()
+    def critical_path_length(self, weights: np.ndarray | None = None) -> float:
+        """Longest path through the DAG: unit edge cost, or ``weights[row]``."""
+        cols = self.edge_columns()
+        ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
+        w = [1.0] * len(dst) if weights is None else weights.tolist()
         dist = [0.0] * len(self.nodes)
-        for nid in order:
-            for e in self.out_edges[nid]:
-                w = 1.0 if cost_fn is None else cost_fn(e)
-                if dist[nid] + w > dist[e.dst]:
-                    dist[e.dst] = dist[nid] + w
+        for nid in self._topological_order():
+            here = dist[nid]
+            for r in range(ptr[nid], ptr[nid + 1]):
+                if here + w[r] > dist[dst[r]]:
+                    dist[dst[r]] = here + w[r]
         return max(dist) if dist else 0.0
 
     def _topological_order(self) -> list[int]:
+        cols = self.edge_columns()
+        ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
         indeg = list(self.in_degree)
-        stack = [n.id for n in self.nodes if indeg[n.id] == 0]
+        stack = [nid for nid in range(len(self.nodes)) if indeg[nid] == 0]
         order = []
         while stack:
             nid = stack.pop()
             order.append(nid)
-            for e in self.out_edges[nid]:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    stack.append(e.dst)
+            for d in dst[ptr[nid] : ptr[nid + 1]]:
+                indeg[d] -= 1
+                if indeg[d] == 0:
+                    stack.append(d)
         if len(order) != len(self.nodes):
             raise RuntimeError("DAG has a cycle")
         return order
@@ -322,7 +405,6 @@ def _batch_nodes(dag: DAG, kind: str, box_idx, levels, tree: str, n_points=None)
     """Append one kind-block of nodes; returns the first node id."""
     base = len(dag.nodes)
     nodes = dag.nodes
-    out_edges = dag.out_edges
     index = dag.index[kind]
     bi = box_idx.tolist() if isinstance(box_idx, np.ndarray) else list(box_idx)
     lv = levels.tolist() if isinstance(levels, np.ndarray) else list(levels)
@@ -336,43 +418,22 @@ def _batch_nodes(dag: DAG, kind: str, box_idx, levels, tree: str, n_points=None)
         nodes.append(
             DagNode(id=nid, kind=kind, box_index=b, level=l, tree=tree, n_points=p)
         )
-        out_edges.append([])
         index[b] = nid
     return base
 
 
-def _append_edges(dag: DAG, srcs, dsts, op: str, auxs=None) -> None:
-    """Materialise one operator class of edges from endpoint arrays, and
-    keep the arrays for the DAG's edge columns."""
-    oe = dag.out_edges
-    dag._columns = None
-    if dag._edge_parts is not None:
-        src_col = np.asarray(srcs, dtype=np.int64)
-        dag._edge_parts.append(
-            (src_col, np.asarray(dsts, dtype=np.int64), np.full(len(src_col), OP_CODE[op], np.int8))
-        )
-    srcs = srcs.tolist() if isinstance(srcs, np.ndarray) else srcs
-    dsts = dsts.tolist() if isinstance(dsts, np.ndarray) else dsts
-    if auxs is None:
-        for s, d in zip(srcs, dsts):
-            out = oe[s]
-            out.append(Edge(s, d, op, None, len(out)))
-    else:
-        auxs = auxs.tolist() if isinstance(auxs, np.ndarray) else auxs
-        for s, d, a in zip(srcs, dsts, auxs):
-            out = oe[s]
-            out.append(Edge(s, d, op, a, len(out)))
+def _append_edges(dag: DAG, srcs, dsts, op: str, octant=None, delta=None, direction=None) -> None:
+    """Append one operator class of edges - endpoint arrays and the aux
+    arrays its geometry needs - as one part of the DAG's edge columns."""
+    dag._parts.append(_part(srcs, dsts, op, octant, delta, direction))
+    dag._columns = dag._view = None
 
 
-def _deltas(sa, ta, tis: np.ndarray, sis: np.ndarray):
-    dx = ta.ix[tis] - sa.ix[sis]
-    dy = ta.iy[tis] - sa.iy[sis]
-    dz = ta.iz[tis] - sa.iz[sis]
-    return dx, dy, dz
-
-
-def _delta_tuples(dx, dy, dz) -> list[tuple[int, int, int]]:
-    return list(zip(dx.tolist(), dy.tolist(), dz.tolist()))
+def _deltas(sa, ta, tis: np.ndarray, sis: np.ndarray) -> np.ndarray:
+    """Lattice offsets target minus source box, one row per pair."""
+    return np.stack(
+        [ta.ix[tis] - sa.ix[sis], ta.iy[tis] - sa.iy[sis], ta.iz[tis] - sa.iz[sis]], axis=1
+    )
 
 
 def build_fmm_dag(dual: DualTree, lists: InteractionLists, advanced: bool = True) -> DAG:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dashmm.dag import DAG
+from repro.dashmm.dag import DAG, OP_CODE
 from repro.tree.dualtree import DualTree
 
 
@@ -113,28 +113,24 @@ class DistributionPolicy:
         """
         from repro.tree.fingerprint import dual_full_fingerprint
 
-        key = (dual_full_fingerprint(dual), len(dag.nodes), dag.n_edges)
+        cols = dag.edge_columns()
+        key = (dual_full_fingerprint(dual), len(dag.nodes), len(cols.dst))
         cached = self._work_cache
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
 
         from repro.sim.costmodel import CostModel
 
-        cm = self.cost_model or CostModel()
+        cost = dag.edge_costs(self.cost_model or CostModel())
+        box = np.fromiter((nd.box_index for nd in dag.nodes), np.int64, len(dag.nodes))
+        # source-tree operations execute where the source box lives;
+        # everything else lands target-side.  np.add.at adds row by row,
+        # so each box sums its edges in row order
+        up = np.isin(cols.op, [OP_CODE[op] for op in ("S2M", "M2M", "M2I", "I2I")])
         src_box_work = np.zeros(len(dual.source.boxes))
         tgt_box_work = np.zeros(len(dual.target.boxes))
-        for edges in dag.out_edges:
-            for e in edges:
-                s, t = dag.nodes[e.src], dag.nodes[e.dst]
-                c = cm.edge_cost(
-                    e.op, n_src=max(s.n_points, 1), n_tgt=max(t.n_points, 1)
-                )
-                # source-tree operations execute where the source box
-                # lives; everything else lands target-side
-                if e.op in ("S2M", "M2M", "M2I", "I2I"):
-                    src_box_work[s.box_index] += c
-                else:
-                    tgt_box_work[t.box_index] += c
+        np.add.at(src_box_work, box[cols.src[up]], cost[up])
+        np.add.at(tgt_box_work, box[cols.dst[~up]], cost[~up])
 
         def cumsum_for(tree, box_work):
             pt = np.zeros(tree.n_points)
@@ -161,23 +157,24 @@ class FmmPolicy(DistributionPolicy):
             owner = src_owner if n.tree == "source" else tgt_owner
             n.locality = owner[n.box_index]
         # pass 2: It placed by incoming-traffic majority (comm cost), ties
-        # to the target owner (slack: stays near its consumer)
-        incoming: dict[int, dict[int, int]] = {}
-        for edges in dag.out_edges:
-            for e in edges:
-                if e.op == "I2I":
-                    src_loc = dag.nodes[e.src].locality
-                    incoming.setdefault(e.dst, {}).setdefault(src_loc, 0)
-                    incoming[e.dst][src_loc] += 1
-        for n in dag.nodes:
-            if n.kind != "It":
-                continue
-            votes = incoming.get(n.id)
-            if not votes:
-                continue
-            owner = tgt_owner[n.box_index]
-            best = max(votes.items(), key=lambda kv: (kv[1], kv[0] == owner))
-            n.locality = best[0]
+        # to the target owner (slack: stays near its consumer), then to
+        # the source locality whose first I2I edge comes first in row order
+        cols = dag.edge_columns()
+        i2i = cols.op == OP_CODE["I2I"]
+        if not i2i.any():
+            return
+        nodes = dag.nodes
+        loc = np.fromiter((nd.locality for nd in nodes), np.int64, len(nodes))
+        box = np.fromiter((nd.box_index for nd in nodes), np.int64, len(nodes))
+        dst, src_loc = cols.dst[i2i], loc[cols.src[i2i]]
+        n_loc = int(src_loc.max()) + 1
+        pairs, first, votes = np.unique(dst * n_loc + src_loc, return_index=True, return_counts=True)
+        it, voted = np.divmod(pairs, n_loc)
+        home = voted == np.asarray(tgt_owner)[box[it]]
+        order = np.lexsort((first, ~home, -votes, it))
+        best = order[np.r_[True, it[order][1:] != it[order][:-1]]]
+        for nid, l in zip(it[best].tolist(), voted[best].tolist()):
+            nodes[nid].locality = l
 
 
 class BlockPolicy(DistributionPolicy):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from repro.dashmm.dag import DAG, DagNode, Edge
+from repro.dashmm.dag import DAG, EDGE_OPS
 
 _KIND_COLORS = {
     "S": "lightblue",
@@ -23,6 +23,7 @@ _KIND_COLORS = {
 
 def dag_to_json(dag: DAG) -> str:
     """Serialize a DAG (nodes, edges, localities) to a JSON string."""
+    cols = dag.edge_columns()
     data = {
         "nodes": [
             {
@@ -37,9 +38,10 @@ def dag_to_json(dag: DAG) -> str:
             for n in dag.nodes
         ],
         "edges": [
-            {"src": e.src, "dst": e.dst, "op": e.op, "aux": _aux_to_json(e.aux)}
-            for edges in dag.out_edges
-            for e in edges
+            {"src": src, "dst": dst, "op": EDGE_OPS[op], "aux": _aux_to_json(aux)}
+            for src, dst, op, aux in zip(
+                cols.src.tolist(), cols.dst.tolist(), cols.op.tolist(), cols.aux_values()
+            )
         ],
     }
     return json.dumps(data)
@@ -86,8 +88,8 @@ def dag_to_dot(dag: DAG, max_nodes: int = 500) -> str:
             f'  n{n.id} [label="{n.kind}{n.box_index}@L{n.level}"'
             f' style=filled fillcolor={color}];'
         )
-    for edges in dag.out_edges:
-        for e in edges:
-            lines.append(f'  n{e.src} -> n{e.dst} [label="{e.op}"];')
+    cols = dag.edge_columns()
+    for src, dst, op in zip(cols.src.tolist(), cols.dst.tolist(), cols.op.tolist()):
+        lines.append(f'  n{src} -> n{dst} [label="{EDGE_OPS[op]}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -52,8 +52,8 @@ Canonical composition (what makes every path produce the same bits):
 * leaf-output groups are visited in order of first appearance in the
   ``(src, dst)``-sorted edge list, which fixes the order in which
   contributions are added into each target point;
-* eager folds add a node's in-edges in fold-key order ``(src, out-list
-  position)``, the edge's canonical identity.
+* eager folds add a node's in-edges in edge-column row order - by
+  ``(src, out-list position)`` - the row being the edge's identity.
 
 The source- and target-side intermediate expansions of one level live in
 two dense matrices, one row per node and one block of ``nterms`` columns
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dashmm.dag import OP_CODE, assign_direction_arrays
+from repro.dashmm.dag import OP_CODE
 from repro.kernels.expo import DIRECTIONS, frame
 
 #: canonical direction order of the dense plane-wave matrices and of the
@@ -176,14 +176,24 @@ class FlushPlan:
 
 
 @dataclass(frozen=True)
+class Folds:
+    """Expansions that each fold a run of in-edges: node ``dst[i]`` adds
+    the edges of rows ``rows[bounds[i]:bounds[i + 1]]``, in that order."""
+
+    dst: list
+    bounds: list  # one more entry than dst
+    rows: np.ndarray  # edge-column rows, fold order
+
+
+@dataclass(frozen=True)
 class EagerPlan:
     """The eager classes as fold lists; see :func:`compile_eager_plan`."""
 
-    #: (level, [(M node id, in-edges in fold order)]), deepest level
-    #: first; every level some rank folds at appears on every rank
+    #: (level, Folds of its M nodes), deepest level first; every level
+    #: some rank folds at appears on every rank
     m_folds: list
-    l_folds: list  # (L node id, S->L / M->L in-edges in fold order)
-    s2l_groups: list  # S->L edges sharing one stacked p2l build
+    l_folds: Folds  # L nodes over their S->L / M->L in-edges
+    s2l_groups: list  # rows of S->L edges sharing one stacked p2l build
     #: as in :class:`FlushPlan`.  ``("m2m", level)``: the children's
     #: multipoles under the level's folds; ``"m2l"``: every multipole a
     #: peer reads once the upward sweep is over - its M->L there, its
@@ -245,11 +255,10 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
     box = np.fromiter((nd.box_index for nd in nodes), np.int64, n)
     cols = dag.edge_columns()
-    e_src = cols.src
 
     def every(op: str):
         at = cols.op == OP_CODE[op]
-        return e_src[at], cols.dst[at]
+        return cols.src[at], cols.dst[at]
 
     def endpoints(op: str, aux: np.ndarray | None = None):
         src, dst = every(op)
@@ -264,15 +273,15 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     order = np.lexsort((m_dst, m_src, loc[m_dst], level[m_src]))
     m_src, m_dst = m_src[order], m_dst[order]
 
-    # I->I: per edge the direction - the one the builder stamped, a
-    # function of the lattice delta - and the axial offset u_z = d . delta
-    w_src, w_dst = every("I2I")
+    # I->I: per edge the direction and the axial offset u_z = d . delta
+    at = cols.op == OP_CODE["I2I"]
+    w_src, w_dst = cols.src[at], cols.dst[at]
+    delta = cols.delta[at].astype(np.int64)
+    w_dir = _DIR_OF_CODE[cols.direction[at]]
+    w_z = (delta * _FRAMES[w_dir, 2]).sum(axis=1)
     sa, ta = dual.source.arrays, dual.target.arrays
     s_xyz = np.stack([sa.ix, sa.iy, sa.iz], axis=1)
     t_xyz = np.stack([ta.ix, ta.iy, ta.iz], axis=1)
-    delta = t_xyz[box[w_dst]] - s_xyz[box[w_src]]
-    w_dir = _DIR_OF_CODE[assign_direction_arrays(*delta.T)]
-    w_z = (delta * _FRAMES[w_dir, 2]).sum(axis=1)
     # the offsets of a (level, direction) are those of all its edges,
     # before the rank takes its share
     group = level[w_src] * len(FULL_DIRS) + w_dir
@@ -343,9 +352,7 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
         )
 
     # -- downward shift ----------------------------------------------------------
-    # the octant of an L->L edge is the child's position in its parent
-    octant = ta.keys[box[every("L2L")[1]]] & 7
-    d_src, d_dst, octant = endpoints("L2L", octant)
+    d_src, d_dst, octant = endpoints("L2L", cols.octant[cols.op == OP_CODE["L2L"]])
     order = np.lexsort((d_dst, d_src, loc[d_dst], octant, level[d_src]))
     d_src, d_dst, octant = d_src[order], d_dst[order], octant[order]
     l2l = [(lvl, []) for lvl in np.unique(level[every("L2L")[0]]).tolist()]
@@ -407,20 +414,19 @@ def compile_eager_plan(dag, rank: int | None = None) -> EagerPlan:
     """Compile the eager section of ``dag`` under its current localities.
 
     *What* is computed is fixed by the DAG: each expansion folds its
-    in-edges in fold-key order ``(src, out-list position)`` - the row
-    order of the edge columns - and one source leaf's S->L edges stack
-    per (destination locality, target level).  ``rank`` restricts the
-    folds and S->L groups to the destinations of that locality, as in
-    :func:`compile_flush_plan`.  The grouping runs over the columns; the
-    ``Edge`` objects are looked up only for the rows the folds carry.
+    in-edges in row order - fold key ``(src, out-list position)`` - and
+    one source leaf's S->L edges stack per (destination locality, target
+    level).  ``rank`` restricts the folds and S->L groups to the
+    destinations of that locality, as in :func:`compile_flush_plan`.
+    The folds carry edge-column rows; the stages read every operand off
+    the columns.
     """
     nodes = dag.nodes
     n = len(nodes)
     level = np.fromiter((nd.level for nd in nodes), np.int64, n)
     loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
     cols = dag.edge_columns()
-    src, dst, op, pos = cols.src, cols.dst, cols.op, cols.pos
-    out_edges = dag.out_edges
+    src, dst, op = cols.src, cols.dst, cols.op
 
     def rows_of(*ops, everywhere=False) -> np.ndarray:
         at = np.isin(op, [OP_CODE[o] for o in ops])
@@ -428,20 +434,21 @@ def compile_eager_plan(dag, rank: int | None = None) -> EagerPlan:
             at &= loc[dst] == rank
         return np.flatnonzero(at)
 
-    def runs(rows: np.ndarray, *keys: np.ndarray) -> list:
-        """``rows`` as runs of equal ``keys`` (ascending, first key
-        major): ``(first row, its Edge objects in row order)``."""
-        rows = rows[np.lexsort([k[rows] for k in reversed(keys)])]
-        edges = [out_edges[s][p] for s, p in zip(src[rows].tolist(), pos[rows].tolist())]
-        return [(int(rows[lo]), edges[lo:hi]) for lo, hi in _group_slices(*(k[rows] for k in keys))]
+    def folds(rows: np.ndarray) -> Folds:
+        rows = rows[np.argsort(dst[rows], kind="stable")]
+        runs = _group_slices(dst[rows])
+        return Folds(
+            dst=dst[rows[[lo for lo, _ in runs]]].tolist(),
+            bounds=[lo for lo, _ in runs] + [len(rows)],
+            rows=rows,
+        )
 
     m_rows = rows_of("S2M", "M2M")
     l_rows = rows_of("S2L", "M2L")
     # children strictly precede parents: deepest destinations first
     m_levels = np.unique(level[dst[rows_of("S2M", "M2M", everywhere=True)]])[::-1].tolist()
-    by_level: dict[int, list] = {lvl: [] for lvl in m_levels}
-    for row, es in runs(m_rows, dst):
-        by_level[int(level[dst[row]])].append((int(dst[row]), es))
+    s2l = rows_of("S2L")
+    s2l = s2l[np.lexsort((level[dst[s2l]], loc[dst[s2l]], src[s2l]))]
     sends: dict = {}
     recvs: dict = {}
     if rank is not None:
@@ -453,9 +460,12 @@ def compile_eager_plan(dag, rank: int | None = None) -> EagerPlan:
         at = rows_of("M2L", "M2I", "M2T", everywhere=True)
         sends["m2l"], recvs["m2l"] = _crossing(src[at], dst[at], loc, rank)
     return EagerPlan(
-        m_folds=list(by_level.items()),
-        l_folds=[(int(dst[row]), es) for row, es in runs(l_rows, dst)],
-        s2l_groups=[es for _, es in runs(rows_of("S2L"), src, loc[dst], level[dst])],
+        m_folds=[(lvl, folds(m_rows[level[dst[m_rows]] == lvl])) for lvl in m_levels],
+        l_folds=folds(l_rows),
+        s2l_groups=[
+            s2l[lo:hi].tolist()
+            for lo, hi in _group_slices(src[s2l], loc[dst[s2l]], level[dst[s2l]])
+        ],
         sends=sends,
         recvs=recvs,
         n_edges=len(m_rows) + len(l_rows),

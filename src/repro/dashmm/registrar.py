@@ -51,6 +51,7 @@ from repro.dashmm.flushplan import (
     BridgeLevel,
     EagerPlan,
     FlushPlan,
+    Folds,
     compile_eager_plan,
     compile_flush_plan,
 )
@@ -88,9 +89,9 @@ class ExpansionLCO(LCO):
     its expansion.
 
     An input only counts down - the drain carries no values - and the
-    base class folds each dedup key (the edge's ``(src, pos)`` identity,
-    see :class:`DrainTable`) at most once, so a retransmitted parcel
-    cannot count an edge twice.  ``data`` is written by the plan's
+    base class folds each dedup key (the edge's row in the DAG's edge
+    columns, see :class:`DrainTable`) at most once, so a retransmitted
+    parcel cannot count an edge twice.  ``data`` is written by the plan's
     stages after (or in place of) a drain; ``None`` is the zero
     expansion of a node nothing contributed to.
     """
@@ -119,35 +120,36 @@ class ExpansionLCO(LCO):
 class DrainTable:
     """Every node's out-edges compiled for one drain.
 
-    Edge *rows* are sorted by (source node, part, destination locality),
-    out-list order within.  A *part* is what one task processes: under a
-    prioritized policy a node's critical-chain edges (part 0) and its
-    leaf outputs (part 1), otherwise all of them (part 0).  A *group* is
-    a part's run of rows to one destination locality - one row per
-    group where edges leave the node's locality and ``coalesce`` is off.
-    Part ``k = 2 * node + part`` owns groups ``part_ptr[k]:part_ptr[k +
-    1]``, group ``g`` rows ``bounds[g]:bounds[g + 1]``; a parcel names its
-    group.  An edge's dedup key is ``(src, pos[row])``.
+    One entry per edge, sorted by (source node, part, destination
+    locality), edge-column row order within.  A *part* is what one task
+    processes: under a prioritized policy a node's critical-chain edges
+    (part 0) and its leaf outputs (part 1), otherwise all of them (part
+    0).  A *group* is a part's run of entries to one destination
+    locality, one entry per group where edges leave the node's locality
+    and ``coalesce`` is off.  Part ``k = 2 * node + part`` owns groups
+    ``part_ptr[k]:part_ptr[k + 1]``, group ``g`` entries ``bounds[g]:
+    bounds[g + 1]``; a parcel names its group.  An edge's dedup key is
+    its edge-column row, ``rows[i]``.
 
     The table is alive at the end of a drain, where an evaluation's heap
-    peaks, so it holds no per-edge tuple: per-row lists of shared
+    peaks, so it holds no per-edge tuple: per-entry lists of ints, shared
     objects, charges and parcel headers interned by value.
     """
 
     __slots__ = (
         "part_ptr",  # per part: first group (CSR over groups)
         "part_priority",  # per part: priority of a task processing it alone
-        "bounds",  # per group: first row; one more entry, the row count
+        "bounds",  # per group: first entry; one more entry, the edge count
         "loc",  # per group: destination locality
         #: per group: None where it executes at the node's locality, else
         #: the parcel that carries it off, as (sender-side "_runtime"
         #: charge or None, size in bytes, priority)
         "send",
-        "lcos",  # per row: the destination's LCO
-        "ops",  # per row: the op class
-        "pos",  # per row: the out-list position
-        "charges",  # the positive (op, dt) charges of all rows, in row order
-        "cpos",  # per row boundary: index into charges
+        "lcos",  # per entry: the destination's LCO
+        "ops",  # per entry: the op class
+        "rows",  # per entry: the edge-column row, the edge's dedup key
+        "charges",  # the positive (op, dt) charges of all entries, in order
+        "cpos",  # per entry boundary: index into charges
     )
 
 
@@ -550,7 +552,7 @@ class Registrar:
         part = ~critical if self._split else np.zeros(len(critical), dtype=bool)
         order = np.lexsort((loc[cols.dst], part, cols.src))
         src, dst, op = cols.src[order], cols.dst[order], cols.op[order]
-        part, critical, pos = part[order], critical[order], cols.pos[order]
+        part, critical = part[order], critical[order]
         m = len(order)
         dst_loc = loc[dst]
         remote = dst_loc != loc[src]
@@ -611,7 +613,7 @@ class Registrar:
         for nid, lco in self.lcos.items():
             lco_of[nid] = lco
         t.lcos = lco_of[dst].tolist()
-        t.pos = pos.tolist()
+        t.rows = order.tolist()
         t.ops = _interned(EDGE_OPS, op).tolist()
         return t
 
@@ -648,12 +650,12 @@ class Registrar:
             send = t.send[g]
             if send is None:
                 if self.sequential_edges:
-                    self._run_group(ctx, t, node_id, g)
+                    self._run_group(ctx, t, g)
                 else:
-                    for row in range(t.bounds[g], t.bounds[g + 1]):
-                        op_class = t.ops[row]
-                        priority = self._edge_priority(op_class, t.lcos[row].node.id)
-                        ctx.spawn(Task(self._run_edge_task, (node_id, row), op_class, None, priority))
+                    for i in range(t.bounds[g], t.bounds[g + 1]):
+                        op_class = t.ops[i]
+                        priority = self._edge_priority(op_class, t.lcos[i].node.id)
+                        ctx.spawn(Task(self._run_edge_task, (i,), op_class, None, priority))
                 continue
             charge, nbytes, priority = send
             if charge is not None:
@@ -662,16 +664,16 @@ class Registrar:
                 Parcel(
                     action="dashmm_edges",
                     target=t.loc[g],
-                    args=(node_id, g),
+                    args=(g,),
                     size_bytes=nbytes,
                     op_class="parcel:edges",
                     priority=priority,
                 )
             )
 
-    def _run_group(self, ctx, t: DrainTable, node_id: int, g: int) -> None:
-        """Group ``g`` of ``node_id``'s out-edges executed here: its
-        charges, then one LCO count-down per edge under its dedup key."""
+    def _run_group(self, ctx, t: DrainTable, g: int) -> None:
+        """Group ``g`` of the table executed here: its charges, then one
+        LCO count-down per edge under its dedup key."""
         lo, hi = t.bounds[g], t.bounds[g + 1]
         ctx.charges.extend(t.charges[t.cpos[lo] : t.cpos[hi]])
         ctx.effects.extend(
@@ -679,7 +681,7 @@ class Registrar:
                 repeat("lco_set"),
                 t.lcos[lo:hi],
                 repeat(None),
-                zip(repeat(node_id), t.pos[lo:hi]),
+                t.rows[lo:hi],
                 t.ops[lo:hi],
             )
         )
@@ -690,31 +692,30 @@ class Registrar:
             return self._filler_level if op in self._near_ops else self._node_levels[dst]
         return HIGH if self._split and op in CRITICAL_OPS else LOW
 
-    def _run_edge(self, ctx, node_id: int, row: int) -> None:
-        """The one-edge task of ``sequential_edges=False``: row ``row``
+    def _run_edge(self, ctx, i: int) -> None:
+        """The one-edge task of ``sequential_edges=False``: entry ``i``
         of a local group."""
         t = self._table()
-        ctx.charges.extend(t.charges[t.cpos[row] : t.cpos[row + 1]])
-        ctx.lco_set(t.lcos[row], None, key=(node_id, t.pos[row]), op_class=t.ops[row])
+        ctx.charges.extend(t.charges[t.cpos[i] : t.cpos[i + 1]])
+        ctx.lco_set(t.lcos[i], None, key=t.rows[i], op_class=t.ops[i])
 
-    def _edges_action(self, ctx, target, node_id: int, g: int) -> None:
-        """Parcel action: group ``g`` of ``node_id``'s out-edges, at its
-        destination."""
-        self._run_group(ctx, self._table(), node_id, g)
+    def _edges_action(self, ctx, target, g: int) -> None:
+        """Parcel action: group ``g`` of the table, at its destination."""
+        self._run_group(ctx, self._table(), g)
 
     # -- the plan: eager-section helpers ------------------------------------------------------
-    def _eager_value(self, e):
-        """S->L or M->L contribution of one edge (``None`` from a zero
-        multipole)."""
-        tbox = self.dual.target.boxes[self._nodes[e.dst].box_index]
+    def _eager_value(self, is_s2l: bool, src: int, dst: int, delta):
+        """S->L or M->L (lattice offset ``delta``) contribution of one
+        edge ``src -> dst`` (``None`` from a zero multipole)."""
+        tbox = self.dual.target.boxes[self._nodes[dst].box_index]
         h = self.dual.domain.box_size(tbox.level)
-        if e.op == "S2L":
-            src = self.dual.source
-            sbox = src.boxes[self._nodes[e.src].box_index]
-            rel = (src.points[sbox.start : sbox.stop] - self._centers["target"][tbox.index]) / h
-            return self.kernel.p2l(rel, src.weights[sbox.start : sbox.stop], h)
-        M = self._data_of(e.src)
-        return None if M is None else self.factory.m2l(e.aux, h) @ M
+        if is_s2l:
+            tree = self.dual.source
+            sbox = tree.boxes[self._nodes[src].box_index]
+            rel = (tree.points[sbox.start : sbox.stop] - self._centers["target"][tbox.index]) / h
+            return self.kernel.p2l(rel, tree.weights[sbox.start : sbox.stop], h)
+        M = self._data_of(src)
+        return None if M is None else self.factory.m2l(delta, h) @ M
 
     def _leaf_multipoles(self) -> dict[int, np.ndarray]:
         """Multipoles of every source leaf, one stacked fit per level.
@@ -778,18 +779,19 @@ class Registrar:
                 out[b.index] = c
         return out
 
-    def _batch_values(self, group, values: dict) -> None:
+    def _batch_values(self, rows: list, values: dict) -> None:
         """Stacked S2L values of one source leaf at one target level:
-        one p2l matrix build for all the target boxes."""
-        src_node = self.dag.nodes[group[0].src]
+        one p2l matrix build for all the target boxes; keyed by row."""
+        cols = self.dag.edge_columns()
+        src_node = self._nodes[int(cols.src[rows[0]])]
         tgt = self.dual.target
-        tboxes = [tgt.boxes[self.dag.nodes[e.dst].box_index] for e in group]
+        tboxes = [tgt.boxes[self._nodes[d].box_index] for d in cols.dst[rows].tolist()]
         sbox = self.dual.source.boxes[src_node.box_index]
         spts = self.dual.source.points[sbox.start : sbox.stop]
         q = self.dual.source.weights[sbox.start : sbox.stop]
         h = self.dual.domain.box_size(tboxes[0].level)
         centers = np.stack([self._centers["target"][b.index] for b in tboxes])
-        E, n = len(group), len(spts)
+        E, n = len(rows), len(spts)
         # edge blocks keep the (block*n, size) matrix cache-resident
         blk = max(1, 2048 // max(n, 1))
         coeffs = np.empty((E, self.kernel.size), dtype=complex)
@@ -798,8 +800,8 @@ class Registrar:
             rel = (spts[None, :, :] - centers[i:j, None, :]) / h
             mat = self.kernel.p2l_matrix(rel.reshape(-1, 3), h)
             coeffs[i:j] = np.matmul(q, mat.reshape(j - i, n, -1))
-        for e, c in zip(group, coeffs):
-            values[id(e)] = c
+        for row, c in zip(rows, coeffs):
+            values[row] = c
 
     # -- the plan: eager section ----------------------------------------------------------------
     def eager_stages(self) -> list:
@@ -837,38 +839,58 @@ class Registrar:
     def _eager_s2m(self) -> None:
         self._s2m = self._leaf_multipoles()
 
-    def _eager_m2m(self, folds) -> None:
+    def _fold(self, folds: Folds, value) -> None:
+        """Each fold's sum into its node's expansion: node ``folds.dst[i]``
+        adds ``value(j)`` over its fold positions ``j``, in order."""
+        lcos, bounds = self.lcos, folds.bounds
+        for i, nid in enumerate(folds.dst):
+            acc = None
+            for j in range(bounds[i], bounds[i + 1]):
+                v = value(j)
+                acc = v if acc is None else acc + v
+            lcos[nid].data = acc
+
+    def _eager_m2m(self, folds: Folds) -> None:
         """The multipoles of one level, each folding its leaf fit and its
         children's shifted multipoles in canonical order."""
-        lcos, nodes, s2m, data_of = self.lcos, self._nodes, self._s2m, self._data_of
-        m2m = self.factory.m2m
-        dom = self.dual.domain
-        for dst, es in folds:
-            acc = None
-            for e in es:
-                if e.op == "S2M":
-                    v = s2m[nodes[e.src].box_index]
-                else:
-                    v = m2m(e.aux, dom.box_size(nodes[e.src].level)) @ data_of(e.src)
-                acc = v if acc is None else acc + v
-            lcos[dst].data = acc
+        cols = self.dag.edge_columns()
+        src = cols.src[folds.rows].tolist()
+        leaf = (cols.op[folds.rows] == OP_CODE["S2M"]).tolist()
+        octant = cols.octant[folds.rows].tolist()
+        nodes, s2m, data_of = self._nodes, self._s2m, self._data_of
+        m2m, dom = self.factory.m2m, self.dual.domain
+
+        def value(j):
+            node = nodes[src[j]]
+            if leaf[j]:
+                return s2m[node.box_index]
+            return m2m(octant[j], dom.box_size(node.level)) @ data_of(src[j])
+
+        self._fold(folds, value)
 
     def _eager_m2l(self, plan: EagerPlan) -> None:
         """List-4 contributions in the plan's stacked compositions, then
         every local expansion's S->L / M->L fold."""
-        lcos = self.lcos
+        cols = self.dag.edge_columns()
         values: dict[int, object] = {}
-        for group in plan.s2l_groups:
-            if len(group) == 1:
-                values[id(group[0])] = self._eager_value(group[0])
+        for rows in plan.s2l_groups:
+            if len(rows) == 1:
+                row = rows[0]
+                values[row] = self._eager_value(True, int(cols.src[row]), int(cols.dst[row]), None)
             else:
-                self._batch_values(group, values)
-        for dst, es in plan.l_folds:
-            acc = None
-            for e in es:
-                v = values[id(e)] if e.op == "S2L" else self._eager_value(e)
-                acc = v if acc is None else acc + v
-            lcos[dst].data = acc
+                self._batch_values(rows, values)
+        folds = plan.l_folds
+        rows = folds.rows.tolist()
+        s2l = (cols.op[folds.rows] == OP_CODE["S2L"]).tolist()
+        src, dst = cols.src[folds.rows].tolist(), cols.dst[folds.rows].tolist()
+        delta = cols.delta[folds.rows].tolist()
+
+        def value(j):
+            if s2l[j]:
+                return values[rows[j]]
+            return self._eager_value(False, src[j], dst[j], delta[j])
+
+        self._fold(folds, value)
 
     # -- the plan: flush stages -------------------------------------------------------------
     def flush_stages(self) -> list:

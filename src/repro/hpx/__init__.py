@@ -10,8 +10,8 @@ stealing, and a latency/bandwidth network with per-NIC serialization.
 
 The simulation executes *real* task bodies (arbitrary Python callables,
 e.g. actual expansion translations), so the dataflow is genuine; only
-*time* is virtual, advanced by a per-task cost that either comes from a
-calibrated cost model or is measured.  This is the documented
+*time* is virtual, advanced by the per-task cost the body charges from a
+calibrated cost model (or the task's static cost).  This is the documented
 substitution for the paper's Big Red II runs (see DESIGN.md): scaling
 behaviour emerges from DAG structure, task grain and communication,
 all of which are modelled explicitly.

@@ -29,7 +29,8 @@ What a snapshot contains:
 * **scheduler** - the event heap (tuple entries by reference; ``done``
   events get their :class:`~repro.hpx.scheduler.TaskContext` charges
   and effects deep-captured, since contexts are pooled and recycled),
-  per-worker deques, busy/idle bookkeeping, round-robin and burst
+  per-worker deques (their queue counts are recounted on restore),
+  busy/idle bookkeeping, round-robin and burst
   counters, the monotonic event sequence number, the steal-RNG state
   and all statistics counters;
 * **transport** - the framing ledger (pending/seen/seq and its
@@ -280,6 +281,7 @@ class RuntimeCheckpoint:
             for d, items in zip(levels, snap_levels):
                 d.clear()
                 d.extend(items)
+        sched._queued[:] = [sum(map(len, levels)) for levels in sched.deques]
         sched._rng.setstate(st["rng"])
         sched._abort = None
         sched.aborted = None

@@ -95,8 +95,6 @@ class RuntimeConfig:
     policy: "str | SchedulingPolicy | None" = None
     tracing: bool = True
     steal_seed: int = 12345
-    measure_costs: bool = False
-    measure_scale: float = 1.0
     progress_cost: float = 0.5e-6
     reliable: bool = False
     retry_timeout: float = 50e-6
@@ -162,8 +160,6 @@ class Runtime:
             tracer=self.tracer,
             policy=self.config.policy,
             steal_seed=self.config.steal_seed,
-            measure_costs=self.config.measure_costs,
-            measure_scale=self.config.measure_scale,
         )
         if self.config.reliable:
             self.scheduler.transport = ReliableTransport(

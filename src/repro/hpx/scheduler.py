@@ -19,8 +19,9 @@ begin/end event instrumentation.
 Scheduling discipline
 ---------------------
 Owner pops LIFO (work-first, depth-first into the DAG), thieves steal
-FIFO from a random victim on the same locality.  The ready-queue
-discipline beyond that is owned by a :class:`SchedulingPolicy`:
+FIFO from a random victim on the same locality - one drawn from the
+workers whose queue count (tasks over all their levels) is nonzero.  The
+ready-queue discipline beyond that is owned by a :class:`SchedulingPolicy`:
 
 * ``stock`` - one effective ready level, matching stock HPX-5 (the
   measured configuration); the default.
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -431,8 +431,6 @@ class Scheduler:
         network,
         tracer: Tracer | None = None,
         steal_seed: int = 12345,
-        measure_costs: bool = False,
-        measure_scale: float = 1.0,
         policy: "SchedulingPolicy | str | None" = None,
     ):
         if n_localities < 1 or workers_per_locality < 1:
@@ -444,8 +442,6 @@ class Scheduler:
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: the ready-queue discipline
         self.policy = resolve_policy(policy)
-        self.measure_costs = measure_costs
-        self.measure_scale = measure_scale
         self._rng = random.Random(steal_seed)
 
         self.worker_locality = [w // workers_per_locality for w in range(self.n_workers)]
@@ -458,6 +454,9 @@ class Scheduler:
         self.deques: list[tuple[deque, ...]] = [
             tuple(deque() for _ in range(n_levels)) for _ in range(self.n_workers)
         ]
+        #: tasks queued per worker, over all its levels: a thief reads
+        #: these instead of scanning every candidate's deques
+        self._queued = [0] * self.n_workers
         # hot-path caches of the policy's knobs
         self._n_levels = n_levels
         self._level_of = self.policy.level_of
@@ -530,6 +529,7 @@ class Scheduler:
                     if other != w:
                         idle.append(other)
                 self.deques[w][pr].append(task)
+                self._queued[w] += 1
                 self._push_event(t, "pick", w)
                 return
         else:
@@ -538,6 +538,7 @@ class Scheduler:
                 if w in self._idle_set:
                     self._idle_set.discard(w)
                     self.deques[w][pr].append(task)
+                    self._queued[w] += 1
                     self._push_event(t, "pick", w)
                     return
         if drv is not None:
@@ -549,6 +550,7 @@ class Scheduler:
             w = self.locality_workers[locality][self._rr[locality] % self.workers_per_locality]
             self._rr[locality] += 1
         self.deques[w][pr].append(task)
+        self._queued[w] += 1
 
     def abort(self, exc: BaseException) -> None:
         """Request a structured abort of the event loop.
@@ -677,17 +679,14 @@ class Scheduler:
 
     def _pop_task(self, worker: int) -> Task | None:
         mine = self.deques[worker]
+        queued = self._queued
         lvl = self._own_level(worker, mine)
         if lvl >= 0:
+            queued[worker] -= 1
             return mine[lvl].pop()  # owner pops LIFO
         # randomized stealing within the locality, FIFO end, most
-        # critical non-empty level first
-        deques = self.deques
-        victims = [
-            w
-            for w in self.locality_workers[self.worker_locality[worker]]
-            if w != worker and any(deques[w])
-        ]
+        # critical non-empty level first; the thief's own count is 0
+        victims = [w for w in self.locality_workers[self.worker_locality[worker]] if queued[w]]
         if not victims:
             return None
         drv = self.schedule_driver
@@ -698,7 +697,8 @@ class Scheduler:
             # the steal RNG is deliberately not consumed (see module
             # docstring on RNG stream separation)
             chosen = drv.choose("victim", victims)
-        victim = deques[chosen]
+        victim = self.deques[chosen]
+        queued[chosen] -= 1
         self.steals += 1
         # the victim was non-empty when scanned above; pop directly
         for d in victim:
@@ -747,19 +747,9 @@ class Scheduler:
             # accesses) and re-installed at completion for the effects.
             ctx.hb = hz.begin_task(task, t)
         ctx.scheduler = self
-        if self.measure_costs:
-            w0 = _time.perf_counter()
-            task.fn(ctx, *task.args)
-            if not ctx.charges:
-                # mirror the static-cost branch: a body that charged
-                # explicitly keeps its own accounting; only silent
-                # bodies are billed the measured elapsed wall time
-                elapsed = (_time.perf_counter() - w0) * self.measure_scale
-                ctx.charges.append((task.op_class, elapsed))
-        else:
-            task.fn(ctx, *task.args)
-            if not ctx.charges:
-                ctx.charge(task.op_class, task.cost if task.cost is not None else 0.0)
+        task.fn(ctx, *task.args)
+        if not ctx.charges:
+            ctx.charge(task.op_class, task.cost if task.cost is not None else 0.0)
         ctx.scheduler = None
         if hz is not None:
             hz.end_task()

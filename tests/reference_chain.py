@@ -72,13 +72,15 @@ def reference_setup(method: str, sources, weights, targets, threshold: int, thet
 
 def assert_each_edge_counted_once(registrar) -> None:
     """After a drain, every expansion LCO accepted each in-edge exactly
-    once: its dedup keys are its in-edges' ``(src, pos)`` identities (as
-    the ``Edge`` objects state them), as many as its in-degree."""
+    once: its dedup keys are its in-edges' rows in the edge columns (as
+    ``out_ptr[src] + pos`` of the view's records), as many as its
+    in-degree."""
     dag = registrar.dag
+    ptr = dag.edge_columns().out_ptr.tolist()
     keys_in: dict[int, set] = {}
     for out in dag.out_edges:
         for e in out:
-            keys_in.setdefault(e.dst, set()).add((e.src, e.pos))
+            keys_in.setdefault(e.dst, set()).add(ptr[e.src] + e.pos)
     assert registrar.lcos
     for nid, lco in registrar.lcos.items():
         assert lco.triggered, nid

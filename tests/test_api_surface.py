@@ -69,8 +69,6 @@ RUNTIME_CONFIG_FIELDS = (
     "policy",
     "tracing",
     "steal_seed",
-    "measure_costs",
-    "measure_scale",
     "progress_cost",
     "reliable",
     "retry_timeout",

@@ -77,6 +77,26 @@ def test_kill_and_restore_at_every_checkpoint(laplace, laplace_factory, cloud):
     _assert_resumes_bit_identical(ev, baseline, cps, range(len(cps)))
 
 
+@pytest.mark.parametrize("policy", ["stock", "binary", "critical-path"])
+def test_restore_recounts_the_queues(policy, laplace, laplace_factory, cloud):
+    """At every kill point, in reverse so the deques change each time, a
+    restore leaves each worker's queue count equal to its deques'
+    length - the count a steal attempt reads."""
+    src, w, tgt = cloud
+    ev = _evaluator(laplace, laplace_factory, checkpoint_every=2e-4, policy=policy)
+    baseline = ev.evaluate(src, w, tgt)
+    runtime = baseline.extras["runtime"]
+    sched = runtime.scheduler
+    queued = []
+    for cp in reversed(list(baseline.extras["checkpoints"])):
+        runtime.restore(cp)
+        assert sched._queued == [sum(map(len, levels)) for levels in sched.deques]
+        queued.append(sum(sched._queued))
+    assert max(queued) > 0
+    resumed = ev.resume(baseline, baseline.extras["checkpoints"][0])
+    assert resumed.time == baseline.time and sum(sched._queued) == 0
+
+
 @pytest.mark.parametrize("method", ["fmm", "bh"])
 @pytest.mark.parametrize("kname", ["laplace", "yukawa"])
 def test_restore_matrix_methods_kernels(kname, method, cloud, request):

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.dashmm.dag import EDGE_OPS, build_bh_dag, build_fmm_dag
+from repro.dashmm.dag import (
+    DAG,
+    EDGE_OPS,
+    build_bh_dag,
+    build_bh_dag_reference,
+    build_fmm_dag,
+    build_fmm_dag_reference,
+)
 from repro.dashmm.export import dag_from_json, dag_to_json
 from repro.methods.barneshut import mac_pairs
 from repro.sim.costmodel import SizeModel
@@ -117,31 +124,57 @@ def test_in_degree_matches_edges(setup):
     assert indeg == dag.in_degree
 
 
-def _column_rows(dag) -> list:
-    cols = dag.edge_columns()
-    ops = [EDGE_OPS[c] for c in cols.op.tolist()]
-    return list(zip(cols.src.tolist(), cols.dst.tolist(), ops, cols.pos.tolist()))
+def _reference(method: str, ps: str):
+    """The per-box reference assembly of one golden cell's DAG."""
+    pts = generate.point_set(ps)
+    dual = build_dual_tree(pts, pts, generate.THRESHOLDS[ps])
+    if method == "bh":
+        return build_bh_dag_reference(dual, mac_pairs(dual, generate.THETA))
+    return build_fmm_dag_reference(dual, build_lists(dual), advanced=(method == "fmm"))
 
 
-def _object_rows(dag) -> list:
-    return [(e.src, e.dst, e.op, e.pos) for out in dag.out_edges for e in out]
+def _records(dag) -> list:
+    return [(e.src, e.dst, e.op, e.aux, e.pos) for out in dag.out_edges for e in out]
 
 
 @pytest.mark.parametrize(
     "method, ps", [(m, ps) for m in generate.METHODS for ps in generate.POINT_SETS]
 )
 def test_edge_columns_equal_the_edge_objects(method, ps):
-    """The CSR columns the builder keeps are the object view, row for row
-    - and so are the columns read off a DAG loaded edge by edge."""
+    """The view of the builder's edge columns is the reference builder's
+    edge stream, record for record - and so is the view of the DAG after
+    a JSON round trip, which reassembles it edge by edge."""
     _, dag = generate.build(method, "laplace", ps)
-    rows = _object_rows(dag)
-    assert rows and _column_rows(dag) == rows
+    want = _records(_reference(method, ps))
+    assert want and _records(dag) == want
     cols = dag.edge_columns()
-    assert cols is dag.edge_columns()  # built once
+    assert cols is dag.edge_columns() and dag.out_edges is dag.out_edges  # built once
+    ops = [EDGE_OPS[c] for c in cols.op.tolist()]
+    pos = np.arange(len(cols.dst)) - cols.out_ptr[cols.src]
+    rows = zip(cols.src.tolist(), cols.dst.tolist(), ops, cols.aux_values(), pos.tolist())
+    assert list(rows) == want
     assert np.array_equal(np.diff(cols.out_ptr), [len(out) for out in dag.out_edges])
-    loaded = dag_from_json(dag_to_json(dag))
-    assert loaded._edge_parts is None  # assembled by add_edge
-    assert _column_rows(loaded) == _object_rows(loaded) == rows
+    assert _records(dag_from_json(dag_to_json(dag))) == want
+
+
+def test_add_edge_rejects_what_the_columns_cannot_store():
+    dag = DAG()
+    m = dag.add_node("M", 0, 2, "source")
+    l = dag.add_node("L", 0, 2, "target")
+    for op, aux in [
+        ("Q2Q", None),  # no such operator
+        ("M2L", (2, 0)),  # not a 3-int delta
+        ("M2L", (2.0, 0, 0)),
+        ("M2L", [2, 0, 0]),
+        ("I2I", ("+w", (2, 0, 0))),  # no such direction
+        ("M2M", 1 << 9),  # no int8 octant
+        ("M2M", "3"),
+    ]:
+        with pytest.raises(ValueError):
+            dag.add_edge(m, l, op, aux=aux)
+    assert dag.in_degree == [0, 0] and dag.n_edges == 0
+    dag.add_edge(m, l, "I2I", aux=("-x", (-3, 1, 0)))
+    assert _records(dag) == [(m, l, "I2I", ("-x", (-3, 1, 0)), 0)]
 
 
 def test_bh_dag(setup):

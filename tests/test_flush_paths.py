@@ -480,14 +480,15 @@ class _ScatterPolicy(DistributionPolicy):
 
 
 def _fold_lists(plan) -> tuple[dict, dict, list]:
-    """The eager section with edges resolved to their fold keys."""
+    """The eager section as {node: its fold's edge rows} and the S->L
+    groups' rows."""
 
-    def keys(edges):
-        return [(e.op, e.src, e.pos) for e in edges]
+    def by_node(folds):
+        b, rows = folds.bounds, folds.rows.tolist()
+        return {dst: rows[b[i] : b[i + 1]] for i, dst in enumerate(folds.dst)}
 
-    m = {dst: keys(es) for _, folds in plan.m_folds for dst, es in folds}
-    l = {dst: keys(es) for dst, es in plan.l_folds}
-    return m, l, sorted(keys(g) for g in plan.s2l_groups)
+    m = {dst: rows for _, folds in plan.m_folds for dst, rows in by_node(folds).items()}
+    return m, by_node(plan.l_folds), sorted(plan.s2l_groups)
 
 
 @pytest.mark.parametrize("partition", ["contiguous-2", "scatter-4"])

@@ -7,7 +7,9 @@ collector off for its whole span (DESIGN.md "Object lifetime").  Checked
 here over every runtime mode, both execution modes and all methods: no
 cyclic garbage after ``del report``, no collector pass inside
 ``evaluate()``, and a steady tracked-object count over a long loop of
-checkpointed evaluations that never collects.
+checkpointed evaluations that never collects.  The DAG's edges are
+arrays: no evaluate, resume, session submit or worker plan compile makes
+a per-edge object.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.dashmm import DashmmEvaluator
+from repro.dashmm import DashmmEvaluator, EvaluatorSession, FmmPolicy
+from repro.dashmm.dag import AUX_KINDS, Edge
 from repro.dashmm.registrar import Registrar
 from repro.hpx import FaultyNetwork, RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
+from repro.sim.costmodel import CostModel
+from repro.workloads.distributions import random_charges, sphere_points
 
 RUNTIME_MODES = {
     "default": {},
@@ -195,3 +200,103 @@ def test_collector_setting_is_restored(laplace, laplace_factory, cloud):
     with pytest.raises(ValueError):
         ev.evaluate(src, w, bad)
     assert gc.isenabled()
+
+
+@pytest.fixture
+def edges_made(monkeypatch) -> list:
+    """Grows by one per ``Edge`` record constructed while the test runs."""
+    made = []
+    init = Edge.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counted)
+    return made
+
+
+def test_no_edge_object_on_an_evaluate_or_session_path(
+    laplace, laplace_factory, cloud, edges_made
+):
+    """Phantom and numeric evaluates, a resume, and a session's cold,
+    warm and drift submits read only the edge columns: no ``Edge`` is
+    made and no DAG's view is materialised."""
+    dags = []
+    for mode in ("phantom", "numeric"):
+        ev = _evaluator(laplace, laplace_factory, mode, "fmm", checkpoint_every=2e-4)
+        report = ev.evaluate(*cloud)
+        resumed = ev.resume(report, report.extras["checkpoints"][0])
+        assert resumed.time == report.time
+        dags.append(report.dag)
+    src, w, _ = cloud
+    rng = np.random.default_rng(4)
+    drifted = src.copy()
+    drifted[:5] = np.clip(drifted[:5] + rng.normal(scale=1e-3, size=(5, 3)), src.min(), src.max())
+    with EvaluatorSession(_evaluator(laplace, laplace_factory, "numeric", "fmm")) as session:
+        session.submit(src, w)
+        session.submit(src, rng.normal(size=len(w)))
+        session.submit(drifted, w)
+        assert session.stats["template_hits"] == 2
+        dags.append(session._current.registrar.dag)
+    assert edges_made == []
+    assert all(dag._view is None for dag in dags)
+
+
+def test_no_edge_object_in_a_worker_plan_compile(laplace, laplace_factory, cloud, edges_made):
+    """What a real-parallel worker does before its first round -
+    assemble, distribute, allocate its rank's LCOs, compile both plan
+    sections - checked in process, as in test_flush_paths."""
+    from repro.dashmm.parallel import ParallelRegistrar
+    from repro.hpx.parallel import LocalityRuntime
+    from repro.tree.dualtree import build_dual_tree
+
+    src, w, _ = cloud
+    ev = _evaluator(laplace, laplace_factory, "numeric", "fmm")
+    dual = build_dual_tree(src, src, ev.threshold, source_weights=w)
+    dag, _ = ev.build_dag(dual)
+    ev.policy.assign(dag, dual, 2)
+    for rank in range(2):
+        reg = ParallelRegistrar(rank, LocalityRuntime(2), dag, dual, laplace, laplace_factory)
+        reg.allocate()
+        assert reg.eager_stages() and reg.flush_stages()
+        assert reg.eager_plan().n_edges + reg.flush_plan().n_edges > 0
+    assert edges_made == []
+    assert dag._view is None
+
+
+def test_phantom_evaluate_tracks_a_fraction_of_an_edge_per_edge_dag():
+    """GC-tracked objects one phantom evaluate of a sphere leaves alive,
+    against what a DAG storing its edges as objects would add on top: per
+    edge an ``Edge`` record and its ``(src, pos)`` dedup key, per I->I
+    edge a ``(direction, delta)`` pair and its delta tuple, per M->L edge
+    a delta tuple, per node an out-edge list.  The evaluate must be at
+    most a quarter of that DAG's total."""
+    n = 3000
+    ev = DashmmEvaluator(
+        LaplaceKernel(9),
+        threshold=60,
+        mode="phantom",
+        cost_model=CostModel.for_kernel("laplace"),
+        policy=FmmPolicy(balance="work"),
+        runtime_config=RuntimeConfig(n_localities=4, workers_per_locality=8, tracing=False),
+    )
+    sphere = (sphere_points(n, 1), random_charges(n, 3), sphere_points(n, 2))
+    ev.evaluate(*sphere)  # first-use imports; the report is dropped at once
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        report = ev.evaluate(*sphere)
+        alive = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    dag = report.dag
+    aux = np.bincount(dag.edge_columns().aux_kind, minlength=len(AUX_KINDS))
+    per_edge_objects = (
+        2 * dag.n_edges
+        + 2 * aux[AUX_KINDS.index("dir_delta")]
+        + aux[AUX_KINDS.index("delta")]
+        + len(dag.nodes)
+    )
+    assert aux[AUX_KINDS.index("dir_delta")] > 0
+    assert 0 < alive <= 0.25 * (alive + per_edge_objects)

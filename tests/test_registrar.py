@@ -69,19 +69,20 @@ def test_compiled_drain_charges_are_the_per_edge_charges(setup, kernel, coalesce
     _, reg = _registrar(dag, dual, policy="binary", coalesce=coalesce, cost_model=cost)
     reg.allocate()
     t = reg._compile_drain()
+    ptr = dag.edge_columns().out_ptr
     seen = set()
     for k in range(2 * len(dag.nodes)):
         node = dag.nodes[k // 2]
         for g in range(t.part_ptr[k], t.part_ptr[k + 1]):
-            rows = range(t.bounds[g], t.bounds[g + 1])
-            edges = [dag.out_edges[node.id][t.pos[row]] for row in rows]
+            entries = range(t.bounds[g], t.bounds[g + 1])
+            edges = [dag.out_edges[node.id][t.rows[i] - ptr[node.id]] for i in entries]
             assert {dag.nodes[e.dst].locality for e in edges} == {t.loc[g]}
             assert {e.op in CRITICAL_OPS for e in edges} == {k % 2 == 0}
-            for row, e in zip(rows, edges):
-                seen.add((e.src, e.pos))
-                charge = t.charges[t.cpos[row] : t.cpos[row + 1]]
+            for i, e in zip(entries, edges):
+                seen.add(t.rows[i])
+                charge = t.charges[t.cpos[i] : t.cpos[i + 1]]
                 assert charge == [(e.op, _charge_edge(cost, dual, dag, e))]
-                assert t.ops[row] == e.op and t.lcos[row] is reg.lcos[e.dst]
+                assert t.ops[i] == e.op and t.lcos[i] is reg.lcos[e.dst]
             send = t.send[g]
             assert (send is None) == (t.loc[g] == node.locality)
             if send is not None:

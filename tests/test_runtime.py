@@ -84,22 +84,6 @@ def test_stats_shape():
     assert set(s) >= {"time", "tasks_run", "steals", "parcels_sent", "remote_bytes"}
 
 
-def test_measured_costs_mode():
-    cfg = RuntimeConfig(
-        n_localities=1, workers_per_locality=1, measure_costs=True, measure_scale=1.0
-    )
-    rt = Runtime(cfg)
-
-    def spin(ctx):
-        x = 0
-        for i in range(20000):
-            x += i
-
-    rt.enqueue_task(Task(fn=spin, op_class="spin"), 0)
-    t = rt.run()
-    assert t > 0.0  # wall time was measured and applied to the clock
-
-
 def test_memget_remote_round_trip_pays_two_parcels():
     """A remote get rides a request parcel out and a reply parcel home."""
     cfg = RuntimeConfig(n_localities=2, workers_per_locality=1, progress_cost=0.0)

@@ -46,7 +46,8 @@ def test_stealing_balances_one_hot_queue():
     """All tasks land on one worker's deque; the other must steal."""
     s = make_sched(W=2)
     for _ in range(10):
-        s.deques[0][LOW].append(Task(fn=noop(1e-3), op_class="work"))
+        s.enqueue(Task(fn=noop(1e-3), op_class="work"), 0, 0.0, worker_hint=0)
+    assert len(s.deques[0][LOW]) == 10
     t = s.run()
     assert t == pytest.approx(5e-3)
     assert s.steals > 0
@@ -235,22 +236,46 @@ def test_pause_resume_bit_identical():
     assert b.tracer.events() == a.tracer.events()
 
 
-def test_measured_costs_respect_explicit_charges():
-    """A body that charges explicitly is not also billed wall time."""
-    s = Scheduler(1, 1, NetworkModel(), measure_costs=True)
-
-    def explicit(ctx):
-        ctx.charge("work", 0.5)
-
-    s.enqueue(Task(fn=explicit, op_class="work"), 0, 0.0)
-    assert s.run() == 0.5  # exactly: no measured-elapsed top-up
+def _assert_queue_counts(s) -> int:
+    """Each worker's queue count is the length of its deques; returns
+    the tasks queued."""
+    assert s._queued == [sum(map(len, levels)) for levels in s.deques]
+    return sum(s._queued)
 
 
-def test_measured_costs_bill_silent_bodies():
-    s = Scheduler(1, 1, NetworkModel(), measure_costs=True, measure_scale=2.0)
-    s.enqueue(Task(fn=lambda ctx: None, op_class="work", cost=123.0), 0, 0.0)
-    t = s.run()
-    assert 0.0 < t < 1.0  # measured elapsed, not the static cost
+@pytest.mark.parametrize("policy", ["stock", "binary", "critical-path", "fuzzed"])
+def test_queue_counts_match_the_deques(policy):
+    """Checked at every pause of a run cut into 40 bounded pieces, under
+    each ready-queue discipline and a fuzzed schedule: owner pops, steals
+    and all three enqueue paths keep the counts a thief reads exact."""
+
+    def workload():
+        s = make_sched(L=2, W=4, policy=None if policy == "fuzzed" else policy, seed=3)
+        if policy == "fuzzed":
+            s.schedule_driver = ScheduleFuzzer(seed=11)
+
+        def recursive(depth):
+            def body(ctx):
+                ctx.charge("w", 1e-6 * (depth + 1))
+                if depth < 4:
+                    for i in range(2):
+                        ctx.spawn(Task(fn=recursive(depth + 1), op_class="w", priority=(depth + i) % 3))
+
+            return body
+
+        for loc in range(2):
+            for _ in range(6):
+                s.enqueue(Task(fn=recursive(0), op_class="w"), loc, 0.0)
+        return s
+
+    t_end = workload().run()
+    s = workload()
+    queued = [_assert_queue_counts(s)]
+    for k in range(1, 41):
+        s.run(until=t_end * k / 40)
+        queued.append(_assert_queue_counts(s))
+    assert s.now == t_end and s.steals > 0
+    assert max(queued) > 0 and queued[-1] == 0
 
 
 def test_fuzzed_wakeup_preserves_idle_order():

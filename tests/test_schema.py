@@ -35,6 +35,7 @@ from repro.methods.barneshut import BH_SCHEMA, mac_pairs
 from repro.methods.fmm import FMM_BASIC_SCHEMA, FMM_SCHEMA
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
+from tests.dag_edits import edited
 
 
 @pytest.fixture(scope="module")
@@ -225,11 +226,9 @@ def test_fingerprint_independent_of_id_allocation():
 
 def test_diff_reports_structural_deltas(dual, lists):
     a = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
-    b = copy.deepcopy(a)
-    # drop one edge, retarget another's aux, change a node attribute
-    victim = next(e for oe in b.out_edges for e in oe if e.op == "S2T")
-    b.out_edges[victim.src].remove(victim)
-    b.in_degree[victim.dst] -= 1
+    # drop one edge, change a node attribute
+    victim = next(e for oe in a.out_edges for e in oe if e.op == "S2T")
+    b = edited(a, victim, drop=True)
     t_node = next(n for n in b.nodes if n.kind == "T")
     t_node.n_points += 3
     d = diff_dags(a, b)
@@ -305,21 +304,25 @@ def test_registrar_reuses_matching_stamp(dual, lists):
 def test_dropped_edge_breaks_in_degree_table(dual, lists):
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     victim = next(e for oe in dag.out_edges for e in oe if e.op == "L2T")
-    dag.out_edges[victim.src].remove(victim)
+    bad = edited(dag, victim, drop=True)
+    bad.in_degree = list(dag.in_degree)  # the table from before the drop
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(FMM_SCHEMA, dag)
+        validate_dag(FMM_SCHEMA, bad)
     assert err.value.rule == "in-degree-table"
     assert err.value.node == victim.dst
 
 
 def test_unknown_operator_named_in_error(dual, lists):
+    """An operator the schema does not declare (merge-and-shift has no
+    M2L) - one outside the catalog cannot even be stored."""
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     victim = next(e for oe in dag.out_edges for e in oe if e.op == "S2M")
-    victim.op = "Q2Q"
+    with pytest.raises(ValueError, match="unknown edge operator"):
+        edited(dag, victim, op="Q2Q")
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(FMM_SCHEMA, dag)
+        validate_dag(FMM_SCHEMA, edited(dag, victim, op="M2L"))
     assert err.value.rule == "edge-op"
-    assert err.value.edge == (victim.src, victim.dst, "Q2Q")
+    assert err.value.edge == (victim.src, victim.dst, "M2L")
 
 
 def test_degree_bound_violation(dual, lists):
@@ -327,10 +330,8 @@ def test_degree_bound_violation(dual, lists):
     # S2M is declared in-unique, so the duplicate trips the cap
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     victim = next(e for oe in dag.out_edges for e in oe if e.op == "S2M")
-    dag.out_edges[victim.src].append(copy.copy(victim))
-    dag.in_degree[victim.dst] += 1
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(FMM_SCHEMA, dag)
+        validate_dag(FMM_SCHEMA, edited(dag, victim, duplicate=True))
     assert err.value.rule in ("edge-multiplicity", "in-degree")
     assert err.value.node == victim.dst
 
@@ -348,23 +349,23 @@ def test_level_inversion(dual, lists):
 def test_aux_signature_checks(dual, lists):
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     m2m = next(e for oe in dag.out_edges for e in oe if e.op == "M2M")
-    m2m.aux = 11  # octant out of range
-    with pytest.raises(SchemaValidationError) as err:
-        validate_dag(FMM_SCHEMA, dag)
-    assert err.value.rule == "edge-aux"
-    m2m.aux = 3
+    for aux in (11, None, (2, 0, 0)):  # octant out of range, missing, a delta
+        with pytest.raises(SchemaValidationError) as err:
+            validate_dag(FMM_SCHEMA, edited(dag, m2m, aux=aux))
+        assert err.value.rule == "edge-aux"
 
     i2i = next(e for oe in dag.out_edges for e in oe if e.op == "I2I")
     direction, delta = i2i.aux
     wrong = next(d for d in ("+x", "-x", "+y", "-y", "+z", "-z") if d != direction)
-    i2i.aux = (wrong, delta)
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(FMM_SCHEMA, dag)
+        validate_dag(FMM_SCHEMA, edited(dag, i2i, aux=(wrong, delta)))
     assert err.value.rule == "edge-direction"
-    i2i.aux = (direction, (0, 0, 0))  # not well separated
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(FMM_SCHEMA, dag)
+        # not well separated
+        validate_dag(FMM_SCHEMA, edited(dag, i2i, aux=(direction, (0, 0, 0))))
     assert err.value.rule == "edge-separation"
+    with pytest.raises(ValueError, match="3-int delta"):
+        edited(dag, i2i, aux=(direction, (2, 0)))
 
 
 def test_cycle_detection():

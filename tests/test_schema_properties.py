@@ -19,9 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dag import DagBuilder, SchemaValidationError, method_schema, validate_dag
+from repro.dashmm.dag import EDGE_OPS
 from repro.methods.barneshut import mac_pairs
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
+from tests.dag_edits import edited
 
 METHODS = ("fmm", "fmm-basic", "bh")
 
@@ -95,9 +97,10 @@ def test_dropped_edge_always_rejected(params, method, pick):
     schema, dag = _build(method, seed, n, shape, threshold)
     edges = _edges(dag)
     victim = edges[pick % len(edges)]
-    dag.out_edges[victim.src].remove(victim)
+    bad = edited(dag, victim, drop=True)
+    bad.in_degree = list(dag.in_degree)  # the table from before the drop
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(schema, dag)
+        validate_dag(schema, bad)
     # a dropped edge surfaces as a stale in-degree table or, for a
     # mandatory edge, as a degree-bound violation
     assert err.value.rule in ("in-degree-table", "in-degree", "out-degree")
@@ -109,16 +112,18 @@ def test_dropped_edge_always_rejected(params, method, pick):
     params=cloud_params,
     method=st.sampled_from(METHODS),
     pick=st.integers(0, 1 << 30),
-    op=st.sampled_from(("Q2Q", "P2P", "")),
+    pick_op=st.integers(0, 1 << 30),
 )
-def test_wrong_operator_kind_always_rejected(params, method, pick, op):
+def test_wrong_operator_kind_always_rejected(params, method, pick, pick_op):
+    """Any edge re-opped to a catalog operator the schema does not declare."""
     seed, n, shape, threshold = params
     schema, dag = _build(method, seed, n, shape, threshold)
     edges = _edges(dag)
     victim = edges[pick % len(edges)]
-    victim.op = op
+    undeclared = [o for o in EDGE_OPS if o not in schema.ops]
+    op = undeclared[pick_op % len(undeclared)]
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(schema, dag)
+        validate_dag(schema, edited(dag, victim, op=op))
     assert err.value.rule == "edge-op"
     assert err.value.edge == (victim.src, victim.dst, op)
     _assert_structured(err.value, dag)
@@ -133,16 +138,12 @@ def test_wrong_operator_kind_always_rejected(params, method, pick, op):
 def test_degree_violation_always_rejected(params, method, pick):
     """Duplicating an S2M edge (with a consistent in-degree table)
     violates the kind's uniqueness/fan-in declaration."""
-    import copy
-
     seed, n, shape, threshold = params
     schema, dag = _build(method, seed, n, shape, threshold)
     s2m = [e for e in _edges(dag) if e.op == "S2M"]
     victim = s2m[pick % len(s2m)]
-    dag.out_edges[victim.src].append(copy.copy(victim))
-    dag.in_degree[victim.dst] += 1
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(schema, dag)
+        validate_dag(schema, edited(dag, victim, duplicate=True))
     assert err.value.rule in ("edge-multiplicity", "in-degree")
     assert err.value.node == victim.dst
     _assert_structured(err.value, dag)
