@@ -14,8 +14,10 @@ frames and waiting for the peers'.  With ``--cold`` it first splits a
 cold ``evaluate()`` of the same problem the same way: tree, DAG,
 distribution, LCO allocation, the drain's compile (its tables and
 time-zero tasks) and run, the compile of the plan the drain owes, then
-every eager and flush stage of it.  It is a diagnostic, not a ledger
-metric: compare two commits only from interleaved runs.
+every eager and flush stage of it, and prints the drain's tasks, the
+events its loop handled and the tasks it ran per host second.  It is a
+diagnostic, not a ledger metric: compare two commits only from
+interleaved runs.
 
 Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2] [--cold]
 """
@@ -115,7 +117,11 @@ def cold_split(points, charges, repeats: int) -> None:
 
             reg = phase("allocate", allocate)
             phase("drain compile", reg.initial_tasks)
+            # every event is pushed under the next sequence number, and
+            # the drain ends with an empty heap
+            seq = runtime.scheduler._seq
             phase("drain run", runtime.run)
+            events = runtime.scheduler._seq - seq
             stages = phase("plan compile", lambda: reg.eager_stages() + reg.flush_stages())
             for name, stage in stages:
                 phase(stage_key(name), stage)
@@ -126,6 +132,9 @@ def cold_split(points, charges, repeats: int) -> None:
         assert np.array_equal(out, expected), "staged evaluate differs from evaluate()"
     edges = dag.n_edges
     print_medians(f"cold evaluate(), {len(points)} points, {edges} DAG edges", samples, repeats)
+    tasks = runtime.scheduler.tasks_run
+    rate = tasks / np.median(samples["drain run"])
+    print(f"  drain run: {tasks} tasks, {events} heap events, {rate:,.0f} tasks per host second")
     print()
 
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from repro.dashmm.flushplan import (
     compile_eager_plan,
     compile_flush_plan,
 )
-from repro.hpx.lco import LCO
+from repro.hpx.lco import CountingLCO
 from repro.hpx.parcel import Parcel
 from repro.hpx.runtime import Runtime
 from repro.hpx.scheduler import HIGH, LOW, Task
@@ -84,22 +83,21 @@ def _weak_method(method):
     return lambda *args: fn(ref(), *args)
 
 
-class ExpansionLCO(LCO):
+class ExpansionLCO(CountingLCO):
     """User-defined LCO (Fig. 2): a node's outstanding in-edge count and
     its expansion.
 
-    An input only counts down - the drain carries no values - and the
-    base class folds each dedup key (the edge's row in the DAG's edge
-    columns, see :class:`DrainTable`) at most once, so a retransmitted
+    An input only counts down - the drain carries no values - and each
+    dedup key (the edge's row in the DAG's edge columns, see
+    :class:`DrainTable`) is folded at most once, so a retransmitted
     parcel cannot count an edge twice.  ``data`` is written by the plan's
     stages after (or in place of) a drain; ``None`` is the zero
     expansion of a node nothing contributed to.
     """
 
     def __init__(self, runtime, locality: int, node: DagNode, n_inputs: int):
-        super().__init__(runtime, locality)
+        super().__init__(runtime, locality, n_inputs)
         self.node = node
-        self.remaining = n_inputs
         self.data = None
 
     @property
@@ -109,12 +107,6 @@ class ExpansionLCO(LCO):
         element directly."""
         n = self.node
         return f"{n.kind}[{n.tree} box {n.box_index} L{n.level}]@{self.addr!r}"
-
-    def _fold(self, value, key) -> None:
-        self.remaining -= 1
-
-    def _predicate(self) -> bool:
-        return self.remaining <= 0
 
 
 class DrainTable:
@@ -129,7 +121,9 @@ class DrainTable:
     and ``coalesce`` is off.  Part ``k = 2 * node + part`` owns groups
     ``part_ptr[k]:part_ptr[k + 1]``, group ``g`` entries ``bounds[g]:
     bounds[g + 1]``; a parcel names its group.  An edge's dedup key is
-    its edge-column row, ``rows[i]``.
+    its edge-column row, ``rows[i]``, and a group executed at its
+    destination is one effect, its slices of ``lcos``, ``rows`` and
+    ``ops``.
 
     The table is alive at the end of a drain, where an evaluation's heap
     peaks, so it holds no per-edge tuple: per-entry lists of ints, shared
@@ -415,7 +409,7 @@ class Registrar:
             lco.locality = lco.node.locality
             lco.triggered = False
             lco.data = None
-            lco._seen_keys = None
+            lco._seen_keys.clear()
             lco._continuations.clear()
             self._arm(lco)
         self._s2m = None
@@ -673,18 +667,12 @@ class Registrar:
 
     def _run_group(self, ctx, t: DrainTable, g: int) -> None:
         """Group ``g`` of the table executed here: its charges, then one
-        LCO count-down per edge under its dedup key."""
+        ``("lco_sets", lcos, rows, ops)`` effect that counts the group's
+        LCOs down in entry order, each under its edge's dedup key
+        (:func:`repro.hpx.lco.count_down`)."""
         lo, hi = t.bounds[g], t.bounds[g + 1]
         ctx.charges.extend(t.charges[t.cpos[lo] : t.cpos[hi]])
-        ctx.effects.extend(
-            zip(
-                repeat("lco_set"),
-                t.lcos[lo:hi],
-                repeat(None),
-                t.rows[lo:hi],
-                t.ops[lo:hi],
-            )
-        )
+        ctx.effects.append(("lco_sets", t.lcos[lo:hi], t.rows[lo:hi], t.ops[lo:hi]))
 
     def _edge_priority(self, op: str, dst: int) -> int:
         """:meth:`_priorities` of a run of one edge."""

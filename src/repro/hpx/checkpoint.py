@@ -29,7 +29,8 @@ What a snapshot contains:
 * **scheduler** - the event heap (tuple entries by reference; ``done``
   events get their :class:`~repro.hpx.scheduler.TaskContext` charges
   and effects deep-captured, since contexts are pooled and recycled),
-  per-worker deques (their queue counts are recounted on restore),
+  per-worker deques (the per-worker and per-locality queue counts are
+  recounted on restore),
   busy/idle bookkeeping, round-robin and burst
   counters, the monotonic event sequence number, the steal-RNG state
   and all statistics counters;
@@ -281,7 +282,9 @@ class RuntimeCheckpoint:
             for d, items in zip(levels, snap_levels):
                 d.clear()
                 d.extend(items)
-        sched._queued[:] = [sum(map(len, levels)) for levels in sched.deques]
+        queued = sched._queued
+        queued[:] = [sum(map(len, levels)) for levels in sched.deques]
+        sched._loc_queued[:] = [sum(queued[w] for w in ws) for ws in sched.locality_workers]
         sched._rng.setstate(st["rng"])
         sched._abort = None
         sched.aborted = None

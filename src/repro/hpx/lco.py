@@ -12,10 +12,15 @@ Semantics mirrored here:
 * inputs arrive through :meth:`TaskContext.lco_set` (applied when the
   setting task completes) and are folded in by :meth:`_fold`;
 * after each input the :meth:`_predicate` is checked; on the first True
-  the LCO triggers and all registered continuations are spawned as
-  lightweight threads on the LCO's home locality;
+  the LCO triggers (:meth:`LCO._trigger`) and all registered
+  continuations are spawned as lightweight threads on the LCO's home
+  locality;
 * continuations registered *after* triggering run immediately - that is
   what lets DASHMM backfill out-edges concurrently with execution.
+
+A :class:`CountingLCO` discards its inputs and triggers when its count
+reaches zero; its inputs may arrive a group at a time (:func:`count_down`,
+the scheduler's ``"lco_sets"`` effect) with the per-input semantics.
 """
 
 from __future__ import annotations
@@ -137,15 +142,21 @@ class LCO:
             hz.on_lco_set(self, t, op_class=op_class)
         self._fold(value, key)
         if self._predicate():
-            self.triggered = True
-            if hz is not None:
-                hz.on_lco_trigger(self, t)
-                for task in self._continuations:
-                    if task.hb is None:
-                        task.hb = hz.continuation_event(self, task.op_class, t)
+            self._trigger(t, scheduler)
+
+    def _trigger(self, t: float, scheduler) -> None:
+        """Mark the LCO triggered and enqueue its continuations at ``t``
+        on its home locality."""
+        self.triggered = True
+        hz = scheduler.hazards
+        if hz is not None:
+            hz.on_lco_trigger(self, t)
             for task in self._continuations:
-                scheduler.enqueue(task, self.locality, t)
-            self._continuations.clear()
+                if task.hb is None:
+                    task.hb = hz.continuation_event(self, task.op_class, t)
+        for task in self._continuations:
+            scheduler.enqueue(task, self.locality, t)
+        self._continuations.clear()
 
     def register_continuation(self, task: Task) -> None:
         """Attach a dependent task; runs at trigger (or now if triggered)."""
@@ -216,20 +227,49 @@ class Future(LCO):
         return self._set
 
 
-class AndLCO(LCO):
-    """Triggers after a fixed number of inputs (values are discarded)."""
+class CountingLCO(LCO):
+    """Counts ``n_inputs`` inputs down (values are discarded) and
+    triggers when ``remaining`` reaches zero.  Its dedup-key set exists
+    from the start, for :func:`count_down`."""
 
     def __init__(self, runtime, locality: int, n_inputs: int):
         if n_inputs < 1:
-            raise ValueError("AndLCO needs at least one input")
+            raise ValueError(f"{type(self).__name__} needs at least one input")
         super().__init__(runtime, locality)
         self.remaining = n_inputs
+        self._seen_keys = set()
 
     def _fold(self, value: Any, key: Any) -> None:
         self.remaining -= 1
 
     def _predicate(self) -> bool:
-        return self.remaining == 0
+        return self.remaining <= 0
+
+
+def count_down(lcos, keys, op_classes, t: float, scheduler) -> None:
+    """One input per entry into the counting LCO ``lcos[i]`` under dedup
+    key ``keys[i]`` (labelled ``op_classes[i]``), in entry order.
+
+    Equivalent to one :meth:`LCO._apply_set` per entry - a trigger
+    enqueues its continuations before the next entry is counted - which
+    it calls for all but a fresh key on an untriggered LCO with hazard
+    detection off, so suppression, :class:`LCOError` and the hazard
+    hooks stay there.
+    """
+    checked = scheduler.hazards is not None
+    for lco, key, op_class in zip(lcos, keys, op_classes):
+        seen = lco._seen_keys
+        if checked or lco.triggered or key in seen:
+            lco._apply_set(None, t, scheduler, key=key, op_class=op_class)
+            continue
+        seen.add(key)
+        lco.remaining -= 1
+        if lco.remaining <= 0:
+            lco._trigger(t, scheduler)
+
+
+class AndLCO(CountingLCO):
+    """Triggers after a fixed number of inputs (values are discarded)."""
 
 
 class ReductionLCO(LCO):

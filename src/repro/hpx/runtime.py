@@ -29,6 +29,14 @@ from repro.hpx.tracing import ScheduleTrace, Tracer
 from repro.hpx.transport import ReliableTransport
 
 
+def _run_parcel(ctx, fn, parcel: Parcel, progress: float) -> None:
+    """Body of a delivered parcel's thread: the receive-side progress
+    charge, then the action on the parcel's target."""
+    if progress > 0:
+        ctx.charge("_progress", progress)
+    fn(ctx, parcel.target, *parcel.args, **parcel.kwargs)
+
+
 @dataclass
 class RuntimeConfig:
     """Knobs of the simulated cluster.
@@ -209,17 +217,7 @@ class Runtime:
             raise KeyError(f"unregistered action {parcel.action!r}")
         remote = getattr(parcel, "origin", None) not in (None, parcel.target_locality)
         progress = self.config.progress_cost if remote else 0.0
-
-        def body(ctx, *args, **kwargs):
-            if progress > 0:
-                ctx.charge("_progress", progress)
-            fn(ctx, parcel.target, *args, **kwargs)
-
-        task = Task(
-            fn=lambda ctx: body(ctx, *parcel.args, **parcel.kwargs),
-            op_class=parcel.op_class,
-            priority=parcel.priority,
-        )
+        task = Task(_run_parcel, (fn, parcel, progress), parcel.op_class, None, parcel.priority)
         hz = self.scheduler.hazards
         if hz is not None and parcel.hb is not None:
             # parcel send happens-before the thread it spawns; each

@@ -16,6 +16,14 @@ logically completes.  ``cost`` is the sum of the body's
 charge also emits one trace interval, mirroring the paper's
 begin/end event instrumentation.
 
+One loop, :meth:`Scheduler.run`, is the engine: a ``pick`` event pops
+or steals, runs the body and pushes the ``done`` event, which releases
+the effects and falls through to the same pick.  The schedule driver,
+hazard detector and tracer are consulted only when installed.  A group
+of LCO count-downs is one ``("lco_sets", lcos, keys, op_classes)``
+effect folded in entry order (:func:`repro.hpx.lco.count_down`), so
+triggers - and the clock - are those of one ``lco_set`` per input.
+
 Scheduling discipline
 ---------------------
 Owner pops LIFO (work-first, depth-first into the DAG), thieves steal
@@ -175,40 +183,6 @@ class CriticalPathPolicy(SchedulingPolicy):
             return 0
         last = self.n_levels - 1
         return p if p < last else last
-
-
-def pick_level(queues, n_levels: int, interleave: int, burst: int, driver) -> tuple[int, int]:
-    """The ready-level rule shared by both execution backends.
-
-    Returns ``(level, new_burst)``: the index of the level to pop next
-    (-1 when every queue is empty) and the updated critical-pick burst
-    counter.  Without interleaving this is simply the most critical
-    non-empty level.  With it (critical-path policy), one filler task -
-    the last level holds the near-field stream - is interposed after
-    every ``interleave`` consecutive critical picks, so P2P work drains
-    under M2L bursts.  Under a schedule ``driver`` the choice is
-    schedule freedom: recorded by the fuzzer, consumed on replay.  The
-    simulator's per-worker deques and the real-parallel per-process
-    ready queues both route through here, so the two backends follow
-    one policy implementation.
-    """
-    first = -1
-    for i, d in enumerate(queues):
-        if d:
-            first = i
-            break
-    if first < 0:
-        return -1, burst
-    if interleave:
-        last = n_levels - 1
-        if first != last and queues[last]:
-            if driver is not None:
-                return driver.choose("interleave", [first, last]), burst
-            b = burst + 1
-            if b >= interleave:
-                return last, 0
-            return first, b
-    return first, burst
 
 
 #: policy registry for the string spellings accepted by RuntimeConfig
@@ -383,10 +357,6 @@ class TaskContext:
         if dt > 0:
             self.charges.append((op_class, dt))
 
-    @property
-    def total_cost(self) -> float:
-        return sum(dt for _, dt in self.charges)
-
     # -- buffered effects (released at task completion) ----------------------
     def spawn(self, task: Task, locality: int | None = None) -> None:
         """Spawn a task (on this locality unless stated otherwise)."""
@@ -454,16 +424,17 @@ class Scheduler:
         self.deques: list[tuple[deque, ...]] = [
             tuple(deque() for _ in range(n_levels)) for _ in range(self.n_workers)
         ]
-        #: tasks queued per worker, over all its levels: a thief reads
-        #: these instead of scanning every candidate's deques
+        #: tasks queued per worker, over all its levels, and per
+        #: locality: a thief reads these instead of scanning every
+        #: candidate's deques
         self._queued = [0] * self.n_workers
+        self._loc_queued = [0] * n_localities
         # hot-path caches of the policy's knobs
-        self._n_levels = n_levels
         self._level_of = self.policy.level_of
-        self._interleave = self.policy.interleave
         self._eager_sends = self.policy.eager_sends
+        #: per worker: critical picks since the last filler pick
         self._burst = [0] * self.n_workers
-        #: recycled TaskContexts (slot reuse; see _acquire_ctx)
+        #: TaskContexts emptied at completion, reused with their lists
         self._ctx_pool: list[TaskContext] = []
         self.busy = [False] * self.n_workers
         self._idle: list[deque] = [deque() for _ in range(n_localities)]
@@ -504,10 +475,12 @@ class Scheduler:
 
     # -- public API -----------------------------------------------------------
     def enqueue(self, task: Task, locality: int, t: float, worker_hint: int | None = None) -> None:
-        """Make a task runnable on ``locality`` at time ``t``."""
-        pr = self._level_of(task)
+        """Make a task runnable on ``locality`` at time ``t``: an idle
+        worker of the locality is woken for it, otherwise it is placed."""
         idle = self._idle[locality]
+        idle_set = self._idle_set
         drv = self.schedule_driver
+        woken = -1
         if drv is not None and idle:
             # fuzzed wakeup: any idle worker may win the fresh task, not
             # just the longest-idle one (all are legal in real HPX-5).
@@ -518,30 +491,23 @@ class Scheduler:
             live: list[int] = []
             seen: set[int] = set()
             for w in idle:
-                if w in self._idle_set and w not in seen:
+                if w in idle_set and w not in seen:
                     live.append(w)
                     seen.add(w)
             idle.clear()
             if live:
-                w = drv.choose("wake", live)
-                self._idle_set.discard(w)
-                for other in live:
-                    if other != w:
-                        idle.append(other)
-                self.deques[w][pr].append(task)
-                self._queued[w] += 1
-                self._push_event(t, "pick", w)
-                return
+                woken = drv.choose("wake", live)
+                idle.extend(w for w in live if w != woken)
         else:
             while idle:
                 w = idle.popleft()
-                if w in self._idle_set:
-                    self._idle_set.discard(w)
-                    self.deques[w][pr].append(task)
-                    self._queued[w] += 1
-                    self._push_event(t, "pick", w)
-                    return
-        if drv is not None:
+                if w in idle_set:
+                    woken = w
+                    break
+        if woken >= 0:
+            idle_set.discard(woken)
+            w = woken
+        elif drv is not None:
             # fuzzed placement: ignore hint and round-robin position
             w = drv.choose("place", self.locality_workers[locality])
         elif worker_hint is not None and self.worker_locality[worker_hint] == locality:
@@ -549,8 +515,11 @@ class Scheduler:
         else:
             w = self.locality_workers[locality][self._rr[locality] % self.workers_per_locality]
             self._rr[locality] += 1
-        self.deques[w][pr].append(task)
+        self.deques[w][self._level_of(task)].append(task)
         self._queued[w] += 1
+        self._loc_queued[locality] += 1
+        if woken >= 0:
+            self._push_event(t, "pick", w)
 
     def abort(self, exc: BaseException) -> None:
         """Request a structured abort of the event loop.
@@ -573,6 +542,8 @@ class Scheduler:
         resumes exactly where this one stopped and the combined
         execution is bit-identical to one uninterrupted run.
         """
+        from repro.hpx.lco import count_down  # LCOs sit above the scheduler
+
         heap = self._heap
         # kick workers that are neither busy nor parked idle so
         # initially enqueued tasks get picked.  Idle workers are always
@@ -584,8 +555,8 @@ class Scheduler:
         kicks = [
             w for w in range(self.n_workers) if not busy[w] and w not in idle_set
         ]
+        drv = self.schedule_driver
         if kicks:
-            drv = self.schedule_driver
             if drv is None and not heap:
                 # bulk path: entries at one timestamp with increasing
                 # seq form a sorted list, which is already a valid heap
@@ -597,9 +568,17 @@ class Scheduler:
                 for w in kicks:
                     self._push_event(self.now, "pick", w)
         # hot loop: pre-bind everything touched per event
-        heappop = heapq.heappop
-        try_pick = self._try_pick
-        finish = self._finish
+        heappop, heappush = heapq.heappop, heapq.heappush
+        hz = self.hazards
+        record = self.tracer.record if self.tracer.enabled else None
+        deliver = self.deliver_parcel
+        deques, pool, burst = self.deques, self._ctx_pool, self._burst
+        queued, loc_queued = self._queued, self._loc_queued
+        idle, worker_locality = self._idle, self.worker_locality
+        locality_workers = self.locality_workers
+        interleave = self.policy.interleave
+        last = self.policy.n_levels - 1
+        steal_choice = self._rng.choice
         bounded = until is not None
         while heap:
             if bounded and heap[0][0] > until:
@@ -615,17 +594,120 @@ class Scheduler:
                 self.now = until
                 break
             t, _, _, kind, data = heappop(heap)
-            if kind == "pick":
+            if kind == "done" or kind == "pick":
                 self.now = t
-                try_pick(data, t)
-            elif kind == "done":
-                self.now = t
-                finish(data, t)
+                if kind == "pick":
+                    worker = data
+                else:  # release the effects, then pick like a pick event
+                    worker, ctx = data
+                    if hz is not None:
+                        # effects are released now; they are caused by this task
+                        hz.current = ctx.hb
+                    for eff in ctx.effects:
+                        tag = eff[0]
+                        if tag == "lco_sets":
+                            count_down(eff[1], eff[2], eff[3], t, self)
+                        elif tag == "lco_set":
+                            _, lco, value, key, op_class = eff
+                            lco._apply_set(value, t, self, key=key, op_class=op_class)
+                        elif tag == "spawn":
+                            _, task, locality = eff
+                            if hz is not None and task.hb is None:
+                                task.hb = hz.derive(
+                                    (ctx.hb,), label=f"spawn:{task.op_class}", t=t
+                                )
+                            self.enqueue(task, locality, t, worker_hint=worker)
+                        elif tag == "parcel":
+                            self._release_parcel(worker, ctx.hb, eff[1], t)
+                        elif tag == "call":
+                            eff[1](t)
+                    if hz is not None:
+                        hz.current = None
+                    busy[worker] = False
+                    # emptied on release, not on reuse: a pooled context
+                    # must not pin its last task's LCOs, parcels and closures
+                    ctx.charges.clear()
+                    ctx.effects.clear()
+                    ctx.hb = None
+                    pool.append(ctx)
+                # a late wakeup of a busy worker: its work was stealable
+                if not busy[worker]:
+                    idle_set.discard(worker)
+                    loc = worker_locality[worker]
+                    mine = deques[worker]
+                    task = None
+                    if not interleave:
+                        for d in mine:  # most critical non-empty level
+                            if d:
+                                task = d.pop()  # owner pops LIFO
+                                break
+                    else:
+                        lvl = next((i for i, d in enumerate(mine) if d), -1)
+                        if lvl >= 0 and lvl != last and mine[last]:
+                            # one filler (near-field) pick after every
+                            # `interleave` critical ones, or the driver's
+                            if drv is not None:
+                                lvl = drv.choose("interleave", [lvl, last])
+                            elif burst[worker] + 1 >= interleave:
+                                lvl, burst[worker] = last, 0
+                            else:
+                                burst[worker] += 1
+                        if lvl >= 0:
+                            task = mine[lvl].pop()
+                    if task is not None:
+                        queued[worker] -= 1
+                        loc_queued[loc] -= 1
+                    elif loc_queued[loc]:
+                        # steal within the locality, FIFO end, most critical
+                        # level first; a fuzzed victim never draws the steal RNG
+                        victims = [w for w in locality_workers[loc] if queued[w]]
+                        chosen = steal_choice(victims) if drv is None else drv.choose("victim", victims)
+                        queued[chosen] -= 1
+                        loc_queued[loc] -= 1
+                        self.steals += 1
+                        for d in deques[chosen]:
+                            if d:
+                                task = d.popleft()
+                                break
+                    if task is None:
+                        idle_set.add(worker)
+                        idle[loc].append(worker)
+                    else:
+                        busy[worker] = True
+                        if pool:
+                            ctx = pool.pop()
+                            ctx.worker, ctx.locality, ctx.time = worker, loc, t
+                        else:
+                            ctx = TaskContext(worker, loc, t)
+                        if hz is not None:
+                            # minted at the causal site (spawn / trigger /
+                            # parcel), or off the bootstrap for a root task
+                            ctx.hb = hz.begin_task(task, t)
+                        ctx.scheduler = self
+                        task.fn(ctx, *task.args)
+                        charges = ctx.charges
+                        if not charges:
+                            ctx.charge(task.op_class, task.cost if task.cost is not None else 0.0)
+                        ctx.scheduler = None
+                        if hz is not None:
+                            hz.end_task()
+                        self.tasks_run += 1
+                        cursor = t  # same accumulation with or without the tracer
+                        if record is None:
+                            for _, dt in charges:
+                                cursor += dt
+                        else:
+                            for op_class, dt in charges:
+                                record(worker, op_class, cursor, cursor + dt)
+                                cursor += dt
+                        seq = self._seq
+                        self._seq = seq + 1
+                        heappush(heap, (cursor, 0 if drv is None else drv.tie(), seq, "done", (worker, ctx)))
             elif kind == "parcel":
-                if self.deliver_parcel is None:
+                if deliver is None:
                     raise RuntimeError("no parcel delivery handler installed")
                 self.now = t
-                self.deliver_parcel(data, t)
+                deliver(data, t)
             elif kind == "send":
                 # eager parcel release (critical-path policy): the send
                 # point inside the still-running task has been reached
@@ -667,108 +749,8 @@ class Scheduler:
         self._seq = seq + 1
         heapq.heappush(self._heap, (t, tie, seq, kind, data))
 
-    def _try_pick(self, worker: int, t: float) -> None:
-        if self.busy[worker]:
-            return  # woke late; its queued work is stealable meanwhile
-        self._idle_set.discard(worker)
-        task = self._pop_task(worker)
-        if task is None:
-            self._go_idle(worker)
-            return
-        self._execute(worker, task, t)
-
-    def _pop_task(self, worker: int) -> Task | None:
-        mine = self.deques[worker]
-        queued = self._queued
-        lvl = self._own_level(worker, mine)
-        if lvl >= 0:
-            queued[worker] -= 1
-            return mine[lvl].pop()  # owner pops LIFO
-        # randomized stealing within the locality, FIFO end, most
-        # critical non-empty level first; the thief's own count is 0
-        victims = [w for w in self.locality_workers[self.worker_locality[worker]] if queued[w]]
-        if not victims:
-            return None
-        drv = self.schedule_driver
-        if drv is None:
-            chosen = self._rng.choice(victims)
-        else:
-            # fuzzed victim selection draws from the driver's stream;
-            # the steal RNG is deliberately not consumed (see module
-            # docstring on RNG stream separation)
-            chosen = drv.choose("victim", victims)
-        victim = self.deques[chosen]
-        queued[chosen] -= 1
-        self.steals += 1
-        # the victim was non-empty when scanned above; pop directly
-        for d in victim:
-            if d:
-                return d.popleft()
-        return None  # pragma: no cover - unreachable
-
-    def _own_level(self, worker: int, mine) -> int:
-        """The level this worker pops from next (-1 when all are empty);
-        see :func:`pick_level` for the rule."""
-        lvl, self._burst[worker] = pick_level(
-            mine, self._n_levels, self._interleave,
-            self._burst[worker], self.schedule_driver,
-        )
-        return lvl
-
-    def _go_idle(self, worker: int) -> None:
-        if worker not in self._idle_set:
-            self._idle_set.add(worker)
-            self._idle[self.worker_locality[worker]].append(worker)
-
-    def _acquire_ctx(self, worker: int, t: float) -> TaskContext:
-        """An empty TaskContext, recycled from the pool when possible.
-
-        ``_finish`` empties a context before it returns it to the pool;
-        recycling the object (and its charges/effects lists) removes
-        three allocations from the per-task hot path.
-        """
-        pool = self._ctx_pool
-        if pool:
-            ctx = pool.pop()
-            ctx.worker = worker
-            ctx.locality = self.worker_locality[worker]
-            ctx.time = t
-            return ctx
-        return TaskContext(worker, self.worker_locality[worker], t)
-
-    def _execute(self, worker: int, task: Task, t: float) -> None:
-        self.busy[worker] = True
-        ctx = self._acquire_ctx(worker, t)
-        hz = self.hazards
-        if hz is not None:
-            # the task's HB event was minted at its causal site (spawn /
-            # trigger / parcel); root tasks get one hanging off the
-            # bootstrap event here.  It is current for the body (GAS
-            # accesses) and re-installed at completion for the effects.
-            ctx.hb = hz.begin_task(task, t)
-        ctx.scheduler = self
-        task.fn(ctx, *task.args)
-        if not ctx.charges:
-            ctx.charge(task.op_class, task.cost if task.cost is not None else 0.0)
-        ctx.scheduler = None
-        if hz is not None:
-            hz.end_task()
-        self.tasks_run += 1
-        cursor = t
-        if self.tracer.enabled:
-            record = self.tracer.record
-            for op_class, dt in ctx.charges:
-                record(worker, op_class, cursor, cursor + dt)
-                cursor += dt
-        else:
-            # same left-to-right accumulation (bit-identical clock),
-            # without a record() call per charge
-            for _, dt in ctx.charges:
-                cursor += dt
-        self._push_event(cursor, "done", (worker, ctx))
-
     def _release_parcel(self, worker: int, hb, parcel, t: float) -> None:
-        """Hand one parcel to the transport (from _finish or a send event)."""
+        """Hand one parcel to the transport (a released effect or a send event)."""
         self.parcels_sent += 1
         src = self.worker_locality[worker]
         parcel.origin = src
@@ -783,36 +765,3 @@ class Scheduler:
         else:
             self.remote_bytes += parcel.size_bytes
             self.transport.send(self, parcel, src, dst, t)
-
-    def _finish(self, data, t: float) -> None:
-        worker, ctx = data
-        hz = self.hazards
-        if hz is not None:
-            # effects are released now; they are caused by this task
-            hz.current = ctx.hb
-        for eff in ctx.effects:
-            kind = eff[0]
-            if kind == "lco_set":
-                _, lco, value, key, op_class = eff
-                lco._apply_set(value, t, self, key=key, op_class=op_class)
-            elif kind == "spawn":
-                _, task, locality = eff
-                if hz is not None and task.hb is None:
-                    task.hb = hz.derive(
-                        (ctx.hb,), label=f"spawn:{task.op_class}", t=t
-                    )
-                self.enqueue(task, locality, t, worker_hint=worker)
-            elif kind == "parcel":
-                self._release_parcel(worker, ctx.hb, eff[1], t)
-            elif kind == "call":
-                eff[1](t)
-        if hz is not None:
-            hz.current = None
-        self.busy[worker] = False
-        # emptied on release, not on reuse: a pooled context must not
-        # pin its last task's LCOs, parcels and closures
-        ctx.charges.clear()
-        ctx.effects.clear()
-        ctx.hb = None
-        self._ctx_pool.append(ctx)
-        self._try_pick(worker, t)

@@ -73,3 +73,30 @@ def test_batched_is_accurate(laplace, laplace_factory, cloud):
     err = np.linalg.norm(rep.potentials - exact) / np.linalg.norm(exact)
     assert err < 1e-3
     assert rep.extras["untriggered"] == 0
+
+
+@pytest.mark.parametrize("policy", ["stock", "binary", "critical-path"])
+@pytest.mark.parametrize("method", ["fmm", "bh"])
+def test_group_count_down_matches_the_per_input_path(method, policy, laplace, cloud):
+    """Under hazard detection every edge of a drain group goes through
+    ``LCO._apply_set``; the grouped count-down of a default run must
+    give the same schedule and the same dedup ledger in every LCO."""
+    src, w, tgt = cloud
+
+    def run(**cfg):
+        ev = DashmmEvaluator(
+            laplace,
+            method=method,
+            threshold=30,
+            mode="phantom",
+            runtime_config=RuntimeConfig(n_localities=2, workers_per_locality=4, policy=policy, **cfg),
+        )
+        rep = ev.evaluate(src, w, tgt)
+        lcos = rep.extras["registrar"].lcos
+        return rep, {nid: lco._seen_keys for nid, lco in lcos.items()}
+
+    base, base_keys = run()
+    hz, hz_keys = run(detect_hazards=True)
+    assert hz.runtime_stats["hazards"] == {}
+    _same_schedule(hz, base)
+    assert hz_keys == base_keys

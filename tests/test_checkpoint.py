@@ -81,20 +81,25 @@ def test_kill_and_restore_at_every_checkpoint(laplace, laplace_factory, cloud):
 def test_restore_recounts_the_queues(policy, laplace, laplace_factory, cloud):
     """At every kill point, in reverse so the deques change each time, a
     restore leaves each worker's queue count equal to its deques'
-    length - the count a steal attempt reads."""
+    length and each locality's equal to the sum of its workers' - the
+    counts a steal attempt reads."""
     src, w, tgt = cloud
     ev = _evaluator(laplace, laplace_factory, checkpoint_every=2e-4, policy=policy)
     baseline = ev.evaluate(src, w, tgt)
     runtime = baseline.extras["runtime"]
     sched = runtime.scheduler
-    queued = []
+    queued, by_locality = [], []
     for cp in reversed(list(baseline.extras["checkpoints"])):
         runtime.restore(cp)
         assert sched._queued == [sum(map(len, levels)) for levels in sched.deques]
+        assert sched._loc_queued == [
+            sum(sched._queued[w] for w in ws) for ws in sched.locality_workers
+        ]
         queued.append(sum(sched._queued))
-    assert max(queued) > 0
+        by_locality.append(tuple(sched._loc_queued))
+    assert max(queued) > 0 and len(set(by_locality)) > 1
     resumed = ev.resume(baseline, baseline.extras["checkpoints"][0])
-    assert resumed.time == baseline.time and sum(sched._queued) == 0
+    assert resumed.time == baseline.time and sum(sched._queued) == sum(sched._loc_queued) == 0
 
 
 @pytest.mark.parametrize("method", ["fmm", "bh"])

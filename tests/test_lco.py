@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hpx import AndLCO, Future, LCOError, ReductionLCO, Runtime, RuntimeConfig
+from repro.hpx.lco import CountingLCO
 from repro.hpx.scheduler import Task
 
 
@@ -208,3 +209,89 @@ def test_non_tolerant_lco_still_rejects_post_trigger_under_dedup():
     _setter(rt, lco)  # unkeyed late input: a real protocol bug, not a retry
     with pytest.raises(LCOError):
         rt.run()
+
+
+# -- grouped count-down (the scheduler's "lco_sets" effect) -------------------
+
+
+class _TolerantCounter(CountingLCO):
+    tolerate_post_trigger = True
+
+
+#: groups of (lco index, dedup key, op class) entries, one effect each
+_REPEATED_KEY = ([2, 1], [[(0, 1, "M2L"), (1, 2, "L2L"), (0, 1, "S2L"), (0, 3, "M2M")]])
+_AFTER_TRIGGER = (
+    [1, 2],
+    [[(0, 1, "S2M"), (1, 2, "M2M")], [(0, 1, "M2I"), (0, 4, "I2I"), (1, 5, "I2L")]],
+)
+
+
+def _count_groups(cls, n_inputs, groups, grouped, reliable):
+    """Feed ``groups`` from one task, as one ``lco_sets`` effect per group
+    or one ``lco_set`` per entry; returns the error, the suppressed
+    count, every LCO's ledger and, per continuation enqueued, every
+    LCO's ``remaining`` at that moment."""
+    rt = _rt()
+    sched = rt.scheduler
+    sched.lco_dedup = reliable
+    lcos = [cls(rt, 0, n) for n in n_inputs]
+    for i, lco in enumerate(lcos):
+        lco.on_trigger(lambda ctx: None, op_class=f"cont{i}")
+    log = []
+    enqueue = sched.enqueue
+
+    def spy(task, locality, t, worker_hint=None):
+        log.append((task.op_class, [lco.remaining for lco in lcos]))
+        enqueue(task, locality, t, worker_hint)
+
+    sched.enqueue = spy
+
+    def body(ctx):
+        for group in groups:
+            if grouped:
+                idx, keys, ops = zip(*group)
+                ctx.effects.append(("lco_sets", [lcos[i] for i in idx], list(keys), list(ops)))
+            else:
+                for i, key, op in group:
+                    ctx.lco_set(lcos[i], None, key=key, op_class=op)
+
+    rt.enqueue_task(Task(fn=body, op_class="set", cost=1e-6), 0)
+    try:
+        rt.run()
+        err = None
+    except LCOError as exc:
+        err = (str(exc), exc.key, exc.op_class, exc.lco_class)
+    ledgers = [(lco.remaining, lco.triggered, sorted(lco._seen_keys)) for lco in lcos]
+    return err, sched.lco_dups_suppressed, ledgers, log
+
+
+@pytest.mark.parametrize("reliable", [False, True])
+@pytest.mark.parametrize("cls", [AndLCO, _TolerantCounter])
+@pytest.mark.parametrize("case", [_REPEATED_KEY, _AFTER_TRIGGER], ids=["repeated-key", "after-trigger"])
+def test_group_count_down_matches_per_input_sets(case, cls, reliable):
+    """A group raises the same LCOError at the same entry, suppresses and
+    counts the same inputs, and triggers in the same order as one
+    ``lco_set`` per entry."""
+    n_inputs, groups = case
+    grouped = _count_groups(cls, n_inputs, groups, True, reliable)
+    assert grouped == _count_groups(cls, n_inputs, groups, False, reliable)
+    err, dups, _, _ = grouped
+    if not reliable:
+        # the repeated key itself: entry 3 of the one group, or the
+        # triggered LCO's retransmission opening the second
+        assert (err[1], err[2]) == ((1, "S2L") if case is _REPEATED_KEY else (1, "M2I"))
+        assert "duplicate" in err[0] and dups == 0
+    elif case is _REPEATED_KEY:
+        assert err is None and dups == 1
+    elif cls is AndLCO:
+        # the retransmission is suppressed, the fresh input is fatal
+        assert (err[1], err[2]) == (4, "I2I") and dups == 1
+    else:
+        assert err is None and dups == 2
+
+
+def test_mid_group_trigger_enqueues_before_the_next_entry():
+    _, _, ledgers, log = _count_groups(AndLCO, [1, 1], [[(0, 1, "S2M"), (1, 2, "S2M")]], True, False)
+    # cont0 was enqueued while lco 1 still waited for its input
+    assert log[1:] == [("cont0", [0, 1]), ("cont1", [0, 0])]
+    assert ledgers == [(0, True, [1]), (0, True, [2])]

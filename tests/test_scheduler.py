@@ -237,9 +237,10 @@ def test_pause_resume_bit_identical():
 
 
 def _assert_queue_counts(s) -> int:
-    """Each worker's queue count is the length of its deques; returns
-    the tasks queued."""
+    """Each worker's queue count is the length of its deques, and each
+    locality's the sum of its workers'; returns the tasks queued."""
     assert s._queued == [sum(map(len, levels)) for levels in s.deques]
+    assert s._loc_queued == [sum(s._queued[w] for w in ws) for ws in s.locality_workers]
     return sum(s._queued)
 
 
@@ -247,7 +248,8 @@ def _assert_queue_counts(s) -> int:
 def test_queue_counts_match_the_deques(policy):
     """Checked at every pause of a run cut into 40 bounded pieces, under
     each ready-queue discipline and a fuzzed schedule: owner pops, steals
-    and all three enqueue paths keep the counts a thief reads exact."""
+    and all three enqueue paths keep the per-worker and per-locality
+    counts a thief reads exact."""
 
     def workload():
         s = make_sched(L=2, W=4, policy=None if policy == "fuzzed" else policy, seed=3)
