@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Where a warm submit spends its time, stage by stage.
 
-A session's submit is ``reset -> run_eager -> flush_deferred``: the one
-stage list ``Registrar.eager_stages() + Registrar.flush_stages()``.  This
-script times each of those thunks on the canonical problem of the
-performance ledger (4 096 points in the slab [0,1]^2 x [0,0.24], Laplace
-p=6, threshold 60, eps 1e-4, four simulated localities) after the
-session is warm, and prints the median milliseconds per stage.  With
+A session's submit is ``reset -> flush_deferred``: a reset, then the
+one stage list ``Registrar.eager_stages() + Registrar.flush_stages()``.
+This script times the reset and each of those thunks on the canonical
+problem of the performance ledger (4 096 points in the slab [0,1]^2 x
+[0,0.24], Laplace p=6, threshold 60, eps 1e-4, four simulated
+localities) after the session is warm, and prints the median
+milliseconds per stage.  With
 ``--workers N`` it then serves the same submits from N worker processes,
 which walk the same list rank by rank, and prints each rank's medians
 from the round statistics: ``run`` inside the stage, ``wait`` posting its

@@ -16,28 +16,31 @@ Execution model - *replicated metadata, partitioned execution*:
   lists, DAG and distribution from those arrays - setup is a pure
   function of the inputs, so all ranks (and the parent) agree on node
   ids, edge order and localities without shipping the structures.
-* Each worker allocates expansion LCOs only for *its* nodes and compiles
-  the execution plan (:mod:`repro.dashmm.flushplan`) for its rank: the
+* Each worker runs the plan on a registrar with no runtime and no LCOs,
+  ``Registrar(None, ...)`` restricted to its rank (``_rank``), whose
+  expansion store holds *its* nodes, and compiles the execution plan
+  (:mod:`repro.dashmm.flushplan`) for that rank: the
   edges whose destination it owns, as one ordered stage list - leaf
   fits, the upward sweep level by level, the S->L / M->L folds, M->I,
   I->I, I->L, L->L level by level, leaf outputs
   (:meth:`~repro.dashmm.registrar.Registrar.eager_stages` +
   :meth:`~repro.dashmm.registrar.Registrar.flush_stages`) - with, per
   stage, the expansions it owes each peer (``sends``) and reads from
-  each peer (``recvs``).  A round is what a session's submit is: walk
-  the list.  No task is enqueued and no LCO counts down.
+  each peer (``recvs``).  A round is what a session's submit is: reset,
+  then walk the list.  No task is enqueued and no LCO counts down.
 
 The pipeline (:meth:`_WorkerBody._round`), per stage: *post* to every
 peer in ``sends[stage]`` one frame with the rows that peer's stage
 reads - stacked into a fresh contiguous block, so nothing the sender
 computes later can reach it - *wait* for one frame from every peer in
 ``recvs[stage]``, *run* the stage.  A frame's rows land in the
-registrar's mirror, where ``Registrar._data_of`` finds remote nodes.
+registrar's ``expansions``, beside the rank's own rows; a stage's read
+of a remote node no frame delivered is a ``KeyError``.
 
 * Every shipped value is final when it is sent: the stage order puts
   each producer before the stage its readers run, on every rank.  A
   frame that arrives early (a fast peer is stages ahead) therefore just
-  waits in the mirror; there is no barrier between stages.
+  waits in the store; there is no barrier between stages.
 * Deadlock rule: **a rank posts everything a stage's readers need
   before it waits for anything of that stage.**  All ranks walk the same
   stage names in the same order and posting never blocks, so by
@@ -78,36 +81,8 @@ import traceback
 import numpy as np
 
 from repro.dashmm.registrar import Registrar
-from repro.hpx.parallel import (
-    LocalityRuntime,
-    ParallelError,
-    QueueChannel,
-    seed_worker_rngs,
-)
-
-
-class ParallelRegistrar(Registrar):
-    """Registrar for one locality process.
-
-    Differences from the simulator registrar, all confined here:
-
-    * ``_rank`` restricts the LCO allocation, the stacked leaf-multipole
-      fit and both plan sections to the nodes and edges of this rank
-      (the base group keying already matches);
-    * :meth:`_data_of` reads remote nodes from the mirror the stage
-      frames fill (a ``KeyError`` there is a plan whose ``recvs`` miss a
-      node one of its stages reads).
-    """
-
-    def __init__(self, rank: int, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._rank = rank
-        self._mirror: dict[int, object] = {}
-
-    def _data_of(self, node_id: int):
-        if self._nodes[node_id].locality == self._rank:
-            return super()._data_of(node_id)
-        return self._mirror[node_id]
+from repro.dashmm.service import check_plan_only
+from repro.hpx.parallel import ParallelError, QueueChannel, seed_worker_rngs
 
 
 class _Stop(Exception):
@@ -184,32 +159,20 @@ class _WorkerBody:
         self._geom_cache: dict | None = None
         self._make_registrar(self.dual, self.dag)
 
-    def _make_registrar(self, dual, dag, centers: dict | None = None) -> None:
-        """(Re)build the per-round execution state over ``dual``/``dag``.
+    def _make_registrar(self, dual, dag) -> None:
+        """(Re)build the execution state over ``dual``/``dag``: a
+        registrar with no runtime, restricted to this rank.
 
-        Called at setup and again whenever a round changes the node
-        distribution or the tree shape; the shared-memory arena, the
-        frame channel, the operator factory and the geometry cache all
-        survive rebuilds.
+        Called at setup and again whenever a round changes the tree
+        shape; the shared-memory arena, the frame channel, the operator
+        factory and the geometry cache all survive rebuilds.
         """
-        ev = self.ev
-        self.reg = ParallelRegistrar(
-            self.rank,
-            LocalityRuntime(self.n),
-            dag,
-            dual,
-            ev.kernel,
-            self.factory,
-            mode="numeric",
-            cost_model=ev.cost_model,
-            size_model=ev.size_model,
-            centers=centers,
-        )
-        self.reg.geom_cache = self._geom_cache
+        reg = self.reg = Registrar(None, dag, dual, self.ev.kernel, self.factory)
+        reg._rank = self.rank
+        reg.geom_cache = self._geom_cache
         # all ranks share the one result vector; each writes only the
         # target-box slices of its own T nodes (disjoint by construction)
-        self.reg.result = self.arena.get("result")
-        self.reg.allocate()
+        reg.result = self.arena.get("result")
 
     # -- between-round state updates (persistent service) ----------------------
     def _round_update(self, update: dict) -> None:
@@ -217,19 +180,17 @@ class _WorkerBody:
         conclusion independently (replicated metadata, as at setup).
 
         ``kind="weights"``: coordinates untouched - swap the charges
-        into the existing tree and rewind the expansions.
+        into the existing tree.
         ``kind="points"``: incrementally update the tree.  A preserved
-        shape with an unchanged node distribution rebinds the live
-        registrar; a shifted distribution or a changed shape rebuilds
-        the registrar (and, for a shape change, the lists/DAG) while
-        keeping the process, arena, factory and channel.
+        shape rebinds the live registrar, and drops its plans if the
+        node distribution shifted; a changed shape rebuilds the lists,
+        the DAG and the registrar while keeping the process, arena,
+        factory and channel.
         """
         from repro.dashmm.dag import refresh_n_points
         from repro.tree.fingerprint import dual_shape_fingerprint
         from repro.tree.incremental import update_dual_tree
 
-        self.reg._mirror.clear()
-        self._arrived.clear()
         if self._geom_cache is None:
             self._geom_cache = self.reg.geom_cache = {}
         sources = self.arena.get("sources")
@@ -237,7 +198,6 @@ class _WorkerBody:
         targets = self.arena.get("targets")
         if update["kind"] == "weights":
             self.dual.source.set_weights(weights)
-            self.reg.reset(zero_result=False)
             return
         old_shape = dual_shape_fingerprint(self.dual)
         new_dual, _info = update_dual_tree(
@@ -250,14 +210,11 @@ class _WorkerBody:
             old_locs = [nd.locality for nd in self.dag.nodes]
             self.ev.policy.assign(self.dag, new_dual, self.n)
             self.dual = new_dual
-            if [nd.locality for nd in self.dag.nodes] == old_locs:
-                self.reg.rebind(new_dual)
-                self.reg.reset(zero_result=False)
-            else:
-                # ownership moved: the local LCO set changes, so the
-                # network reallocates and the new registrar compiles
-                # fresh plans (box centers stay shape-valid)
-                self._make_registrar(new_dual, self.dag, centers=self.reg._centers)
+            self.reg.rebind(new_dual)
+            if [nd.locality for nd in self.dag.nodes] != old_locs:
+                # ownership moved: both plan sections bake this rank's
+                # nodes in, and the round's reset seeds the new ones
+                self.reg.invalidate_plans()
             return
         dag, _ = self.ev.build_dag(new_dual)
         self.ev.policy.assign(dag, new_dual, self.n)
@@ -271,11 +228,11 @@ class _WorkerBody:
         row width, i.e. one unless the bridge levels differ in width.
         Nodes nothing contributed to are left out; the receiver knows
         which ids to expect."""
-        data_of = self.reg._data_of
+        exp = self.reg.expansions
         for dst in sorted(owed):
             blocks: dict[int, tuple[list, list]] = {}
             for nid in owed[dst]:
-                row = data_of(nid)
+                row = exp[nid]
                 if row is not None:
                     ids, rows = blocks.setdefault(len(row), ([], []))
                     ids.append(nid)
@@ -290,10 +247,10 @@ class _WorkerBody:
         if tag == "frame":
             _, src, seq, stage, blocks = msg
             if self.channel.handle_frame(src, seq):
-                mirror = self.reg._mirror
-                mirror.update(dict.fromkeys(self._recvs[stage][src]))
+                exp = self.reg.expansions
+                exp.update(dict.fromkeys(self._recvs[stage][src]))
                 for ids, rows in blocks:
-                    mirror.update(zip(ids, rows))
+                    exp.update(zip(ids, rows))
                 self._arrived.add((stage, src))
         elif tag == "ack":
             self.channel.handle_ack(msg[2])
@@ -309,9 +266,12 @@ class _WorkerBody:
 
     # -- one round -------------------------------------------------------------
     def _round(self) -> None:
-        """Walk the rank's stage list as a send-when-final /
+        """Reset the expansions (the parent zeroes the shared result),
+        then walk the rank's stage list as a send-when-final /
         wait-when-needed pipeline (module docstring)."""
         reg = self.reg
+        reg.reset(zero_result=False)
+        self._arrived.clear()
         eager, flush = reg.eager_plan(), reg.flush_plan()
         sends = {**eager.sends, **flush.sends}
         self._recvs = {**eager.recvs, **flush.recvs}
@@ -370,7 +330,6 @@ class _WorkerBody:
         return {
             "rank": self.rank,
             "tasks_run": self.tasks_run,
-            "lcos": len(self.reg.lcos),
             "stage_s": self.stage_s,
             "wait_s": self.wait_s,
             **self.channel.stats(),
@@ -389,33 +348,7 @@ def _worker_main(rank: int, n: int, spec: dict, manifest: dict, inboxes, parent_
 
 
 def _validate(evaluator, **prebuilt) -> None:
-    cfg = evaluator.runtime_config
-    if evaluator.mode != "numeric":
-        raise ValueError(
-            "backend='parallel' computes real potentials; phantom-mode "
-            "scaling studies run on the simulator backend"
-        )
-    for flag in ("coalesce", "sequential_edges"):
-        if not getattr(evaluator, flag):
-            raise ValueError(
-                f"backend='parallel' requires {flag}=True (the ablation "
-                "paths run through evaluate() on backend='sim')"
-            )
-    if cfg.replay_schedule is not None:
-        raise ValueError(
-            "schedule replay records simulator decisions; it cannot "
-            "drive the parallel backend"
-        )
-    if cfg.fuzz_schedule is not None:
-        raise ValueError(
-            "a parallel worker walks its compiled plan and makes no "
-            "schedule decision to fuzz; run fuzz_schedule on backend='sim'"
-        )
-    if cfg.detect_hazards:
-        raise ValueError(
-            "the happens-before detector instruments the simulator's "
-            "virtual clock; run hazard detection on backend='sim'"
-        )
+    check_plan_only(evaluator, "backend='parallel'")
     for name, value in prebuilt.items():
         if value is not None:
             raise ValueError(
@@ -477,10 +410,11 @@ class PersistentParallelService:
     """Parent half of the parallel backend: the one worker-fleet manager.
 
     Keeps the worker processes, their attached shared-memory arena and
-    each worker's rebuilt metadata (tree, DAG, LCO network, operator
-    and geometry caches) alive across submissions.  A warm round costs
-    one in-place array overwrite, one GO/DONE handshake and the numeric
-    work - no process spawn, no operator refit, no tree carve.
+    each worker's rebuilt metadata (tree, DAG, registrar and its plans,
+    operator and geometry caches) alive across submissions.  A warm
+    round costs one in-place array overwrite, one GO/DONE handshake and
+    the numeric work - no process spawn, no operator refit, no tree
+    carve.
     :func:`evaluate_parallel` is the degenerate case: :meth:`start`,
     then :meth:`close`.
 

@@ -1,10 +1,10 @@
 """The implicit DAG: expansion LCOs, out-edge processing, coalescing.
 
-This module realizes Section IV and Fig. 2 of the paper.  Every DAG
-node with inputs becomes a user-defined *expansion LCO* that counts its
-outstanding in-edges and holds the node's expansion; when the last
-input arrives it triggers and its single registered continuation
-processes the out-edge list:
+This module realizes Section IV and Fig. 2 of the paper.  For a drain,
+every DAG node with inputs becomes a user-defined *expansion LCO* that
+counts its outstanding in-edges; when the last input arrives it
+triggers and its single registered continuation processes the out-edge
+list:
 
 * *local* edges (target on the same locality) are processed
   sequentially and set into their target LCOs, which may trigger
@@ -35,6 +35,12 @@ the drain ends.  ``mode`` decides only whether the numbers are computed:
   same stages in place of a drain;
 * ``phantom`` - costs and messages only; used for paper-scale scaling
   studies.
+
+The expansions are not in the LCOs: the plan's stages write and read
+one store, :attr:`Registrar.expansions`.  So the LCO network exists only
+where a drain runs - :meth:`Registrar.allocate` builds it, and is the
+one method that needs a runtime - and a session or a worker runs the
+plan on a ``Registrar(None, ...)``.
 """
 
 from __future__ import annotations
@@ -75,6 +81,8 @@ CRITICAL_OPS = ("S2M", "M2M", "M2I", "I2I", "I2L", "M2L", "L2L", "S2L")
 FILLER_OPS = ("S2T", "M2T", "L2T")
 #: per op code: is the class on the critical chain
 _CRITICAL = np.array([op in CRITICAL_OPS for op in EDGE_OPS])
+#: the node kinds that hold an expansion (S and T hold points)
+_EXPANSION_KINDS = ("M", "Is", "It", "L")
 
 
 def _weak_method(method):
@@ -84,21 +92,19 @@ def _weak_method(method):
 
 
 class ExpansionLCO(CountingLCO):
-    """User-defined LCO (Fig. 2): a node's outstanding in-edge count and
-    its expansion.
+    """User-defined LCO (Fig. 2): a node's outstanding in-edge count.
 
     An input only counts down - the drain carries no values - and each
     dedup key (the edge's row in the DAG's edge columns, see
     :class:`DrainTable`) is folded at most once, so a retransmitted
-    parcel cannot count an edge twice.  ``data`` is written by the plan's
-    stages after (or in place of) a drain; ``None`` is the zero
-    expansion of a node nothing contributed to.
+    parcel cannot count an edge twice.  The node's expansion is written
+    by the plan's stages after the drain, into
+    :attr:`Registrar.expansions`.
     """
 
     def __init__(self, runtime, locality: int, node: DagNode, n_inputs: int):
         super().__init__(runtime, locality, n_inputs)
         self.node = node
-        self.data = None
 
     @property
     def hazard_subject(self) -> str:
@@ -180,11 +186,14 @@ def _permuted(driver, groups, loc) -> list:
 
 
 class Registrar:
-    """Builds and runs the implicit LCO network for one evaluation."""
+    """One evaluation's expansions and the plan that computes them; over
+    a runtime (:meth:`allocate`), also the LCO network whose drain
+    schedules it.  ``runtime`` is None where the plan runs in place of a
+    drain (sessions, parallel workers)."""
 
     def __init__(
         self,
-        runtime: Runtime,
+        runtime: Runtime | None,
         dag: DAG,
         dual,
         kernel,
@@ -194,7 +203,6 @@ class Registrar:
         size_model: SizeModel | None = None,
         coalesce: bool = True,
         sequential_edges: bool = True,
-        centers: dict | None = None,
     ):
         if mode not in ("numeric", "phantom"):
             raise ValueError("mode must be 'numeric' or 'phantom'")
@@ -226,28 +234,33 @@ class Registrar:
         self._i2i_ops: dict[int, tuple] = {}
         #: the compiled eager section, built on first use
         self._eager: EagerPlan | None = None
-        #: the plan owes a flush: set by a numeric drain and by run_eager()
+        #: the whole plan is owed: set by a numeric drain and by reset(),
+        #: cleared by flush_deferred()
         self._flush_pending = False
-        #: the plan owes the eager section too: set by a numeric drain,
-        #: cleared by run_eager(), reset() and flush_deferred()
-        self._eager_owed = False
         #: per-level dense (source-side, target-side) plane-wave
         #: matrices, alive between the bridge stages of one flush
         self._waves: dict[int, list] = {}
         #: source box index -> multipole, all leaves fitted in one
         #: stacked pass per level by the eager section's first stage
         self._s2m: dict[int, np.ndarray] | None = None
-        #: restrict LCO allocation and the stacked numeric passes (leaf
-        #: multipoles, flush plan) to the nodes and edges of this
-        #: locality (set by the parallel backend to the worker's own
-        #: rank); None = all
+        #: restrict the expansion store, the stacked leaf fits and both
+        #: plan sections to the nodes and edges of this locality (a
+        #: parallel worker sets its own rank before its first round);
+        #: None = all
         self._rank: int | None = None
+        #: node id -> expansion row, ``None`` the zero expansion of a
+        #: node nothing contributed to: every expansion node of this
+        #: rank, written by the plan's stages, plus in a worker the
+        #: remote rows its peers' stage frames delivered.  A read of a
+        #: remote node no frame delivered is a ``KeyError`` (a plan whose
+        #: ``recvs`` miss a node one of its stages reads), not a zero
+        self.expansions: dict[int, np.ndarray | None] = {}
+        #: the drain's LCOs, built by allocate()
         self.lcos: dict[int, ExpansionLCO] = {}
         self.result = np.zeros(dual.target.n_points) if dual is not None else None
         #: box centers are a pure function of the box keys and the
-        #: domain - i.e. of the tree *shape* - so a persistent session
-        #: hands the dict of a previous same-shape evaluation back in
-        self._centers = centers if centers is not None else {
+        #: domain - i.e. of the tree *shape* - so they outlive rebind()
+        self._centers = {
             "source": dual.domain.box_centers(dual.source.arrays.keys),
             "target": dual.domain.box_centers(dual.target.arrays.keys),
         }
@@ -260,12 +273,37 @@ class Registrar:
         #: clears it when points move.
         self.geom_cache: dict | None = None
         self._nodes = dag.nodes
+        self._seed_expansions()
+
+    def _seed_expansions(self) -> None:
+        """Every expansion node of this rank at the zero expansion, and
+        no other entry."""
+        rank = self._rank
+        self.expansions = dict.fromkeys(
+            node.id
+            for node in self._nodes
+            if node.kind in _EXPANSION_KINDS and (rank is None or node.locality == rank)
+        )
+
+    def _stacked_data(self, node_ids) -> np.ndarray:
+        """Row-stacked spherical expansions of ``node_ids``."""
+        exp = self.expansions
+        zero = np.zeros(self.kernel.size, dtype=complex)
+        return np.stack([zero if (d := exp[i]) is None else d for i in node_ids])
+
+    # -- allocation (Fig. 2, t0/t1) ------------------------------------------------
+    def allocate(self) -> None:
+        """Wire the registrar into its runtime for a drain - the one
+        method that needs a runtime: the scheduling policy's priorities,
+        the ``dashmm_edges`` parcel action, the checkpoint participant
+        slot, and an LCO per DAG node with inputs, its continuation
+        registered."""
+        runtime = self.runtime
         # scheduling-policy wiring: a prioritized policy splits the
         # critical chain from leaf outputs (binary HIGH/LOW or graded
         # levels); a graded one additionally stamps offline
         # critical-path levels onto continuations and parcels
         pol = runtime.scheduler.policy
-        self.policy = pol
         self._split = pol.prioritized
         self._node_levels: list[int] | None = None
         self._near_ops: frozenset = frozenset()
@@ -279,7 +317,7 @@ class Registrar:
             # policy interposes; graded levels cover the rest
             self._near_ops = frozenset(getattr(pol, "near_ops", ("S2T",)))
             self._filler_level = pol.n_levels - 1
-            stamp = getattr(dag, "priorities", None)
+            stamp = getattr(self.dag, "priorities", None)
             if (
                 stamp is not None
                 and stamp.get("levels") == pol.n_levels - 1
@@ -291,7 +329,7 @@ class Registrar:
                 self._node_levels = stamp["values"]
             else:
                 self._node_levels = node_priorities(
-                    dag, cost_model=self.cost, levels=pol.n_levels - 1
+                    self.dag, cost_model=self.cost, levels=pol.n_levels - 1
                 )
         # the runtime sits below the registrar in the ownership chain:
         # what is handed down into it - LCO continuations, time-zero and
@@ -299,7 +337,7 @@ class Registrar:
         # slot - reaches the registrar by weak reference, so a dropped
         # evaluation is freed by reference counting, not by a
         # cyclic-collector pass
-        self._continuation_task = _weak_method(self._continuation)
+        continuation = _weak_method(self._continuation)
         self._process_edges_task = _weak_method(self._process_edges)
         self._run_edge_task = _weak_method(self._run_edge)
         runtime.register_action("dashmm_edges", _weak_method(self._edges_action))
@@ -309,53 +347,21 @@ class Registrar:
         participants = getattr(runtime, "checkpoint_participants", None)
         if participants is not None:
             participants.append(weakref.ref(self))
-
-    # -- expansion-data access ----------------------------------------------------
-    def _data_of(self, node_id: int):
-        """Expansion data of a node, wherever it lives.
-
-        In the simulator every LCO is in-process, so this is a plain
-        lookup.  The real-parallel backend overrides it: data of a
-        remote node comes from the mirror filled by the peers' stage
-        frames (:mod:`repro.dashmm.parallel`).
-        ``None`` stands for the zero expansion of a node nothing
-        contributed to.
-        """
-        lco = self.lcos.get(node_id)
-        return None if lco is None else lco.data
-
-    def _stacked_data(self, node_ids) -> np.ndarray:
-        """Row-stacked spherical expansions of ``node_ids``."""
-        data_of = self._data_of
-        zero = np.zeros(self.kernel.size, dtype=complex)
-        return np.stack([zero if (d := data_of(i)) is None else d for i in node_ids])
-
-    # -- allocation (Fig. 2, t0/t1) ------------------------------------------------
-    def allocate(self) -> None:
-        """Allocate an LCO per DAG node with inputs (of this rank, when
-        restricted to one); register continuations."""
-        only = self._rank
+        in_degree = self.dag.in_degree
         for node in self.dag.nodes:
-            n_in = self.dag.in_degree[node.id]
+            n_in = in_degree[node.id]
             if node.kind == "S" or n_in == 0:
                 continue
-            if only is not None and node.locality != only:
-                continue
-            lco = ExpansionLCO(self.runtime, node.locality, node, n_in)
+            lco = ExpansionLCO(runtime, node.locality, node, n_in)
             self.lcos[node.id] = lco
-            self._arm(lco)
-
-    def _arm(self, lco: ExpansionLCO) -> None:
-        """Register the continuation that processes the node's out-edges."""
-        node = lco.node
-        lco.register_continuation(
-            Task(
-                fn=self._continuation_task,
-                args=(node.id,),
-                op_class=f"edges:{node.kind}",
-                priority=self._node_priority(node),
+            lco.register_continuation(
+                Task(
+                    fn=continuation,
+                    args=(node.id,),
+                    op_class=f"edges:{node.kind}",
+                    priority=self._node_priority(node),
+                )
             )
-        )
 
     def initial_tasks(self) -> int:
         """Compile the drain and enqueue its time-zero tasks: the
@@ -384,36 +390,25 @@ class Registrar:
                     node.locality,
                 )
                 count += 1
-        if self.mode == "numeric":
-            self._flush_pending = self._eager_owed = True
+        self._flush_pending = self.mode == "numeric"
         return count
 
     # -- persistent-session support -------------------------------------------------
     def reset(self, zero_result: bool = True) -> None:
-        """Rewind every LCO and all per-evaluation state for a warm re-run.
+        """Rewind the per-evaluation state for a re-run of the plan.
 
-        After ``reset`` the registrar is observationally equivalent to a
-        freshly allocated one over the same DAG: every LCO has its full
-        input count outstanding, no data, no dedup keys and its
-        continuation re-registered; no flush is pending.  Static
-        shape-derived state - the LCO objects themselves (and their GAS
-        addresses), ``_centers`` and the plans - survives, which is the
-        point: a same-shape resubmission skips allocation entirely.
+        Every expansion of this rank goes back to zero (a worker's
+        received rows are dropped), the leaf fits go, and in numeric mode
+        the whole plan is owed, so :meth:`flush_deferred` finishes the
+        evaluation - a session's submit is ``reset -> flush_deferred``.
+        Static shape-derived state - ``_centers``, the plans, the
+        geometry cache - survives, which is the point.  The LCOs are not
+        touched: they belong to a drain, which a reset registrar does not
+        run.
         """
-        in_degree = self.dag.in_degree
-        for nid, lco in self.lcos.items():
-            lco.remaining = in_degree[nid]
-            # a re-run of the distribution policy may have moved the
-            # node; keep the LCO's home in step so trigger tasks enqueue
-            # where a cold allocation would put them
-            lco.locality = lco.node.locality
-            lco.triggered = False
-            lco.data = None
-            lco._seen_keys.clear()
-            lco._continuations.clear()
-            self._arm(lco)
+        self._seed_expansions()
         self._s2m = None
-        self._flush_pending = self._eager_owed = False
+        self._flush_pending = self.mode == "numeric"
         if zero_result and self.result is not None:
             self.result[:] = 0.0
 
@@ -435,10 +430,12 @@ class Registrar:
     def restore_state(self, state: dict) -> None:
         """Write a :meth:`checkpoint_state` snapshot back in place.
 
-        The restored drain has computed nothing, so the whole plan is
-        owed again, and its tables are recompiled on first use.
+        The restored drain has computed nothing: the expansions go back
+        to zero, the whole plan is owed again, and the drain's tables
+        are recompiled on first use.
         """
-        self._flush_pending = self._eager_owed = state["flush_pending"]
+        self._flush_pending = state["flush_pending"]
+        self._seed_expansions()
         self._s2m = None
         self._drain = None
         if state["result"] is not None:
@@ -463,7 +460,8 @@ class Registrar:
         Required whenever node localities change under a live registrar:
         the plans bake the locality-keyed group compositions - hence the
         stacked operands - in, and geometry-cache entries are keyed by
-        those groups.  The next use recompiles from the DAG.
+        those groups.  The next use recompiles from the DAG, and the
+        next :meth:`reset` seeds the expansions of the rank's new nodes.
         """
         self._plan = self._eager = None
         self._i2i_ops = {}
@@ -475,7 +473,7 @@ class Registrar:
 
         A spliced tree keeps every box key, id and leaf flag but carries
         re-sorted points and updated start/stop/count tables; the DAG and
-        the LCO network built over the old tree stay structurally valid.
+        the plans built over the old tree stay structurally valid.
         Box centers depend only on keys and domain, so ``_centers`` is
         untouched.  Callers must refresh the DAG's ``n_points`` (see
         :func:`repro.dashmm.dag.refresh_n_points`) and re-run the
@@ -702,7 +700,7 @@ class Registrar:
             sbox = tree.boxes[self._nodes[src].box_index]
             rel = (tree.points[sbox.start : sbox.stop] - self._centers["target"][tbox.index]) / h
             return self.kernel.p2l(rel, tree.weights[sbox.start : sbox.stop], h)
-        M = self._data_of(src)
+        M = self.expansions[src]
         return None if M is None else self.factory.m2l(delta, h) @ M
 
     def _leaf_multipoles(self) -> dict[int, np.ndarray]:
@@ -797,9 +795,9 @@ class Registrar:
         of :meth:`flush_stages`: the stacked leaf fits, the upward sweep
         level by level (deepest first, so every child multipole is
         complete before its parent folds it), then the local-expansion
-        folds of S->L and M->L.  Sources are read through
-        :meth:`_data_of`, so a worker running its rank's slice folds the
-        multipoles its peers shipped.
+        folds of S->L and M->L.  Sources are read from
+        :attr:`expansions`, so a worker running its rank's slice folds
+        the multipoles its peers shipped.
         """
         plan = self.eager_plan()
         return [
@@ -811,32 +809,19 @@ class Registrar:
             ("m2l", partial(self._eager_m2l, plan)),
         ]
 
-    def run_eager(self) -> None:
-        """Compute the eager classes from the compiled fold lists.
-
-        Leaves the M/L expansions folded in canonical key order and a
-        flush pending, without enqueuing a task, so
-        :meth:`flush_deferred` finishes the evaluation.  Sessions run
-        every submit as ``reset -> run_eager -> flush_deferred``.
-        """
-        for _, stage in self.eager_stages():
-            stage()
-        # the bridge, downward shift and leaf outputs flush from here
-        self._flush_pending, self._eager_owed = True, False
-
     def _eager_s2m(self) -> None:
         self._s2m = self._leaf_multipoles()
 
     def _fold(self, folds: Folds, value) -> None:
         """Each fold's sum into its node's expansion: node ``folds.dst[i]``
         adds ``value(j)`` over its fold positions ``j``, in order."""
-        lcos, bounds = self.lcos, folds.bounds
+        exp, bounds = self.expansions, folds.bounds
         for i, nid in enumerate(folds.dst):
             acc = None
             for j in range(bounds[i], bounds[i + 1]):
                 v = value(j)
                 acc = v if acc is None else acc + v
-            lcos[nid].data = acc
+            exp[nid] = acc
 
     def _eager_m2m(self, folds: Folds) -> None:
         """The multipoles of one level, each folding its leaf fit and its
@@ -845,14 +830,14 @@ class Registrar:
         src = cols.src[folds.rows].tolist()
         leaf = (cols.op[folds.rows] == OP_CODE["S2M"]).tolist()
         octant = cols.octant[folds.rows].tolist()
-        nodes, s2m, data_of = self._nodes, self._s2m, self._data_of
+        nodes, s2m, exp = self._nodes, self._s2m, self.expansions
         m2m, dom = self.factory.m2m, self.dual.domain
 
         def value(j):
             node = nodes[src[j]]
             if leaf[j]:
                 return s2m[node.box_index]
-            return m2m(octant[j], dom.box_size(node.level)) @ data_of(src[j])
+            return m2m(octant[j], dom.box_size(node.level)) @ exp[src[j]]
 
         self._fold(folds, value)
 
@@ -906,17 +891,14 @@ class Registrar:
 
     def flush_deferred(self) -> None:
         """Finish an evaluation: drop the drain tables - the drain is
-        over - and run what the plan still owes: the eager section unless
-        :meth:`run_eager` ran it since the drain or the last reset, then
+        over - and run the whole plan it owes, :meth:`eager_stages` then
         :meth:`flush_stages`.  Computes nothing when no plan is owed (a
         phantom drain, a registrar already flushed)."""
         self._drain = None
         if not self._flush_pending:
             return
         self._flush_pending = False
-        stages = self.eager_stages() if self._eager_owed else []
-        self._eager_owed = False
-        for _, stage in stages + self.flush_stages():
+        for _, stage in self.eager_stages() + self.flush_stages():
             stage()
 
     def _flush_m2i(self, plan: FlushPlan) -> None:
@@ -928,7 +910,7 @@ class Registrar:
         for the whole group; of those directions, the ones a node does
         not radiate into are computed and never gathered.
         """
-        dom, lcos, data_of = self.dual.domain, self.lcos, self._data_of
+        dom, exp = self.dual.domain, self.expansions
         self._waves = {}
         for b in plan.bridge:
             h = dom.box_size(b.level)
@@ -938,10 +920,9 @@ class Registrar:
                 stack = self.factory.m2i_stack(tuple(FULL_DIRS[d] for d in b.dirs), h)
             for lo, m_ids in b.m2i:
                 src_side[lo : lo + len(m_ids)] = (
-                    np.stack([data_of(m) for m in m_ids]) @ stack.T
+                    np.stack([exp[m] for m in m_ids]) @ stack.T
                 )
-            for nid, row in zip(b.is_ids[: b.n_is_local], src_side):
-                lcos[nid].data = row
+            exp.update(zip(b.is_ids[: b.n_is_local], src_side))
             self._waves[b.level] = [src_side, None]
 
     def _i2i_operators(self, b: BridgeLevel) -> tuple:
@@ -976,12 +957,12 @@ class Registrar:
         node, direction) slot is written by exactly one row of one
         translation; slots no translation reaches stay zero.
         """
-        lcos, data_of = self.lcos, self._data_of
+        exp = self.expansions
         for b in plan.bridge:
             waves = self._waves[b.level]
             src_side = waves[0]
             for nid, row in zip(b.is_ids[b.n_is_local :], src_side[b.n_is_local :]):
-                row[:] = data_of(nid)
+                row[:] = exp[nid]
             nt = src_side.shape[1] // len(b.dirs)
             tgt_side = waves[1] = np.zeros((len(b.it_ids), src_side.shape[1]), dtype=complex)
             x, y, z, mats = self._i2i_operators(b)
@@ -1001,8 +982,7 @@ class Registrar:
                 acc *= x[tu[:, 0]]
                 acc *= y[tu[:, 1]]
                 tgt_side[g.tgt_rows, lo : lo + nt] = acc
-            for nid, row in zip(b.it_ids[: b.n_it_local], tgt_side):
-                lcos[nid].data = row
+            exp.update(zip(b.it_ids[: b.n_it_local], tgt_side))
 
     def _flush_i2l(self, plan: FlushPlan) -> None:
         """Local-expansion contributions of the incoming plane waves:
@@ -1010,11 +990,11 @@ class Registrar:
         rows against the stack of the level's directions (those a node
         receives nothing from are zero columns, which contribute exactly
         nothing)."""
-        dom, data_of = self.dual.domain, self._data_of
+        dom, exp = self.dual.domain, self.expansions
         for b in plan.bridge:
             tgt_side = self._waves[b.level][1]
             for nid, row in zip(b.it_ids[b.n_it_local :], tgt_side[b.n_it_local :]):
-                row[:] = data_of(nid)
+                row[:] = exp[nid]
             if b.i2l:
                 stack = self.factory.i2l_stack(
                     tuple(FULL_DIRS[d] for d in b.dirs), dom.box_size(b.level)
@@ -1033,10 +1013,10 @@ class Registrar:
 
     def _accumulate(self, node_ids, rows) -> None:
         """Add one contribution row into each node's local expansion."""
-        lcos = self.lcos
+        exp = self.expansions
         for nid, row in zip(node_ids, rows):
-            dst = lcos[nid]
-            dst.data = row if dst.data is None else dst.data + row
+            old = exp[nid]
+            exp[nid] = row if old is None else old + row
 
     def _flush_outputs(self, plan: FlushPlan) -> None:
         """Leaf outputs: one direct sum per source leaf over all its
@@ -1051,7 +1031,7 @@ class Registrar:
             return
         dom = self.dual.domain
         src, tgt = self.dual.source, self.dual.target
-        res, cache, kernel, data_of = self.result, self.geom_cache, self.kernel, self._data_of
+        res, cache, kernel = self.result, self.geom_cache, self.kernel
         cached_direct = cache is not None and type(kernel).direct is Kernel.direct
         # target-point index of every (edge, point) pair, in plan order
         ta = tgt.arrays

@@ -9,9 +9,10 @@ amortizes all of that:
 * **Incremental trees** (:mod:`repro.tree.incremental`): a perturbed
   point set updates the previous tree by splicing or re-carving only
   the dirty Morton ranges; unchanged boxes keep their ids.
-* **DAG templates**: the structural DAG, the LCO network, the box
-  centers and the operator-geometry caches are keyed by the method's
-  declared-schema fingerprint (:meth:`repro.dag.MethodSchema.fingerprint`)
+* **DAG templates**: the structural DAG, the registrar with its
+  compiled plan, the box centers and the operator-geometry caches are
+  keyed by the method's declared-schema fingerprint
+  (:meth:`repro.dag.MethodSchema.fingerprint`)
   plus the tree-shape fingerprint (:mod:`repro.tree.fingerprint`) and
   kept alive in a small LRU; a repeat submission with the same schema
   and shape skips interaction-list construction and DAG assembly
@@ -21,20 +22,21 @@ amortizes all of that:
   ``submit(points, charges) -> potentials`` over both backends.  On
   ``sim`` every submit - the first included - runs the template
   registrar's compiled execution plan (:mod:`repro.dashmm.flushplan`):
-  ``reset -> run_eager -> flush_deferred``, no task enqueued; on
-  ``parallel`` the worker processes, their shared-memory arena and
-  their rebuilt metadata survive across submissions
+  ``reset -> flush_deferred`` on a registrar with no runtime and no
+  LCOs; on ``parallel`` the worker processes, their shared-memory arena
+  and their rebuilt metadata survive across submissions
   (:class:`repro.dashmm.parallel.PersistentParallelService`).
 
 Correctness bar: every ``submit`` returns potentials bit-identical to a
 cold-start evaluation over the same tree.  A drain only decides *when*
-work happens, never *what* is computed: LCO folds run in canonical
-dedup-key order and every batched stage groups canonically, both a
+work happens, never *what* is computed: folds run in canonical edge
+order and every batched stage groups canonically, both a
 function of the DAG and the node localities - which is what the plan
 compiles, so running it is just another legal schedule of the same
-dataflow.  A session has no virtual clock, so the Section VI ablations
-(``sequential_edges=False``, ``coalesce=False``) are rejected, not
-silently served with other arithmetic.
+dataflow.  A session has no virtual clock and no schedule, so what only
+a drain honours - phantom mode, the Section VI ablations, schedule
+fuzzing and replay, hazard detection - is rejected
+(:func:`check_plan_only`), not silently served by a run it never touched.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import numpy as np
 
 from repro.dashmm.dag import refresh_n_points
 from repro.dashmm.registrar import Registrar
-from repro.hpx.runtime import Runtime
 from repro.tree.box import Domain
 from repro.tree.dualtree import DualTree, build_dual_tree, checked_points, checked_weights
 from repro.tree.fingerprint import (
@@ -59,10 +60,41 @@ from repro.tree.fingerprint import (
 from repro.tree.incremental import update_dual_tree
 
 
+def check_plan_only(evaluator, who: str) -> None:
+    """Refuse what only a simulated drain honours, for ``who`` - a
+    session or the parallel backend, which run the compiled plan in
+    place of a drain: numeric mode only, no Section VI ablation (they
+    move a virtual clock there is none of), and no schedule fuzzing,
+    replay or hazard detection (there is no schedule)."""
+    if evaluator.mode != "numeric":
+        raise ValueError(
+            f"{who} computes numeric potentials; phantom-mode scaling "
+            "studies run through evaluate() on backend='sim'"
+        )
+    for flag in ("coalesce", "sequential_edges"):
+        if not getattr(evaluator, flag):
+            raise ValueError(
+                f"{who} requires {flag}=True (the ablation paths run "
+                "through evaluate() on backend='sim')"
+            )
+    cfg = evaluator.runtime_config
+    for option, on in (
+        ("fuzz_schedule", cfg.fuzz_schedule is not None),
+        ("replay_schedule", cfg.replay_schedule is not None),
+        ("detect_hazards", cfg.detect_hazards),
+    ):
+        if on:
+            raise ValueError(
+                f"{who} runs the compiled plan and makes no schedule "
+                f"decision: {option} instruments the simulator's drain; "
+                "run it through evaluate() on backend='sim'"
+            )
+
+
 @dataclass
 class _Template:
-    """One cached shape: the registrar (structural DAG, live LCO
-    network, current tree, plans, caches) + what its tree looked like."""
+    """One cached shape: the registrar (structural DAG, current tree,
+    plans, caches) + what its tree looked like."""
 
     registrar: Registrar
     full_fp: tuple
@@ -100,19 +132,7 @@ class EvaluatorSession:
         domain: Domain | None = None,
         max_templates: int = 4,
     ):
-        if evaluator.mode != "numeric":
-            raise ValueError(
-                "EvaluatorSession serves numeric potentials; phantom-mode "
-                "scaling studies run through evaluate()"
-            )
-        for flag in ("coalesce", "sequential_edges"):
-            # the Section VI ablations move the simulator's virtual
-            # clock; a session has none and runs the compiled plan only
-            if not getattr(evaluator, flag):
-                raise ValueError(
-                    f"EvaluatorSession requires {flag}=True (the ablation "
-                    "paths run through evaluate() on backend='sim')"
-                )
+        check_plan_only(evaluator, "EvaluatorSession")
         self.evaluator = evaluator
         self.backend = evaluator.runtime_config.backend
         self.domain = domain
@@ -239,23 +259,11 @@ class EvaluatorSession:
 
     def _build_template(self, dual: DualTree) -> _Template:
         ev = self.evaluator
-        cfg = ev._resolved_config()
         dag, _ = ev.build_dag(dual)
-        ev.policy.assign(dag, dual, cfg.n_localities)
-        # never run: the runtime only provides the GAS the LCOs live in
-        # and the action table the registrar registers with
-        reg = Registrar(
-            Runtime(cfg),
-            dag,
-            dual,
-            ev.kernel,
-            ev.factory,
-            mode="numeric",
-            cost_model=ev.cost_model,
-            size_model=ev.size_model,
-        )
+        ev.policy.assign(dag, dual, ev.runtime_config.n_localities)
+        # no runtime and no LCOs: a session runs the plan, never a drain
+        reg = Registrar(None, dag, dual, ev.kernel, ev.factory)
         reg.geom_cache = {}
-        reg.allocate()
         return _Template(
             registrar=reg,
             full_fp=dual_full_fingerprint(dual),
@@ -292,10 +300,10 @@ class EvaluatorSession:
 
     def _execute(self, tpl: _Template) -> np.ndarray:
         """Run the compiled plan over the template's current tree and
-        charges; no task is enqueued on any submit, the first included."""
+        charges - the same ``reset -> flush_deferred`` a drained
+        evaluate ends with, minus the drain."""
         reg = tpl.registrar
         reg.reset()
-        reg.run_eager()
         reg.flush_deferred()
         target = reg.dual.target
         out = np.empty(target.n_points)

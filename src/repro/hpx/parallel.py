@@ -20,8 +20,8 @@ Design points:
   order, is the compiled execution plan of its rank
   (:mod:`repro.dashmm.flushplan`), walked stage by stage; a worker makes
   no schedule decision, so scheduling policies and schedule fuzzing
-  belong to the simulator.  :class:`LocalityRuntime` is only what the
-  registrar and its expansion LCOs are constructed against.
+  belong to the simulator.  A worker's registrar has no runtime and no
+  LCOs.
 * **Reliable framing reuse.**  OS queues are lossless, but the
   pending-until-ack ledger is what tells a worker "all my frames were
   processed" before it reports a round done - which keeps round
@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import queue as _queue
 import time
-from types import SimpleNamespace
 
-from repro.hpx.scheduler import SchedulingPolicy
 from repro.hpx.transport import Framing
 
 
@@ -98,23 +96,6 @@ class QueueChannel:
 
     def stats(self) -> dict:
         return {"frames_sent": self.frames_sent, **self.framing.stats()}
-
-
-class LocalityRuntime:
-    """What a worker's registrar and its expansion LCOs are built
-    against: a GAS to allocate in and the stock flat scheduling policy
-    (nothing in a worker consults a priority, so none is computed).  No
-    task is ever enqueued and no parcel names an action, so registering
-    one records nothing."""
-
-    def __init__(self, n_localities: int):
-        from repro.hpx.gas import GlobalAddressSpace
-
-        self.gas = GlobalAddressSpace(n_localities)
-        self.scheduler = SimpleNamespace(policy=SchedulingPolicy())
-
-    def register_action(self, name: str, fn) -> None:
-        pass
 
 
 def seed_worker_rngs(base_seed: int, rank: int) -> None:

@@ -54,7 +54,6 @@ SIGNATURES = {
         "size_model",
         "coalesce",
         "sequential_edges",
-        "centers",
     ),
     PersistentParallelService.__init__: ("evaluator", "domain", "timeout", "max_respawns"),
     build_dual_tree: ("sources", "targets", "threshold", "source_weights", "domain"),
@@ -123,9 +122,14 @@ def test_one_fleet_manager():
 
 
 def test_one_plan_model():
-    """Sessions run the compiled plan (:mod:`repro.dashmm.flushplan`):
-    no private runtime facade or captured replay in the service, no second
-    stage walker in the worker."""
+    """Sessions and workers run the compiled plan
+    (:mod:`repro.dashmm.flushplan`) on one registrar class with no
+    runtime: no private runtime facade, captured replay or registrar
+    subclass, no second stage walker, no separate eager entry point."""
     service = vars(repro.dashmm.service)
     assert not [name for name in service if name.startswith(("_Direct", "_ReplayPlan"))]
+    assert "Runtime" not in service
     assert "_stage_plan" not in vars(repro.dashmm.parallel)
+    assert not hasattr(repro.hpx.parallel, "LocalityRuntime")
+    assert not hasattr(repro.dashmm.parallel, "ParallelRegistrar")
+    assert not hasattr(Registrar, "run_eager")

@@ -20,7 +20,7 @@ from repro.dashmm import DashmmEvaluator, EvaluatorSession, FmmPolicy
 from repro.dashmm.distribution import DistributionPolicy, RandomPolicy
 from repro.dashmm.flushplan import compile_flush_plan
 from repro.dashmm.registrar import Registrar
-from repro.hpx.runtime import Runtime, RuntimeConfig
+from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.yukawa import YukawaKernel
@@ -76,10 +76,18 @@ def _evaluator(factory, method, policy=None, **kw):
     )
 
 
-def _idle(runtime) -> bool:
-    """No task was ever enqueued on (let alone run by) ``runtime``."""
-    s = runtime.scheduler
-    return s.tasks_run == 0 and not s._heap and not any(q for qs in s.deques for q in qs)
+def _plan_only(reg) -> bool:
+    """``reg`` runs the plan in place of a drain: no runtime, no LCOs."""
+    return reg.runtime is None and not reg.lcos
+
+
+def _rank_registrar(rank, dag, dual, factory) -> Registrar:
+    """What a worker builds: no runtime, restricted to ``rank``, its
+    expansions seeded by the round's reset."""
+    reg = Registrar(None, dag, dual, factory.kernel, factory)
+    reg._rank = rank
+    reg.reset()
+    return reg
 
 
 def _sibling_hop(dual, points):
@@ -127,7 +135,7 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
         # without a drain
         first = session._current.registrar
         assert first._eager is not None
-        assert _idle(first.runtime)
+        assert _plan_only(first)
         assert np.array_equal(session.submit(pts, w), cold.potentials)  # warm resubmit
         assert np.array_equal(session.submit(pts, w2), cold_w2)  # fresh charges
         session.submit(drifted, w2)  # drift ...
@@ -142,7 +150,7 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
         out = session.submit(hopped, w2)
         assert session.stats["template_hits"] == hits + 1  # same shape, same registrar
         assert session._current.registrar.flush_plan() is not before
-        assert _idle(first.runtime) and _idle(session._current.registrar.runtime)
+        assert _plan_only(first) and _plan_only(session._current.registrar)
     with EvaluatorSession(ev, domain=domain) as fresh:
         assert np.array_equal(out, fresh.submit(hopped, w2))
 
@@ -279,11 +287,8 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
     a random scatter of *all* nodes of a four-level tree, so every
     stage has edges crossing ranks (no shipped policy splits a leaf's
     L from its T)."""
-    from repro.dashmm.parallel import ParallelRegistrar
-
     factory = factories["laplace"]
     pts, w, domain = _corner_problem(cloud)
-    cfg = RuntimeConfig(n_localities=n_localities)
     dual = build_dual_tree(pts, pts, THRESHOLD, source_weights=w, domain=domain)
     dag, _ = _evaluator(factory, method).build_dag(dual)
     loc = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes)).tolist()
@@ -313,12 +318,12 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
     def stage_names(reg):
         return [name for name, _ in reg.flush_stages()]
 
-    names = stage_names(Registrar(Runtime(cfg), dag, dual, factory.kernel, factory))
+    names = stage_names(Registrar(None, dag, dual, factory.kernel, factory))
     assert names[:3] == ["m2i", "i2i", "i2l"] and names[-1] == "outputs"
     assert names[3:-1] == [("l2l", level) for level, _ in full.l2l]
     exchanged = [n for n in names if n != "m2i"]
     for r in ranks:
-        reg = ParallelRegistrar(r, Runtime(cfg), dag, dual, factory.kernel, factory)
+        reg = _rank_registrar(r, dag, dual, factory)
         assert stage_names(reg) == names
         assert sorted(plans[r].sends, key=str) == sorted(exchanged, key=str)
 
@@ -417,12 +422,12 @@ def test_i2i_factored_equals_per_edge(factories, problem, kname):
         block = {FULL_DIRS[d]: slice(i * nt, (i + 1) * nt) for i, d in enumerate(b.dirs)}
         expected = {t: np.zeros(len(b.dirs) * nt, dtype=complex) for t in b.it_ids}
         for s in b.is_ids:
-            W = reg.lcos[s].data
+            W = reg.expansions[s]
             assert W.shape == (len(b.dirs) * nt,)  # unused directions are not carried
             for e in dag.out_edges[s]:
                 d, delta = e.aux
                 expected[e.dst][block[d]] += W[block[d]] * factory.i2i(d, delta, h)
-        got = np.stack([reg.lcos[t].data for t in b.it_ids])
+        got = np.stack([reg.expansions[t] for t in b.it_ids])
         want = np.stack([expected[t] for t in b.it_ids])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     if problem == "deep":
@@ -434,8 +439,6 @@ def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
     """A 4-rank partition under a random scatter: each rank runs M->I
     and I->I of its own plan - other row sets, other matrix shapes - and
     its It rows come out bit-identical to the full plan's."""
-    from types import SimpleNamespace
-
     factory = factories["laplace"]
     pts, w, domain = _corner_problem(cloud)
     cfg = RuntimeConfig(n_localities=4)
@@ -443,27 +446,29 @@ def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
     with EvaluatorSession(ev, domain=domain) as session:
         session.submit(pts, w)
         full = session._current.registrar
-    kinds = {"M", "Is", "It"}
-    data = {nid: lco.data.copy() for nid, lco in full.lcos.items() if lco.node.kind in kinds}
+    nodes = full.dag.nodes
+    data = {
+        nid: row.copy()
+        for nid, row in full.expansions.items()
+        if nodes[nid].kind in {"M", "Is", "It"} and row is not None
+    }
     written = 0
     for rank in range(4):
-        reg = Registrar(Runtime(cfg), full.dag, full.dual, factory.kernel, factory)
-        reg._rank = rank
-        # the rank reads everyone's multipoles and source-side rows from
-        # its mirror; it must produce the target-side rows itself
-        reg.lcos = {
-            nid: SimpleNamespace(data=None if full.lcos[nid].node.kind == "It" else v)
-            for nid, v in data.items()
-        }
+        reg = _rank_registrar(rank, full.dag, full.dual, factory)
+        # the rank reads everyone's multipoles and source-side rows as
+        # delivered rows; it must produce the target-side rows itself
+        reg.expansions.update(
+            (nid, None if nodes[nid].kind == "It" else v) for nid, v in data.items()
+        )
         plan = reg.flush_plan()
         reg._flush_m2i(plan)
         reg._flush_i2i(plan)
         for b in plan.bridge:
             for t in b.it_ids[: b.n_it_local]:
-                assert full.dag.nodes[t].locality == rank
-                assert np.array_equal(reg.lcos[t].data, data[t])
+                assert nodes[t].locality == rank
+                assert np.array_equal(reg.expansions[t], data[t])
                 written += 1
-    assert written == sum(full.lcos[nid].node.kind == "It" for nid in data)
+    assert written == sum(nodes[nid].kind == "It" for nid in data)
 
 
 class _ScatterPolicy(DistributionPolicy):
@@ -477,6 +482,42 @@ class _ScatterPolicy(DistributionPolicy):
         ranks = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes))
         for node, rank in zip(dag.nodes, ranks.tolist()):
             node.locality = rank
+
+
+class _LeafCountPolicy(DistributionPolicy):
+    """Each node on the rank its box's point count picks, so one point
+    hopping between sibling leaves moves both leaves' nodes.  Module
+    level: spawned workers unpickle it."""
+
+    name = "leaf-count"
+
+    def assign(self, dag, dual, n_localities):
+        counts = {"source": dual.source.arrays.counts, "target": dual.target.arrays.counts}
+        for node in dag.nodes:
+            node.locality = int(counts[node.tree][node.box_index]) % n_localities
+
+
+@pytest.mark.parallel
+def test_parallel_workers_follow_moved_localities(factories, cloud):
+    """A drift submit that keeps the tree's shape but moves nodes
+    between ranks: every worker re-runs the policy, drops its plans and
+    seeds the expansions of the nodes it owns now."""
+    factory = factories["laplace"]
+    pts, w, _ = cloud
+    sim, par = (
+        _evaluator(factory, "fmm", _LeafCountPolicy(), config=RuntimeConfig(**cfg))
+        for cfg in ({"n_localities": 2}, {"backend": "parallel", "n_localities": 2})
+    )
+    with EvaluatorSession(par) as a, EvaluatorSession(sim) as b:
+        assert np.array_equal(a.submit(pts, w), b.submit(pts, w))
+        reg = b._current.registrar
+        before = [node.locality for node in reg.dag.nodes]
+        hopped = _sibling_hop(reg.dual, pts)
+        assert np.array_equal(a.submit(hopped, w), b.submit(hopped, w))
+        assert [node.locality for node in reg.dag.nodes] != before
+        assert b._current.registrar is reg  # same shape, same template
+        assert np.array_equal(a.submit(hopped, w[::-1]), b.submit(hopped, w[::-1]))
+        assert a._parallel.respawns == 0  # no round was re-driven from scratch
 
 
 def _fold_lists(plan) -> tuple[dict, dict, list]:
@@ -501,9 +542,6 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
     peer exactly the rows its ``sends`` name (a dict assignment, no
     queue).  Expansions and potentials must equal the full plan's and a
     drained ``evaluate()``'s bit for bit."""
-    from repro.dashmm.parallel import ParallelRegistrar
-    from repro.hpx.parallel import LocalityRuntime
-
     factory = factories["laplace"]
     if problem == "cube":
         # four levels, and coarse local expansions nothing contributes to
@@ -531,9 +569,8 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
     result = np.zeros(len(pts))
     regs = []
     for r in ranks:
-        reg = ParallelRegistrar(r, LocalityRuntime(n), dag, dual, factory.kernel, factory)
+        reg = _rank_registrar(r, dag, dual, factory)
         reg.result = result  # disjoint target boxes, as in the shared arena
-        reg.allocate()
         regs.append(reg)
     sections = [(full.eager_plan(), [reg.eager_plan() for reg in regs])]
     sections.append((full.flush_plan(), [reg.flush_plan() for reg in regs]))
@@ -584,18 +621,44 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
     for i, name in enumerate(names):
         for a in ranks:
             for b, ids in sends[a].get(name, {}).items():
-                regs[b]._mirror.update((nid, regs[a]._data_of(nid)) for nid in ids)
-                zeros += sum(regs[b]._mirror[nid] is None for nid in ids)
+                regs[b].expansions.update((nid, regs[a].expansions[nid]) for nid in ids)
+                zeros += sum(regs[b].expansions[nid] is None for nid in ids)
         for stages in stage_lists:
             stages[i][1]()
     assert bool(zeros) == (problem == "cube" and method != "bh")
-    for reg in regs:
-        for nid, lco in reg.lcos.items():
-            if lco.node.kind in ("M", "L"):
-                want = full.lcos[nid].data
-                assert (lco.data is None) == (want is None)
-                assert want is None or np.array_equal(lco.data, want)
-    assert sum(len(reg.lcos) for reg in regs) == len(full.lcos)
+    # every rank holds its own expansions, and together all of them
+    owned = 0
+    for r, reg in enumerate(regs):
+        for nid, want in full.expansions.items():
+            if dag.nodes[nid].locality != r:
+                continue
+            got = reg.expansions[nid]
+            owned += 1
+            if dag.nodes[nid].kind in ("M", "L"):
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got, want)
+    assert owned == len(full.expansions)
     out = np.empty(len(pts))
     out[dual.target.perm] = result
     assert np.array_equal(out, drained)
+
+
+def test_a_rank_reads_no_row_it_was_not_sent(factories, cloud):
+    """A worker's store holds its own expansions and what frames
+    delivered: a stage reading a remote node no frame delivered raises
+    ``KeyError`` instead of computing with a zero."""
+    factory = factories["laplace"]
+    pts, w, domain = _corner_problem(cloud)
+    dual = build_dual_tree(pts, pts, THRESHOLD, source_weights=w, domain=domain)
+    dag, _ = _evaluator(factory, "fmm").build_dag(dual)
+    _ScatterPolicy().assign(dag, dual, 2)
+    reg = _rank_registrar(0, dag, dual, factory)
+    assert all(dag.nodes[nid].locality == 0 for nid in reg.expansions)
+    recvs = {**reg.eager_plan().recvs, **reg.flush_plan().recvs}
+    for name, stage in reg.eager_stages() + reg.flush_stages():
+        if recvs.get(name):
+            break
+        stage()  # reads only rank 0's own rows
+    with pytest.raises(KeyError) as missing:
+        stage()
+    assert missing.value.args[0] in {nid for ids in recvs[name].values() for nid in ids}

@@ -245,10 +245,8 @@ def test_no_edge_object_on_an_evaluate_or_session_path(
 
 def test_no_edge_object_in_a_worker_plan_compile(laplace, laplace_factory, cloud, edges_made):
     """What a real-parallel worker does before its first round -
-    assemble, distribute, allocate its rank's LCOs, compile both plan
+    assemble, distribute, seed its rank's expansions, compile both plan
     sections - checked in process, as in test_flush_paths."""
-    from repro.dashmm.parallel import ParallelRegistrar
-    from repro.hpx.parallel import LocalityRuntime
     from repro.tree.dualtree import build_dual_tree
 
     src, w, _ = cloud
@@ -257,9 +255,10 @@ def test_no_edge_object_in_a_worker_plan_compile(laplace, laplace_factory, cloud
     dag, _ = ev.build_dag(dual)
     ev.policy.assign(dag, dual, 2)
     for rank in range(2):
-        reg = ParallelRegistrar(rank, LocalityRuntime(2), dag, dual, laplace, laplace_factory)
-        reg.allocate()
-        assert reg.eager_stages() and reg.flush_stages()
+        reg = Registrar(None, dag, dual, laplace, laplace_factory)
+        reg._rank = rank
+        reg.reset()
+        assert reg.expansions and reg.eager_stages() and reg.flush_stages()
         assert reg.eager_plan().n_edges + reg.flush_plan().n_edges > 0
     assert edges_made == []
     assert dag._view is None

@@ -108,8 +108,8 @@ def test_bit_identity_under_schedule_fuzz(laplace, laplace_factory, cloud):
         ev = _pair(laplace, "fmm", laplace_factory, "parallel", **{flag: value})
         with pytest.raises(ValueError, match="backend='sim'|simulator"):
             ev.evaluate(src, w, tgt)
-        with EvaluatorSession(ev) as session, pytest.raises(ValueError, match="sim"):
-            session.submit(src, w)
+        with pytest.raises(ValueError, match="sim"):
+            EvaluatorSession(ev)
     assert multiprocessing.active_children() == []
 
 

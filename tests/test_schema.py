@@ -284,8 +284,11 @@ def test_registrar_reuses_matching_stamp(dual, lists):
     stamped = builder.stamp_priorities(dag, cost_model=cm, levels=pol.n_levels - 1)
 
     def levels_of(d):
+        for node in d.nodes:
+            node.locality = 0
         rt = Runtime(RuntimeConfig(policy=pol))
         reg = Registrar(rt, d, dual, None, None, mode="phantom", cost_model=cm)
+        reg.allocate()  # the policy wiring needs the runtime
         return reg._node_levels
 
     got = levels_of(dag)

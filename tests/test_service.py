@@ -22,6 +22,7 @@ import repro.tree.lists as lists_mod
 from repro.dashmm import DashmmEvaluator, EvaluatorSession
 from repro.dashmm.registrar import Registrar
 from repro.hpx.runtime import RuntimeConfig
+from repro.hpx.tracing import ScheduleTrace
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
 from tests.test_lifetime import cyclic_garbage
@@ -244,9 +245,9 @@ def test_submits_never_compile_a_drain(evaluator, cloud, monkeypatch):
 
 
 def test_sessions_are_freed_by_refcount(evaluator):
-    """A template owns its never-run runtime through the same one-way
-    chain as an evaluation: closing a session, or evicting a template
-    from its LRU, frees everything without a cyclic-collector pass."""
+    """A template owns its registrar through the same one-way chain as
+    an evaluation: closing a session, or evicting a template from its
+    LRU, frees everything without a cyclic-collector pass."""
     rng = np.random.default_rng(8)
     pts, w = rng.uniform(0, 1, (600, 3)), rng.normal(size=600)
 
@@ -271,6 +272,49 @@ def test_session_rejects_phantom_mode(kernel):
     ev = DashmmEvaluator(kernel, mode="phantom")
     with pytest.raises(ValueError):
         EvaluatorSession(ev)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("fuzz_schedule", 0), ("replay_schedule", ScheduleTrace()), ("detect_hazards", True)],
+)
+def test_session_rejects_schedule_instruments(kernel, factory, option, value):
+    """A session runs the plan, not a drain: a schedule option would
+    have nothing to act on, so it is refused, not ignored."""
+    ev = DashmmEvaluator(kernel, runtime_config=RuntimeConfig(**{option: value}), factory=factory)
+    with pytest.raises(ValueError, match=option):
+        EvaluatorSession(ev)
+
+
+def test_session_template_computes_no_priorities(kernel, factory, cloud, monkeypatch):
+    """Priorities shape a drain's schedule and a session runs none: its
+    templates never grade the DAG, and serve the bits a drained
+    critical-path evaluate computes."""
+    import repro.analysis.critical_path as critical_path
+
+    graded = []
+    node_priorities = critical_path.node_priorities
+
+    def counted(*args, **kwargs):
+        graded.append(args)
+        return node_priorities(*args, **kwargs)
+
+    monkeypatch.setattr(critical_path, "node_priorities", counted)
+    rng, pts, w = cloud
+    ev = DashmmEvaluator(
+        kernel,
+        threshold=25,
+        runtime_config=RuntimeConfig(n_localities=3, policy="critical-path"),
+        factory=factory,
+    )
+    cold = ev.evaluate(pts, w, pts).potentials
+    assert graded  # the drain's LCOs carry critical-path levels
+    drained = len(graded)
+    with EvaluatorSession(ev) as sess:
+        assert np.array_equal(sess.submit(pts, w), cold)
+        sess.submit(0.4 * pts + 0.1, w)  # a second template
+        assert sess.stats["template_misses"] == 2
+    assert len(graded) == drained
 
 
 def _hostile(pts, w):
