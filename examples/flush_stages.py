@@ -16,11 +16,17 @@ cold ``evaluate()`` of the same problem the same way: tree, DAG,
 distribution, LCO allocation, the drain's compile (its tables and
 time-zero tasks) and run, the compile of the plan the drain owes, then
 every eager and flush stage of it, and prints the drain's tasks, the
-events its loop handled and the tasks it ran per host second.  It is a
-diagnostic, not a ledger metric: compare two commits only from
-interleaved runs.
+events its loop handled and the tasks it ran per host second.  With
+``--drift`` it first splits drift submits - 50 points moved, as in the
+ledger's ``serve-sim`` alt op - into the tree update, the registrar's
+rebind (the diff of the old tree against the new one), the rest of the
+template refresh (node sizes and distribution, only when a leaf count
+moved) and every stage, and prints how many positions moved per tree
+and how much of the geometry cache the stages recomputed against how
+much they reused.  It is a diagnostic, not a ledger metric: compare two
+commits only from interleaved runs.
 
-Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2] [--cold]
+Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2] [--cold] [--drift]
 """
 
 import argparse
@@ -35,6 +41,8 @@ from repro.hpx.runtime import Runtime, RuntimeConfig
 from repro.kernels import LaplaceKernel
 from repro.kernels.fitops import OperatorFactory
 from repro.tree.dualtree import build_dual_tree
+from repro.tree.fingerprint import dual_shape_fingerprint
+from repro.tree.incremental import moved_positions, update_dual_tree
 
 
 def slab_problem(seed: int, per_leaf: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +147,104 @@ def cold_split(points, charges, repeats: int) -> None:
     print()
 
 
+def counting(fn, rows, tally: dict, name: str):
+    """``fn`` adding the rows (entries) it computes to ``tally[name]``."""
+
+    def counted(*args):
+        tally[name] = tally.get(name, 0) + rows(args[0])
+        return fn(*args)
+
+    return counted
+
+
+def cached_rows(cache: dict) -> dict:
+    """Entries of the greens chunks and rows of the expansion matrices
+    held in a geometry cache."""
+    out = {"greens": 0, "rows": 0}
+    for key, (_, _, mats) in cache.items():
+        if key[0] == "S2T":
+            out["greens"] += sum(m.size for m in mats)
+        else:
+            out["rows"] += sum(len(m) for m in mats)
+    return out
+
+
+def drift_split(points, charges, repeats: int, seed: int) -> None:
+    """Median seconds of each phase of a drift submit - 50 points moved
+    by N(0, 1e-3), as in the ledger's ``serve-sim`` alt op - and what the
+    geometry cache recomputed of what it holds."""
+    evaluator = canonical_evaluator(RuntimeConfig(n_localities=4, workers_per_locality=8))
+    kernel, rng = evaluator.kernel, np.random.default_rng(seed + 2)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    samples: dict = {}
+    moved_at: dict = {"source": [], "target": []}
+    tally: dict = {}
+    held = {"greens": 0, "rows": 0}
+    patched = 0
+    with EvaluatorSession(evaluator) as session:
+        for _ in range(2):  # fit the operators, fill the geometry cache
+            session.submit(points, charges)
+        kernel.greens = counting(kernel.greens, np.size, tally, "greens")
+        for name in ("p2m_matrix", "m2t_matrix", "l2t_matrix"):
+            setattr(kernel, name, counting(getattr(kernel, name), len, tally, "rows"))
+        while patched < repeats:
+            pick = rng.choice(len(points), 50, replace=False)
+            points = points.copy()
+            points[pick] = np.clip(points[pick] + rng.normal(scale=1e-3, size=(50, 3)), lo, hi)
+            tpl = session._current
+            reg = tpl.registrar
+            t0 = time.perf_counter()
+            dual, _ = update_dual_tree(reg.dual, points, points, source_weights=charges)
+            t_tree = time.perf_counter() - t0
+            if dual_shape_fingerprint(dual) != dual_shape_fingerprint(reg.dual):
+                # a new shape builds a template, it patches nothing
+                counted = dict(tally)
+                session.submit(points, charges)
+                tally.clear()
+                tally.update(counted)
+                continue
+            for side, n in moved_at.items():
+                old, new = getattr(reg.dual, side), getattr(dual, side)
+                n.append(np.count_nonzero(moved_positions(old, new)))
+            # the session's refresh: the rebind (the diff) timed inside it
+            rebind, spent = reg.rebind, []
+
+            def timed_rebind(new_dual):
+                t0 = time.perf_counter()
+                counts_moved = rebind(new_dual)
+                spent.append(time.perf_counter() - t0)
+                return counts_moved
+
+            reg.rebind = timed_rebind
+            t_refresh = timed(lambda: session._refresh_template(tpl, dual, charges))
+            del reg.rebind
+            samples.setdefault("tree update", []).append(t_tree)
+            samples.setdefault("rebind/diff", []).append(spent[0])
+            samples.setdefault("refresh/assign", []).append(t_refresh - spent[0])
+            samples.setdefault("reset", []).append(timed(reg.reset))
+            for name, stage in reg.eager_stages() + reg.flush_stages():
+                samples.setdefault(stage_key(name), []).append(timed(stage))
+            for k, v in cached_rows(reg.geom_cache).items():
+                held[k] += v
+            patched += 1
+        out = np.empty(len(points))
+        out[reg.dual.target.perm] = reg.result
+        for name in ("greens", "p2m_matrix", "m2t_matrix", "l2t_matrix"):
+            delattr(kernel, name)
+        with EvaluatorSession(evaluator, domain=session.domain) as cold:
+            cold_out = cold.submit(points, charges)
+        assert np.array_equal(out, cold_out), "patched drift differs from a cold submit"
+    print_medians(f"drift submit, 50 of {len(points)} points moved", samples, repeats)
+    for side, n in moved_at.items():
+        print(f"  moved positions, {side} tree: median {np.median(n):.0f} of {len(points)}")
+    for k in ("greens", "rows"):
+        what = "greens entries" if k == "greens" else "expansion rows"
+        done = tally.get(k, 0)
+        done, reused = done / repeats, (held[k] - done) / repeats
+        print(f"  {what:<15s} recomputed {done:9.0f}  reused {reused:9.0f} per submit")
+    print()
+
+
 def worker_split(points, charges, expected, workers: int, repeats: int) -> None:
     """Median per-rank stage and wait times of ``repeats`` warm rounds."""
     evaluator = canonical_evaluator(RuntimeConfig(backend="parallel", n_localities=workers))
@@ -173,11 +279,14 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workers", type=int, default=0, help="also split a round of this many worker processes")
     ap.add_argument("--cold", action="store_true", help="first split a cold evaluate() of the problem")
+    ap.add_argument("--drift", action="store_true", help="first split drift submits of the problem")
     args = ap.parse_args()
 
     points, charges = slab_problem(args.seed)
     if args.cold:
         cold_split(points, charges, args.repeats)
+    if args.drift:
+        drift_split(points, charges, args.repeats, args.seed)
     evaluator = canonical_evaluator(RuntimeConfig(n_localities=4, workers_per_locality=8))
     samples: dict = {}
     with EvaluatorSession(evaluator) as session:

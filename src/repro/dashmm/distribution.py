@@ -67,6 +67,12 @@ class DistributionPolicy:
     well-balanced ("each locality reaching the region at the same
     time"), and at reduced problem sizes the work split is what
     recovers that property.
+
+    ``assign`` reads the DAG, the tree shape and the per-box point
+    counts, nothing else of the points: over a same-shape tree whose
+    counts did not move, it assigns bit-identical localities, so
+    sessions and parallel workers skip it after a drift that moved no
+    point across a leaf boundary.
     """
 
     name = "base"

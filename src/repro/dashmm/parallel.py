@@ -182,10 +182,12 @@ class _WorkerBody:
         ``kind="weights"``: coordinates untouched - swap the charges
         into the existing tree.
         ``kind="points"``: incrementally update the tree.  A preserved
-        shape rebinds the live registrar, and drops its plans if the
-        node distribution shifted; a changed shape rebuilds the lists,
-        the DAG and the registrar while keeping the process, arena,
-        factory and channel.
+        shape rebinds the live registrar, whose geometry cache the round
+        patches where points moved; only if a leaf's count moved are
+        the node sizes refreshed and the distribution re-run, and the
+        plans dropped if ownership shifted.  A changed shape rebuilds
+        the lists, the DAG and the registrar while keeping the process,
+        arena, factory and channel.
         """
         from repro.dashmm.dag import refresh_n_points
         from repro.tree.fingerprint import dual_shape_fingerprint
@@ -203,19 +205,21 @@ class _WorkerBody:
         new_dual, _info = update_dual_tree(
             self.dual, sources, targets, source_weights=weights
         )
-        # every cached matrix is a function of the coordinates
-        self._geom_cache.clear()
         if dual_shape_fingerprint(new_dual) == old_shape:
-            refresh_n_points(self.dag, new_dual)
-            old_locs = [nd.locality for nd in self.dag.nodes]
-            self.ev.policy.assign(self.dag, new_dual, self.n)
             self.dual = new_dual
-            self.reg.rebind(new_dual)
-            if [nd.locality for nd in self.dag.nodes] != old_locs:
-                # ownership moved: both plan sections bake this rank's
-                # nodes in, and the round's reset seeds the new ones
-                self.reg.invalidate_plans()
+            if self.reg.rebind(new_dual):
+                refresh_n_points(self.dag, new_dual)
+                old_locs = [nd.locality for nd in self.dag.nodes]
+                self.ev.policy.assign(self.dag, new_dual, self.n)
+                if [nd.locality for nd in self.dag.nodes] != old_locs:
+                    # ownership moved: both plan sections bake this
+                    # rank's nodes in, and the round's reset seeds the
+                    # new ones
+                    self.reg.invalidate_plans()
             return
+        # the new registrar takes over the cache, whose entries are
+        # keyed by the old DAG's groups
+        self._geom_cache.clear()
         dag, _ = self.ev.build_dag(new_dual)
         self.ev.policy.assign(dag, new_dual, self.n)
         self.dual, self.dag = new_dual, dag

@@ -64,10 +64,11 @@ from repro.hpx.lco import CountingLCO
 from repro.hpx.parcel import Parcel
 from repro.hpx.runtime import Runtime
 from repro.hpx.scheduler import HIGH, LOW, Task
-from repro.kernels.base import Kernel, pair_distances
+from repro.kernels.base import Kernel, pair_distances, paired_distances
 from repro.kernels.expo import i2i_tables
 from repro.kernels.fitops import OperatorFactory
 from repro.sim.costmodel import CostModel, SizeModel
+from repro.tree.incremental import moved_positions
 
 #: With the binary priority extension on (Section VI), the expansion
 #: pipeline - everything that unlocks downstream dataflow - outranks the
@@ -173,6 +174,65 @@ def _interned(values: list, which: np.ndarray) -> np.ndarray:
     return objs[which]
 
 
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ...`` (``lengths[i]`` values) for every
+    ``i``, concatenated."""
+    first = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+
+
+def _relaid(mats: list, old_counts, counts, dirty: np.ndarray, chunk: int) -> list:
+    """Geometry chunks ``mats``, whose rows are the points of leaves with
+    ``old_counts``, laid out anew over the same leaves with ``counts``
+    in chunks of ``chunk`` rows: each row not ``dirty`` copied from its
+    leaf-relative position in ``mats`` (a leaf whose count moved is
+    dirty throughout), the dirty rows left for the caller to fill."""
+    prev = np.concatenate(mats) if len(mats) > 1 else mats[0]
+    n = len(dirty)
+    was = np.arange(n) + np.repeat(np.cumsum(old_counts) - np.cumsum(counts), counts)
+    # a dirty row may point anywhere: it is overwritten by the caller
+    np.clip(was, 0, len(prev) - 1, out=was)
+    taken = [prev.take(was[lo : lo + chunk], axis=0) for lo in range(0, n, chunk)]
+    if n != len(prev):
+        return taken
+    # as many rows as before: back into the old chunks, so the drift
+    # allocates nothing that outlives it (which would fragment the heap)
+    for mat, rows in zip(mats, taken):
+        mat[...] = rows
+    return mats
+
+
+def _expansion_rows(f, points, pos, center, h) -> np.ndarray:
+    """``f((points[pos] - center) / h, h)``, computed 2048 rows at a time
+    (which bounds the kernel's temporaries)."""
+    if len(pos) <= 2048:
+        return f((points[pos] - center) / h, h)
+    return np.concatenate(
+        [
+            f((points[pos[lo : lo + 2048]] - center[lo : lo + 2048]) / h, h)
+            for lo in range(0, len(pos), 2048)
+        ]
+    )
+
+
+def _leaf_rows(boxes, centers) -> tuple:
+    """Per box its point count, and per point of the boxes, concatenated,
+    its position and its box's center."""
+    counts = np.array([b.count for b in boxes])
+    pos = np.concatenate([np.arange(b.start, b.stop) for b in boxes])
+    return counts, pos, np.repeat(centers[[b.index for b in boxes]], counts, axis=0)
+
+
+def _scatter_rows(mats: list, row: np.ndarray, block: np.ndarray) -> None:
+    """Write ``block`` into rows ``row`` of the 2048-row chunks ``mats``."""
+    if len(mats) == 1:
+        mats[0][row] = block
+        return
+    for c, mat in enumerate(mats):
+        at = row // 2048 == c
+        mat[row[at] - 2048 * c] = block[at]
+
+
 def _permuted(driver, groups, loc) -> list:
     """``groups`` (ascending destination locality) with the destination
     order drawn by the schedule driver: parcels to different localities
@@ -269,9 +329,21 @@ class Registrar:
         #: owned by the persistent session.  None (the default) disables
         #: caching entirely; when set, the stacked passes populate it and
         #: reuse entries on later warm runs.  Entries are keyed so a hit
-        #: reproduces the cold stacked operands bit for bit; the session
-        #: clears it when points move.
+        #: reproduces the cold stacked operands bit for bit.  When points
+        #: move, rebind() diffs the trees and the next walk of the plan
+        #: patches each entry at the rows (and s2t columns) that moved;
+        #: invalidate_plans() clears it.
         self.geom_cache: dict | None = None
+        #: bumped by every rebind(); a cache entry is ``(generation,
+        #: leaf counts, matrices)`` and is current at this generation
+        self._geom_gen = 0
+        #: per tree, the positions of ``dual`` whose point moved in the
+        #: last rebind() - what an entry of the previous generation
+        #: recomputes; None where that rebind found nothing to patch and
+        #: once a walk of the plan has patched it in
+        self._moved: dict | None = None
+        #: per tree, the boxes whose point count the last rebind() moved
+        self._recounted: dict | None = None
         self._nodes = dag.nodes
         self._seed_expansions()
 
@@ -468,18 +540,67 @@ class Registrar:
         if self.geom_cache:
             self.geom_cache.clear()
 
-    def rebind(self, dual) -> None:
-        """Point the registrar at a replacement dual tree of the *same shape*.
+    def rebind(self, dual) -> bool:
+        """Point the registrar at a replacement dual tree of the *same
+        shape*; returns whether any leaf's point count moved.
 
         A spliced tree keeps every box key, id and leaf flag but carries
         re-sorted points and updated start/stop/count tables; the DAG and
         the plans built over the old tree stay structurally valid.
         Box centers depend only on keys and domain, so ``_centers`` is
-        untouched.  Callers must refresh the DAG's ``n_points`` (see
-        :func:`repro.dashmm.dag.refresh_n_points`) and re-run the
-        distribution policy themselves if counts shifted.
+        untouched.  Where counts moved, callers must refresh the DAG's
+        ``n_points`` (see :func:`repro.dashmm.dag.refresh_n_points`) and
+        re-run the distribution policy themselves.
+
+        With a geometry cache, the registrar's own previous tree - the
+        one its entries were computed over - is diffed against ``dual``
+        (:func:`~repro.tree.incremental.moved_positions`), so the next
+        walk of the plan recomputes only the rows that moved.
         """
-        self.dual = dual
+        old, self.dual = self.dual, dual
+        self._geom_gen += 1
+        sides = ("source", "target")
+        self._recounted = {
+            side: getattr(old, side).arrays.counts != getattr(dual, side).arrays.counts
+            for side in sides
+        }
+        self._moved = None
+        if self.geom_cache:
+            self._moved = {
+                side: moved_positions(getattr(old, side), getattr(dual, side)) for side in sides
+            }
+        return any(r.any() for r in self._recounted.values())
+
+    def _patch_rows(self, f, points, h, jobs, chunk) -> None:
+        """Bring expansion-matrix entries of the previous generation into
+        this one with a single ``f`` call (one operator, one scale) for
+        the moved rows of all of them.  A job is ``(key, counts, dirty,
+        pos, center)``: the entry's leaves now hold ``counts`` points,
+        and its rows are ``f((points[pos] - center) / h, h)``, those
+        marked ``dirty`` moved.  Stored in chunks of ``chunk`` rows
+        (None: one matrix)."""
+        cache = self.geom_cache
+        todo, at_pos, at_center = [], [], []
+        for key, now, dirty, pos, center in jobs:
+            _, was, mats = cache[key]
+            if np.array_equal(was, now):
+                now = was
+            else:
+                # replaced at once, so the old layout goes now
+                mats = _relaid(mats, was, now, dirty, chunk or len(dirty))
+                cache[key] = (self._geom_gen - 1, now, mats)
+            sel = np.flatnonzero(dirty)
+            todo.append((key, now, mats, sel))
+            at_pos.append(pos[sel])
+            at_center.append(center[sel])
+        pos, center = np.concatenate(at_pos), np.concatenate(at_center)
+        values = _expansion_rows(f, points, pos, center, h) if len(pos) else None
+        lo = 0
+        for key, now, mats, sel in todo:
+            if len(sel):
+                _scatter_rows(mats, sel, values[lo : lo + len(sel)])
+                lo += len(sel)
+            cache[key] = (self._geom_gen, now, mats)
 
     def _node_priority(self, node: DagNode) -> int:
         """Expansion nodes drive the critical chain; leaf data does not.
@@ -731,32 +852,39 @@ class Registrar:
                 if only is not None and loc != only:
                     continue
                 by_level.setdefault((b.level, loc), []).append(b)
-        cache = self.geom_cache
+        cache, gen = self.geom_cache, self._geom_gen
+        if cache and self._moved is not None:
+            # a drift: patch the basis rows of the moved points, one
+            # p2m_matrix call per level
+            jobs: dict[int, list] = {}
+            for (level, loc), boxes in by_level.items():
+                key = ("p2m", level, loc)
+                entry = cache.get(key)
+                if entry is not None and entry[0] == gen - 1:
+                    counts, pos, center = _leaf_rows(boxes, centers)
+                    jobs.setdefault(level, []).append(
+                        (key, counts, self._moved["source"][pos], pos, center)
+                    )
+            p2m = self.kernel.p2m_matrix
+            for level, batch in jobs.items():
+                self._patch_rows(p2m, src.points, dom.box_size(level), batch, None)
         out: dict[int, np.ndarray] = {}
         for (level, loc), boxes in by_level.items():
             h = dom.box_size(level)
             w = np.concatenate([src.weights[b.start : b.stop] for b in boxes])
             # the p2m basis matrix depends only on point geometry (and
             # scale), not on the charges: a weights-only resubmission
-            # reuses it and pays one elementwise multiply.  Computed
-            # chunk by chunk exactly like the uncached path, and the
-            # elementwise product w[:, None] * P is chunking-invariant,
-            # so a cache hit is bit-identical to a cold fit.
-            ck = ("p2m", level, loc, len(w))
-            P = cache.get(ck) if cache is not None else None
-            if P is None:
-                rel = (
-                    np.concatenate(
-                        [src.points[b.start : b.stop] - centers[b.index] for b in boxes]
-                    )
-                    / h
-                )
-                P = np.empty((len(rel), self.kernel.size), dtype=complex)
-                for lo in range(0, len(rel), 2048):
-                    hi = lo + 2048
-                    P[lo:hi] = self.kernel.p2m_matrix(rel[lo:hi], h)
+            # reuses it and pays one elementwise multiply, which is
+            # row-wise, so a cache hit is bit-identical to a cold fit
+            ck = ("p2m", level, loc)
+            entry = cache.get(ck) if cache is not None else None
+            if entry is not None and entry[0] == gen:
+                P = entry[2][0]
+            else:
+                counts, pos, center = _leaf_rows(boxes, centers)
+                P = _expansion_rows(self.kernel.p2m_matrix, src.points, pos, center, h)
                 if cache is not None:
-                    cache[ck] = P
+                    cache[ck] = (gen, counts, [P])
             rows = w[:, None] * P
             starts = np.zeros(len(boxes), dtype=np.intp)
             starts[1:] = np.cumsum([b.count for b in boxes])[:-1]
@@ -1031,7 +1159,7 @@ class Registrar:
             return
         dom = self.dual.domain
         src, tgt = self.dual.source, self.dual.target
-        res, cache, kernel = self.result, self.geom_cache, self.kernel
+        res, cache, kernel, gen = self.result, self.geom_cache, self.kernel, self._geom_gen
         cached_direct = cache is not None and type(kernel).direct is Kernel.direct
         # target-point index of every (edge, point) pair, in plan order
         ta = tgt.arrays
@@ -1039,11 +1167,17 @@ class Registrar:
         ends = np.cumsum(counts)
         point_idx = np.repeat(ta.starts[plan.out_tbox] - (ends - counts), counts)
         point_idx += np.arange(len(point_idx))
+        if cache and self._moved is not None:
+            self._patch_outputs(plan, point_idx, counts, ends)
         for g in plan.outputs:
             p_lo = ends[g.lo] - counts[g.lo]
             idx = point_idx[p_lo : ends[g.hi - 1]]
-            # the target points are gathered chunk by chunk, and only
-            # where a chunk misses the geometry cache
+            # one cache entry per group, its matrices chunk by chunk; the
+            # target points are gathered only where an entry is missed
+            # or patched
+            key = (g.op, g.sub, g.loc)
+            entry = cache.get(key) if cache is not None else None
+            mats = entry[2] if entry is not None and entry[0] == gen else None
             if g.op == "S2T":
                 sbox = src.boxes[plan.out_sbox[g.lo]]
                 spts = src.points[sbox.start : sbox.stop]
@@ -1057,14 +1191,14 @@ class Registrar:
                     # matvec against the fresh charges.  Identical
                     # chunking and per-chunk matvec operands make hit
                     # and miss bit-identical to the uncached direct sum.
+                    if mats is None:
+                        mats = [
+                            kernel.greens(pair_distances(tgt.points[idx[lo : lo + 2048]], spts))
+                            for lo in range(0, len(idx), 2048)
+                        ]
+                        cache[key] = (gen, counts[g.lo : g.hi].copy(), mats)
                     out = np.zeros(len(idx))
-                    for lo in range(0, len(idx), 2048):
-                        ck = (g.op, g.sub, g.loc, lo)
-                        G = cache.get(ck)
-                        if G is None:
-                            G = cache[ck] = kernel.greens(
-                                pair_distances(tgt.points[idx[lo : lo + 2048]], spts)
-                            )
+                    for lo, G in zip(range(0, len(idx), 2048), mats):
                         out[lo : lo + 2048] = G @ sw
             else:
                 h = dom.box_size(g.sub)
@@ -1081,16 +1215,170 @@ class Registrar:
                 # row-dot - the same (matrix * rows).sum contraction as
                 # m2t_rows / l2t_rows, hence bit-identical
                 matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
+                fresh = []
                 out = np.empty(len(idx))
-                for lo in range(0, len(idx), 2048):
+                for c, lo in enumerate(range(0, len(idx), 2048)):
                     sel = eidx[lo : lo + 2048]
-                    ck = (g.op, g.sub, g.loc, lo)
-                    mat = cache.get(ck) if cache is not None else None
-                    if mat is None:
+                    if mats is None:
                         mat = matf((tgt.points[idx[lo : lo + 2048]] - centers[sel]) / h, h)
-                        if cache is not None:
-                            cache[ck] = mat
+                        fresh.append(mat)
+                    else:
+                        mat = mats[c]
                     out[lo : lo + 2048] = (mat * coeffs[sel]).sum(axis=1).real
+                if fresh and cache is not None:
+                    cache[key] = (gen, counts[g.lo : g.hi].copy(), fresh)
             # sequential, like the per-box loop it replaces: a target
             # box may appear under several M->T edges of one group
             np.add.at(res, idx, out)
+        # the last stage of a walk: every entry is current, so the next
+        # walk, unless a rebind() comes first, needs no patch pass
+        self._moved = None
+
+    def _patch_outputs(self, plan: FlushPlan, point_idx, counts, ends) -> None:
+        """Bring the previous generation's output entries into this one
+        in array passes over the plan's edges, not group by group (edge
+        ``e`` owns the plan's points up to ``ends[e]``, target positions
+        ``point_idx``; its target leaf holds ``counts[e]``).
+
+        An entry no moved point reaches - no target leaf of the group,
+        nor the source leaf of an S->T group, holds one - is carried as
+        it is.  An M->T / L->T entry a moved point reaches gets its moved
+        rows from one evaluation-matrix call per (op, level)
+        (:meth:`_patch_rows`).  An S->T entry whose source leaf kept its
+        count is relaid where a target leaf's count moved
+        (:func:`_relaid`), then gets the greens of every (moved target,
+        source point) pair of all those groups in one flat pass, and of
+        every (target, moved source) pair in another.  An S->T entry of
+        a new width is left to the flush, which computes it afresh.
+        """
+        cache, gen, moved = self.geom_cache, self._geom_gen, self._moved
+        src, tgt, outputs = self.dual.source, self.dual.target, plan.outputs
+        box_moved = {}
+        for side in ("source", "target"):
+            a = getattr(self.dual, side).arrays
+            seen = np.concatenate(([0], np.cumsum(moved[side])))
+            box_moved[side] = seen[a.stops] > seen[a.starts]
+        lo = np.array([g.lo for g in outputs])
+        bounds = np.concatenate(([0], ends))[np.append(lo, len(ends))]
+        s2t = np.array([g.op == "S2T" for g in outputs])
+        sbox = np.zeros(len(outputs), dtype=np.int64)
+        sbox[s2t] = plan.out_sbox[lo[s2t]]
+        touched = np.logical_or.reduceat(box_moved["target"][plan.out_tbox], lo)
+        touched[s2t] |= box_moved["source"][sbox[s2t]]
+        patchable = (s2t & ~self._recounted["source"][sbox]).tolist()
+        recount = np.logical_or.reduceat(self._recounted["target"][plan.out_tbox], lo).tolist()
+        patch, jobs = [], {}
+        for i, (g, hit) in enumerate(zip(outputs, touched.tolist())):
+            key = (g.op, g.sub, g.loc)
+            entry = cache.get(key)
+            if entry is None or entry[0] != gen - 1:
+                continue
+            if not hit:
+                cache[key] = (gen, *entry[1:])
+            elif g.op != "S2T":
+                jobs.setdefault((g.op, g.sub), []).append((i, key))
+            elif patchable[i]:
+                patch.append((i, key))
+        spans = bounds.tolist()
+        for (op, level), batch in jobs.items():
+            side = "source" if op == "M2T" else "target"
+            work = []
+            for i, key in batch:
+                g = outputs[i]
+                idx = point_idx[spans[i] : spans[i + 1]]
+                now = counts[g.lo : g.hi].copy()
+                center = np.repeat(self._centers[side][plan.out_sbox[g.lo : g.hi]], now, axis=0)
+                work.append((key, now, moved["target"][idx], idx, center))
+            matf = self.kernel.m2t_matrix if op == "M2T" else self.kernel.l2t_matrix
+            self._patch_rows(matf, tgt.points, self.dual.domain.box_size(level), work, 2048)
+        if not patch:
+            return
+        ids = np.array([i for i, _ in patch])
+        hot = np.zeros(len(outputs), dtype=bool)
+        hot[ids] = True
+        dirty = moved["target"][point_idx] & np.repeat(hot, np.diff(bounds))
+        # the new layouts first, each replacing its entry at once: the
+        # heap never holds two layouts of many groups, and the flat
+        # passes' temporaries come after the long-lived chunks
+        laid = []
+        for i, key in patch:
+            _, now, mats = cache[key]
+            if recount[i]:
+                g = outputs[i]
+                was, now = now, counts[g.lo : g.hi].copy()
+                mats = _relaid(mats, was, now, dirty[spans[i] : spans[i + 1]], 2048)
+                cache[key] = (gen - 1, now, mats)
+            laid.append((i, key, now, mats))
+        # the flat passes, a batch of groups of about 2**14 pairs at a
+        # time: their temporaries come on top of the whole cache
+        rows = np.flatnonzero(dirty)
+        group = np.searchsorted(bounds, rows, side="right") - 1
+        sources = np.flatnonzero(moved["source"])
+        s_start, s_count = src.arrays.starts[sbox], src.arrays.counts[sbox]
+        n_cols = np.searchsorted(sources, s_start + s_count) - np.searchsorted(sources, s_start)
+        pairs = np.bincount(group, s_count[group], len(outputs)) + np.diff(bounds) * n_cols
+        batch, size = [], 0
+        for item in laid:
+            batch.append(item)
+            size += pairs[item[0]]
+            if size >= 1 << 14 or item is laid[-1]:
+                self._patch_greens(batch, point_idx, bounds, sbox, rows, group, sources)
+                batch, size = [], 0
+
+    def _patch_greens(self, laid, point_idx, bounds, sbox, rows, group, sources) -> None:
+        """The flat passes of :meth:`_patch_outputs` over the S->T
+        entries ``laid`` (``(group, key, counts, chunks)``, laid out for
+        this generation): the greens of every (moved target, source
+        point) pair, then of every (target, moved source) pair, written
+        into the chunks.  ``rows`` are the plan's points whose target
+        moved (in group ``group``), ``sources`` the moved source
+        positions; group ``i`` owns the plan's points ``bounds[i]:
+        bounds[i + 1]`` and the source leaf ``sbox[i]``."""
+        src, tgt, gen = self.dual.source, self.dual.target, self._geom_gen
+        s_start, s_count = src.arrays.starts[sbox], src.arrays.counts[sbox]
+        ids = np.array([i for i, _, _, _ in laid])
+        hot = np.zeros(len(sbox), dtype=bool)
+        hot[ids] = True
+        rows, group = rows[hot[group]], group[hot[group]]
+        # rows: each moved target against its group's source leaf
+        reps = s_count[group]
+        row_values = self.kernel.greens(
+            paired_distances(
+                tgt.points,
+                src.points,
+                np.repeat(point_idx[rows], reps),
+                _runs(s_start[group], reps),
+            )
+        )
+        row_at = np.concatenate(([0], np.cumsum(reps))).tolist()
+        row_local = rows - bounds[group]
+        # columns: every target of a group against its moved sources
+        c_lo = np.searchsorted(sources, s_start[ids])
+        width = np.searchsorted(sources, s_start[ids] + s_count[ids]) - c_lo
+        col_ids, c_lo, width = ids[width > 0], c_lo[width > 0], width[width > 0]
+        height = np.diff(bounds)[col_ids]
+        per_row = np.repeat(width, height)
+        col_values = self.kernel.greens(
+            paired_distances(
+                tgt.points,
+                src.points,
+                np.repeat(point_idx[_runs(bounds[col_ids], height)], per_row),
+                sources[_runs(np.repeat(c_lo, height), per_row)],
+            )
+        )
+        col_at = np.concatenate(([0], np.cumsum(height * width))).tolist()
+        col_of = {i: j for j, i in enumerate(col_ids.tolist())}
+        ats = np.searchsorted(group, ids).tolist()
+        tos = np.searchsorted(group, ids, side="right").tolist()
+        spans = bounds.tolist()
+        for (i, key, now, mats), at, to in zip(laid, ats, tos):
+            if at < to:
+                block = row_values[row_at[at] : row_at[to]].reshape(to - at, -1)
+                _scatter_rows(mats, row_local[at:to], block)
+            j = col_of.get(i)
+            if j is not None:
+                block = col_values[col_at[j] : col_at[j + 1]].reshape(spans[i + 1] - spans[i], -1)
+                cols = sources[c_lo[j] : c_lo[j] + width[j]] - s_start[i]
+                for c0, mat in zip(range(0, len(block), 2048), mats):
+                    mat[:, cols] = block[c0 : c0 + 2048]
+            self.geom_cache[key] = (gen, now, mats)

@@ -18,6 +18,11 @@ amortizes all of that:
   and shape skips interaction-list construction and DAG assembly
   entirely and only resets/refills the numeric state, while a method
   (or schema) change misses instead of replaying a stale graph.
+* **Patched geometry**: a drift submit keeps the template's geometry
+  cache.  :meth:`~repro.dashmm.registrar.Registrar.rebind` diffs the
+  template's previous tree against the new one, and the next flush
+  recomputes only the cached rows (and S->T columns) whose point moved;
+  the distribution policy re-runs only when a leaf's count moved.
 * **A long-lived session**: :class:`EvaluatorSession` exposes
   ``submit(points, charges) -> potentials`` over both backends.  On
   ``sim`` every submit - the first included - runs the template
@@ -52,11 +57,7 @@ from repro.dashmm.dag import refresh_n_points
 from repro.dashmm.registrar import Registrar
 from repro.tree.box import Domain
 from repro.tree.dualtree import DualTree, build_dual_tree, checked_points, checked_weights
-from repro.tree.fingerprint import (
-    dual_full_fingerprint,
-    dual_shape_fingerprint,
-    geometry_token,
-)
+from repro.tree.fingerprint import dual_shape_fingerprint, geometry_token
 from repro.tree.incremental import update_dual_tree
 
 
@@ -94,10 +95,9 @@ def check_plan_only(evaluator, who: str) -> None:
 @dataclass
 class _Template:
     """One cached shape: the registrar (structural DAG, current tree,
-    plans, caches) + what its tree looked like."""
+    plans, caches) + the token of its tree's coordinates."""
 
     registrar: Registrar
-    full_fp: tuple
     geom_token: int
 
 
@@ -266,12 +266,20 @@ class EvaluatorSession:
         reg.geom_cache = {}
         return _Template(
             registrar=reg,
-            full_fp=dual_full_fingerprint(dual),
             geom_token=geometry_token(dual.source.points, dual.target.points),
         )
 
     def _refresh_template(self, tpl: _Template, dual: DualTree, weights) -> None:
-        """Rebind a cached template to this submission's tree + charges."""
+        """Rebind a cached template to this submission's tree + charges.
+
+        Moved points rebind the template's registrar, which diffs its
+        own previous tree - the one its geometry cache was computed
+        over, also when the template is revisited after a shape change -
+        against this one; the next flush recomputes only the cached rows
+        and columns that moved.  Localities are re-assigned only when a
+        leaf's count moved: the policy reads nothing else that a
+        same-shape tree can change.
+        """
         ev = self.evaluator
         reg = tpl.registrar
         gt = geometry_token(dual.source.points, dual.target.points)
@@ -279,24 +287,18 @@ class EvaluatorSession:
             # pure re-query: same coordinates, (possibly) new charges -
             # keep the template's own tree and every geometry cache
             reg.dual.source.set_weights(weights)
-        else:
-            reg.rebind(dual)
-            full = dual_full_fingerprint(dual)
-            if full != tpl.full_fp:
-                # points crossed leaf boundaries: node sizes and (under
-                # work balancing) locality cuts may have shifted
-                refresh_n_points(reg.dag, dual)
-                old_locs = [nd.locality for nd in reg.dag.nodes]
-                ev.policy.assign(reg.dag, dual, ev.runtime_config.n_localities)
-                if [nd.locality for nd in reg.dag.nodes] != old_locs:
-                    # both plan sections bake group-by-locality
-                    # compositions in; a shifted assignment makes them
-                    # stale
-                    reg.invalidate_plans()
-                tpl.full_fp = full
-            # every cached matrix is a function of the coordinates
-            reg.geom_cache.clear()
-            tpl.geom_token = gt
+            return
+        if reg.rebind(dual):
+            # points crossed leaf boundaries: node sizes and (under
+            # work balancing) locality cuts may have shifted
+            refresh_n_points(reg.dag, dual)
+            old_locs = [nd.locality for nd in reg.dag.nodes]
+            ev.policy.assign(reg.dag, dual, ev.runtime_config.n_localities)
+            if [nd.locality for nd in reg.dag.nodes] != old_locs:
+                # both plan sections bake group-by-locality compositions
+                # in; a shifted assignment makes them stale
+                reg.invalidate_plans()
+        tpl.geom_token = gt
 
     def _execute(self, tpl: _Template) -> np.ndarray:
         """Run the compiled plan over the template's current tree and

@@ -58,6 +58,24 @@ def pair_distances(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
+def paired_distances(
+    targets: np.ndarray, sources: np.ndarray, t_idx: np.ndarray, s_idx: np.ndarray
+) -> np.ndarray:
+    """Distance of target ``t_idx[i]`` to source ``s_idx[i]``, for every
+    ``i``: the ``(t, s)`` entry of :func:`pair_distances` bit for bit
+    (the same operations in the same order, elementwise), gathered one
+    coordinate at a time."""
+    d2 = targets[:, 0][t_idx] - sources[:, 0][s_idx]
+    d2 *= d2
+    d = targets[:, 1][t_idx] - sources[:, 1][s_idx]
+    d *= d
+    d2 += d
+    np.subtract(targets[:, 2][t_idx], sources[:, 2][s_idx], out=d)
+    d *= d
+    d2 += d
+    return np.sqrt(d2, out=d2)
+
+
 @dataclass
 class Expansion:
     """A series expansion attached to a box.
@@ -79,7 +97,16 @@ class Expansion:
 
 
 class Kernel(ABC):
-    """Base class for interaction kernels (Laplace, Yukawa, user-defined)."""
+    """Base class for interaction kernels (Laplace, Yukawa, user-defined).
+
+    Contract: every row of :meth:`p2m_matrix`, :meth:`m2t_matrix` and
+    :meth:`l2t_matrix` depends only on its own point, and every entry of
+    :meth:`greens` only on its own distance - computed over a subset of
+    the points, they equal the same rows (entries) of the full result
+    bit for bit.  A session's geometry cache relies on it: a drift
+    submit recomputes only the rows and columns whose point moved
+    (``tests/test_kernel_contract.py`` checks the shipped kernels).
+    """
 
     #: short name used in reports and operator-cache keys
     name: str = "kernel"

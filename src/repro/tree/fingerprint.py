@@ -75,8 +75,10 @@ def geometry_token(*arrays: np.ndarray) -> int:
     """CRC over raw coordinate bytes: keys caches of *numeric* geometry.
 
     Shape and counts can survive a perturbation while the coordinates do
-    not; caches of point-derived matrices (p2m rows, evaluation rows)
-    key on this token and drop when any byte of the positions moves.
+    not.  A session compares this token to tell a charge-only submit,
+    which reuses every cached point-derived matrix (p2m rows, evaluation
+    rows, greens chunks) as it is, from a drift, which patches them
+    where points moved (:meth:`repro.dashmm.registrar.Registrar.rebind`).
     """
     crc = 0
     for a in arrays:

@@ -352,6 +352,27 @@ def _update_tree(
     return new, "recarved"
 
 
+def moved_positions(old: Tree, new: Tree) -> np.ndarray:
+    """Which sorted positions of ``new`` hold a point ``old`` did not.
+
+    ``new`` has ``old``'s shape: the same box keys and leaves.  A
+    position is *moved* where its leaf's count changed, or where its
+    coordinates differ, byte for byte, from ``old``'s point at the same
+    leaf-relative position.  One vectorised pass over the leaves in
+    Morton order, which tile ``[0, n)`` in both trees.
+    """
+    leaves = new.leaf_indices
+    na, oa = new.arrays, old.arrays
+    leaves = leaves[np.argsort(na.starts[leaves])]
+    counts = na.counts[leaves]
+    moved = np.repeat(counts != oa.counts[leaves], counts)
+    kept = np.flatnonzero(~moved)
+    shift = np.repeat(oa.starts[leaves] - na.starts[leaves], counts)
+    was = old.points.view(np.int64)[kept + shift[kept]]
+    moved[kept] = (new.points.view(np.int64)[kept] != was).any(axis=1)
+    return moved
+
+
 def update_dual_tree(
     dual: DualTree,
     sources: np.ndarray,

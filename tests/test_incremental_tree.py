@@ -13,7 +13,7 @@ from repro.tree.fingerprint import (
     dual_shape_fingerprint,
     tree_shape_fingerprint,
 )
-from repro.tree.incremental import update_dual_tree, update_tree
+from repro.tree.incremental import moved_positions, update_dual_tree, update_tree
 
 THRESHOLD = 25
 
@@ -87,6 +87,31 @@ def test_splice_keeps_ids_and_matches_cold_build(base):
     cold = build_tree(src2, dual.source.domain, THRESHOLD, weights=w)
     assert_tree_equal(new, cold)
     assert tree_shape_fingerprint(new) == tree_shape_fingerprint(cold)
+
+
+def test_moved_positions_against_a_leaf_by_leaf_walk(base):
+    """A position moved where its leaf's count changed or its point is not
+    the old tree's point at the same leaf-relative position, byte for
+    byte."""
+    rng, src, tgt, w, dual = base
+    src2 = src.copy()
+    idx = rng.choice(len(src), size=20, replace=False)
+    src2[idx] = np.clip(src2[idx] + rng.normal(scale=2e-2, size=(20, 3)), 0.0, 1.0)
+    src2[idx[0]] = src[idx[0]] + 1e-12  # within its deep cell
+    new, status = update_tree(dual.source, src2, weights=w)
+    assert status == "spliced"
+    old = dual.source
+    expected = np.zeros(len(src), dtype=bool)
+    for a, b in zip(old.boxes, new.boxes):
+        for r in range(b.count if b.is_leaf else 0):
+            expected[b.start + r] = a.count != b.count or (
+                old.points[a.start + r].tobytes() != new.points[b.start + r].tobytes()
+            )
+    moved = moved_positions(old, new)
+    assert np.array_equal(moved, expected)
+    assert 0 < np.count_nonzero(moved) < len(src)
+    assert any(a.count != b.count for a, b in zip(old.boxes, new.boxes))
+    assert not moved_positions(new, new).any()
 
 
 def test_recarve_matches_cold_build(base):
