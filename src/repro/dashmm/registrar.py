@@ -204,15 +204,16 @@ def _relaid(mats: list, old_counts, counts, dirty: np.ndarray, chunk: int) -> li
 
 def _expansion_rows(f, points, pos, center, h) -> np.ndarray:
     """``f((points[pos] - center) / h, h)``, computed 2048 rows at a time
-    (which bounds the kernel's temporaries)."""
+    (which bounds the kernel's temporaries) into one preallocated
+    matrix."""
+    first = f((points[pos[:2048]] - center[:2048]) / h, h)
     if len(pos) <= 2048:
-        return f((points[pos] - center) / h, h)
-    return np.concatenate(
-        [
-            f((points[pos[lo : lo + 2048]] - center[lo : lo + 2048]) / h, h)
-            for lo in range(0, len(pos), 2048)
-        ]
-    )
+        return first
+    out = np.empty((len(pos), *first.shape[1:]), dtype=first.dtype)
+    out[:2048] = first
+    for lo in range(2048, len(pos), 2048):
+        out[lo : lo + 2048] = f((points[pos[lo : lo + 2048]] - center[lo : lo + 2048]) / h, h)
+    return out
 
 
 def _leaf_rows(boxes, centers) -> tuple:
@@ -1215,17 +1216,19 @@ class Registrar:
                 # row-dot - the same (matrix * rows).sum contraction as
                 # m2t_rows / l2t_rows, hence bit-identical
                 matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
-                fresh = []
+                # without a cache no chunk outlives its row-dot
+                fresh = [] if cache is not None else None
                 out = np.empty(len(idx))
                 for c, lo in enumerate(range(0, len(idx), 2048)):
                     sel = eidx[lo : lo + 2048]
                     if mats is None:
                         mat = matf((tgt.points[idx[lo : lo + 2048]] - centers[sel]) / h, h)
-                        fresh.append(mat)
+                        if fresh is not None:
+                            fresh.append(mat)
                     else:
                         mat = mats[c]
                     out[lo : lo + 2048] = (mat * coeffs[sel]).sum(axis=1).real
-                if fresh and cache is not None:
+                if fresh:
                     cache[key] = (gen, counts[g.lo : g.hi].copy(), fresh)
             # sequential, like the per-box loop it replaces: a target
             # box may appear under several M->T edges of one group
