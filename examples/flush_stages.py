@@ -18,13 +18,14 @@ time-zero tasks) and run, the compile of the plan the drain owes, then
 every eager and flush stage of it, and prints the drain's tasks, the
 events its loop handled and the tasks it ran per host second.  With
 ``--drift`` it first splits drift submits - 50 points moved, as in the
-ledger's ``serve-sim`` alt op - into the tree update, the registrar's
-rebind (the diff of the old tree against the new one), the rest of the
-template refresh (node sizes and distribution, only when a leaf count
-moved) and every stage, and prints how many positions moved per tree
-and how much of the geometry cache the stages recomputed against how
-much they reused.  It is a diagnostic, not a ledger metric: compare two
-commits only from interleaved runs.
+ledger's ``serve-sim`` alt op - into the phases of the template store's
+advance: the tree update, the registrar's rebind (the diff of the old
+tree against the new one) and the rest (the exact charge-only check,
+the shape lookup, node sizes and distribution only when a leaf count
+moved); then the reset and every stage.  It prints how many positions
+moved per tree and how much of the geometry cache the stages
+recomputed against how much they reused.  It is a diagnostic, not a
+ledger metric: compare two commits only from interleaved runs.
 
 Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2] [--cold] [--drift]
 """
@@ -35,14 +36,14 @@ import time
 
 import numpy as np
 
+import repro.dashmm.service as service
 from repro.dashmm import DashmmEvaluator, EvaluatorSession
 from repro.dashmm.registrar import Registrar
 from repro.hpx.runtime import Runtime, RuntimeConfig
 from repro.kernels import LaplaceKernel
 from repro.kernels.fitops import OperatorFactory
 from repro.tree.dualtree import build_dual_tree
-from repro.tree.fingerprint import dual_shape_fingerprint
-from repro.tree.incremental import moved_positions, update_dual_tree
+from repro.tree.incremental import moved_positions
 
 
 def slab_problem(seed: int, per_leaf: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +60,18 @@ def timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def timing(fn, name: str, spent: dict):
+    """``fn`` recording the seconds of its call in ``spent[name]``."""
+
+    def call(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        spent[name] = time.perf_counter() - t0
+        return out
+
+    return call
 
 
 def stage_key(name) -> str:
@@ -187,46 +200,45 @@ def drift_split(points, charges, repeats: int, seed: int) -> None:
         kernel.greens = counting(kernel.greens, np.size, tally, "greens")
         for name in ("p2m_matrix", "m2t_matrix", "l2t_matrix"):
             setattr(kernel, name, counting(getattr(kernel, name), len, tally, "rows"))
-        while patched < repeats:
-            pick = rng.choice(len(points), 50, replace=False)
-            points = points.copy()
-            points[pick] = np.clip(points[pick] + rng.normal(scale=1e-3, size=(50, 3)), lo, hi)
-            tpl = session._current
-            reg = tpl.registrar
-            t0 = time.perf_counter()
-            dual, _ = update_dual_tree(reg.dual, points, points, source_weights=charges)
-            t_tree = time.perf_counter() - t0
-            if dual_shape_fingerprint(dual) != dual_shape_fingerprint(reg.dual):
-                # a new shape builds a template, it patches nothing
-                counted = dict(tally)
-                session.submit(points, charges)
-                tally.clear()
-                tally.update(counted)
-                continue
-            for side, n in moved_at.items():
-                old, new = getattr(reg.dual, side), getattr(dual, side)
-                n.append(np.count_nonzero(moved_positions(old, new)))
-            # the session's refresh: the rebind (the diff) timed inside it
-            rebind, spent = reg.rebind, []
-
-            def timed_rebind(new_dual):
-                t0 = time.perf_counter()
-                counts_moved = rebind(new_dual)
-                spent.append(time.perf_counter() - t0)
-                return counts_moved
-
-            reg.rebind = timed_rebind
-            t_refresh = timed(lambda: session._refresh_template(tpl, dual, charges))
-            del reg.rebind
-            samples.setdefault("tree update", []).append(t_tree)
-            samples.setdefault("rebind/diff", []).append(spent[0])
-            samples.setdefault("refresh/assign", []).append(t_refresh - spent[0])
-            samples.setdefault("reset", []).append(timed(reg.reset))
-            for name, stage in reg.eager_stages() + reg.flush_stages():
-                samples.setdefault(stage_key(name), []).append(timed(stage))
-            for k, v in cached_rows(reg.geom_cache).items():
-                held[k] += v
-            patched += 1
+        # the store's advance, split by timing its two phases inside it
+        store, spent = session._store, {}
+        update, rebind = service.update_dual_tree, Registrar.rebind
+        service.update_dual_tree = timing(update, "tree update", spent)
+        Registrar.rebind = timing(rebind, "rebind/diff", spent)
+        try:
+            while patched < repeats:
+                pick = rng.choice(len(points), 50, replace=False)
+                points = points.copy()
+                points[pick] = np.clip(points[pick] + rng.normal(scale=1e-3, size=(50, 3)), lo, hi)
+                before = store.current
+                old = before.dual
+                spent.clear()
+                t_advance = timed(lambda: store.advance(points, charges, points))
+                reg = store.current
+                if reg is not before:
+                    # a new shape builds a template, it patches nothing;
+                    # its first reuse allocates its cache
+                    counted = dict(tally)
+                    reg.reset()
+                    reg.flush_deferred()
+                    session.submit(points, charges)
+                    tally.clear()
+                    tally.update(counted)
+                    continue
+                for side, n in moved_at.items():
+                    moved = moved_positions(getattr(old, side), getattr(reg.dual, side))
+                    n.append(np.count_nonzero(moved))
+                for name, t in spent.items():
+                    samples.setdefault(name, []).append(t)
+                samples.setdefault("refresh/assign", []).append(t_advance - sum(spent.values()))
+                samples.setdefault("reset", []).append(timed(reg.reset))
+                for name, stage in reg.eager_stages() + reg.flush_stages():
+                    samples.setdefault(stage_key(name), []).append(timed(stage))
+                for k, v in cached_rows(reg.geom_cache).items():
+                    held[k] += v
+                patched += 1
+        finally:
+            service.update_dual_tree, Registrar.rebind = update, rebind
         out = np.empty(len(points))
         out[reg.dual.target.perm] = reg.result
         for name in ("greens", "p2m_matrix", "m2t_matrix", "l2t_matrix"):
@@ -292,7 +304,7 @@ def main() -> None:
     with EvaluatorSession(evaluator) as session:
         for _ in range(2):  # fit the operators, fill the geometry cache
             expected = session.submit(points, charges)
-        reg = session._current.registrar
+        reg = session._store.current
         for _ in range(args.repeats):
             samples.setdefault("reset", []).append(timed(reg.reset))
             for name, stage in reg.eager_stages() + reg.flush_stages():

@@ -16,9 +16,10 @@ Execution model - *replicated metadata, partitioned execution*:
   lists, DAG and distribution from those arrays - setup is a pure
   function of the inputs, so all ranks (and the parent) agree on node
   ids, edge order and localities without shipping the structures.
-* Each worker runs the plan on a registrar with no runtime and no LCOs,
-  ``Registrar(None, ...)`` restricted to its rank (``_rank``), whose
-  expansion store holds *its* nodes, and compiles the execution plan
+* Each worker holds the session's template store
+  (:class:`~repro.dashmm.service.TemplateStore`): registrars with no
+  runtime and no LCOs, restricted to its rank (``_rank``), whose
+  expansion store holds *its* nodes.  It compiles the execution plan
   (:mod:`repro.dashmm.flushplan`) for that rank: the
   edges whose destination it owns, as one ordered stage list - leaf
   fits, the upward sweep level by level, the S->L / M->L folds, M->I,
@@ -26,8 +27,14 @@ Execution model - *replicated metadata, partitioned execution*:
   (:meth:`~repro.dashmm.registrar.Registrar.eager_stages` +
   :meth:`~repro.dashmm.registrar.Registrar.flush_stages`) - with, per
   stage, the expansions it owes each peer (``sends``) and reads from
-  each peer (``recvs``).  A round is what a session's submit is: reset,
-  then walk the list.  No task is enqueued and no LCO counts down.
+  each peer (``recvs``).  No task is enqueued and no LCO counts down.
+
+GO carries nothing: the parent writes a submission's inputs into the
+arena and posts a bare ``("go",)``, and every round is what a session's
+submit is - ``advance -> reset -> stages`` - on each rank.  The store's
+advance is idempotent, so the cold round (set up before GO, outside the
+timed window), a charge-only round, a drift, a shape change and a
+re-drive on respawned workers are all the same message.
 
 The pipeline (:meth:`_WorkerBody._round`), per stage: *post* to every
 peer in ``sends[stage]`` one frame with the rows that peer's stage
@@ -80,8 +87,7 @@ import traceback
 
 import numpy as np
 
-from repro.dashmm.registrar import Registrar
-from repro.dashmm.service import check_plan_only
+from repro.dashmm.service import TemplateStore, check_plan_only, same_points
 from repro.hpx.parallel import ParallelError, QueueChannel, seed_worker_rngs
 
 
@@ -92,9 +98,8 @@ class _Stop(Exception):
 class _WorkerBody:
     """The evaluation loop of one locality process."""
 
-    def __init__(self, rank: int, n: int, spec: dict, manifest: dict, inboxes, parent_q):
+    def __init__(self, rank: int, spec: dict, manifest: dict, inboxes, parent_q):
         self.rank = rank
-        self.n = n
         self.spec = spec
         self.inbox = inboxes[rank]
         self.parent_q = parent_q
@@ -115,20 +120,16 @@ class _WorkerBody:
         from repro.dashmm.evaluator import DashmmEvaluator
         from repro.hpx.gas import ShmArena
         from repro.kernels.fitops import OperatorFactory
-        from repro.tree.dualtree import build_dual_tree
 
         spec = self.spec
         seed_worker_rngs(spec["config"].seed, self.rank)
         self.arena = ShmArena.attach(manifest)
-        sources = self.arena.get("sources")
-        weights = self.arena.get("weights")
-        targets = self.arena.get("targets")
+        self._inputs = tuple(self.arena.get(k) for k in ("sources", "weights", "targets"))
 
         factory = OperatorFactory.shared(spec["kernel"], eps=spec["eps"])
         if spec["factory_path"]:
             factory.load(path=spec["factory_path"], strict=False)
-        self.factory = factory
-        self.ev = DashmmEvaluator(
+        ev = DashmmEvaluator(
             spec["kernel"],
             method=spec["method"],
             threshold=spec["threshold"],
@@ -143,87 +144,18 @@ class _WorkerBody:
         )
         # a session pins the root cube so trees of every round live in
         # one coordinate frame (None - the bounding cube - for a
-        # one-shot evaluate)
-        self.dual = build_dual_tree(
-            sources,
-            targets,
-            self.ev.threshold,
-            source_weights=weights,
-            domain=spec["domain"],
+        # one-shot evaluate); all ranks share the one result vector, and
+        # each writes only the target-box slices of its own T nodes
+        self.store = TemplateStore(
+            ev,
+            spec["domain"],
+            spec["max_templates"],
+            rank=self.rank,
+            result=self.arena.get("result"),
         )
-        self.dag, _ = self.ev.build_dag(self.dual)
-        self.ev.policy.assign(self.dag, self.dual, self.n)
-        # geometry-matrix cache shared by every registrar this body
-        # builds across rounds; only worth the memory when rounds
-        # repeat, so it is allocated when a second round arrives
-        self._geom_cache: dict | None = None
-        self._make_registrar(self.dual, self.dag)
-
-    def _make_registrar(self, dual, dag) -> None:
-        """(Re)build the execution state over ``dual``/``dag``: a
-        registrar with no runtime, restricted to this rank.
-
-        Called at setup and again whenever a round changes the tree
-        shape; the shared-memory arena, the frame channel, the operator
-        factory and the geometry cache all survive rebuilds.
-        """
-        reg = self.reg = Registrar(None, dag, dual, self.ev.kernel, self.factory)
-        reg._rank = self.rank
-        reg.geom_cache = self._geom_cache
-        # all ranks share the one result vector; each writes only the
-        # target-box slices of its own T nodes (disjoint by construction)
-        reg.result = self.arena.get("result")
-
-    # -- between-round state updates (persistent service) ----------------------
-    def _round_update(self, update: dict) -> None:
-        """Apply one round's input change; every rank derives the same
-        conclusion independently (replicated metadata, as at setup).
-
-        ``kind="weights"``: coordinates untouched - swap the charges
-        into the existing tree.
-        ``kind="points"``: incrementally update the tree.  A preserved
-        shape rebinds the live registrar, whose geometry cache the round
-        patches where points moved; only if a leaf's count moved are
-        the node sizes refreshed and the distribution re-run, and the
-        plans dropped if ownership shifted.  A changed shape rebuilds
-        the lists, the DAG and the registrar while keeping the process,
-        arena, factory and channel.
-        """
-        from repro.dashmm.dag import refresh_n_points
-        from repro.tree.fingerprint import dual_shape_fingerprint
-        from repro.tree.incremental import update_dual_tree
-
-        if self._geom_cache is None:
-            self._geom_cache = self.reg.geom_cache = {}
-        sources = self.arena.get("sources")
-        weights = self.arena.get("weights")
-        targets = self.arena.get("targets")
-        if update["kind"] == "weights":
-            self.dual.source.set_weights(weights)
-            return
-        old_shape = dual_shape_fingerprint(self.dual)
-        new_dual, _info = update_dual_tree(
-            self.dual, sources, targets, source_weights=weights
-        )
-        if dual_shape_fingerprint(new_dual) == old_shape:
-            self.dual = new_dual
-            if self.reg.rebind(new_dual):
-                refresh_n_points(self.dag, new_dual)
-                old_locs = [nd.locality for nd in self.dag.nodes]
-                self.ev.policy.assign(self.dag, new_dual, self.n)
-                if [nd.locality for nd in self.dag.nodes] != old_locs:
-                    # ownership moved: both plan sections bake this
-                    # rank's nodes in, and the round's reset seeds the
-                    # new ones
-                    self.reg.invalidate_plans()
-            return
-        # the new registrar takes over the cache, whose entries are
-        # keyed by the old DAG's groups
-        self._geom_cache.clear()
-        dag, _ = self.ev.build_dag(new_dual)
-        self.ev.policy.assign(dag, new_dual, self.n)
-        self.dual, self.dag = new_dual, dag
-        self._make_registrar(new_dual, dag)
+        # the cold round's tree, DAG and distribution, outside the timed
+        # window; its GO then finds the inputs unchanged
+        self.store.advance(*self._inputs)
 
     # -- frames ----------------------------------------------------------------
     def _post(self, stage, owed: dict) -> None:
@@ -270,10 +202,11 @@ class _WorkerBody:
 
     # -- one round -------------------------------------------------------------
     def _round(self) -> None:
-        """Reset the expansions (the parent zeroes the shared result),
-        then walk the rank's stage list as a send-when-final /
-        wait-when-needed pipeline (module docstring)."""
-        reg = self.reg
+        """Advance the template store to the arena's inputs, reset the
+        expansions (the parent zeroes the shared result), then walk the
+        rank's stage list as a send-when-final / wait-when-needed
+        pipeline (module docstring)."""
+        reg = self.reg = self.store.advance(*self._inputs)
         reg.reset(zero_result=False)
         self._arrived.clear()
         eager, flush = reg.eager_plan(), reg.flush_plan()
@@ -301,21 +234,20 @@ class _WorkerBody:
     def run(self) -> None:
         """READY, then rounds of GO -> evaluate -> DONE until STOP.
 
-        The service sends a bare ``("go",)`` for the cold round (and
-        for a re-drive on respawned workers), ``("go", update)`` per
-        later submission and one final STOP; a one-shot evaluate is
-        the cold round followed by STOP.  Anything else that arrives
-        between rounds is a peer's frame that overtook this rank's GO
-        (the parent posts GO inbox by inbox); it is held and handled
-        once :meth:`_round_update` has put the round's state in place.
+        GO is a bare ``("go",)``: the round's inputs are whatever the
+        arena holds, and the store's advance to them is idempotent, so
+        the cold round, every later submission and a re-drive on
+        respawned workers are one message.  A one-shot evaluate is the
+        cold round followed by STOP.  Anything else that arrives between
+        rounds is a peer's frame that overtook this rank's GO (the
+        parent posts GO inbox by inbox); it is held and handled once
+        the advance and reset have put the round's state in place.
         """
         self.parent_q.put(("ready", self.rank))
         try:
             while True:
                 msg = self.inbox.get()
                 if msg[0] == "go":
-                    if len(msg) > 1:
-                        self._round_update(msg[1])
                     self._round()
                     self.parent_q.put(("done", self.rank, self.stats()))
                 elif msg[0] == "stop":
@@ -340,10 +272,10 @@ class _WorkerBody:
         }
 
 
-def _worker_main(rank: int, n: int, spec: dict, manifest: dict, inboxes, parent_q) -> None:
+def _worker_main(rank: int, spec: dict, manifest: dict, inboxes, parent_q) -> None:
     """Process entry point (module-level for spawn picklability)."""
     try:
-        _WorkerBody(rank, n, spec, manifest, inboxes, parent_q).run()
+        _WorkerBody(rank, spec, manifest, inboxes, parent_q).run()
     except BaseException:
         try:
             parent_q.put(("error", rank, traceback.format_exc()))
@@ -414,8 +346,9 @@ class PersistentParallelService:
     """Parent half of the parallel backend: the one worker-fleet manager.
 
     Keeps the worker processes, their attached shared-memory arena and
-    each worker's rebuilt metadata (tree, DAG, registrar and its plans,
-    operator and geometry caches) alive across submissions.  A warm
+    each worker's template store (trees, DAGs, registrars with their
+    plans and geometry caches) and operator factory alive across
+    submissions.  A warm
     round costs one in-place array overwrite, one GO/DONE handshake and
     the numeric work - no process spawn, no operator refit, no tree
     carve.
@@ -438,6 +371,8 @@ class PersistentParallelService:
         self.timeout = timeout
         self.max_respawns = max_respawns
         self.n = evaluator.runtime_config.n_localities
+        #: each worker's template LRU capacity (a session sets its own)
+        self.max_templates = 1
         self.rounds = 0
         self.respawns = 0
         self.round_stats: list = []
@@ -447,6 +382,8 @@ class PersistentParallelService:
         self._parent_q = None
         self._dual = None
         self._n_src = self._n_tgt = None
+        #: the schema fingerprint of the method the workers run
+        self._schema = None
         # per-round re-drive state: the worker spec and arena manifest
         # are kept for the life of the service so a failed round can be
         # re-driven on respawned workers (they rebuild deterministically
@@ -457,8 +394,13 @@ class PersistentParallelService:
         self._failed: BaseException | None = None
 
     def compatible(self, n_src: int, n_tgt: int) -> bool:
-        """Shm blocks are fixed-size: a changed N needs a respawn."""
-        return self._n_src == n_src and self._n_tgt == n_tgt
+        """Shm blocks are fixed-size and the workers were spawned with
+        one method: a changed N or method needs a respawn."""
+        return (self._n_src, self._n_tgt, self._schema) == (
+            n_src,
+            n_tgt,
+            self.evaluator.schema.fingerprint(),
+        )
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self, sources, weights, targets):
@@ -489,6 +431,7 @@ class PersistentParallelService:
             if ev.factory is not None:
                 factory_path = str(ev.factory.save(directory=self._tmpdir))
             self._spec = self._worker_spec(factory_path)
+            self._schema = ev.schema.fingerprint()
             arena.put("sources", sources)
             arena.put("weights", weights)
             arena.put("targets", targets)
@@ -500,7 +443,7 @@ class PersistentParallelService:
             self._arena = arena
             self.close()
             raise
-        out = self._round(None)
+        out = self._round()
         return out, self._round_info({"source": "built", "target": "built"})
 
     def _worker_spec(self, factory_path: str | None) -> dict:
@@ -519,6 +462,7 @@ class PersistentParallelService:
             "eps": ev.eps,
             "factory_path": factory_path,
             "domain": self.domain,
+            "max_templates": self.max_templates,
         }
 
     def _spawn_workers(self) -> None:
@@ -547,7 +491,6 @@ class PersistentParallelService:
                     target=_worker_main,
                     args=(
                         rank,
-                        self.n,
                         self._spec,
                         self._manifest,
                         self._inboxes,
@@ -609,27 +552,20 @@ class PersistentParallelService:
         targets = np.ascontiguousarray(targets, dtype=np.float64)
         if not self.compatible(len(sources), len(targets)):
             raise ValueError("a running service cannot change its point counts")
-        shm_s = self._arena.get("sources")
-        shm_w = self._arena.get("weights")
-        shm_t = self._arena.get("targets")
         # the tree layer validates the inputs (shapes, finiteness) before
         # a byte reaches the arena: a rejected submit leaves the shared
         # arrays, the tree replica and the fleet as they were
-        if np.array_equal(shm_s, sources) and np.array_equal(shm_t, targets):
-            self._dual.source.set_weights(weights)
+        if same_points(self._dual, sources, targets):
             info = {"source": "unchanged", "target": "unchanged"}
-            update = {"kind": "weights"}
         else:
             self._dual, info = update_dual_tree(
                 self._dual, sources, targets, source_weights=weights
             )
-            update = {"kind": "points"}
-            shm_s[:] = sources
-            shm_t[:] = targets
         # workers are blocked on their inboxes between rounds, so the
         # parent owns the arena here and in-place writes are race-free
-        shm_w[:] = weights
-        out = self._round(update)
+        for name, array in (("sources", sources), ("weights", weights), ("targets", targets)):
+            self._arena.get(name)[:] = array
+        out = self._round()
         return out, self._round_info(info)
 
     def _check_usable(self) -> None:
@@ -645,19 +581,18 @@ class PersistentParallelService:
                 "parallel service is not started (or already closed)"
             )
 
-    def _round(self, update) -> np.ndarray:
+    def _round(self) -> np.ndarray:
         from repro.hpx.parallel import ParallelError, await_workers
 
         self._check_usable()
         t0 = time.perf_counter()
-        msg = ("go",) if update is None else ("go", update)
         attempts = 0
         while True:
             result = self._arena.get("result")
             result[:] = 0.0  # flushes accumulate with +=
             try:
                 for q in self._inboxes:
-                    q.put(msg)
+                    q.put(("go",))
                 stats = await_workers(
                     self._parent_q, self._procs, self.n, "done", self.timeout
                 )
@@ -668,8 +603,8 @@ class PersistentParallelService:
                 # holds this round's inputs, the parent's tree replica
                 # was updated before _round ran, and survivors are
                 # killed with the casualty.  Respawned workers rebuild
-                # their metadata from the live arrays, so a plain cold
-                # GO re-drives the identical round.
+                # their metadata from the live arrays, so the same GO
+                # re-drives the identical round.
                 attempts += 1
                 if attempts > self.max_respawns:
                     self._failed = exc
@@ -681,9 +616,6 @@ class PersistentParallelService:
                     self._failed = spawn_exc
                     self.close()
                     raise
-                # respawned workers cold-build from the current arrays;
-                # an incremental update message would double-apply
-                msg = ("go",)
             except BaseException as exc:
                 # anything non-recoverable (KeyboardInterrupt, ...):
                 # mirror start()'s handling - tear the fleet down so

@@ -327,8 +327,9 @@ class Registrar:
         }
         #: optional cache of geometry-derived operator matrices (p2m
         #: basis rows, s2t greens chunks, m2t/l2t evaluation matrices),
-        #: owned by the persistent session.  None (the default) disables
-        #: caching entirely; when set, the stacked passes populate it and
+        #: given by the template store on a template's first reuse.
+        #: None (the default) disables caching entirely; when set, the
+        #: stacked passes populate it and
         #: reuse entries on later warm runs.  Entries are keyed so a hit
         #: reproduces the cold stacked operands bit for bit.  When points
         #: move, rebind() diffs the trees and the next walk of the plan

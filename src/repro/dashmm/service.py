@@ -9,27 +9,28 @@ amortizes all of that:
 * **Incremental trees** (:mod:`repro.tree.incremental`): a perturbed
   point set updates the previous tree by splicing or re-carving only
   the dirty Morton ranges; unchanged boxes keep their ids.
-* **DAG templates**: the structural DAG, the registrar with its
-  compiled plan, the box centers and the operator-geometry caches are
-  keyed by the method's declared-schema fingerprint
-  (:meth:`repro.dag.MethodSchema.fingerprint`)
-  plus the tree-shape fingerprint (:mod:`repro.tree.fingerprint`) and
-  kept alive in a small LRU; a repeat submission with the same schema
-  and shape skips interaction-list construction and DAG assembly
-  entirely and only resets/refills the numeric state, while a method
-  (or schema) change misses instead of replaying a stale graph.
+* **One template store** (:class:`TemplateStore`): an LRU of registrars
+  with no runtime - each one a structural DAG, its tree, localities,
+  compiled plan and geometry cache - keyed by the method's
+  declared-schema fingerprint (:meth:`repro.dag.MethodSchema.fingerprint`)
+  and the tree-shape fingerprint (:mod:`repro.tree.fingerprint`).  A
+  repeat shape under the same schema skips interaction lists and DAG
+  assembly; a method (or schema) change misses instead of replaying a
+  stale graph.  A session and every parallel worker hold one store and
+  bring it to each submission with :meth:`TemplateStore.advance`, so
+  every resubmit is ``advance -> reset -> stages`` on both backends.
 * **Patched geometry**: a drift submit keeps the template's geometry
   cache.  :meth:`~repro.dashmm.registrar.Registrar.rebind` diffs the
-  template's previous tree against the new one, and the next flush
-  recomputes only the cached rows (and S->T columns) whose point moved;
-  the distribution policy re-runs only when a leaf's count moved.
+  template's previous tree against the new one, and the next walk of
+  the plan recomputes only the cached rows (and S->T columns) whose
+  point moved; the distribution policy re-runs only when a leaf's count
+  moved.
 * **A long-lived session**: :class:`EvaluatorSession` exposes
   ``submit(points, charges) -> potentials`` over both backends.  On
-  ``sim`` every submit - the first included - runs the template
-  registrar's compiled execution plan (:mod:`repro.dashmm.flushplan`):
-  ``reset -> flush_deferred`` on a registrar with no runtime and no
-  LCOs; on ``parallel`` the worker processes, their shared-memory arena
-  and their rebuilt metadata survive across submissions
+  ``sim`` a submit is ``advance -> reset -> flush_deferred`` on the
+  store's registrar; on ``parallel`` the worker processes - each with
+  its own store - their shared-memory arena and their frame channels
+  survive across submissions
   (:class:`repro.dashmm.parallel.PersistentParallelService`).
 
 Correctness bar: every ``submit`` returns potentials bit-identical to a
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -57,7 +57,7 @@ from repro.dashmm.dag import refresh_n_points
 from repro.dashmm.registrar import Registrar
 from repro.tree.box import Domain
 from repro.tree.dualtree import DualTree, build_dual_tree, checked_points, checked_weights
-from repro.tree.fingerprint import dual_shape_fingerprint, geometry_token
+from repro.tree.fingerprint import dual_shape_fingerprint
 from repro.tree.incremental import update_dual_tree
 
 
@@ -92,13 +92,109 @@ def check_plan_only(evaluator, who: str) -> None:
             )
 
 
-@dataclass
-class _Template:
-    """One cached shape: the registrar (structural DAG, current tree,
-    plans, caches) + the token of its tree's coordinates."""
+def same_points(dual: DualTree, sources: np.ndarray, targets: np.ndarray) -> bool:
+    """Whether ``dual`` holds exactly these points on both sides, byte
+    for byte: a charge-only submission."""
+    return all(
+        len(raw) == tree.n_points
+        and np.array_equal(raw[tree.perm].view(np.int64), tree.points.view(np.int64))
+        for tree, raw in ((dual.source, sources), (dual.target, targets))
+    )
 
-    registrar: Registrar
-    geom_token: int
+
+class TemplateStore:
+    """The per-shape templates of a session or a parallel worker: an LRU
+    of at most ``max_templates`` registrars with no runtime, keyed by
+    (schema fingerprint, tree shape).
+
+    :meth:`advance` brings the store to one submission's inputs and
+    returns the registrar to run; the caller then runs ``reset`` and the
+    plan's stages.  A worker's store sets ``rank`` (the registrars'
+    ``_rank``) and ``result`` (the shared result vector every template
+    writes into).  ``tree_update`` and ``hit`` describe the last
+    advance.
+    """
+
+    def __init__(self, evaluator, domain, max_templates: int, rank=None, result=None):
+        self.evaluator = evaluator
+        self.domain = domain
+        self.max_templates = max_templates
+        self.rank = rank
+        self.result = result
+        self._templates: "OrderedDict[tuple, Registrar]" = OrderedDict()
+        self.tree_update: dict | None = None
+        self.hit = False
+
+    @property
+    def current(self) -> Registrar | None:
+        """The registrar the last :meth:`advance` returned."""
+        return next(reversed(self._templates.values()), None)
+
+    def advance(self, sources, weights, targets) -> Registrar:
+        """The template of these inputs, its tree, charges, node sizes
+        and localities brought up to date.  Idempotent: advancing twice
+        to the same inputs changes nothing the second time."""
+        ev = self.evaluator
+        schema = ev.schema.fingerprint()
+        reg = self.current
+        if (
+            reg is not None
+            and next(reversed(self._templates))[0] == schema
+            and same_points(reg.dual, sources, targets)
+        ):
+            # charge-only: the template's own tree and every geometry
+            # cache entry stay as they are
+            reg.dual.source.set_weights(weights)
+            self.tree_update = {"source": "unchanged", "target": "unchanged"}
+            self.hit = True
+        else:
+            if reg is None:
+                dual = build_dual_tree(
+                    sources, targets, ev.threshold, source_weights=weights, domain=self.domain
+                )
+                self.tree_update = {"source": "rebuilt", "target": "rebuilt"}
+            else:
+                # rebuilds a side whose size changed, over the same domain
+                dual, self.tree_update = update_dual_tree(
+                    reg.dual, sources, targets, source_weights=weights
+                )
+            # the declared method schema is the identity of the
+            # graph-shaping rules: swapping the evaluator's method misses
+            # instead of replaying a stale graph
+            key = (schema, dual_shape_fingerprint(dual))
+            reg = self._templates.get(key)
+            self.hit = reg is not None
+            if reg is None:
+                dag, _ = ev.build_dag(dual)
+                ev.policy.assign(dag, dual, ev.runtime_config.n_localities)
+                reg = Registrar(None, dag, dual, ev.kernel, ev.factory)
+                reg._rank = self.rank
+                if self.result is not None:
+                    reg.result = self.result
+                self._templates[key] = reg
+                while len(self._templates) > max(self.max_templates, 1):
+                    self._templates.popitem(last=False)
+                return reg
+            self._templates.move_to_end(key)
+            # the registrar diffs its own previous tree - the one its
+            # cache was computed over, also when the template is
+            # revisited after a shape change - against this one
+            if reg.rebind(dual):
+                # points crossed leaf boundaries: node sizes and (under
+                # work balancing) locality cuts may have shifted
+                refresh_n_points(reg.dag, dual)
+                old_locs = [nd.locality for nd in reg.dag.nodes]
+                ev.policy.assign(reg.dag, dual, ev.runtime_config.n_localities)
+                if [nd.locality for nd in reg.dag.nodes] != old_locs:
+                    # both plan sections bake group-by-locality
+                    # compositions in; the next reset seeds the rank's
+                    # new nodes
+                    reg.invalidate_plans()
+        if reg.geom_cache is None and reg._plan is not None:
+            # advanced again after its plan ran: a template that runs
+            # once (a one-shot parallel evaluate) never holds the cache
+            reg.geom_cache = {}
+        return reg
 
 
 class EvaluatorSession:
@@ -108,7 +204,8 @@ class EvaluatorSession:
     at ``points`` (or at an explicit ``targets`` ensemble), reusing
     everything legitimately reusable from previous submissions:
 
-    * identical geometry  -> weights-only refill (no tree work at all);
+    * identical geometry  -> weights-only refill (no tree work at all:
+      the coordinates are compared byte for byte);
     * perturbed points    -> incremental tree update; a preserved shape
       reuses the cached DAG template (zero list construction, zero DAG
       assembly - assert via ``repro.tree.lists.COUNTERS`` and
@@ -137,8 +234,7 @@ class EvaluatorSession:
         self.backend = evaluator.runtime_config.backend
         self.domain = domain
         self.max_templates = max_templates
-        self._templates: "OrderedDict[tuple, _Template]" = OrderedDict()
-        self._current: _Template | None = None
+        self._store: TemplateStore | None = None
         self._parallel = None
         self._shapes_seen: set = set()
         self.stats: dict[str, Any] = {
@@ -148,20 +244,10 @@ class EvaluatorSession:
             "tree_updates": [],
         }
 
-    def _schema_token(self) -> str:
-        """Declared-schema fingerprint of the evaluator's current method.
-
-        Read at submit time, not cached: a session whose evaluator's
-        method is swapped mid-life must key fresh templates under the
-        new schema.
-        """
-        return self.evaluator.schema.fingerprint()
-
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
         """Release templates and shut down parallel workers (idempotent)."""
-        self._templates.clear()
-        self._current = None
+        self._store = None
         if self._parallel is not None:
             self._parallel.close()
             self._parallel = None
@@ -224,87 +310,14 @@ class EvaluatorSession:
 
     # -- sim backend -------------------------------------------------------------
     def _submit_sim(self, sources, weights, targets) -> np.ndarray:
-        ev = self.evaluator
-        cur = None if self._current is None else self._current.registrar.dual
-        sizes = (len(sources), len(targets))
-        if cur is not None and (cur.source.n_points, cur.target.n_points) == sizes:
-            dual, info = update_dual_tree(cur, sources, targets, source_weights=weights)
-        else:
-            info = {"source": "rebuilt", "target": "rebuilt"}
-            dual = build_dual_tree(
-                sources, targets, ev.threshold, source_weights=weights, domain=self.domain
-            )
-        self.stats["tree_updates"].append(info)
-
-        # templates are keyed by (schema fingerprint, tree shape): the
-        # declared method schema is the identity of the graph-shaping
-        # rules, so swapping the evaluator's method (or editing a
-        # schema) misses instead of replaying a stale template
-        shape = (self._schema_token(), dual_shape_fingerprint(dual))
-        tpl = self._templates.get(shape)
-        if tpl is None:
-            self.stats["template_misses"] += 1
-            tpl = self._build_template(dual)
-            self._templates[shape] = tpl
-            while len(self._templates) > self.max_templates:
-                _, evicted = self._templates.popitem(last=False)
-                if evicted is self._current:
-                    self._current = None
-        else:
-            self.stats["template_hits"] += 1
-            self._templates.move_to_end(shape)
-            self._refresh_template(tpl, dual, weights)
-        self._current = tpl
-        return self._execute(tpl)
-
-    def _build_template(self, dual: DualTree) -> _Template:
-        ev = self.evaluator
-        dag, _ = ev.build_dag(dual)
-        ev.policy.assign(dag, dual, ev.runtime_config.n_localities)
-        # no runtime and no LCOs: a session runs the plan, never a drain
-        reg = Registrar(None, dag, dual, ev.kernel, ev.factory)
-        reg.geom_cache = {}
-        return _Template(
-            registrar=reg,
-            geom_token=geometry_token(dual.source.points, dual.target.points),
-        )
-
-    def _refresh_template(self, tpl: _Template, dual: DualTree, weights) -> None:
-        """Rebind a cached template to this submission's tree + charges.
-
-        Moved points rebind the template's registrar, which diffs its
-        own previous tree - the one its geometry cache was computed
-        over, also when the template is revisited after a shape change -
-        against this one; the next flush recomputes only the cached rows
-        and columns that moved.  Localities are re-assigned only when a
-        leaf's count moved: the policy reads nothing else that a
-        same-shape tree can change.
-        """
-        ev = self.evaluator
-        reg = tpl.registrar
-        gt = geometry_token(dual.source.points, dual.target.points)
-        if gt == tpl.geom_token:
-            # pure re-query: same coordinates, (possibly) new charges -
-            # keep the template's own tree and every geometry cache
-            reg.dual.source.set_weights(weights)
-            return
-        if reg.rebind(dual):
-            # points crossed leaf boundaries: node sizes and (under
-            # work balancing) locality cuts may have shifted
-            refresh_n_points(reg.dag, dual)
-            old_locs = [nd.locality for nd in reg.dag.nodes]
-            ev.policy.assign(reg.dag, dual, ev.runtime_config.n_localities)
-            if [nd.locality for nd in reg.dag.nodes] != old_locs:
-                # both plan sections bake group-by-locality compositions
-                # in; a shifted assignment makes them stale
-                reg.invalidate_plans()
-        tpl.geom_token = gt
-
-    def _execute(self, tpl: _Template) -> np.ndarray:
-        """Run the compiled plan over the template's current tree and
-        charges - the same ``reset -> flush_deferred`` a drained
-        evaluate ends with, minus the drain."""
-        reg = tpl.registrar
+        """``advance -> reset -> flush_deferred``: the same reset and
+        plan a drained evaluate ends with, minus the drain."""
+        if self._store is None:
+            self._store = TemplateStore(self.evaluator, self.domain, self.max_templates)
+        store = self._store
+        reg = store.advance(sources, weights, targets)
+        self.stats["tree_updates"].append(store.tree_update)
+        self.stats["template_hits" if store.hit else "template_misses"] += 1
         reg.reset()
         reg.flush_deferred()
         target = reg.dual.target
@@ -318,13 +331,15 @@ class EvaluatorSession:
 
         svc = self._parallel
         if svc is not None and not svc.compatible(len(sources), len(targets)):
-            # n changed: the shm blocks are fixed-size, so the service
+            # n or the method changed: the shm blocks are fixed-size and
+            # the workers were spawned with one method, so the service
             # respawns (the operator cache still carries over via disk)
             svc.close()
             svc = self._parallel = None
         if svc is None:
             # a failed start tears its fleet down before it raises
             svc = PersistentParallelService(self.evaluator, self.domain)
+            svc.max_templates = self.max_templates
             out, info = svc.start(sources, weights, targets)
             self._parallel = svc
         else:
@@ -340,7 +355,8 @@ class EvaluatorSession:
                     self._parallel = None
                 raise
         self.stats["tree_updates"].append(info["tree"])
-        shape = (self._schema_token(), info["shape"])
+        # read at submit time: a method swapped mid-life keys fresh shapes
+        shape = (self.evaluator.schema.fingerprint(), info["shape"])
         if shape in self._shapes_seen:
             self.stats["template_hits"] += 1
         else:

@@ -1,25 +1,27 @@
 """Tree-shape fingerprints: the cache keys of the persistent layer.
 
-Two levels of keying, both cheap CRC folds over the columnar box
-tables:
+Cheap CRC folds over the columnar box tables:
 
 * the **shape fingerprint** captures everything the interaction lists
   and the structural DAG depend on: the refinement threshold, the
-  domain cube, and each tree's Morton keys and leaf mask.  Box *counts*
-  are deliberately excluded - every box holds at least one point by
-  construction, and neither the adjacency descent nor DAG wiring reads
-  counts beyond "nonempty" - so a perturbation that moves points
-  between leaves without changing the box structure keeps the shape
-  fingerprint (and therefore the DAG template) valid.
-* the **full fingerprint** extends the shape with the per-box counts.
-  Anything that reads counts - per-point work estimates, locality cuts,
-  S/T node sizes - must key on this one: a spliced tree with shifted
-  counts shares the shape but not the workload.
+  domain cube, and each tree's Morton keys and leaf mask.  It is the
+  tree half of a template key (:class:`repro.dashmm.service.TemplateStore`).
+  Box *counts* are deliberately excluded - every box holds at least
+  one point by construction, and neither the adjacency descent nor DAG
+  wiring reads counts beyond "nonempty" - so a perturbation that moves
+  points between leaves keeps the template; whether a leaf's count
+  moved, and where coordinates moved, the template's registrar learns
+  from diffing its own previous tree
+  (:meth:`repro.dashmm.registrar.Registrar.rebind`), not from a key.
+* the **full fingerprint** extends the shape with the per-box counts,
+  for what reads counts and caches across trees (the distribution
+  policy's work-balance cuts).
 
 Fingerprints are value keys, not identity keys: two independently built
 trees over the same inputs collide on purpose (that is what lets a
 worker process agree with the parent, and a re-built session agree with
-its template cache).
+its template cache).  Coordinates are never fingerprinted: a charge-only
+submission is recognised by comparing them byte for byte.
 """
 
 from __future__ import annotations
@@ -70,17 +72,3 @@ def dual_full_fingerprint(dual: DualTree) -> tuple[int, int]:
         tree_full_fingerprint(dual.target),
     )
 
-
-def geometry_token(*arrays: np.ndarray) -> int:
-    """CRC over raw coordinate bytes: keys caches of *numeric* geometry.
-
-    Shape and counts can survive a perturbation while the coordinates do
-    not.  A session compares this token to tell a charge-only submit,
-    which reuses every cached point-derived matrix (p2m rows, evaluation
-    rows, greens chunks) as it is, from a drift, which patches them
-    where points moved (:meth:`repro.dashmm.registrar.Registrar.rebind`).
-    """
-    crc = 0
-    for a in arrays:
-        crc = _crc(crc, np.asarray(a, dtype=float))
-    return crc

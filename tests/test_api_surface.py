@@ -17,6 +17,7 @@ import pytest
 import repro.dashmm.parallel
 import repro.dashmm.service
 import repro.hpx.parallel
+import repro.tree.fingerprint
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.dashmm.parallel import PersistentParallelService
 from repro.dashmm.registrar import Registrar
@@ -95,6 +96,7 @@ WORKER_SPEC_KEYS = {
     "eps",
     "factory_path",
     "domain",
+    "max_templates",
 }
 
 
@@ -133,3 +135,12 @@ def test_one_plan_model():
     assert not hasattr(repro.hpx.parallel, "LocalityRuntime")
     assert not hasattr(repro.dashmm.parallel, "ParallelRegistrar")
     assert not hasattr(Registrar, "run_eager")
+
+
+def test_one_template_store():
+    """Sessions and workers carry their per-shape state in one
+    ``TemplateStore``: the worker builds no registrar of its own, and no
+    coordinate checksum stands in for the exact charge-only check."""
+    assert "Registrar" not in vars(repro.dashmm.parallel)
+    assert "_Template" not in vars(repro.dashmm.service)
+    assert not hasattr(repro.tree.fingerprint, "geometry_token")

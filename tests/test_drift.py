@@ -116,7 +116,7 @@ def test_drift_sequences_match_a_cold_session(factory, steps, seed):
     with EvaluatorSession(_evaluator(factory, n_localities=3)) as sess:
         _check(sess, pts, w)
         for step in steps:
-            tree = sess._current.registrar.dual.source
+            tree = sess._store.current.dual.source
             if step == "charges":
                 w = rng.normal(size=N)
             elif step == "nudge":
@@ -141,12 +141,17 @@ def test_a_nudge_recomputes_only_the_moved_rows_and_columns(factory, monkeypatch
     """After one point moves inside its leaf, the flush hands
     ``kernel.greens`` the moved point's row of every S->T group that
     reads it as a target and the moved column of every group that reads
-    it as a source - nothing else - and a charge-only submit none."""
+    it as a source - nothing else - and a charge-only submit none.  The
+    template's first reuse (the second submit) allocates and fills the
+    cache; a template that ran once holds none."""
     rng, pts, w = _cloud(4)
     ev = _evaluator(factory, n_localities=3)
     with EvaluatorSession(ev) as sess:
         sess.submit(pts, w)
-        reg = sess._current.registrar
+        reg = sess._store.current
+        assert reg.geom_cache is None
+        sess.submit(pts, w)
+        assert reg.geom_cache
         tgt = reg.dual.target
         leaf = tgt.leaves[rng.integers(len(tgt.leaves))]
         moved = pts.copy()
@@ -156,7 +161,7 @@ def test_a_nudge_recomputes_only_the_moved_rows_and_columns(factory, monkeypatch
         greens = ev.kernel.greens
         monkeypatch.setattr(ev.kernel, "greens", lambda r: sizes.append(np.size(r)) or greens(r))
         out = sess.submit(moved, w)
-        assert sess._current.registrar is reg
+        assert sess._store.current is reg
         plan, src = reg.flush_plan(), reg.dual.source
         s_leaf = src.key_to_index[leaf.key]
         expected = 0
@@ -197,7 +202,7 @@ def test_parallel_drift_matches_the_simulator(factory):
 
         both(pts, w)
         for step in ("nudge", "shape", "reorder", "cross", "nudge", "charges"):
-            tree = s._current.registrar.dual.source
+            tree = s._store.current.dual.source
             if step == "nudge":
                 pts = _nudge(pts, rng)
             elif step == "reorder":

@@ -133,7 +133,7 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
         domain = session.domain
         # ... and a session runs the same plan from its first submit,
         # without a drain
-        first = session._current.registrar
+        first = session._store.current
         assert first._eager is not None
         assert _plan_only(first)
         assert np.array_equal(session.submit(pts, w), cold.potentials)  # warm resubmit
@@ -145,12 +145,12 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
         # rebuilt (a stale one stacks the old localities' groups)
         hopped = _sibling_hop(cold.dual, pts)
         hits = session.stats["template_hits"]
-        before = session._current.registrar.flush_plan()
+        before = session._store.current.flush_plan()
         policy.moved = True
         out = session.submit(hopped, w2)
         assert session.stats["template_hits"] == hits + 1  # same shape, same registrar
-        assert session._current.registrar.flush_plan() is not before
-        assert _plan_only(first) and _plan_only(session._current.registrar)
+        assert session._store.current.flush_plan() is not before
+        assert _plan_only(first) and _plan_only(session._store.current)
     with EvaluatorSession(ev, domain=domain) as fresh:
         assert np.array_equal(out, fresh.submit(hopped, w2))
 
@@ -226,7 +226,7 @@ def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud, workers)
     with EvaluatorSession(par, domain=domain) as a, EvaluatorSession(sim, domain=domain) as b:
         assert np.array_equal(a.submit(pts, w), b.submit(pts, w))
         assert np.array_equal(a.submit(corner, w), b.submit(corner, w))
-        reg = b._current.registrar
+        reg = b._store.current
         names = [name for name, _ in reg.eager_stages() + reg.flush_stages()]
         edges = sum(len(out) for out in reg.dag.out_edges)
         first, last = (r["workers"] for r in a._parallel.round_stats[-2:])
@@ -410,7 +410,7 @@ def test_i2i_factored_equals_per_edge(factories, problem, kname):
     )
     with EvaluatorSession(ev, domain=UNIT) as session:
         session.submit(pts, w)
-        reg = session._current.registrar
+        reg = session._store.current
     dag, plan = reg.dag, reg.flush_plan()
     assert {b.level: {FULL_DIRS[d] for d in b.dirs} for b in plan.bridge} == directions
     if kname == "yukawa":
@@ -445,7 +445,7 @@ def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
     ev = _evaluator(factory, "fmm", RandomPolicy(seed=3), config=cfg)
     with EvaluatorSession(ev, domain=domain) as session:
         session.submit(pts, w)
-        full = session._current.registrar
+        full = session._store.current
     nodes = full.dag.nodes
     data = {
         nid: row.copy()
@@ -510,12 +510,12 @@ def test_parallel_workers_follow_moved_localities(factories, cloud):
     )
     with EvaluatorSession(par) as a, EvaluatorSession(sim) as b:
         assert np.array_equal(a.submit(pts, w), b.submit(pts, w))
-        reg = b._current.registrar
+        reg = b._store.current
         before = [node.locality for node in reg.dag.nodes]
         hopped = _sibling_hop(reg.dual, pts)
         assert np.array_equal(a.submit(hopped, w), b.submit(hopped, w))
         assert [node.locality for node in reg.dag.nodes] != before
-        assert b._current.registrar is reg  # same shape, same template
+        assert b._store.current is reg  # same shape, same template
         assert np.array_equal(a.submit(hopped, w[::-1]), b.submit(hopped, w[::-1]))
         assert a._parallel.respawns == 0  # no round was re-driven from scratch
 
@@ -563,7 +563,7 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
     drained = ev.evaluate(pts, w, pts, dual=dual).potentials
     with EvaluatorSession(ev, domain=domain) as session:
         assert np.array_equal(session.submit(pts, w), drained)
-        full = session._current.registrar
+        full = session._store.current
     dag, dual = full.dag, full.dual
     ranks = range(n)
     result = np.zeros(len(pts))

@@ -238,7 +238,7 @@ def test_no_edge_object_on_an_evaluate_or_session_path(
         session.submit(src, rng.normal(size=len(w)))
         session.submit(drifted, w)
         assert session.stats["template_hits"] == 2
-        dags.append(session._current.registrar.dag)
+        dags.append(session._store.current.dag)
     assert edges_made == []
     assert all(dag._view is None for dag in dags)
 

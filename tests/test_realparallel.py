@@ -118,7 +118,7 @@ class _ThreadFleet:
     processes: one ``_WorkerBody`` per rank on a thread of this process,
     plain ``queue.Queue`` inboxes, the arena owned here."""
 
-    def __init__(self, evaluator, sources, weights, targets):
+    def __init__(self, evaluator, sources, weights, targets, max_templates=1):
         from repro.dashmm.parallel import PersistentParallelService, _WorkerBody
 
         self.n = evaluator.runtime_config.n_localities
@@ -128,9 +128,11 @@ class _ThreadFleet:
         self.result = self.arena.alloc("result", (len(targets),), np.float64)
         self.inboxes = [queue.Queue() for _ in range(self.n)]
         self.parent_q = queue.Queue()
-        spec = PersistentParallelService(evaluator, domain=None)._worker_spec(None)
+        service = PersistentParallelService(evaluator, domain=None)
+        service.max_templates = max_templates
+        spec = service._worker_spec(None)
         self.bodies = [
-            _WorkerBody(r, self.n, spec, self.arena.manifest(), self.inboxes, self.parent_q)
+            _WorkerBody(r, spec, self.arena.manifest(), self.inboxes, self.parent_q)
             for r in range(self.n)
         ]
         self.threads = [threading.Thread(target=b.run, daemon=True) for b in self.bodies]
@@ -142,9 +144,21 @@ class _ThreadFleet:
         got = [self.parent_q.get(timeout=60.0) for _ in range(self.n)]
         assert sorted(msg[:2] for msg in got) == [(tag, r) for r in range(self.n)]
 
+    def go(self, sources, weights) -> np.ndarray:
+        """One round over new inputs (targets = sources): write the
+        arena, GO every rank, await DONE, unsort the result."""
+        for name in ("sources", "targets"):
+            self.arena.get(name)[:] = sources
+        self.arena.get("weights")[:] = weights
+        self.result[:] = 0.0
+        for q in self.inboxes:
+            q.put(("go",))
+        self.await_all("done")
+        return self.potentials()
+
     def potentials(self) -> np.ndarray:
         out = np.empty(len(self.result))
-        out[self.bodies[0].dual.target.perm] = self.result
+        out[self.bodies[0].store.current.dual.target.perm] = self.result
         return out
 
     def close(self) -> None:
@@ -160,8 +174,8 @@ class _ThreadFleet:
 def test_frame_that_overtakes_go_waits_for_the_round(laplace, cloud):
     """The parent posts GO inbox by inbox, so rank 0's first frame can
     reach rank 1 before rank 1's GO does.  Handled on arrival it would
-    land in a mirror the round update is about to clear; it must be held
-    and delivered once the round's state is in place."""
+    land in an expansion store the round's reset is about to clear; it
+    must be held and delivered once the round's state is in place."""
     from repro.kernels.fitops import OperatorFactory
 
     src, w, _ = cloud
@@ -170,15 +184,12 @@ def test_frame_that_overtakes_go_waits_for_the_round(laplace, cloud):
     sim = _pair(laplace, "fmm", factory, "sim")
     fleet = _ThreadFleet(_pair(laplace, "fmm", factory, "parallel"), src, w, src)
     try:
-        for q in fleet.inboxes:
-            q.put(("go",))
-        fleet.await_all("done")
-        assert np.array_equal(fleet.potentials(), sim.evaluate(src, w, src).potentials)
+        assert np.array_equal(fleet.go(src, w), sim.evaluate(src, w, src).potentials)
 
         w2 = w[::-1].copy()
         fleet.arena.get("weights")[:] = w2
         fleet.result[:] = 0.0
-        go = ("go", {"kind": "weights"})
+        go = ("go",)
         fleet.inboxes[0].put(go)
         late = fleet.bodies[1]
         deadline = time.monotonic() + 60.0
@@ -189,6 +200,32 @@ def test_frame_that_overtakes_go_waits_for_the_round(laplace, cloud):
         fleet.await_all("done")
         assert late._held == []
         assert np.array_equal(fleet.potentials(), sim.evaluate(src, w2, src).potentials)
+    finally:
+        fleet.close()
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
+
+
+def test_worker_returning_to_a_shape_reuses_its_template(laplace, cloud):
+    """A worker keeps an LRU of templates like a session: shape A, then
+    B, then A again assembles two DAGs per rank, not three, and every
+    round equals a sim session driven through the same sequence."""
+    import repro.dashmm.dag as dag_mod
+    from repro.dashmm.service import EvaluatorSession
+    from repro.kernels.fitops import OperatorFactory
+
+    src, w, _ = cloud
+    shrunk = 0.4 * src + 0.1  # denser cells refine deeper: a new shape
+    factory = OperatorFactory.shared(laplace, eps=1e-4)
+    shapes = (src, shrunk, src)
+    with EvaluatorSession(_pair(laplace, "fmm", factory, "sim")) as sim:
+        expected = [sim.submit(points, w) for points in shapes]
+        assert sim.stats["template_misses"] == 2
+    builds = dag_mod.COUNTERS["assemblies"]
+    fleet = _ThreadFleet(_pair(laplace, "fmm", factory, "parallel"), src, w, src, 2)
+    try:
+        for points, want in zip(shapes, expected):
+            assert np.array_equal(fleet.go(points, w), want)
+        assert dag_mod.COUNTERS["assemblies"] - builds == 2 * N_LOCALITIES
     finally:
         fleet.close()
     assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
@@ -220,7 +257,7 @@ def test_parallel_run_leaves_no_segments(laplace, laplace_factory, cloud, monkey
 
     # start() raising with the fleet already up: the workers are idle on
     # their inboxes and only evaluate_parallel's teardown can stop them
-    def failing_round(self, update):
+    def failing_round(self):
         assert len(multiprocessing.active_children()) == N_LOCALITIES
         raise ParallelError("injected cold-round failure")
 

@@ -12,6 +12,7 @@ record every tree carve, interaction-list build and DAG assembly.
 from __future__ import annotations
 
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.hpx.runtime import RuntimeConfig
 from repro.hpx.tracing import ScheduleTrace
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
+from repro.tree.dualtree import build_dual_tree
 from tests.test_lifetime import cyclic_garbage
 
 
@@ -97,6 +99,61 @@ def test_weights_only_update(evaluator, cloud):
         assert np.array_equal(sess.submit(pts, w2), cold)
         assert _counters() == (trees, lists, dags)
         assert sess.stats["tree_updates"][-1]["source"] == "unchanged"
+
+
+def _sorted_crc(dual) -> int:
+    """CRC-32 over the tree-sorted coordinates of both trees."""
+    return zlib.crc32(dual.target.points.tobytes(), zlib.crc32(dual.source.points.tobytes()))
+
+
+def _crc_collision(pts, threshold, domain):
+    """``pts`` with some of 36 low mantissa bits (the 12 lowest of three
+    sorted coordinates) flipped so that :func:`_sorted_crc` is
+    unchanged.  A CRC is linear over GF(2): 36 flips map to 32-bit
+    syndromes, and some nonempty subset of them XORs to zero."""
+    dual = build_dual_tree(pts, pts, threshold, domain=domain)
+    base = bytearray(dual.source.points.tobytes() + dual.target.points.tobytes())
+    crc0, half = zlib.crc32(base), len(base) // 2
+    # (index into the flattened sorted coordinates, mantissa bit):
+    # y of the first point, z of the second, x of the fourth
+    bits = [(index, k) for index in (1, 5, 9) for k in range(12)]
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (syndrome, subset)
+    for i, (index, k) in enumerate(bits):
+        flipped = bytearray(base)
+        for at in (8 * index + k // 8, half + 8 * index + k // 8):
+            flipped[at] ^= 1 << (k % 8)
+        syndrome, subset = zlib.crc32(flipped) ^ crc0, 1 << i
+        while syndrome and syndrome.bit_length() in basis:
+            other, other_subset = basis[syndrome.bit_length()]
+            syndrome, subset = syndrome ^ other, subset ^ other_subset
+        if not syndrome:
+            break
+        basis[syndrome.bit_length()] = (syndrome, subset)
+    raw = pts.copy()
+    ints = raw.view(np.int64)
+    for i, (index, k) in enumerate(bits):
+        if subset >> i & 1:
+            pos, coord = divmod(index, 3)
+            ints[dual.source.perm[pos], coord] ^= 1 << k
+    forged = build_dual_tree(raw, raw, threshold, domain=domain)
+    assert _sorted_crc(forged) == _sorted_crc(dual) and not np.array_equal(raw, pts)
+    return raw
+
+
+def test_charge_only_detection_is_exact(evaluator, cloud):
+    """Points that differ only in low mantissa bits, chosen so that a
+    checksum over the sorted coordinates collides, are a drift, not a
+    charge-only submit: the session serves the new points bit for bit."""
+    rng, pts, w = cloud
+    with EvaluatorSession(evaluator) as sess:
+        first = sess.submit(pts, w)
+        sess.submit(pts, w)
+        forged = _crc_collision(pts, evaluator.threshold, sess.domain)
+        out = sess.submit(forged, w)
+        with EvaluatorSession(evaluator, domain=sess.domain) as cold_sess:
+            cold = cold_sess.submit(forged, w)
+    assert not np.array_equal(cold, first)
+    assert np.array_equal(out, cold)
 
 
 def test_incremental_move_bit_identical(evaluator, cloud):
@@ -175,12 +232,14 @@ def test_submit_many_coalesces_and_preserves_order(evaluator, cloud):
         assert np.allclose(out[1], refB)
 
 
-def test_template_key_includes_schema_fingerprint(evaluator, cloud):
+@pytest.mark.parametrize("backend", ["sim", pytest.param("parallel", marks=pytest.mark.parallel)])
+def test_template_key_includes_schema_fingerprint(evaluator, cloud, backend):
     """The template LRU keys on (declared-schema fingerprint, tree
     shape): a repeated shape under the same schema hits, swapping the
     method - same points, same shape - misses instead of replaying the
     other method's graph, and the results stay bit-identical to cold
-    evaluation per method."""
+    evaluation per method.  A parallel session respawns its fleet, which
+    was spawned with one method."""
     rng, pts, w = cloud
     cold_basic = DashmmEvaluator(
         evaluator.kernel,
@@ -189,6 +248,7 @@ def test_template_key_includes_schema_fingerprint(evaluator, cloud):
         runtime_config=evaluator.runtime_config,
         factory=evaluator.factory,
     ).evaluate(pts, w, pts).potentials
+    evaluator.runtime_config = RuntimeConfig(n_localities=3, backend=backend)
     with EvaluatorSession(evaluator) as sess:
         first = sess.submit(pts, w)
         hits0, misses0 = sess.stats["template_hits"], sess.stats["template_misses"]
@@ -241,7 +301,7 @@ def test_submits_never_compile_a_drain(evaluator, cloud, monkeypatch):
         sess.submit(pts, rng.normal(size=len(w)))
         sess.submit(drifted, w)
         assert sess.stats["template_hits"] == 3
-        assert sess._current.registrar._drain is None
+        assert sess._store.current._drain is None
 
 
 def test_sessions_are_freed_by_refcount(evaluator):
@@ -262,7 +322,7 @@ def test_sessions_are_freed_by_refcount(evaluator):
 
     with EvaluatorSession(evaluator, max_templates=1) as sess:
         sess.submit(pts, w)
-        first = weakref.ref(sess._current.registrar)
+        first = weakref.ref(sess._store.current)
         sess.submit(0.4 * pts + 0.1, w)  # a new shape evicts the first
         assert sess.stats["template_misses"] == 2
         assert first() is None
