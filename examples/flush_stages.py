@@ -24,8 +24,12 @@ tree against the new one) and the rest (the exact charge-only check,
 the shape lookup, node sizes and distribution only when a leaf count
 moved); then the reset and every stage.  It prints how many positions
 moved per tree and how much of the geometry cache the stages
-recomputed against how much they reused.  It is a diagnostic, not a
-ledger metric: compare two commits only from interleaved runs.
+recomputed against how much they reused, and splits the cache's patch
+(inside the ``s2m`` and ``outputs`` stages) into the layout rebuild,
+the block and page re-lays, the recompute and the scatter, with how
+many blocks and pages a drift that moved a leaf count re-laid.  It is
+a diagnostic, not a ledger metric: compare two commits only from
+interleaved runs.
 
 Run:  python examples/flush_stages.py [--repeats 15] [--seed 1] [--workers 2] [--cold] [--drift]
 """
@@ -36,6 +40,8 @@ import time
 
 import numpy as np
 
+import repro.dashmm.geomcache as geomcache
+import repro.dashmm.registrar as registrar
 import repro.dashmm.service as service
 from repro.dashmm import DashmmEvaluator, EvaluatorSession
 from repro.dashmm.registrar import Registrar
@@ -43,7 +49,7 @@ from repro.hpx.runtime import Runtime, RuntimeConfig
 from repro.kernels import LaplaceKernel
 from repro.kernels.fitops import OperatorFactory
 from repro.tree.dualtree import build_dual_tree
-from repro.tree.incremental import moved_positions
+from repro.tree.incremental import point_moves
 
 
 def slab_problem(seed: int, per_leaf: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -63,12 +69,14 @@ def timed(fn) -> float:
 
 
 def timing(fn, name: str, spent: dict):
-    """``fn`` recording the seconds of its call in ``spent[name]``."""
+    """``fn`` adding the seconds of each call to ``spent[name]`` and
+    counting its calls in ``spent["calls", name]``."""
 
     def call(*args, **kwargs):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
-        spent[name] = time.perf_counter() - t0
+        spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+        spent["calls", name] = spent.get(("calls", name), 0) + 1
         return out
 
     return call
@@ -91,14 +99,14 @@ def canonical_evaluator(config: RuntimeConfig) -> DashmmEvaluator:
     )
 
 
-def print_medians(title: str, samples: dict, repeats: int) -> None:
-    """Median milliseconds per key over ``repeats`` (per-level stages
-    of one repeat summed first)."""
+def print_medians(title: str, samples: dict, repeats: int, stat=np.median) -> None:
+    """Median (or ``stat``) milliseconds per key over ``repeats``
+    (per-level stages of one repeat summed first)."""
     per_repeat = {k: np.reshape(v, (repeats, -1)).sum(axis=1) for k, v in samples.items()}
-    total = sum(np.median(v) for v in per_repeat.values())
-    print(f"{title}, median of {repeats} repeats")
+    total = sum(stat(v) for v in per_repeat.values())
+    print(f"{title}, {stat.__name__} of {repeats} repeats")
     for name, v in per_repeat.items():
-        ms = 1e3 * np.median(v)
+        ms = 1e3 * stat(v)
         print(f"  {name:<13s} {ms:7.2f} ms  {100 * ms / (1e3 * total):5.1f} %")
     print(f"  {'total':<13s} {1e3 * total:7.2f} ms")
 
@@ -170,16 +178,15 @@ def counting(fn, rows, tally: dict, name: str):
     return counted
 
 
-def cached_rows(cache: dict) -> dict:
-    """Entries of the greens chunks and rows of the expansion matrices
-    held in a geometry cache."""
-    out = {"greens": 0, "rows": 0}
-    for key, (_, _, mats) in cache.items():
-        if key[0] == "S2T":
-            out["greens"] += sum(m.size for m in mats)
-        else:
-            out["rows"] += sum(len(m) for m in mats)
-    return out
+def cached_rows(cache) -> dict:
+    """Entries of the greens blocks and rows of the expansion matrices
+    held in a geometry cache's pages."""
+    greens = [] if cache.greens is None else cache.greens.blocks
+    rows = [pages for pages in (cache.p2m, cache.rows) if pages is not None]
+    return {
+        "greens": sum(block.size for block in greens),
+        "rows": sum(int(pages.heights.sum()) for pages in rows),
+    }
 
 
 def drift_split(points, charges, repeats: int, seed: int) -> None:
@@ -193,6 +200,8 @@ def drift_split(points, charges, repeats: int, seed: int) -> None:
     moved_at: dict = {"source": [], "target": []}
     tally: dict = {}
     held = {"greens": 0, "rows": 0}
+    patch_samples: dict = {}
+    relaid: list = []
     patched = 0
     with EvaluatorSession(evaluator) as session:
         for _ in range(2):  # fit the operators, fill the geometry cache
@@ -200,11 +209,23 @@ def drift_split(points, charges, repeats: int, seed: int) -> None:
         kernel.greens = counting(kernel.greens, np.size, tally, "greens")
         for name in ("p2m_matrix", "m2t_matrix", "l2t_matrix"):
             setattr(kernel, name, counting(getattr(kernel, name), len, tally, "rows"))
-        # the store's advance, split by timing its two phases inside it
-        store, spent = session._store, {}
-        update, rebind = service.update_dual_tree, Registrar.rebind
-        service.update_dual_tree = timing(update, "tree update", spent)
-        Registrar.rebind = timing(rebind, "rebind/diff", spent)
+        # the store's advance split by timing its two phases inside it,
+        # the patch (inside the s2m and outputs stages) by timing its own
+        store, spent, patch = session._store, {}, {}
+        wrapped = [
+            (service, "update_dual_tree", "tree update", spent),
+            (Registrar, "rebind", "rebind/diff", spent),
+            (registrar, "compile_leaf_layout", "layout rebuild", patch),
+            (geomcache.Pages, "relay_block", "block re-lay", patch),
+            (geomcache.Pages, "relay_page", "page re-lay", patch),
+            (geomcache, "paired_distances", "recompute", patch),
+            (kernel, "greens", "recompute", patch),
+            (geomcache, "expansion_rows", "recompute", patch),
+            (geomcache.Pages, "put", "scatter", patch),
+        ]
+        originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _, _ in wrapped]
+        for owner, attr, name, into in wrapped:
+            setattr(owner, attr, timing(getattr(owner, attr), name, into))
         try:
             while patched < repeats:
                 pick = rng.choice(len(points), 50, replace=False)
@@ -226,22 +247,37 @@ def drift_split(points, charges, repeats: int, seed: int) -> None:
                     tally.update(counted)
                     continue
                 for side, n in moved_at.items():
-                    moved = moved_positions(getattr(old, side), getattr(reg.dual, side))
-                    n.append(np.count_nonzero(moved))
-                for name, t in spent.items():
-                    samples.setdefault(name, []).append(t)
-                samples.setdefault("refresh/assign", []).append(t_advance - sum(spent.values()))
+                    moves = point_moves(getattr(old, side), getattr(reg.dual, side))
+                    n.append(np.count_nonzero(moves.moved))
+                for name in ("tree update", "rebind/diff"):
+                    samples.setdefault(name, []).append(spent[name])
+                samples.setdefault("refresh/assign", []).append(
+                    t_advance - spent["tree update"] - spent["rebind/diff"]
+                )
                 samples.setdefault("reset", []).append(timed(reg.reset))
+                patch.clear()
                 for name, stage in reg.eager_stages() + reg.flush_stages():
                     samples.setdefault(stage_key(name), []).append(timed(stage))
+                for name in ("layout rebuild", "block re-lay", "page re-lay", "recompute", "scatter"):
+                    patch_samples.setdefault(name, []).append(patch.get(name, 0.0))
+                relaid.append((patch.get(("calls", "block re-lay"), 0), patch.get(("calls", "page re-lay"), 0)))
                 for k, v in cached_rows(reg.geom_cache).items():
                     held[k] += v
+                pages = sum(
+                    len(p.pages)
+                    for p in (reg.geom_cache.p2m, reg.geom_cache.greens, reg.geom_cache.rows)
+                    if p is not None
+                )
                 patched += 1
         finally:
-            service.update_dual_tree, Registrar.rebind = update, rebind
+            for owner, attr, fn in originals:
+                if owner is kernel:
+                    delattr(kernel, attr)
+                else:
+                    setattr(owner, attr, fn)
         out = np.empty(len(points))
         out[reg.dual.target.perm] = reg.result
-        for name in ("greens", "p2m_matrix", "m2t_matrix", "l2t_matrix"):
+        for name in ("p2m_matrix", "m2t_matrix", "l2t_matrix"):
             delattr(kernel, name)
         with EvaluatorSession(evaluator, domain=session.domain) as cold:
             cold_out = cold.submit(points, charges)
@@ -254,6 +290,16 @@ def drift_split(points, charges, repeats: int, seed: int) -> None:
         done = tally.get(k, 0)
         done, reused = done / repeats, (held[k] - done) / repeats
         print(f"  {what:<15s} recomputed {done:9.0f}  reused {reused:9.0f} per submit")
+    # a page is re-laid only on a drift that moves a leaf count: the mean
+    # shows what that costs on average
+    print_medians("of which the geometry-cache patch (in s2m, outputs)", patch_samples, repeats, np.mean)
+    blocks, pages_relaid = np.array(relaid).T
+    some = blocks + pages_relaid > 0
+    print(
+        f"  re-laid per submit that moved a leaf count ({np.count_nonzero(some)} of {repeats}):"
+        f" {np.mean(blocks[some]) if some.any() else 0:.1f} blocks in their room,"
+        f" {np.mean(pages_relaid[some]) if some.any() else 0:.1f} of {pages} pages"
+    )
     print()
 
 

@@ -57,6 +57,32 @@ def box_owner(box, bounds: np.ndarray) -> int:
     return min(max(loc, 0), len(bounds) - 2)
 
 
+def box_owners(tree, bounds: np.ndarray) -> list[int]:
+    """:func:`box_owner` of every box of ``tree``, in one pass over its
+    columnar box table."""
+    a = tree.arrays
+    mid = np.where(a.counts > 0, (a.starts + a.stops) // 2, a.starts)
+    loc = np.searchsorted(bounds, mid, side="right") - 1
+    return np.clip(loc, 0, len(bounds) - 2).tolist()
+
+
+def _point_work_cumsum(tree, box_work: np.ndarray) -> np.ndarray:
+    """Cumulative per-point work: each box with points and work spreads
+    it evenly over its points, the boxes added into a point in box
+    order (``np.add.at`` adds entry by entry)."""
+    a = tree.arrays
+    boxes = np.flatnonzero((a.counts > 0) & (box_work > 0))
+    counts = a.counts[boxes]
+    shift = a.starts[boxes] - (np.cumsum(counts) - counts)
+    pt = np.zeros(tree.n_points)
+    np.add.at(
+        pt,
+        np.arange(int(counts.sum())) + np.repeat(shift, counts),
+        np.repeat(box_work[boxes] / counts, counts),
+    )
+    return np.cumsum(pt)
+
+
 class DistributionPolicy:
     """Base class: assigns ``node.locality`` for every DAG node.
 
@@ -95,9 +121,7 @@ class DistributionPolicy:
         else:
             src_bounds = partition_points(dual.source.n_points, n_localities)
             tgt_bounds = partition_points(dual.target.n_points, n_localities)
-        src_owner = [box_owner(b, src_bounds) for b in dual.source.boxes]
-        tgt_owner = [box_owner(b, tgt_bounds) for b in dual.target.boxes]
-        return src_owner, tgt_owner
+        return box_owners(dual.source, src_bounds), box_owners(dual.target, tgt_bounds)
 
     def _work_bounds(self, dag: DAG, dual: DualTree, n_localities: int):
         src_cw, tgt_cw = self._work_cumsums(dag, dual)
@@ -138,15 +162,8 @@ class DistributionPolicy:
         np.add.at(src_box_work, box[cols.src[up]], cost[up])
         np.add.at(tgt_box_work, box[cols.dst[~up]], cost[~up])
 
-        def cumsum_for(tree, box_work):
-            pt = np.zeros(tree.n_points)
-            for b in tree.boxes:
-                if b.count > 0 and box_work[b.index] > 0:
-                    pt[b.start : b.stop] += box_work[b.index] / b.count
-            return np.cumsum(pt)
-
-        src_cw = cumsum_for(dual.source, src_box_work)
-        tgt_cw = cumsum_for(dual.target, tgt_box_work)
+        src_cw = _point_work_cumsum(dual.source, src_box_work)
+        tgt_cw = _point_work_cumsum(dual.target, tgt_box_work)
         self._work_cache = (key, src_cw, tgt_cw)
         return src_cw, tgt_cw
 

@@ -61,6 +61,12 @@ per direction the level translates in at all (``BridgeLevel.dirs``, in
 :data:`FULL_DIRS` order - a slab never goes up or down, a third of the
 M->I and I->L width); the plan holds the row of every node and one
 :class:`Translation` per (level, direction).
+
+Where the leaf outputs land is compiled apart, as a :class:`LeafLayout`
+(:func:`compile_leaf_layout`): it reads the target leaves' point counts
+as well, so it outlives every drift that moves no point across a leaf
+boundary, and lays out the geometry cache's pages
+(:mod:`repro.dashmm.geomcache`) as well as the result accumulation.
 """
 
 from __future__ import annotations
@@ -201,6 +207,93 @@ class EagerPlan:
     sends: dict
     recvs: dict
     n_edges: int  # edges the plan's stages execute
+
+
+@dataclass(frozen=True)
+class LeafLayout:
+    """Where each contribution of a plan's leaf outputs lands.
+
+    A *contribution* is one (output edge, target point) pair; the plan's
+    contributions are numbered in plan order, edge by edge, each edge's
+    run in the order of its target leaf's points.  A contribution's
+    *slot* is its rank among the contributions of its target point in
+    that order: the potentials add each point's contributions slot by
+    slot, the sequence a per-edge walk adds them in.  Every point of one
+    target leaf has the same contributions (one per edge into the leaf),
+    so slots are ranks of edges.  Slot ``k`` of the ``m`` points with
+    more than ``k`` contributions - a prefix of ``own`` - are the
+    contributions ``slot_order[lo : lo + m]``, for ``(lo, m) =
+    slots[k]``.
+    """
+
+    counts: np.ndarray  # per output edge: points of its target leaf
+    starts: np.ndarray  # per output edge: its first contribution
+    #: per output group: its first contribution; one more entry, the total
+    bounds: np.ndarray
+    group_lo: np.ndarray  # per output group: its first edge
+    s2t: np.ndarray  # per output group: is it an S->T group
+    point_idx: np.ndarray  # per contribution: its target point
+    #: the contributions slot by slot, each slot's in the order of ``own``
+    slot_order: np.ndarray
+    #: the target points the plan reaches, those of leaves with more
+    #: contributions first - the only result entries its stage writes
+    own: np.ndarray
+    slots: list
+
+    def add_into(self, result: np.ndarray, vals: np.ndarray) -> None:
+        """Add contribution ``vals[j]`` into ``result[point_idx[j]]`` for
+        every ``j``, slot by slot: each point's sum is the one a
+        sequential ``np.add.at(result, point_idx, vals)`` makes, bit for
+        bit, and no entry outside ``own`` is read or written."""
+        acc = result[self.own]
+        for lo, m in self.slots:
+            acc[:m] += vals[self.slot_order[lo : lo + m]]
+        result[self.own] = acc
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ...`` (``lengths[i]`` values) for every
+    ``i``, concatenated."""
+    first = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+
+
+def compile_leaf_layout(plan: FlushPlan, target) -> LeafLayout:
+    """The :class:`LeafLayout` of ``plan`` over the target tree ``target``."""
+    ta, tbox = target.arrays, plan.out_tbox
+    n = len(tbox)
+    counts = ta.counts[tbox]
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    group_lo = np.array([g.lo for g in plan.outputs], dtype=np.int64)
+    # an edge's slot: its rank among the edges into its target leaf
+    order = np.argsort(tbox, kind="stable")
+    first = np.ones(n, dtype=bool)
+    first[1:] = tbox[order][1:] != tbox[order][:-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    # the reached leaves, most edges first: slot k covers a prefix of them
+    leaves, degree = np.unique(tbox, return_counts=True)
+    by = np.argsort(-degree, kind="stable")
+    leaves, degree = leaves[by], degree[by]
+    points = np.concatenate(([0], np.cumsum(ta.counts[leaves])))
+    n_leaves = np.searchsorted(-degree, -np.arange(degree[0] if n else 0), side="left")
+    # slot by slot, each slot's edges in the order of their leaves in own
+    leaf_pos = np.zeros(len(ta.counts), dtype=np.int64)
+    leaf_pos[leaves] = np.arange(len(leaves))
+    slot_edges = np.lexsort((leaf_pos[tbox], rank))
+    width = points[n_leaves]
+    return LeafLayout(
+        counts=counts,
+        starts=starts,
+        bounds=np.append(starts[group_lo], total),
+        group_lo=group_lo,
+        s2t=np.array([g.op == "S2T" for g in plan.outputs], dtype=bool),
+        point_idx=np.repeat(ta.starts[tbox] - starts, counts) + np.arange(total),
+        slot_order=_runs(starts[slot_edges], counts[slot_edges]),
+        own=_runs(ta.starts[leaves], ta.counts[leaves]),
+        slots=list(zip((np.cumsum(width) - width).tolist(), width.tolist())),
+    )
 
 
 def _group_slices(*keys: np.ndarray) -> list[tuple[int, int]]:

@@ -57,18 +57,22 @@ from repro.dashmm.flushplan import (
     EagerPlan,
     FlushPlan,
     Folds,
+    LeafLayout,
+    _runs,
     compile_eager_plan,
     compile_flush_plan,
+    compile_leaf_layout,
 )
+from repro.dashmm.geomcache import CHUNK, GeometryCache, expansion_rows
 from repro.hpx.lco import CountingLCO
 from repro.hpx.parcel import Parcel
 from repro.hpx.runtime import Runtime
 from repro.hpx.scheduler import HIGH, LOW, Task
-from repro.kernels.base import Kernel, pair_distances, paired_distances
+from repro.kernels.base import Kernel, pair_distances
 from repro.kernels.expo import i2i_tables
 from repro.kernels.fitops import OperatorFactory
 from repro.sim.costmodel import CostModel, SizeModel
-from repro.tree.incremental import moved_positions
+from repro.tree.incremental import point_moves
 
 #: With the binary priority extension on (Section VI), the expansion
 #: pipeline - everything that unlocks downstream dataflow - outranks the
@@ -174,66 +178,6 @@ def _interned(values: list, which: np.ndarray) -> np.ndarray:
     return objs[which]
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``starts[i], starts[i] + 1, ...`` (``lengths[i]`` values) for every
-    ``i``, concatenated."""
-    first = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
-
-
-def _relaid(mats: list, old_counts, counts, dirty: np.ndarray, chunk: int) -> list:
-    """Geometry chunks ``mats``, whose rows are the points of leaves with
-    ``old_counts``, laid out anew over the same leaves with ``counts``
-    in chunks of ``chunk`` rows: each row not ``dirty`` copied from its
-    leaf-relative position in ``mats`` (a leaf whose count moved is
-    dirty throughout), the dirty rows left for the caller to fill."""
-    prev = np.concatenate(mats) if len(mats) > 1 else mats[0]
-    n = len(dirty)
-    was = np.arange(n) + np.repeat(np.cumsum(old_counts) - np.cumsum(counts), counts)
-    # a dirty row may point anywhere: it is overwritten by the caller
-    np.clip(was, 0, len(prev) - 1, out=was)
-    taken = [prev.take(was[lo : lo + chunk], axis=0) for lo in range(0, n, chunk)]
-    if n != len(prev):
-        return taken
-    # as many rows as before: back into the old chunks, so the drift
-    # allocates nothing that outlives it (which would fragment the heap)
-    for mat, rows in zip(mats, taken):
-        mat[...] = rows
-    return mats
-
-
-def _expansion_rows(f, points, pos, center, h) -> np.ndarray:
-    """``f((points[pos] - center) / h, h)``, computed 2048 rows at a time
-    (which bounds the kernel's temporaries) into one preallocated
-    matrix."""
-    first = f((points[pos[:2048]] - center[:2048]) / h, h)
-    if len(pos) <= 2048:
-        return first
-    out = np.empty((len(pos), *first.shape[1:]), dtype=first.dtype)
-    out[:2048] = first
-    for lo in range(2048, len(pos), 2048):
-        out[lo : lo + 2048] = f((points[pos[lo : lo + 2048]] - center[lo : lo + 2048]) / h, h)
-    return out
-
-
-def _leaf_rows(boxes, centers) -> tuple:
-    """Per box its point count, and per point of the boxes, concatenated,
-    its position and its box's center."""
-    counts = np.array([b.count for b in boxes])
-    pos = np.concatenate([np.arange(b.start, b.stop) for b in boxes])
-    return counts, pos, np.repeat(centers[[b.index for b in boxes]], counts, axis=0)
-
-
-def _scatter_rows(mats: list, row: np.ndarray, block: np.ndarray) -> None:
-    """Write ``block`` into rows ``row`` of the 2048-row chunks ``mats``."""
-    if len(mats) == 1:
-        mats[0][row] = block
-        return
-    for c, mat in enumerate(mats):
-        at = row // 2048 == c
-        mat[row[at] - 2048 * c] = block[at]
-
-
 def _permuted(driver, groups, loc) -> list:
     """``groups`` (ascending destination locality) with the destination
     order drawn by the schedule driver: parcels to different localities
@@ -325,27 +269,26 @@ class Registrar:
             "source": dual.domain.box_centers(dual.source.arrays.keys),
             "target": dual.domain.box_centers(dual.target.arrays.keys),
         }
-        #: optional cache of geometry-derived operator matrices (p2m
-        #: basis rows, s2t greens chunks, m2t/l2t evaluation matrices),
-        #: given by the template store on a template's first reuse.
-        #: None (the default) disables caching entirely; when set, the
-        #: stacked passes populate it and
-        #: reuse entries on later warm runs.  Entries are keyed so a hit
-        #: reproduces the cold stacked operands bit for bit.  When points
-        #: move, rebind() diffs the trees and the next walk of the plan
-        #: patches each entry at the rows (and s2t columns) that moved;
-        #: invalidate_plans() clears it.
-        self.geom_cache: dict | None = None
-        #: bumped by every rebind(); a cache entry is ``(generation,
-        #: leaf counts, matrices)`` and is current at this generation
+        #: the geometry-derived operator matrices of the leaf stages (p2m
+        #: basis rows, s2t greens, m2t/l2t evaluation rows) in flat pages
+        #: (:mod:`repro.dashmm.geomcache`), given by the template store on
+        #: a template's first reuse; None disables caching.  A cached
+        #: operand is the cold one bit for bit.  When points move,
+        #: rebind() diffs the trees and the next walk of the plan patches
+        #: the rows (and s2t columns) that moved; invalidate_plans()
+        #: clears it.
+        self.geom_cache: GeometryCache | None = None
+        #: bumped by every rebind(); each side of the cache is current
+        #: at one generation
         self._geom_gen = 0
-        #: per tree, the positions of ``dual`` whose point moved in the
-        #: last rebind() - what an entry of the previous generation
-        #: recomputes; None where that rebind found nothing to patch and
-        #: once a walk of the plan has patched it in
+        #: per tree, :func:`~repro.tree.incremental.point_moves` of the
+        #: last rebind() - what a cache of the previous generation
+        #: recomputes and where it copies the rest from; None where that
+        #: rebind found nothing to patch and once a walk of the plan has
+        #: patched it in
         self._moved: dict | None = None
-        #: per tree, the boxes whose point count the last rebind() moved
-        self._recounted: dict | None = None
+        #: where the flush plan's leaf outputs land, built on first use
+        self._layout: LeafLayout | None = None
         self._nodes = dag.nodes
         self._seed_expansions()
 
@@ -537,7 +480,7 @@ class Registrar:
         those groups.  The next use recompiles from the DAG, and the
         next :meth:`reset` seeds the expansions of the rank's new nodes.
         """
-        self._plan = self._eager = None
+        self._plan = self._eager = self._layout = None
         self._i2i_ops = {}
         if self.geom_cache:
             self.geom_cache.clear()
@@ -556,53 +499,25 @@ class Registrar:
 
         With a geometry cache, the registrar's own previous tree - the
         one its entries were computed over - is diffed against ``dual``
-        (:func:`~repro.tree.incremental.moved_positions`), so the next
-        walk of the plan recomputes only the rows that moved.
+        (:func:`~repro.tree.incremental.point_moves`), so the next
+        walk of the plan recomputes only the rows that moved.  Where a
+        leaf count moved, the leaf-output layout is compiled anew.
         """
         old, self.dual = self.dual, dual
         self._geom_gen += 1
         sides = ("source", "target")
-        self._recounted = {
-            side: getattr(old, side).arrays.counts != getattr(dual, side).arrays.counts
-            for side in sides
-        }
         self._moved = None
         if self.geom_cache:
             self._moved = {
-                side: moved_positions(getattr(old, side), getattr(dual, side)) for side in sides
+                side: point_moves(getattr(old, side), getattr(dual, side)) for side in sides
             }
-        return any(r.any() for r in self._recounted.values())
-
-    def _patch_rows(self, f, points, h, jobs, chunk) -> None:
-        """Bring expansion-matrix entries of the previous generation into
-        this one with a single ``f`` call (one operator, one scale) for
-        the moved rows of all of them.  A job is ``(key, counts, dirty,
-        pos, center)``: the entry's leaves now hold ``counts`` points,
-        and its rows are ``f((points[pos] - center) / h, h)``, those
-        marked ``dirty`` moved.  Stored in chunks of ``chunk`` rows
-        (None: one matrix)."""
-        cache = self.geom_cache
-        todo, at_pos, at_center = [], [], []
-        for key, now, dirty, pos, center in jobs:
-            _, was, mats = cache[key]
-            if np.array_equal(was, now):
-                now = was
-            else:
-                # replaced at once, so the old layout goes now
-                mats = _relaid(mats, was, now, dirty, chunk or len(dirty))
-                cache[key] = (self._geom_gen - 1, now, mats)
-            sel = np.flatnonzero(dirty)
-            todo.append((key, now, mats, sel))
-            at_pos.append(pos[sel])
-            at_center.append(center[sel])
-        pos, center = np.concatenate(at_pos), np.concatenate(at_center)
-        values = _expansion_rows(f, points, pos, center, h) if len(pos) else None
-        lo = 0
-        for key, now, mats, sel in todo:
-            if len(sel):
-                _scatter_rows(mats, sel, values[lo : lo + len(sel)])
-                lo += len(sel)
-            cache[key] = (self._geom_gen, now, mats)
+        recount = any(
+            not np.array_equal(getattr(old, side).arrays.counts, getattr(dual, side).arrays.counts)
+            for side in sides
+        )
+        if recount:
+            self._layout = None
+        return recount
 
     def _node_priority(self, node: DagNode) -> int:
         """Expansion nodes drive the critical chain; leaf data does not.
@@ -840,59 +755,52 @@ class Registrar:
         parallel backend) restricts fitting to the worker's own
         batches.  Leaves with no M node group under locality -1.
         """
-        src = self.dual.source
-        dom = self.dual.domain
-        centers = self._centers["source"]
+        src, dom = self.dual.source, self.dual.domain
+        sa, levels = src.arrays, src.arrays.levels.tolist()
         m_index = self.dag.index.get("M", {})
         dnodes = self.dag.nodes
-        only = self._rank
         by_level: dict[tuple, list] = {}
-        for b in src.boxes:
-            if b.is_leaf and b.count > 0:
-                mid = m_index.get(b.index)
-                loc = dnodes[mid].locality if mid is not None else -1
-                if only is not None and loc != only:
-                    continue
-                by_level.setdefault((b.level, loc), []).append(b)
-        cache, gen = self.geom_cache, self._geom_gen
-        if cache and self._moved is not None:
-            # a drift: patch the basis rows of the moved points, one
-            # p2m_matrix call per level
-            jobs: dict[int, list] = {}
-            for (level, loc), boxes in by_level.items():
-                key = ("p2m", level, loc)
-                entry = cache.get(key)
-                if entry is not None and entry[0] == gen - 1:
-                    counts, pos, center = _leaf_rows(boxes, centers)
-                    jobs.setdefault(level, []).append(
-                        (key, counts, self._moved["source"][pos], pos, center)
-                    )
-            p2m = self.kernel.p2m_matrix
-            for level, batch in jobs.items():
-                self._patch_rows(p2m, src.points, dom.box_size(level), batch, None)
+        for b in np.flatnonzero(sa.leaf & (sa.counts > 0)).tolist():
+            mid = m_index.get(b)
+            loc = dnodes[mid].locality if mid is not None else -1
+            if self._rank is None or loc == self._rank:
+                by_level.setdefault((levels[b], loc), []).append(b)
         out: dict[int, np.ndarray] = {}
-        for (level, loc), boxes in by_level.items():
-            h = dom.box_size(level)
-            w = np.concatenate([src.weights[b.start : b.stop] for b in boxes])
-            # the p2m basis matrix depends only on point geometry (and
-            # scale), not on the charges: a weights-only resubmission
-            # reuses it and pays one elementwise multiply, which is
-            # row-wise, so a cache hit is bit-identical to a cold fit
-            ck = ("p2m", level, loc)
-            entry = cache.get(ck) if cache is not None else None
-            if entry is not None and entry[0] == gen:
-                P = entry[2][0]
+        if not by_level:
+            return out
+        batches = [(level, np.array(ids)) for (level, _), ids in by_level.items()]
+        leaves = np.concatenate([ids for _, ids in batches])
+        counts = sa.counts[leaves]
+        pos = _runs(sa.starts[leaves], counts)
+        group_lo = np.cumsum([0] + [len(ids) for _, ids in batches[:-1]])
+        row_at = np.concatenate(([0], np.cumsum(np.add.reduceat(counts, group_lo)))).tolist()
+        store, fill = None, True
+        if self.geom_cache is not None:
+            # the basis rows depend only on point geometry (and scale),
+            # not on the charges: a charge-only resubmission reuses them
+            # and pays one elementwise multiply, which is row-wise, so a
+            # cached fit is bit-identical to a cold one; a drift patches
+            # the rows of the moved points
+            store, fill = self.geom_cache.leaf_fits(
+                leaves, counts, pos, group_lo, np.array([lv for lv, _ in batches]),
+                self._geom_gen, self._moved, self,
+            )
+        w = src.weights[pos]
+        for i, (level, ids) in enumerate(batches):
+            lo, hi = row_at[i], row_at[i + 1]
+            n = sa.counts[ids]
+            if fill:
+                center = np.repeat(self._centers["source"][ids], n, axis=0)
+                P = expansion_rows(
+                    self.kernel.p2m_matrix, src.points, pos[lo:hi], center, dom.box_size(level),
+                    None if store is None else store.blocks[i],
+                )
             else:
-                counts, pos, center = _leaf_rows(boxes, centers)
-                P = _expansion_rows(self.kernel.p2m_matrix, src.points, pos, center, h)
-                if cache is not None:
-                    cache[ck] = (gen, counts, [P])
-            rows = w[:, None] * P
-            starts = np.zeros(len(boxes), dtype=np.intp)
-            starts[1:] = np.cumsum([b.count for b in boxes])[:-1]
-            coeffs = np.add.reduceat(rows, starts, axis=0)
-            for b, c in zip(boxes, coeffs):
-                out[b.index] = c
+                P = store.blocks[i]
+            rows = w[lo:hi, None] * P
+            out.update(zip(ids.tolist(), np.add.reduceat(rows, np.cumsum(n) - n, axis=0)))
+        if store is not None:
+            self.geom_cache.gen["p2m"] = self._geom_gen
         return out
 
     def _batch_values(self, rows: list, values: dict) -> None:
@@ -1148,241 +1056,95 @@ class Registrar:
             old = exp[nid]
             exp[nid] = row if old is None else old + row
 
+    def leaf_layout(self) -> LeafLayout:
+        """Where the flush plan's leaf outputs land, built on first use
+        and again after a rebind() that moved a leaf count; kept only
+        with a geometry cache (a registrar without one flushes once)."""
+        lay = self._layout
+        if lay is None:
+            lay = compile_leaf_layout(self.flush_plan(), self.dual.target)
+            if self.geom_cache is not None:
+                self._layout = lay
+        return lay
+
     def _flush_outputs(self, plan: FlushPlan) -> None:
         """Leaf outputs: one direct sum per source leaf over all its
         target points (S->T), one evaluation-matrix build per source
         level over the concatenated target points with each point dotted
-        against its own edge's coefficient row (M->T, L->T).  Each
-        per-point value is the dot product the per-edge path computes,
-        so potentials agree to roundoff; contributions are added into
-        the result in plan order, edge by edge.
+        against its own edge's coefficient row (M->T, L->T), every
+        contribution written into one plan-order vector.  Each value is
+        the dot product the per-edge path computes; the potentials add
+        each target point's contributions slot by slot
+        (:class:`~repro.dashmm.flushplan.LeafLayout`), in plan order,
+        edge by edge - the sequence a per-edge walk adds them in.
         """
         if not plan.outputs:
             return
-        dom = self.dual.domain
+        lay = self.leaf_layout()
+        dom, kernel = self.dual.domain, self.kernel
         src, tgt = self.dual.source, self.dual.target
-        res, cache, kernel, gen = self.result, self.geom_cache, self.kernel, self._geom_gen
-        cached_direct = cache is not None and type(kernel).direct is Kernel.direct
-        # target-point index of every (edge, point) pair, in plan order
-        ta = tgt.arrays
-        counts = ta.counts[plan.out_tbox]
-        ends = np.cumsum(counts)
-        point_idx = np.repeat(ta.starts[plan.out_tbox] - (ends - counts), counts)
-        point_idx += np.arange(len(point_idx))
-        if cache and self._moved is not None:
-            self._patch_outputs(plan, point_idx, counts, ends)
-        for g in plan.outputs:
-            p_lo = ends[g.lo] - counts[g.lo]
-            idx = point_idx[p_lo : ends[g.hi - 1]]
-            # one cache entry per group, its matrices chunk by chunk; the
-            # target points are gathered only where an entry is missed
-            # or patched
-            key = (g.op, g.sub, g.loc)
-            entry = cache.get(key) if cache is not None else None
-            mats = entry[2] if entry is not None and entry[0] == gen else None
+        cache = self.geom_cache
+        greens = rows = None
+        fill = True
+        if cache is not None:
+            # a kernel's own direct sum is not the chunked greens matvec
+            direct = type(kernel).direct is Kernel.direct
+            greens, rows, fill = cache.outputs(plan, lay, self._geom_gen, self._moved, self, direct)
+        vals = np.empty(len(lay.point_idx))
+        bounds = lay.bounds.tolist()
+        sbox = plan.out_sbox[lay.group_lo]
+        s_lo, s_hi = src.arrays.starts[sbox].tolist(), src.arrays.stops[sbox].tolist()
+        for i, g in enumerate(plan.outputs):
+            lo, hi = bounds[i], bounds[i + 1]
+            out = vals[lo:hi]
             if g.op == "S2T":
-                sbox = src.boxes[plan.out_sbox[g.lo]]
-                spts = src.points[sbox.start : sbox.stop]
-                sw = src.weights[sbox.start : sbox.stop]
-                if not cached_direct:
-                    out = kernel.direct(tgt.points[idx], spts, sw)
+                sw = src.weights[s_lo[i] : s_hi[i]]
+                if greens is None:
+                    spts = src.points[s_lo[i] : s_hi[i]]
+                    out[:] = kernel.direct(tgt.points[lay.point_idx[lo:hi]], spts, sw)
+                    continue
+                # Kernel.direct chunk for chunk: the greens matrix depends
+                # on the coordinates only, so a warm re-query pays one
+                # matvec against the fresh charges; identical chunking and
+                # operands make cached and uncached sums bit-identical
+                block = greens.blocks[i]
+                for c0 in range(lo, hi, CHUNK) if fill else ():
+                    idx = lay.point_idx[c0 : min(c0 + CHUNK, hi)]
+                    G = pair_distances(tgt.points[idx], src.points[s_lo[i] : s_hi[i]])
+                    block[c0 - lo : c0 - lo + CHUNK] = kernel.greens(G)
+                if hi - lo <= CHUNK:
+                    np.matmul(block, sw, out=out)
+                    continue
+                for c0 in range(0, hi - lo, CHUNK):
+                    np.matmul(block[c0 : c0 + CHUNK], sw, out=out[c0 : c0 + CHUNK])
+                continue
+            h = dom.box_size(g.sub)
+            side = "source" if g.op == "M2T" else "target"
+            centers = self._centers[side][plan.out_sbox[g.lo : g.hi]]
+            coeffs = self._stacked_data(plan.out_src[g.lo : g.hi])
+            # which edge owns each concatenated point (the per-point
+            # center/coefficient rows are gathered per chunk so every
+            # temporary stays cache-resident)
+            eidx = np.repeat(np.arange(g.hi - g.lo), lay.counts[g.lo : g.hi])
+            # the evaluation rows depend on the target points and box
+            # centers but not on the coefficients: a warm re-evaluation
+            # pays only the row-dot - the same (matrix * rows).sum
+            # contraction as m2t_rows / l2t_rows, hence bit-identical
+            matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
+            block = None if rows is None else rows.blocks[i]
+            for c0 in range(0, hi - lo, CHUNK):
+                sel = eidx[c0 : c0 + CHUNK]
+                if not fill:
+                    mat = block[c0 : c0 + CHUNK]
                 else:
-                    # Kernel.direct chunk for chunk, caching each
-                    # chunk's greens matrix: it depends on the
-                    # coordinates only, so a warm re-query pays one
-                    # matvec against the fresh charges.  Identical
-                    # chunking and per-chunk matvec operands make hit
-                    # and miss bit-identical to the uncached direct sum.
-                    if mats is None:
-                        mats = [
-                            kernel.greens(pair_distances(tgt.points[idx[lo : lo + 2048]], spts))
-                            for lo in range(0, len(idx), 2048)
-                        ]
-                        cache[key] = (gen, counts[g.lo : g.hi].copy(), mats)
-                    out = np.zeros(len(idx))
-                    for lo, G in zip(range(0, len(idx), 2048), mats):
-                        out[lo : lo + 2048] = G @ sw
-            else:
-                h = dom.box_size(g.sub)
-                side = "source" if g.op == "M2T" else "target"
-                centers = self._centers[side][plan.out_sbox[g.lo : g.hi]]
-                coeffs = self._stacked_data(plan.out_src[g.lo : g.hi])
-                # which edge owns each concatenated point (the per-point
-                # center/coefficient rows are gathered per chunk so
-                # every temporary stays cache-resident)
-                eidx = np.repeat(np.arange(g.hi - g.lo), counts[g.lo : g.hi])
-                # per-chunk evaluation matrices depend on the target
-                # points and box centers but not on the coefficients, so
-                # a warm re-evaluation over unmoved points only pays the
-                # row-dot - the same (matrix * rows).sum contraction as
-                # m2t_rows / l2t_rows, hence bit-identical
-                matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
-                # without a cache no chunk outlives its row-dot
-                fresh = [] if cache is not None else None
-                out = np.empty(len(idx))
-                for c, lo in enumerate(range(0, len(idx), 2048)):
-                    sel = eidx[lo : lo + 2048]
-                    if mats is None:
-                        mat = matf((tgt.points[idx[lo : lo + 2048]] - centers[sel]) / h, h)
-                        if fresh is not None:
-                            fresh.append(mat)
-                    else:
-                        mat = mats[c]
-                    out[lo : lo + 2048] = (mat * coeffs[sel]).sum(axis=1).real
-                if fresh:
-                    cache[key] = (gen, counts[g.lo : g.hi].copy(), fresh)
-            # sequential, like the per-box loop it replaces: a target
-            # box may appear under several M->T edges of one group
-            np.add.at(res, idx, out)
+                    pts = tgt.points[lay.point_idx[lo + c0 : min(lo + c0 + CHUNK, hi)]]
+                    mat = matf((pts - centers[sel]) / h, h)
+                    if block is not None:
+                        block[c0 : c0 + CHUNK] = mat
+                out[c0 : c0 + CHUNK] = (mat * coeffs[sel]).sum(axis=1).real
+        if cache is not None:
+            cache.gen["outputs"] = self._geom_gen
+        lay.add_into(self.result, vals)
         # the last stage of a walk: every entry is current, so the next
         # walk, unless a rebind() comes first, needs no patch pass
         self._moved = None
-
-    def _patch_outputs(self, plan: FlushPlan, point_idx, counts, ends) -> None:
-        """Bring the previous generation's output entries into this one
-        in array passes over the plan's edges, not group by group (edge
-        ``e`` owns the plan's points up to ``ends[e]``, target positions
-        ``point_idx``; its target leaf holds ``counts[e]``).
-
-        An entry no moved point reaches - no target leaf of the group,
-        nor the source leaf of an S->T group, holds one - is carried as
-        it is.  An M->T / L->T entry a moved point reaches gets its moved
-        rows from one evaluation-matrix call per (op, level)
-        (:meth:`_patch_rows`).  An S->T entry whose source leaf kept its
-        count is relaid where a target leaf's count moved
-        (:func:`_relaid`), then gets the greens of every (moved target,
-        source point) pair of all those groups in one flat pass, and of
-        every (target, moved source) pair in another.  An S->T entry of
-        a new width is left to the flush, which computes it afresh.
-        """
-        cache, gen, moved = self.geom_cache, self._geom_gen, self._moved
-        src, tgt, outputs = self.dual.source, self.dual.target, plan.outputs
-        box_moved = {}
-        for side in ("source", "target"):
-            a = getattr(self.dual, side).arrays
-            seen = np.concatenate(([0], np.cumsum(moved[side])))
-            box_moved[side] = seen[a.stops] > seen[a.starts]
-        lo = np.array([g.lo for g in outputs])
-        bounds = np.concatenate(([0], ends))[np.append(lo, len(ends))]
-        s2t = np.array([g.op == "S2T" for g in outputs])
-        sbox = np.zeros(len(outputs), dtype=np.int64)
-        sbox[s2t] = plan.out_sbox[lo[s2t]]
-        touched = np.logical_or.reduceat(box_moved["target"][plan.out_tbox], lo)
-        touched[s2t] |= box_moved["source"][sbox[s2t]]
-        patchable = (s2t & ~self._recounted["source"][sbox]).tolist()
-        recount = np.logical_or.reduceat(self._recounted["target"][plan.out_tbox], lo).tolist()
-        patch, jobs = [], {}
-        for i, (g, hit) in enumerate(zip(outputs, touched.tolist())):
-            key = (g.op, g.sub, g.loc)
-            entry = cache.get(key)
-            if entry is None or entry[0] != gen - 1:
-                continue
-            if not hit:
-                cache[key] = (gen, *entry[1:])
-            elif g.op != "S2T":
-                jobs.setdefault((g.op, g.sub), []).append((i, key))
-            elif patchable[i]:
-                patch.append((i, key))
-        spans = bounds.tolist()
-        for (op, level), batch in jobs.items():
-            side = "source" if op == "M2T" else "target"
-            work = []
-            for i, key in batch:
-                g = outputs[i]
-                idx = point_idx[spans[i] : spans[i + 1]]
-                now = counts[g.lo : g.hi].copy()
-                center = np.repeat(self._centers[side][plan.out_sbox[g.lo : g.hi]], now, axis=0)
-                work.append((key, now, moved["target"][idx], idx, center))
-            matf = self.kernel.m2t_matrix if op == "M2T" else self.kernel.l2t_matrix
-            self._patch_rows(matf, tgt.points, self.dual.domain.box_size(level), work, 2048)
-        if not patch:
-            return
-        ids = np.array([i for i, _ in patch])
-        hot = np.zeros(len(outputs), dtype=bool)
-        hot[ids] = True
-        dirty = moved["target"][point_idx] & np.repeat(hot, np.diff(bounds))
-        # the new layouts first, each replacing its entry at once: the
-        # heap never holds two layouts of many groups, and the flat
-        # passes' temporaries come after the long-lived chunks
-        laid = []
-        for i, key in patch:
-            _, now, mats = cache[key]
-            if recount[i]:
-                g = outputs[i]
-                was, now = now, counts[g.lo : g.hi].copy()
-                mats = _relaid(mats, was, now, dirty[spans[i] : spans[i + 1]], 2048)
-                cache[key] = (gen - 1, now, mats)
-            laid.append((i, key, now, mats))
-        # the flat passes, a batch of groups of about 2**14 pairs at a
-        # time: their temporaries come on top of the whole cache
-        rows = np.flatnonzero(dirty)
-        group = np.searchsorted(bounds, rows, side="right") - 1
-        sources = np.flatnonzero(moved["source"])
-        s_start, s_count = src.arrays.starts[sbox], src.arrays.counts[sbox]
-        n_cols = np.searchsorted(sources, s_start + s_count) - np.searchsorted(sources, s_start)
-        pairs = np.bincount(group, s_count[group], len(outputs)) + np.diff(bounds) * n_cols
-        batch, size = [], 0
-        for item in laid:
-            batch.append(item)
-            size += pairs[item[0]]
-            if size >= 1 << 14 or item is laid[-1]:
-                self._patch_greens(batch, point_idx, bounds, sbox, rows, group, sources)
-                batch, size = [], 0
-
-    def _patch_greens(self, laid, point_idx, bounds, sbox, rows, group, sources) -> None:
-        """The flat passes of :meth:`_patch_outputs` over the S->T
-        entries ``laid`` (``(group, key, counts, chunks)``, laid out for
-        this generation): the greens of every (moved target, source
-        point) pair, then of every (target, moved source) pair, written
-        into the chunks.  ``rows`` are the plan's points whose target
-        moved (in group ``group``), ``sources`` the moved source
-        positions; group ``i`` owns the plan's points ``bounds[i]:
-        bounds[i + 1]`` and the source leaf ``sbox[i]``."""
-        src, tgt, gen = self.dual.source, self.dual.target, self._geom_gen
-        s_start, s_count = src.arrays.starts[sbox], src.arrays.counts[sbox]
-        ids = np.array([i for i, _, _, _ in laid])
-        hot = np.zeros(len(sbox), dtype=bool)
-        hot[ids] = True
-        rows, group = rows[hot[group]], group[hot[group]]
-        # rows: each moved target against its group's source leaf
-        reps = s_count[group]
-        row_values = self.kernel.greens(
-            paired_distances(
-                tgt.points,
-                src.points,
-                np.repeat(point_idx[rows], reps),
-                _runs(s_start[group], reps),
-            )
-        )
-        row_at = np.concatenate(([0], np.cumsum(reps))).tolist()
-        row_local = rows - bounds[group]
-        # columns: every target of a group against its moved sources
-        c_lo = np.searchsorted(sources, s_start[ids])
-        width = np.searchsorted(sources, s_start[ids] + s_count[ids]) - c_lo
-        col_ids, c_lo, width = ids[width > 0], c_lo[width > 0], width[width > 0]
-        height = np.diff(bounds)[col_ids]
-        per_row = np.repeat(width, height)
-        col_values = self.kernel.greens(
-            paired_distances(
-                tgt.points,
-                src.points,
-                np.repeat(point_idx[_runs(bounds[col_ids], height)], per_row),
-                sources[_runs(np.repeat(c_lo, height), per_row)],
-            )
-        )
-        col_at = np.concatenate(([0], np.cumsum(height * width))).tolist()
-        col_of = {i: j for j, i in enumerate(col_ids.tolist())}
-        ats = np.searchsorted(group, ids).tolist()
-        tos = np.searchsorted(group, ids, side="right").tolist()
-        spans = bounds.tolist()
-        for (i, key, now, mats), at, to in zip(laid, ats, tos):
-            if at < to:
-                block = row_values[row_at[at] : row_at[to]].reshape(to - at, -1)
-                _scatter_rows(mats, row_local[at:to], block)
-            j = col_of.get(i)
-            if j is not None:
-                block = col_values[col_at[j] : col_at[j + 1]].reshape(spans[i + 1] - spans[i], -1)
-                cols = sources[c_lo[j] : c_lo[j] + width[j]] - s_start[i]
-                for c0, mat in zip(range(0, len(block), 2048), mats):
-                    mat[:, cols] = block[c0 : c0 + 2048]
-            self.geom_cache[key] = (gen, now, mats)

@@ -54,6 +54,7 @@ from typing import Any
 import numpy as np
 
 from repro.dashmm.dag import refresh_n_points
+from repro.dashmm.geomcache import GeometryCache
 from repro.dashmm.registrar import Registrar
 from repro.tree.box import Domain
 from repro.tree.dualtree import DualTree, build_dual_tree, checked_points, checked_weights
@@ -193,7 +194,7 @@ class TemplateStore:
         if reg.geom_cache is None and reg._plan is not None:
             # advanced again after its plan ran: a template that runs
             # once (a one-shot parallel evaluate) never holds the cache
-            reg.geom_cache = {}
+            reg.geom_cache = GeometryCache()
         return reg
 
 

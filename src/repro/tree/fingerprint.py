@@ -1,6 +1,7 @@
 """Tree-shape fingerprints: the cache keys of the persistent layer.
 
-Cheap CRC folds over the columnar box tables:
+Collision-resistant digests (BLAKE2b, 256 bits) over the columnar box
+tables:
 
 * the **shape fingerprint** captures everything the interaction lists
   and the structural DAG depend on: the refinement threshold, the
@@ -17,6 +18,12 @@ Cheap CRC folds over the columnar box tables:
   for what reads counts and caches across trees (the distribution
   policy's work-balance cuts).
 
+A key must tell shapes apart, not just usually: a store that took two
+shapes for one would rebind a registrar to a tree of another shape.  So
+the keys are cryptographic digests, not checksums - a CRC-32 is linear
+over GF(2), and flipping a dependent set of key bits forges a collision
+at will.
+
 Fingerprints are value keys, not identity keys: two independently built
 trees over the same inputs collide on purpose (that is what lets a
 worker process agree with the parent, and a re-built session agree with
@@ -26,38 +33,36 @@ submission is recognised by comparing them byte for byte.
 
 from __future__ import annotations
 
-import zlib
+import hashlib
 
 import numpy as np
 
 from repro.tree.dualtree import DualTree, Tree
 
 
-def _crc(crc: int, arr: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+def _digest(*parts) -> bytes:
+    """BLAKE2b-256 of the parts' bytes, each prefixed by its length."""
+    h = hashlib.blake2b(digest_size=32)
+    for part in parts:
+        data = np.ascontiguousarray(part).tobytes()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.digest()
 
 
-def tree_shape_fingerprint(tree: Tree) -> int:
+def tree_shape_fingerprint(tree: Tree) -> bytes:
     """Shape key of one tree: threshold + domain + box keys + leaf mask."""
     a = tree.arrays
-    crc = zlib.crc32(
-        np.array(
-            [tree.threshold, *np.asarray(tree.domain.origin, dtype=float).view(np.int64)],
-            dtype=np.int64,
-        ).tobytes()
-    )
-    crc = _crc(crc, np.array([tree.domain.size], dtype=float).view(np.int64))
-    crc = _crc(crc, a.keys)
-    crc = _crc(crc, a.leaf)
-    return crc
+    domain = np.array([*np.asarray(tree.domain.origin, dtype=float), tree.domain.size], dtype=float)
+    return _digest(np.array([tree.threshold], dtype=np.int64), domain, a.keys, a.leaf)
 
 
-def tree_full_fingerprint(tree: Tree) -> int:
+def tree_full_fingerprint(tree: Tree) -> bytes:
     """Shape key + per-box counts (point distribution over the boxes)."""
-    return _crc(tree_shape_fingerprint(tree), tree.arrays.counts)
+    return _digest(tree_shape_fingerprint(tree), tree.arrays.counts)
 
 
-def dual_shape_fingerprint(dual: DualTree) -> tuple[int, int]:
+def dual_shape_fingerprint(dual: DualTree) -> tuple[bytes, bytes]:
     """Shape key of a dual tree (source shape, target shape)."""
     return (
         tree_shape_fingerprint(dual.source),
@@ -65,10 +70,9 @@ def dual_shape_fingerprint(dual: DualTree) -> tuple[int, int]:
     )
 
 
-def dual_full_fingerprint(dual: DualTree) -> tuple[int, int]:
+def dual_full_fingerprint(dual: DualTree) -> tuple[bytes, bytes]:
     """Full key of a dual tree (source, target), counts included."""
     return (
         tree_full_fingerprint(dual.source),
         tree_full_fingerprint(dual.target),
     )
-

@@ -41,6 +41,8 @@ repeat-shape submissions.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.tree.box import Box, Domain
@@ -371,6 +373,48 @@ def moved_positions(old: Tree, new: Tree) -> np.ndarray:
     was = old.points.view(np.int64)[kept + shift[kept]]
     moved[kept] = (new.points.view(np.int64)[kept] != was).any(axis=1)
     return moved
+
+
+class PointMoves(NamedTuple):
+    """:func:`point_moves` of one tree."""
+
+    #: per sorted position of the new tree: its value must be recomputed
+    moved: np.ndarray
+    #: per sorted position: the leaf-relative position in the old tree
+    #: its value can be copied from (meaningless where ``moved``)
+    was: np.ndarray
+
+
+def point_moves(old: Tree, new: Tree) -> PointMoves:
+    """What a cache of values per sorted position of ``old`` keeps for
+    ``new`` (same shape).
+
+    In a leaf whose count held, as :func:`moved_positions`: a position
+    copies from the same leaf-relative position, and is moved where its
+    coordinates differ there.  In a leaf whose count moved, a position
+    copies from where ``old`` held the same input point with the same
+    coordinates in that leaf, and is moved where ``old`` held none - so
+    a point crossing a leaf boundary moves itself, not its leaves.
+    """
+    moved = moved_positions(old, new)
+    na, oa = new.arrays, old.arrays
+    leaves = new.leaf_indices
+    leaves = leaves[np.argsort(na.starts[leaves])]
+    counts = na.counts[leaves]
+    leaf_of = np.repeat(leaves, counts)
+    was = np.arange(len(moved)) - na.starts[leaf_of]
+    at = np.flatnonzero(np.repeat(counts != oa.counts[leaves], counts))
+    if len(at):
+        # a point's old sorted position, found by its input index
+        inv = np.full(max(len(old.perm), len(new.perm)), -1)
+        inv[old.perm] = np.arange(len(old.perm))
+        q = inv[new.perm[at]]
+        lo = oa.starts[leaf_of[at]]
+        kept = (q >= lo) & (q < oa.stops[leaf_of[at]])
+        kept[kept] = (old.points.view(np.int64)[q[kept]] == new.points.view(np.int64)[at[kept]]).all(axis=1)
+        moved[at] = ~kept
+        was[at] = np.where(kept, q - lo, 0)
+    return PointMoves(moved, was)
 
 
 def update_dual_tree(

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dashmm.dag import build_fmm_dag
 from repro.dashmm.distribution import (
     BlockPolicy,
     FmmPolicy,
     RandomPolicy,
+    _point_work_cumsum,
     box_owner,
     partition_points,
 )
@@ -124,3 +127,56 @@ def test_single_locality(setup):
     dual, lists, dag = setup
     FmmPolicy().assign(dag, dual, 1)
     assert all(n.locality == 0 for n in dag.nodes)
+
+
+def _reference_point_work_cumsum(tree, box_work):
+    """The per-box loop the array pass replaces."""
+    pt = np.zeros(tree.n_points)
+    for b in tree.boxes:
+        if b.count > 0 and box_work[b.index] > 0:
+            pt[b.start : b.stop] += box_work[b.index] / b.count
+    return np.cumsum(pt)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    n=st.integers(8, 400),
+    clusters=st.integers(1, 4),
+    threshold=st.integers(3, 30),
+    localities=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_array_owners_match_the_per_box_rule(n, clusters, threshold, localities, seed):
+    """On random adaptive trees, every node a policy pins to its box's
+    owner sits where the per-box :func:`box_owner` puts it, for both
+    balances; and the per-point work the ``"work"`` cuts split is the
+    per-box loop's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, 1, (clusters, 3))
+    pts = centers[rng.integers(clusters, size=n)] + rng.normal(scale=0.05, size=(n, 3))
+    tgt = pts[rng.permutation(n)[: max(1, n // 2)]] + 1e-3
+    dual = build_dual_tree(pts, tgt, threshold, source_weights=rng.normal(size=n))
+    dag = build_fmm_dag(dual, build_lists(dual), advanced=True)
+    for balance in ("count", "work"):
+        for policy in (FmmPolicy(balance=balance), BlockPolicy(balance=balance), RandomPolicy(balance=balance)):
+            policy.assign(dag, dual, localities)
+            if balance == "count":
+                bounds = {
+                    "source": partition_points(dual.source.n_points, localities),
+                    "target": partition_points(dual.target.n_points, localities),
+                }
+            else:
+                bounds = dict(zip(("source", "target"), policy._work_bounds(dag, dual, localities)))
+            for node in dag.nodes:
+                tree = dual.source if node.tree == "source" else dual.target
+                box = tree.boxes[node.box_index]
+                pinned = node.kind in ("S", "T") or (node.kind in ("M", "L") and box.is_leaf)
+                if isinstance(policy, BlockPolicy) or (isinstance(policy, FmmPolicy) and node.kind != "It"):
+                    pinned = True
+                if pinned:
+                    assert node.locality == box_owner(box, bounds[node.tree])
+    for tree in (dual.source, dual.target):
+        work = rng.exponential(size=len(tree.boxes)) * (rng.random(len(tree.boxes)) < 0.7)
+        assert np.array_equal(
+            _point_work_cumsum(tree, work), _reference_point_work_cumsum(tree, work)
+        )

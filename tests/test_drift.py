@@ -7,18 +7,22 @@ moved.  The bar is the session's usual one - every submit bit-identical
 to a cold session over the same domain - across the moves that exercise
 each branch: charges only, a move inside a deep Morton cell, a move that
 changes a point's rank inside its leaf, a leaf crossing (counts move,
-entries are rebuilt from their clean rows), separate targets, and a
-shape change and back (a revisited template is diffed against its own
-tree).
+blocks are re-laid from where their points were), a leaf fed past the
+room its blocks have, separate targets, and a shape change and back (a
+revisited template is diffed against its own tree).  A drift must also
+stay within a page of a warm submit's heap.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.dashmm.geomcache as geomcache
 from repro.dashmm import DashmmEvaluator, EvaluatorSession
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.fitops import OperatorFactory
@@ -67,14 +71,14 @@ def _reorder(tree, points, rng):
     return out
 
 
-def _cross(tree, points, rng):
+def _cross(tree, points, rng, threshold=THRESHOLD):
     """A point moved into a sibling leaf: two leaf counts move, no box
     crosses the threshold."""
     hops = []
     for parent in tree.boxes:
         kids = [tree.box(k) for k in parent.children]
         donors = [b for b in kids if b.is_leaf and b.count > 1]
-        takers = [b for b in kids if b.is_leaf and b.count < THRESHOLD]
+        takers = [b for b in kids if b.is_leaf and b.count < threshold]
         hops += [(d, t) for d in donors for t in takers if d is not t]
     donor, taker = hops[rng.integers(len(hops))]
     out = points.copy()
@@ -214,3 +218,97 @@ def test_parallel_drift_matches_the_simulator(factory):
             else:
                 both(_crowd(tree, pts, rng), w)
             both(pts, w)
+
+
+def _feed(tree, taker_key, points, sign):
+    """A point moved from a sibling leaf into the leaf ``taker_key``
+    (``sign`` +1) or out of it into a sibling (-1): the parent's count,
+    hence the shape, stays."""
+    taker = tree.box(taker_key)
+    siblings = [tree.box(k) for k in tree.box(taker.parent).children]
+    other = next(b for b in siblings if b.is_leaf and b is not taker and b.count > 1)
+    src, dst = (other, taker) if sign > 0 else (taker, other)
+    out = points.copy()
+    out[tree.perm[src.start]] = points[tree.perm[dst.start]] + 1e-9
+    return out
+
+
+@pytest.mark.parametrize("room", ["default", "none"])
+def test_a_leaf_that_outgrows_its_room_relays_its_page(factory, monkeypatch, room):
+    """Points crossing into one leaf again and again grow the blocks that
+    read it past the room set aside for them: their page is laid out
+    anew - in its own buffer while the page has entries to spare (the
+    default room), in a new one once not (no room at all and a page per
+    block) - and every submit equals a cold session."""
+    if room == "none":
+        monkeypatch.setattr(geomcache, "_room", lambda h, w: h * w)
+        monkeypatch.setattr(geomcache, "PAGE_BYTES", 8)
+    grown = []
+    relay_page = geomcache.Pages.relay_page
+
+    def counted(pages, p, *args):
+        size = len(pages.pages[p])
+        relay_page(pages, p, *args)
+        grown.append(len(pages.pages[p]) > size)
+
+    monkeypatch.setattr(geomcache.Pages, "relay_page", counted)
+    rng, pts, w = _cloud(5)
+    with EvaluatorSession(_evaluator(factory, n_localities=3)) as sess:
+        _check(sess, pts, w)
+        _check(sess, pts, w)
+        reg = sess._store.current
+        tree = reg.dual.source
+        taker = next(
+            b for b in tree.leaves
+            if b.count <= THRESHOLD - 4
+            and sum(s.is_leaf and s.count > 1 for s in map(tree.box, tree.box(b.parent).children)) > 1
+        )
+        for sign in (1, 1, 1, 1, -1, -1):
+            pts = _feed(reg.dual.source, taker.key, pts, sign)
+            _check(sess, pts, w)
+            assert sess._store.current is reg
+    assert (room == "none") in grown
+
+
+def test_a_drift_holds_at_most_a_page_more_than_a_warm_submit(factory):
+    """A filled cache, one point moved across a leaf boundary (the blocks
+    that read the two leaves are laid out anew): over a warm submit, the
+    drift's heap peaks at most one page plus the patch's temporaries
+    higher, and keeps only its new tree and the rebuilt leaf-output
+    layout - never a second copy of the cache, and no page
+    reallocated."""
+    rng = np.random.default_rng(3)
+    cells = np.indices((8, 8, 2)).reshape(3, -1).T
+    pts = ((cells[:, None, :] + rng.random((len(cells), 32, 3))) / 8.0).reshape(-1, 3)
+    w = rng.normal(size=len(pts))
+    ev = DashmmEvaluator(
+        factory.kernel, method="fmm", threshold=60, factory=factory,
+        runtime_config=RuntimeConfig(n_localities=3),
+    )
+
+    def traced(points):
+        tracemalloc.start()
+        try:
+            sess.submit(points, w)
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    with EvaluatorSession(ev) as sess:
+        sess.submit(pts, w)
+        sess.submit(pts, w)
+        reg = sess._store.current
+        cache = reg.geom_cache
+        held = sum(page.nbytes for s in (cache.p2m, cache.greens, cache.rows) for page in s.pages)
+        kept, peak = traced(pts)
+        moved = _cross(reg.dual.source, pts, rng, threshold=60)
+        kept_drift, peak_drift = traced(moved)
+        assert sess._store.current is reg and reg.geom_cache is cache
+        lay = reg.leaf_layout()
+        layout = sum(a.nbytes for a in vars(lay).values() if isinstance(a, np.ndarray))
+        temporaries = geomcache.PAGE_BYTES + 96 * geomcache.BATCH + 2 * layout
+        assert temporaries < held / 2
+        assert peak_drift - peak < temporaries
+        # what the drift keeps beyond a warm submit's: the new tree and
+        # the rebuilt layout, less than a page
+        assert kept_drift - kept < layout + geomcache.PAGE_BYTES // 2

@@ -662,3 +662,56 @@ def test_a_rank_reads_no_row_it_was_not_sent(factories, cloud):
     with pytest.raises(KeyError) as missing:
         stage()
     assert missing.value.args[0] in {nid for ids in recvs[name].values() for nid in ids}
+
+
+@pytest.mark.parametrize("policy", [None, _ScatterPolicy()], ids=["fmm", "scatter"])
+def test_a_ranks_outputs_touch_only_its_own_points(factories, cloud, policy):
+    """Workers share one result vector.  The rank-restricted leaf-output
+    layouts of a 3-locality plan own disjoint target points that
+    together are the points the full plan reaches, and a rank's outputs
+    stage leaves every other entry as it was - a sentinel stays - while
+    its own come out as the full plan's, bit for bit."""
+    factory = factories["laplace"]
+    pts, w, domain = _corner_problem(cloud)
+    ev = _evaluator(factory, "fmm", policy=policy, config=RuntimeConfig(n_localities=3))
+    with EvaluatorSession(ev, domain=domain) as session:
+        session.submit(pts, w)
+        full = session._store.current
+    reached = np.unique(full.leaf_layout().point_idx)
+    owns = []
+    for r in range(3):
+        reg = _rank_registrar(r, full.dag, full.dual, factory)
+        # every expansion the stage may read, as the frames deliver them
+        reg.expansions = dict(full.expansions)
+        own = reg.leaf_layout().own
+        owns.append(own)
+        reg.result = np.full(len(pts), np.pi)
+        reg.result[own] = 0.0
+        dict(reg.flush_stages())["outputs"]()
+        assert np.all(np.delete(reg.result, own) == np.pi)
+        assert np.array_equal(reg.result[own], full.result[own])
+    together = np.concatenate(owns)
+    assert len(np.unique(together)) == len(together)
+    assert np.array_equal(np.sort(together), reached)
+
+
+def test_slot_sums_are_the_sequential_add_at(factories, cloud):
+    """The outputs stage adds contributions slot by slot; every point's
+    sum must be the sequential ``np.add.at`` one bit for bit, on values
+    of wildly mixed magnitudes and signed zeros (where any other
+    association or a start from the first value would show)."""
+    factory = factories["laplace"]
+    pts, w, domain = _corner_problem(cloud)
+    with EvaluatorSession(_evaluator(factory, "fmm"), domain=domain) as session:
+        session.submit(pts, w)
+        lay = session._store.current.leaf_layout()
+    rng = np.random.default_rng(2)
+    vals = rng.normal(size=len(lay.point_idx)) * 10.0 ** rng.integers(-12, 12, len(lay.point_idx))
+    vals[rng.random(len(vals)) < 0.05] = -0.0
+    base = np.where(rng.random(len(pts)) < 0.5, 0.0, rng.normal(size=len(pts)))
+    want, got = base.copy(), base.copy()
+    np.add.at(want, lay.point_idx, vals)
+    lay.add_into(got, vals)
+    assert np.array_equal(want.view(np.int64), got.view(np.int64))
+    # ragged: the last slot holds fewer points than the first
+    assert lay.slots[-1][1] < lay.slots[0][1]

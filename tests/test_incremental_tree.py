@@ -4,6 +4,9 @@ do zero carving."""
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,11 @@ from repro.tree.dualtree import COUNTERS, build_dual_tree, build_tree
 from repro.tree.fingerprint import (
     dual_full_fingerprint,
     dual_shape_fingerprint,
+    tree_full_fingerprint,
     tree_shape_fingerprint,
 )
-from repro.tree.incremental import moved_positions, update_dual_tree, update_tree
+from repro.tree.incremental import moved_positions, point_moves, update_dual_tree, update_tree
+from tests.crc_forge import neutral_flips
 
 THRESHOLD = 25
 
@@ -114,6 +119,42 @@ def test_moved_positions_against_a_leaf_by_leaf_walk(base):
     assert not moved_positions(new, new).any()
 
 
+def test_point_moves_follow_points_across_a_recount(base):
+    """In a leaf whose count held a position is what
+    :func:`moved_positions` says and copies from its own leaf-relative
+    position; in a leaf whose count moved it copies from where the old
+    leaf held the same input point with the same coordinates, and is
+    moved only where no such point was there - a leaf-by-leaf walk."""
+    rng, src, tgt, w, dual = base
+    src2 = src.copy()
+    idx = rng.choice(len(src), size=20, replace=False)
+    src2[idx] = np.clip(src2[idx] + rng.normal(scale=2e-2, size=(20, 3)), 0.0, 1.0)
+    new, status = update_tree(dual.source, src2, weights=w)
+    assert status == "spliced"
+    old = dual.source
+    moves = point_moves(old, new)
+    recounted = 0
+    for a, b in zip(old.boxes, new.boxes):
+        if not b.is_leaf:
+            continue
+        if a.count == b.count:
+            at = slice(b.start, b.stop)
+            assert np.array_equal(moves.moved[at], moved_positions(old, new)[at])
+            assert np.array_equal(moves.was[at], np.arange(b.count))
+            continue
+        recounted += 1
+        held = {int(old.perm[q]): q - a.start for q in range(a.start, a.stop)}
+        for r in range(b.count):
+            q = held.get(int(new.perm[b.start + r]))
+            same = q is not None and (
+                old.points[a.start + q].tobytes() == new.points[b.start + r].tobytes()
+            )
+            assert moves.moved[b.start + r] == (not same)
+            if same:
+                assert moves.was[b.start + r] == q
+    assert recounted and np.count_nonzero(moves.moved) < np.count_nonzero(moved_positions(old, new))
+
+
 def test_recarve_matches_cold_build(base):
     rng, src, tgt, w, dual = base
     # move a third of the points a long way: structure must change
@@ -162,3 +203,24 @@ def test_fingerprints_track_counts(base):
         )
         full_moved = dual_full_fingerprint(new) != dual_full_fingerprint(dual)
         assert full_moved == counts_moved
+
+
+def test_fingerprints_tell_a_crc_collision_apart(base):
+    """Box keys with a GF(2)-dependent set of low bits flipped - their
+    CRC-32 unchanged, so a checksum key would take the two shapes for
+    one - key a different shape and a different count distribution."""
+    rng, src, tgt, w, dual = base
+    tree = dual.source
+    keys = tree.arrays.keys
+    # the 12 low bits of the keys of three boxes
+    bits = [(box, k) for box in (1, 2, 3) for k in range(12)]
+    subset = neutral_flips(keys.tobytes(), [[(8 * box + k // 8, k % 8)] for box, k in bits])
+    forged_keys = keys.copy()
+    for i, (box, k) in enumerate(bits):
+        if subset >> i & 1:
+            forged_keys[box] ^= 1 << k
+    assert not np.array_equal(forged_keys, keys)
+    assert zlib.crc32(forged_keys.tobytes()) == zlib.crc32(keys.tobytes())
+    forged = dataclasses.replace(tree, _arrays=dataclasses.replace(tree.arrays, keys=forged_keys))
+    assert tree_shape_fingerprint(forged) != tree_shape_fingerprint(tree)
+    assert tree_full_fingerprint(forged) != tree_full_fingerprint(tree)

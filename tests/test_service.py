@@ -27,6 +27,7 @@ from repro.hpx.tracing import ScheduleTrace
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
 from repro.tree.dualtree import build_dual_tree
+from tests.crc_forge import neutral_flips
 from tests.test_lifetime import cyclic_garbage
 
 
@@ -109,26 +110,17 @@ def _sorted_crc(dual) -> int:
 def _crc_collision(pts, threshold, domain):
     """``pts`` with some of 36 low mantissa bits (the 12 lowest of three
     sorted coordinates) flipped so that :func:`_sorted_crc` is
-    unchanged.  A CRC is linear over GF(2): 36 flips map to 32-bit
-    syndromes, and some nonempty subset of them XORs to zero."""
+    unchanged (:func:`crc_forge.neutral_flips`)."""
     dual = build_dual_tree(pts, pts, threshold, domain=domain)
-    base = bytearray(dual.source.points.tobytes() + dual.target.points.tobytes())
-    crc0, half = zlib.crc32(base), len(base) // 2
+    base = dual.source.points.tobytes() + dual.target.points.tobytes()
+    half = len(base) // 2
     # (index into the flattened sorted coordinates, mantissa bit):
     # y of the first point, z of the second, x of the fourth
     bits = [(index, k) for index in (1, 5, 9) for k in range(12)]
-    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (syndrome, subset)
-    for i, (index, k) in enumerate(bits):
-        flipped = bytearray(base)
-        for at in (8 * index + k // 8, half + 8 * index + k // 8):
-            flipped[at] ^= 1 << (k % 8)
-        syndrome, subset = zlib.crc32(flipped) ^ crc0, 1 << i
-        while syndrome and syndrome.bit_length() in basis:
-            other, other_subset = basis[syndrome.bit_length()]
-            syndrome, subset = syndrome ^ other, subset ^ other_subset
-        if not syndrome:
-            break
-        basis[syndrome.bit_length()] = (syndrome, subset)
+    subset = neutral_flips(
+        base,
+        [[(8 * index + k // 8, k % 8), (half + 8 * index + k // 8, k % 8)] for index, k in bits],
+    )
     raw = pts.copy()
     ints = raw.view(np.int64)
     for i, (index, k) in enumerate(bits):
