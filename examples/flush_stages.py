@@ -11,7 +11,11 @@ milliseconds per stage.  With
 ``--workers N`` it then serves the same submits from N worker processes,
 which walk the same list rank by rank, and prints each rank's medians
 from the round statistics: ``run`` inside the stage, ``wait`` posting its
-frames and waiting for the peers'.  With ``--cold`` it first splits a
+frames and waiting for the peers' (less the S->T groups the rank ran
+while it waited), then the rest of the round - the advance, the reset,
+the ``fill`` (those S->T groups) and the ``span`` from GO handled to
+DONE posted - and the parent's hop overhead, the round's wall time less
+the largest span.  With ``--cold`` it first splits a
 cold ``evaluate()`` of the same problem the same way: tree, DAG,
 distribution, LCO allocation, the drain's compile (its tables and
 time-zero tasks) and run, the compile of the plan the drain owes, then
@@ -303,6 +307,10 @@ def drift_split(points, charges, repeats: int, seed: int) -> None:
     print()
 
 
+#: what a rank's DONE reports of its round besides the stages, in seconds
+ROUND_KEYS = ("advance", "reset", "fill", "span")
+
+
 def worker_split(points, charges, expected, workers: int, repeats: int) -> None:
     """Median per-rank stage and wait times of ``repeats`` warm rounds."""
     evaluator = canonical_evaluator(RuntimeConfig(backend="parallel", n_localities=workers))
@@ -329,6 +337,10 @@ def worker_split(points, charges, expected, workers: int, repeats: int) -> None:
         print(f"  rank {rank}: run {run:.2f} ms, wait {wait:.2f} ms")
         for key, (run, wait) in med.items():
             print(f"    {key:<8s} run {run:6.2f}  wait {wait:6.2f}")
+        rest = {key: 1e3 * np.median([w[key + "_s"] for w in stats]) for key in ROUND_KEYS}
+        print("    " + "  ".join(f"{key} {ms:.2f}" for key, ms in rest.items()) + " ms")
+    hop = 1e3 * np.median([r["wall_time"] - max(w["span_s"] for w in r["workers"]) for r in rounds])
+    print(f"  parent hop overhead (wall - largest span): {hop:.2f} ms")
 
 
 def main() -> None:

@@ -38,28 +38,50 @@ re-drive on respawned workers are all the same message.
 
 The pipeline (:meth:`_WorkerBody._round`), per stage: *post* to every
 peer in ``sends[stage]`` one frame with the rows that peer's stage
-reads - stacked into a fresh contiguous block, so nothing the sender
-computes later can reach it - *wait* for one frame from every peer in
-``recvs[stage]``, *run* the stage.  A frame's rows land in the
-registrar's ``expansions``, beside the rank's own rows; a stage's read
-of a remote node no frame delivered is a ``KeyError``.
+reads - stacked into this rank's shared-memory mailbox
+(:class:`~repro.hpx.parallel.Mailbox`), the frame itself carrying only
+``(segment name, offset, ids, shape)`` per block - *wait* for one frame
+from every peer in ``recvs[stage]``, *run* the stage.  A receiver
+attaches to a mailbox name once and puts views of the sender's block
+into the registrar's ``expansions``, beside the rank's own rows - the
+I->I stage's copy into its source-side matrix is the only copy an Is
+row makes after its post.  A stage's read of a remote node no frame
+delivered is a ``KeyError``.
 
 * Every shipped value is final when it is sent: the stage order puts
   each producer before the stage its readers run, on every rank.  A
   frame that arrives early (a fast peer is stages ahead) therefore just
   waits in the store; there is no barrier between stages.
+* Mailbox reuse: a rank's blocks start at offset 0 each round and
+  follow each other without overlap, so nothing a sender posts later in
+  a round reaches a block a peer may still read.  The next round
+  rewrites them, which is safe because the parent posts GO of round k+1
+  only after every rank's DONE of round k, and a rank drops its views
+  of peer mailboxes before DONE.  A frame of round k+1 that overtakes
+  this rank's GO points into a block already rewritten for round k+1;
+  it is held, not read, until the round's state is in place.
 * Deadlock rule: **a rank posts everything a stage's readers need
   before it waits for anything of that stage.**  All ranks walk the same
   stage names in the same order and posting never blocks, so by
   induction over the stages the rank furthest behind can always run:
   everything it waits for was posted by ranks that already reached that
   stage.
+* Fill rule: while its inbox is empty, a waiting rank runs the outputs
+  stage's next pending S->T group
+  (:class:`~repro.dashmm.registrar.LeafOutputs`: the stage's
+  preparation first, then one group at a time) - S->T reads points and
+  charges only - and the outputs stage runs whatever is left.  It checks the inbox between groups, so a
+  frame is handled at most one group late and the deadlock rule holds
+  as written; every ``vals`` slot is written once and the add keeps
+  its order, so the fill moves no bit.
 * Acks are drained once, before DONE: when a rank reports, every frame
   it sent was processed and (``sends`` and ``recvs`` mirror each other)
   every frame addressed to it was awaited by some stage, so no message
   is in flight across a round boundary - except a peer's first frame of
   the *next* round overtaking this rank's GO, which is held until the
-  round's state is in place.
+  round's state is in place.  A receiver acks a frame after it has
+  attached to its segments, so once its frames are acked a rank may
+  unlink a mailbox it outgrew.
 
 Why the result is bit-identical to the simulator:
 
@@ -91,6 +113,21 @@ from repro.dashmm.service import TemplateStore, check_plan_only, same_points
 from repro.hpx.parallel import ParallelError, QueueChannel, seed_worker_rngs
 
 
+#: one object per key of the workers' round statistics (see _shared_keys)
+_KEYS: dict = {}
+
+
+def _shared_keys(stats: dict) -> dict:
+    """A DONE message's statistics with every key - stage names and
+    counter names, which arrive unpickled as fresh objects each round -
+    replaced by one shared object: ``round_stats`` keeps an entry per
+    round for the life of a session."""
+    key = _KEYS.setdefault
+    return {
+        key(k, k): _shared_keys(v) if isinstance(v, dict) else v for k, v in stats.items()
+    }
+
+
 class _Stop(Exception):
     """STOP arrived inside a round: the parent is tearing the fleet down."""
 
@@ -103,17 +140,22 @@ class _WorkerBody:
         self.spec = spec
         self.inbox = inboxes[rank]
         self.parent_q = parent_q
-        self.channel = QueueChannel(rank, inboxes)
         #: (stage, peer) of every frame delivered this round
         self._arrived: set = set()
         #: messages that overtook this rank's GO
         self._held: list = []
         self._recvs: dict = {}
-        #: plan edges executed, all rounds; this round's seconds per stage
+        #: the round's outputs stage's ``step`` - its preparation, then
+        #: one S->T group per call - while any part is pending, else None
+        self._fill = None
+        #: plan edges executed, all rounds; this round's seconds per
+        #: stage, and of its advance, reset, fill and GO-to-DONE span
         self.tasks_run = 0
         self.stage_s: dict = {}
         self.wait_s: dict = {}
+        self.round_s: dict = {}
         self._build(manifest)
+        self.channel = QueueChannel(rank, inboxes, self.arena.worker_prefix)
 
     # -- deterministic setup (untimed) -----------------------------------------
     def _build(self, manifest) -> None:
@@ -160,10 +202,10 @@ class _WorkerBody:
     # -- frames ----------------------------------------------------------------
     def _post(self, stage, owed: dict) -> None:
         """One frame per reading peer: the final rows of the nodes it
-        reads in ``stage``, as ``(ids, stacked rows)`` blocks - one per
-        row width, i.e. one unless the bridge levels differ in width.
-        Nodes nothing contributed to are left out; the receiver knows
-        which ids to expect."""
+        reads in ``stage``, as ``(ids, rows)`` blocks - one per row
+        width, i.e. one unless the bridge levels differ in width -
+        stacked into this rank's mailbox.  Nodes nothing contributed to
+        are left out; the receiver knows which ids to expect."""
         exp = self.reg.expansions
         for dst in sorted(owed):
             blocks: dict[int, tuple[list, list]] = {}
@@ -173,16 +215,15 @@ class _WorkerBody:
                     ids, rows = blocks.setdefault(len(row), ([], []))
                     ids.append(nid)
                     rows.append(row)
-            self.channel.send(
-                dst, stage, [(ids, np.stack(rows)) for ids, rows in blocks.values()]
-            )
+            self.channel.send(dst, stage, list(blocks.values()))
 
     def _handle(self, msg) -> None:
         """One inbox message of a round in progress."""
         tag = msg[0]
         if tag == "frame":
-            _, src, seq, stage, blocks = msg
-            if self.channel.handle_frame(src, seq):
+            _, src, seq, stage, payload = msg
+            blocks = self.channel.handle_frame(src, seq, payload)
+            if blocks is not None:
                 exp = self.reg.expansions
                 exp.update(dict.fromkeys(self._recvs[stage][src]))
                 for ids, rows in blocks:
@@ -196,9 +237,19 @@ class _WorkerBody:
             raise ParallelError(f"unexpected message {tag!r}")
 
     def _pump(self, done) -> None:
-        """Handle inbox messages until ``done()`` holds."""
+        """Handle inbox messages until ``done()`` holds.  While the inbox
+        is empty, run the round's pending S->T groups one at a time (the
+        fill), so a frame waits for at most one group; with none left,
+        block on the inbox."""
+        inbox = self.inbox
         while not done():
-            self._handle(self.inbox.get())
+            if self._fill is not None and inbox.empty():
+                t = time.perf_counter()
+                if not self._fill():
+                    self._fill = None
+                self.round_s["fill_s"] += time.perf_counter() - t
+            else:
+                self._handle(inbox.get())
 
     # -- one round -------------------------------------------------------------
     def _round(self) -> None:
@@ -206,8 +257,16 @@ class _WorkerBody:
         expansions (the parent zeroes the shared result), then walk the
         rank's stage list as a send-when-final / wait-when-needed
         pipeline (module docstring)."""
+        t = time.perf_counter()
         reg = self.reg = self.store.advance(*self._inputs)
+        t_reset = time.perf_counter()
         reg.reset(zero_result=False)
+        t_run = time.perf_counter()
+        round_s = self.round_s = {
+            "advance_s": t_reset - t,
+            "reset_s": t_run - t_reset,
+            "fill_s": 0.0,
+        }
         self._arrived.clear()
         eager, flush = reg.eager_plan(), reg.flush_plan()
         sends = {**eager.sends, **flush.sends}
@@ -215,19 +274,31 @@ class _WorkerBody:
         for msg in self._held:
             self._handle(msg)
         self._held.clear()
+        stages = reg.eager_stages() + reg.flush_stages()
+        self._fill = dict(stages)["outputs"].step
         arrived = self._arrived
         stage_s = self.stage_s = {}
         wait_s = self.wait_s = {}
         t = time.perf_counter()
-        for name, stage in reg.eager_stages() + reg.flush_stages():
+        for name, stage in stages:
             self._post(name, sends.get(name, {}))
             need = {(name, peer) for peer in self._recvs.get(name, ())}
+            filled = round_s["fill_s"]
             self._pump(lambda: need <= arrived)
             t_run = time.perf_counter()
             stage()
-            wait_s[name], t = t_run - t, time.perf_counter()
+            wait_s[name] = t_run - t - (round_s["fill_s"] - filled)
+            t = time.perf_counter()
             stage_s[name] = t - t_run
+        self._fill = None  # the outputs stage ran whatever was left
         self._pump(lambda: not self.channel.unacked)
+        # the peers' rows are views of their mailboxes, which the next
+        # round rewrites: none outlives this one
+        exp = reg.expansions
+        for stage, src in arrived:
+            for nid in self._recvs[stage][src]:
+                exp.pop(nid, None)
+        self.channel.end_round()
         self.tasks_run += eager.n_edges + flush.n_edges
 
     # -- protocol --------------------------------------------------------------
@@ -248,7 +319,9 @@ class _WorkerBody:
             while True:
                 msg = self.inbox.get()
                 if msg[0] == "go":
+                    t_go = time.perf_counter()
                     self._round()
+                    self.round_s["span_s"] = time.perf_counter() - t_go
                     self.parent_q.put(("done", self.rank, self.stats()))
                 elif msg[0] == "stop":
                     break
@@ -257,17 +330,22 @@ class _WorkerBody:
         except _Stop:
             pass
         finally:
+            self.channel.close()
             self.arena.close()
 
     def stats(self) -> dict:
-        """Cumulative counters plus the last round's seconds per stage:
-        ``stage_s`` running it, ``wait_s`` posting its frames and
-        waiting for the peers' (both keyed by stage name)."""
+        """Cumulative counters plus the last round's seconds: per stage
+        ``stage_s`` running it and ``wait_s`` posting its frames and
+        waiting for the peers' (both keyed by stage name, the wait
+        without the fill), and ``advance_s``, ``reset_s``, ``fill_s``
+        (S->T groups run inside the waits) and ``span_s`` (GO handled
+        to DONE posted)."""
         return {
             "rank": self.rank,
             "tasks_run": self.tasks_run,
             "stage_s": self.stage_s,
             "wait_s": self.wait_s,
+            **self.round_s,
             **self.channel.stats(),
         }
 
@@ -480,7 +558,11 @@ class PersistentParallelService:
         from repro.hpx.parallel import _THREAD_ENV, await_workers
 
         ctx = mp.get_context(self.evaluator.runtime_config.start_method)
-        self._inboxes = [ctx.Queue() for _ in range(self.n)]
+        # an inbox carries small messages (GO, frames naming mailbox
+        # blocks, acks): a SimpleQueue writes them to the pipe inside
+        # put(), where a Queue's feeder thread would wait for the
+        # sender's GIL while it computes
+        self._inboxes = [ctx.SimpleQueue() for _ in range(self.n)]
         self._parent_q = ctx.Queue()
         self._procs = []
         saved = {k: _os.environ.get(k) for k in _THREAD_ENV}
@@ -509,17 +591,20 @@ class PersistentParallelService:
         await_workers(self._parent_q, self._procs, self.n, "ready", self.timeout)
 
     def _respawn(self) -> None:
-        """Kill any surviving workers and spawn a replacement fleet."""
+        """Kill any surviving workers, unlink the mailboxes they leave
+        (a killed worker unlinks nothing) and spawn a replacement fleet."""
         for p in self._procs:
             if p.is_alive():
                 p.terminate()
         for p in self._procs:
             p.join(timeout=5.0)
+        self._arena.unlink_worker_segments()
         self._spawn_workers()
         self.respawns += 1
 
     def close(self) -> None:
-        """Stop workers and release the arena (idempotent)."""
+        """Stop workers and release the arena - with whatever mailbox a
+        killed worker left under its prefix (idempotent)."""
         for q in self._inboxes:
             try:
                 q.put(("stop",))
@@ -625,7 +710,7 @@ class PersistentParallelService:
                 raise
         wall = time.perf_counter() - t0
         self.rounds += 1
-        stat = {"wall_time": wall, "workers": stats}
+        stat = {"wall_time": wall, "workers": [_shared_keys(w) for w in stats]}
         if attempts:
             stat["respawns"] = attempts
         self.round_stats.append(stat)

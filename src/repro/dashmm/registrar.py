@@ -46,6 +46,7 @@ plan on a ``Registrar(None, ...)``.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from functools import partial
 
 import numpy as np
@@ -913,7 +914,8 @@ class Registrar:
         then the leaf outputs, which read the final local expansions.
         The thunks execute the compiled :class:`FlushPlan`; a worker
         posts the plan's ``sends`` and awaits its ``recvs`` in front of
-        each.
+        each, and runs the outputs stage's S->T groups while it waits
+        (:class:`LeafOutputs`).
         """
         plan = self.flush_plan()
         return [
@@ -924,7 +926,7 @@ class Registrar:
                 (("l2l", level), partial(self._flush_l2l_level, level, groups))
                 for level, groups in plan.l2l
             ),
-            ("outputs", partial(self._flush_outputs, plan)),
+            ("outputs", LeafOutputs(self, plan)),
         ]
 
     def flush_deferred(self) -> None:
@@ -1067,61 +1069,112 @@ class Registrar:
                 self._layout = lay
         return lay
 
-    def _flush_outputs(self, plan: FlushPlan) -> None:
-        """Leaf outputs: one direct sum per source leaf over all its
-        target points (S->T), one evaluation-matrix build per source
-        level over the concatenated target points with each point dotted
-        against its own edge's coefficient row (M->T, L->T), every
-        contribution written into one plan-order vector.  Each value is
-        the dot product the per-edge path computes; the potentials add
-        each target point's contributions slot by slot
-        (:class:`~repro.dashmm.flushplan.LeafLayout`), in plan order,
-        edge by edge - the sequence a per-edge walk adds them in.
-        """
-        if not plan.outputs:
-            return
-        lay = self.leaf_layout()
-        dom, kernel = self.dual.domain, self.kernel
-        src, tgt = self.dual.source, self.dual.target
-        cache = self.geom_cache
-        greens = rows = None
-        fill = True
+
+class LeafOutputs:
+    """The outputs stage of one walk of the plan, in three parts.
+
+    Leaf outputs: one direct sum per source leaf over all its target
+    points (S->T), one evaluation-matrix build per source level over the
+    concatenated target points with each point dotted against its own
+    edge's coefficient row (M->T, L->T), every contribution written into
+    one plan-order vector ``vals``.  Each value is the dot product the
+    per-edge path computes; the potentials add each target point's
+    contributions slot by slot
+    (:class:`~repro.dashmm.flushplan.LeafLayout`), in plan order, edge
+    by edge - the sequence a per-edge walk adds them in.
+
+    S->T reads points and charges only, so it need not wait for the
+    expansions: :meth:`step` runs the *preparation* (the layout, the
+    geometry-cache patch, the ``vals`` vector), then one S->T group per
+    call - a parallel worker calls it while its inbox is empty - and
+    the stage itself runs whatever is still pending, then M->T / L->T
+    and the add.  Every ``vals`` slot is written once and the add keeps
+    its order, so where a group ran moves no bit.
+    """
+
+    def __init__(self, reg: Registrar, plan: FlushPlan):
+        self.reg, self.plan = reg, plan
+        #: the S->T groups not run yet, in plan order
+        self.pending = deque(i for i, g in enumerate(plan.outputs) if g.op == "S2T")
+        #: the plan-order contributions, allocated by the preparation
+        self.vals: np.ndarray | None = None
+
+    def step(self) -> bool:
+        """Run the next part that may run ahead of the stage - the
+        preparation, then one S->T group; False when none is left."""
+        if not self.plan.outputs:
+            return False
+        if self.vals is None:
+            self._prepare()
+        elif self.pending:
+            self._s2t(self.pending.popleft())
+        else:
+            return False
+        return True
+
+    def __call__(self) -> None:
+        while self.step():
+            pass
+        if self.plan.outputs:
+            self._rest()
+
+    def _prepare(self) -> None:
+        reg, plan = self.reg, self.plan
+        lay = self.lay = reg.leaf_layout()
+        cache = reg.geom_cache
+        self.greens = self.rows = None
+        self.filling = True
         if cache is not None:
             # a kernel's own direct sum is not the chunked greens matvec
-            direct = type(kernel).direct is Kernel.direct
-            greens, rows, fill = cache.outputs(plan, lay, self._geom_gen, self._moved, self, direct)
-        vals = np.empty(len(lay.point_idx))
-        bounds = lay.bounds.tolist()
+            direct = type(reg.kernel).direct is Kernel.direct
+            self.greens, self.rows, self.filling = cache.outputs(
+                plan, lay, reg._geom_gen, reg._moved, reg, direct
+            )
+        self.vals = np.empty(len(lay.point_idx))
+        self.bounds = lay.bounds.tolist()
         sbox = plan.out_sbox[lay.group_lo]
-        s_lo, s_hi = src.arrays.starts[sbox].tolist(), src.arrays.stops[sbox].tolist()
+        src = reg.dual.source
+        self.s_lo, self.s_hi = src.arrays.starts[sbox].tolist(), src.arrays.stops[sbox].tolist()
+
+    def _s2t(self, i: int) -> None:
+        """The direct sum of S->T group ``i`` into its ``vals`` slots."""
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        out, lay = self.vals[lo:hi], self.lay
+        src, tgt, kernel = self.reg.dual.source, self.reg.dual.target, self.reg.kernel
+        sw = src.weights[self.s_lo[i] : self.s_hi[i]]
+        if self.greens is None:
+            spts = src.points[self.s_lo[i] : self.s_hi[i]]
+            out[:] = kernel.direct(tgt.points[lay.point_idx[lo:hi]], spts, sw)
+            return
+        # Kernel.direct chunk for chunk: the greens matrix depends on the
+        # coordinates only, so a warm re-query pays one matvec against the
+        # fresh charges; identical chunking and operands make cached and
+        # uncached sums bit-identical
+        block = self.greens.blocks[i]
+        for c0 in range(lo, hi, CHUNK) if self.filling else ():
+            idx = lay.point_idx[c0 : min(c0 + CHUNK, hi)]
+            G = pair_distances(tgt.points[idx], src.points[self.s_lo[i] : self.s_hi[i]])
+            block[c0 - lo : c0 - lo + CHUNK] = kernel.greens(G)
+        if hi - lo <= CHUNK:
+            np.matmul(block, sw, out=out)
+            return
+        for c0 in range(0, hi - lo, CHUNK):
+            np.matmul(block[c0 : c0 + CHUNK], sw, out=out[c0 : c0 + CHUNK])
+
+    def _rest(self) -> None:
+        """M->T and L->T into their ``vals`` slots, then the add."""
+        reg, plan, lay = self.reg, self.plan, self.lay
+        dom, kernel, tgt = reg.dual.domain, reg.kernel, reg.dual.target
+        vals, bounds, filling = self.vals, self.bounds, self.filling
         for i, g in enumerate(plan.outputs):
+            if g.op == "S2T":
+                continue
             lo, hi = bounds[i], bounds[i + 1]
             out = vals[lo:hi]
-            if g.op == "S2T":
-                sw = src.weights[s_lo[i] : s_hi[i]]
-                if greens is None:
-                    spts = src.points[s_lo[i] : s_hi[i]]
-                    out[:] = kernel.direct(tgt.points[lay.point_idx[lo:hi]], spts, sw)
-                    continue
-                # Kernel.direct chunk for chunk: the greens matrix depends
-                # on the coordinates only, so a warm re-query pays one
-                # matvec against the fresh charges; identical chunking and
-                # operands make cached and uncached sums bit-identical
-                block = greens.blocks[i]
-                for c0 in range(lo, hi, CHUNK) if fill else ():
-                    idx = lay.point_idx[c0 : min(c0 + CHUNK, hi)]
-                    G = pair_distances(tgt.points[idx], src.points[s_lo[i] : s_hi[i]])
-                    block[c0 - lo : c0 - lo + CHUNK] = kernel.greens(G)
-                if hi - lo <= CHUNK:
-                    np.matmul(block, sw, out=out)
-                    continue
-                for c0 in range(0, hi - lo, CHUNK):
-                    np.matmul(block[c0 : c0 + CHUNK], sw, out=out[c0 : c0 + CHUNK])
-                continue
             h = dom.box_size(g.sub)
             side = "source" if g.op == "M2T" else "target"
-            centers = self._centers[side][plan.out_sbox[g.lo : g.hi]]
-            coeffs = self._stacked_data(plan.out_src[g.lo : g.hi])
+            centers = reg._centers[side][plan.out_sbox[g.lo : g.hi]]
+            coeffs = reg._stacked_data(plan.out_src[g.lo : g.hi])
             # which edge owns each concatenated point (the per-point
             # center/coefficient rows are gathered per chunk so every
             # temporary stays cache-resident)
@@ -1131,10 +1184,10 @@ class Registrar:
             # pays only the row-dot - the same (matrix * rows).sum
             # contraction as m2t_rows / l2t_rows, hence bit-identical
             matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
-            block = None if rows is None else rows.blocks[i]
+            block = None if self.rows is None else self.rows.blocks[i]
             for c0 in range(0, hi - lo, CHUNK):
                 sel = eidx[c0 : c0 + CHUNK]
-                if not fill:
+                if not filling:
                     mat = block[c0 : c0 + CHUNK]
                 else:
                     pts = tgt.points[lay.point_idx[lo + c0 : min(lo + c0 + CHUNK, hi)]]
@@ -1142,9 +1195,9 @@ class Registrar:
                     if block is not None:
                         block[c0 : c0 + CHUNK] = mat
                 out[c0 : c0 + CHUNK] = (mat * coeffs[sel]).sum(axis=1).real
-        if cache is not None:
-            cache.gen["outputs"] = self._geom_gen
-        lay.add_into(self.result, vals)
+        if reg.geom_cache is not None:
+            reg.geom_cache.gen["outputs"] = reg._geom_gen
+        lay.add_into(reg.result, vals)
         # the last stage of a walk: every entry is current, so the next
         # walk, unless a rebind() comes first, needs no patch pass
-        self._moved = None
+        reg._moved = None

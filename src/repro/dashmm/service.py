@@ -96,9 +96,10 @@ def check_plan_only(evaluator, who: str) -> None:
 def same_points(dual: DualTree, sources: np.ndarray, targets: np.ndarray) -> bool:
     """Whether ``dual`` holds exactly these points on both sides, byte
     for byte: a charge-only submission."""
+    # np.take gathers rows a few times faster than raw[perm]
     return all(
         len(raw) == tree.n_points
-        and np.array_equal(raw[tree.perm].view(np.int64), tree.points.view(np.int64))
+        and np.array_equal(np.take(raw, tree.perm, axis=0).view(np.int64), tree.points.view(np.int64))
         for tree, raw in ((dual.source, sources), (dual.target, targets))
     )
 

@@ -109,7 +109,9 @@ class GlobalAddressSpace:
 # allocator/registry the ISSUE calls for: the parent allocates named
 # blocks, ships a manifest (names + shapes + dtypes) to the workers,
 # and the workers attach read-write NumPy views.  Ownership is strict:
-# only the creating arena unlinks; attached arenas only close.  The
+# only the creating arena unlinks; attached arenas only close.  Segments
+# a worker makes itself (its mailbox) are named under the arena's
+# worker_prefix, so the owner unlinks what a crashed worker left.  The
 # registry tracks every segment it created so tests can assert nothing
 # leaked into /dev/shm even after worker crashes.
 
@@ -136,19 +138,25 @@ class ShmBlock:
         self._shm.close()
 
     def unlink(self) -> None:
-        """Remove the segment name (owner side; idempotent).
+        """Remove the segment name (owner side; idempotent)."""
+        unlink_segment(self._shm)
 
-        The arena owns segment lifetime outright (every register is
-        balanced by an immediate unregister, see ShmArena), so the name
-        is re-registered just before ``SharedMemory.unlink`` - which
-        unconditionally unregisters - to keep the shared tracker's
-        bookkeeping balanced across the process tree.
-        """
-        _tracker_register(self._shm)
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            _tracker_unregister(self._shm)
+
+def unlink_segment(shm) -> None:
+    """Remove a segment name that never entered the resource tracker
+    (idempotent).
+
+    The segment's owner handles its lifetime outright (every register
+    is balanced by an immediate unregister, see ShmArena), so the name
+    is re-registered just before ``SharedMemory.unlink`` - which
+    unconditionally unregisters - to keep the shared tracker's
+    bookkeeping balanced across the process tree.
+    """
+    _tracker_register(shm)
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        _tracker_unregister(shm)
 
 
 def _tracker_register(shm) -> None:
@@ -224,12 +232,15 @@ def _unlink_segments(names) -> None:
         except OSError:  # pragma: no cover - platform-specific failure
             continue
         seg.close()
-        _tracker_register(seg)
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - lost a race
-            _tracker_unregister(seg)
+        unlink_segment(seg)
         names.discard(name)
+
+
+def _release(names, worker_prefix: str) -> None:
+    """The finalize guard of an owning arena: its own segments, then
+    whatever its workers left."""
+    _unlink_segments(names)
+    _unlink_segments(set(ShmArena.leaked(worker_prefix + "_")))
 
 
 #: segment numbers are drawn process-wide: names live in one /dev/shm
@@ -260,6 +271,14 @@ class ShmArena:
     def __init__(self, prefix: str = "hmmgas"):
         self.prefix = prefix
         self.owner = True
+        #: where processes attached to this arena name segments of their
+        #: own (a worker's mailbox, :class:`repro.hpx.parallel.Mailbox`):
+        #: under the owner's pid, so its leak checks see them, and a
+        #: number of this arena, so two live arenas' workers never
+        #: collide.  The owner unlinks whatever is left under it
+        #: (:meth:`unlink_worker_segments`) - a SIGKILLed worker runs
+        #: no cleanup of its own.
+        self.worker_prefix = f"{prefix}_{os.getpid()}_w{next(_segment_numbers)}"
         self._blocks: dict[str, ShmBlock] = {}
         # fail-safe cleanup: if the owning process dies without running
         # destroy() (exception unwind, gc of a leaked arena, interpreter
@@ -270,7 +289,7 @@ class ShmArena:
         # - that is what :meth:`reap_orphans` is for.)
         self._live_names: set[str] = set()
         self._finalizer = weakref.finalize(
-            self, _unlink_segments, self._live_names
+            self, _release, self._live_names, self.worker_prefix
         )
 
     # -- parent (owner) side ---------------------------------------------------
@@ -306,6 +325,7 @@ class ShmArena:
         """
         return {
             "pid": os.getpid(),
+            "worker_prefix": self.worker_prefix,
             "blocks": {
                 label: (b.name, b.shape, b.dtype.str)
                 for label, b in self._blocks.items()
@@ -328,6 +348,7 @@ class ShmArena:
         arena = cls.__new__(cls)
         arena.prefix = ""
         arena.owner = False
+        arena.worker_prefix = manifest["worker_prefix"]
         arena._blocks = {}
         arena._live_names = set()  # attached arenas never unlink
         with _suppress_tracker():
@@ -352,6 +373,14 @@ class ShmArena:
         for b in self._blocks.values():
             b.unlink()
         self._live_names.clear()  # disarm the finalize guard
+        self.unlink_worker_segments()
+
+    def unlink_worker_segments(self) -> None:
+        """Remove what attached processes left under
+        :attr:`worker_prefix` (owner only; call with them stopped)."""
+        if not self.owner:
+            raise ValueError("only the owning arena may unlink worker segments")
+        _unlink_segments(set(ShmArena.leaked(self.worker_prefix + "_")))
 
     def destroy(self) -> None:
         """Owner teardown: unmap and unlink everything."""

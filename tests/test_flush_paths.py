@@ -229,14 +229,23 @@ def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud, workers)
         reg = b._store.current
         names = [name for name, _ in reg.eager_stages() + reg.flush_stages()]
         edges = sum(len(out) for out in reg.dag.out_edges)
-        first, last = (r["workers"] for r in a._parallel.round_stats[-2:])
+        (_, first), (wall, last) = (
+            (r["wall_time"], r["workers"]) for r in a._parallel.round_stats[-2:]
+        )
     # what a rank reports per round: the seconds of every stage it walked
-    # and of the wait in front of it, the plan edges it executed (all
-    # rounds so far), and a frame count bounded by stages x peers - acked
-    # one for one before DONE
+    # and of the wait in front of it, of the advance, the reset, the S->T
+    # groups it ran inside its waits and the span from GO to DONE, which
+    # holds all of them and lies inside the parent's wall time; the plan
+    # edges it executed (all rounds so far), and a frame count bounded by
+    # stages x peers - acked one for one before DONE
     for rank in last:
         assert list(rank["stage_s"]) == list(rank["wait_s"]) == names
         assert rank["in_flight"] == 0
+        parts = [rank[k] for k in ("advance_s", "reset_s", "fill_s")]
+        parts += [*rank["stage_s"].values(), *rank["wait_s"].values()]
+        # (to rounding: the wait is its interval less the fills in it)
+        assert min(parts) > -1e-9
+        assert sum(parts) < rank["span_s"] + 1e-9 and rank["span_s"] <= wall
     assert sum(r["tasks_run"] for r in last) - sum(r["tasks_run"] for r in first) == edges
     frames = sum(r["frames_sent"] for r in last) - sum(r["frames_sent"] for r in first)
     assert 0 < frames <= len(names) * workers * (workers - 1)

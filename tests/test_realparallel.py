@@ -196,6 +196,13 @@ def test_frame_that_overtakes_go_waits_for_the_round(laplace, cloud):
         while not late._held and time.monotonic() < deadline:
             time.sleep(0.001)
         assert [msg[0] for msg in late._held] == ["frame"] * len(late._held) != []
+        # a frame carries no row data: where in the sender's mailbox its
+        # blocks lie, which nodes they hold and their shape
+        prefix = fleet.arena.worker_prefix + "_0_"
+        for _, _, _, _, payload in late._held:
+            for name, offset, ids, shape in payload:
+                assert name.startswith(prefix) and offset >= 0
+                assert len(ids) == shape[0] > 0
         fleet.inboxes[1].put(go)
         fleet.await_all("done")
         assert late._held == []
@@ -228,6 +235,101 @@ def test_worker_returning_to_a_shape_reuses_its_template(laplace, cloud):
         assert dag_mod.COUNTERS["assemblies"] - builds == 2 * N_LOCALITIES
     finally:
         fleet.close()
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
+
+
+def test_s2t_fills_a_wait_and_moves_no_bit(laplace, cloud, monkeypatch):
+    """A rank waiting for a peer's rows runs the outputs stage's S->T
+    groups inside its wait: with rank 0's M->I delayed, rank 1 waits for
+    its plane waves in front of I->I and fills, and every round still
+    equals a sim session's bit for bit."""
+    from repro.dashmm.registrar import Registrar
+    from repro.dashmm.service import EvaluatorSession
+    from repro.kernels.fitops import OperatorFactory
+
+    src, w, _ = cloud
+    factory = OperatorFactory.shared(laplace, eps=1e-4)
+    charges = (w, w[::-1].copy())
+    with EvaluatorSession(_pair(laplace, "fmm", factory, "sim")) as sim:
+        expected = [sim.submit(src, q) for q in charges]
+    m2i = Registrar._flush_m2i
+
+    def late_m2i(self, plan):
+        if self._rank == 0:
+            time.sleep(0.05)
+        m2i(self, plan)
+
+    monkeypatch.setattr(Registrar, "_flush_m2i", late_m2i)
+    fleet = _ThreadFleet(_pair(laplace, "fmm", factory, "parallel"), src, w, src)
+    try:
+        for q, want in zip(charges, expected):
+            assert np.array_equal(fleet.go(src, q), want)
+            waiting = fleet.bodies[1].stats()
+            assert waiting["fill_s"] > 0.0
+            assert waiting["wait_s"]["i2i"] > 0.0
+    finally:
+        fleet.close()
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
+
+
+def _mailboxes(service) -> list[str]:
+    return ShmArena.leaked(service._arena.worker_prefix + "_")
+
+
+@parallel
+def test_a_killed_workers_mailbox_is_unlinked(laplace, laplace_factory, cloud):
+    """SIGKILL runs no cleanup in the worker: the parent unlinks the
+    mailbox it leaves before the respawn (the new rank names its mailbox
+    the same, which would fail on a leftover), the round is re-driven
+    bit for bit, and close() leaves nothing under this process's pid."""
+    import signal
+
+    from repro.dashmm.service import EvaluatorSession
+
+    src, w, _ = cloud
+    with EvaluatorSession(_pair(laplace, "fmm", laplace_factory, "parallel")) as sess:
+        cold = sess.submit(src, w)
+        svc = sess._parallel
+        assert len(_mailboxes(svc)) == N_LOCALITIES
+        victim = svc._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10.0)
+        assert np.array_equal(sess.submit(src, w), cold)
+        assert svc.respawns == 1
+        assert len(_mailboxes(svc)) == N_LOCALITIES
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
+    assert multiprocessing.active_children() == []
+
+
+@parallel
+def test_an_outgrown_mailbox_is_replaced(laplace, laplace_factory, cloud):
+    """Three workers: a shape change posts more than a rank's mailbox
+    holds, so its rows continue in a larger segment under a new name and
+    the old one goes; changing back reuses it.  Every round equals a sim
+    session's, and between rounds exactly one mailbox per rank exists."""
+    from repro.dashmm.service import EvaluatorSession
+
+    src, w, _ = cloud
+    # a thin sheet (two corners pin the cloud's cube as the domain): its
+    # ranks post a fraction of the bytes the cloud's do
+    sheet = src * [1.0, 1.0, 0.01]
+    sheet[:2] = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+    shapes = (sheet, src, sheet)
+    sim = _pair(laplace, "fmm", laplace_factory, "sim", n_localities=3)
+    par = _pair(laplace, "fmm", laplace_factory, "parallel", n_localities=3)
+    sizes = []
+    with EvaluatorSession(sim) as a, EvaluatorSession(par) as b:
+        for points in shapes:
+            assert np.array_equal(b.submit(points, w), a.submit(points, w))
+            svc = b._parallel
+            names = _mailboxes(svc)
+            assert sorted({name.split("_")[-2] for name in names}) == ["0", "1", "2"]
+            assert len(names) == 3
+            sizes.append([rank["mailbox_bytes"] for rank in svc.round_stats[-1]["workers"]])
+        assert svc.respawns == 0
+    grown = [r for r in range(3) if sizes[1][r] > sizes[0][r]]
+    assert grown, sizes
+    assert sizes[2] == sizes[1]
     assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
 
 
