@@ -7,8 +7,8 @@ quickstart-sized workload: one fault-free baseline, then a sweep of
 combined drop+duplicate rates through :func:`degradation_sweep`, with
 bit-identity asserted at every rate.  Each invocation appends one
 record to ``benchmarks/results/BENCH_degradation.json`` (the same
-trajectory-file protocol as ``BENCH_wallclock.json``), which the CI
-fault-matrix job uploads as an artifact.
+trajectory-file protocol as ``BENCH_wallclock.json``), which CI's
+``paper-artifacts`` lane uploads as an artifact.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.kernels.yukawa import YukawaKernel
 from repro.sim.costmodel import CostModel
 from repro.workloads.distributions import cube_points, random_charges, sphere_points
 
-# CI's parallel-smoke job restricts this to "1,2" for a fast gate
+# CI's parallel lane restricts this to "1,2" for a fast gate
 WORKER_COUNTS = [
     int(s) for s in os.environ.get("REALPARALLEL_WORKERS", "1,2,4,8").split(",")
 ]

@@ -4,7 +4,8 @@ Unlike every other benchmark here (which reproduces a *virtual-time*
 figure of the paper), this one tracks real time the simulator itself
 needs.  It times the *setup phase* (tree carving, interaction lists, DAG
 assembly) of the quickstart-sized workload with the vectorised array
-passes against the per-box reference functions called directly
+passes against the per-box reference functions of
+``tests/reference_chain.py`` called directly
 (``carve_reference`` -> ``build_lists_reference`` ->
 ``build_fmm_dag_reference``; the Morton sort is shared, so only the
 array passes are charged for it), gated on the two producing
@@ -30,13 +31,13 @@ import numpy as np
 
 from benchmarks.conftest import write_report
 from benchmarks.trajectory import append_record
-from repro.dashmm.dag import build_fmm_dag, build_fmm_dag_reference
+from repro.dashmm.dag import build_fmm_dag
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
-from tests.reference_chain import reference_dual, reference_lists
+from tests.reference_chain import build_fmm_dag_reference, reference_dual, reference_lists
 
 #: quickstart-sized workload (examples/quickstart.py)
 N = 4000

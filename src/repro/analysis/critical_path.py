@@ -68,7 +68,7 @@ def node_priorities(
     policy is graded (see
     :class:`repro.hpx.scheduler.CriticalPathPolicy`).
     """
-    n = len(dag.nodes)
+    n = dag.n_nodes
     dist = [0.0] * n
     cols = dag.edge_columns()
     ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()

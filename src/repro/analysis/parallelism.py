@@ -25,8 +25,8 @@ def wavefront_profile(dag: DAG) -> np.ndarray:
     """
     cols = dag.edge_columns()
     ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
-    indeg = list(dag.in_degree)
-    current = [nid for nid in range(len(dag.nodes)) if indeg[nid] == 0]
+    indeg = dag.in_degree.tolist()
+    current = [nid for nid in range(dag.n_nodes) if indeg[nid] == 0]
     profile = []
     while current:
         profile.append(len(current))

@@ -21,20 +21,20 @@ declared, validated intermediate representation:
   priorities on request, and exposes a canonical :func:`export_dag` /
   :func:`dag_fingerprint` and a structural :func:`diff_dags`.
 
-Node ids, edge order and aux payloads are held bit-identical to the
-per-box reference loops
-(:func:`repro.dashmm.dag.build_fmm_dag_reference` /
-``build_bh_dag_reference`` - functions the tests call, not a mode of the
-builder), and the golden-graph regression suite (``tests/goldens/``)
-pins the canonical exports so refactors cannot silently reshape the
-graph.
+The rules append whole blocks to the DAG's node and edge columns
+(:meth:`repro.dashmm.dag.DAG.append_nodes` / ``append_edges``); the
+validator and the export read the columns.  Node ids, edge order and
+aux payloads are held bit-identical to the per-box reference loops in
+``tests/reference_chain.py``, and the golden-graph regression suite
+(``tests/goldens/``) pins the canonical exports so refactors cannot
+silently reshape the graph.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +43,9 @@ from repro.dashmm.dag import (
     COUNTERS,
     DAG,
     EDGE_OPS,
-    DagNode,
-    _append_edges,
-    _batch_nodes,
+    KIND_CODE,
+    NODE_KINDS,
+    TREES,
     _dead_mask,
     _deltas,
     assign_direction_arrays,
@@ -283,8 +283,15 @@ class SchemaValidationError(ValueError):
         super().__init__(f"{rule}{where}: {detail}")
 
 
-def _node_desc(n: DagNode) -> str:
-    return f"{n.kind}#{n.id}(box={n.box_index}, L{n.level}, {n.tree})"
+def _node_desc(dag: DAG, i: int) -> str:
+    return (
+        f"{NODE_KINDS[dag.kind[i]]}#{i}(box={dag.box[i]}, L{dag.level[i]}, "
+        f"{TREES[dag.tree[i]]})"
+    )
+
+
+#: the level step ``dst - src`` of each level relation but "any"
+_LEVEL_STEP = {"same": 0, "up": -1, "down": 1}
 
 
 def _check_delta(delta, ek: EdgeKind, edge_id) -> None:
@@ -317,38 +324,24 @@ def validate_dag(schema: MethodSchema, dag: DAG) -> None:
     agreement, list-2 separation), per-destination edge-kind
     multiplicity, and acyclicity.
     """
-    nodes = dag.nodes
-    n = len(nodes)
-    for node in nodes:
-        kind = schema.node_kind(node.kind)
+    n = dag.n_nodes
+    kinds = [schema.node_kind(name) for name in NODE_KINDS]
+    cols = (dag.kind.tolist(), dag.tree.tolist(), dag.level.tolist(), dag.n_points.tolist())
+    for i, (code, tree, level, n_points) in enumerate(zip(*cols)):
+        kind, name, tree = kinds[code], NODE_KINDS[code], TREES[tree]
         if kind is None:
-            raise SchemaValidationError(
-                "node-kind",
-                f"{_node_desc(node)}: kind {node.kind!r} is not declared by "
-                f"schema {schema.name!r}",
-                node=node.id,
-            )
-        if node.tree != kind.tree:
-            raise SchemaValidationError(
-                "node-tree",
-                f"{_node_desc(node)}: kind {node.kind} lives on the "
-                f"{kind.tree} tree, node claims {node.tree!r}",
-                node=node.id,
-            )
-        if node.level < kind.min_level:
-            raise SchemaValidationError(
-                "node-level",
-                f"{_node_desc(node)}: below the kind's level floor "
-                f"{kind.min_level}",
-                node=node.id,
-            )
-        if not kind.has_points and node.n_points:
-            raise SchemaValidationError(
-                "node-points",
-                f"{_node_desc(node)}: kind {node.kind} carries no leaf points "
-                f"but n_points={node.n_points}",
-                node=node.id,
-            )
+            rule, detail = "node-kind", f"kind {name!r} is not declared by schema {schema.name!r}"
+        elif tree != kind.tree:
+            rule = "node-tree"
+            detail = f"kind {name} lives on the {kind.tree} tree, node claims {tree!r}"
+        elif level < kind.min_level:
+            rule, detail = "node-level", f"below the kind's level floor {kind.min_level}"
+        elif n_points and not kind.has_points:
+            rule = "node-points"
+            detail = f"kind {name} carries no leaf points but n_points={n_points}"
+        else:
+            continue
+        raise SchemaValidationError(rule, f"{_node_desc(dag, i)}: {detail}", node=i)
 
     # one pass over the edge columns: recompute in-degrees, bucket by
     # op, count per-(op, dst) multiplicity
@@ -356,6 +349,8 @@ def validate_dag(schema: MethodSchema, dag: DAG) -> None:
     multiplicity: Counter = Counter()
     cols = dag.edge_columns()
     ops = [EDGE_OPS[c] for c in cols.op.tolist()]
+    kind_of = [NODE_KINDS[k] for k in dag.kind.tolist()]
+    level, box = dag.level.tolist(), dag.box.tolist()
     for src, dst, op, aux in zip(cols.src.tolist(), cols.dst.tolist(), ops, cols.aux_values()):
         eid = (src, dst, op)
         ek = schema.edge_kind(op)
@@ -369,34 +364,26 @@ def validate_dag(schema: MethodSchema, dag: DAG) -> None:
             raise SchemaValidationError(
                 "edge-endpoints", "edge endpoint is not a node id", edge=eid
             )
-        s, d = nodes[src], nodes[dst]
-        if s.kind != ek.src or d.kind != ek.dst:
+        if kind_of[src] != ek.src or kind_of[dst] != ek.dst:
             raise SchemaValidationError(
                 "edge-endpoint-kind",
                 f"{ek.name} connects {ek.src}->{ek.dst}, got "
-                f"{_node_desc(s)} -> {_node_desc(d)}",
+                f"{_node_desc(dag, src)} -> {_node_desc(dag, dst)}",
                 edge=eid,
             )
-        if ek.level == "same":
-            ok = d.level == s.level
-        elif ek.level == "up":
-            ok = d.level == s.level - 1
-        elif ek.level == "down":
-            ok = d.level == s.level + 1
-        else:
-            ok = True
-        if not ok:
+        step = level[dst] - level[src]
+        if ek.level != "any" and step != _LEVEL_STEP[ek.level]:
             raise SchemaValidationError(
                 "edge-level",
                 f"{ek.name} requires a {ek.level!r} level relation, got "
-                f"L{s.level} -> L{d.level}",
+                f"L{level[src]} -> L{level[dst]}",
                 edge=eid,
             )
-        if ek.same_box and s.box_index != d.box_index:
+        if ek.same_box and box[src] != box[dst]:
             raise SchemaValidationError(
                 "edge-box",
                 f"{ek.name} pins both endpoints to one box, got boxes "
-                f"{s.box_index} -> {d.box_index}",
+                f"{box[src]} -> {box[dst]}",
                 edge=eid,
             )
         if ek.aux == "none":
@@ -434,34 +421,34 @@ def validate_dag(schema: MethodSchema, dag: DAG) -> None:
         if ek.in_unique or ek.in_max_per_dst is not None:
             multiplicity[(op, dst)] += 1
 
-    recorded = list(dag.in_degree)
+    recorded = np.asarray(dag.in_degree).tolist()
     if indeg != recorded:
         bad = next(i for i in range(n) if indeg[i] != (recorded[i] if i < len(recorded) else None))
         raise SchemaValidationError(
             "in-degree-table",
-            f"{_node_desc(nodes[bad])}: recorded in-degree "
+            f"{_node_desc(dag, bad)}: recorded in-degree "
             f"{recorded[bad] if bad < len(recorded) else '<missing>'} but the "
             f"edge set delivers {indeg[bad]}",
             node=bad,
         )
 
     out_degree = np.diff(cols.out_ptr).tolist()
-    for node in nodes:
-        kind = schema.node_kind(node.kind)
-        din, dout = indeg[node.id], out_degree[node.id]
+    for i, code in enumerate(dag.kind.tolist()):
+        kind = kinds[code]
+        din, dout = indeg[i], out_degree[i]
         if din < kind.in_min or (kind.in_max is not None and din > kind.in_max):
             raise SchemaValidationError(
                 "in-degree",
-                f"{_node_desc(node)}: in-degree {din} outside "
+                f"{_node_desc(dag, i)}: in-degree {din} outside "
                 f"[{kind.in_min}, {kind.in_max if kind.in_max is not None else 'inf'}]",
-                node=node.id,
+                node=i,
             )
         if dout < kind.out_min or (kind.out_max is not None and dout > kind.out_max):
             raise SchemaValidationError(
                 "out-degree",
-                f"{_node_desc(node)}: out-degree {dout} outside "
+                f"{_node_desc(dag, i)}: out-degree {dout} outside "
                 f"[{kind.out_min}, {kind.out_max if kind.out_max is not None else 'inf'}]",
-                node=node.id,
+                node=i,
             )
 
     for (op, dst), count in multiplicity.items():
@@ -470,7 +457,7 @@ def validate_dag(schema: MethodSchema, dag: DAG) -> None:
         if count > cap:
             raise SchemaValidationError(
                 "edge-multiplicity",
-                f"{_node_desc(nodes[dst])}: {count} {op} in-edges exceed the "
+                f"{_node_desc(dag, dst)}: {count} {op} in-edges exceed the "
                 f"kind's cap of {cap}",
                 node=dst,
             )
@@ -503,8 +490,17 @@ def export_dag(dag: DAG, schema: MethodSchema | None = None) -> dict:
     graph exports identically whether the builder or a reference loop
     produced it and however node ids were allocated.
     """
-    keys = [(n.kind, n.tree, n.box_index) for n in dag.nodes]
-    nodes = sorted([*key, n.level, n.n_points] for key, n in zip(keys, dag.nodes))
+    keys = list(
+        zip(
+            [NODE_KINDS[k] for k in dag.kind.tolist()],
+            [TREES[t] for t in dag.tree.tolist()],
+            dag.box.tolist(),
+        )
+    )
+    nodes = sorted(
+        [*key, level, n_points]
+        for key, level, n_points in zip(keys, dag.level.tolist(), dag.n_points.tolist())
+    )
     cols = dag.edge_columns()
     edges = sorted(
         [EDGE_OPS[op], *keys[src], *keys[dst], json.dumps(_aux_canon(aux))]
@@ -664,15 +660,15 @@ class _BuildState:
 def _rule_source_upward(st: _BuildState) -> None:
     """M at every source box, S at nonempty leaves; S2M and M2M edges."""
     dag, sa, nsb = st.dag, st.sa, st.nsb
-    _batch_nodes(dag, "M", np.arange(nsb, dtype=np.int64), sa.levels, "source")
+    dag.append_nodes("M", np.arange(nsb, dtype=np.int64), sa.levels, "source")
     s_boxes = np.flatnonzero(sa.leaf & (sa.counts > 0))
-    s_base = _batch_nodes(dag, "S", s_boxes, sa.levels[s_boxes], "source", sa.counts[s_boxes])
+    s_base = dag.append_nodes("S", s_boxes, sa.levels[s_boxes], "source", sa.counts[s_boxes])
     s_ids = np.arange(s_base, s_base + s_boxes.size, dtype=np.int64)
     st.s_of = np.full(nsb, -1, dtype=np.int64)
     st.s_of[s_boxes] = s_ids
-    _append_edges(dag, s_ids, s_boxes, "S2M")
+    dag.append_edges(s_ids, s_boxes, "S2M")
     kids = np.arange(1, nsb, dtype=np.int64)
-    _append_edges(dag, kids, sa.parent[kids], "M2M", octant=sa.keys[kids] & 7)
+    dag.append_edges(kids, sa.parent[kids], "M2M", octant=sa.keys[kids] & 7)
 
 
 def _rule_target_downward(st: _BuildState) -> None:
@@ -685,18 +681,18 @@ def _rule_target_downward(st: _BuildState) -> None:
             np.fromiter(st.lists.pruned, dtype=np.int64, count=len(st.lists.pruned))
         ] = True
     l_boxes = np.flatnonzero(~dead & (ta.levels >= 2))
-    l_base = _batch_nodes(dag, "L", l_boxes, ta.levels[l_boxes], "target")
+    l_base = dag.append_nodes("L", l_boxes, ta.levels[l_boxes], "target")
     l_of = st.l_of = np.full(ntb, -1, dtype=np.int64)
     l_of[l_boxes] = np.arange(l_base, l_base + l_boxes.size, dtype=np.int64)
     t_boxes = np.flatnonzero(~dead & (ta.counts > 0) & (ta.leaf | pruned_mask))
-    t_base = _batch_nodes(dag, "T", t_boxes, ta.levels[t_boxes], "target", ta.counts[t_boxes])
+    t_base = dag.append_nodes("T", t_boxes, ta.levels[t_boxes], "target", ta.counts[t_boxes])
     t_of = st.t_of = np.full(ntb, -1, dtype=np.int64)
     t_of[t_boxes] = np.arange(t_base, t_base + t_boxes.size, dtype=np.int64)
     has_l = l_of[t_boxes] >= 0
-    _append_edges(dag, l_of[t_boxes[has_l]], t_of[t_boxes[has_l]], "L2T")
+    dag.append_edges(l_of[t_boxes[has_l]], t_of[t_boxes[has_l]], "L2T")
     ll = np.flatnonzero((l_of >= 0) & (ta.levels >= 3))
     ll = ll[l_of[ta.parent[ll]] >= 0]
-    _append_edges(dag, l_of[ta.parent[ll]], l_of[ll], "L2L", octant=ta.keys[ll] & 7)
+    dag.append_edges(l_of[ta.parent[ll]], l_of[ll], "L2L", octant=ta.keys[ll] & 7)
 
 
 def _rule_list2_merge_shift(st: _BuildState) -> None:
@@ -711,41 +707,25 @@ def _rule_list2_merge_shift(st: _BuildState) -> None:
     group_pos = np.flatnonzero(np.r_[True, ti2[1:] != ti2[:-1]])
     uniq_si, first_pos = np.unique(si2, return_index=True)
     ev_pos = np.concatenate([group_pos, first_pos])
-    ev_is = np.concatenate(
-        [np.zeros(group_pos.size, np.int64), np.ones(first_pos.size, np.int64)]
-    )
+    is_source = np.r_[np.zeros(group_pos.size, bool), np.ones(first_pos.size, bool)]
     ev_box = np.concatenate([ti2[group_pos], uniq_si])
-    order = np.lexsort((ev_is, ev_pos))
+    order = np.lexsort((is_source, ev_pos))
+    on_source, box = is_source[order], ev_box[order]
+    level = np.empty(box.size, dtype=np.int64)
+    level[on_source] = sa.levels[box[on_source]]
+    level[~on_source] = ta.levels[box[~on_source]]
+    kind = np.where(on_source, KIND_CODE["Is"], KIND_CODE["It"])
+    base = dag.append_nodes(kind, box, level, np.where(on_source, 0, 1))
+    ids = np.arange(base, base + box.size, dtype=np.int64)
     it_of = np.full(st.ntb, -1, dtype=np.int64)
     is_of = np.full(st.nsb, -1, dtype=np.int64)
-    nodes = dag.nodes
-    it_index, is_index = dag.index["It"], dag.index["Is"]
-    i2l_src: list[int] = []
-    m2i_src: list[int] = []
-    m2i_dst: list[int] = []
-    t_levels = ta.levels
-    s_levels = sa.levels
-    for is_source, box in zip(ev_is[order].tolist(), ev_box[order].tolist()):
-        nid = len(nodes)
-        if is_source:
-            nodes.append(
-                DagNode(id=nid, kind="Is", box_index=box, level=int(s_levels[box]), tree="source")
-            )
-            is_index[box] = nid
-            is_of[box] = nid
-            m2i_src.append(box)
-            m2i_dst.append(nid)
-        else:
-            nodes.append(
-                DagNode(id=nid, kind="It", box_index=box, level=int(t_levels[box]), tree="target")
-            )
-            it_index[box] = nid
-            it_of[box] = nid
-            i2l_src.append(nid)
-    _append_edges(dag, i2l_src, st.l_of[ti2[group_pos]], "I2L")
-    _append_edges(dag, m2i_src, m2i_dst, "M2I")
-    _append_edges(
-        dag, is_of[si2], it_of[ti2], "I2I", delta=delta, direction=assign_direction_arrays(*delta.T)
+    it_of[box[~on_source]] = ids[~on_source]
+    is_of[box[on_source]] = ids[on_source]
+    # the M node of a source box is its box index
+    dag.append_edges(ids[~on_source], st.l_of[ti2[group_pos]], "I2L")
+    dag.append_edges(box[on_source], ids[on_source], "M2I")
+    dag.append_edges(
+        is_of[si2], it_of[ti2], "I2I", delta=delta, direction=assign_direction_arrays(*delta.T)
     )
 
 
@@ -754,7 +734,7 @@ def _rule_list2_direct(st: _BuildState) -> None:
     ti2, si2 = list_pairs(st.lists.l2)
     if not ti2.size:
         return
-    _append_edges(st.dag, si2, st.l_of[ti2], "M2L", delta=_deltas(st.sa, st.ta, ti2, si2))
+    st.dag.append_edges(si2, st.l_of[ti2], "M2L", delta=_deltas(st.sa, st.ta, ti2, si2))
 
 
 def _rule_list3_m2t(st: _BuildState) -> None:
@@ -763,7 +743,7 @@ def _rule_list3_m2t(st: _BuildState) -> None:
     if not ti3.size:
         return
     keep = st.t_of[ti3] >= 0
-    _append_edges(st.dag, si3[keep], st.t_of[ti3[keep]], "M2T")
+    st.dag.append_edges(si3[keep], st.t_of[ti3[keep]], "M2T")
 
 
 def _rule_list4_s2l(st: _BuildState) -> None:
@@ -772,7 +752,7 @@ def _rule_list4_s2l(st: _BuildState) -> None:
     if not ti4.size:
         return
     keep = st.s_of[si4] >= 0
-    _append_edges(st.dag, st.s_of[si4[keep]], st.l_of[ti4[keep]], "S2L")
+    st.dag.append_edges(st.s_of[si4[keep]], st.l_of[ti4[keep]], "S2L")
 
 
 def _rule_list1_s2t(st: _BuildState) -> None:
@@ -781,7 +761,7 @@ def _rule_list1_s2t(st: _BuildState) -> None:
     if not ti1.size:
         return
     keep = (st.t_of[ti1] >= 0) & (st.s_of[si1] >= 0)
-    _append_edges(st.dag, st.s_of[si1[keep]], st.t_of[ti1[keep]], "S2T")
+    st.dag.append_edges(st.s_of[si1[keep]], st.t_of[ti1[keep]], "S2T")
 
 
 def _rule_bh_mac(st: _BuildState) -> None:
@@ -797,13 +777,13 @@ def _rule_bh_mac(st: _BuildState) -> None:
     flat_m2t = np.fromiter(
         (op == "M2T" for ops in mac.values() for op, _ in ops), dtype=bool, count=total
     )
-    t_base = _batch_nodes(dag, "T", t_keys, ta.levels[t_keys], "target", ta.counts[t_keys])
+    t_base = dag.append_nodes("T", t_keys, ta.levels[t_keys], "target", ta.counts[t_keys])
     t_ids = np.arange(t_base, t_base + t_keys.size, dtype=np.int64)
     flat_t = np.repeat(t_ids, lens)
 
-    _append_edges(dag, flat_s[flat_m2t], flat_t[flat_m2t], "M2T")
+    dag.append_edges(flat_s[flat_m2t], flat_t[flat_m2t], "M2T")
     s2t_mask = ~flat_m2t & (st.s_of[flat_s] >= 0)
-    _append_edges(dag, st.s_of[flat_s[s2t_mask]], flat_t[s2t_mask], "S2T")
+    dag.append_edges(st.s_of[flat_s[s2t_mask]], flat_t[s2t_mask], "S2T")
 
 
 #: rule name -> implementation
@@ -869,8 +849,6 @@ class DagBuilder:
         rules = _ASSEMBLY_RULES
         for rule in self.schema.assembly:
             rules[rule](st)
-        dst = st.dag.edge_columns().dst
-        st.dag.in_degree = np.bincount(dst, minlength=len(st.dag.nodes)).tolist()
         if self.validate_on_build:
             self.validate(st.dag)
         return st.dag

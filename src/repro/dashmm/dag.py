@@ -12,39 +12,40 @@ expansion), ``Is`` (source-side intermediate expansion), ``It``
 and adaptive-list operators (M2L, M2T, S2L) the traced cube run happens
 not to exercise.
 
-The nodes are :class:`DagNode` objects; the edges are arrays only.
+Nodes and edges are columns.  A node is a position in the node columns
+(:attr:`DAG.kind`, ``box``, ``level``, ``tree``, ``n_points``,
+``locality``, ``in_degree``); an edge is a row of the CSR edge columns
+(:meth:`DAG.edge_columns`).  The one way to assemble a DAG is to append
+blocks to both: :meth:`DAG.append_nodes` for a block of nodes,
+:meth:`DAG.append_edges` for a block of one operator class.
 Construction (Section IV stresses it must stay a negligible fraction of
 end-to-end time) has one implementation: :class:`repro.dag.DagBuilder`
 runs the wiring rules a method's schema declares, each deriving its
-node table and edge endpoint arrays - and the operator geometry, as
+node blocks and edge endpoint arrays - and the operator geometry, as
 typed aux arrays - from the trees' columnar box tables with whole-array
-operations, and appends them to the DAG as one part per operator class
-(:func:`_append_edges`).  :meth:`DAG.edge_columns` folds the parts into
-CSR columns, the one edge store every compiler and analysis reads; an
-edge's identity is its row.  :attr:`DAG.out_edges` is a read-only view
-of :class:`Edge` records, built on first access for readers off the
+operations.  :attr:`DAG.nodes` and :attr:`DAG.out_edges` are read-only
+views of :class:`DagNode` / :class:`Edge` records for readers off the
 evaluate path (export, tests, tools).
 :func:`build_fmm_dag` / :func:`build_bh_dag` are that builder with the
 method's schema filled in.
-:func:`build_fmm_dag_reference` / :func:`build_bh_dag_reference` are the
-per-box loops the builder is tested against (identical node ids, edge
-order and aux payloads), assembling edge by edge through
-:meth:`DAG.add_edge`; nothing in the package calls them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.expo import DIRECTIONS, assign_direction
+from repro.kernels.expo import DIRECTIONS
 from repro.tree.dualtree import DualTree
 from repro.tree.lists import InteractionLists
-from repro.tree.morton import decode_morton
 
 NODE_KINDS = ("S", "M", "Is", "It", "L", "T")
+#: node kind -> code, the index into NODE_KINDS the kind column stores
+KIND_CODE = {kind: i for i, kind in enumerate(NODE_KINDS)}
+#: the tree sides, by the code the tree column stores
+TREES = ("source", "target")
 EDGE_OPS = ("S2T", "S2M", "M2M", "M2L", "M2I", "I2I", "I2L", "L2L", "L2T", "M2T", "S2L")
 #: op name -> code, the index into EDGE_OPS the edge columns store
 OP_CODE = {op: i for i, op in enumerate(EDGE_OPS)}
@@ -73,17 +74,43 @@ def assign_direction_arrays(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> n
     return axis * 2 + (value <= 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DagNode:
-    """One node of the explicit DAG."""
+    """One record of the read-only :attr:`DAG.nodes` view."""
 
     id: int
     kind: str
     box_index: int  # index into the owning tree's box table
     level: int
     tree: str  # "source" | "target"
-    n_points: int = 0  # for S/T nodes
-    locality: int = -1  # assigned by the distribution policy
+    n_points: int  # for S/T nodes
+    locality: int  # assigned by the distribution policy, -1 before
+
+
+class NodeView(Sequence):
+    """The node columns as :class:`DagNode` records, each built when it is
+    read; nothing is cached, so a record always shows the columns as
+    they are."""
+
+    __slots__ = ("_dag",)
+
+    def __init__(self, dag: DAG):
+        self._dag = dag
+
+    def __len__(self) -> int:
+        return len(self._dag.kind)
+
+    def __getitem__(self, i: int) -> DagNode:
+        d = self._dag
+        i = range(len(d.kind))[i]
+        box, level, npts, loc = (int(c[i]) for c in (d.box, d.level, d.n_points, d.locality))
+        return DagNode(i, NODE_KINDS[d.kind[i]], box, level, TREES[d.tree[i]], npts, loc)
+
+    def __iter__(self):
+        d = self._dag
+        cols = (d.kind, d.box, d.level, d.tree, d.n_points, d.locality)
+        for i, (k, b, lv, t, p, loc) in enumerate(zip(*(c.tolist() for c in cols))):
+            yield DagNode(i, NODE_KINDS[k], b, lv, TREES[t], p, loc)
 
 
 @dataclass(frozen=True)
@@ -159,45 +186,30 @@ def _part(src, dst, op: str, octant=None, delta=None, direction=None) -> tuple:
     )
 
 
-def _fits(v, dtype) -> bool:
-    info = np.iinfo(dtype)
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and info.min <= v <= info.max
+def _no_nodes(dtype):
+    return field(default_factory=lambda: np.zeros(0, dtype), repr=False)
 
 
-def _aux_row(aux) -> tuple:
-    """``(aux kind, octant, dx, dy, dz, direction)`` of one edge's aux;
-    ValueError where the columns cannot store it."""
-    if aux is None:
-        return (_NO_AUX, 0, 0, 0, 0, 0)
-    if _fits(aux, np.int8):
-        return (_OCTANT, aux, 0, 0, 0, 0)
-    paired = isinstance(aux, tuple) and len(aux) == 2 and aux[0] in DIRECTIONS
-    delta = aux[1] if paired else aux
-    if isinstance(delta, tuple) and len(delta) == 3 and all(_fits(v, np.int32) for v in delta):
-        if paired:
-            return (_DIR_DELTA, 0, *delta, DIRECTIONS.index(aux[0]))
-        return (_DELTA, 0, *delta, 0)
-    raise ValueError(
-        f"edge aux {aux!r} is none of: an int8 octant, a 3-int delta, "
-        "a (direction, 3-int delta) pair"
-    )
-
-
-@dataclass
+@dataclass(eq=False)
 class DAG:
-    """Explicit DAG: node table plus the edge set as columns.
+    """Explicit DAG: the nodes and the edges as columns.
 
-    Edges are appended as parts (:func:`_append_edges` for a whole
-    operator class, :meth:`add_edge` for one edge) and folded into
-    :meth:`edge_columns` on first read.
+    Node ``i`` is position ``i`` of every node column: its kind (a code
+    into :data:`NODE_KINDS`), box index into its tree's box table,
+    level, tree side (a code into :data:`TREES`), point count (S and T
+    nodes), locality (written by the distribution policy, -1 before)
+    and in-degree.  Edges are appended as parts, one per block, and
+    folded into :meth:`edge_columns` on first read.
     """
 
-    nodes: list[DagNode] = field(default_factory=list)
-    in_degree: list[int] = field(default_factory=list)
-    # node lookup: (kind, box_index) -> node id, per kind
-    index: dict[str, dict[int, int]] = field(
-        default_factory=lambda: {k: {} for k in NODE_KINDS}
-    )
+    kind: np.ndarray = _no_nodes(np.int8)
+    box: np.ndarray = _no_nodes(np.int64)
+    level: np.ndarray = _no_nodes(np.int64)
+    tree: np.ndarray = _no_nodes(np.int8)
+    n_points: np.ndarray = _no_nodes(np.int64)
+    locality: np.ndarray = _no_nodes(np.int64)
+    #: per node, the edges appended into it
+    in_degree: np.ndarray = _no_nodes(np.int64)
     #: critical-path priority stamp left by the declarative builder
     #: (:meth:`repro.dag.schema.DagBuilder.stamp_priorities`): a dict
     #: with ``levels`` (grading resolution), ``values`` (one level per
@@ -205,34 +217,54 @@ class DAG:
     #: ``None`` until stamped; the registrar falls back to grading
     #: on the fly when absent or graded differently.
     priorities: dict | None = None
-    #: edge parts in emission order: a tuple of column arrays per
-    #: operator class the builder appended, a list of row tuples per run
-    #: of add_edge() calls; one folded part once the columns are built
-    _parts: list = field(default_factory=list, repr=False, compare=False)
-    _columns: EdgeColumns | None = field(default=None, repr=False, compare=False)
-    _view: tuple | None = field(default=None, repr=False, compare=False)
+    #: edge parts in emission order, a tuple of column arrays per block
+    #: appended; one folded part once the columns are built
+    _parts: list = field(default_factory=list, repr=False)
+    _columns: EdgeColumns | None = field(default=None, repr=False)
+    _view: tuple | None = field(default=None, repr=False)
 
-    def add_node(self, kind: str, box_index: int, level: int, tree: str, n_points: int = 0) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(
-            DagNode(id=nid, kind=kind, box_index=box_index, level=level, tree=tree, n_points=n_points)
-        )
-        self.in_degree.append(0)
-        self.index[kind][box_index] = nid
+    @property
+    def n_nodes(self) -> int:
+        return len(self.kind)
+
+    @property
+    def nodes(self) -> NodeView:
+        """The nodes as :class:`DagNode` records - a read-only view of the
+        node columns."""
+        return NodeView(self)
+
+    def append_nodes(self, kind, box, level, tree, n_points=0) -> int:
+        """Append a block of nodes; returns the first new node id.
+
+        ``kind`` is a name from :data:`NODE_KINDS` or per node a code
+        into it, ``tree`` likewise for :data:`TREES`; ``box``, ``level``
+        and ``n_points`` are per node or one value for the block.  The
+        new nodes have no locality (-1) and no in-edges yet.
+        """
+        base = len(self.kind)
+        box = np.asarray(box, dtype=np.int64)
+        new = {
+            "kind": KIND_CODE[kind] if isinstance(kind, str) else kind,
+            "box": box,
+            "level": level,
+            "tree": TREES.index(tree) if isinstance(tree, str) else tree,
+            "n_points": n_points,
+            "locality": -1,
+            "in_degree": 0,
+        }
+        for name, values in new.items():
+            col = getattr(self, name)
+            block = np.broadcast_to(np.asarray(values, dtype=col.dtype), box.shape)
+            setattr(self, name, np.concatenate([col, block]))
         self._columns = self._view = None
-        return nid
+        return base
 
-    def add_edge(self, src: int, dst: int, op: str, aux=None) -> None:
-        """Append one edge; raises ValueError for an operator outside
-        ``EDGE_OPS`` or an aux the columns cannot store."""
-        if op not in OP_CODE:
-            raise ValueError(f"unknown edge operator {op!r}")
-        row = (src, dst, OP_CODE[op], *_aux_row(aux))
-        self.in_degree[dst] += 1
-        parts = self._parts
-        if not parts or not isinstance(parts[-1], list):
-            parts.append([])
-        parts[-1].append(row)
+    def append_edges(self, src, dst, op: str, octant=None, delta=None, direction=None) -> None:
+        """Append a block of edges of operator class ``op``: endpoint
+        arrays and the aux arrays its geometry needs (octant; delta;
+        direction code and delta), counted into the in-degrees."""
+        self._parts.append(_part(src, dst, op, octant, delta, direction))
+        self.in_degree += np.bincount(np.asarray(dst, dtype=np.int64), minlength=self.n_nodes)
         self._columns = self._view = None
 
     def edge_columns(self) -> EdgeColumns:
@@ -241,13 +273,8 @@ class DAG:
         cols = self._columns
         if cols is not None:
             return cols
-        n = len(self.nodes)
-        parts = [_part([], [], EDGE_OPS[0])]
-        for p in self._parts:
-            if isinstance(p, list):  # add_edge rows
-                a = np.array(p, dtype=np.int64)
-                p = (*a[:, :5].T, a[:, 5:8], a[:, 8])
-            parts.append(p)
+        n = self.n_nodes
+        parts = [_part([], [], EDGE_OPS[0]), *self._parts]
         src, *rest = (np.concatenate(c).astype(t, copy=False) for c, t in zip(zip(*parts), _DTYPES))
         order = np.argsort(src, kind="stable")
         src = src[order]
@@ -280,37 +307,29 @@ class DAG:
         counts of its endpoint nodes (at least 1) - bit for bit the
         scalar ``edge_cost`` of each edge."""
         cols = self.edge_columns()
-        npts = np.fromiter((nd.n_points for nd in self.nodes), np.int64, len(self.nodes))
-        npts = np.maximum(npts, 1)
+        npts = np.maximum(self.n_points, 1)
         return cost_model.edge_costs(EDGE_OPS, cols.op, npts[cols.src], npts[cols.dst])
 
     # -- statistics (Tables I and II) -------------------------------------------
     def node_stats(self, size_model=None) -> dict[str, dict]:
-        """Per-kind count, size range and in/out-degree range (Table I).
-
-        Degree extrema are array reductions over the whole node table
-        rather than per-node Python scans.
-        """
-        din = np.asarray(self.in_degree, dtype=np.int64)
+        """Per-kind count, size range and in/out-degree range (Table I)."""
+        din = self.in_degree
         dout = np.diff(self.edge_columns().out_ptr)
-        by_kind: dict[str, list[DagNode]] = defaultdict(list)
-        for node in self.nodes:
-            by_kind[node.kind].append(node)
         stats = {}
-        for kind in NODE_KINDS:
-            ns = by_kind.get(kind, [])
-            if not ns:
+        for code, kind in enumerate(NODE_KINDS):
+            ids = np.flatnonzero(self.kind == code)
+            if not ids.size:
                 continue
-            ids = np.fromiter((node.id for node in ns), dtype=np.int64, count=len(ns))
             entry = {
-                "count": len(ns),
+                "count": int(ids.size),
                 "din_min": int(din[ids].min()),
                 "din_max": int(din[ids].max()),
                 "dout_min": int(dout[ids].min()),
                 "dout_max": int(dout[ids].max()),
             }
             if size_model is not None:
-                sizes = [size_model.node_bytes(kind, n_points=node.n_points) for node in ns]
+                npts = self.n_points[ids].tolist()
+                sizes = [size_model.node_bytes(kind, n_points=p) for p in npts]
                 entry["size_min"] = min(sizes)
                 entry["size_max"] = max(sizes)
             stats[kind] = entry
@@ -321,15 +340,14 @@ class DAG:
         first appearance."""
         cols = self.edge_columns()
         codes, first, counts = np.unique(cols.op, return_index=True, return_counts=True)
-        if size_model is not None:
-            npts = np.fromiter((nd.n_points for nd in self.nodes), np.int64, len(self.nodes))
         out = {}
         for i in np.argsort(first).tolist():
             op = EDGE_OPS[codes[i]]
             entry = {"count": int(counts[i])}
             if size_model is not None:
                 at = cols.op == codes[i]
-                b = np.asarray(size_model.payload_bytes(op, n_src_points=npts[cols.src[at]]))
+                npts = self.n_points[cols.src[at]]
+                b = np.asarray(size_model.payload_bytes(op, n_src_points=npts))
                 entry["size_min"] = int(b.min())
                 entry["size_max"] = int(b.max())
             out[op] = entry
@@ -344,7 +362,7 @@ class DAG:
         cols = self.edge_columns()
         ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
         w = [1.0] * len(dst) if weights is None else weights.tolist()
-        dist = [0.0] * len(self.nodes)
+        dist = [0.0] * self.n_nodes
         for nid in self._topological_order():
             here = dist[nid]
             for r in range(ptr[nid], ptr[nid + 1]):
@@ -355,8 +373,8 @@ class DAG:
     def _topological_order(self) -> list[int]:
         cols = self.edge_columns()
         ptr, dst = cols.out_ptr.tolist(), cols.dst.tolist()
-        indeg = list(self.in_degree)
-        stack = [nid for nid in range(len(self.nodes)) if indeg[nid] == 0]
+        indeg = np.asarray(self.in_degree).tolist()
+        stack = [nid for nid in range(self.n_nodes) if indeg[nid] == 0]
         order = []
         while stack:
             nid = stack.pop()
@@ -365,24 +383,9 @@ class DAG:
                 indeg[d] -= 1
                 if indeg[d] == 0:
                     stack.append(d)
-        if len(order) != len(self.nodes):
+        if len(order) != self.n_nodes:
             raise RuntimeError("DAG has a cycle")
         return order
-
-
-def _lattice(key: int) -> tuple[int, int, int]:
-    _, x, y, z = decode_morton(key)
-    return x, y, z
-
-
-def _dead_below_pruned(tree, pruned: set[int]) -> set[int]:
-    """Indices of boxes strictly below any pruned box."""
-    dead: set[int] = set()
-    for b in tree.boxes:  # BFS order: parents precede children
-        pi = tree.key_to_index[b.parent] if b.parent is not None else None
-        if pi is not None and (pi in pruned or pi in dead):
-            dead.add(b.index)
-    return dead
 
 
 def _dead_mask(tgt, pruned: set[int]) -> np.ndarray:
@@ -398,35 +401,6 @@ def _dead_mask(tgt, pruned: set[int]) -> np.ndarray:
         p = ta.parent[idx]
         dead[idx] = dead[p] | pruned_mask[p]
     return dead
-
-
-# -- vectorised assembly helpers ------------------------------------------------
-def _batch_nodes(dag: DAG, kind: str, box_idx, levels, tree: str, n_points=None) -> int:
-    """Append one kind-block of nodes; returns the first node id."""
-    base = len(dag.nodes)
-    nodes = dag.nodes
-    index = dag.index[kind]
-    bi = box_idx.tolist() if isinstance(box_idx, np.ndarray) else list(box_idx)
-    lv = levels.tolist() if isinstance(levels, np.ndarray) else list(levels)
-    npts = (
-        n_points.tolist()
-        if isinstance(n_points, np.ndarray)
-        else (n_points if n_points is not None else [0] * len(bi))
-    )
-    for b, l, p in zip(bi, lv, npts):
-        nid = len(nodes)
-        nodes.append(
-            DagNode(id=nid, kind=kind, box_index=b, level=l, tree=tree, n_points=p)
-        )
-        index[b] = nid
-    return base
-
-
-def _append_edges(dag: DAG, srcs, dsts, op: str, octant=None, delta=None, direction=None) -> None:
-    """Append one operator class of edges - endpoint arrays and the aux
-    arrays its geometry needs - as one part of the DAG's edge columns."""
-    dag._parts.append(_part(srcs, dsts, op, octant, delta, direction))
-    dag._columns = dag._view = None
 
 
 def _deltas(sa, ta, tis: np.ndarray, sis: np.ndarray) -> np.ndarray:
@@ -453,113 +427,9 @@ def refresh_n_points(dag: DAG, dual: DualTree) -> None:
     feed work estimates and parcel-size models), which this refreshes in
     one pass without touching the wiring.
     """
-    src_counts = dual.source.arrays.counts
-    tgt_counts = dual.target.arrays.counts
-    for node in dag.nodes:
-        if node.kind == "S":
-            node.n_points = int(src_counts[node.box_index])
-        elif node.kind == "T":
-            node.n_points = int(tgt_counts[node.box_index])
-
-
-def build_fmm_dag_reference(dual: DualTree, lists: InteractionLists, advanced: bool) -> DAG:
-    """Per-box reference assembly (the oracle loop path)."""
-    src, tgt = dual.source, dual.target
-    dag = DAG()
-    dead = _dead_below_pruned(tgt, lists.pruned)
-
-    # --- source side: S nodes at leaves, M everywhere -------------------------
-    for b in src.boxes:
-        dag.add_node("M", b.index, b.level, "source")
-    for b in src.boxes:
-        if b.is_leaf and b.count > 0:
-            s = dag.add_node("S", b.index, b.level, "source", n_points=b.count)
-            dag.add_edge(s, dag.index["M"][b.index], "S2M")
-    for b in src.boxes:
-        if b.parent is not None:
-            pi = src.key_to_index[b.parent]
-            dag.add_edge(
-                dag.index["M"][b.index], dag.index["M"][pi], "M2M", aux=b.key & 7
-            )
-
-    # --- target side: L for live boxes at level >= 2, T at eval boxes ----------
-    for b in tgt.boxes:
-        if b.index in dead:
-            continue
-        if b.level >= 2:
-            dag.add_node("L", b.index, b.level, "target")
-    for b in tgt.boxes:
-        if b.index in dead:
-            continue
-        if (b.is_leaf or b.index in lists.pruned) and b.count > 0:
-            t = dag.add_node("T", b.index, b.level, "target", n_points=b.count)
-            if b.index in dag.index["L"]:
-                dag.add_edge(dag.index["L"][b.index], t, "L2T")
-    # L2L downward
-    for b in tgt.boxes:
-        if b.index not in dag.index["L"] or b.level < 3:
-            continue
-        pi = tgt.key_to_index[b.parent]
-        if pi in dag.index["L"]:
-            dag.add_edge(
-                dag.index["L"][pi], dag.index["L"][b.index], "L2L", aux=b.key & 7
-            )
-
-    # --- list 2 ------------------------------------------------------------------
-    if advanced:
-        # group pairs by (target box); create Is/It lazily
-        for ti, sis in lists.l2.items():
-            t = tgt.boxes[ti]
-            tx, ty, tz = _lattice(t.key)
-            if ti not in dag.index["It"]:
-                it = dag.add_node("It", ti, t.level, "target")
-                dag.add_edge(it, dag.index["L"][ti], "I2L")
-            it = dag.index["It"][ti]
-            for si in sis:
-                s = src.boxes[si]
-                sx, sy, sz = _lattice(s.key)
-                delta = (tx - sx, ty - sy, tz - sz)
-                d = assign_direction(delta)
-                if si not in dag.index["Is"]:
-                    isid = dag.add_node("Is", si, s.level, "source")
-                    dag.add_edge(dag.index["M"][si], isid, "M2I")
-                dag.add_edge(dag.index["Is"][si], it, "I2I", aux=(d, delta))
-    else:
-        for ti, sis in lists.l2.items():
-            t = tgt.boxes[ti]
-            tx, ty, tz = _lattice(t.key)
-            for si in sis:
-                s = src.boxes[si]
-                sx, sy, sz = _lattice(s.key)
-                delta = (tx - sx, ty - sy, tz - sz)
-                dag.add_edge(
-                    dag.index["M"][si], dag.index["L"][ti], "M2L", aux=delta
-                )
-
-    # --- adaptive lists -------------------------------------------------------------
-    for ti, sis in lists.l3.items():
-        t = dag.index["T"].get(ti)
-        if t is None:
-            continue
-        for si in sis:
-            dag.add_edge(dag.index["M"][si], t, "M2T")
-    for ti, sis in lists.l4.items():
-        for si in sis:
-            s_node = dag.index["S"].get(si)
-            if s_node is None:
-                continue
-            dag.add_edge(s_node, dag.index["L"][ti], "S2L")
-    for ti, sis in lists.l1.items():
-        t = dag.index["T"].get(ti)
-        if t is None:
-            continue
-        for si in sis:
-            s_node = dag.index["S"].get(si)
-            if s_node is None:
-                continue
-            dag.add_edge(s_node, t, "S2T")
-
-    return dag
+    for kind, tree in (("S", dual.source), ("T", dual.target)):
+        at = dag.kind == KIND_CODE[kind]
+        dag.n_points[at] = tree.arrays.counts[dag.box[at]]
 
 
 def build_bh_dag(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) -> DAG:
@@ -571,29 +441,3 @@ def build_bh_dag(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) ->
     from repro.dag import DagBuilder, method_schema
 
     return DagBuilder(method_schema("bh"), validate=False).build(dual, mac_pairs=mac_pairs)
-
-
-def build_bh_dag_reference(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) -> DAG:
-    src, tgt = dual.source, dual.target
-    dag = DAG()
-    for b in src.boxes:
-        dag.add_node("M", b.index, b.level, "source")
-    for b in src.boxes:
-        if b.is_leaf and b.count > 0:
-            s = dag.add_node("S", b.index, b.level, "source", n_points=b.count)
-            dag.add_edge(s, dag.index["M"][b.index], "S2M")
-    for b in src.boxes:
-        if b.parent is not None:
-            pi = src.key_to_index[b.parent]
-            dag.add_edge(dag.index["M"][b.index], dag.index["M"][pi], "M2M", aux=b.key & 7)
-    for ti, ops in mac_pairs.items():
-        t_box = tgt.boxes[ti]
-        t = dag.add_node("T", ti, t_box.level, "target", n_points=t_box.count)
-        for op, si in ops:
-            if op == "M2T":
-                dag.add_edge(dag.index["M"][si], t, "M2T")
-            else:
-                s_node = dag.index["S"].get(si)
-                if s_node is not None:
-                    dag.add_edge(s_node, t, "S2T")
-    return dag

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dashmm.dag import DAG, OP_CODE
+from repro.dashmm.dag import DAG, KIND_CODE, OP_CODE
 from repro.tree.dualtree import DualTree
 
 
@@ -46,24 +46,24 @@ def _work_cuts(cw: np.ndarray, n_points: int, n_localities: int) -> np.ndarray:
     return np.array(cuts, dtype=np.int64)
 
 
-def box_owner(box, bounds: np.ndarray) -> int:
-    """Locality owning a box: the owner of its middle point.
-
-    Boxes hold contiguous Morton ranges, so this agrees with the data
-    distribution at the leaves and is a sensible majority rule above.
-    """
-    mid = (box.start + box.stop) // 2 if box.count > 0 else box.start
-    loc = int(np.searchsorted(bounds, mid, side="right") - 1)
-    return min(max(loc, 0), len(bounds) - 2)
-
-
-def box_owners(tree, bounds: np.ndarray) -> list[int]:
-    """:func:`box_owner` of every box of ``tree``, in one pass over its
-    columnar box table."""
+def box_owners(tree, bounds: np.ndarray) -> np.ndarray:
+    """Locality owning each box of ``tree``: the owner of its middle
+    point.  Boxes hold contiguous Morton ranges, so this agrees with the
+    data distribution at the leaves and is a sensible majority rule
+    above."""
     a = tree.arrays
     mid = np.where(a.counts > 0, (a.starts + a.stops) // 2, a.starts)
     loc = np.searchsorted(bounds, mid, side="right") - 1
-    return np.clip(loc, 0, len(bounds) - 2).tolist()
+    return np.clip(loc, 0, len(bounds) - 2)
+
+
+def _by_node(dag: DAG, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per node, its box's entry of the per-box array of its tree."""
+    on_source = dag.tree == 0
+    out = np.empty(dag.n_nodes, dtype=source.dtype)
+    out[on_source] = source[dag.box[on_source]]
+    out[~on_source] = target[dag.box[~on_source]]
+    return out
 
 
 def _point_work_cumsum(tree, box_work: np.ndarray) -> np.ndarray:
@@ -84,7 +84,7 @@ def _point_work_cumsum(tree, box_work: np.ndarray) -> np.ndarray:
 
 
 class DistributionPolicy:
-    """Base class: assigns ``node.locality`` for every DAG node.
+    """Base class: writes the DAG's locality column, one entry per node.
 
     ``balance="count"`` splits each ensemble into equal point counts
     (the paper's coarse sort + equal distribution).  ``balance="work"``
@@ -115,13 +115,16 @@ class DistributionPolicy:
     def assign(self, dag: DAG, dual: DualTree, n_localities: int) -> None:
         raise NotImplementedError
 
-    def _owners(self, dag: DAG, dual: DualTree, n_localities: int):
+    def _owners(self, dag: DAG, dual: DualTree, n_localities: int) -> np.ndarray:
+        """Per node, the locality owning its box in its tree."""
         if self.balance == "work":
             src_bounds, tgt_bounds = self._work_bounds(dag, dual, n_localities)
         else:
             src_bounds = partition_points(dual.source.n_points, n_localities)
             tgt_bounds = partition_points(dual.target.n_points, n_localities)
-        return box_owners(dual.source, src_bounds), box_owners(dual.target, tgt_bounds)
+        return _by_node(
+            dag, box_owners(dual.source, src_bounds), box_owners(dual.target, tgt_bounds)
+        )
 
     def _work_bounds(self, dag: DAG, dual: DualTree, n_localities: int):
         src_cw, tgt_cw = self._work_cumsums(dag, dual)
@@ -144,7 +147,7 @@ class DistributionPolicy:
         from repro.tree.fingerprint import dual_full_fingerprint
 
         cols = dag.edge_columns()
-        key = (dual_full_fingerprint(dual), len(dag.nodes), len(cols.dst))
+        key = (dual_full_fingerprint(dual), dag.n_nodes, len(cols.dst))
         cached = self._work_cache
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
@@ -152,7 +155,7 @@ class DistributionPolicy:
         from repro.sim.costmodel import CostModel
 
         cost = dag.edge_costs(self.cost_model or CostModel())
-        box = np.fromiter((nd.box_index for nd in dag.nodes), np.int64, len(dag.nodes))
+        box = dag.box
         # source-tree operations execute where the source box lives;
         # everything else lands target-side.  np.add.at adds row by row,
         # so each box sums its edges in row order
@@ -174,11 +177,8 @@ class FmmPolicy(DistributionPolicy):
     name = "fmm"
 
     def assign(self, dag: DAG, dual: DualTree, n_localities: int) -> None:
-        src_owner, tgt_owner = self._owners(dag, dual, n_localities)
         # pass 1: everything except It is fixed to the owning locality
-        for n in dag.nodes:
-            owner = src_owner if n.tree == "source" else tgt_owner
-            n.locality = owner[n.box_index]
+        loc = dag.locality = self._owners(dag, dual, n_localities)
         # pass 2: It placed by incoming-traffic majority (comm cost), ties
         # to the target owner (slack: stays near its consumer), then to
         # the source locality whose first I2I edge comes first in row order
@@ -186,18 +186,14 @@ class FmmPolicy(DistributionPolicy):
         i2i = cols.op == OP_CODE["I2I"]
         if not i2i.any():
             return
-        nodes = dag.nodes
-        loc = np.fromiter((nd.locality for nd in nodes), np.int64, len(nodes))
-        box = np.fromiter((nd.box_index for nd in nodes), np.int64, len(nodes))
         dst, src_loc = cols.dst[i2i], loc[cols.src[i2i]]
         n_loc = int(src_loc.max()) + 1
         pairs, first, votes = np.unique(dst * n_loc + src_loc, return_index=True, return_counts=True)
         it, voted = np.divmod(pairs, n_loc)
-        home = voted == np.asarray(tgt_owner)[box[it]]
+        home = voted == loc[it]  # an It node's pass-1 locality is its box's owner
         order = np.lexsort((first, ~home, -votes, it))
         best = order[np.r_[True, it[order][1:] != it[order][:-1]]]
-        for nid, l in zip(it[best].tolist(), voted[best].tolist()):
-            nodes[nid].locality = l
+        loc[it[best]] = voted[best]
 
 
 class BlockPolicy(DistributionPolicy):
@@ -206,10 +202,7 @@ class BlockPolicy(DistributionPolicy):
     name = "block"
 
     def assign(self, dag: DAG, dual: DualTree, n_localities: int) -> None:
-        src_owner, tgt_owner = self._owners(dag, dual, n_localities)
-        for n in dag.nodes:
-            owner = src_owner if n.tree == "source" else tgt_owner
-            n.locality = owner[n.box_index]
+        dag.locality = self._owners(dag, dual, n_localities)
 
 
 class RandomPolicy(DistributionPolicy):
@@ -227,18 +220,12 @@ class RandomPolicy(DistributionPolicy):
 
     def assign(self, dag: DAG, dual: DualTree, n_localities: int) -> None:
         rng = np.random.default_rng(self.seed)
-        src_owner, tgt_owner = self._owners(dag, dual, n_localities)
-        src, tgt = dual.source, dual.target
-        for n in dag.nodes:
-            owner = src_owner if n.tree == "source" else tgt_owner
-            tree = src if n.tree == "source" else tgt
-            box = tree.boxes[n.box_index]
-            fixed = (
-                n.kind in ("S", "T")
-                or (n.kind == "M" and box.is_leaf)
-                or (n.kind == "L" and box.is_leaf)
-            )
-            if fixed:
-                n.locality = owner[n.box_index]
-            else:
-                n.locality = int(rng.integers(0, n_localities))
+        loc = self._owners(dag, dual, n_localities)
+        leaf = _by_node(dag, dual.source.arrays.leaf, dual.target.arrays.leaf)
+        fixed = np.isin(dag.kind, [KIND_CODE["S"], KIND_CODE["T"]]) | (
+            leaf & np.isin(dag.kind, [KIND_CODE["M"], KIND_CODE["L"]])
+        )
+        # one draw per scattered node, in node order
+        scattered = np.flatnonzero(~fixed)
+        loc[scattered] = rng.integers(0, n_localities, size=scattered.size)
+        dag.locality = loc

@@ -342,11 +342,8 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     the plan to the edges executing at that locality (the real-parallel
     worker's share); ``None`` takes all of them.
     """
-    nodes = dag.nodes
-    n = len(nodes)
-    level = np.fromiter((nd.level for nd in nodes), np.int64, n)
-    loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
-    box = np.fromiter((nd.box_index for nd in nodes), np.int64, n)
+    n = dag.n_nodes
+    level, loc, box = dag.level, dag.locality, dag.box
     cols = dag.edge_columns()
 
     def every(op: str):
@@ -514,10 +511,7 @@ def compile_eager_plan(dag, rank: int | None = None) -> EagerPlan:
     The folds carry edge-column rows; the stages read every operand off
     the columns.
     """
-    nodes = dag.nodes
-    n = len(nodes)
-    level = np.fromiter((nd.level for nd in nodes), np.int64, n)
-    loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
+    level, loc = dag.level, dag.locality
     cols = dag.edge_columns()
     src, dst, op = cols.src, cols.dst, cols.op
 

@@ -51,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.dashmm.dag import DAG, EDGE_OPS, OP_CODE, DagNode
+from repro.dashmm.dag import DAG, EDGE_OPS, KIND_CODE, NODE_KINDS, OP_CODE, TREES
 from repro.dashmm.flushplan import (
     FULL_DIRS,
     BridgeLevel,
@@ -87,8 +87,9 @@ CRITICAL_OPS = ("S2M", "M2M", "M2I", "I2I", "I2L", "M2L", "L2L", "S2L")
 FILLER_OPS = ("S2T", "M2T", "L2T")
 #: per op code: is the class on the critical chain
 _CRITICAL = np.array([op in CRITICAL_OPS for op in EDGE_OPS])
-#: the node kinds that hold an expansion (S and T hold points)
-_EXPANSION_KINDS = ("M", "Is", "It", "L")
+#: per node kind code: does the node hold an expansion (S and T hold
+#: points)
+_EXPANSION = np.array([kind in ("M", "Is", "It", "L") for kind in NODE_KINDS])
 
 
 def _weak_method(method):
@@ -108,8 +109,9 @@ class ExpansionLCO(CountingLCO):
     :attr:`Registrar.expansions`.
     """
 
-    def __init__(self, runtime, locality: int, node: DagNode, n_inputs: int):
+    def __init__(self, runtime, locality: int, dag: DAG, node: int, n_inputs: int):
         super().__init__(runtime, locality, n_inputs)
+        self.dag = dag
         self.node = node
 
     @property
@@ -117,8 +119,11 @@ class ExpansionLCO(CountingLCO):
         """IR-derived identity for hazard reports: the DAG node, not an
         opaque GAS address, so a report names the offending graph
         element directly."""
-        n = self.node
-        return f"{n.kind}[{n.tree} box {n.box_index} L{n.level}]@{self.addr!r}"
+        d, i = self.dag, self.node
+        return (
+            f"{NODE_KINDS[d.kind[i]]}[{TREES[d.tree[i]]} box {d.box[i]} L{d.level[i]}]"
+            f"@{self.addr!r}"
+        )
 
 
 class DrainTable:
@@ -290,18 +295,16 @@ class Registrar:
         self._moved: dict | None = None
         #: where the flush plan's leaf outputs land, built on first use
         self._layout: LeafLayout | None = None
-        self._nodes = dag.nodes
         self._seed_expansions()
 
     def _seed_expansions(self) -> None:
         """Every expansion node of this rank at the zero expansion, and
         no other entry."""
-        rank = self._rank
-        self.expansions = dict.fromkeys(
-            node.id
-            for node in self._nodes
-            if node.kind in _EXPANSION_KINDS and (rank is None or node.locality == rank)
-        )
+        dag, rank = self.dag, self._rank
+        mine = _EXPANSION[dag.kind]
+        if rank is not None:
+            mine &= dag.locality == rank
+        self.expansions = dict.fromkeys(np.flatnonzero(mine).tolist())
 
     def _stacked_data(self, node_ids) -> np.ndarray:
         """Row-stacked spherical expansions of ``node_ids``."""
@@ -365,19 +368,18 @@ class Registrar:
         participants = getattr(runtime, "checkpoint_participants", None)
         if participants is not None:
             participants.append(weakref.ref(self))
-        in_degree = self.dag.in_degree
-        for node in self.dag.nodes:
-            n_in = in_degree[node.id]
-            if node.kind == "S" or n_in == 0:
-                continue
-            lco = ExpansionLCO(runtime, node.locality, node, n_in)
-            self.lcos[node.id] = lco
+        dag = self.dag
+        has_lco = (dag.kind != KIND_CODE["S"]) & (dag.in_degree > 0)
+        for nid in np.flatnonzero(has_lco).tolist():
+            kind = NODE_KINDS[dag.kind[nid]]
+            lco = ExpansionLCO(runtime, int(dag.locality[nid]), dag, nid, int(dag.in_degree[nid]))
+            self.lcos[nid] = lco
             lco.register_continuation(
                 Task(
                     fn=continuation,
-                    args=(node.id,),
-                    op_class=f"edges:{node.kind}",
-                    priority=self._node_priority(node),
+                    args=(nid,),
+                    op_class=f"edges:{kind}",
+                    priority=self._node_priority(nid, kind),
                 )
             )
 
@@ -390,22 +392,20 @@ class Registrar:
         numeric drain owes the whole plan (:meth:`flush_deferred`)."""
         table = self._table()
         ptr, priority = table.part_ptr, table.part_priority
-        in_degree = self.dag.in_degree
+        dag = self.dag
         count = 0
-        for node in self.dag.nodes:
-            if in_degree[node.id]:
-                continue
-            for k in (2 * node.id, 2 * node.id + 1):
+        for nid in np.flatnonzero(dag.in_degree == 0).tolist():
+            for k in (2 * nid, 2 * nid + 1):
                 if ptr[k] == ptr[k + 1]:
                     continue
                 self.runtime.enqueue_task(
                     Task(
                         fn=self._process_edges_task,
-                        args=(node.id, k & 1),
-                        op_class=f"edges:{node.kind}",
+                        args=(nid, k & 1),
+                        op_class=f"edges:{NODE_KINDS[dag.kind[nid]]}",
                         priority=priority[k],
                     ),
-                    node.locality,
+                    int(dag.locality[nid]),
                 )
                 count += 1
         self._flush_pending = self.mode == "numeric"
@@ -520,17 +520,17 @@ class Registrar:
             self._layout = None
         return recount
 
-    def _node_priority(self, node: DagNode) -> int:
+    def _node_priority(self, nid: int, kind: str) -> int:
         """Expansion nodes drive the critical chain; leaf data does not.
 
         Graded policies use the node's offline critical-path level; the
         binary policy promotes every expansion node to HIGH.
         """
         if self._node_levels is not None:
-            return self._node_levels[node.id]
+            return self._node_levels[nid]
         if not self._split:
             return LOW
-        return HIGH if node.kind in ("M", "Is", "It", "L") else LOW
+        return HIGH if kind in ("M", "Is", "It", "L") else LOW
 
     # -- the drain's compiled out-edges ----------------------------------------------------
     def _table(self) -> DrainTable:
@@ -567,13 +567,11 @@ class Registrar:
         sender-side handling cost those of the size and cost models, so
         the virtual clock is that of a per-edge walk bit for bit.
         """
-        dag, nodes = self.dag, self.dag.nodes
-        n = len(nodes)
+        dag = self.dag
+        n = dag.n_nodes
         cols = dag.edge_columns()
-        loc = np.fromiter((nd.locality for nd in nodes), np.int64, n)
-        box = np.fromiter((nd.box_index for nd in nodes), np.int64, n)
-        on_source = np.fromiter((nd.tree == "source" for nd in nodes), bool, n)
-        n_points = np.fromiter((nd.n_points for nd in nodes), np.int64, n)
+        loc, box, n_points = dag.locality, dag.box, dag.n_points
+        on_source = dag.tree == 0
         # points of each node's own box (S and T nodes are leaves)
         count = np.empty(n, dtype=np.int64)
         count[on_source] = self.dual.source.arrays.counts[box[on_source]]
@@ -661,7 +659,7 @@ class Registrar:
                     Task(
                         fn=self._process_edges_task,
                         args=(node_id, 1),
-                        op_class=f"edges:{self._nodes[node_id].kind}",
+                        op_class=f"edges:{NODE_KINDS[self.dag.kind[node_id]]}",
                         priority=table.part_priority[k],
                     )
                 )
@@ -685,7 +683,7 @@ class Registrar:
                 else:
                     for i in range(t.bounds[g], t.bounds[g + 1]):
                         op_class = t.ops[i]
-                        priority = self._edge_priority(op_class, t.lcos[i].node.id)
+                        priority = self._edge_priority(op_class, t.lcos[i].node)
                         ctx.spawn(Task(self._run_edge_task, (i,), op_class, None, priority))
                 continue
             charge, nbytes, priority = send
@@ -732,11 +730,12 @@ class Registrar:
     def _eager_value(self, is_s2l: bool, src: int, dst: int, delta):
         """S->L or M->L (lattice offset ``delta``) contribution of one
         edge ``src -> dst`` (``None`` from a zero multipole)."""
-        tbox = self.dual.target.boxes[self._nodes[dst].box_index]
+        box = self.dag.box
+        tbox = self.dual.target.boxes[box[dst]]
         h = self.dual.domain.box_size(tbox.level)
         if is_s2l:
             tree = self.dual.source
-            sbox = tree.boxes[self._nodes[src].box_index]
+            sbox = tree.boxes[box[src]]
             rel = (tree.points[sbox.start : sbox.stop] - self._centers["target"][tbox.index]) / h
             return self.kernel.p2l(rel, tree.weights[sbox.start : sbox.stop], h)
         M = self.expansions[src]
@@ -754,16 +753,14 @@ class Registrar:
         the locality at which the S->M edge executes - so each batch is
         exactly what one parallel worker fits; ``_rank`` (set by the
         parallel backend) restricts fitting to the worker's own
-        batches.  Leaves with no M node group under locality -1.
+        batches.  The M node of a source box is its box index.
         """
         src, dom = self.dual.source, self.dual.domain
         sa, levels = src.arrays, src.arrays.levels.tolist()
-        m_index = self.dag.index.get("M", {})
-        dnodes = self.dag.nodes
+        m_loc = self.dag.locality.tolist()
         by_level: dict[tuple, list] = {}
         for b in np.flatnonzero(sa.leaf & (sa.counts > 0)).tolist():
-            mid = m_index.get(b)
-            loc = dnodes[mid].locality if mid is not None else -1
+            loc = m_loc[b]
             if self._rank is None or loc == self._rank:
                 by_level.setdefault((levels[b], loc), []).append(b)
         out: dict[int, np.ndarray] = {}
@@ -808,10 +805,10 @@ class Registrar:
         """Stacked S2L values of one source leaf at one target level:
         one p2l matrix build for all the target boxes; keyed by row."""
         cols = self.dag.edge_columns()
-        src_node = self._nodes[int(cols.src[rows[0]])]
+        box = self.dag.box
         tgt = self.dual.target
-        tboxes = [tgt.boxes[self._nodes[d].box_index] for d in cols.dst[rows].tolist()]
-        sbox = self.dual.source.boxes[src_node.box_index]
+        tboxes = [tgt.boxes[b] for b in box[cols.dst[rows]].tolist()]
+        sbox = self.dual.source.boxes[box[cols.src[rows[0]]]]
         spts = self.dual.source.points[sbox.start : sbox.stop]
         q = self.dual.source.weights[sbox.start : sbox.stop]
         h = self.dual.domain.box_size(tboxes[0].level)
@@ -869,14 +866,14 @@ class Registrar:
         src = cols.src[folds.rows].tolist()
         leaf = (cols.op[folds.rows] == OP_CODE["S2M"]).tolist()
         octant = cols.octant[folds.rows].tolist()
-        nodes, s2m, exp = self._nodes, self._s2m, self.expansions
+        box, level = self.dag.box[src].tolist(), self.dag.level[src].tolist()
+        s2m, exp = self._s2m, self.expansions
         m2m, dom = self.factory.m2m, self.dual.domain
 
         def value(j):
-            node = nodes[src[j]]
             if leaf[j]:
-                return s2m[node.box_index]
-            return m2m(octant[j], dom.box_size(node.level)) @ exp[src[j]]
+                return s2m[box[j]]
+            return m2m(octant[j], dom.box_size(level[j])) @ exp[src[j]]
 
         self._fold(folds, value)
 

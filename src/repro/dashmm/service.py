@@ -185,9 +185,9 @@ class TemplateStore:
                 # points crossed leaf boundaries: node sizes and (under
                 # work balancing) locality cuts may have shifted
                 refresh_n_points(reg.dag, dual)
-                old_locs = [nd.locality for nd in reg.dag.nodes]
+                old_locs = reg.dag.locality.copy()
                 ev.policy.assign(reg.dag, dual, ev.runtime_config.n_localities)
-                if [nd.locality for nd in reg.dag.nodes] != old_locs:
+                if not np.array_equal(reg.dag.locality, old_locs):
                     # both plan sections bake group-by-locality
                     # compositions in; the next reset seeds the rank's
                     # new nodes

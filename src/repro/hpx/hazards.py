@@ -154,10 +154,6 @@ class HazardDetector:
         clock[chain] = pos
         return _HbEvent(chain, pos, clock, label, t)
 
-    @property
-    def n_chains(self) -> int:
-        return self._next_chain
-
     # -- task lifecycle (called by the scheduler) -----------------------------------
     def begin_task(self, task, t: float) -> _HbEvent:
         ev = task.hb

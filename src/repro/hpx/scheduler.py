@@ -83,7 +83,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.hpx.tracing import ScheduleTrace, Tracer
@@ -386,10 +386,6 @@ class TaskContext:
         """
         self.effects.append(("lco_set", lco, value, key, op_class))
 
-    def call_at_completion(self, fn: Callable[[float], None]) -> None:
-        """Run ``fn(t_end)`` when the task completes (bookkeeping hooks)."""
-        self.effects.append(("call", fn))
-
 
 class Scheduler:
     """Discrete-event engine over L localities x W workers."""
@@ -619,8 +615,6 @@ class Scheduler:
                             self.enqueue(task, locality, t, worker_hint=worker)
                         elif tag == "parcel":
                             self._release_parcel(worker, ctx.hb, eff[1], t)
-                        elif tag == "call":
-                            eff[1](t)
                     if hz is not None:
                         hz.current = None
                     busy[worker] = False

@@ -49,36 +49,6 @@ class BhStats:
         self.ops[op] += n
 
 
-def mac_pairs_reference(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
-    src, tgt = dual.source, dual.target
-    dom = dual.domain
-    centers = np.array([dom.box_center(b.key) for b in src.boxes])
-    out: dict[int, list[tuple[str, int]]] = {}
-    for t in tgt.boxes:
-        if not (t.is_leaf and t.count > 0):
-            continue
-        tctr = dom.box_center(t.key)
-        t_rad = dom.box_radius(t.level)
-        ops: list[tuple[str, int]] = []
-        stack = [0]
-        while stack:
-            si = stack.pop()
-            s = src.boxes[si]
-            h = dom.box_size(s.level)
-            d = centers[si] - tctr
-            dd = d * d
-            dist = float(np.sqrt(dd[0] + dd[1] + dd[2]))
-            if dist > 0 and h / max(dist - t_rad, 1e-300) < theta:
-                ops.append(("M2T", si))
-            elif s.is_leaf:
-                ops.append(("S2T", si))
-            else:
-                stack.extend(src.key_to_index[c] for c in s.children)
-        ops.sort(key=lambda p: p[1])
-        out[t.index] = ops
-    return out
-
-
 def mac_pairs(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
     """MAC traversal decisions: target leaf index -> [(op, source box)].
 
@@ -88,7 +58,8 @@ def mac_pairs(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
     form of the Barnes-Hut DAG consumed by the DASHMM layer.
 
     A level-synchronous descent over flat (target, source) frontiers
-    with the float formulation of :func:`mac_pairs_reference` (same
+    with the float formulation of the per-target reference traversal
+    (``mac_pairs_reference`` in ``tests/reference_chain.py``; same
     elementwise center/radius arithmetic and the same guarded division),
     so the per-pair accept/recurse decisions agree bit for bit; each
     target's ops are sorted by source box index, as the reference's are

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.dag import MethodSchema, edge_kinds, node_kinds
 from repro.kernels.base import Kernel
-from repro.kernels.expo import DIRECTIONS, assign_direction
+from repro.kernels.expo import assign_direction
 from repro.kernels.fitops import OperatorFactory
 from repro.tree.dualtree import DualTree, build_dual_tree
 from repro.tree.lists import InteractionLists, build_lists, list_pairs
@@ -83,15 +83,6 @@ NEAR_FIELD_OPS = tuple(
 FAR_FIELD_OPS = tuple(
     dict.fromkeys(FMM_SCHEMA.far_ops + FMM_BASIC_SCHEMA.far_ops)
 )
-
-
-def op_field(op: str) -> str:
-    """``"near"`` (P2P) or ``"far"`` (expansion work) for an op class."""
-    if op in NEAR_FIELD_OPS:
-        return "near"
-    if op in FAR_FIELD_OPS:
-        return "far"
-    raise ValueError(f"unknown FMM op {op}")
 
 
 @dataclass

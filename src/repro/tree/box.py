@@ -100,12 +100,6 @@ class Box:
         return self.stop - self.start
 
 
-def lattice_coords(key: int) -> tuple[int, int, int]:
-    """Integer lattice coordinates of a box key."""
-    _, ix, iy, iz = decode_morton(key)
-    return ix, iy, iz
-
-
 def well_separated(key_a: int, key_b: int) -> bool:
     """Same-level well-separatedness: lattice distance > 1 in some axis."""
     la, ax, ay, az = decode_morton(key_a)

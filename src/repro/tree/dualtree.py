@@ -10,10 +10,9 @@ disjoint.
 
 Trees are carved by whole-array passes over the sorted deep keys: every
 level's boxes are discovered at once (shifted-prefix run detection plus
-``searchsorted`` range splits).  :func:`carve_reference` refines one
-box at a time, exactly as the paper describes the algorithm; nothing in
-the package calls it - it is the oracle the array carve is
-property-tested against, box table for box table.
+``searchsorted`` range splits).  The per-box refinement the paper
+describes is the oracle the array carve is property-tested against, box
+table for box table (``carve_reference`` in ``tests/reference_chain.py``).
 """
 
 from __future__ import annotations
@@ -172,11 +171,6 @@ class Tree:
     def box_points(self, box: Box) -> np.ndarray:
         return self.points[box.start : box.stop]
 
-    def box_weights(self, box: Box) -> np.ndarray:
-        if self.weights is None:
-            raise ValueError("tree has no weights (target tree)")
-        return self.weights[box.start : box.stop]
-
     def set_weights(self, weights: np.ndarray) -> None:
         """Replace the point weights (given in *original* point order).
 
@@ -220,73 +214,6 @@ class DualTree:
     threshold: int
 
 
-def carve_reference(
-    deep_sorted: np.ndarray, n: int, threshold: int
-) -> tuple[list[Box], dict[int, int], list[list[int]]]:
-    """Per-box breadth-first refinement (the oracle loop path).
-
-    A box's deep keys lie in ``[key << 3*(D-l), (key+1) << 3*(D-l))``;
-    children are the nonempty subranges split at the eight child-prefix
-    boundaries.
-    """
-    boxes: list[Box] = []
-    key_to_index: dict[int, int] = {}
-    levels: list[list[int]] = [[]]
-
-    root = Box(key=1, level=0, start=0, stop=n, parent=None, children=[], index=0)
-    boxes.append(root)
-    key_to_index[1] = 0
-    levels[0].append(0)
-
-    frontier = [0]
-    level = 0
-    while frontier:
-        next_frontier: list[int] = []
-        child_level = level + 1
-        if child_level > DEEP_LEVEL:
-            break
-        new_level_indices: list[int] = []
-        shift = 3 * (DEEP_LEVEL - child_level)
-        for bi in frontier:
-            box = boxes[bi]
-            if box.count <= threshold:
-                continue
-            base = box.key << 3
-            # Boundaries of the eight candidate children in deep-key space.
-            bounds = np.array(
-                [(base + c) << shift for c in range(9)], dtype=np.int64
-            )
-            cuts = np.searchsorted(
-                deep_sorted[box.start : box.stop], bounds, side="left"
-            )
-            cuts += box.start
-            for c in range(8):
-                lo, hi = int(cuts[c]), int(cuts[c + 1])
-                if hi <= lo:
-                    continue  # prune empty child
-                ckey = base + c
-                child = Box(
-                    key=ckey,
-                    level=child_level,
-                    start=lo,
-                    stop=hi,
-                    parent=box.key,
-                    children=[],
-                    index=len(boxes),
-                )
-                key_to_index[ckey] = child.index
-                boxes.append(child)
-                box.children.append(ckey)
-                new_level_indices.append(child.index)
-                next_frontier.append(child.index)
-        if new_level_indices:
-            levels.append(new_level_indices)
-        frontier = next_frontier
-        level = child_level
-
-    return boxes, key_to_index, levels
-
-
 def _carve_vectorized(
     deep_sorted: np.ndarray, n: int, threshold: int
 ) -> tuple[list[Box], dict[int, int], list[list[int]]]:
@@ -297,7 +224,7 @@ def _carve_vectorized(
     array passes: a run-boundary scan of the shifted prefixes restricted
     to the over-threshold parent ranges, a ``searchsorted`` to attribute
     each run to its parent, and a clipped shift to find run stops.  The
-    resulting box table is bit-identical to :func:`carve_reference`.
+    resulting box table is bit-identical to the per-box reference carve.
     """
     boxes = [Box(key=1, level=0, start=0, stop=n, parent=None, children=[], index=0)]
     key_to_index: dict[int, int] = {1: 0}

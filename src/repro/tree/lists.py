@@ -32,10 +32,8 @@ lattice-coordinate adjacency over the trees' cached decoded-coordinate
 tables (no per-pair Morton decoding), and the L1/L3 refinement below
 adjacent colleagues runs as a breadth-wise array descent.  Lists come
 out in canonical order (targets ascending, each list sorted by source
-box index).  :func:`build_lists_reference` is the per-box descent the
-array construction is tested against; nothing in the package calls it,
-and :func:`canonicalize` puts its natural visit order into the same
-canonical form.
+box index).  The per-box descent the array construction is tested
+against lives in ``tests/reference_chain.py``.
 """
 
 from __future__ import annotations
@@ -124,26 +122,6 @@ class InteractionLists:
         }
 
 
-def canonicalize(lists: InteractionLists) -> InteractionLists:
-    """Canonical ordering: targets ascending, each list sorted by source.
-
-    List membership is untouched; only dict insertion order and per-list
-    order change.  Both construction paths emit this ordering so the DAG
-    (and therefore the simulated virtual clock) is identical either way.
-    """
-
-    def canon(table: dict[int, list[int]]) -> dict[int, list[int]]:
-        return {ti: sorted(table[ti]) for ti in sorted(table)}
-
-    return InteractionLists(
-        l1=canon(lists.l1),
-        l2=canon(lists.l2),
-        l3=canon(lists.l3),
-        l4=canon(lists.l4),
-        pruned=lists.pruned,
-    )
-
-
 #: Instrumentation for the persistent-evaluation layer: every from-scratch
 #: list construction bumps this; a warm-path submit with a template hit
 #: must leave it untouched (asserted by the service tests).
@@ -154,94 +132,6 @@ def build_lists(dual: DualTree) -> InteractionLists:
     """Construct L1-L4, canonically ordered, for every target box of a dual tree."""
     COUNTERS["builds"] += 1
     return _build_lists_vectorized(dual)
-
-
-def build_lists_reference(dual: DualTree) -> InteractionLists:
-    """Per-box reference construction (the oracle; natural visit order)."""
-    src = dual.source
-    tgt = dual.target
-    out = InteractionLists()
-
-    def add(table: dict[int, list[int]], tbox_index: int, sbox_index: int) -> None:
-        table.setdefault(tbox_index, []).append(sbox_index)
-
-    def descend_adjacent_leaf_target(t, s_index):
-        """Classify the sub-tree of adjacent source box ``s`` for leaf
-        target ``t``: adjacent leaves -> L1, non-adjacent children -> L3
-        (their parent is adjacent so ``t`` is not well-separated from
-        it), adjacent internals recurse."""
-        stack = [s_index]
-        while stack:
-            si = stack.pop()
-            s = src.boxes[si]
-            if s.is_leaf:
-                add(out.l1, t.index, si)
-                continue
-            for ck in s.children:
-                ci = src.key_to_index[ck]
-                if adjacent(t.key, ck):
-                    stack.append(ci)
-                else:
-                    add(out.l3, t.index, ci)
-
-    # Candidate source boxes flow down the target tree.  Each entry of
-    # ``cand[t_index]`` is a source box index at the same level as the
-    # target box, or a *coarser leaf* inherited from above.
-    root_t = tgt.boxes[0]
-    root_s_index = 0 if src.boxes else None
-    cand: dict[int, list[int]] = {root_t.index: [root_s_index] if src.boxes else []}
-
-    # Breadth-first over target levels.
-    order = [i for lvl in tgt.levels for i in lvl]
-    for ti in order:
-        t = tgt.boxes[ti]
-        if ti not in cand:
-            continue  # below a pruned ancestor
-        mine = cand.pop(ti)
-        colleagues: list[int] = []  # adjacent candidates (same level or coarser internal)
-        for si in mine:
-            s = src.boxes[si]
-            if s.level < t.level and s.is_leaf:
-                # Inherited coarser leaf.
-                if adjacent(t.key, s.key):
-                    if t.is_leaf:
-                        add(out.l1, t.index, si)
-                    else:
-                        colleagues.append(si)
-                else:
-                    add(out.l4, t.index, si)
-                continue
-            # Same-level candidate.
-            if adjacent(t.key, s.key):
-                colleagues.append(si)
-            else:
-                add(out.l2, t.index, si)
-
-        if t.is_leaf:
-            for si in colleagues:
-                s = src.boxes[si]
-                if s.is_leaf:
-                    add(out.l1, t.index, si)
-                else:
-                    descend_adjacent_leaf_target(t, si)
-            continue
-
-        # Non-leaf target: push candidates to children.
-        if not colleagues:
-            # Nothing left to classify below: prune the target sub-tree.
-            out.pruned.add(ti)
-            continue
-        passed: list[int] = []
-        for si in colleagues:
-            s = src.boxes[si]
-            if s.is_leaf:
-                passed.append(si)  # becomes a coarser-leaf candidate below
-            else:
-                passed.extend(src.key_to_index[ck] for ck in s.children)
-        for ck in t.children:
-            cand[tgt.key_to_index[ck]] = list(passed)
-
-    return out
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -386,14 +276,3 @@ def list_pairs(table: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
     )
     return np.repeat(tis, lens), sis
 
-
-def boxes_below(tree, box_index: int) -> list[int]:
-    """All box indices strictly below ``box_index`` (for pruned regions)."""
-    res = []
-    stack = list(tree.boxes[box_index].children)
-    while stack:
-        k = stack.pop()
-        i = tree.key_to_index[k]
-        res.append(i)
-        stack.extend(tree.boxes[i].children)
-    return res

@@ -1,14 +1,18 @@
 """Corrupted copies of a DAG, for the validator and diff tests.
 
-A DAG's edges are arrays (:meth:`repro.dashmm.dag.DAG.edge_columns`) and
-its ``out_edges`` view is read-only, so a test cannot edit an edge in
-place.  :func:`edited` assembles the DAG again through ``add_edge`` with
-one edge changed.
+A DAG's nodes and edges are columns, appended in blocks, and its
+``nodes`` / ``out_edges`` views are read-only, so a test cannot edit an
+edge in place.  :func:`edited` round-trips the DAG through its JSON form
+(:mod:`repro.dashmm.export`) with one edge row changed; the reader
+rejects, with a ``ValueError``, what the columns cannot store.
 """
 
 from __future__ import annotations
 
+import json
+
 from repro.dashmm.dag import DAG
+from repro.dashmm.export import _aux_to_json, dag_from_json, dag_to_json
 
 _KEEP = object()
 
@@ -18,21 +22,14 @@ def edited(dag: DAG, victim, *, drop=False, duplicate=False, op=None, aux=_KEEP)
     record) dropped, duplicated, given operator ``op`` or given ``aux``.
 
     Nodes are copies, localities included; the in-degree table is the
-    one ``add_edge`` counts, so it matches the edited edge set - assign
+    one the appends count, so it matches the edited edge set - assign
     the original's table to make it stale.
     """
-    out = DAG()
-    for n in dag.nodes:
-        out.add_node(n.kind, n.box_index, n.level, n.tree, n.n_points)
-        out.nodes[-1].locality = n.locality
-    for edges in dag.out_edges:
-        for e in edges:
-            if e != victim:
-                out.add_edge(e.src, e.dst, e.op, aux=e.aux)
-                continue
-            if drop:
-                continue
-            out.add_edge(e.src, e.dst, op or e.op, aux=e.aux if aux is _KEEP else aux)
-            if duplicate:
-                out.add_edge(e.src, e.dst, e.op, aux=e.aux)
-    return out
+    data = json.loads(dag_to_json(dag))
+    row = int(dag.edge_columns().out_ptr[victim.src]) + victim.pos
+    edge = data["edges"][row]
+    new = dict(edge, op=op or edge["op"])
+    if aux is not _KEEP:
+        new["aux"] = _aux_to_json(aux)
+    data["edges"][row : row + 1] = [] if drop else [new, edge] if duplicate else [new]
+    return dag_from_json(json.dumps(data))

@@ -11,12 +11,12 @@ from repro.dashmm.distribution import (
     FmmPolicy,
     RandomPolicy,
     _point_work_cumsum,
-    box_owner,
     partition_points,
 )
 from repro.sim.costmodel import CostModel
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
+from tests.reference_chain import box_owner
 
 
 @pytest.fixture(scope="module")

@@ -300,9 +300,7 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
     pts, w, domain = _corner_problem(cloud)
     dual = build_dual_tree(pts, pts, THRESHOLD, source_weights=w, domain=domain)
     dag, _ = _evaluator(factory, method).build_dag(dual)
-    loc = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes)).tolist()
-    for node, rank in zip(dag.nodes, loc):
-        node.locality = rank
+    loc = dag.locality = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes))
     ranks = range(n_localities)
 
     full = compile_flush_plan(dag, dual)
@@ -488,9 +486,7 @@ class _ScatterPolicy(DistributionPolicy):
     name = "scatter"
 
     def assign(self, dag, dual, n_localities):
-        ranks = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes))
-        for node, rank in zip(dag.nodes, ranks.tolist()):
-            node.locality = rank
+        dag.locality = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes))
 
 
 class _LeafCountPolicy(DistributionPolicy):
@@ -502,8 +498,9 @@ class _LeafCountPolicy(DistributionPolicy):
 
     def assign(self, dag, dual, n_localities):
         counts = {"source": dual.source.arrays.counts, "target": dual.target.arrays.counts}
-        for node in dag.nodes:
-            node.locality = int(counts[node.tree][node.box_index]) % n_localities
+        dag.locality = np.array(
+            [int(counts[node.tree][node.box_index]) % n_localities for node in dag.nodes]
+        )
 
 
 @pytest.mark.parallel

@@ -7,9 +7,9 @@ collector off for its whole span (DESIGN.md "Object lifetime").  Checked
 here over every runtime mode, both execution modes and all methods: no
 cyclic garbage after ``del report``, no collector pass inside
 ``evaluate()``, and a steady tracked-object count over a long loop of
-checkpointed evaluations that never collects.  The DAG's edges are
-arrays: no evaluate, resume, session submit or worker plan compile makes
-a per-edge object.
+checkpointed evaluations that never collects.  The DAG's nodes and
+edges are columns: no evaluate, resume, session submit or worker plan
+compile makes a per-node or per-edge object.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.dashmm import DashmmEvaluator, EvaluatorSession, FmmPolicy
-from repro.dashmm.dag import AUX_KINDS, Edge
+from repro.dashmm.dag import AUX_KINDS, DagNode, Edge
 from repro.dashmm.registrar import Registrar
 from repro.hpx import FaultyNetwork, RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
@@ -205,23 +205,33 @@ def test_collector_setting_is_restored(laplace, laplace_factory, cloud):
 @pytest.fixture
 def edges_made(monkeypatch) -> list:
     """Grows by one per ``Edge`` record constructed while the test runs."""
+    return _count_records(monkeypatch, Edge)
+
+
+@pytest.fixture
+def nodes_made(monkeypatch) -> list:
+    """Grows by one per ``DagNode`` record constructed while the test runs."""
+    return _count_records(monkeypatch, DagNode)
+
+
+def _count_records(monkeypatch, cls) -> list:
     made = []
-    init = Edge.__init__
+    init = cls.__init__
 
     def counted(self, *args, **kwargs):
         made.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Edge, "__init__", counted)
+    monkeypatch.setattr(cls, "__init__", counted)
     return made
 
 
 def test_no_edge_object_on_an_evaluate_or_session_path(
-    laplace, laplace_factory, cloud, edges_made
+    laplace, laplace_factory, cloud, edges_made, nodes_made
 ):
     """Phantom and numeric evaluates, a resume, and a session's cold,
-    warm and drift submits read only the edge columns: no ``Edge`` is
-    made and no DAG's view is materialised."""
+    warm and drift submits read only the node and edge columns: no
+    ``Edge`` or ``DagNode`` is made and no DAG's view is materialised."""
     dags = []
     for mode in ("phantom", "numeric"):
         ev = _evaluator(laplace, laplace_factory, mode, "fmm", checkpoint_every=2e-4)
@@ -239,11 +249,13 @@ def test_no_edge_object_on_an_evaluate_or_session_path(
         session.submit(drifted, w)
         assert session.stats["template_hits"] == 2
         dags.append(session._store.current.dag)
-    assert edges_made == []
+    assert edges_made == [] and nodes_made == []
     assert all(dag._view is None for dag in dags)
 
 
-def test_no_edge_object_in_a_worker_plan_compile(laplace, laplace_factory, cloud, edges_made):
+def test_no_edge_object_in_a_worker_plan_compile(
+    laplace, laplace_factory, cloud, edges_made, nodes_made
+):
     """What a real-parallel worker does before its first round -
     assemble, distribute, seed its rank's expansions, compile both plan
     sections - checked in process, as in test_flush_paths."""
@@ -260,7 +272,7 @@ def test_no_edge_object_in_a_worker_plan_compile(laplace, laplace_factory, cloud
         reg.reset()
         assert reg.expansions and reg.eager_stages() and reg.flush_stages()
         assert reg.eager_plan().n_edges + reg.flush_plan().n_edges > 0
-    assert edges_made == []
+    assert edges_made == [] and nodes_made == []
     assert dag._view is None
 
 

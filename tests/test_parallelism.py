@@ -52,9 +52,6 @@ def test_profile_on_linear_chain():
     from repro.dashmm.dag import DAG
 
     d = DAG()
-    a = d.add_node("M", 0, 0, "source")
-    b = d.add_node("M", 1, 1, "source")
-    c = d.add_node("M", 2, 2, "source")
-    d.add_edge(a, b, "M2M")
-    d.add_edge(b, c, "M2M")
+    d.append_nodes("M", [0, 1, 2], [0, 1, 2], "source")
+    d.append_edges([0, 1], [1, 2], "M2M")
     assert list(wavefront_profile(d)) == [1, 1, 1]

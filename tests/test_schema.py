@@ -30,12 +30,13 @@ from repro.dag import (
     node_kinds,
     validate_dag,
 )
-from repro.dashmm.dag import DAG, build_bh_dag_reference, build_fmm_dag_reference
+from repro.dashmm.dag import DAG, KIND_CODE, TREES
 from repro.methods.barneshut import BH_SCHEMA, mac_pairs
 from repro.methods.fmm import FMM_BASIC_SCHEMA, FMM_SCHEMA
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists
 from tests.dag_edits import edited
+from tests.reference_chain import build_bh_dag_reference, build_fmm_dag_reference
 
 
 @pytest.fixture(scope="module")
@@ -161,13 +162,9 @@ def test_builder_matches_legacy_exactly(schema, dual, lists, mac):
     fold keys are functions of exactly these."""
     a = _legacy(schema, dual, lists, mac)
     b = _build(schema, dual, lists, mac)
-    assert [
-        (n.id, n.kind, n.box_index, n.level, n.tree, n.n_points) for n in a.nodes
-    ] == [(n.id, n.kind, n.box_index, n.level, n.tree, n.n_points) for n in b.nodes]
-    assert [
-        [(e.src, e.dst, e.op, e.aux) for e in oe] for oe in a.out_edges
-    ] == [[(e.src, e.dst, e.op, e.aux) for e in oe] for oe in b.out_edges]
-    assert a.in_degree == b.in_degree
+    assert list(a.nodes) == list(b.nodes)
+    assert a.out_edges == b.out_edges
+    assert np.array_equal(a.in_degree, b.in_degree)
     assert diff_dags(a, b).empty
     assert dag_fingerprint(a) == dag_fingerprint(b)
 
@@ -206,19 +203,17 @@ def test_builder_demands_matching_inputs(dual, lists, mac):
 def test_export_excludes_locality(dual, lists):
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     fp = dag_fingerprint(dag)
-    for node in dag.nodes:
-        node.locality = (node.id * 7) % 3
+    dag.locality = np.arange(len(dag.nodes)) * 7 % 3
     assert dag_fingerprint(dag) == fp
 
 
 def test_fingerprint_independent_of_id_allocation():
     def make(flip):
         dag = DAG()
-        order = ("M", "S") if flip else ("S", "M")
-        for kind in order:
-            dag.add_node(kind, 0, 0, "source", n_points=4 if kind == "S" else 0)
-        s, m = dag.index["S"][0], dag.index["M"][0]
-        dag.add_edge(s, m, "S2M")
+        for kind in ("M", "S") if flip else ("S", "M"):
+            dag.append_nodes(kind, [0], 0, "source", n_points=4 if kind == "S" else 0)
+        s, m = (1, 0) if flip else (0, 1)
+        dag.append_edges([s], [m], "S2M")
         return dag
 
     assert dag_fingerprint(make(False)) == dag_fingerprint(make(True))
@@ -230,7 +225,7 @@ def test_diff_reports_structural_deltas(dual, lists):
     victim = next(e for oe in a.out_edges for e in oe if e.op == "S2T")
     b = edited(a, victim, drop=True)
     t_node = next(n for n in b.nodes if n.kind == "T")
-    t_node.n_points += 3
+    b.n_points[t_node.id] += 3
     d = diff_dags(a, b)
     assert not d.empty
     assert ("T", "target", t_node.box_index) in [c[0] for c in d.node_changes]
@@ -284,8 +279,7 @@ def test_registrar_reuses_matching_stamp(dual, lists):
     stamped = builder.stamp_priorities(dag, cost_model=cm, levels=pol.n_levels - 1)
 
     def levels_of(d):
-        for node in d.nodes:
-            node.locality = 0
+        d.locality = np.zeros(len(d.nodes), dtype=np.int64)
         rt = Runtime(RuntimeConfig(policy=pol))
         reg = Registrar(rt, d, dual, None, None, mode="phantom", cost_model=cm)
         reg.allocate()  # the policy wiring needs the runtime
@@ -320,7 +314,7 @@ def test_unknown_operator_named_in_error(dual, lists):
     M2L) - one outside the catalog cannot even be stored."""
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     victim = next(e for oe in dag.out_edges for e in oe if e.op == "S2M")
-    with pytest.raises(ValueError, match="unknown edge operator"):
+    with pytest.raises(ValueError, match="op is .Q2Q."):
         edited(dag, victim, op="Q2Q")
     with pytest.raises(SchemaValidationError) as err:
         validate_dag(FMM_SCHEMA, edited(dag, victim, op="M2L"))
@@ -342,7 +336,7 @@ def test_degree_bound_violation(dual, lists):
 def test_level_inversion(dual, lists):
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     victim = next(e for oe in dag.out_edges for e in oe if e.op == "M2M")
-    dag.nodes[victim.dst].level = dag.nodes[victim.src].level  # parent != up
+    dag.level[victim.dst] = dag.level[victim.src]  # parent != up
     with pytest.raises(SchemaValidationError) as err:
         validate_dag(FMM_SCHEMA, dag)
     assert err.value.rule == "edge-level"
@@ -384,28 +378,29 @@ def test_cycle_detection():
         assembly=(),
     )
     dag = DAG()
-    a = dag.add_node("M", 0, 0, "source")
-    b = dag.add_node("M", 1, 0, "source")
-    dag.add_edge(a, b, "M2M")
-    dag.add_edge(b, a, "M2M")
+    dag.append_nodes("M", [0, 1], 0, "source")
+    dag.append_edges([0, 1], [1, 0], "M2M")
     with pytest.raises(SchemaValidationError) as err:
         validate_dag(schema, dag)
     assert err.value.rule == "acyclic"
 
 
-def test_wrong_tree_and_kind_errors(dual, lists):
+def test_wrong_tree_and_kind_errors(dual, lists, mac):
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     t = next(n for n in dag.nodes if n.kind == "T")
-    t.tree = "source"
+    dag.tree[t.id] = TREES.index("source")
     with pytest.raises(SchemaValidationError) as err:
         validate_dag(FMM_SCHEMA, dag)
     assert err.value.rule == "node-tree"
     assert err.value.node == t.id
-    t.tree = "target"
-    t.kind = "Z"
+    # a catalog kind Barnes-Hut does not declare
+    dag = DagBuilder(BH_SCHEMA).build(dual, mac_pairs=mac)
+    t = next(n for n in dag.nodes if n.kind == "T")
+    dag.kind[t.id] = KIND_CODE["L"]
     with pytest.raises(SchemaValidationError) as err:
-        validate_dag(FMM_SCHEMA, dag)
+        validate_dag(BH_SCHEMA, dag)
     assert err.value.rule == "node-kind"
+    assert err.value.node == t.id
 
 
 # -- IR consumers -----------------------------------------------------------------
@@ -419,7 +414,7 @@ def test_hazard_subject_names_the_dag_node(dual, lists):
     dag = DagBuilder(FMM_SCHEMA).build(dual, lists=lists)
     node = next(n for n in dag.nodes if n.kind == "L")
     rt = Runtime(RuntimeConfig())
-    lco = ExpansionLCO(rt, 0, node, 1)
+    lco = ExpansionLCO(rt, 0, dag, node.id, 1)
     det = HazardDetector()
     subject = det._lco_subject(lco)
     assert subject == lco.hazard_subject

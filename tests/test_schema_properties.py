@@ -161,7 +161,7 @@ def test_level_inversion_always_rejected(params, method, pick):
     m2m = [e for e in _edges(dag) if e.op == "M2M"]
     victim = m2m[pick % len(m2m)]
     # invert the parent/child level relation on the destination node
-    dag.nodes[victim.dst].level = dag.nodes[victim.src].level + 1
+    dag.level[victim.dst] = dag.level[victim.src] + 1
     with pytest.raises(SchemaValidationError) as err:
         validate_dag(schema, dag)
     assert err.value.rule in ("edge-level", "node-level")

@@ -8,29 +8,33 @@ virtual clock.  Property tests sweep random identical, overlapping and
 disjoint ensembles; deterministic cases pin the pruned-subtree and
 degenerate-point paths.
 
-The reference loops are plain functions (``carve_reference``,
-``build_lists_reference``, ``mac_pairs_reference``,
-``build_*_dag_reference``), called here directly through
-``tests/reference_chain.py``; no production entry point can select them.
+The reference loops are plain functions in ``tests/reference_chain.py``
+(``carve_reference``, ``build_lists_reference``, ``mac_pairs_reference``,
+``build_*_dag_reference``), called here directly; nothing in the
+package can reach them.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dashmm.dag import (
-    build_bh_dag,
-    build_bh_dag_reference,
-    build_fmm_dag,
-    build_fmm_dag_reference,
-)
+from repro.dashmm.dag import build_bh_dag, build_fmm_dag
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.kernels.laplace import LaplaceKernel
-from repro.methods.barneshut import mac_pairs, mac_pairs_reference
-from repro.tree.dualtree import build_dual_tree, carve_reference
-from repro.tree.lists import build_lists, build_lists_reference, canonicalize, list_pairs
-from tests.reference_chain import reference_dual, reference_lists, reference_setup
+from repro.methods.barneshut import mac_pairs
+from repro.tree.dualtree import build_dual_tree
+from repro.tree.lists import build_lists, list_pairs
+from tests.reference_chain import (
+    build_bh_dag_reference,
+    build_fmm_dag_reference,
+    build_lists_reference,
+    canonicalize,
+    carve_reference,
+    mac_pairs_reference,
+    reference_dual,
+    reference_lists,
+    reference_setup,
+)
 
 
 def _ensemble(mode: str, n_src: int, n_tgt: int, seed: int):
@@ -47,17 +51,7 @@ def _ensemble(mode: str, n_src: int, n_tgt: int, seed: int):
 
 
 def assert_trees_equal(tv, tr):
-    assert len(tv.boxes) == len(tr.boxes)
-    for bv, br in zip(tv.boxes, tr.boxes):
-        assert (bv.key, bv.level, bv.start, bv.stop, bv.parent, bv.children, bv.index) == (
-            br.key,
-            br.level,
-            br.start,
-            br.stop,
-            br.parent,
-            br.children,
-            br.index,
-        )
+    assert tv.boxes == tr.boxes  # key, level, range, parent, children, index
     assert tv.key_to_index == tr.key_to_index
     assert tv.levels == tr.levels
     assert np.array_equal(tv.perm, tr.perm)
@@ -71,10 +65,9 @@ def assert_lists_equal(lv, lr):
 
 
 def assert_dags_equal(dv, dr):
-    assert dv.nodes == dr.nodes
+    assert list(dv.nodes) == list(dr.nodes)
     assert dv.out_edges == dr.out_edges
-    assert dv.in_degree == dr.in_degree
-    assert dv.index == dr.index
+    assert np.array_equal(dv.in_degree, dr.in_degree)
 
 
 ENSEMBLES = st.tuples(
