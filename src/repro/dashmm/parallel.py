@@ -12,8 +12,13 @@ Execution model - *replicated metadata, partitioned execution*:
 
 * Bulk data (source/target points, weights, the result vector) lives in
   shared memory; each worker maps the same pages.
+* The parent builds the dual tree, interaction lists, DAG and
+  distribution once - its *template* - and fits from it every operator
+  the plan reads, on any rank (:func:`~repro.dashmm.registrar.fit_operators`).
+  The fitted arrays go into the arena beside the inputs; a worker's
+  factory adopts views of them and factorizes nothing.
 * Every worker deterministically rebuilds the dual tree, interaction
-  lists, DAG and distribution from those arrays - setup is a pure
+  lists, DAG and distribution from the shared arrays - setup is a pure
   function of the inputs, so all ranks (and the parent) agree on node
   ids, edge order and localities without shipping the structures.
 * Each worker holds the session's template store
@@ -102,8 +107,8 @@ value is accepted and ignored here), and ``fuzz_schedule`` /
 
 from __future__ import annotations
 
-import shutil
-import tempfile
+import os
+import resource
 import time
 import traceback
 
@@ -111,6 +116,10 @@ import numpy as np
 
 from repro.dashmm.service import TemplateStore, check_plan_only, same_points
 from repro.hpx.parallel import ParallelError, QueueChannel, seed_worker_rngs
+
+#: the process that imported this module: a worker forked from the
+#: preloaded fork server (or from a parent) did not import it itself
+_IMPORT_PID = os.getpid()
 
 
 #: one object per key of the workers' round statistics (see _shared_keys)
@@ -169,8 +178,12 @@ class _WorkerBody:
         self._inputs = tuple(self.arena.get(k) for k in ("sources", "weights", "targets"))
 
         factory = OperatorFactory.shared(spec["kernel"], eps=spec["eps"])
-        if spec["factory_path"]:
-            factory.load(path=spec["factory_path"], strict=False)
+        # the parent's fits, as views of the arena
+        factory.adopt({label: self.arena.get(label) for label in manifest["blocks"]})
+        self.factory = factory
+        #: the factory's counters when this process took it over (a
+        #: forked worker inherits a parent's shared factory)
+        self._counters0 = self._counters()
         ev = DashmmEvaluator(
             spec["kernel"],
             method=spec["method"],
@@ -333,13 +346,21 @@ class _WorkerBody:
             self.channel.close()
             self.arena.close()
 
+    def _counters(self) -> dict:
+        stats = self.factory.cache_stats()
+        return {k: stats[k] for k in ("factorizations", "hits", "misses")}
+
     def stats(self) -> dict:
         """Cumulative counters plus the last round's seconds: per stage
         ``stage_s`` running it and ``wait_s`` posting its frames and
         waiting for the peers' (both keyed by stage name, the wait
         without the fill), and ``advance_s``, ``reset_s``, ``fill_s``
         (S->T groups run inside the waits) and ``span_s`` (GO handled
-        to DONE posted)."""
+        to DONE posted).  ``factory`` holds this process's operator
+        factory counters, ``peak_rss_mb`` its own peak resident set (a
+        worker forked by the fork server is not the parent's child, so
+        the parent's ``RUSAGE_CHILDREN`` never sees it) and
+        ``preloaded`` whether it started with this module imported."""
         return {
             "rank": self.rank,
             "tasks_run": self.tasks_run,
@@ -347,11 +368,15 @@ class _WorkerBody:
             "wait_s": self.wait_s,
             **self.round_s,
             **self.channel.stats(),
+            "factory": {k: v - self._counters0[k] for k, v in self._counters().items()},
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "preloaded": _IMPORT_PID != os.getpid(),
         }
 
 
 def _worker_main(rank: int, spec: dict, manifest: dict, inboxes, parent_q) -> None:
-    """Process entry point (module-level for spawn picklability)."""
+    """Process entry point (module-level, so a spawned or forkserver
+    worker can unpickle it)."""
     try:
         _WorkerBody(rank, spec, manifest, inboxes, parent_q).run()
     except BaseException:
@@ -376,10 +401,11 @@ def evaluate_parallel(evaluator, sources, weights, targets, **prebuilt):
     """Run one evaluation on real cores; returns an EvaluationReport.
 
     A one-shot evaluate is a one-round :class:`PersistentParallelService`:
-    spawn, cold round, teardown - including the service's respawn and
-    re-drive if a worker dies mid-round.  Setup (trees, DAG, operator
-    fits) is rebuilt deterministically in every worker and excluded
-    from the timed window, which spans GO to the last worker's DONE.
+    start, cold round, teardown - including the service's respawn and
+    re-drive if a worker dies mid-round.  Setup (the parent's template
+    and operator fits, the workers' trees and DAGs) is excluded from
+    the timed window, which spans GO to the last worker's DONE; the
+    report's DAG, tree and lists are the parent's template.
     ``prebuilt`` (``dual=`` / ``lists=`` / ``dag=``) cannot reach the
     workers and is rejected rather than silently ignored.
     """
@@ -390,15 +416,11 @@ def evaluate_parallel(evaluator, sources, weights, targets, **prebuilt):
     cfg = evaluator.runtime_config
     service = PersistentParallelService(evaluator, domain=None)
     try:
-        potentials, _info = service.start(sources, weights, targets)
+        potentials, info = service.start(sources, weights, targets)
     finally:
         service.close()
 
-    # parent-side replica of the setup for the report (identical to
-    # what every worker derived)
-    dual = service._dual
-    dag, lists = evaluator.build_dag(dual)
-    evaluator.policy.assign(dag, dual, cfg.n_localities)
+    dag, lists = info["template"]
     cold = service.round_stats[0]
     stats = {
         "backend": "parallel",
@@ -414,7 +436,7 @@ def evaluate_parallel(evaluator, sources, weights, targets, **prebuilt):
         runtime_stats=stats,
         tracer=Tracer(enabled=False),
         dag=dag,
-        dual=dual,
+        dual=service._dual,
         lists=lists,
         extras={"backend": "parallel"},
     )
@@ -433,8 +455,14 @@ class PersistentParallelService:
     :func:`evaluate_parallel` is the degenerate case: :meth:`start`,
     then :meth:`close`.
 
-    The parent keeps its own tree replica (updated incrementally, like
-    every worker) purely for the inverse permutation that unsorts the
+    :meth:`start` builds the parent's template - dual tree, lists, DAG
+    and distribution, what every worker derives too - and fits the
+    operators of its plan into the evaluator's factory while the fork
+    server, which it starts first, imports the worker module.  The
+    fitted arrays are in the arena from the first spawn on, so a
+    respawned fleet maps them too.  After the cold round the parent
+    keeps only the template's tree (updated incrementally, like every
+    worker's), purely for the inverse permutation that unsorts the
     shared result vector.  Drive through
     :class:`repro.dashmm.service.EvaluatorSession`, which owns the
     shape/statistics bookkeeping.
@@ -465,10 +493,9 @@ class PersistentParallelService:
         # per-round re-drive state: the worker spec and arena manifest
         # are kept for the life of the service so a failed round can be
         # re-driven on respawned workers (they rebuild deterministically
-        # from the live arena arrays)
+        # from the live arena arrays and adopt the same operators)
         self._spec = None
         self._manifest = None
-        self._tmpdir = None
         self._failed: BaseException | None = None
 
     def compatible(self, n_src: int, n_tgt: int) -> bool:
@@ -482,7 +509,10 @@ class PersistentParallelService:
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self, sources, weights, targets):
-        """Spawn workers and run the cold round."""
+        """Build the parent's template and fit its operators, spawn
+        workers and run the cold round.  The cold round's info carries
+        the template's ``(dag, lists)`` under ``"template"``."""
+        from repro.dashmm.registrar import fit_operators
         from repro.hpx.gas import ShmArena
         from repro.tree.dualtree import build_dual_tree, checked_weights
 
@@ -491,6 +521,9 @@ class PersistentParallelService:
         # not a bare cast: that would drop an imaginary part unseen
         weights = np.ascontiguousarray(checked_weights(weights, len(sources)))
         targets = np.ascontiguousarray(targets, dtype=np.float64)
+        # a fork server imports the worker module while this process
+        # builds and fits
+        self._context()
         self._n_src, self._n_tgt = len(sources), len(targets)
         self._dual = build_dual_tree(
             sources,
@@ -499,21 +532,19 @@ class PersistentParallelService:
             source_weights=weights,
             domain=self.domain,
         )
+        dag, lists = ev.build_dag(self._dual)
+        ev.policy.assign(dag, self._dual, self.n)
+        fit_operators(ev.factory, dag, self._dual.domain)
 
-        # the snapshot directory outlives the cold spawn: respawned
-        # workers reload the same operator fits after a mid-round fault
-        self._tmpdir = tempfile.mkdtemp(prefix="hmmops_")
         arena = ShmArena()
         try:
-            factory_path = None
-            if ev.factory is not None:
-                factory_path = str(ev.factory.save(directory=self._tmpdir))
-            self._spec = self._worker_spec(factory_path)
+            self._spec = self._worker_spec()
             self._schema = ev.schema.fingerprint()
             arena.put("sources", sources)
             arena.put("weights", weights)
             arena.put("targets", targets)
             arena.alloc("result", (self._n_tgt,), np.float64)
+            arena.put_many(ev.factory.operators())
             self._manifest = arena.manifest()
             self._arena = arena
             self._spawn_workers()
@@ -522,9 +553,11 @@ class PersistentParallelService:
             self.close()
             raise
         out = self._round()
-        return out, self._round_info({"source": "built", "target": "built"})
+        info = self._round_info({"source": "built", "target": "built"})
+        info["template"] = dag, lists
+        return out, info
 
-    def _worker_spec(self, factory_path: str | None) -> dict:
+    def _worker_spec(self) -> dict:
         """Everything a worker needs besides the shared arrays (pickled
         to every rank; the key set is pinned by tests/test_api_surface.py)."""
         ev = self.evaluator
@@ -538,10 +571,16 @@ class PersistentParallelService:
             "size_model": ev.size_model,
             "theta": ev.theta,
             "eps": ev.eps,
-            "factory_path": factory_path,
             "domain": self.domain,
             "max_templates": self.max_templates,
         }
+
+    def _context(self):
+        """The fleet's multiprocessing context; under ``forkserver`` the
+        server runs (it is started if it does not)."""
+        from repro.hpx.parallel import worker_context
+
+        return worker_context(self.evaluator.runtime_config.start_method, __name__)
 
     def _spawn_workers(self) -> None:
         """Bring up a fresh worker fleet from the retained spec/manifest.
@@ -552,12 +591,9 @@ class PersistentParallelService:
         rank that finished before a sibling died, or a queued error
         report) can never be mistaken for this fleet's traffic.
         """
-        import multiprocessing as mp
-        import os as _os
+        from repro.hpx.parallel import await_workers, worker_env
 
-        from repro.hpx.parallel import _THREAD_ENV, await_workers
-
-        ctx = mp.get_context(self.evaluator.runtime_config.start_method)
+        ctx = self._context()
         # an inbox carries small messages (GO, frames naming mailbox
         # blocks, acks): a SimpleQueue writes them to the pipe inside
         # put(), where a Queue's feeder thread would wait for the
@@ -565,9 +601,7 @@ class PersistentParallelService:
         self._inboxes = [ctx.SimpleQueue() for _ in range(self.n)]
         self._parent_q = ctx.Queue()
         self._procs = []
-        saved = {k: _os.environ.get(k) for k in _THREAD_ENV}
-        try:
-            _os.environ.update({k: "1" for k in _THREAD_ENV})
+        with worker_env():
             for rank in range(self.n):
                 p = ctx.Process(
                     target=_worker_main,
@@ -582,12 +616,6 @@ class PersistentParallelService:
                 )
                 p.start()
                 self._procs.append(p)
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    _os.environ.pop(k, None)
-                else:
-                    _os.environ[k] = v
         await_workers(self._parent_q, self._procs, self.n, "ready", self.timeout)
 
     def _respawn(self) -> None:
@@ -621,9 +649,6 @@ class PersistentParallelService:
         if self._arena is not None:
             self._arena.destroy()
             self._arena = None
-        if self._tmpdir is not None:
-            shutil.rmtree(self._tmpdir, ignore_errors=True)
-            self._tmpdir = None
 
     # -- rounds ------------------------------------------------------------------
     def submit(self, sources, weights, targets):

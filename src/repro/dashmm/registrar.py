@@ -70,7 +70,7 @@ from repro.hpx.parcel import Parcel
 from repro.hpx.runtime import Runtime
 from repro.hpx.scheduler import HIGH, LOW, Task
 from repro.kernels.base import Kernel, pair_distances
-from repro.kernels.expo import i2i_tables
+from repro.kernels.expo import DIRECTIONS, i2i_tables
 from repro.kernels.fitops import OperatorFactory
 from repro.sim.costmodel import CostModel, SizeModel
 from repro.tree.incremental import point_moves
@@ -194,6 +194,32 @@ def _permuted(driver, groups, loc) -> list:
     if len(by_loc) < 2:
         return list(groups)
     return [g for dst in driver.permute("coalesce", list(by_loc)) for g in by_loc[dst]]
+
+
+def fit_operators(factory: OperatorFactory, dag: DAG, domain) -> None:
+    """Fit every translation operator the plan of ``dag`` reads, on any
+    rank: M->M and L->L per (octant, level), M->L per (offset, level),
+    and M->I and I->L per (direction, level) of the I->I edges.  A
+    registrar of ``dag`` (or of any rank's slice of it) then factorizes
+    nothing; the stages assemble their operator stacks from these on
+    first use."""
+    cols, level, box_size = dag.edge_columns(), dag.level, domain.box_size
+
+    def distinct(op: str, node: np.ndarray, *aux: np.ndarray) -> list:
+        """The distinct (aux..., level of ``node``) rows of one class."""
+        at = cols.op == OP_CODE[op]
+        return _distinct_rows(*(a[at] for a in aux), level[node[at]])[0]
+
+    for octant, lv in distinct("M2M", cols.src, cols.octant):
+        factory.m2m(octant, box_size(lv))
+    for octant, lv in distinct("L2L", cols.src, cols.octant):
+        factory.l2l(octant, box_size(lv))
+    delta = cols.delta.T
+    for *d, lv in distinct("M2L", cols.dst, *delta):
+        factory.m2l(d, box_size(lv))
+    for k, lv in distinct("I2I", cols.src, cols.direction):
+        factory.m2i(DIRECTIONS[k], box_size(lv))
+        factory.i2l(DIRECTIONS[k], box_size(lv))
 
 
 class Registrar:

@@ -335,7 +335,7 @@ class EvaluatorSession:
         if svc is not None and not svc.compatible(len(sources), len(targets)):
             # n or the method changed: the shm blocks are fixed-size and
             # the workers were spawned with one method, so the service
-            # respawns (the operator cache still carries over via disk)
+            # respawns (the parent's factory keeps the operators it fitted)
             svc.close()
             svc = self._parallel = None
         if svc is None:

@@ -103,30 +103,39 @@ class GlobalAddressSpace:
 # -- shared-memory GAS blocks (real-parallel backend) ----------------------------
 #
 # The real-parallel backend (repro.hpx.parallel) keeps the bulk data of
-# an evaluation - source/target points, weights, the result vector - in
-# POSIX shared memory so every locality process maps the same pages
-# instead of receiving pickled copies.  ShmArena is the small
-# allocator/registry the ISSUE calls for: the parent allocates named
-# blocks, ships a manifest (names + shapes + dtypes) to the workers,
-# and the workers attach read-write NumPy views.  Ownership is strict:
-# only the creating arena unlinks; attached arenas only close.  Segments
-# a worker makes itself (its mailbox) are named under the arena's
-# worker_prefix, so the owner unlinks what a crashed worker left.  The
-# registry tracks every segment it created so tests can assert nothing
-# leaked into /dev/shm even after worker crashes.
+# an evaluation - source/target points, weights, the result vector, the
+# parent's fitted translation operators - in POSIX shared memory so
+# every locality process maps the same pages instead of receiving
+# pickled copies.  ShmArena is the small allocator/registry: the parent
+# allocates named blocks (many small ones may share one segment, see
+# put_many), ships a manifest (segment names + shapes + dtypes +
+# offsets) to the workers, and the workers attach read-write NumPy
+# views.  Ownership is strict: only the creating arena unlinks;
+# attached arenas only close.  Segments a worker makes itself (its
+# mailbox) are named under the arena's worker_prefix, so the owner
+# unlinks what a crashed worker left.  The registry tracks every
+# segment it created so tests can assert nothing leaked into /dev/shm
+# even after worker crashes.
+
+#: packed blocks (put_many, a worker's mailbox) start on cache-line boundaries
+_ALIGN = 64
+
 
 class ShmBlock:
-    """One named shared-memory segment viewed as a NumPy array."""
+    """A NumPy array at ``offset`` bytes into a named shared-memory
+    segment - the whole segment, or one of the blocks
+    :meth:`ShmArena.put_many` packs into one."""
 
-    __slots__ = ("label", "name", "shape", "dtype", "_shm", "array", "_closed")
+    __slots__ = ("label", "name", "shape", "dtype", "offset", "_shm", "array", "_closed")
 
-    def __init__(self, label: str, shm, shape, dtype):
+    def __init__(self, label: str, shm, shape, dtype, offset: int = 0):
         self.label = label
         self.name = shm.name
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
+        self.offset = offset
         self._shm = shm
-        self.array = np.ndarray(self.shape, dtype=self.dtype, buffer=shm.buf)
+        self.array = np.ndarray(self.shape, dtype=self.dtype, buffer=shm.buf, offset=offset)
         self._closed = False
 
     def close(self) -> None:
@@ -295,20 +304,9 @@ class ShmArena:
     # -- parent (owner) side ---------------------------------------------------
     def alloc(self, label: str, shape, dtype=np.float64) -> np.ndarray:
         """Allocate a zero-filled named block; returns the array view."""
-        from multiprocessing import shared_memory
-
-        if label in self._blocks:
-            raise ValueError(f"shm block {label!r} already allocated")
         dt = np.dtype(dtype)
-        nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * dt.itemsize)
-        name = f"{self.prefix}_{os.getpid()}_{next(_segment_numbers)}"
-        # the arena owns cleanup (destroy()/unlink() in a finally), so
-        # the segment never enters the resource tracker
-        with _suppress_tracker():
-            shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        block = ShmBlock(label, shm, shape, dt)
-        self._blocks[label] = block
-        self._live_names.add(name)
+        shm = self._segment([label], int(np.prod(shape, dtype=np.int64)) * dt.itemsize)
+        block = self._blocks[label] = ShmBlock(label, shm, shape, dt)
         return block.array
 
     def put(self, label: str, array: np.ndarray) -> np.ndarray:
@@ -316,6 +314,37 @@ class ShmArena:
         view = self.alloc(label, array.shape, array.dtype)
         view[...] = array
         return view
+
+    def put_many(self, arrays: dict) -> None:
+        """Copy every array of ``arrays`` (label -> array) into one
+        segment, each its own block at a cache-line-aligned offset: a
+        process that attaches maps one segment and holds one descriptor
+        for all of them, however many there are."""
+        if not arrays:
+            return  # a segment no block names would never be unlinked
+        offsets, end = [], 0
+        for array in arrays.values():
+            offsets.append(end)
+            end += -(-array.nbytes // _ALIGN) * _ALIGN
+        shm = self._segment(arrays, end)
+        for (label, array), at in zip(arrays.items(), offsets):
+            block = self._blocks[label] = ShmBlock(label, shm, array.shape, array.dtype, at)
+            block.array[...] = array
+
+    def _segment(self, labels, nbytes: int):
+        """A new segment of this arena for the blocks ``labels``."""
+        from multiprocessing import shared_memory
+
+        taken = [label for label in labels if label in self._blocks]
+        if taken:
+            raise ValueError(f"shm block {taken[0]!r} already allocated")
+        name = f"{self.prefix}_{os.getpid()}_{next(_segment_numbers)}"
+        # the arena owns cleanup (destroy()/unlink() in a finally), so
+        # the segment never enters the resource tracker
+        with _suppress_tracker():
+            shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, nbytes))
+        self._live_names.add(name)
+        return shm
 
     def manifest(self) -> dict:
         """Picklable description workers use to attach the same blocks.
@@ -327,7 +356,7 @@ class ShmArena:
             "pid": os.getpid(),
             "worker_prefix": self.worker_prefix,
             "blocks": {
-                label: (b.name, b.shape, b.dtype.str)
+                label: (b.name, b.shape, b.dtype.str, b.offset)
                 for label, b in self._blocks.items()
             },
         }
@@ -351,10 +380,13 @@ class ShmArena:
         arena.worker_prefix = manifest["worker_prefix"]
         arena._blocks = {}
         arena._live_names = set()  # attached arenas never unlink
+        segments: dict = {}
         with _suppress_tracker():
-            for label, (name, shape, dtype) in manifest["blocks"].items():
-                shm = shared_memory.SharedMemory(name=name)
-                arena._blocks[label] = ShmBlock(label, shm, shape, dtype)
+            for label, (name, shape, dtype, offset) in manifest["blocks"].items():
+                shm = segments.get(name)
+                if shm is None:
+                    shm = segments[name] = shared_memory.SharedMemory(name=name)
+                arena._blocks[label] = ShmBlock(label, shm, shape, dtype, offset)
         return arena
 
     # -- both sides ------------------------------------------------------------
@@ -370,7 +402,7 @@ class ShmArena:
         """Remove every segment name (owner only; idempotent)."""
         if not self.owner:
             raise ValueError("only the owning arena may unlink its segments")
-        for b in self._blocks.values():
+        for b in {b.name: b for b in self._blocks.values()}.values():
             b.unlink()
         self._live_names.clear()  # disarm the finalize guard
         self.unlink_worker_segments()
@@ -389,7 +421,7 @@ class ShmArena:
             self.unlink()
 
     def segment_names(self) -> list[str]:
-        return [b.name for b in self._blocks.values()]
+        return list(dict.fromkeys(b.name for b in self._blocks.values()))
 
     @staticmethod
     def leaked(prefix: str = "hmmgas") -> list[str]:

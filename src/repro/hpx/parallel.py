@@ -47,14 +47,23 @@ Design points:
   processed" before it reports a round done - which keeps round
   boundaries quiet, and lets a retired mailbox go - and receiver dedup
   is a second belt.
-* **Start method.**  ``spawn`` is the default (see
-  :class:`~repro.hpx.runtime.RuntimeConfig`): fresh interpreters can't
-  inherit BLAS pools, operator caches or RNG state, so runs are
-  reproducible across platforms; ``fork``/``forkserver`` are accepted
-  for experiments and produce identical results because every worker
-  seeds its RNGs explicitly from ``config.seed + rank`` inside the
-  worker body.
-* **Thread hygiene.**  Worker processes are started with
+* **Start method.**  ``forkserver`` is the default (see
+  :class:`~repro.hpx.runtime.RuntimeConfig`).  The fork server is a
+  fresh interpreter, started once per process by the first fleet
+  (:func:`worker_context`) under :func:`worker_env` and importing the
+  worker module before anything else runs in it: it holds no parent
+  state - no BLAS pool of the parent's, no operator cache, no RNG state,
+  which is what ``spawn`` was chosen for - and every worker it forks
+  starts with that module imported instead of importing numpy, scipy
+  and the package anew (0.7-0.8 s a worker on a 2-CPU host).  ``spawn`` and ``fork``
+  are accepted and give identical potentials: every worker seeds its
+  RNGs from ``config.seed + rank`` inside the worker body, and the
+  operators come from the parent's fits in every case.  One caveat: a
+  process has one fork server, so one that other code of the process
+  started first - with multithreaded BLAS, or without the worker
+  module - is the one workers are forked from.
+* **Thread hygiene.**  Worker processes - and the fork server, whose
+  environment and BLAS pools they inherit - are started with
   ``OPENBLAS/OMP/MKL/NUMEXPR_NUM_THREADS=1`` so ``n`` localities use
   ``n`` cores instead of oversubscribing every BLAS pool.
 """
@@ -62,12 +71,17 @@ Design points:
 from __future__ import annotations
 
 import itertools
+import multiprocessing as mp
+import os
 import queue as _queue
 import time
+from contextlib import contextmanager
+from multiprocessing import forkserver
+from pathlib import Path
 
 import numpy as np
 
-from repro.hpx.gas import _suppress_tracker, unlink_segment
+from repro.hpx.gas import _ALIGN, _suppress_tracker, unlink_segment
 from repro.hpx.transport import Framing
 
 
@@ -84,10 +98,49 @@ _THREAD_ENV = (
 )
 
 
+#: the directory the package is imported from
+_ROOT = str(Path(__file__).resolve().parents[2])
+
+
+@contextmanager
+def worker_env():
+    """``os.environ`` as worker processes and the fork server are
+    started under: every BLAS pool capped at one thread
+    (:data:`_THREAD_ENV`), and the directory the package is imported
+    from first on ``PYTHONPATH`` - a fork server preloads from the
+    ``sys.path`` its own interpreter starts with, not the parent's, and
+    skips a module it cannot import without a word."""
+    path = os.environ.get("PYTHONPATH")
+    changes = dict.fromkeys(_THREAD_ENV, "1")
+    changes["PYTHONPATH"] = _ROOT if not path else os.pathsep.join((_ROOT, path))
+    saved = {k: os.environ.get(k) for k in changes}
+    os.environ.update(changes)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+def worker_context(method: str, preload: str):
+    """The multiprocessing context a fleet starts under.  For
+    ``forkserver`` the process's fork server is started if none runs -
+    under :func:`worker_env`, importing the module ``preload`` - and
+    returned at once: the server imports while the caller goes on, and
+    the first fork waits for it."""
+    ctx = mp.get_context(method)
+    if method == "forkserver":
+        ctx.set_forkserver_preload([preload])
+        with worker_env():
+            forkserver.ensure_running()
+    return ctx
+
+
 #: what a mailbox holds: expansion coefficients and plane-wave rows
 _ROW = np.dtype(complex)
-#: mailbox blocks start on cache-line boundaries
-_ALIGN = 64
 #: the smallest mailbox segment, in bytes
 MIN_MAILBOX = 1 << 20
 
@@ -289,14 +342,15 @@ def await_workers(parent_q, procs, n: int, expected: str, timeout: float) -> lis
             if dead and not _drain_errors(parent_q):
                 hint = ""
                 if expected == "ready":
-                    # the classic spawn trap: a script that calls
-                    # evaluate() at module top level is re-imported
-                    # by every worker, which tries to spawn again
+                    # the classic spawn trap (forkserver shares it): a
+                    # script that calls evaluate() at module top level
+                    # is re-imported by every worker, which tries to
+                    # start a fleet again
                     hint = (
                         "; if this run was started from a script, make "
                         "sure the evaluate() call is under an "
                         "`if __name__ == \"__main__\":` guard (required "
-                        "by the spawn start method)"
+                        "by the forkserver and spawn start methods)"
                     )
                 raise ParallelError(
                     f"worker(s) {dead} died without reporting "

@@ -63,6 +63,8 @@ from repro.kernels.sphharm import idx
 #: bump when the fitting procedure or the on-disk layout changes; caches
 #: written with a different version are rejected on load
 CACHE_FORMAT_VERSION = 4
+#: the name prefix of an operator in a saved cache (see OperatorFactory.operators)
+_OP = "op::"
 
 _OCTANTS = [
     np.array([(0.5 if b else -0.5) / 2.0 for b in ((o >> 0) & 1, (o >> 1) & 1, (o >> 2) & 1)])
@@ -180,15 +182,29 @@ class OperatorFactory:
         )
         return Path(directory) / name
 
+    def operators(self) -> dict[str, np.ndarray]:
+        """Every fitted operator by name (``op::`` and the repr of its
+        cache key): what :meth:`save` writes and :meth:`adopt` takes."""
+        return {f"{_OP}{key!r}": np.asarray(val) for key, val in self._cache.items()}
+
+    def adopt(self, named: dict) -> None:
+        """Take fitted operators by :meth:`operators` name, as given -
+        no copy (a parallel worker's are views of the parent's shared
+        memory); entries under other names are ignored.  The caller
+        vouches that they were fitted under this factory's
+        :meth:`signature`."""
+        for name, op in named.items():
+            if name.startswith(_OP):
+                self._cache[ast.literal_eval(name[len(_OP) :])] = op
+
     def save(self, path=None, directory=None) -> Path:
         """Persist every fitted operator to a versioned ``.npz``."""
         if path is None:
             path = self.default_cache_path(directory or ".")
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        arrays = {f"op::{key!r}": np.asarray(val) for key, val in self._cache.items()}
         np.savez_compressed(
-            path, __signature__=np.array(json.dumps(self.signature())), **arrays
+            path, __signature__=np.array(json.dumps(self.signature())), **self.operators()
         )
         return path
 
@@ -215,10 +231,7 @@ class OperatorFactory:
                         f"factory {self.signature()}"
                     )
                 return False
-            for name in data.files:
-                if not name.startswith("op::"):
-                    continue
-                self._cache[ast.literal_eval(name[4:])] = data[name]
+            self.adopt({name: data[name] for name in data.files})
         return True
 
     # -- input spaces -----------------------------------------------------------

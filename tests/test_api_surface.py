@@ -94,7 +94,6 @@ WORKER_SPEC_KEYS = {
     "size_model",
     "theta",
     "eps",
-    "factory_path",
     "domain",
     "max_templates",
 }
@@ -114,7 +113,7 @@ def test_worker_spec_keys_are_pinned():
     ev = DashmmEvaluator(
         LaplaceKernel(2), runtime_config=RuntimeConfig(backend="parallel"), factory=None
     )
-    spec = PersistentParallelService(ev, domain=None)._worker_spec(factory_path=None)
+    spec = PersistentParallelService(ev, domain=None)._worker_spec()
     assert set(spec) == WORKER_SPEC_KEYS
 
 

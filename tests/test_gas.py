@@ -87,3 +87,37 @@ def test_two_live_arenas_never_share_segment_names():
         a.destroy()
         b.destroy()
     assert not set(names) & set(ShmArena.leaked(f"hmmgas_{os.getpid()}_"))
+
+
+def test_put_many_packs_one_segment():
+    """put_many puts many blocks into one segment at aligned offsets:
+    an attached arena maps that one segment and reads every block, and
+    destroy() unlinks it."""
+    arrays = {
+        "a": np.arange(5.0),
+        "b": (np.arange(6) * 1j).reshape(2, 3),
+        "c": np.arange(3, dtype=np.int32),
+    }
+    owner = ShmArena()
+    try:
+        owner.put("x", np.ones(2))
+        owner.put_many(arrays)
+        assert len(owner.segment_names()) == 2
+        blocks = owner.manifest()["blocks"]
+        assert len({blocks[label][0] for label in arrays}) == 1
+        assert all(blocks[label][3] % 64 == 0 for label in arrays)
+        with pytest.raises(ValueError, match="already allocated"):
+            owner.put_many({"a": np.zeros(1)})
+        worker = ShmArena.attach(owner.manifest())
+        for label, array in arrays.items():
+            got = worker.get(label)
+            assert got.dtype == array.dtype and np.array_equal(got, array)
+        worker.close()
+    finally:
+        owner.destroy()
+    # nothing to pack: no segment, which no block would name to unlink
+    empty = ShmArena()
+    empty.put_many({})
+    assert empty.segment_names() == []
+    empty.destroy()
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []

@@ -130,7 +130,7 @@ class _ThreadFleet:
         self.parent_q = queue.Queue()
         service = PersistentParallelService(evaluator, domain=None)
         service.max_templates = max_templates
-        spec = service._worker_spec(None)
+        spec = service._worker_spec()
         self.bodies = [
             _WorkerBody(r, spec, self.arena.manifest(), self.inboxes, self.parent_q)
             for r in range(self.n)
@@ -367,6 +367,127 @@ def test_parallel_run_leaves_no_segments(laplace, laplace_factory, cloud, monkey
     with pytest.raises(ParallelError, match="injected"):
         ev.evaluate(src, w, tgt)
     assert_nothing_left()
+
+
+def _problem(name: str):
+    """A kernel with a fresh, unshared operator factory, points and
+    charges: the ledger's stratified slab, smaller, or a sphere surface
+    (adaptive: leaves at several levels), on the per-level Yukawa."""
+    from repro.kernels.fitops import OperatorFactory
+    from repro.kernels.laplace import LaplaceKernel
+    from repro.kernels.yukawa import YukawaKernel
+    from repro.workloads.distributions import sphere_points
+
+    rng = np.random.default_rng(21)
+    if name == "slab":
+        kernel = LaplaceKernel(4)
+        cells = np.indices((8, 8, 2)).reshape(3, -1).T
+        points = ((cells[:, None, :] + rng.random((len(cells), 12, 3))) / 8.0).reshape(-1, 3)
+        points[:, 2] *= 0.96
+    else:
+        kernel = YukawaKernel(4, lam=2.0)
+        points = sphere_points(1500, 21)
+    return OperatorFactory(kernel, eps=1e-4), points, rng.uniform(-1.0, 1.0, len(points))
+
+
+def _session_rounds(factory, points, w, **cfg_kw):
+    """A cold, a charge-only, a drift and a kill-and-respawn round of one
+    parallel session: their potentials and the session's round stats."""
+    import signal
+
+    from repro.dashmm.service import EvaluatorSession
+
+    ev = DashmmEvaluator(
+        factory.kernel,
+        method="fmm",
+        threshold=20,
+        runtime_config=RuntimeConfig(backend="parallel", n_localities=N_LOCALITIES, **cfg_kw),
+        factory=factory,
+    )
+    drift = points.copy()
+    drift[::97] = np.clip(drift[::97] + 1e-3, points.min(axis=0), points.max(axis=0))
+    with EvaluatorSession(ev) as sess:
+        outs = [sess.submit(points, w), sess.submit(points, w[::-1].copy())]
+        outs.append(sess.submit(drift, w))
+        svc = sess._parallel
+        victim = svc._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10.0)
+        outs.append(sess.submit(drift, w[::-1].copy()))
+        assert svc.respawns == 1
+    return outs, svc.round_stats
+
+
+@parallel
+@pytest.mark.parametrize("problem", ["slab", "sphere"])
+def test_default_start_matches_spawn_and_workers_factorize_nothing(problem):
+    """The default start method forks workers from a preloaded server
+    and hands them the parent's operator fits through the arena: every
+    round - cold, charge-only, drift, re-driven on a respawned fleet -
+    equals a spawned fleet's bit for bit, no worker factorizes, and
+    nothing is left behind."""
+    assert RuntimeConfig().start_method == "forkserver"
+    dirs_before = _operator_snapshot_dirs()
+    factory, points, w = _problem(problem)
+    want, _ = _session_rounds(factory, points, w, start_method="spawn")
+    factory, points, w = _problem(problem)
+    got, rounds = _session_rounds(factory, points, w)
+    assert factory.cache_stats()["factorizations"] > 0  # the parent fitted
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+    for stats in rounds:
+        for worker in stats["workers"]:
+            assert worker["factory"]["factorizations"] == 0
+            assert worker["preloaded"]
+            assert worker["peak_rss_mb"] > 0
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
+    assert multiprocessing.active_children() == []
+    assert _operator_snapshot_dirs() == dirs_before
+
+
+@parallel
+def test_fork_server_preloads_without_pythonpath():
+    """A fork server imports its preload from the sys.path its own
+    interpreter starts with, not from the parent's, and skips a module
+    it cannot find without a word.  A fresh interpreter without
+    PYTHONPATH that puts the package on sys.path itself - as the
+    performance ledger's entry point does - must still fork both of two
+    fleets in turn from a server that imported the worker module."""
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.hpx.parallel import _THREAD_ENV
+
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(Path(repro.__file__).resolve().parents[1])!r})
+import numpy as np
+from repro.dashmm import DashmmEvaluator, EvaluatorSession
+from repro.hpx.runtime import RuntimeConfig
+from repro.kernels.laplace import LaplaceKernel
+
+points = np.random.default_rng(3).random((300, 3))
+ev = DashmmEvaluator(
+    LaplaceKernel(3), threshold=20,
+    runtime_config=RuntimeConfig(backend="parallel", n_localities=2),
+)
+fleets = []
+for _ in range(2):
+    with EvaluatorSession(ev) as sess:
+        sess.submit(points, np.ones(len(points)))
+        fleets.append([w["preloaded"] for w in sess._parallel.round_stats[0]["workers"]])
+print(json.dumps(fleets))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(dict.fromkeys(_THREAD_ENV, "1"))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [[True, True], [True, True]]
 
 
 def test_parallel_rejects_prebuilt_structures(laplace, laplace_factory, cloud):
