@@ -44,9 +44,10 @@ METHODS = ("fmm", "fmm-basic", "bh")
 class _CollectorPaused:
     """Hold CPython's cyclic collector off for one simulated evaluation.
 
-    An evaluation allocates ~10^5 long-lived objects (tree boxes, DAG
-    nodes and edges, LCOs, tasks) that the generational collector would
-    otherwise re-walk several times per run without ever finding garbage:
+    An evaluation keeps some 2 * 10^4 tracked objects alive (LCOs,
+    tasks and the drain's tables; the tree and the DAG are array
+    columns) that the generational collector would otherwise re-walk
+    several times per run without ever finding garbage:
     ownership points one way (report -> registrar -> runtime -> scheduler
     -> LCOs, see DESIGN.md "Object lifetime"), so a dropped evaluation is
     freed by reference counting alone.  Restores the caller's setting;

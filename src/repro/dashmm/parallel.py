@@ -12,19 +12,18 @@ Execution model - *replicated metadata, partitioned execution*:
 
 * Bulk data (source/target points, weights, the result vector) lives in
   shared memory; each worker maps the same pages.
-* The parent builds the dual tree, interaction lists, DAG and
-  distribution once - its *template* - and fits from it every operator
-  the plan reads, on any rank (:func:`~repro.dashmm.registrar.fit_operators`).
+* The parent and every worker each hold a template store
+  (:class:`~repro.dashmm.service.TemplateStore`) of one capacity and
+  advance it to every round's inputs: setup is a pure function of the
+  inputs, so all agree on node ids, edge order and localities without
+  shipping the structures, and the parent's advance is every rank's.
+* The parent fits, from its first template, every operator the plan
+  reads on any rank (:func:`~repro.dashmm.registrar.fit_operators`).
   The fitted arrays go into the arena beside the inputs; a worker's
   factory adopts views of them and factorizes nothing.
-* Every worker deterministically rebuilds the dual tree, interaction
-  lists, DAG and distribution from the shared arrays - setup is a pure
-  function of the inputs, so all ranks (and the parent) agree on node
-  ids, edge order and localities without shipping the structures.
-* Each worker holds the session's template store
-  (:class:`~repro.dashmm.service.TemplateStore`): registrars with no
-  runtime and no LCOs, restricted to its rank (``_rank``), whose
-  expansion store holds *its* nodes.  It compiles the execution plan
+* A worker's store holds registrars with no runtime and no LCOs,
+  restricted to its rank (``_rank``), whose expansion store holds
+  *its* nodes.  It compiles the execution plan
   (:mod:`repro.dashmm.flushplan`) for that rank: the
   edges whose destination it owns, as one ordered stage list - leaf
   fits, the upward sweep level by level, the S->L / M->L folds, M->I,
@@ -107,6 +106,7 @@ value is accepted and ignored here), and ``fuzz_schedule`` /
 
 from __future__ import annotations
 
+import copy
 import os
 import resource
 import time
@@ -114,8 +114,9 @@ import traceback
 
 import numpy as np
 
-from repro.dashmm.service import TemplateStore, check_plan_only, same_points
+from repro.dashmm.service import TemplateStore, check_plan_only
 from repro.hpx.parallel import ParallelError, QueueChannel, seed_worker_rngs
+from repro.tree.dualtree import checked_weights
 
 #: the process that imported this module: a worker forked from the
 #: preloaded fork server (or from a parent) did not import it itself
@@ -168,35 +169,22 @@ class _WorkerBody:
 
     # -- deterministic setup (untimed) -----------------------------------------
     def _build(self, manifest) -> None:
-        from repro.dashmm.evaluator import DashmmEvaluator
         from repro.hpx.gas import ShmArena
         from repro.kernels.fitops import OperatorFactory
 
         spec = self.spec
-        seed_worker_rngs(spec["config"].seed, self.rank)
+        ev = spec["evaluator"]
+        seed_worker_rngs(ev.runtime_config.seed, self.rank)
         self.arena = ShmArena.attach(manifest)
         self._inputs = tuple(self.arena.get(k) for k in ("sources", "weights", "targets"))
 
-        factory = OperatorFactory.shared(spec["kernel"], eps=spec["eps"])
+        factory = OperatorFactory.shared(ev.kernel, eps=ev.eps)
         # the parent's fits, as views of the arena
         factory.adopt({label: self.arena.get(label) for label in manifest["blocks"]})
-        self.factory = factory
+        self.factory = ev.factory = factory
         #: the factory's counters when this process took it over (a
         #: forked worker inherits a parent's shared factory)
         self._counters0 = self._counters()
-        ev = DashmmEvaluator(
-            spec["kernel"],
-            method=spec["method"],
-            threshold=spec["threshold"],
-            policy=spec["policy"],
-            runtime_config=spec["config"],
-            mode="numeric",
-            cost_model=spec["cost_model"],
-            size_model=spec["size_model"],
-            theta=spec["theta"],
-            eps=spec["eps"],
-            factory=factory,
-        )
         # a session pins the root cube so trees of every round live in
         # one coordinate frame (None - the bounding cube - for a
         # one-shot evaluate); all ranks share the one result vector, and
@@ -405,22 +393,24 @@ def evaluate_parallel(evaluator, sources, weights, targets, **prebuilt):
     re-drive if a worker dies mid-round.  Setup (the parent's template
     and operator fits, the workers' trees and DAGs) is excluded from
     the timed window, which spans GO to the last worker's DONE; the
-    report's DAG, tree and lists are the parent's template.
-    ``prebuilt`` (``dual=`` / ``lists=`` / ``dag=``) cannot reach the
-    workers and is rejected rather than silently ignored.
+    report's DAG and tree are the parent's template, its lists are
+    built after the teardown.  ``prebuilt`` (``dual=`` / ``lists=`` /
+    ``dag=``) cannot reach the workers and is rejected rather than
+    silently ignored.
     """
     from repro.dashmm.evaluator import EvaluationReport
     from repro.hpx.tracing import Tracer
+    from repro.tree.lists import build_lists
 
     _validate(evaluator, **prebuilt)
     cfg = evaluator.runtime_config
     service = PersistentParallelService(evaluator, domain=None)
     try:
-        potentials, info = service.start(sources, weights, targets)
+        potentials = service.start(sources, weights, targets)
     finally:
         service.close()
 
-    dag, lists = info["template"]
+    template = service.store.current
     cold = service.round_stats[0]
     stats = {
         "backend": "parallel",
@@ -435,11 +425,19 @@ def evaluate_parallel(evaluator, sources, weights, targets, **prebuilt):
         time=cold["wall_time"],
         runtime_stats=stats,
         tracer=Tracer(enabled=False),
-        dag=dag,
-        dual=service._dual,
-        lists=lists,
+        dag=template.dag,
+        dual=template.dual,
+        lists=None if evaluator.method == "bh" else build_lists(template.dual),
         extras={"backend": "parallel"},
     )
+
+
+def _contiguous(sources, weights, targets) -> tuple:
+    """The inputs as the arena stores them: C-contiguous float64."""
+    sources = np.ascontiguousarray(sources, dtype=np.float64)
+    # not a bare cast: that would drop an imaginary part unseen
+    weights = np.ascontiguousarray(checked_weights(weights, len(sources)))
+    return sources, weights, np.ascontiguousarray(targets, dtype=np.float64)
 
 
 class PersistentParallelService:
@@ -455,17 +453,16 @@ class PersistentParallelService:
     :func:`evaluate_parallel` is the degenerate case: :meth:`start`,
     then :meth:`close`.
 
-    :meth:`start` builds the parent's template - dual tree, lists, DAG
-    and distribution, what every worker derives too - and fits the
-    operators of its plan into the evaluator's factory while the fork
-    server, which it starts first, imports the worker module.  The
-    fitted arrays are in the arena from the first spawn on, so a
-    respawned fleet maps them too.  After the cold round the parent
-    keeps only the template's tree (updated incrementally, like every
-    worker's), purely for the inverse permutation that unsorts the
-    shared result vector.  Drive through
-    :class:`repro.dashmm.service.EvaluatorSession`, which owns the
-    shape/statistics bookkeeping.
+    The parent advances its own template store (``store``, of the
+    workers' capacity) to every round's inputs before a byte reaches
+    the arena: the advance validates them, :meth:`start` fits the
+    operators of its first template into the evaluator's factory
+    (while the fork server, started first, imports the worker module),
+    and its current tree unsorts the shared result vector.  The fitted
+    arrays are in the arena from the first spawn on, so a respawned
+    fleet maps them too.  Drive through
+    :class:`repro.dashmm.service.EvaluatorSession`, which reports the
+    store's statistics.
     """
 
     def __init__(
@@ -477,17 +474,17 @@ class PersistentParallelService:
         self.timeout = timeout
         self.max_respawns = max_respawns
         self.n = evaluator.runtime_config.n_localities
-        #: each worker's template LRU capacity (a session sets its own)
+        #: the template LRU capacity of the parent's store and each
+        #: worker's (a session sets its own)
         self.max_templates = 1
         self.rounds = 0
         self.respawns = 0
         self.round_stats: list = []
+        self.store: TemplateStore | None = None
         self._arena = None
         self._procs: list = []
         self._inboxes: list = []
         self._parent_q = None
-        self._dual = None
-        self._n_src = self._n_tgt = None
         #: the schema fingerprint of the method the workers run
         self._schema = None
         # per-round re-drive state: the worker spec and arena manifest
@@ -501,40 +498,28 @@ class PersistentParallelService:
     def compatible(self, n_src: int, n_tgt: int) -> bool:
         """Shm blocks are fixed-size and the workers were spawned with
         one method: a changed N or method needs a respawn."""
-        return (self._n_src, self._n_tgt, self._schema) == (
+        dual = self.store.current.dual
+        return (dual.source.n_points, dual.target.n_points, self._schema) == (
             n_src,
             n_tgt,
             self.evaluator.schema.fingerprint(),
         )
 
     # -- lifecycle ---------------------------------------------------------------
-    def start(self, sources, weights, targets):
-        """Build the parent's template and fit its operators, spawn
-        workers and run the cold round.  The cold round's info carries
-        the template's ``(dag, lists)`` under ``"template"``."""
+    def start(self, sources, weights, targets) -> np.ndarray:
+        """Advance the parent's store to the inputs and fit its
+        template's operators, spawn workers and run the cold round."""
         from repro.dashmm.registrar import fit_operators
         from repro.hpx.gas import ShmArena
-        from repro.tree.dualtree import build_dual_tree, checked_weights
 
         ev = self.evaluator
-        sources = np.ascontiguousarray(sources, dtype=np.float64)
-        # not a bare cast: that would drop an imaginary part unseen
-        weights = np.ascontiguousarray(checked_weights(weights, len(sources)))
-        targets = np.ascontiguousarray(targets, dtype=np.float64)
+        sources, weights, targets = _contiguous(sources, weights, targets)
         # a fork server imports the worker module while this process
         # builds and fits
         self._context()
-        self._n_src, self._n_tgt = len(sources), len(targets)
-        self._dual = build_dual_tree(
-            sources,
-            targets,
-            ev.threshold,
-            source_weights=weights,
-            domain=self.domain,
-        )
-        dag, lists = ev.build_dag(self._dual)
-        ev.policy.assign(dag, self._dual, self.n)
-        fit_operators(ev.factory, dag, self._dual.domain)
+        self.store = TemplateStore(ev, self.domain, self.max_templates)
+        template = self.store.advance(sources, weights, targets)
+        fit_operators(ev.factory, template.dag, template.dual.domain)
 
         arena = ShmArena()
         try:
@@ -543,7 +528,7 @@ class PersistentParallelService:
             arena.put("sources", sources)
             arena.put("weights", weights)
             arena.put("targets", targets)
-            arena.alloc("result", (self._n_tgt,), np.float64)
+            arena.alloc("result", (len(targets),), np.float64)
             arena.put_many(ev.factory.operators())
             self._manifest = arena.manifest()
             self._arena = arena
@@ -552,28 +537,16 @@ class PersistentParallelService:
             self._arena = arena
             self.close()
             raise
-        out = self._round()
-        info = self._round_info({"source": "built", "target": "built"})
-        info["template"] = dag, lists
-        return out, info
+        return self._round()
 
     def _worker_spec(self) -> dict:
         """Everything a worker needs besides the shared arrays (pickled
-        to every rank; the key set is pinned by tests/test_api_surface.py)."""
-        ev = self.evaluator
-        return {
-            "kernel": ev.kernel,
-            "method": ev.method,
-            "threshold": ev.threshold,
-            "policy": ev.policy,
-            "config": ev.runtime_config,
-            "cost_model": ev.cost_model,
-            "size_model": ev.size_model,
-            "theta": ev.theta,
-            "eps": ev.eps,
-            "domain": self.domain,
-            "max_templates": self.max_templates,
-        }
+        to every rank; the key set is pinned by tests/test_api_surface.py).
+        The evaluator travels without its factory: a worker's adopts the
+        arena's fits, and a fitted cache never goes through the pipe."""
+        ev = copy.copy(self.evaluator)
+        ev.factory = None
+        return {"evaluator": ev, "domain": self.domain, "max_templates": self.max_templates}
 
     def _context(self):
         """The fleet's multiprocessing context; under ``forkserver`` the
@@ -651,32 +624,22 @@ class PersistentParallelService:
             self._arena = None
 
     # -- rounds ------------------------------------------------------------------
-    def submit(self, sources, weights, targets):
-        """One warm round: overwrite inputs in place, GO, read result."""
-        from repro.tree.dualtree import checked_weights
-        from repro.tree.incremental import update_dual_tree
-
+    def submit(self, sources, weights, targets) -> np.ndarray:
+        """One warm round: advance the store, overwrite the inputs in
+        place, GO, read the result."""
         self._check_usable()
-        sources = np.ascontiguousarray(sources, dtype=np.float64)
-        weights = np.ascontiguousarray(checked_weights(weights, len(sources)))
-        targets = np.ascontiguousarray(targets, dtype=np.float64)
+        sources, weights, targets = _contiguous(sources, weights, targets)
         if not self.compatible(len(sources), len(targets)):
             raise ValueError("a running service cannot change its point counts")
         # the tree layer validates the inputs (shapes, finiteness) before
         # a byte reaches the arena: a rejected submit leaves the shared
-        # arrays, the tree replica and the fleet as they were
-        if same_points(self._dual, sources, targets):
-            info = {"source": "unchanged", "target": "unchanged"}
-        else:
-            self._dual, info = update_dual_tree(
-                self._dual, sources, targets, source_weights=weights
-            )
+        # arrays, the store and the fleet as they were
+        self.store.advance(sources, weights, targets)
         # workers are blocked on their inboxes between rounds, so the
         # parent owns the arena here and in-place writes are race-free
         for name, array in (("sources", sources), ("weights", weights), ("targets", targets)):
             self._arena.get(name)[:] = array
-        out = self._round()
-        return out, self._round_info(info)
+        return self._round()
 
     def _check_usable(self) -> None:
         from repro.hpx.parallel import ParallelError
@@ -710,8 +673,8 @@ class PersistentParallelService:
             except ParallelError as exc:
                 # a worker died (or wedged) mid-round.  The session is
                 # still a valid basis for a re-drive: the arena already
-                # holds this round's inputs, the parent's tree replica
-                # was updated before _round ran, and survivors are
+                # holds this round's inputs, the parent's store was
+                # advanced before _round ran, and survivors are
                 # killed with the casualty.  Respawned workers rebuild
                 # their metadata from the live arrays, so the same GO
                 # re-drives the identical round.
@@ -739,15 +702,7 @@ class PersistentParallelService:
         if attempts:
             stat["respawns"] = attempts
         self.round_stats.append(stat)
-        potentials = np.empty(self._n_tgt)
-        potentials[self._dual.target.perm] = result
+        target = self.store.current.dual.target
+        potentials = np.empty(target.n_points)
+        potentials[target.perm] = result
         return potentials
-
-    def _round_info(self, tree_info: dict) -> dict:
-        from repro.tree.fingerprint import dual_shape_fingerprint
-
-        return {
-            "tree": tree_info,
-            "shape": dual_shape_fingerprint(self._dual),
-            "wall_time": self.round_stats[-1]["wall_time"],
-        }

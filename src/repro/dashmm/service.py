@@ -16,9 +16,11 @@ amortizes all of that:
   and the tree-shape fingerprint (:mod:`repro.tree.fingerprint`).  A
   repeat shape under the same schema skips interaction lists and DAG
   assembly; a method (or schema) change misses instead of replaying a
-  stale graph.  A session and every parallel worker hold one store and
-  bring it to each submission with :meth:`TemplateStore.advance`, so
-  every resubmit is ``advance -> reset -> stages`` on both backends.
+  stale graph.  A session, the parallel parent and every parallel
+  worker hold one store each and bring it to each submission with
+  :meth:`TemplateStore.advance`, so every resubmit is ``advance ->
+  reset -> stages`` on both backends, and a session's statistics are
+  its store's on both.
 * **Patched geometry**: a drift submit keeps the template's geometry
   cache.  :meth:`~repro.dashmm.registrar.Registrar.rebind` diffs the
   template's previous tree against the new one, and the next walk of
@@ -238,7 +240,6 @@ class EvaluatorSession:
         self.max_templates = max_templates
         self._store: TemplateStore | None = None
         self._parallel = None
-        self._shapes_seen: set = set()
         self.stats: dict[str, Any] = {
             "submits": 0,
             "template_hits": 0,
@@ -318,8 +319,7 @@ class EvaluatorSession:
             self._store = TemplateStore(self.evaluator, self.domain, self.max_templates)
         store = self._store
         reg = store.advance(sources, weights, targets)
-        self.stats["tree_updates"].append(store.tree_update)
-        self.stats["template_hits" if store.hit else "template_misses"] += 1
+        self._count(store)
         reg.reset()
         reg.flush_deferred()
         target = reg.dual.target
@@ -342,11 +342,11 @@ class EvaluatorSession:
             # a failed start tears its fleet down before it raises
             svc = PersistentParallelService(self.evaluator, self.domain)
             svc.max_templates = self.max_templates
-            out, info = svc.start(sources, weights, targets)
+            out = svc.start(sources, weights, targets)
             self._parallel = svc
         else:
             try:
-                out, info = svc.submit(sources, weights, targets)
+                out = svc.submit(sources, weights, targets)
             except BaseException:
                 # a terminally failed service has already torn its fleet
                 # down; drop the reference so the next submit starts a
@@ -356,12 +356,13 @@ class EvaluatorSession:
                 if svc._failed is not None:
                     self._parallel = None
                 raise
-        self.stats["tree_updates"].append(info["tree"])
-        # read at submit time: a method swapped mid-life keys fresh shapes
-        shape = (self.evaluator.schema.fingerprint(), info["shape"])
-        if shape in self._shapes_seen:
-            self.stats["template_hits"] += 1
-        else:
-            self.stats["template_misses"] += 1
-            self._shapes_seen.add(shape)
+        # the parent's store has the workers' capacity and saw their
+        # inputs: its advance is what every rank's was
+        self._count(svc.store)
         return out
+
+    def _count(self, store: TemplateStore) -> None:
+        """Record the tree update and template hit or miss of the
+        advance ``store`` just made."""
+        self.stats["tree_updates"].append(store.tree_update)
+        self.stats["template_hits" if store.hit else "template_misses"] += 1

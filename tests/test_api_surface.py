@@ -84,19 +84,7 @@ RUNTIME_CONFIG_FIELDS = (
     "start_method",
 )
 
-WORKER_SPEC_KEYS = {
-    "kernel",
-    "method",
-    "threshold",
-    "policy",
-    "config",
-    "cost_model",
-    "size_model",
-    "theta",
-    "eps",
-    "domain",
-    "max_templates",
-}
+WORKER_SPEC_KEYS = {"evaluator", "domain", "max_templates"}
 
 
 @pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__qualname__)
@@ -115,6 +103,8 @@ def test_worker_spec_keys_are_pinned():
     )
     spec = PersistentParallelService(ev, domain=None)._worker_spec()
     assert set(spec) == WORKER_SPEC_KEYS
+    # a worker's factory adopts the arena's fits: none travels through the pipe
+    assert spec["evaluator"].factory is None and ev.factory is not None
 
 
 def test_one_fleet_manager():

@@ -231,7 +231,8 @@ def test_template_key_includes_schema_fingerprint(evaluator, cloud, backend):
     method - same points, same shape - misses instead of replaying the
     other method's graph, and the results stay bit-identical to cold
     evaluation per method.  A parallel session respawns its fleet, which
-    was spawned with one method."""
+    was spawned with one method, so swapping back misses there: the new
+    workers rebuild the first method's template."""
     rng, pts, w = cloud
     cold_basic = DashmmEvaluator(
         evaluator.kernel,
@@ -256,8 +257,37 @@ def test_template_key_includes_schema_fingerprint(evaluator, cloud, backend):
         evaluator.method = "fmm"
         hits1 = sess.stats["template_hits"]
         assert np.array_equal(sess.submit(pts, w), first)
-        assert sess.stats["template_hits"] == hits1 + 1
-        assert sess.stats["template_misses"] == misses0 + 1
+        if backend == "sim":
+            assert sess.stats["template_hits"] == hits1 + 1
+            assert sess.stats["template_misses"] == misses0 + 1
+        else:
+            assert sess.stats["template_hits"] == hits1
+            assert sess.stats["template_misses"] == misses0 + 2
+
+
+@pytest.mark.parametrize("max_templates", [1, 4])
+@pytest.mark.parametrize("backend", ["sim", pytest.param("parallel", marks=pytest.mark.parallel)])
+def test_stats_match_the_sim_session(kernel, factory, cloud, backend, max_templates):
+    """A session's statistics are those of the template store it
+    advanced, on both backends: shapes A, B, A report the tree updates,
+    hits and misses a sim session reports - with a capacity of one, A
+    is rebuilt on its return, as every worker rebuilds it."""
+    rng, pts, w = cloud
+    shapes = (pts, 0.4 * pts + 0.1, pts)  # the shrunk cloud refines deeper
+    stats = {}
+    for name in ("sim", backend):
+        ev = DashmmEvaluator(
+            kernel,
+            threshold=25,
+            runtime_config=RuntimeConfig(n_localities=2, backend=name),
+            factory=factory,
+        )
+        with EvaluatorSession(ev, max_templates=max_templates) as sess:
+            for points in shapes:
+                sess.submit(points, w)
+            stats[name] = sess.stats
+    assert stats[backend] == stats["sim"]
+    assert stats["sim"]["template_misses"] == (3 if max_templates == 1 else 2)
 
 
 def test_barnes_hut_session(kernel, factory, cloud):
