@@ -650,8 +650,8 @@ class _BuildState:
         self.dag = DAG()
         self.sa = dual.source.arrays
         self.ta = dual.target.arrays
-        self.nsb = len(dual.source.boxes)
-        self.ntb = len(dual.target.boxes)
+        self.nsb = len(self.sa.keys)
+        self.ntb = len(self.ta.keys)
         self.s_of: np.ndarray | None = None
         self.l_of: np.ndarray | None = None
         self.t_of: np.ndarray | None = None

@@ -391,15 +391,16 @@ class DAG:
 def _dead_mask(tgt, pruned: set[int]) -> np.ndarray:
     """Boolean per-box mask of targets strictly below a pruned box."""
     ta = tgt.arrays
-    nb = len(tgt.boxes)
+    nb = len(ta.keys)
     pruned_mask = np.zeros(nb, dtype=bool)
     if pruned:
         pruned_mask[np.fromiter(pruned, dtype=np.int64, count=len(pruned))] = True
     dead = np.zeros(nb, dtype=bool)
-    for lvl in tgt.levels[1:]:
-        idx = np.asarray(lvl, dtype=np.int64)
-        p = ta.parent[idx]
-        dead[idx] = dead[p] | pruned_mask[p]
+    # rows are level-major: one slice per level, parents before children
+    bounds = np.flatnonzero(np.diff(ta.levels)) + 1
+    for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), nb]):
+        p = ta.parent[lo:hi]
+        dead[lo:hi] = dead[p] | pruned_mask[p]
     return dead
 
 

@@ -160,8 +160,8 @@ class DistributionPolicy:
         # everything else lands target-side.  np.add.at adds row by row,
         # so each box sums its edges in row order
         up = np.isin(cols.op, [OP_CODE[op] for op in ("S2M", "M2M", "M2I", "I2I")])
-        src_box_work = np.zeros(len(dual.source.boxes))
-        tgt_box_work = np.zeros(len(dual.target.boxes))
+        src_box_work = np.zeros(len(dual.source.arrays.keys))
+        tgt_box_work = np.zeros(len(dual.target.arrays.keys))
         np.add.at(src_box_work, box[cols.src[up]], cost[up])
         np.add.at(tgt_box_work, box[cols.dst[~up]], cost[~up])
 

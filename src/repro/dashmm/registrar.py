@@ -757,13 +757,14 @@ class Registrar:
         """S->L or M->L (lattice offset ``delta``) contribution of one
         edge ``src -> dst`` (``None`` from a zero multipole)."""
         box = self.dag.box
-        tbox = self.dual.target.boxes[box[dst]]
-        h = self.dual.domain.box_size(tbox.level)
+        t = int(box[dst])
+        h = self.dual.domain.box_size(int(self.dual.target.arrays.levels[t]))
         if is_s2l:
             tree = self.dual.source
-            sbox = tree.boxes[box[src]]
-            rel = (tree.points[sbox.start : sbox.stop] - self._centers["target"][tbox.index]) / h
-            return self.kernel.p2l(rel, tree.weights[sbox.start : sbox.stop], h)
+            s = int(box[src])
+            lo, hi = int(tree.arrays.starts[s]), int(tree.arrays.stops[s])
+            rel = (tree.points[lo:hi] - self._centers["target"][t]) / h
+            return self.kernel.p2l(rel, tree.weights[lo:hi], h)
         M = self.expansions[src]
         return None if M is None else self.factory.m2l(delta, h) @ M
 
@@ -832,13 +833,14 @@ class Registrar:
         one p2l matrix build for all the target boxes; keyed by row."""
         cols = self.dag.edge_columns()
         box = self.dag.box
-        tgt = self.dual.target
-        tboxes = [tgt.boxes[b] for b in box[cols.dst[rows]].tolist()]
-        sbox = self.dual.source.boxes[box[cols.src[rows[0]]]]
-        spts = self.dual.source.points[sbox.start : sbox.stop]
-        q = self.dual.source.weights[sbox.start : sbox.stop]
-        h = self.dual.domain.box_size(tboxes[0].level)
-        centers = np.stack([self._centers["target"][b.index] for b in tboxes])
+        src = self.dual.source
+        tboxes = box[cols.dst[rows]]
+        s = int(box[cols.src[rows[0]]])
+        lo, hi = int(src.arrays.starts[s]), int(src.arrays.stops[s])
+        spts = src.points[lo:hi]
+        q = src.weights[lo:hi]
+        h = self.dual.domain.box_size(int(self.dual.target.arrays.levels[tboxes[0]]))
+        centers = self._centers["target"][tboxes]
         E, n = len(rows), len(spts)
         # edge blocks keep the (block*n, size) matrix cache-resident
         blk = max(1, 2048 // max(n, 1))

@@ -7,16 +7,17 @@ slowly-moving point set, the time-stepped reuse case of Section IV -
 amortizes all of that:
 
 * **Incremental trees** (:mod:`repro.tree.incremental`): a perturbed
-  point set updates the previous tree by splicing or re-carving only
-  the dirty Morton ranges; unchanged boxes keep their ids.
+  point set updates the previous tree's columns by splicing new point
+  ranges into its boxes, which keep their ids, or by carving the keys
+  it has already sorted.
 * **One template store** (:class:`TemplateStore`): an LRU of registrars
   with no runtime - each one a structural DAG, its tree, localities,
   compiled plan and geometry cache - keyed by the method's
-  declared-schema fingerprint (:meth:`repro.dag.MethodSchema.fingerprint`)
-  and the tree-shape fingerprint (:mod:`repro.tree.fingerprint`).  A
-  repeat shape under the same schema skips interaction lists and DAG
-  assembly; a method (or schema) change misses instead of replaying a
-  stale graph.  A session, the parallel parent and every parallel
+  declared-schema fingerprint (:meth:`repro.dag.MethodSchema.fingerprint`),
+  the tree-shape fingerprint (:mod:`repro.tree.fingerprint`) and the
+  two point counts.  A repeat shape under the same schema skips
+  interaction lists and DAG assembly; a method (or schema) change
+  misses instead of replaying a stale graph.  A session, the parallel parent and every parallel
   worker hold one store each and bring it to each submission with
   :meth:`TemplateStore.advance`, so every resubmit is ``advance ->
   reset -> stages`` on both backends, and a session's statistics are
@@ -109,7 +110,7 @@ def same_points(dual: DualTree, sources: np.ndarray, targets: np.ndarray) -> boo
 class TemplateStore:
     """The per-shape templates of a session or a parallel worker: an LRU
     of at most ``max_templates`` registrars with no runtime, keyed by
-    (schema fingerprint, tree shape).
+    (schema fingerprint, tree shape, source and target point counts).
 
     :meth:`advance` brings the store to one submission's inputs and
     returns the registrar to run; the caller then runs ``reset`` and the
@@ -164,8 +165,10 @@ class TemplateStore:
                 )
             # the declared method schema is the identity of the
             # graph-shaping rules: swapping the evaluator's method misses
-            # instead of replaying a stale graph
-            key = (schema, dual_shape_fingerprint(dual))
+            # instead of replaying a stale graph.  The point counts size
+            # the template's result and geometry cache, which a rebind
+            # keeps, so a count change misses too
+            key = (schema, dual_shape_fingerprint(dual), dual.source.n_points, dual.target.n_points)
             reg = self._templates.get(key)
             self.hit = reg is not None
             if reg is None:

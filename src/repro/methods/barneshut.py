@@ -66,12 +66,11 @@ def mac_pairs(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
     (the decision *set* per target is traversal-order independent), so
     the two return identical dictionaries.
     """
-    src, tgt = dual.source, dual.target
     dom = dual.domain
-    sa, ta = src.arrays, tgt.arrays
+    sa, ta = dual.source.arrays, dual.target.arrays
     t_sel = np.flatnonzero(ta.leaf & (ta.counts > 0))
     out: dict[int, list[tuple[str, int]]] = {int(ti): [] for ti in t_sel}
-    if t_sel.size == 0 or not src.boxes:
+    if t_sel.size == 0:
         return out
     s_centers = dom.box_centers(sa.keys)
     t_centers = dom.box_centers(ta.keys[t_sel])

@@ -75,12 +75,14 @@ class Domain:
         return self.box_size(level) * np.sqrt(3.0) / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box:
-    """A node of one tree: geometry plus the slice of points it owns.
+    """A read-only view of one row of a tree's box table
+    (:attr:`repro.tree.dualtree.Tree.boxes`).
 
     Points are stored once per tree in Morton order; each box holds the
     half-open index range ``[start, stop)`` of the points inside it.
+    ``parent`` and ``children`` are Morton keys.
     """
 
     key: int
@@ -88,7 +90,7 @@ class Box:
     start: int
     stop: int
     parent: int | None
-    children: list[int]
+    children: tuple[int, ...]
     index: int  # position in the tree's box table
 
     @property

@@ -8,16 +8,21 @@ refinement *threshold*; empty children are pruned.  The
 domain; the ensembles may be identical, partially overlapping, or
 disjoint.
 
-Trees are carved by whole-array passes over the sorted deep keys: every
-level's boxes are discovered at once (shifted-prefix run detection plus
-``searchsorted`` range splits).  The per-box refinement the paper
-describes is the oracle the array carve is property-tested against, box
-table for box table (``carve_reference`` in ``tests/reference_chain.py``).
+A tree *is* its columns: :func:`carve` turns the sorted deep keys into
+a :class:`TreeArrays` box table in whole-array passes, one per level
+(shifted-prefix run detection plus ``searchsorted`` range splits), and
+builds no per-box object.  :attr:`Tree.boxes` is a read-only per-box
+view of those columns, built on first use.  The per-box refinement the
+paper describes is the oracle the array carve is property-tested
+against, column for column (``carve_reference`` in
+``tests/reference_chain.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,22 +35,24 @@ from repro.tree.morton import MAX_LEVEL, decode_morton, encode_points
 DEEP_LEVEL = MAX_LEVEL
 
 #: Instrumentation for the persistent-evaluation layer: how many times a
-#: tree was carved from scratch and how many dirty subtrees were
-#: re-carved by the incremental path.  The warm-path guarantee of
-#: :class:`repro.dashmm.service.EvaluatorSession` - a repeat submit with
-#: an unchanged shape does *zero* carving - is asserted against these.
-COUNTERS = {"full_carves": 0, "subtree_carves": 0}
+#: key sequence was carved into boxes (cold builds and the recarves of
+#: :func:`repro.tree.incremental.update_tree` alike).  The warm-path
+#: guarantee of :class:`repro.dashmm.service.EvaluatorSession` - a
+#: repeat submit with an unchanged shape does *zero* carving - is
+#: asserted against it.
+COUNTERS = {"full_carves": 0}
 
 
 @dataclass
 class TreeArrays:
-    """Columnar view of a tree's box table (one row per box).
+    """A tree's box table as columns (one row per box): what a tree is.
 
-    Decoded lattice coordinates are computed once per tree, so setup
-    passes (adjacency, interaction lists, DAG assembly) never re-decode
-    Morton keys pairwise.  ``child_lo:child_hi`` is the contiguous box
-    table index range of a box's children (both builders append the
-    children of one box consecutively).
+    Rows are level-major, ascending run start (equivalently ascending
+    key) within a level, so ``child_lo:child_hi`` is the contiguous row
+    range of a box's children (``0:0`` for a leaf).  Decoded lattice
+    coordinates are computed once per tree, so setup passes (adjacency,
+    interaction lists, DAG assembly) never re-decode Morton keys
+    pairwise.
     """
 
     keys: np.ndarray  # int64 Morton keys
@@ -60,39 +67,6 @@ class TreeArrays:
     stops: np.ndarray
     child_lo: np.ndarray  # int64 children index range [lo, hi)
     child_hi: np.ndarray
-
-
-def _arrays_from_boxes(boxes: list[Box], key_to_index: dict[int, int]) -> TreeArrays:
-    nb = len(boxes)
-    keys = np.fromiter((b.key for b in boxes), dtype=np.int64, count=nb)
-    starts = np.fromiter((b.start for b in boxes), dtype=np.int64, count=nb)
-    stops = np.fromiter((b.stop for b in boxes), dtype=np.int64, count=nb)
-    parent = np.fromiter(
-        (-1 if b.parent is None else key_to_index[b.parent] for b in boxes),
-        dtype=np.int64,
-        count=nb,
-    )
-    child_lo = np.zeros(nb, dtype=np.int64)
-    child_hi = np.zeros(nb, dtype=np.int64)
-    for b in boxes:
-        if b.children:
-            child_lo[b.index] = key_to_index[b.children[0]]
-            child_hi[b.index] = key_to_index[b.children[-1]] + 1
-    levels, ix, iy, iz = decode_morton(keys)
-    return TreeArrays(
-        keys=keys,
-        levels=levels,
-        ix=ix,
-        iy=iy,
-        iz=iz,
-        leaf=child_lo == child_hi,
-        parent=parent,
-        counts=stops - starts,
-        starts=starts,
-        stops=stops,
-        child_lo=child_lo,
-        child_hi=child_hi,
-    )
 
 
 @dataclass
@@ -111,65 +85,61 @@ class Tree:
     perm:
         Original index of each sorted point (``points[i] ==
         original[perm[i]]``).
-    boxes:
-        Box table; index 0 is the root.
-    key_to_index:
-        Morton key -> box table index.
-    levels:
-        ``levels[l]`` lists box indices at level ``l``.
+    arrays:
+        The box table as columns; row 0 is the root.
     threshold:
         The refinement threshold used to build the tree.
+
+    ``boxes``, ``key_to_index`` and ``levels`` are read-only views of
+    ``arrays``, built on first use for the per-box reference evaluators
+    and the tests; the setup and execution pipeline reads the columns.
     """
 
     domain: Domain
     points: np.ndarray
     weights: np.ndarray | None
     perm: np.ndarray
-    boxes: list[Box]
-    key_to_index: dict[int, int]
-    levels: list[list[int]] = field(default_factory=list)
+    arrays: TreeArrays
     threshold: int = 0
     #: sorted deep Morton keys of the points; retained so the
     #: incremental updater can diff a perturbed ensemble against the
     #: exact key sequence this tree was carved from
     deep_sorted: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _leaf_indices: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _arrays: TreeArrays | None = field(default=None, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return int(self.arrays.levels[-1])
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def leaf_indices(self) -> np.ndarray:
         """Box table indices of the leaves, cached at first use."""
-        if self._leaf_indices is None:
-            self._leaf_indices = np.fromiter(
-                (b.index for b in self.boxes if b.is_leaf), dtype=np.int64
-            )
-        return self._leaf_indices
+        return np.flatnonzero(self.arrays.leaf)
 
-    @property
-    def leaves(self) -> list[Box]:
-        boxes = self.boxes
-        return [boxes[i] for i in self.leaf_indices]
+    @cached_property
+    def boxes(self) -> tuple[Box, ...]:
+        """One read-only :class:`Box` per row of :attr:`arrays`."""
+        a = self.arrays
+        keys = a.keys.tolist()
+        parents = [keys[p] if p >= 0 else None for p in a.parent.tolist()]
+        children = [tuple(keys[lo:hi]) for lo, hi in zip(a.child_lo.tolist(), a.child_hi.tolist())]
+        rows = (a.levels, a.starts, a.stops)
+        return tuple(map(Box, keys, *(r.tolist() for r in rows), parents, children, range(len(keys))))
 
-    @property
-    def arrays(self) -> TreeArrays:
-        """Columnar box table with decoded coordinates, built once."""
-        if self._arrays is None:
-            self._arrays = _arrays_from_boxes(self.boxes, self.key_to_index)
-        return self._arrays
+    @cached_property
+    def key_to_index(self) -> MappingProxyType:
+        """Morton key -> box table index (read-only)."""
+        return MappingProxyType(dict(zip(self.arrays.keys.tolist(), range(len(self.arrays.keys)))))
 
-    def box(self, key: int) -> Box:
-        return self.boxes[self.key_to_index[key]]
-
-    def box_points(self, box: Box) -> np.ndarray:
-        return self.points[box.start : box.stop]
+    @cached_property
+    def levels(self) -> tuple[range, ...]:
+        """``levels[l]``: the box indices at level ``l`` (rows are
+        level-major, so each is a range)."""
+        bounds = np.searchsorted(self.arrays.levels, np.arange(self.depth + 2)).tolist()
+        return tuple(range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     def set_weights(self, weights: np.ndarray) -> None:
         """Replace the point weights (given in *original* point order).
@@ -214,27 +184,31 @@ class DualTree:
     threshold: int
 
 
-def _carve_vectorized(
-    deep_sorted: np.ndarray, n: int, threshold: int
-) -> tuple[list[Box], dict[int, int], list[list[int]]]:
-    """Whole-level box discovery from the sorted deep-key array.
+def carve(deep_sorted: np.ndarray, n: int, threshold: int) -> TreeArrays:
+    """The box table of ``n`` points with sorted deep keys
+    ``deep_sorted``, carved level by level in whole-array passes.
 
     Every box at level ``l`` is a maximal run of equal level-``l`` key
     prefixes inside its parent's range.  One level is carved with three
     array passes: a run-boundary scan of the shifted prefixes restricted
     to the over-threshold parent ranges, a ``searchsorted`` to attribute
-    each run to its parent, and a clipped shift to find run stops.  The
-    resulting box table is bit-identical to the per-box reference carve.
+    each run to its parent (its *owner*), and a clipped shift to find
+    run stops.  The owners give each child its parent row and each
+    parent its children's row range.  The table is bit-identical to the
+    per-box reference carve.
     """
-    boxes = [Box(key=1, level=0, start=0, stop=n, parent=None, children=[], index=0)]
-    key_to_index: dict[int, int] = {1: 0}
-    levels: list[list[int]] = [[0]]
+    COUNTERS["full_carves"] += 1
+    keys = [np.array([1], dtype=np.int64)]
+    starts = [np.array([0], dtype=np.int64)]
+    stops = [np.array([n], dtype=np.int64)]
+    parent = [np.array([-1], dtype=np.int64)]
+    families = []  # (parent rows, their first child row, their child count)
 
-    cur_starts = np.array([0], dtype=np.int64)
-    cur_stops = np.array([n], dtype=np.int64)
     cur_index = np.array([0], dtype=np.int64)
+    base = 1
     level = 0
-    while cur_starts.size and level < DEEP_LEVEL:
+    while level < DEEP_LEVEL:
+        cur_starts, cur_stops = starts[-1], stops[-1]
         child_level = level + 1
         split = (cur_stops - cur_starts) > threshold
         if not split.any():
@@ -256,42 +230,42 @@ def _carve_vectorized(
         change[0] = True
         np.not_equal(prefix[1:], prefix[:-1], out=change[1:])
         run_starts = np.flatnonzero(change & in_split)
-        child_keys = prefix[run_starts]
         owner = np.searchsorted(starts_p, run_starts, side="right") - 1
-        run_stops = np.minimum(
-            np.append(run_starts[1:], n), stops_p[owner]
-        )
-
-        base = len(boxes)
-        ck = child_keys.tolist()
-        lo = run_starts.tolist()
-        hi = run_stops.tolist()
-        pk = (child_keys >> 3).tolist()
-        for k, s, e, p in zip(ck, lo, hi, pk):
-            boxes.append(
-                Box(
-                    key=k,
-                    level=child_level,
-                    start=s,
-                    stop=e,
-                    parent=p,
-                    children=[],
-                    index=len(boxes),
-                )
-            )
-        key_to_index.update(zip(ck, range(base, base + len(ck))))
         per_parent = np.bincount(owner, minlength=starts_p.size)
-        off = 0
-        for p_idx, c in zip(index_p.tolist(), per_parent.tolist()):
-            boxes[p_idx].children = ck[off : off + c]
-            off += c
-        levels.append(list(range(base, base + len(ck))))
 
-        cur_starts, cur_stops = run_starts, run_stops
-        cur_index = np.arange(base, base + len(ck), dtype=np.int64)
+        keys.append(prefix[run_starts])
+        starts.append(run_starts)
+        stops.append(np.minimum(np.append(run_starts[1:], n), stops_p[owner]))
+        parent.append(index_p[owner])
+        families.append((index_p, base + np.cumsum(per_parent) - per_parent, per_parent))
+
+        cur_index = np.arange(base, base + run_starts.size, dtype=np.int64)
+        base += run_starts.size
         level = child_level
 
-    return boxes, key_to_index, levels
+    keys = np.concatenate(keys)
+    starts = np.concatenate(starts)
+    stops = np.concatenate(stops)
+    child_lo = np.zeros(base, dtype=np.int64)
+    child_hi = np.zeros(base, dtype=np.int64)
+    for rows, first, count in families:
+        child_lo[rows] = first
+        child_hi[rows] = first + count
+    levels, ix, iy, iz = decode_morton(keys)
+    return TreeArrays(
+        keys=keys,
+        levels=levels,
+        ix=ix,
+        iy=iy,
+        iz=iz,
+        leaf=child_lo == child_hi,
+        parent=np.concatenate(parent),
+        counts=stops - starts,
+        starts=starts,
+        stops=stops,
+        child_lo=child_lo,
+        child_hi=child_hi,
+    )
 
 
 def build_tree(
@@ -318,17 +292,12 @@ def build_tree(
     if weights is not None:
         weights_sorted = checked_weights(weights, n)[perm]
 
-    COUNTERS["full_carves"] += 1
-    boxes, key_to_index, levels = _carve_vectorized(deep_sorted, n, threshold)
-
     return Tree(
         domain=domain,
         points=points_sorted,
         weights=weights_sorted,
         perm=perm,
-        boxes=boxes,
-        key_to_index=key_to_index,
-        levels=levels,
+        arrays=carve(deep_sorted, n, threshold),
         threshold=threshold,
         deep_sorted=deep_sorted,
     )

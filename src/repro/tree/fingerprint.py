@@ -5,8 +5,9 @@ tables:
 
 * the **shape fingerprint** captures everything the interaction lists
   and the structural DAG depend on: the refinement threshold, the
-  domain cube, and each tree's Morton keys and leaf mask.  It is the
-  tree half of a template key (:class:`repro.dashmm.service.TemplateStore`).
+  domain cube, and each tree's Morton keys and leaf mask.  With the
+  two point counts it is the tree half of a template key
+  (:class:`repro.dashmm.service.TemplateStore`).
   Box *counts* are deliberately excluded - every box holds at least
   one point by construction, and neither the adjacency descent nor DAG
   wiring reads counts beyond "nonempty" - so a perturbation that moves

@@ -32,7 +32,7 @@ import numpy as np
 from repro.dashmm.dag import DAG, KIND_CODE, NODE_KINDS, TREES
 from repro.kernels.expo import DIRECTIONS, assign_direction
 from repro.tree.box import Box
-from repro.tree.dualtree import DEEP_LEVEL, DualTree, Tree, build_dual_tree
+from repro.tree.dualtree import DEEP_LEVEL, DualTree, Tree, TreeArrays, build_dual_tree
 from repro.tree.lists import InteractionLists, adjacent
 from repro.tree.morton import decode_morton
 
@@ -47,7 +47,8 @@ def carve_reference(
     children are the nonempty subranges split at the eight child-prefix
     boundaries.
     """
-    boxes = [Box(key=1, level=0, start=0, stop=n, parent=None, children=[], index=0)]
+    boxes = [Box(key=1, level=0, start=0, stop=n, parent=None, children=(), index=0)]
+    children: list[list[int]] = [[]]
     key_to_index = {1: 0}
     levels = [[0]]
     frontier = [0]
@@ -72,10 +73,11 @@ def carve_reference(
                 if hi <= lo:
                     continue  # prune empty child
                 ckey = base + c
-                child = Box(ckey, child_level, lo, hi, box.key, [], len(boxes))
+                child = Box(ckey, child_level, lo, hi, box.key, (), len(boxes))
                 key_to_index[ckey] = child.index
                 boxes.append(child)
-                box.children.append(ckey)
+                children.append([])
+                children[bi].append(ckey)
                 new_level_indices.append(child.index)
                 next_frontier.append(child.index)
         if new_level_indices:
@@ -83,7 +85,55 @@ def carve_reference(
         frontier = next_frontier
         level = child_level
 
+    boxes = [dataclasses.replace(b, children=tuple(c)) for b, c in zip(boxes, children)]
     return boxes, key_to_index, levels
+
+
+def reference_arrays(boxes: list[Box], key_to_index: dict[int, int]) -> TreeArrays:
+    """The columns of a per-box table, row for row."""
+    nb = len(boxes)
+    keys = np.fromiter((b.key for b in boxes), dtype=np.int64, count=nb)
+    starts = np.fromiter((b.start for b in boxes), dtype=np.int64, count=nb)
+    stops = np.fromiter((b.stop for b in boxes), dtype=np.int64, count=nb)
+    parent = np.fromiter(
+        (-1 if b.parent is None else key_to_index[b.parent] for b in boxes),
+        dtype=np.int64,
+        count=nb,
+    )
+    child_lo = np.zeros(nb, dtype=np.int64)
+    child_hi = np.zeros(nb, dtype=np.int64)
+    for b in boxes:
+        if b.children:
+            child_lo[b.index] = key_to_index[b.children[0]]
+            child_hi[b.index] = key_to_index[b.children[-1]] + 1
+    levels, ix, iy, iz = decode_morton(keys)
+    return TreeArrays(
+        keys=keys,
+        levels=levels,
+        ix=ix,
+        iy=iy,
+        iz=iz,
+        leaf=child_lo == child_hi,
+        parent=parent,
+        counts=stops - starts,
+        starts=starts,
+        stops=stops,
+        child_lo=child_lo,
+        child_hi=child_hi,
+    )
+
+
+def assert_tree_equal(a: Tree, b: Tree) -> None:
+    """Value identity of two trees: every box-table column (dtype
+    included), then the sorted points, their order and weights."""
+    for f in dataclasses.fields(TreeArrays):
+        x, y = getattr(a.arrays, f.name), getattr(b.arrays, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+    assert np.array_equal(a.perm, b.perm)
+    assert np.array_equal(a.points, b.points)
+    assert (a.weights is None) == (b.weights is None)
+    if a.weights is not None:
+        assert np.array_equal(a.weights, b.weights)
 
 
 def canonicalize(lists: InteractionLists) -> InteractionLists:
@@ -400,17 +450,8 @@ def build_bh_dag_reference(dual: DualTree, mac_pairs: dict[int, list[tuple[str, 
 # -- the chain ----------------------------------------------------------------------
 def reference_tree(tree: Tree) -> Tree:
     """``tree``'s sorted points carved again by the per-box loop."""
-    boxes, key_to_index, levels = carve_reference(
-        tree.deep_sorted, tree.n_points, tree.threshold
-    )
-    return dataclasses.replace(
-        tree,
-        boxes=boxes,
-        key_to_index=key_to_index,
-        levels=levels,
-        _leaf_indices=None,
-        _arrays=None,
-    )
+    boxes, key_to_index, _ = carve_reference(tree.deep_sorted, tree.n_points, tree.threshold)
+    return dataclasses.replace(tree, arrays=reference_arrays(boxes, key_to_index))
 
 
 def reference_dual(dual: DualTree) -> DualTree:

@@ -76,7 +76,7 @@ def _cross(tree, points, rng, threshold=THRESHOLD):
     crosses the threshold."""
     hops = []
     for parent in tree.boxes:
-        kids = [tree.box(k) for k in parent.children]
+        kids = [tree.boxes[tree.key_to_index[k]] for k in parent.children]
         donors = [b for b in kids if b.is_leaf and b.count > 1]
         takers = [b for b in kids if b.is_leaf and b.count < threshold]
         hops += [(d, t) for d in donors for t in takers if d is not t]
@@ -157,7 +157,7 @@ def test_a_nudge_recomputes_only_the_moved_rows_and_columns(factory, monkeypatch
         sess.submit(pts, w)
         assert reg.geom_cache
         tgt = reg.dual.target
-        leaf = tgt.leaves[rng.integers(len(tgt.leaves))]
+        leaf = tgt.boxes[tgt.leaf_indices[rng.integers(len(tgt.leaf_indices))]]
         moved = pts.copy()
         moved[tgt.perm[leaf.start], 0] += 1e-9
         before = reg.dual
@@ -224,8 +224,9 @@ def _feed(tree, taker_key, points, sign):
     """A point moved from a sibling leaf into the leaf ``taker_key``
     (``sign`` +1) or out of it into a sibling (-1): the parent's count,
     hence the shape, stays."""
-    taker = tree.box(taker_key)
-    siblings = [tree.box(k) for k in tree.box(taker.parent).children]
+    taker = tree.boxes[tree.key_to_index[taker_key]]
+    parent = tree.boxes[tree.key_to_index[taker.parent]]
+    siblings = [tree.boxes[tree.key_to_index[k]] for k in parent.children]
     other = next(b for b in siblings if b.is_leaf and b is not taker and b.count > 1)
     src, dst = (other, taker) if sign > 0 else (taker, other)
     out = points.copy()
@@ -258,10 +259,11 @@ def test_a_leaf_that_outgrows_its_room_relays_its_page(factory, monkeypatch, roo
         _check(sess, pts, w)
         reg = sess._store.current
         tree = reg.dual.source
+        a = tree.arrays
         taker = next(
-            b for b in tree.leaves
-            if b.count <= THRESHOLD - 4
-            and sum(s.is_leaf and s.count > 1 for s in map(tree.box, tree.box(b.parent).children)) > 1
+            tree.boxes[i] for i in tree.leaf_indices
+            if a.counts[i] <= THRESHOLD - 4
+            and np.count_nonzero((a.counts > 1)[a.leaf & (a.parent == a.parent[i])]) > 1
         )
         for sign in (1, 1, 1, 1, -1, -1):
             pts = _feed(reg.dual.source, taker.key, pts, sign)

@@ -69,7 +69,7 @@ def test_children_partition_parent_range():
     tree = build_tree(pts, dom, threshold=30)
     for b in tree.boxes:
         if b.children:
-            kids = [tree.box(k) for k in b.children]
+            kids = [tree.boxes[tree.key_to_index[k]] for k in b.children]
             assert sum(k.count for k in kids) == b.count
             kids.sort(key=lambda k: k.start)
             assert kids[0].start == b.start
@@ -97,7 +97,7 @@ def test_points_inside_their_boxes():
         level, ix, iy, iz = decode_morton(b.key)
         h = dom.box_size(level)
         lo = dom.origin + h * np.array([ix, iy, iz])
-        box_pts = tree.box_points(b)
+        box_pts = tree.points[b.start : b.stop]
         assert np.all(box_pts >= lo - 1e-9)
         assert np.all(box_pts <= lo + h + 1e-9)
 

@@ -96,7 +96,7 @@ def _sibling_hop(dual, points):
     box count crosses the threshold (so the tree shape is preserved)."""
     tree = dual.source
     for parent in tree.boxes:
-        kids = [tree.box(k) for k in parent.children]
+        kids = [tree.boxes[tree.key_to_index[k]] for k in parent.children]
         leaves = [b for b in kids if b.is_leaf and b.count > 1]
         if len(leaves) < 2:
             continue

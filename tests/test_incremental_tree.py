@@ -19,6 +19,7 @@ from repro.tree.fingerprint import (
 )
 from repro.tree.incremental import moved_positions, point_moves, update_dual_tree, update_tree
 from tests.crc_forge import neutral_flips
+from tests.reference_chain import assert_tree_equal
 
 THRESHOLD = 25
 
@@ -34,27 +35,6 @@ def base():
     return rng, src, tgt, w, dual
 
 
-def assert_tree_equal(a, b):
-    """Structural + numeric value identity (ids, ranges, point order)."""
-    assert len(a.boxes) == len(b.boxes)
-    for ba, bb in zip(a.boxes, b.boxes):
-        assert (ba.key, ba.level, ba.start, ba.stop) == (
-            bb.key,
-            bb.level,
-            bb.start,
-            bb.stop,
-        )
-        assert ba.parent == bb.parent
-        assert ba.children == bb.children
-        assert ba.index == bb.index
-    assert a.key_to_index == b.key_to_index
-    assert a.levels == b.levels
-    assert np.array_equal(a.perm, b.perm)
-    assert np.array_equal(a.points, b.points)
-    if a.weights is not None or b.weights is not None:
-        assert np.array_equal(a.weights, b.weights)
-
-
 def test_unchanged_when_only_weights_move(base):
     rng, src, tgt, w, dual = base
     before = dict(COUNTERS)
@@ -62,7 +42,7 @@ def test_unchanged_when_only_weights_move(base):
     assert info == {"source": "unchanged", "target": "unchanged"}
     assert dict(COUNTERS) == before  # zero carving
     # box tables are shared outright, ids trivially stable
-    assert new.source.boxes is dual.source.boxes
+    assert new.source.arrays is dual.source.arrays
     assert dual_shape_fingerprint(new) == dual_shape_fingerprint(dual)
 
 
@@ -87,8 +67,7 @@ def test_splice_keeps_ids_and_matches_cold_build(base):
     assert status in ("unchanged", "spliced")
     assert dict(COUNTERS) == before  # zero carving either way
     # every box keeps its id
-    for old_b, new_b in zip(dual.source.boxes, new.boxes):
-        assert old_b.key == new_b.key and old_b.index == new_b.index
+    assert np.array_equal(new.arrays.keys, dual.source.arrays.keys)
     cold = build_tree(src2, dual.source.domain, THRESHOLD, weights=w)
     assert_tree_equal(new, cold)
     assert tree_shape_fingerprint(new) == tree_shape_fingerprint(cold)
@@ -161,12 +140,12 @@ def test_recarve_matches_cold_build(base):
     src2 = src.copy()
     idx = rng.choice(len(src), size=len(src) // 3, replace=False)
     src2[idx] = np.clip(src2[idx] + rng.normal(scale=0.3, size=(len(idx), 3)), 0.0, 1.0)
+    before = COUNTERS["full_carves"]
     new, status = update_tree(dual.source, src2, weights=w)
+    assert status == "recarved"
+    assert COUNTERS["full_carves"] == before + 1  # the sorted keys, carved once
     cold = build_tree(src2, dual.source.domain, THRESHOLD, weights=w)
     assert_tree_equal(new, cold)
-    if status == "recarved":
-        # the dirty walk must not have fallen back to a full carve
-        assert COUNTERS["subtree_carves"] > 0
 
 
 def test_rebuilt_on_size_change(base):
@@ -180,11 +159,18 @@ def test_rebuilt_on_size_change(base):
 
 def test_old_tree_never_mutated(base):
     rng, src, tgt, w, dual = base
-    snapshot = [(b.key, b.start, b.stop, tuple(b.children)) for b in dual.source.boxes]
+    old = dual.source
+
+    def values():
+        a = old.arrays
+        return [getattr(a, f.name) for f in dataclasses.fields(a)] + [
+            old.points, old.perm, old.weights, old.deep_sorted
+        ]
+
+    snapshot = [v.copy() for v in values()]
     src2 = np.clip(src + rng.normal(scale=0.05, size=src.shape), 0.0, 1.0)
-    update_tree(dual.source, src2, weights=w)
-    after = [(b.key, b.start, b.stop, tuple(b.children)) for b in dual.source.boxes]
-    assert snapshot == after
+    update_tree(old, src2, weights=w)
+    assert all(np.array_equal(a, b) for a, b in zip(snapshot, values()))
 
 
 def test_fingerprints_track_counts(base):
@@ -221,6 +207,6 @@ def test_fingerprints_tell_a_crc_collision_apart(base):
             forged_keys[box] ^= 1 << k
     assert not np.array_equal(forged_keys, keys)
     assert zlib.crc32(forged_keys.tobytes()) == zlib.crc32(keys.tobytes())
-    forged = dataclasses.replace(tree, _arrays=dataclasses.replace(tree.arrays, keys=forged_keys))
+    forged = dataclasses.replace(tree, arrays=dataclasses.replace(tree.arrays, keys=forged_keys))
     assert tree_shape_fingerprint(forged) != tree_shape_fingerprint(tree)
     assert tree_full_fingerprint(forged) != tree_full_fingerprint(tree)

@@ -26,6 +26,7 @@ from repro.dashmm.registrar import Registrar
 from repro.hpx import FaultyNetwork, RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
 from repro.sim.costmodel import CostModel
+from repro.tree.box import Box
 from repro.workloads.distributions import random_charges, sphere_points
 
 RUNTIME_MODES = {
@@ -274,6 +275,34 @@ def test_no_edge_object_in_a_worker_plan_compile(
         assert reg.eager_plan().n_edges + reg.flush_plan().n_edges > 0
     assert edges_made == [] and nodes_made == []
     assert dag._view is None
+
+
+def test_no_box_on_an_evaluate_or_session_path(laplace, laplace_factory, cloud, monkeypatch):
+    """Trees are columns: cold fmm and bh evaluates and a session's
+    cold, charge-only, spliced, recarved and count-change submits never
+    make a ``Box`` (the per-box view is for the reference evaluators and
+    the tests)."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Box was built")
+
+    monkeypatch.setattr(Box, "__init__", refuse)
+    src, w, tgt = cloud
+    for method in ("fmm", "bh"):
+        _evaluator(laplace, laplace_factory, "numeric", method).evaluate(src, w, tgt)
+    rng = np.random.default_rng(7)
+    nudged = src.copy()
+    nudged[:5] = np.clip(nudged[:5] + rng.normal(scale=1e-3, size=(5, 3)), 0.0, 1.0)
+    scattered = nudged.copy()
+    scattered[::3] = rng.uniform(0, 1, scattered[::3].shape)
+    with EvaluatorSession(_evaluator(laplace, laplace_factory, "numeric", "fmm")) as session:
+        session.submit(src, w)
+        session.submit(src, rng.normal(size=len(w)))
+        session.submit(nudged, w)
+        session.submit(scattered, w)
+        session.submit(scattered[:-10], w[:-10])
+        updates = [u["source"] for u in session.stats["tree_updates"]]
+    assert updates == ["rebuilt", "unchanged", "spliced", "recarved", "rebuilt"]
 
 
 def test_phantom_evaluate_tracks_a_fraction_of_an_edge_per_edge_dag():

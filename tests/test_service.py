@@ -26,7 +26,9 @@ from repro.hpx.runtime import RuntimeConfig
 from repro.hpx.tracing import ScheduleTrace
 from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
+from repro.tree.box import Domain
 from repro.tree.dualtree import build_dual_tree
+from repro.tree.fingerprint import dual_shape_fingerprint
 from tests.crc_forge import neutral_flips
 from tests.test_lifetime import cyclic_garbage
 
@@ -183,6 +185,38 @@ def test_shape_change_then_return_hits_template(evaluator, cloud):
         sess.submit(pts, w)
         assert sess.stats["template_hits"] == hits0 + 1
         assert sess.stats["template_misses"] == misses0 + 1
+
+
+@pytest.mark.parametrize("backend", ["sim", pytest.param("parallel", marks=pytest.mark.parallel)])
+def test_point_count_change_keeps_the_shape_apart(kernel, factory, backend):
+    """Uniform clouds of 700, 500 and 701 points carve the same box keys
+    and leaves at threshold 25, so a shape key alone would hand one
+    count's template to another (on sim the rebind then failed to
+    broadcast 500 values into a 700-point result).  Every submit of
+    700 -> 500 -> 700 -> 500 -> 701 -> 700 equals a cold session over
+    the same domain."""
+    ev = DashmmEvaluator(
+        kernel,
+        threshold=25,
+        runtime_config=RuntimeConfig(n_localities=2, backend=backend),
+        factory=factory,
+    )
+    cold_ev = DashmmEvaluator(
+        kernel, threshold=25, runtime_config=RuntimeConfig(n_localities=2), factory=factory
+    )
+    rng = np.random.default_rng(3)
+    clouds = {n: (rng.uniform(0, 1, (n, 3)), rng.normal(size=n)) for n in (700, 500, 701)}
+    domain = Domain.bounding(*(pts for pts, _ in clouds.values()))
+    duals = [build_dual_tree(pts, pts, 25, domain=domain) for pts, _ in clouds.values()]
+    assert len({dual_shape_fingerprint(dual) for dual in duals}) == 1
+    with EvaluatorSession(ev, domain=domain) as sess:
+        for n in (700, 500, 700, 500, 701, 700):
+            pts, w = clouds[n]
+            with EvaluatorSession(cold_ev, domain=domain) as cold:
+                assert np.array_equal(sess.submit(pts, w), cold.submit(pts, w)), n
+    if backend == "sim":
+        assert sess.stats["template_misses"] == 3
+        assert sess.stats["template_hits"] == 3
 
 
 def test_factory_stats_accumulate_across_submits(evaluator, cloud):

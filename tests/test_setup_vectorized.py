@@ -25,6 +25,7 @@ from repro.methods.barneshut import mac_pairs
 from repro.tree.dualtree import build_dual_tree
 from repro.tree.lists import build_lists, list_pairs
 from tests.reference_chain import (
+    assert_tree_equal,
     build_bh_dag_reference,
     build_fmm_dag_reference,
     build_lists_reference,
@@ -51,11 +52,13 @@ def _ensemble(mode: str, n_src: int, n_tgt: int, seed: int):
 
 
 def assert_trees_equal(tv, tr):
-    assert tv.boxes == tr.boxes  # key, level, range, parent, children, index
-    assert tv.key_to_index == tr.key_to_index
-    assert tv.levels == tr.levels
-    assert np.array_equal(tv.perm, tr.perm)
-    assert np.array_equal(tv.points, tr.points)
+    """The columns equal the reference's, and the read-only box view of
+    them equals the reference loop's own per-box table."""
+    assert_tree_equal(tv, tr)
+    boxes, key_to_index, levels = carve_reference(tv.deep_sorted, tv.n_points, tv.threshold)
+    assert list(tv.boxes) == boxes  # key, level, range, parent, children, index
+    assert tv.key_to_index == key_to_index
+    assert [list(lvl) for lvl in tv.levels] == levels
 
 
 def assert_lists_equal(lv, lr):
@@ -168,10 +171,9 @@ def test_leaves_cached():
     tree = dual.source
     first = tree.leaf_indices
     assert first is tree.leaf_indices  # cached array object, not recomputed
-    leaves = tree.leaves
-    assert [b.index for b in leaves] == first.tolist()
-    assert all(b.is_leaf for b in leaves)
-    assert tree.arrays is tree.arrays  # columnar table cached too
+    assert [b.index for b in tree.boxes if b.is_leaf] == first.tolist()
+    assert tree.boxes is tree.boxes  # the per-box view is built once too
+    assert tree.key_to_index is tree.key_to_index
 
 
 def test_list_pairs_flattening():

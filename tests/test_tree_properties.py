@@ -145,7 +145,7 @@ def test_tree_box_containment(cfg):
     for tree in (dual.source, dual.target):
         for box in tree.boxes:
             if box.children:
-                kids = [tree.box(k) for k in box.children]
+                kids = [tree.boxes[tree.key_to_index[k]] for k in box.children]
                 assert kids[0].start == box.start
                 assert kids[-1].stop == box.stop
                 for a, b in zip(kids, kids[1:]):
