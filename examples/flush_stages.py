@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Where a warm submit spends its time, stage by stage.
 
-A session's submit is ``reset -> flush_deferred``: a reset, then the
-one stage list ``Registrar.eager_stages() + Registrar.flush_stages()``.
+A session's submit is ``reset -> flush_deferred``: a reset, then a walk
+of the one stage list ``Registrar.stages()``.
 This script times the reset and each of those thunks on the canonical
 problem of the performance ledger (4 096 points in the slab [0,1]^2 x
 [0,0.24], Laplace p=6, threshold 60, eps 1e-4, four simulated
@@ -19,7 +19,7 @@ the largest span.  With ``--cold`` it first splits a
 cold ``evaluate()`` of the same problem the same way: tree, DAG,
 distribution, LCO allocation, the drain's compile (its tables and
 time-zero tasks) and run, the compile of the plan the drain owes, then
-every eager and flush stage of it, and prints the drain's tasks, the
+every stage of it, and prints the drain's tasks, the
 events its loop handled and the tasks it ran per host second.  With
 ``--drift`` it first splits drift submits - 50 points moved, as in the
 ledger's ``serve-sim`` alt op - into the phases of the template store's
@@ -156,7 +156,7 @@ def cold_split(points, charges, repeats: int) -> None:
             seq = runtime.scheduler._seq
             phase("drain run", runtime.run)
             events = runtime.scheduler._seq - seq
-            stages = phase("plan compile", lambda: reg.eager_stages() + reg.flush_stages())
+            stages = phase("plan compile", reg.stages)
             for name, stage in stages:
                 phase(stage_key(name), stage)
         finally:
@@ -260,7 +260,7 @@ def drift_split(points, charges, repeats: int, seed: int) -> None:
                 )
                 samples.setdefault("reset", []).append(timed(reg.reset))
                 patch.clear()
-                for name, stage in reg.eager_stages() + reg.flush_stages():
+                for name, stage in reg.stages():
                     samples.setdefault(stage_key(name), []).append(timed(stage))
                 for name in ("layout rebuild", "block re-lay", "page re-lay", "recompute", "scatter"):
                     patch_samples.setdefault(name, []).append(patch.get(name, 0.0))
@@ -365,7 +365,7 @@ def main() -> None:
         reg = session._store.current
         for _ in range(args.repeats):
             samples.setdefault("reset", []).append(timed(reg.reset))
-            for name, stage in reg.eager_stages() + reg.flush_stages():
+            for name, stage in reg.stages():
                 samples.setdefault(stage_key(name), []).append(timed(stage))
         out = np.empty(len(points))
         out[reg.dual.target.perm] = reg.result

@@ -5,27 +5,26 @@ function of the DAG and the node localities alone, so it is compiled
 here - the dependency data is the program - and whatever drives it
 (:class:`repro.dashmm.registrar.Registrar`) stays thin.  A simulated
 drain carries no values (its edges only count down their target LCOs),
-so every number of an evaluation comes from these two sections, each
-compiled from the DAG's edge columns on first use and dropped by
-:meth:`~repro.dashmm.registrar.Registrar.invalidate_plans`:
+so every number of an evaluation comes from one :class:`Plan`, compiled
+by :func:`compile_plan` from the DAG's edge columns on first use and
+dropped by :meth:`~repro.dashmm.registrar.Registrar.invalidate_plans`.
+:meth:`~repro.dashmm.registrar.Registrar.stages` walks it as one stage
+list:
 
-* **Eager section** (:func:`compile_eager_plan`): the upward classes
-  and the local-expansion folds (S->M, M->M, S->L, M->L), as canonical
-  fold lists in stages of their own
-  (:meth:`~repro.dashmm.registrar.Registrar.eager_stages`).
-* **Flush stages** (:func:`compile_flush_plan`): the exponential bridge
-  (M->I, I->I, I->L), the downward shift (L->L) and the leaf outputs
-  (S->T, M->T, L->T), as stacked array operations
-  (:meth:`~repro.dashmm.registrar.Registrar.flush_stages`).
+* the upward classes and the local-expansion folds (S->M, M->M, S->L,
+  M->L) as canonical fold lists: the leaf fits, the upward sweep level
+  by level, then the S->L / M->L folds;
+* the exponential bridge (M->I, I->I, I->L), the downward shift (L->L)
+  and the leaf outputs (S->T, M->T, L->T) as stacked array operations.
 
-A cold ``evaluate()`` runs both after its drain, a session's submit and a
-real-parallel worker's round run them in place of one - the same stages
+A cold ``evaluate()`` runs it after its drain, a session's submit and a
+real-parallel worker's round run it in place of one - the same stages
 on every path.
 
-A real-parallel worker compiles both sections for its ``rank``: the
-slice of edges it executes, plus ``sends`` / ``recvs`` - per stage name,
-the expansions it owes each peer before the peer's stage runs and the
-ones it reads from each peer.  ``sends[stage][b]`` on rank ``a`` and
+A real-parallel worker compiles the plan for its ``rank``: the slice of
+edges it executes, plus ``sends`` / ``recvs`` - per stage name, the
+expansions it owes each peer before the peer's stage runs and the ones
+it reads from each peer.  ``sends[stage][b]`` on rank ``a`` and
 ``recvs[stage][a]`` on rank ``b`` are the same ids, and every stage
 name appears on every rank, so all ranks walk one stage sequence.
 
@@ -52,7 +51,7 @@ Canonical composition (what makes every path produce the same bits):
 * leaf-output groups are visited in order of first appearance in the
   ``(src, dst)``-sorted edge list, which fixes the order in which
   contributions are added into each target point;
-* eager folds add a node's in-edges in edge-column row order - by
+* folds add a node's in-edges in edge-column row order - by
   ``(src, out-list position)`` - the row being the edge's identity.
 
 The source- and target-side intermediate expansions of one level live in
@@ -159,9 +158,24 @@ class OutputGroup:
 
 
 @dataclass(frozen=True)
-class FlushPlan:
+class Folds:
+    """Expansions that each fold a run of in-edges: node ``dst[i]`` adds
+    the edges of rows ``rows[bounds[i]:bounds[i + 1]]``, in that order."""
+
+    dst: list
+    bounds: list  # one more entry than dst
+    rows: np.ndarray  # edge-column rows, fold order
+
+
+@dataclass(frozen=True)
+class Plan:
     """The compiled stages; see the module docstring for the ordering rules."""
 
+    #: (level, Folds of its M nodes), deepest level first; every level
+    #: some rank folds at appears on every rank
+    m_folds: list
+    l_folds: Folds  # L nodes over their S->L / M->L in-edges
+    s2l_groups: list  # rows of S->L edges sharing one stacked p2l build
     bridge: list  # BridgeLevel per level with list-2 work
     #: (parent level, [(octant, parent L ids, child L ids)]), coarse
     #: first; every level of the DAG appears (with no groups where this
@@ -173,38 +187,13 @@ class FlushPlan:
     out_tbox: np.ndarray  # target box index of the edge's T node
     #: rank-restricted plans: stage name -> {peer: sorted ids of this
     #: rank's nodes that the peer's stage reads}; a key per stage that
-    #: reads across ranks, on every rank
+    #: reads across ranks, on every rank.  ``("m2m", level)``: the
+    #: children's multipoles under the level's folds; ``"m2l"``: every
+    #: multipole a peer reads once the upward sweep is over - its M->L,
+    #: M->I and M->T - all final at that point, shipped once
     sends: dict
     #: the mirror image: stage name -> {peer: sorted ids of the peer's
     #: nodes that this rank's stage reads}
-    recvs: dict
-    n_edges: int  # edges the plan's stages execute
-
-
-@dataclass(frozen=True)
-class Folds:
-    """Expansions that each fold a run of in-edges: node ``dst[i]`` adds
-    the edges of rows ``rows[bounds[i]:bounds[i + 1]]``, in that order."""
-
-    dst: list
-    bounds: list  # one more entry than dst
-    rows: np.ndarray  # edge-column rows, fold order
-
-
-@dataclass(frozen=True)
-class EagerPlan:
-    """The eager classes as fold lists; see :func:`compile_eager_plan`."""
-
-    #: (level, Folds of its M nodes), deepest level first; every level
-    #: some rank folds at appears on every rank
-    m_folds: list
-    l_folds: Folds  # L nodes over their S->L / M->L in-edges
-    s2l_groups: list  # rows of S->L edges sharing one stacked p2l build
-    #: as in :class:`FlushPlan`.  ``("m2m", level)``: the children's
-    #: multipoles under the level's folds; ``"m2l"``: every multipole a
-    #: peer reads once the upward sweep is over - its M->L there, its
-    #: M->I and M->T in the flush - all final at that point, shipped once
-    sends: dict
     recvs: dict
     n_edges: int  # edges the plan's stages execute
 
@@ -258,7 +247,7 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
 
 
-def compile_leaf_layout(plan: FlushPlan, target) -> LeafLayout:
+def compile_leaf_layout(plan: Plan, target) -> LeafLayout:
     """The :class:`LeafLayout` of ``plan`` over the target tree ``target``."""
     ta, tbox = target.arrays, plan.out_tbox
     n = len(tbox)
@@ -333,41 +322,60 @@ def _crossing(src: np.ndarray, dst: np.ndarray, loc: np.ndarray, rank: int) -> t
     return by_peer(loc[src], loc[dst]), by_peer(loc[dst], loc[src])
 
 
-def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
-    """Compile the flush stages of ``dag`` under its current localities.
+def compile_plan(dag, dual, rank: int | None = None) -> Plan:
+    """Compile the plan of ``dag`` under its current localities.
 
+    *What* is computed is fixed by the DAG: each expansion folds its
+    in-edges in row order - fold key ``(src, out-list position)`` - one
+    source leaf's S->L edges stack per (destination locality, target
+    level), and the stacked stages group as the module docstring says.
     ``dual`` is the tree pair the DAG was assembled over; only its box
     keys are read (the lattice coordinates behind the I->I phases), so a
     plan outlives any rebind to a same-shape tree.  ``rank`` restricts
     the plan to the edges executing at that locality (the real-parallel
-    worker's share); ``None`` takes all of them.
+    worker's share); ``None`` takes all of them.  The folds carry
+    edge-column rows; the stages read every operand off the columns.
     """
     n = dag.n_nodes
     level, loc, box = dag.level, dag.locality, dag.box
     cols = dag.edge_columns()
 
-    def every(op: str):
-        at = cols.op == OP_CODE[op]
-        return cols.src[at], cols.dst[at]
+    def rows_of(*ops: str, everywhere: bool = False) -> np.ndarray:
+        """Edge-column rows of the classes ``ops``, ascending; only those
+        executing at ``rank`` unless ``everywhere``."""
+        at = np.isin(cols.op, [OP_CODE[o] for o in ops])
+        if rank is not None and not everywhere:
+            at &= loc[cols.dst] == rank
+        return np.flatnonzero(at)
 
-    def endpoints(op: str, aux: np.ndarray | None = None):
-        src, dst = every(op)
-        if rank is not None:
-            keep = loc[dst] == rank
-            src, dst = src[keep], dst[keep]
-            aux = aux if aux is None else aux[keep]
-        return src, dst, aux
+    def folds(rows: np.ndarray) -> Folds:
+        rows = rows[np.argsort(cols.dst[rows], kind="stable")]
+        runs = _group_slices(cols.dst[rows])
+        return Folds(
+            dst=cols.dst[rows[[lo for lo, _ in runs]]].tolist(),
+            bounds=[lo for lo, _ in runs] + [len(rows)],
+            rows=rows,
+        )
+
+    # -- upward sweep and local-expansion folds ----------------------------------
+    m_rows = rows_of("S2M", "M2M")
+    l_rows = rows_of("S2L", "M2L")
+    # children strictly precede parents: deepest destinations first
+    m_levels = np.unique(level[cols.dst[rows_of("S2M", "M2M", everywhere=True)]])[::-1].tolist()
+    s2l = rows_of("S2L")
+    s2l = s2l[np.lexsort((level[cols.dst[s2l]], loc[cols.dst[s2l]], cols.src[s2l]))]
 
     # -- exponential bridge ------------------------------------------------------
-    m_src, m_dst, _ = endpoints("M2I")
+    r = rows_of("M2I")
+    m_src, m_dst = cols.src[r], cols.dst[r]
     order = np.lexsort((m_dst, m_src, loc[m_dst], level[m_src]))
     m_src, m_dst = m_src[order], m_dst[order]
 
     # I->I: per edge the direction and the axial offset u_z = d . delta
-    at = cols.op == OP_CODE["I2I"]
-    w_src, w_dst = cols.src[at], cols.dst[at]
-    delta = cols.delta[at].astype(np.int64)
-    w_dir = _DIR_OF_CODE[cols.direction[at]]
+    r = rows_of("I2I", everywhere=True)
+    w_src, w_dst = cols.src[r], cols.dst[r]
+    delta = cols.delta[r].astype(np.int64)
+    w_dir = _DIR_OF_CODE[cols.direction[r]]
     w_z = (delta * _FRAMES[w_dir, 2]).sum(axis=1)
     sa, ta = dual.source.arrays, dual.target.arrays
     s_xyz = np.stack([sa.ix, sa.iy, sa.iz], axis=1)
@@ -385,7 +393,8 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     order = np.lexsort((w_src, w_dst, w_z, w_dir, level[w_src]))
     w_src, w_dst, w_dir, w_z = w_src[order], w_dst[order], w_dir[order], w_z[order]
 
-    l_src, l_dst, _ = endpoints("I2L")
+    r = rows_of("I2L")
+    l_src, l_dst = cols.src[r], cols.dst[r]
     order = np.lexsort((l_dst, l_src, loc[l_dst], level[l_src]))
     l_src, l_dst = l_src[order], l_dst[order]
 
@@ -442,10 +451,12 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
         )
 
     # -- downward shift ----------------------------------------------------------
-    d_src, d_dst, octant = endpoints("L2L", cols.octant[cols.op == OP_CODE["L2L"]])
+    r = rows_of("L2L")
+    d_src, d_dst, octant = cols.src[r], cols.dst[r], cols.octant[r]
     order = np.lexsort((d_dst, d_src, loc[d_dst], octant, level[d_src]))
     d_src, d_dst, octant = d_src[order], d_dst[order], octant[order]
-    l2l = [(lvl, []) for lvl in np.unique(level[every("L2L")[0]]).tolist()]
+    l2l_levels = np.unique(level[cols.src[rows_of("L2L", everywhere=True)]]).tolist()
+    l2l = [(lvl, []) for lvl in l2l_levels]
     groups_of = dict(l2l)
     for lo, hi in _group_slices(level[d_src], octant, loc[d_dst]):
         groups_of[int(level[d_src[lo]])].append(
@@ -455,10 +466,10 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
     # -- leaf outputs ------------------------------------------------------------
     ops, srcs, dsts = [], [], []
     for i, op in enumerate(OUTPUT_OPS):
-        s, d, _ = endpoints(op)
-        ops.append(np.full(len(s), i, dtype=np.int64))
-        srcs.append(s)
-        dsts.append(d)
+        r = rows_of(op)
+        ops.append(np.full(len(r), i, dtype=np.int64))
+        srcs.append(cols.src[r])
+        dsts.append(cols.dst[r])
     o_op, o_src, o_dst = (np.concatenate(a) for a in (ops, srcs, dsts))
     order = np.lexsort((o_dst, o_src))
     o_op, o_src, o_dst = o_op[order], o_src[order], o_dst[order]
@@ -476,18 +487,35 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
         for lo, hi in _group_slices(group[order])
     ]
     # -- what crosses ranks ------------------------------------------------------
-    # the multipoles under M->I and M->T crossed with the eager section;
-    # these four stages read expansions the flush itself completes
     sends: dict = {}
     recvs: dict = {}
     if rank is not None:
-        for stage, op in (("i2i", "I2I"), ("i2l", "I2L"), ("outputs", "L2T")):
-            sends[stage], recvs[stage] = _crossing(*every(op), loc, rank)
-        src, dst = every("L2L")
-        for lvl, _ in l2l:
-            at = level[src] == lvl
-            sends["l2l", lvl], recvs["l2l", lvl] = _crossing(src[at], dst[at], loc, rank)
-    return FlushPlan(
+        # (stage, the classes it reads sources across, the end whose
+        # level splits it into one stage per level)
+        for stage, classes, side, levels in (
+            # the children's multipoles under a level's folds
+            ("m2m", ("M2M",), cols.dst, m_levels),
+            # every multipole read past the upward sweep, all final then
+            ("m2l", ("M2L", "M2I", "M2T"), None, None),
+            ("i2i", ("I2I",), None, None),
+            ("i2l", ("I2L",), None, None),
+            # the parents of a level's downward shifts
+            ("l2l", ("L2L",), cols.src, l2l_levels),
+            ("outputs", ("L2T",), None, None),
+        ):
+            at = rows_of(*classes, everywhere=True)
+            cuts = [(stage, at)]
+            if levels is not None:
+                cuts = [((stage, lvl), at[level[side[at]] == lvl]) for lvl in levels]
+            for name, on in cuts:
+                sends[name], recvs[name] = _crossing(cols.src[on], cols.dst[on], loc, rank)
+    return Plan(
+        m_folds=[(lvl, folds(m_rows[level[cols.dst[m_rows]] == lvl])) for lvl in m_levels],
+        l_folds=folds(l_rows),
+        s2l_groups=[
+            s2l[lo:hi].tolist()
+            for lo, hi in _group_slices(cols.src[s2l], loc[cols.dst[s2l]], level[cols.dst[s2l]])
+        ],
         bridge=bridge,
         l2l=l2l,
         outputs=outputs,
@@ -496,64 +524,6 @@ def compile_flush_plan(dag, dual, rank: int | None = None) -> FlushPlan:
         out_tbox=box[o_dst],
         sends=sends,
         recvs=recvs,
-        n_edges=len(m_src) + len(w_src) + len(l_src) + len(d_src) + len(o_src),
-    )
-
-
-def compile_eager_plan(dag, rank: int | None = None) -> EagerPlan:
-    """Compile the eager section of ``dag`` under its current localities.
-
-    *What* is computed is fixed by the DAG: each expansion folds its
-    in-edges in row order - fold key ``(src, out-list position)`` - and
-    one source leaf's S->L edges stack per (destination locality, target
-    level).  ``rank`` restricts the folds and S->L groups to the
-    destinations of that locality, as in :func:`compile_flush_plan`.
-    The folds carry edge-column rows; the stages read every operand off
-    the columns.
-    """
-    level, loc = dag.level, dag.locality
-    cols = dag.edge_columns()
-    src, dst, op = cols.src, cols.dst, cols.op
-
-    def rows_of(*ops, everywhere=False) -> np.ndarray:
-        at = np.isin(op, [OP_CODE[o] for o in ops])
-        if rank is not None and not everywhere:
-            at &= loc[dst] == rank
-        return np.flatnonzero(at)
-
-    def folds(rows: np.ndarray) -> Folds:
-        rows = rows[np.argsort(dst[rows], kind="stable")]
-        runs = _group_slices(dst[rows])
-        return Folds(
-            dst=dst[rows[[lo for lo, _ in runs]]].tolist(),
-            bounds=[lo for lo, _ in runs] + [len(rows)],
-            rows=rows,
-        )
-
-    m_rows = rows_of("S2M", "M2M")
-    l_rows = rows_of("S2L", "M2L")
-    # children strictly precede parents: deepest destinations first
-    m_levels = np.unique(level[dst[rows_of("S2M", "M2M", everywhere=True)]])[::-1].tolist()
-    s2l = rows_of("S2L")
-    s2l = s2l[np.lexsort((level[dst[s2l]], loc[dst[s2l]], src[s2l]))]
-    sends: dict = {}
-    recvs: dict = {}
-    if rank is not None:
-        m2m = rows_of("M2M", everywhere=True)
-        for lvl in m_levels:
-            at = m2m[level[dst[m2m]] == lvl]
-            sends["m2m", lvl], recvs["m2m", lvl] = _crossing(src[at], dst[at], loc, rank)
-        # M -> reader, past the upward sweep
-        at = rows_of("M2L", "M2I", "M2T", everywhere=True)
-        sends["m2l"], recvs["m2l"] = _crossing(src[at], dst[at], loc, rank)
-    return EagerPlan(
-        m_folds=[(lvl, folds(m_rows[level[dst[m_rows]] == lvl])) for lvl in m_levels],
-        l_folds=folds(l_rows),
-        s2l_groups=[
-            s2l[lo:hi].tolist()
-            for lo, hi in _group_slices(src[s2l], loc[dst[s2l]], level[dst[s2l]])
-        ],
-        sends=sends,
-        recvs=recvs,
-        n_edges=len(m_rows) + len(l_rows),
+        n_edges=len(m_rows) + len(l_rows) + len(m_src) + len(w_src) + len(l_src)
+        + len(d_src) + len(o_src),
     )

@@ -28,10 +28,9 @@ Execution model - *replicated metadata, partitioned execution*:
   edges whose destination it owns, as one ordered stage list - leaf
   fits, the upward sweep level by level, the S->L / M->L folds, M->I,
   I->I, I->L, L->L level by level, leaf outputs
-  (:meth:`~repro.dashmm.registrar.Registrar.eager_stages` +
-  :meth:`~repro.dashmm.registrar.Registrar.flush_stages`) - with, per
-  stage, the expansions it owes each peer (``sends``) and reads from
-  each peer (``recvs``).  No task is enqueued and no LCO counts down.
+  (:meth:`~repro.dashmm.registrar.Registrar.stages`) - with, per stage,
+  the expansions it owes each peer (``sends``) and reads from each peer
+  (``recvs``).  No task is enqueued and no LCO counts down.
 
 GO carries nothing: the parent writes a submission's inputs into the
 arena and posts a bare ``("go",)``, and every round is what a session's
@@ -269,20 +268,19 @@ class _WorkerBody:
             "fill_s": 0.0,
         }
         self._arrived.clear()
-        eager, flush = reg.eager_plan(), reg.flush_plan()
-        sends = {**eager.sends, **flush.sends}
-        self._recvs = {**eager.recvs, **flush.recvs}
+        plan = reg.plan()
+        self._recvs = plan.recvs
         for msg in self._held:
             self._handle(msg)
         self._held.clear()
-        stages = reg.eager_stages() + reg.flush_stages()
+        stages = reg.stages()
         self._fill = dict(stages)["outputs"].step
         arrived = self._arrived
         stage_s = self.stage_s = {}
         wait_s = self.wait_s = {}
         t = time.perf_counter()
         for name, stage in stages:
-            self._post(name, sends.get(name, {}))
+            self._post(name, plan.sends.get(name, {}))
             need = {(name, peer) for peer in self._recvs.get(name, ())}
             filled = round_s["fill_s"]
             self._pump(lambda: need <= arrived)
@@ -300,7 +298,7 @@ class _WorkerBody:
             for nid in self._recvs[stage][src]:
                 exp.pop(nid, None)
         self.channel.end_round()
-        self.tasks_run += eager.n_edges + flush.n_edges
+        self.tasks_run += plan.n_edges
 
     # -- protocol --------------------------------------------------------------
     def run(self) -> None:

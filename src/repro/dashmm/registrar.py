@@ -30,9 +30,8 @@ the drain ends.  ``mode`` decides only whether the numbers are computed:
 
 * ``numeric`` - after the drain the compiled execution plan
   (:mod:`repro.dashmm.flushplan`) computes every expansion and
-  potential, :meth:`Registrar.eager_stages` then
-  :meth:`Registrar.flush_stages`; sessions and parallel workers run the
-  same stages in place of a drain;
+  potential, walking :meth:`Registrar.stages`; sessions and parallel
+  workers run the same stages in place of a drain;
 * ``phantom`` - costs and messages only; used for paper-scale scaling
   studies.
 
@@ -55,14 +54,12 @@ from repro.dashmm.dag import DAG, EDGE_OPS, KIND_CODE, NODE_KINDS, OP_CODE, TREE
 from repro.dashmm.flushplan import (
     FULL_DIRS,
     BridgeLevel,
-    EagerPlan,
-    FlushPlan,
     Folds,
     LeafLayout,
+    Plan,
     _runs,
-    compile_eager_plan,
-    compile_flush_plan,
     compile_leaf_layout,
+    compile_plan,
 )
 from repro.dashmm.geomcache import CHUNK, GeometryCache, expansion_rows
 from repro.hpx.lco import CountingLCO
@@ -263,14 +260,12 @@ class Registrar:
         #: initial_tasks() (sessions and workers never drain, so never
         #: pay for it) and dropped when the drain ends
         self._drain: DrainTable | None = None
-        #: the compiled flush stages (see :mod:`repro.dashmm.flushplan`);
-        #: built on the first numeric flush, so phantom runs never pay
-        #: for it, and kept for every later flush of this registrar
-        self._plan: FlushPlan | None = None
+        #: the compiled plan (see :mod:`repro.dashmm.flushplan`); built
+        #: on the first numeric flush, so phantom runs never pay for it,
+        #: and kept for every later flush of this registrar
+        self._plan: Plan | None = None
         #: level -> I->I phase tables and sparse matrices of ``_plan``
         self._i2i_ops: dict[int, tuple] = {}
-        #: the compiled eager section, built on first use
-        self._eager: EagerPlan | None = None
         #: the whole plan is owed: set by a numeric drain and by reset(),
         #: cleared by flush_deferred()
         self._flush_pending = False
@@ -278,10 +273,10 @@ class Registrar:
         #: matrices, alive between the bridge stages of one flush
         self._waves: dict[int, list] = {}
         #: source box index -> multipole, all leaves fitted in one
-        #: stacked pass per level by the eager section's first stage
+        #: stacked pass per level by the plan's first stage
         self._s2m: dict[int, np.ndarray] | None = None
-        #: restrict the expansion store, the stacked leaf fits and both
-        #: plan sections to the nodes and edges of this locality (a
+        #: restrict the expansion store, the stacked leaf fits and the
+        #: plan to the nodes and edges of this locality (a
         #: parallel worker sets its own rank before its first round);
         #: None = all
         self._rank: int | None = None
@@ -319,7 +314,7 @@ class Registrar:
         #: rebind found nothing to patch and once a walk of the plan has
         #: patched it in
         self._moved: dict | None = None
-        #: where the flush plan's leaf outputs land, built on first use
+        #: where the plan's leaf outputs land, built on first use
         self._layout: LeafLayout | None = None
         self._seed_expansions()
 
@@ -486,28 +481,22 @@ class Registrar:
             # in place: closures and the evaluator hold this array
             self.result[:] = state["result"]
 
-    def flush_plan(self) -> FlushPlan:
-        """The compiled flush stages, built on first use."""
+    def plan(self) -> Plan:
+        """The compiled plan, built on first use."""
         if self._plan is None:
-            self._plan = compile_flush_plan(self.dag, self.dual, self._rank)
+            self._plan = compile_plan(self.dag, self.dual, self._rank)
         return self._plan
 
-    def eager_plan(self) -> EagerPlan:
-        """The compiled eager section, built on first use."""
-        if self._eager is None:
-            self._eager = compile_eager_plan(self.dag, self._rank)
-        return self._eager
-
     def invalidate_plans(self) -> None:
-        """Drop both plan sections and the geometry cache.
+        """Drop the plan, its leaf layout and the geometry cache.
 
         Required whenever node localities change under a live registrar:
-        the plans bake the locality-keyed group compositions - hence the
+        the plan bakes the locality-keyed group compositions - hence the
         stacked operands - in, and geometry-cache entries are keyed by
         those groups.  The next use recompiles from the DAG, and the
         next :meth:`reset` seeds the expansions of the rank's new nodes.
         """
-        self._plan = self._eager = self._layout = None
+        self._plan = self._layout = None
         self._i2i_ops = {}
         if self.geom_cache:
             self.geom_cache.clear()
@@ -752,19 +741,12 @@ class Registrar:
         """Parcel action: group ``g`` of the table, at its destination."""
         self._run_group(ctx, self._table(), g)
 
-    # -- the plan: eager-section helpers ------------------------------------------------------
-    def _eager_value(self, is_s2l: bool, src: int, dst: int, delta):
-        """S->L or M->L (lattice offset ``delta``) contribution of one
-        edge ``src -> dst`` (``None`` from a zero multipole)."""
-        box = self.dag.box
-        t = int(box[dst])
+    # -- the plan: upward sweep and local-expansion folds ------------------------------------
+    def _m2l_value(self, src: int, dst: int, delta):
+        """M->L contribution (lattice offset ``delta``) of one edge ``src
+        -> dst`` (``None`` from a zero multipole)."""
+        t = int(self.dag.box[dst])
         h = self.dual.domain.box_size(int(self.dual.target.arrays.levels[t]))
-        if is_s2l:
-            tree = self.dual.source
-            s = int(box[src])
-            lo, hi = int(tree.arrays.starts[s]), int(tree.arrays.stops[s])
-            rel = (tree.points[lo:hi] - self._centers["target"][t]) / h
-            return self.kernel.p2l(rel, tree.weights[lo:hi], h)
         M = self.expansions[src]
         return None if M is None else self.factory.m2l(delta, h) @ M
 
@@ -829,8 +811,9 @@ class Registrar:
         return out
 
     def _batch_values(self, rows: list, values: dict) -> None:
-        """Stacked S2L values of one source leaf at one target level:
-        one p2l matrix build for all the target boxes; keyed by row."""
+        """Stacked S->L values of one source leaf at one target level:
+        one p2l matrix build for all the target boxes (a group of one
+        edge too); keyed by row."""
         cols = self.dag.edge_columns()
         box = self.dag.box
         src = self.dual.source
@@ -853,17 +836,24 @@ class Registrar:
         for row, c in zip(rows, coeffs):
             values[row] = c
 
-    # -- the plan: eager section ----------------------------------------------------------------
-    def eager_stages(self) -> list:
-        """The eager classes as ``(name, thunk)`` stages that run ahead
-        of :meth:`flush_stages`: the stacked leaf fits, the upward sweep
-        level by level (deepest first, so every child multipole is
-        complete before its parent folds it), then the local-expansion
-        folds of S->L and M->L.  Sources are read from
-        :attr:`expansions`, so a worker running its rank's slice folds
-        the multipoles its peers shipped.
+    # -- the plan: stages -----------------------------------------------------------------------
+    def stages(self) -> list:
+        """The numeric work of every planned edge as ``(name, thunk)``
+        stages, in the one order they may run in.
+
+        The stacked leaf fits, the upward sweep level by level (deepest
+        first, so every child multipole is complete before its parent
+        folds it), the local-expansion folds of S->L and M->L, then M->I,
+        I->I, I->L, L->L level by level (coarse first, so every parent
+        local expansion is complete before its children read it), then
+        the leaf outputs, which read the final local expansions.  Sources
+        are read from :attr:`expansions`, so a worker running its rank's
+        slice reads the rows its peers shipped: it posts the plan's
+        ``sends`` and awaits its ``recvs`` in front of each stage, and
+        runs the outputs stage's S->T groups while it waits
+        (:class:`LeafOutputs`).
         """
-        plan = self.eager_plan()
+        plan = self.plan()
         return [
             ("s2m", self._eager_s2m),
             *(
@@ -871,7 +861,27 @@ class Registrar:
                 for level, folds in plan.m_folds
             ),
             ("m2l", partial(self._eager_m2l, plan)),
+            ("m2i", partial(self._flush_m2i, plan)),
+            ("i2i", partial(self._flush_i2i, plan)),
+            ("i2l", partial(self._flush_i2l, plan)),
+            *(
+                (("l2l", level), partial(self._flush_l2l_level, level, groups))
+                for level, groups in plan.l2l
+            ),
+            ("outputs", LeafOutputs(self, plan)),
         ]
+
+    def flush_deferred(self) -> None:
+        """Finish an evaluation: drop the drain tables - the drain is
+        over - and run the whole plan it owes, :meth:`stages` in order.
+        Computes nothing when no plan is owed (a phantom drain, a
+        registrar already flushed)."""
+        self._drain = None
+        if not self._flush_pending:
+            return
+        self._flush_pending = False
+        for _, stage in self.stages():
+            stage()
 
     def _eager_s2m(self) -> None:
         self._s2m = self._leaf_multipoles()
@@ -905,17 +915,13 @@ class Registrar:
 
         self._fold(folds, value)
 
-    def _eager_m2l(self, plan: EagerPlan) -> None:
+    def _eager_m2l(self, plan: Plan) -> None:
         """List-4 contributions in the plan's stacked compositions, then
         every local expansion's S->L / M->L fold."""
         cols = self.dag.edge_columns()
         values: dict[int, object] = {}
         for rows in plan.s2l_groups:
-            if len(rows) == 1:
-                row = rows[0]
-                values[row] = self._eager_value(True, int(cols.src[row]), int(cols.dst[row]), None)
-            else:
-                self._batch_values(rows, values)
+            self._batch_values(rows, values)
         folds = plan.l_folds
         rows = folds.rows.tolist()
         s2l = (cols.op[folds.rows] == OP_CODE["S2L"]).tolist()
@@ -925,48 +931,11 @@ class Registrar:
         def value(j):
             if s2l[j]:
                 return values[rows[j]]
-            return self._eager_value(False, src[j], dst[j], delta[j])
+            return self._m2l_value(src[j], dst[j], delta[j])
 
         self._fold(folds, value)
 
-    # -- the plan: flush stages -------------------------------------------------------------
-    def flush_stages(self) -> list:
-        """The numeric work of every planned edge as ``(name, thunk)``
-        stages, in the one order they may run in.
-
-        M->I, I->I, I->L, L->L level by level (coarse first, so every
-        parent local expansion is complete before its children read it),
-        then the leaf outputs, which read the final local expansions.
-        The thunks execute the compiled :class:`FlushPlan`; a worker
-        posts the plan's ``sends`` and awaits its ``recvs`` in front of
-        each, and runs the outputs stage's S->T groups while it waits
-        (:class:`LeafOutputs`).
-        """
-        plan = self.flush_plan()
-        return [
-            ("m2i", partial(self._flush_m2i, plan)),
-            ("i2i", partial(self._flush_i2i, plan)),
-            ("i2l", partial(self._flush_i2l, plan)),
-            *(
-                (("l2l", level), partial(self._flush_l2l_level, level, groups))
-                for level, groups in plan.l2l
-            ),
-            ("outputs", LeafOutputs(self, plan)),
-        ]
-
-    def flush_deferred(self) -> None:
-        """Finish an evaluation: drop the drain tables - the drain is
-        over - and run the whole plan it owes, :meth:`eager_stages` then
-        :meth:`flush_stages`.  Computes nothing when no plan is owed (a
-        phantom drain, a registrar already flushed)."""
-        self._drain = None
-        if not self._flush_pending:
-            return
-        self._flush_pending = False
-        for _, stage in self.eager_stages() + self.flush_stages():
-            stage()
-
-    def _flush_m2i(self, plan: FlushPlan) -> None:
+    def _flush_m2i(self, plan: Plan) -> None:
         """Outgoing plane waves of every source box: per (level,
         locality) group one ``(edges, size) @ (size, len(dirs) *
         nterms)`` product against the stack of the directions the level
@@ -1013,7 +982,7 @@ class Registrar:
             ops = self._i2i_ops[b.level] = (x, y, z, mats)
         return ops
 
-    def _flush_i2i(self, plan: FlushPlan) -> None:
+    def _flush_i2i(self, plan: Plan) -> None:
         """Translated plane waves, per (level, direction) as phase *
         sparse sum * phase: the source rows times their conjugate
         phases, one fused 0/1 sparse product on the float64 view that
@@ -1049,7 +1018,7 @@ class Registrar:
                 tgt_side[g.tgt_rows, lo : lo + nt] = acc
             exp.update(zip(b.it_ids[: b.n_it_local], tgt_side))
 
-    def _flush_i2l(self, plan: FlushPlan) -> None:
+    def _flush_i2l(self, plan: Plan) -> None:
         """Local-expansion contributions of the incoming plane waves:
         per (level, locality) group one GEMM of the gathered target-side
         rows against the stack of the level's directions (those a node
@@ -1084,12 +1053,12 @@ class Registrar:
             exp[nid] = row if old is None else old + row
 
     def leaf_layout(self) -> LeafLayout:
-        """Where the flush plan's leaf outputs land, built on first use
+        """Where the plan's leaf outputs land, built on first use
         and again after a rebind() that moved a leaf count; kept only
         with a geometry cache (a registrar without one flushes once)."""
         lay = self._layout
         if lay is None:
-            lay = compile_leaf_layout(self.flush_plan(), self.dual.target)
+            lay = compile_leaf_layout(self.plan(), self.dual.target)
             if self.geom_cache is not None:
                 self._layout = lay
         return lay
@@ -1117,7 +1086,7 @@ class LeafOutputs:
     its order, so where a group ran moves no bit.
     """
 
-    def __init__(self, reg: Registrar, plan: FlushPlan):
+    def __init__(self, reg: Registrar, plan: Plan):
         self.reg, self.plan = reg, plan
         #: the S->T groups not run yet, in plan order
         self.pending = deque(i for i, g in enumerate(plan.outputs) if g.op == "S2T")

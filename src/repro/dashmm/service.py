@@ -179,7 +179,7 @@ class TemplateStore:
                 if self.result is not None:
                     reg.result = self.result
                 self._templates[key] = reg
-                while len(self._templates) > max(self.max_templates, 1):
+                while len(self._templates) > self.max_templates:
                     self._templates.popitem(last=False)
                 return reg
             self._templates.move_to_end(key)
@@ -193,9 +193,8 @@ class TemplateStore:
                 old_locs = reg.dag.locality.copy()
                 ev.policy.assign(reg.dag, dual, ev.runtime_config.n_localities)
                 if not np.array_equal(reg.dag.locality, old_locs):
-                    # both plan sections bake group-by-locality
-                    # compositions in; the next reset seeds the rank's
-                    # new nodes
+                    # the plan bakes group-by-locality compositions
+                    # in; the next reset seeds the rank's new nodes
                     reg.invalidate_plans()
         if reg.geom_cache is None and reg._plan is not None:
             # advanced again after its plan ran: a template that runs
@@ -237,6 +236,8 @@ class EvaluatorSession:
         max_templates: int = 4,
     ):
         check_plan_only(evaluator, "EvaluatorSession")
+        if type(max_templates) is not int or max_templates < 1:  # bool is no count
+            raise ValueError(f"max_templates must be an int >= 1, got {max_templates!r}")
         self.evaluator = evaluator
         self.backend = evaluator.runtime_config.backend
         self.domain = domain

@@ -14,6 +14,7 @@ import inspect
 
 import pytest
 
+import repro.dashmm.flushplan
 import repro.dashmm.parallel
 import repro.dashmm.service
 import repro.hpx.parallel
@@ -116,7 +117,9 @@ def test_one_plan_model():
     """Sessions and workers run the compiled plan
     (:mod:`repro.dashmm.flushplan`) on one registrar class with no
     runtime: no private runtime facade, captured replay or registrar
-    subclass, no second stage walker, no separate eager entry point."""
+    subclass, no second stage walker, no separate eager entry point -
+    and the plan is one :class:`~repro.dashmm.flushplan.Plan` walked as
+    one :meth:`Registrar.stages` list, with no per-edge S->L path."""
     service = vars(repro.dashmm.service)
     assert not [name for name in service if name.startswith(("_Direct", "_ReplayPlan"))]
     assert "Runtime" not in service
@@ -124,6 +127,10 @@ def test_one_plan_model():
     assert not hasattr(repro.hpx.parallel, "LocalityRuntime")
     assert not hasattr(repro.dashmm.parallel, "ParallelRegistrar")
     assert not hasattr(Registrar, "run_eager")
+    for name in ("eager_stages", "flush_stages", "eager_plan", "flush_plan", "_eager_value"):
+        assert not hasattr(Registrar, name), name
+    for name in ("EagerPlan", "FlushPlan", "compile_eager_plan", "compile_flush_plan"):
+        assert not hasattr(repro.dashmm.flushplan, name), name
 
 
 def test_one_template_store():

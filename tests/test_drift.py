@@ -166,7 +166,7 @@ def test_a_nudge_recomputes_only_the_moved_rows_and_columns(factory, monkeypatch
         monkeypatch.setattr(ev.kernel, "greens", lambda r: sizes.append(np.size(r)) or greens(r))
         out = sess.submit(moved, w)
         assert sess._store.current is reg
-        plan, src = reg.flush_plan(), reg.dual.source
+        plan, src = reg.plan(), reg.dual.source
         s_leaf = src.key_to_index[leaf.key]
         expected = 0
         for g in plan.outputs:

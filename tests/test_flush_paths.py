@@ -1,8 +1,8 @@
 """One execution plan, every path.
 
-Both plan sections - the eager classes (S->M, M->M, S->L, M->L) and the
-flush stages (M->I, I->I, I->L, L->L, leaf outputs) - are compiled once
-from the DAG and the node localities and executed after a cold
+The plan - the folds of S->M, M->M, S->L and M->L, then the stacked
+M->I, I->I, I->L, L->L and leaf outputs - is compiled once from the DAG
+and the node localities and walked as one stage list after a cold
 ``evaluate()``'s drain, by every submit of a session and after a
 checkpoint restore alike.  All of them must return the same bits, and
 so must the per-edge ablation, whose drain schedules differently but
@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.dashmm import DashmmEvaluator, EvaluatorSession, FmmPolicy
+from repro.dashmm.dag import OP_CODE
 from repro.dashmm.distribution import DistributionPolicy, RandomPolicy
-from repro.dashmm.flushplan import compile_flush_plan
+from repro.dashmm.flushplan import compile_plan
 from repro.dashmm.registrar import Registrar
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.fitops import OperatorFactory
@@ -123,9 +124,9 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
     policy = _SwitchPolicy()
     ev = _evaluator(factory, method, policy)
     cold = ev.evaluate(pts, w, pts)
-    # the drain only schedules: both plan sections computed the numbers
-    # after it, and its tables went with it
-    assert cold.extras["registrar"]._eager is not None
+    # the drain only schedules: the plan computed the numbers after it,
+    # and its tables went with it
+    assert cold.extras["registrar"]._plan is not None
     assert cold.extras["registrar"]._drain is None
     cold_w2 = ev.evaluate(pts, w2, pts).potentials
     with EvaluatorSession(ev) as session:
@@ -134,22 +135,22 @@ def test_every_path_gives_the_same_bits(factories, cloud, kname, method):
         # ... and a session runs the same plan from its first submit,
         # without a drain
         first = session._store.current
-        assert first._eager is not None
+        assert first._plan is not None
         assert _plan_only(first)
         assert np.array_equal(session.submit(pts, w), cold.potentials)  # warm resubmit
         assert np.array_equal(session.submit(pts, w2), cold_w2)  # fresh charges
         session.submit(drifted, w2)  # drift ...
         assert np.array_equal(session.submit(pts, w2), cold_w2)  # ... and return
 
-        # nodes move under the live registrar: the flush plan must be
-        # rebuilt (a stale one stacks the old localities' groups)
+        # nodes move under the live registrar: the plan must be rebuilt
+        # (a stale one stacks the old localities' groups)
         hopped = _sibling_hop(cold.dual, pts)
         hits = session.stats["template_hits"]
-        before = session._store.current.flush_plan()
+        before = session._store.current.plan()
         policy.moved = True
         out = session.submit(hopped, w2)
         assert session.stats["template_hits"] == hits + 1  # same shape, same registrar
-        assert session._store.current.flush_plan() is not before
+        assert session._store.current.plan() is not before
         assert _plan_only(first) and _plan_only(session._store.current)
     with EvaluatorSession(ev, domain=domain) as fresh:
         assert np.array_equal(out, fresh.submit(hopped, w2))
@@ -227,7 +228,7 @@ def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud, workers)
         assert np.array_equal(a.submit(pts, w), b.submit(pts, w))
         assert np.array_equal(a.submit(corner, w), b.submit(corner, w))
         reg = b._store.current
-        names = [name for name, _ in reg.eager_stages() + reg.flush_stages()]
+        names = [name for name, _ in reg.stages()]
         edges = sum(len(out) for out in reg.dag.out_edges)
         (_, first), (wall, last) = (
             (r["wall_time"], r["workers"]) for r in a._parallel.round_stats[-2:]
@@ -303,9 +304,10 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
     loc = dag.locality = np.random.default_rng(3).integers(0, n_localities, len(dag.nodes))
     ranks = range(n_localities)
 
-    full = compile_flush_plan(dag, dual)
-    plans = [compile_flush_plan(dag, dual, r) for r in ranks]
-    assert full.sends == {}
+    full = compile_plan(dag, dual)
+    plans = [compile_plan(dag, dual, r) for r in ranks]
+    assert full.sends == full.recvs == {}
+    assert sum(p.n_edges for p in plans) == full.n_edges == sum(map(len, dag.out_edges))
 
     # the ranks' groups partition the full plan's, stage by stage; leaf
     # outputs also keep the full plan's accumulation order
@@ -321,25 +323,43 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
     for r in ranks:
         assert parts[r]["outputs"] == [g for g in whole["outputs"] if g[2] == r]
 
-    # one stage sequence on every rank, so the frames line up
+    # one stage sequence on every rank, so the frames line up; every
+    # stage but the leaf fits and M->I reads across ranks
     def stage_names(reg):
-        return [name for name, _ in reg.flush_stages()]
+        return [name for name, _ in reg.stages()]
 
     names = stage_names(Registrar(None, dag, dual, factory.kernel, factory))
-    assert names[:3] == ["m2i", "i2i", "i2l"] and names[-1] == "outputs"
-    assert names[3:-1] == [("l2l", level) for level, _ in full.l2l]
-    exchanged = [n for n in names if n != "m2i"]
+    m2m = [("m2m", level) for level, _ in full.m_folds]
+    l2l = [("l2l", level) for level, _ in full.l2l]
+    assert names == ["s2m", *m2m, "m2l", "m2i", "i2i", "i2l", *l2l, "outputs"]
+    exchanged = [n for n in names if n not in ("s2m", "m2i")]
     for r in ranks:
         reg = _rank_registrar(r, dag, dual, factory)
         assert stage_names(reg) == names
         assert sorted(plans[r].sends, key=str) == sorted(exchanged, key=str)
 
     # rank r ships to dst exactly the r-owned nodes dst's stage reads
-    # from its mirror: foreign plane-wave rows, remote L->L parents and
-    # the local expansions under remote L->T edges
+    # from its mirror: the children under remote M->M folds, the
+    # multipoles under remote M->L, M->I and M->T edges, foreign
+    # plane-wave rows, remote L->L parents and the local expansions
+    # under remote L->T edges
+    cols = dag.edge_columns()
+
+    def sources(rows, op: str) -> set:
+        return set(cols.src[rows[cols.op[rows] == OP_CODE[op]]].tolist())
+
     def reads(dst: int) -> dict:
         plan = plans[dst]
         need = {
+            ("m2m", level): sources(folds.rows, "M2M") for level, folds in plan.m_folds
+        }
+        need["m2l"] = sources(plan.l_folds.rows, "M2L") | {
+            m for b in plan.bridge for _, ms in b.m2i for m in ms
+        }
+        need["m2l"] |= {
+            i for g in plan.outputs if g.op == "M2T" for i in plan.out_src[g.lo : g.hi]
+        }
+        need |= {
             "i2i": {i for b in plan.bridge for i in b.is_ids[b.n_is_local :]},
             "i2l": {i for b in plan.bridge for i in b.it_ids[b.n_it_local :]},
             "outputs": {
@@ -352,12 +372,14 @@ def test_rank_plans_partition_the_full_plan(factories, cloud, method, n_localiti
 
     crossing = dict.fromkeys(exchanged, 0)
     for dst in ranks:
+        assert sorted(reads(dst), key=str) == sorted(exchanged, key=str)
         for stage, ids in reads(dst).items():
             for r in ranks:
                 owed = sorted(i for i in ids if loc[i] == r) if r != dst else []
                 assert plans[r].sends[stage].get(dst, []) == owed
                 crossing[stage] += len(owed)
-    if method != "bh":  # Barnes-Hut has no expansion a flush stage completes
+    assert crossing["m2l"] and any(n for stage, n in crossing.items() if stage[0] == "m2m")
+    if method != "bh":  # Barnes-Hut has no local expansion
         assert crossing["outputs"]
         assert any(n for stage, n in crossing.items() if stage[0] == "l2l")
     if method == "fmm":
@@ -418,7 +440,7 @@ def test_i2i_factored_equals_per_edge(factories, problem, kname):
     with EvaluatorSession(ev, domain=UNIT) as session:
         session.submit(pts, w)
         reg = session._store.current
-    dag, plan = reg.dag, reg.flush_plan()
+    dag, plan = reg.dag, reg.plan()
     assert {b.level: {FULL_DIRS[d] for d in b.dirs} for b in plan.bridge} == directions
     if kname == "yukawa":
         assert len({factory.kernel.level_key(UNIT.box_size(b.level)) for b in plan.bridge}) == 2
@@ -467,7 +489,7 @@ def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
         reg.expansions.update(
             (nid, None if nodes[nid].kind == "It" else v) for nid, v in data.items()
         )
-        plan = reg.flush_plan()
+        plan = reg.plan()
         reg._flush_m2i(plan)
         reg._flush_i2i(plan)
         for b in plan.bridge:
@@ -480,8 +502,7 @@ def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
 
 class _ScatterPolicy(DistributionPolicy):
     """Every node on a random rank - leaf data included, which no shipped
-    policy does - so every stage of both plan sections reads across
-    ranks."""
+    policy does - so every stage of the plan reads across ranks."""
 
     name = "scatter"
 
@@ -527,7 +548,7 @@ def test_parallel_workers_follow_moved_localities(factories, cloud):
 
 
 def _fold_lists(plan) -> tuple[dict, dict, list]:
-    """The eager section as {node: its fold's edge rows} and the S->L
+    """The plan's folds as {node: its fold's edge rows} and the S->L
     groups' rows."""
 
     def by_node(folds):
@@ -578,12 +599,10 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
         reg = _rank_registrar(r, dag, dual, factory)
         reg.result = result  # disjoint target boxes, as in the shared arena
         regs.append(reg)
-    sections = [(full.eager_plan(), [reg.eager_plan() for reg in regs])]
-    sections.append((full.flush_plan(), [reg.flush_plan() for reg in regs]))
+    whole, parts = full.plan(), [reg.plan() for reg in regs]
 
-    # (a) the ranks' folds and S->L groups partition the full eager
-    # plan's, each fold list identical, every fold at its owner
-    whole, parts = sections[0]
+    # (a) the ranks' folds and S->L groups partition the full plan's,
+    # each fold list identical, every fold at its owner
     m, l, s2l = _fold_lists(whole)
     rank_lists = [_fold_lists(p) for p in parts]
     for r, (rm, rl, _) in enumerate(rank_lists):
@@ -592,25 +611,21 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
     assert sum(len(rm) for rm, _, _ in rank_lists) == len(m)
     assert sum(len(rl) for _, rl, _ in rank_lists) == len(l)
     assert sorted(g for _, _, groups in rank_lists for g in groups) == s2l
-    for whole, parts in sections:
-        assert sum(p.n_edges for p in parts) == whole.n_edges
-    assert sum(whole.n_edges for whole, _ in sections) == sum(len(out) for out in dag.out_edges)
+    assert sum(p.n_edges for p in parts) == whole.n_edges == sum(map(len, dag.out_edges))
 
     # (b) what a sends b is what b awaits from a, under the same stage
     # name, and the sender owns every id; one stage sequence everywhere
-    stage_lists = [reg.eager_stages() + reg.flush_stages() for reg in regs]
-    names = [name for name, _ in full.eager_stages() + full.flush_stages()]
+    stage_lists = [reg.stages() for reg in regs]
+    names = [name for name, _ in full.stages()]
     assert all([name for name, _ in stages] == names for stages in stage_lists)
-    sends = [{**e.sends, **f.sends} for e, f in zip(sections[0][1], sections[1][1])]
-    recvs = [{**e.recvs, **f.recvs} for e, f in zip(sections[0][1], sections[1][1])]
-    assert sections[0][0].sends == sections[0][0].recvs == sections[1][0].recvs == {}
-    crossing = dict.fromkeys(sends[0], 0)
+    assert whole.sends == whole.recvs == {}
+    crossing = dict.fromkeys(parts[0].sends, 0)
     for a in ranks:
-        assert set(sends[a]) == set(recvs[a]) == set(crossing) <= set(names)
+        assert set(parts[a].sends) == set(parts[a].recvs) == set(crossing) <= set(names)
         for stage in crossing:
             for b in ranks:
-                ids = sends[a][stage].get(b, [])
-                assert ids == recvs[b][stage].get(a, [])
+                ids = parts[a].sends[stage].get(b, [])
+                assert ids == parts[b].recvs[stage].get(a, [])
                 assert a != b or not ids
                 assert all(dag.nodes[i].locality == a for i in ids)
                 crossing[stage] += len(ids)
@@ -626,7 +641,7 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
     zeros = 0  # expansions that cross as None, the zero expansion
     for i, name in enumerate(names):
         for a in ranks:
-            for b, ids in sends[a].get(name, {}).items():
+            for b, ids in parts[a].sends.get(name, {}).items():
                 regs[b].expansions.update((nid, regs[a].expansions[nid]) for nid in ids)
                 zeros += sum(regs[b].expansions[nid] is None for nid in ids)
         for stages in stage_lists:
@@ -660,8 +675,8 @@ def test_a_rank_reads_no_row_it_was_not_sent(factories, cloud):
     _ScatterPolicy().assign(dag, dual, 2)
     reg = _rank_registrar(0, dag, dual, factory)
     assert all(dag.nodes[nid].locality == 0 for nid in reg.expansions)
-    recvs = {**reg.eager_plan().recvs, **reg.flush_plan().recvs}
-    for name, stage in reg.eager_stages() + reg.flush_stages():
+    recvs = reg.plan().recvs
+    for name, stage in reg.stages():
         if recvs.get(name):
             break
         stage()  # reads only rank 0's own rows
@@ -693,7 +708,7 @@ def test_a_ranks_outputs_touch_only_its_own_points(factories, cloud, policy):
         owns.append(own)
         reg.result = np.full(len(pts), np.pi)
         reg.result[own] = 0.0
-        dict(reg.flush_stages())["outputs"]()
+        dict(reg.stages())["outputs"]()
         assert np.all(np.delete(reg.result, own) == np.pi)
         assert np.array_equal(reg.result[own], full.result[own])
     together = np.concatenate(owns)

@@ -390,6 +390,15 @@ def test_session_rejects_phantom_mode(kernel):
         EvaluatorSession(ev)
 
 
+@pytest.mark.parametrize("bad", [0, -2, "3", 2.5, True])
+def test_session_rejects_a_bad_template_capacity(evaluator, bad):
+    """The store is an LRU of at most ``max_templates`` templates: a
+    capacity that is no positive int is refused at construction, not
+    clamped to one or tripped over inside the first submit."""
+    with pytest.raises(ValueError, match="max_templates"):
+        EvaluatorSession(evaluator, max_templates=bad)
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("fuzz_schedule", 0), ("replay_schedule", ScheduleTrace()), ("detect_hazards", True)],
