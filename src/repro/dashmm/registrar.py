@@ -45,6 +45,7 @@ plan on a ``Registrar(None, ...)``.
 from __future__ import annotations
 
 import weakref
+from array import array
 from collections import deque
 from functools import partial
 
@@ -87,6 +88,8 @@ _CRITICAL = np.array([op in CRITICAL_OPS for op in EDGE_OPS])
 #: per node kind code: does the node hold an expansion (S and T hold
 #: points)
 _EXPANSION = np.array([kind in ("M", "Is", "It", "L") for kind in NODE_KINDS])
+#: per node kind code: the op class of a task processing out-edges
+_EDGES_LABEL = [f"edges:{kind}" for kind in NODE_KINDS]
 
 
 def _weak_method(method):
@@ -101,15 +104,26 @@ class ExpansionLCO(CountingLCO):
     An input only counts down - the drain carries no values - and each
     dedup key (the edge's row in the DAG's edge columns, see
     :class:`DrainTable`) is folded at most once, so a retransmitted
-    parcel cannot count an edge twice.  The node's expansion is written
-    by the plan's stages after the drain, into
-    :attr:`Registrar.expansions`.
+    parcel cannot count an edge twice.  The keys are not the LCO's own:
+    every LCO of a drain marks them in one store, a byte per edge row
+    (``Registrar._seen``); without a store the LCO keeps a key set, as
+    any LCO does.  The node's expansion is written by the
+    plan's stages after the drain, into :attr:`Registrar.expansions`.
     """
 
-    def __init__(self, runtime, locality: int, dag: DAG, node: int, n_inputs: int):
+    def __init__(
+        self,
+        runtime,
+        locality: int,
+        dag: DAG,
+        node: int,
+        n_inputs: int,
+        store: bytearray | None = None,
+    ):
         super().__init__(runtime, locality, n_inputs)
         self.dag = dag
         self.node = node
+        self._store = store
 
     @property
     def hazard_subject(self) -> str:
@@ -136,12 +150,13 @@ class DrainTable:
     ``part_ptr[k]:part_ptr[k + 1]``, group ``g`` entries ``bounds[g]:
     bounds[g + 1]``; a parcel names its group.  An edge's dedup key is
     its edge-column row, ``rows[i]``, and a group executed at its
-    destination is one effect, its slices of ``lcos``, ``rows`` and
-    ``ops``.
+    destination is one effect, the window ``bounds[g]:bounds[g + 1]``
+    over ``lcos``, ``rows`` and ``ops`` - which is why no column is
+    changed once compiled.
 
-    The table is alive at the end of a drain, where an evaluation's heap
-    peaks, so it holds no per-edge tuple: per-entry lists of ints, shared
-    objects, charges and parcel headers interned by value.
+    The table is alive for the whole drain, so it holds no per-edge
+    tuple or int object: the rows as an ``array("q")``, per-entry lists
+    of shared objects, charges and parcel headers interned by value.
     """
 
     __slots__ = (
@@ -155,7 +170,7 @@ class DrainTable:
         "send",
         "lcos",  # per entry: the destination's LCO
         "ops",  # per entry: the op class
-        "rows",  # per entry: the edge-column row, the edge's dedup key
+        "rows",  # per entry: the edge-column row, the edge's dedup key (array)
         "charges",  # the positive (op, dt) charges of all entries, in order
         "cpos",  # per entry boundary: index into charges
     )
@@ -260,6 +275,10 @@ class Registrar:
         #: initial_tasks() (sessions and workers never drain, so never
         #: pay for it) and dropped when the drain ends
         self._drain: DrainTable | None = None
+        #: the drain's dedup store, built by allocate(): per edge row, 1
+        #: once the edge was counted into its destination's LCO.  Every
+        #: LCO of the drain shares it, and checkpoints carry it
+        self._seen: bytearray | None = None
         #: the compiled plan (see :mod:`repro.dashmm.flushplan`); built
         #: on the first numeric flush, so phantom runs never pay for it,
         #: and kept for every later flush of this registrar
@@ -390,19 +409,20 @@ class Registrar:
         if participants is not None:
             participants.append(weakref.ref(self))
         dag = self.dag
-        has_lco = (dag.kind != KIND_CODE["S"]) & (dag.in_degree > 0)
-        for nid in np.flatnonzero(has_lco).tolist():
-            kind = NODE_KINDS[dag.kind[nid]]
-            lco = ExpansionLCO(runtime, int(dag.locality[nid]), dag, nid, int(dag.in_degree[nid]))
-            self.lcos[nid] = lco
-            lco.register_continuation(
-                Task(
-                    fn=continuation,
-                    args=(nid,),
-                    op_class=f"edges:{kind}",
-                    priority=self._node_priority(nid, kind),
-                )
-            )
+        seen = self._seen = bytearray(dag.n_edges)
+        ids = np.flatnonzero((dag.kind != KIND_CODE["S"]) & (dag.in_degree > 0))
+        kinds = dag.kind[ids]
+        lcos = self.lcos
+        for nid, kind, loc, n_inputs, priority in zip(
+            ids.tolist(),
+            kinds.tolist(),
+            dag.locality[ids].tolist(),
+            dag.in_degree[ids].tolist(),
+            self._node_priorities(ids, kinds),
+        ):
+            lco = lcos[nid] = ExpansionLCO(runtime, loc, dag, nid, n_inputs, seen)
+            task = Task(continuation, (nid,), _EDGES_LABEL[kind], None, priority)
+            lco.register_continuation(task)
 
     def initial_tasks(self) -> int:
         """Compile the drain and enqueue its time-zero tasks: the
@@ -414,20 +434,16 @@ class Registrar:
         table = self._table()
         ptr, priority = table.part_ptr, table.part_priority
         dag = self.dag
+        ids = np.flatnonzero(dag.in_degree == 0)
         count = 0
-        for nid in np.flatnonzero(dag.in_degree == 0).tolist():
+        for nid, kind, loc in zip(ids.tolist(), dag.kind[ids].tolist(), dag.locality[ids].tolist()):
             for k in (2 * nid, 2 * nid + 1):
                 if ptr[k] == ptr[k + 1]:
                     continue
-                self.runtime.enqueue_task(
-                    Task(
-                        fn=self._process_edges_task,
-                        args=(nid, k & 1),
-                        op_class=f"edges:{NODE_KINDS[dag.kind[nid]]}",
-                        priority=priority[k],
-                    ),
-                    int(dag.locality[nid]),
+                task = Task(
+                    self._process_edges_task, (nid, k & 1), _EDGES_LABEL[kind], None, priority[k]
                 )
+                self.runtime.enqueue_task(task, loc)
                 count += 1
         self._flush_pending = self.mode == "numeric"
         return count
@@ -455,7 +471,8 @@ class Registrar:
         """Mutable per-evaluation state for a runtime checkpoint.
 
         The registrar's LCOs live in the GAS and are snapshotted there
-        (:mod:`repro.hpx.checkpoint`).  A checkpoint is taken inside the
+        (:mod:`repro.hpx.checkpoint`), all but their shared dedup store,
+        which is snapshotted here.  A checkpoint is taken inside the
         drain, which carries no values, so all else it needs is whether
         the plan is owed and the result vector.  The plans and drain
         tables are functions of the DAG and the localities, neither of
@@ -463,6 +480,7 @@ class Registrar:
         """
         return {
             "flush_pending": self._flush_pending,
+            "seen": None if self._seen is None else bytes(self._seen),
             "result": None if self.result is None else self.result.copy(),
         }
 
@@ -474,6 +492,9 @@ class Registrar:
         are recompiled on first use.
         """
         self._flush_pending = state["flush_pending"]
+        if state["seen"] is not None:
+            # in place: every LCO of the drain holds this store
+            self._seen[:] = state["seen"]
         self._seed_expansions()
         self._s2m = None
         self._drain = None
@@ -535,17 +556,19 @@ class Registrar:
             self._layout = None
         return recount
 
-    def _node_priority(self, nid: int, kind: str) -> int:
-        """Expansion nodes drive the critical chain; leaf data does not.
+    def _node_priorities(self, ids: np.ndarray, kinds: np.ndarray) -> list:
+        """Priorities of the continuations of nodes ``ids`` (of kind codes
+        ``kinds``): expansion nodes drive the critical chain; leaf data
+        does not.
 
         Graded policies use the node's offline critical-path level; the
         binary policy promotes every expansion node to HIGH.
         """
         if self._node_levels is not None:
-            return self._node_levels[nid]
+            return np.asarray(self._node_levels)[ids].tolist()
         if not self._split:
-            return LOW
-        return HIGH if kind in ("M", "Is", "It", "L") else LOW
+            return [LOW] * len(ids)
+        return np.where(_EXPANSION[kinds], HIGH, LOW).tolist()
 
     # -- the drain's compiled out-edges ----------------------------------------------------
     def _table(self) -> DrainTable:
@@ -572,6 +595,33 @@ class Registrar:
         if self._split:
             return np.where(np.logical_or.reduceat(critical, bounds), HIGH, LOW)
         return np.full(len(bounds), LOW)
+
+    def _charges(self, op: np.ndarray, n_src: np.ndarray, n_dst: np.ndarray) -> tuple:
+        """The drain table's ``charges`` and ``cpos`` of entries of op
+        codes ``op`` between leaf boxes of ``n_src`` and ``n_dst``
+        points: each positive charge an ``(op, dt)`` tuple shared by the
+        entries of equal charge.  Interned class by class, and a class
+        that charges one value (most do) is not sorted: a sort over all
+        entries would be the compile's heap peak."""
+        costs = self.cost.edge_costs(EDGE_OPS, op, n_src, n_dst)
+        if (costs < 0).any():
+            raise ValueError("negative charge")
+        # zero charges are not charged at all (TaskContext.charge drops them)
+        charged = costs > 0
+        op, costs = op[charged], costs[charged]
+        charges = np.empty(len(op), dtype=object)
+        for c in np.unique(op).tolist():
+            at = op == c
+            dts = costs[at]
+            if (dts == dts[0]).all():
+                # one shared tuple, broadcast over the class
+                kinds, which = dts[:1], slice(0, 1)
+            else:
+                kinds, which = np.unique(dts, return_inverse=True)
+            charges[at] = _interned([(EDGE_OPS[c], dt) for dt in kinds.tolist()], which)
+        m = len(charged)
+        cpos = range(m + 1) if len(op) == m else np.r_[0, np.cumsum(charged)].tolist()
+        return charges.tolist(), cpos
 
     def _compile_drain(self) -> DrainTable:
         """Every node's out-edges as a :class:`DrainTable`, in array
@@ -623,15 +673,6 @@ class Registrar:
         t.part_priority = part_priority.tolist()
         t.bounds, t.loc = bounds.tolist(), dst_loc[lo].tolist()
 
-        costs = self.cost.edge_costs(EDGE_OPS, op, count[src], count[dst])
-        if (costs < 0).any():
-            raise ValueError("negative charge")
-        # zero charges are not charged at all (TaskContext.charge drops them)
-        charged = costs > 0
-        kinds, which = _distinct_rows(op[charged], costs[charged])
-        t.charges = _interned([(EDGE_OPS[c], dt) for c, dt in kinds], which).tolist()
-        t.cpos = range(m + 1) if charged.all() else np.r_[0, np.cumsum(charged)].tolist()
-
         # what a parcel to another locality costs its sender and carries
         sent = np.flatnonzero(remote[lo])
         first_row, n_edges = lo[sent], np.diff(bounds)[sent]
@@ -653,11 +694,20 @@ class Registrar:
         send[sent] = _interned(parcels, which)
         t.send = send.tolist()
 
+        # the per-entry columns last, with the sort's other per-entry
+        # arrays freed: building them is the compile's heap peak
+        n_src, n_dst = count[src], count[dst]
+        del src, part, critical, dst_loc, remote, new, levels, near
+        t.charges, t.cpos = self._charges(op, n_src, n_dst)
+        del n_src, n_dst
         lco_of = np.full(n, None, dtype=object)
         for nid, lco in self.lcos.items():
             lco_of[nid] = lco
         t.lcos = lco_of[dst].tolist()
-        t.rows = order.tolist()
+        del dst
+        # 8 bytes per row, not an int object each: an entry's row is read
+        # once, when its edge is counted
+        t.rows = array("q", order.tobytes())
         t.ops = _interned(EDGE_OPS, op).tolist()
         return t
 
@@ -674,7 +724,7 @@ class Registrar:
                     Task(
                         fn=self._process_edges_task,
                         args=(node_id, 1),
-                        op_class=f"edges:{NODE_KINDS[self.dag.kind[node_id]]}",
+                        op_class=_EDGES_LABEL[self.dag.kind[node_id]],
                         priority=table.part_priority[k],
                     )
                 )
@@ -717,12 +767,13 @@ class Registrar:
 
     def _run_group(self, ctx, t: DrainTable, g: int) -> None:
         """Group ``g`` of the table executed here: its charges, then one
-        ``("lco_sets", lcos, rows, ops)`` effect that counts the group's
-        LCOs down in entry order, each under its edge's dedup key
+        ``("lco_sets", lcos, rows, ops, lo, hi)`` effect, the group's
+        window over the table's columns, that counts the group's LCOs
+        down in entry order, each under its edge's dedup key
         (:func:`repro.hpx.lco.count_down`)."""
         lo, hi = t.bounds[g], t.bounds[g + 1]
         ctx.charges.extend(t.charges[t.cpos[lo] : t.cpos[hi]])
-        ctx.effects.append(("lco_sets", t.lcos[lo:hi], t.rows[lo:hi], t.ops[lo:hi]))
+        ctx.effects.append(("lco_sets", t.lcos, t.rows, t.ops, lo, hi))
 
     def _edge_priority(self, op: str, dst: int) -> int:
         """:meth:`_priorities` of a run of one edge."""

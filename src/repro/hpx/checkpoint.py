@@ -28,7 +28,9 @@ What a snapshot contains:
 
 * **scheduler** - the event heap (tuple entries by reference; ``done``
   events get their :class:`~repro.hpx.scheduler.TaskContext` charges
-  and effects deep-captured, since contexts are pooled and recycled),
+  and effects deep-captured, since contexts are pooled and recycled -
+  an ``lco_sets`` window is kept by reference, its columns never
+  change),
   per-worker deques (the per-worker and per-locality queue counts are
   recounted on restore),
   busy/idle bookkeeping, round-robin and burst
@@ -92,6 +94,14 @@ def copy_state(value: Any) -> Any:
     if isinstance(value, set):
         return set(value)
     return value
+
+
+def _copy_effects(effects) -> tuple:
+    """:func:`copy_state` of a task's buffered effects, except that an
+    ``lco_sets`` effect is kept by reference: it is a window over columns
+    its sender never changes (a drain's compiled table), and copying
+    them would copy the whole table once per pending task."""
+    return tuple(e if e[0] == "lco_sets" else copy_state(e) for e in effects)
 
 
 class RuntimeCheckpoint:
@@ -167,7 +177,7 @@ class RuntimeCheckpoint:
                     worker,
                     ctx.time,
                     tuple(ctx.charges),
-                    copy_state(tuple(ctx.effects)),
+                    _copy_effects(ctx.effects),
                     ctx.hb,
                 )
             elif kind == "call":
@@ -299,7 +309,7 @@ class RuntimeCheckpoint:
                 worker, time, charges, effects, hb = contexts[i]
                 ctx = TaskContext(worker, sched.worker_locality[worker], time)
                 ctx.charges.extend(charges)
-                ctx.effects.extend(copy_state(effects))
+                ctx.effects.extend(_copy_effects(effects))
                 ctx.hb = hb
                 t, tie, seq, kind, _ = entry
                 heap.append((t, tie, seq, kind, (worker, ctx)))

@@ -21,6 +21,12 @@ Semantics mirrored here:
 A :class:`CountingLCO` discards its inputs and triggers when its count
 reaches zero; its inputs may arrive a group at a time (:func:`count_down`,
 the scheduler's ``"lco_sets"`` effect) with the per-input semantics.
+
+Dedup keys are kept per LCO in a set, except where many LCOs draw their
+keys from one dense range of ints - a drain's edge rows: there they
+share one ``bytearray`` store (``_store``, one byte per key, set once
+the key was folded), which the owner of the range allocates and
+carries through its own checkpoints.
 """
 
 from __future__ import annotations
@@ -76,6 +82,10 @@ class LCO:
     #: :class:`ReductionLCO` does).
     fold_commutative = True
 
+    #: a dedup store shared with other LCOs (see the module docstring),
+    #: set per instance; None keeps this LCO's own key set
+    _store: bytearray | None = None
+
     def __init__(self, runtime, locality: int):
         # weak: the runtime's GAS holds this LCO; read only to enqueue a
         # continuation registered after the trigger
@@ -107,23 +117,18 @@ class LCO:
         otherwise.
         """
         hz = scheduler.hazards
-        if key is not None:
-            seen = self._seen_keys
-            if seen is None:
-                seen = self._seen_keys = set()
-            if key in seen:
-                # a repeated dedup key is a transport-level duplicate
-                # (retransmission), not a logic bug - never a hazard
-                if scheduler.lco_dedup:
-                    scheduler.lco_dups_suppressed += 1
-                    return
-                raise LCOError(
-                    "duplicate contribution at LCO",
-                    lco=self,
-                    op_class=op_class,
-                    key=key,
-                )
-            seen.add(key)
+        if key is not None and not self._first(key):
+            # a repeated dedup key is a transport-level duplicate
+            # (retransmission), not a logic bug - never a hazard
+            if scheduler.lco_dedup:
+                scheduler.lco_dups_suppressed += 1
+                return
+            raise LCOError(
+                "duplicate contribution at LCO",
+                lco=self,
+                op_class=op_class,
+                key=key,
+            )
         if self.triggered:
             if hz is not None:
                 # a *fresh* contribution after the trigger is a logic
@@ -143,6 +148,22 @@ class LCO:
         self._fold(value, key)
         if self._predicate():
             self._trigger(t, scheduler)
+
+    def _first(self, key: Any) -> bool:
+        """Record dedup key ``key``; False where it was recorded before."""
+        store = self._store
+        if store is not None:
+            if store[key]:
+                return False
+            store[key] = 1
+            return True
+        seen = self._seen_keys
+        if seen is None:
+            seen = self._seen_keys = set()
+        elif key in seen:
+            return False
+        seen.add(key)
+        return True
 
     def _trigger(self, t: float, scheduler) -> None:
         """Mark the LCO triggered and enqueue its continuations at ``t``
@@ -177,8 +198,11 @@ class LCO:
 
     # -- checkpoint/restore protocol (repro.hpx.checkpoint) ----------------------
     #: instance attributes excluded from the generic snapshot: fixed
-    #: identity/wiring that never changes over an LCO's lifetime
-    _checkpoint_skip = ("_runtime", "addr")
+    #: identity/wiring that never changes over an LCO's lifetime, and a
+    #: shared dedup store, which its owner snapshots (a copy per LCO
+    #: would not be shared; the store itself, kept by reference, would
+    #: not be rewound)
+    _checkpoint_skip = ("_runtime", "addr", "_store")
 
     def checkpoint_state(self) -> dict:
         """Snapshot of this LCO's mutable state (trigger flag, fold
@@ -229,15 +253,13 @@ class Future(LCO):
 
 class CountingLCO(LCO):
     """Counts ``n_inputs`` inputs down (values are discarded) and
-    triggers when ``remaining`` reaches zero.  Its dedup-key set exists
-    from the start, for :func:`count_down`."""
+    triggers when ``remaining`` reaches zero."""
 
     def __init__(self, runtime, locality: int, n_inputs: int):
         if n_inputs < 1:
             raise ValueError(f"{type(self).__name__} needs at least one input")
         super().__init__(runtime, locality)
         self.remaining = n_inputs
-        self._seen_keys = set()
 
     def _fold(self, value: Any, key: Any) -> None:
         self.remaining -= 1
@@ -246,23 +268,26 @@ class CountingLCO(LCO):
         return self.remaining <= 0
 
 
-def count_down(lcos, keys, op_classes, t: float, scheduler) -> None:
-    """One input per entry into the counting LCO ``lcos[i]`` under dedup
-    key ``keys[i]`` (labelled ``op_classes[i]``), in entry order.
+def count_down(lcos, keys, op_classes, lo: int, hi: int, t: float, scheduler) -> None:
+    """One input per entry ``i`` of ``lo:hi`` into the counting LCO
+    ``lcos[i]`` under dedup key ``keys[i]`` (labelled ``op_classes[i]``),
+    in entry order - a window over columns the caller owns and keeps
+    unchanged, so a group costs no slices.
 
     Equivalent to one :meth:`LCO._apply_set` per entry - a trigger
     enqueues its continuations before the next entry is counted - which
-    it calls for all but a fresh key on an untriggered LCO with hazard
-    detection off, so suppression, :class:`LCOError` and the hazard
-    hooks stay there.
+    it calls for all but a fresh key of a shared store on an untriggered
+    LCO with hazard detection off, so suppression, :class:`LCOError` and
+    the hazard hooks stay there.
     """
     checked = scheduler.hazards is not None
-    for lco, key, op_class in zip(lcos, keys, op_classes):
-        seen = lco._seen_keys
-        if checked or lco.triggered or key in seen:
-            lco._apply_set(None, t, scheduler, key=key, op_class=op_class)
+    for i in range(lo, hi):
+        lco, key = lcos[i], keys[i]
+        store = lco._store
+        if checked or store is None or lco.triggered or store[key]:
+            lco._apply_set(None, t, scheduler, key=key, op_class=op_classes[i])
             continue
-        seen.add(key)
+        store[key] = 1
         lco.remaining -= 1
         if lco.remaining <= 0:
             lco._trigger(t, scheduler)

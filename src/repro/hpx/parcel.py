@@ -10,13 +10,9 @@ live on one locality (Section III).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
 from repro.hpx.gas import GlobalAddress
 
 
-@dataclass
 class Parcel:
     """An active message.
 
@@ -27,27 +23,56 @@ class Parcel:
     spawned thread's work for tracing; ``priority`` is the scheduling
     hint evaluated only when the runtime has priorities enabled (the
     paper's proposed HPX-5 extension - 0 is high, 1 is low).
+
+    ``target_locality`` is resolved once, here: the scheduler, the
+    transport and the delivery path read it for every send.
     """
 
-    action: str
-    target: GlobalAddress | int
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    size_bytes: int = 64
-    op_class: str = "parcel"
-    priority: int = 1
-    #: stamped by the scheduler at send time; None for externally injected
-    origin: int | None = None
-    #: reliable-transport sequence id ``(src_locality, n)``; stamped by
-    #: :class:`repro.hpx.transport.ReliableTransport`, None otherwise
-    seq: tuple | None = None
-    #: happens-before event of the sending task (hazard detection);
-    #: shared by every delivered copy, so a retransmission carries the
-    #: same causal history as the original send
-    hb: object | None = None
+    __slots__ = (
+        "action",
+        "target",
+        "target_locality",
+        "args",
+        "size_bytes",
+        "op_class",
+        "priority",
+        "origin",
+        "seq",
+        "hb",
+    )
 
-    @property
-    def target_locality(self) -> int:
-        if isinstance(self.target, GlobalAddress):
-            return self.target.locality
-        return int(self.target)
+    def __init__(
+        self,
+        action: str,
+        target: GlobalAddress | int,
+        args: tuple = (),
+        *,
+        size_bytes: int = 64,
+        op_class: str = "parcel",
+        priority: int = 1,
+    ):
+        self.action = action
+        self.target = target
+        self.target_locality = (
+            target.locality if isinstance(target, GlobalAddress) else int(target)
+        )
+        self.args = args
+        self.size_bytes = size_bytes
+        self.op_class = op_class
+        self.priority = priority
+        #: stamped by the scheduler at send time; None for externally injected
+        self.origin: int | None = None
+        #: reliable-transport sequence id ``(src_locality, n)``; stamped by
+        #: :class:`repro.hpx.transport.ReliableTransport`, None otherwise
+        self.seq: tuple | None = None
+        #: happens-before event of the sending task (hazard detection);
+        #: shared by every delivered copy, so a retransmission carries the
+        #: same causal history as the original send
+        self.hb: object | None = None
+
+    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
+        return (
+            f"Parcel(action={self.action!r}, target={self.target!r},"
+            f" size_bytes={self.size_bytes}, op_class={self.op_class!r},"
+            f" origin={self.origin!r}, seq={self.seq!r})"
+        )

@@ -34,7 +34,7 @@ def _run_parcel(ctx, fn, parcel: Parcel, progress: float) -> None:
     charge, then the action on the parcel's target."""
     if progress > 0:
         ctx.charge("_progress", progress)
-    fn(ctx, parcel.target, *parcel.args, **parcel.kwargs)
+    fn(ctx, parcel.target, *parcel.args)
 
 
 @dataclass
@@ -220,8 +220,8 @@ class Runtime:
         fn = self._actions.get(parcel.action)
         if fn is None:
             raise KeyError(f"unregistered action {parcel.action!r}")
-        remote = getattr(parcel, "origin", None) not in (None, parcel.target_locality)
-        progress = self.config.progress_cost if remote else 0.0
+        dst, origin = parcel.target_locality, parcel.origin
+        progress = self.config.progress_cost if origin is not None and origin != dst else 0.0
         task = Task(_run_parcel, (fn, parcel, progress), parcel.op_class, None, parcel.priority)
         hz = self.scheduler.hazards
         if hz is not None and parcel.hb is not None:
@@ -229,7 +229,7 @@ class Runtime:
             # delivered copy (faulty duplicates included) is its own
             # event with the same cause
             task.hb = hz.derive((parcel.hb,), label=f"parcel:{parcel.action}", t=t)
-        self.scheduler.enqueue(task, parcel.target_locality, t)
+        self.scheduler.enqueue(task, dst, t)
 
     # -- asynchronous global memory access ------------------------------------------
     def memget(self, ctx, addr, size_bytes: int = 64):
@@ -418,6 +418,8 @@ class Runtime:
             "remote_bytes": s.remote_bytes,
             "cores": self.config.total_cores,
             "lco_dups_suppressed": s.lco_dups_suppressed,
+            # heap events pushed: host seconds per event = run_s / events
+            "events": s._seq,
             "policy": s.policy.name,
         }
         transport = s.transport.stats()

@@ -20,8 +20,9 @@ One loop, :meth:`Scheduler.run`, is the engine: a ``pick`` event pops
 or steals, runs the body and pushes the ``done`` event, which releases
 the effects and falls through to the same pick.  The schedule driver,
 hazard detector and tracer are consulted only when installed.  A group
-of LCO count-downs is one ``("lco_sets", lcos, keys, op_classes)``
-effect folded in entry order (:func:`repro.hpx.lco.count_down`), so
+of LCO count-downs is one ``("lco_sets", lcos, keys, op_classes, lo,
+hi)`` effect, a window ``lo:hi`` over columns its sender keeps
+unchanged, folded in entry order (:func:`repro.hpx.lco.count_down`), so
 triggers - and the clock - are those of one ``lco_set`` per input.
 
 Scheduling discipline
@@ -602,7 +603,8 @@ class Scheduler:
                     for eff in ctx.effects:
                         tag = eff[0]
                         if tag == "lco_sets":
-                            count_down(eff[1], eff[2], eff[3], t, self)
+                            _, lcos, keys, ops, lo, hi = eff
+                            count_down(lcos, keys, ops, lo, hi, t, self)
                         elif tag == "lco_set":
                             _, lco, value, key, op_class = eff
                             lco._apply_set(value, t, self, key=key, op_class=op_class)

@@ -321,5 +321,17 @@ def build_dual_tree(
         # a non-finite coordinate must fail here, not become the domain
         domain = Domain.bounding(checked_points(sources), checked_points(targets))
     src = build_tree(sources, domain, threshold, weights=source_weights)
-    tgt = build_tree(targets, domain, threshold)
+    if targets is sources:
+        # one ensemble on both sides: the same keys, sort and boxes
+        tgt = Tree(
+            domain=domain,
+            points=checked_points(targets)[src.perm],
+            weights=None,
+            perm=src.perm,
+            arrays=src.arrays,
+            threshold=threshold,
+            deep_sorted=src.deep_sorted,
+        )
+    else:
+        tgt = build_tree(targets, domain, threshold)
     return DualTree(domain=domain, source=src, target=tgt, threshold=threshold)

@@ -481,9 +481,25 @@ def reference_setup(method: str, sources, weights, targets, threshold: int, thet
     return {"dual": dual, "lists": lists, "dag": dag}
 
 
+def folded_keys(registrar) -> dict[int, set]:
+    """Per destination node, the dedup keys (edge rows) its drain folded,
+    read from the drain's store - which every LCO of the drain holds,
+    and holds alone (no LCO keeps a key set of its own)."""
+    seen = registrar._seen
+    assert set(seen) <= {0, 1}
+    for lco in registrar.lcos.values():
+        assert lco._store is seen and lco._seen_keys is None
+    dst = registrar.dag.edge_columns().dst
+    rows = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8))
+    folded: dict[int, set] = {}
+    for row, nid in zip(rows.tolist(), dst[rows].tolist()):
+        folded.setdefault(nid, set()).add(row)
+    return folded
+
+
 def assert_each_edge_counted_once(registrar) -> None:
     """After a drain, every expansion LCO accepted each in-edge exactly
-    once: its dedup keys are its in-edges' rows in the edge columns (as
+    once: its folded keys are its in-edges' rows in the edge columns (as
     ``out_ptr[src] + pos`` of the view's records), as many as its
     in-degree."""
     dag = registrar.dag
@@ -493,10 +509,12 @@ def assert_each_edge_counted_once(registrar) -> None:
         for e in out:
             keys_in.setdefault(e.dst, set()).add(ptr[e.src] + e.pos)
     assert registrar.lcos
+    folded = folded_keys(registrar)
+    assert folded.keys() <= registrar.lcos.keys()
     for nid, lco in registrar.lcos.items():
         assert lco.triggered, nid
-        assert lco._seen_keys == keys_in[nid], nid
-        assert len(lco._seen_keys) == dag.in_degree[nid], nid
+        assert folded[nid] == keys_in[nid], nid
+        assert len(folded[nid]) == dag.in_degree[nid], nid
 
 
 def per_edge_potentials(dag, dual, kernel, factory) -> np.ndarray:

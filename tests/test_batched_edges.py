@@ -16,7 +16,7 @@ import pytest
 from repro.dashmm import DashmmEvaluator
 from repro.hpx.runtime import RuntimeConfig
 from repro.methods.direct import direct_potentials
-from tests.reference_chain import per_edge_potentials
+from tests.reference_chain import folded_keys, per_edge_potentials
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def _run(kernel, factory, cloud, method="fmm", **kw):
 
 def _same_schedule(a, b) -> None:
     assert a.time == b.time
-    for stat in ("tasks_run", "steals", "parcels_sent", "remote_bytes"):
+    for stat in ("tasks_run", "steals", "parcels_sent", "remote_bytes", "events"):
         assert a.runtime_stats[stat] == b.runtime_stats[stat], stat
 
 
@@ -80,7 +80,7 @@ def test_batched_is_accurate(laplace, laplace_factory, cloud):
 def test_group_count_down_matches_the_per_input_path(method, policy, laplace, cloud):
     """Under hazard detection every edge of a drain group goes through
     ``LCO._apply_set``; the grouped count-down of a default run must
-    give the same schedule and the same dedup ledger in every LCO."""
+    give the same schedule and the same folded keys in the drain's store."""
     src, w, tgt = cloud
 
     def run(**cfg):
@@ -92,8 +92,7 @@ def test_group_count_down_matches_the_per_input_path(method, policy, laplace, cl
             runtime_config=RuntimeConfig(n_localities=2, workers_per_locality=4, policy=policy, **cfg),
         )
         rep = ev.evaluate(src, w, tgt)
-        lcos = rep.extras["registrar"].lcos
-        return rep, {nid: lco._seen_keys for nid, lco in lcos.items()}
+        return rep, folded_keys(rep.extras["registrar"])
 
     base, base_keys = run()
     hz, hz_keys = run(detect_hazards=True)

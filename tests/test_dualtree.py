@@ -1,12 +1,14 @@
 """Adaptive tree construction invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tree.box import Domain
-from repro.tree.dualtree import build_dual_tree, build_tree
+from repro.tree.dualtree import TreeArrays, build_dual_tree, build_tree
 from repro.tree.morton import decode_morton
 
 
@@ -146,6 +148,24 @@ def test_dual_tree_shares_domain():
     for pts in (s, t):
         assert np.all(pts >= dual.domain.origin)
         assert np.all(pts <= dual.domain.origin + dual.domain.size)
+    # one ensemble on both sides is sorted and carved once: the target
+    # tree shares the source tree's order and boxes, gathers its own
+    # points, and equals a separate build column by column
+    w = np.random.default_rng(12).uniform(-1, 1, 400)
+    same = build_dual_tree(s, s, 30, source_weights=w)
+    src, tgt = same.source, same.target
+    assert tgt.arrays is src.arrays and tgt.perm is src.perm
+    assert tgt.deep_sorted is src.deep_sorted
+    assert not np.shares_memory(tgt.points, src.points)
+    for tree, weights in ((src, w), (tgt, None)):
+        alone = build_tree(s, same.domain, 30, weights=weights)
+        for f in dataclasses.fields(TreeArrays):
+            assert np.array_equal(getattr(tree.arrays, f.name), getattr(alone.arrays, f.name)), f.name
+        for name in ("points", "perm", "deep_sorted"):
+            assert np.array_equal(getattr(tree, name), getattr(alone, name)), name
+        assert (tree.weights is None) == (weights is None)
+        if weights is not None:
+            assert np.array_equal(tree.weights, alone.weights)
 
 
 def test_invalid_inputs():

@@ -226,16 +226,20 @@ _AFTER_TRIGGER = (
 )
 
 
-def _count_groups(cls, n_inputs, groups, grouped, reliable):
+def _count_groups(cls, n_inputs, groups, grouped, reliable, shared=False):
     """Feed ``groups`` from one task, as one ``lco_sets`` effect per group
-    or one ``lco_set`` per entry; returns the error, the suppressed
-    count, every LCO's ledger and, per continuation enqueued, every
-    LCO's ``remaining`` at that moment."""
+    (a window over the entries of all groups as three columns) or one
+    ``lco_set`` per entry; returns the error, the suppressed count,
+    every LCO's ledger and, per continuation enqueued, every LCO's
+    ``remaining`` at that moment.  ``shared`` gives the LCOs one dedup
+    store, as a drain's LCOs have, instead of a key set each."""
     rt = _rt()
     sched = rt.scheduler
     sched.lco_dedup = reliable
     lcos = [cls(rt, 0, n) for n in n_inputs]
+    store = bytearray(8) if shared else None
     for i, lco in enumerate(lcos):
+        lco._store = store
         lco.on_trigger(lambda ctx: None, op_class=f"cont{i}")
     log = []
     enqueue = sched.enqueue
@@ -245,15 +249,23 @@ def _count_groups(cls, n_inputs, groups, grouped, reliable):
         enqueue(task, locality, t, worker_hint)
 
     sched.enqueue = spy
+    entries = [entry for group in groups for entry in group]
+    columns = (
+        [lcos[i] for i, _, _ in entries],
+        [k for _, k, _ in entries],
+        [op for _, _, op in entries],
+    )
 
     def body(ctx):
+        lo = 0
         for group in groups:
+            hi = lo + len(group)
             if grouped:
-                idx, keys, ops = zip(*group)
-                ctx.effects.append(("lco_sets", [lcos[i] for i in idx], list(keys), list(ops)))
+                ctx.effects.append(("lco_sets", *columns, lo, hi))
             else:
                 for i, key, op in group:
                     ctx.lco_set(lcos[i], None, key=key, op_class=op)
+            lo = hi
 
     rt.enqueue_task(Task(fn=body, op_class="set", cost=1e-6), 0)
     try:
@@ -261,7 +273,12 @@ def _count_groups(cls, n_inputs, groups, grouped, reliable):
         err = None
     except LCOError as exc:
         err = (str(exc), exc.key, exc.op_class, exc.lco_class)
-    ledgers = [(lco.remaining, lco.triggered, sorted(lco._seen_keys)) for lco in lcos]
+    if shared:
+        assert all(lco._seen_keys is None for lco in lcos)
+        keys = [sorted({k for i, k, _ in entries if i == j and store[k]}) for j in range(len(lcos))]
+    else:
+        keys = [sorted(lco._seen_keys or ()) for lco in lcos]
+    ledgers = [(lco.remaining, lco.triggered, k) for lco, k in zip(lcos, keys)]
     return err, sched.lco_dups_suppressed, ledgers, log
 
 
@@ -271,10 +288,13 @@ def _count_groups(cls, n_inputs, groups, grouped, reliable):
 def test_group_count_down_matches_per_input_sets(case, cls, reliable):
     """A group raises the same LCOError at the same entry, suppresses and
     counts the same inputs, and triggers in the same order as one
-    ``lco_set`` per entry."""
+    ``lco_set`` per entry - with a key set per LCO and with one store
+    shared by all, which must agree too."""
     n_inputs, groups = case
     grouped = _count_groups(cls, n_inputs, groups, True, reliable)
     assert grouped == _count_groups(cls, n_inputs, groups, False, reliable)
+    for way in (True, False):
+        assert _count_groups(cls, n_inputs, groups, way, reliable, shared=True) == grouped
     err, dups, _, _ = grouped
     if not reliable:
         # the repeated key itself: entry 3 of the one group, or the
@@ -291,7 +311,10 @@ def test_group_count_down_matches_per_input_sets(case, cls, reliable):
 
 
 def test_mid_group_trigger_enqueues_before_the_next_entry():
-    _, _, ledgers, log = _count_groups(AndLCO, [1, 1], [[(0, 1, "S2M"), (1, 2, "S2M")]], True, False)
-    # cont0 was enqueued while lco 1 still waited for its input
-    assert log[1:] == [("cont0", [0, 1]), ("cont1", [0, 0])]
-    assert ledgers == [(0, True, [1]), (0, True, [2])]
+    for shared in (False, True):
+        _, _, ledgers, log = _count_groups(
+            AndLCO, [1, 1], [[(0, 1, "S2M"), (1, 2, "S2M")]], True, False, shared
+        )
+        # cont0 was enqueued while lco 1 still waited for its input
+        assert log[1:] == [("cont0", [0, 1]), ("cont1", [0, 0])]
+        assert ledgers == [(0, True, [1]), (0, True, [2])]

@@ -155,6 +155,7 @@ def test_priority_policy_replay_exact(kernel, cloud, tmp_path):
     assert replayed.time == fuzzed.time
     assert np.array_equal(replayed.potentials, fuzzed.potentials)
     assert replayed.runtime_stats["steals"] == fuzzed.runtime_stats["steals"]
+    assert replayed.runtime_stats["events"] == fuzzed.runtime_stats["events"]
     assert replayed.runtime_stats["schedule_decisions"] == len(trace)
 
 
@@ -178,6 +179,7 @@ def test_record_save_load_replay(kernel, cloud, tmp_path):
     assert (
         replayed.runtime_stats["steals"] == fuzzed.runtime_stats["steals"]
     )
+    assert replayed.runtime_stats["events"] == fuzzed.runtime_stats["events"]
     assert replayed.runtime_stats["schedule_decisions"] == len(trace)
 
 
