@@ -2,7 +2,9 @@
 """Kill-and-restore certification: lose a run at a random checkpoint.
 
 Runs a matrix of evaluations (FMM and Barnes-Hut, clean and fuzzed
-schedules, clean and faulty network) with periodic checkpointing
+schedules, a clean network, a lossy one, and an outage longer than the
+retry budget, whose kill points may hold parcels the transport parked
+until the outage lifts) with periodic checkpointing
 enabled, "kills" each run by picking one checkpoint at random, restores
 it and drives the resumed run to completion.  The gate: the resumed
 run must be *bit-identical* - potentials AND virtual clock - to the
@@ -25,18 +27,28 @@ from repro.hpx.runtime import RuntimeConfig
 from repro.kernels import LaplaceKernel
 
 
-def certify(rng: random.Random, method: str, fuzz, faulty: bool) -> dict:
+#: the faulty networks of the matrix, by name, with the transport
+#: settings each runs under
+NETWORKS = {
+    "lossy": dict(network=FaultyNetwork(drop=0.05, duplicate=0.05, reorder=0.5, seed=7)),
+    # a 2 ms blackout of locality 1 against a retry budget of ~0.14 ms
+    "outage": dict(
+        network=FaultyNetwork(outages=((1, 1e-4, 2.1e-3),), seed=5),
+        retry_timeout=20e-6,
+        retry_limit=3,
+    ),
+}
+
+
+def certify(rng: random.Random, method: str, fuzz, faulty) -> dict:
     cfg = dict(
         n_localities=3,
         workers_per_locality=2,
         checkpoint_every=3e-4,
         fuzz_schedule=fuzz,
     )
-    if faulty:
-        cfg["reliable"] = True
-        cfg["network"] = FaultyNetwork(
-            drop=0.05, duplicate=0.05, reorder=0.5, seed=7
-        )
+    if faulty is not None:
+        cfg.update(reliable=True, **NETWORKS[faulty])
     ev = DashmmEvaluator(
         LaplaceKernel(p=6),
         method=method,
@@ -54,6 +66,9 @@ def certify(rng: random.Random, method: str, fuzz, faulty: bool) -> dict:
     if not cps:
         raise SystemExit(f"{method}: run finished before the first checkpoint")
     kill = rng.randrange(len(cps))  # the random kill point
+    runtime = baseline.extras["runtime"]
+    runtime.restore(cps[kill])
+    parked = runtime.stats().get("transport", {}).get("suspended", 0)
     resumed = ev.resume(baseline, cps[kill])
     identical = bool(
         np.array_equal(baseline.potentials, resumed.potentials)
@@ -66,6 +81,7 @@ def certify(rng: random.Random, method: str, fuzz, faulty: bool) -> dict:
         "checkpoints": len(cps),
         "killed_at_index": kill,
         "killed_at_time": cps[kill].time,
+        "suspended_at_kill": parked,
         "final_time": baseline.time,
         "bit_identical": identical,
     }
@@ -82,21 +98,23 @@ def main(argv=None) -> int:
 
     rows = []
     for method, fuzz, faulty in [
-        ("fmm", None, False),
-        ("fmm", rng.randrange(2**16), False),
-        ("fmm", None, True),
-        ("bh", None, False),
-        ("bh", rng.randrange(2**16), False),
+        ("fmm", None, None),
+        ("fmm", rng.randrange(2**16), None),
+        ("fmm", None, "lossy"),
+        ("fmm", None, "outage"),
+        ("bh", None, None),
+        ("bh", rng.randrange(2**16), None),
     ]:
         row = certify(rng, method, fuzz, faulty)
         rows.append(row)
         status = "ok" if row["bit_identical"] else "DIVERGED"
         print(
             f"{row['method']:4s} fuzz={str(row['fuzz_schedule']):>6s} "
-            f"faulty={row['faulty_network']!s:5s} "
+            f"network={row['faulty_network'] or 'clean':6s} "
             f"killed at checkpoint {row['killed_at_index'] + 1}"
             f"/{row['checkpoints']} "
-            f"(t={row['killed_at_time'] * 1e3:.3f} ms) ... {status}"
+            f"(t={row['killed_at_time'] * 1e3:.3f} ms, "
+            f"{row['suspended_at_kill']} parked) ... {status}"
         )
 
     report = {"seed": seed, "rows": rows}

@@ -17,9 +17,9 @@ declared, validated intermediate representation:
   them.
 * A single :class:`DagBuilder` materializes the graph from tree +
   interaction lists (or MAC decisions) by running the declared rules,
-  type-checks the result (:func:`validate_dag`), stamps critical-path
-  priorities on request, and exposes a canonical :func:`export_dag` /
-  :func:`dag_fingerprint` and a structural :func:`diff_dags`.
+  and exposes a canonical :func:`export_dag` / :func:`dag_fingerprint`
+  and a structural :func:`diff_dags`; :func:`validate_dag` type-checks
+  a built graph against its schema.
 
 The rules append whole blocks to the DAG's node and edge columns
 (:meth:`repro.dashmm.dag.DAG.append_nodes` / ``append_edges``); the
@@ -819,16 +819,16 @@ _NEEDS_MAC = frozenset(("bh-mac",))
 
 # -- the builder -----------------------------------------------------------------
 class DagBuilder:
-    """Materializes, validates, stamps, exports and diffs method DAGs.
+    """Materializes, exports and diffs method DAGs.
 
     One builder per :class:`MethodSchema`; :meth:`build` runs the
-    schema's declared wiring rules over tree + interaction data and
-    (by default) type-checks the result before anything executes it.
+    schema's declared wiring rules over tree + interaction data.  The
+    golden-graph and property suites gate the rules;
+    ``validate_dag(schema, dag)`` type-checks one built graph.
     """
 
-    def __init__(self, schema: MethodSchema, validate: bool = True):
+    def __init__(self, schema: MethodSchema):
         self.schema = schema
-        self.validate_on_build = validate
 
     def build(self, dual, lists=None, mac_pairs=None) -> DAG:
         """Build the method DAG from a dual tree plus interaction inputs.
@@ -849,28 +849,7 @@ class DagBuilder:
         rules = _ASSEMBLY_RULES
         for rule in self.schema.assembly:
             rules[rule](st)
-        if self.validate_on_build:
-            self.validate(st.dag)
         return st.dag
-
-    def validate(self, dag: DAG) -> None:
-        """Type-check ``dag`` against this builder's schema."""
-        validate_dag(self.schema, dag)
-
-    def stamp_priorities(self, dag: DAG, cost_model=None, levels: int = 3) -> list[int]:
-        """Grade and stamp quantized critical-path priorities onto the DAG.
-
-        Delegates to
-        :func:`repro.analysis.critical_path.node_priorities` (monotone
-        quantized downstream distances) and records the stamp on
-        ``dag.priorities``; the registrar reuses a matching stamp
-        instead of re-grading.
-        """
-        from repro.analysis.critical_path import node_priorities
-
-        values = node_priorities(dag, cost_model=cost_model, levels=levels)
-        dag.priorities = {"levels": levels, "values": values, "cost": cost_model}
-        return values
 
     def export(self, dag: DAG) -> dict:
         """Canonical structural export (see :func:`export_dag`)."""

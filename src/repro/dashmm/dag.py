@@ -210,13 +210,6 @@ class DAG:
     locality: np.ndarray = _no_nodes(np.int64)
     #: per node, the edges appended into it
     in_degree: np.ndarray = _no_nodes(np.int64)
-    #: critical-path priority stamp left by the declarative builder
-    #: (:meth:`repro.dag.schema.DagBuilder.stamp_priorities`): a dict
-    #: with ``levels`` (grading resolution), ``values`` (one level per
-    #: node) and ``cost`` (the cost model graded against, by identity).
-    #: ``None`` until stamped; the registrar falls back to grading
-    #: on the fly when absent or graded differently.
-    priorities: dict | None = None
     #: edge parts in emission order, a tuple of column arrays per block
     #: appended; one folded part once the columns are built
     _parts: list = field(default_factory=list, repr=False)
@@ -416,7 +409,7 @@ def build_fmm_dag(dual: DualTree, lists: InteractionLists, advanced: bool = True
     from repro.dag import DagBuilder, method_schema
 
     schema = method_schema("fmm" if advanced else "fmm-basic")
-    return DagBuilder(schema, validate=False).build(dual, lists=lists)
+    return DagBuilder(schema).build(dual, lists=lists)
 
 
 def refresh_n_points(dag: DAG, dual: DualTree) -> None:
@@ -441,4 +434,4 @@ def build_bh_dag(dual: DualTree, mac_pairs: dict[int, list[tuple[str, int]]]) ->
     """
     from repro.dag import DagBuilder, method_schema
 
-    return DagBuilder(method_schema("bh"), validate=False).build(dual, mac_pairs=mac_pairs)
+    return DagBuilder(method_schema("bh")).build(dual, mac_pairs=mac_pairs)

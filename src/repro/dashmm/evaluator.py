@@ -100,11 +100,6 @@ class DashmmEvaluator:
         cost/communication only.
     theta:
         Barnes-Hut opening angle (ignored for FMM).
-    validate_dag:
-        Type-check the built graph against its schema on every build.
-        Off by default on the evaluation hot path - the golden-graph
-        and property suites gate the builder - but cheap enough to
-        enable for debugging.
     """
 
     def __init__(
@@ -122,13 +117,11 @@ class DashmmEvaluator:
         theta: float = 0.5,
         eps: float = 1e-4,
         factory: OperatorFactory | None = None,
-        validate_dag: bool = False,
     ):
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         self.kernel = kernel
         self.method = method
-        self.validate_dag = validate_dag
         self.threshold = threshold
         self.policy = policy or FmmPolicy()
         self.runtime_config = runtime_config or RuntimeConfig()
@@ -160,7 +153,7 @@ class DashmmEvaluator:
     ) -> tuple[DAG, InteractionLists | None]:
         from repro.dag import DagBuilder
 
-        builder = DagBuilder(self.schema, validate=self.validate_dag)
+        builder = DagBuilder(self.schema)
         if self.method == "bh":
             return builder.build(dual, mac_pairs=mac_pairs(dual, self.theta)), None
         if lists is None:

@@ -60,7 +60,10 @@ delivered is a ``KeyError``.
   a round reaches a block a peer may still read.  The next round
   rewrites them, which is safe because the parent posts GO of round k+1
   only after every rank's DONE of round k, and a rank drops its views
-  of peer mailboxes before DONE.  A frame of round k+1 that overtakes
+  of peer mailboxes before DONE.  A segment a rank outgrew mid-round is
+  closed by that rank at round end and named in its DONE statistics;
+  the parent unlinks it after the barrier, so between rounds each rank
+  has exactly one mailbox.  A frame of round k+1 that overtakes
   this rank's GO points into a block already rewritten for round k+1;
   it is held, not read, until the round's state is in place.
 * Deadlock rule: **a rank posts everything a stage's readers need
@@ -77,14 +80,14 @@ delivered is a ``KeyError``.
   frame is handled at most one group late and the deadlock rule holds
   as written; every ``vals`` slot is written once and the add keeps
   its order, so the fill moves no bit.
-* Acks are drained once, before DONE: when a rank reports, every frame
-  it sent was processed and (``sends`` and ``recvs`` mirror each other)
-  every frame addressed to it was awaited by some stage, so no message
-  is in flight across a round boundary - except a peer's first frame of
-  the *next* round overtaking this rank's GO, which is held until the
-  round's state is in place.  A receiver acks a frame after it has
-  attached to its segments, so once its frames are acked a rank may
-  unlink a mailbox it outgrew.
+* Barrier rule: frames are one-way - no sequence id, no ack.
+  ``sends`` and ``recvs`` mirror each other, so every frame addressed to
+  a rank is awaited by one of that rank's stages: its DONE means it
+  consumed every frame of the round addressed to it, all-DONE means
+  every frame of the round was consumed, and GO of round k+1 follows
+  all-DONE.  No message is in flight across a round boundary - except a
+  peer's first frame of the *next* round overtaking this rank's GO,
+  which is held until the round's state is in place.
 
 Why the result is bit-identical to the simulator:
 
@@ -221,16 +224,12 @@ class _WorkerBody:
         """One inbox message of a round in progress."""
         tag = msg[0]
         if tag == "frame":
-            _, src, seq, stage, payload = msg
-            blocks = self.channel.handle_frame(src, seq, payload)
-            if blocks is not None:
-                exp = self.reg.expansions
-                exp.update(dict.fromkeys(self._recvs[stage][src]))
-                for ids, rows in blocks:
-                    exp.update(zip(ids, rows))
-                self._arrived.add((stage, src))
-        elif tag == "ack":
-            self.channel.handle_ack(msg[2])
+            _, src, stage, payload = msg
+            exp = self.reg.expansions
+            exp.update(dict.fromkeys(self._recvs[stage][src]))
+            for ids, rows in self.channel.views(payload):
+                exp.update(zip(ids, rows))
+            self._arrived.add((stage, src))
         elif tag == "stop":
             raise _Stop
         else:  # pragma: no cover - defensive
@@ -290,7 +289,6 @@ class _WorkerBody:
             t = time.perf_counter()
             stage_s[name] = t - t_run
         self._fill = None  # the outputs stage ran whatever was left
-        self._pump(lambda: not self.channel.unacked)
         # the peers' rows are views of their mailboxes, which the next
         # round rewrites: none outlives this one
         exp = reg.expansions
@@ -566,7 +564,7 @@ class PersistentParallelService:
 
         ctx = self._context()
         # an inbox carries small messages (GO, frames naming mailbox
-        # blocks, acks): a SimpleQueue writes them to the pipe inside
+        # blocks): a SimpleQueue writes them to the pipe inside
         # put(), where a Queue's feeder thread would wait for the
         # sender's GIL while it computes
         self._inboxes = [ctx.SimpleQueue() for _ in range(self.n)]
@@ -695,6 +693,11 @@ class PersistentParallelService:
                 self.close()
                 raise
         wall = time.perf_counter() - t0
+        # every frame of the round was consumed: the mailboxes the ranks
+        # outgrew can go
+        retired = [name for w in stats for name in w.pop("retired")]
+        if retired:
+            self._arena.unlink_worker_segments(retired)
         self.rounds += 1
         stat = {"wall_time": wall, "workers": [_shared_keys(w) for w in stats]}
         if attempts:

@@ -378,20 +378,9 @@ class Registrar:
             # policy interposes; graded levels cover the rest
             self._near_ops = frozenset(getattr(pol, "near_ops", ("S2T",)))
             self._filler_level = pol.n_levels - 1
-            stamp = getattr(self.dag, "priorities", None)
-            if (
-                stamp is not None
-                and stamp.get("levels") == pol.n_levels - 1
-                and stamp.get("cost") is self.cost
-            ):
-                # the declarative builder already graded this DAG
-                # against the same cost model and resolution
-                # (DagBuilder.stamp_priorities); reuse the stamp
-                self._node_levels = stamp["values"]
-            else:
-                self._node_levels = node_priorities(
-                    self.dag, cost_model=self.cost, levels=pol.n_levels - 1
-                )
+            self._node_levels = node_priorities(
+                self.dag, cost_model=self.cost, levels=pol.n_levels - 1
+            )
         # the runtime sits below the registrar in the ownership chain:
         # what is handed down into it - LCO continuations, time-zero and
         # spawned tasks, the parcel action, the checkpoint participant

@@ -36,10 +36,11 @@ What a snapshot contains:
   busy/idle bookkeeping, round-robin and burst
   counters, the monotonic event sequence number, the steal-RNG state
   and all statistics counters;
-* **transport** - the framing ledger (pending/seen/seq and its
-  counters), per-parcel attempt counts and timer references, the
-  cancelled flag of every scheduled ``call`` event, and the
-  suspended-parcel table;
+* **transport** - a reliable transport's own snapshot
+  (:meth:`~repro.hpx.transport.ReliableTransport.checkpoint_state`: the
+  pending/seen/seq ledger and its counters, per-parcel attempt counts
+  and timer references, and the suspended-parcel table), and the
+  cancelled flag of every scheduled ``call`` event;
 * **network** - per-NIC injection clocks, and for a
   :class:`~repro.hpx.network.FaultyNetwork` the fault-RNG state and
   fault counters;
@@ -78,16 +79,18 @@ from repro.hpx.scheduler import TaskContext
 def copy_state(value: Any) -> Any:
     """Container-aware copy for snapshot values.
 
-    Lists, dicts, sets and tuples are copied recursively and ndarrays
-    are copied by value; everything else (tasks, parcels, LCO and tree
-    references, scalars) is shared by reference - identity of
-    long-lived objects is exactly what in-place restore relies on.
+    Lists, dicts, sets and plain tuples are copied recursively and
+    ndarrays are copied by value; everything else (tasks, parcels, LCO
+    and tree references, named tuples such as a
+    :class:`~repro.hpx.gas.GlobalAddress`, scalars) is shared by
+    reference - identity of long-lived objects is exactly what in-place
+    restore relies on.
     """
     if isinstance(value, np.ndarray):
         return value.copy()
     if isinstance(value, list):
         return [copy_state(v) for v in value]
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return tuple(copy_state(v) for v in value)
     if isinstance(value, dict):
         return {k: copy_state(v) for k, v in value.items()}
@@ -121,7 +124,6 @@ class RuntimeCheckpoint:
         "_contexts",
         "_calls",
         "_transport",
-        "_entries",
         "_network",
         "_gas",
         "_lcos",
@@ -185,40 +187,9 @@ class RuntimeCheckpoint:
         cp._contexts = contexts
         cp._calls = calls
 
-        # reliable transport: framing ledger + per-entry retry state
+        # a reliable transport snapshots itself; a direct one holds no state
         transport = sched.transport
-        framing = getattr(transport, "framing", None)
-        if framing is not None:
-            entries = {}
-            for entry in framing._pending.values():
-                entries[id(entry)] = (
-                    entry,
-                    entry.attempts,
-                    entry.last_send,
-                    entry.timer,
-                )
-            suspended = getattr(transport, "_suspended", {})
-            for entry in suspended.values():
-                entries.setdefault(
-                    id(entry),
-                    (entry, entry.attempts, entry.last_send, entry.timer),
-                )
-            cp._transport = {
-                "seq": framing._seq,
-                "pending": dict(framing._pending),
-                "seen": set(framing._seen),
-                "acks_sent": framing.acks_sent,
-                "dups_suppressed": framing.dups_suppressed,
-                "stale_acks": framing.stale_acks,
-                "retries": transport.retries,
-                "suspensions": getattr(transport, "suspensions", 0),
-                "resumes": getattr(transport, "resumes", 0),
-                "suspended": dict(suspended),
-            }
-            cp._entries = tuple(entries.values())
-        else:
-            cp._transport = None
-            cp._entries = ()
+        cp._transport = transport.checkpoint_state() if transport.reliable else None
 
         # network model
         net = sched.network
@@ -319,27 +290,8 @@ class RuntimeCheckpoint:
         for event, cancelled in self._calls:
             event.cancelled = cancelled
 
-        tr = self._transport
-        if tr is not None:
-            transport = sched.transport
-            framing = transport.framing
-            framing._seq = tr["seq"]
-            framing._pending.clear()
-            framing._pending.update(tr["pending"])
-            framing._seen.clear()
-            framing._seen.update(tr["seen"])
-            framing.acks_sent = tr["acks_sent"]
-            framing.dups_suppressed = tr["dups_suppressed"]
-            framing.stale_acks = tr["stale_acks"]
-            transport.retries = tr["retries"]
-            transport.suspensions = tr["suspensions"]
-            transport.resumes = tr["resumes"]
-            transport._suspended.clear()
-            transport._suspended.update(tr["suspended"])
-            for entry, attempts, last_send, timer in self._entries:
-                entry.attempts = attempts
-                entry.last_send = last_send
-                entry.timer = timer
+        if self._transport is not None:
+            sched.transport.restore_state(self._transport)
 
         net = sched.network
         nst = self._network

@@ -19,15 +19,16 @@ from __future__ import annotations
 import itertools
 import os
 import weakref
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
-class GlobalAddress:
-    """An address in the global address space: (home locality, slot)."""
+class GlobalAddress(NamedTuple):
+    """An address in the global address space: (home locality, slot).
+
+    A named tuple: an evaluation allocates one per LCO, and a tuple is
+    the cheapest immutable, hashable, ordered record to construct."""
 
     locality: int
     slot: int
@@ -407,12 +408,15 @@ class ShmArena:
         self._live_names.clear()  # disarm the finalize guard
         self.unlink_worker_segments()
 
-    def unlink_worker_segments(self) -> None:
-        """Remove what attached processes left under
-        :attr:`worker_prefix` (owner only; call with them stopped)."""
+    def unlink_worker_segments(self, names=None) -> None:
+        """Remove the segments ``names`` attached processes made, or
+        everything they left under :attr:`worker_prefix` (owner only;
+        then call with them stopped)."""
         if not self.owner:
             raise ValueError("only the owning arena may unlink worker segments")
-        _unlink_segments(set(ShmArena.leaked(self.worker_prefix + "_")))
+        if names is None:
+            names = ShmArena.leaked(self.worker_prefix + "_")
+        _unlink_segments(set(names))
 
     def destroy(self) -> None:
         """Owner teardown: unmap and unlink everything."""

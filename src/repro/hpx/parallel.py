@@ -6,9 +6,8 @@ is the second backend (``RuntimeConfig(backend="parallel")``): each
 locality becomes a real ``multiprocessing`` worker process, bulk data
 lives in POSIX shared memory (:class:`repro.hpx.gas.ShmArena`), and
 the expansions that cross localities are read in place from the
-sender's shared-memory mailbox, announced by frames over OS queues
-wrapped in the same :class:`~repro.hpx.transport.Framing` seq/ack/dedup
-protocol the simulated reliable transport uses.  The pieces here are generic
+sender's shared-memory mailbox, announced by one-way frames over OS
+queues.  The pieces here are generic
 worker-side runtime machinery plus the parent's wait loop; the DASHMM
 worker body that walks its rank's execution plan over them, and the one
 parent-side fleet manager that spawns and respawns workers
@@ -32,21 +31,24 @@ Design points:
   round and grow within one, so blocks of one round never overlap, and
   reusing them is safe because the parent posts GO of round k+1 only
   after every rank's DONE of round k.  Posts that outgrow the mailbox
-  continue in a new, larger segment under a new name; the old one is
-  unlinked once the round's frames are acked (a receiver attaches
-  before it acks), and receivers close an attachment whose name no
-  frame of a round named.  Segment names sit under the parent arena's
+  continue in a new, larger segment under a new name; the sender closes
+  the old one at round end and names it in its DONE statistics, and the
+  parent unlinks it after the barrier, when every receiver has attached.
+  Receivers close an attachment whose name no frame of a round named.
+  Segment names sit under the parent arena's
   :attr:`~repro.hpx.gas.ShmArena.worker_prefix`, so the parent unlinks
   whatever a killed worker left - in ``close()`` and before a respawn.
   The inboxes are ``SimpleQueue`` s: every message is small, and
   ``put`` writes it to the pipe itself, where a ``Queue`` hands it to a
   feeder thread that waits for the sender's GIL while the sender
   computes.
-* **Reliable framing reuse.**  OS queues are lossless, but the
-  pending-until-ack ledger is what tells a worker "all my frames were
-  processed" before it reports a round done - which keeps round
-  boundaries quiet, and lets a retired mailbox go - and receiver dedup
-  is a second belt.
+* **One completion signal.**  Frames are one-way, like the paper's
+  parcels: no sequence id, no acknowledgment.  OS queues neither drop
+  nor duplicate a message, and every frame addressed to a rank is
+  awaited by one of that rank's stages, so a rank's DONE means it
+  consumed every frame of the round addressed to it, and the parent's
+  all-DONE barrier - GO of the next round follows it - means every
+  frame of the round was consumed.
 * **Start method.**  ``forkserver`` is the default (see
   :class:`~repro.hpx.runtime.RuntimeConfig`).  The fork server is a
   fresh interpreter, started once per process by the first fleet
@@ -82,7 +84,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.hpx.gas import _ALIGN, _suppress_tracker, unlink_segment
-from repro.hpx.transport import Framing
 
 
 class ParallelError(RuntimeError):
@@ -153,7 +154,8 @@ class Mailbox:
     returns where it lies; :meth:`settle` ends the round.  A block that
     does not fit continues the round in a new segment of at least twice
     the round's bytes so far, under a new name (``{prefix}_{n}``); the
-    outgrown one is *retired*, and unlinked when the round settles.
+    outgrown one is *retired*: closed when the round settles, and
+    unlinked by the parent after the round's barrier.
     """
 
     def __init__(self, prefix: str):
@@ -198,69 +200,63 @@ class Mailbox:
             )
         self.offset = 0
 
-    def settle(self) -> None:
-        """End a round whose frames are all acked - every receiver
-        attached before it acked: unlink the outgrown segments; the next
-        round's blocks start at offset 0 again."""
+    def settle(self) -> list:
+        """End a round: close the outgrown segments - receivers may not
+        have attached yet, so their names stay - and return the names;
+        the next round's blocks start at offset 0 again."""
+        names = [shm.name for shm in self._retired]
         for shm in self._retired:
             shm.close()
-            unlink_segment(shm)
         self._retired.clear()
         self.offset = self.used = 0
+        return names
 
     def close(self) -> None:
         """Unlink every segment (idempotent)."""
         if self._shm is not None:
             self._retired.append(self._shm)
             self._shm = None
-        self.settle()
+        for shm in self._retired:
+            shm.close()
+            unlink_segment(shm)
+        self._retired.clear()
 
 
 class QueueChannel:
-    """Framed channel over the worker queue mesh and the ranks'
+    """One-way frames over the worker queue mesh and the ranks'
     mailboxes.
 
     ``inboxes[r]`` is worker ``r``'s (multi-producer) inbox queue.  A
     frame's row blocks are stacked into this rank's :class:`Mailbox`;
-    the frame itself carries ``(segment name, offset, ids, shape)`` per
-    block.  All frames carry ``(src, seq)`` ids stamped by a
-    :class:`Framing` instance, are acked by the receiver once it has
-    attached to their segments, and are deduplicated - the exact
-    bookkeeping of the simulated reliable transport, minus
-    retransmission (OS queues do not drop).
+    the frame itself is ``("frame", src, stage, blocks)`` with ``(segment
+    name, offset, ids, shape)`` per block.
     """
 
     def __init__(self, rank: int, inboxes: list, prefix: str):
         self.rank = rank
         self.inboxes = inboxes
-        self.framing = Framing()
         self.frames_sent = 0
         self.mailbox = Mailbox(f"{prefix}_{rank}")
+        #: the mailbox segments the last round outgrew (closed, not unlinked)
+        self.retired: list = []
         #: segment name -> attached peer mailbox
         self._attached: dict = {}
         #: names the frames of the current round named
         self._named: set = set()
 
-    def send(self, dst: int, kind, blocks) -> None:
+    def send(self, dst: int, stage, blocks) -> None:
         """One frame of ``(ids, rows)`` blocks to rank ``dst``."""
         payload = []
         for ids, rows in blocks:
             name, at, shape = self.mailbox.put(rows)
             payload.append((name, at, ids, shape))
-        seq = self.framing.stamp(self.rank)
-        self.framing.track(seq, (dst, kind))
         self.frames_sent += 1
-        self.inboxes[dst].put(("frame", self.rank, seq, kind, payload))
+        self.inboxes[dst].put(("frame", self.rank, stage, payload))
 
-    def handle_frame(self, src: int, seq, payload):
-        """Ack one arriving frame; its ``(ids, rows)`` blocks - views of
-        the sender's mailbox - when it is fresh, None for a duplicate."""
-        blocks = None
-        if self.framing.receive(seq):
-            blocks = [(ids, self._view(name, at, shape)) for name, at, ids, shape in payload]
-        self.framing.acks_sent += 1
-        self.inboxes[src].put(("ack", self.rank, seq))
-        return blocks
+    def views(self, payload) -> list:
+        """An arriving frame's ``(ids, rows)`` blocks, as views of the
+        sender's mailbox."""
+        return [(ids, self._view(name, at, shape)) for name, at, ids, shape in payload]
 
     def _view(self, name: str, at: int, shape) -> np.ndarray:
         shm = self._attached.get(name)
@@ -272,18 +268,11 @@ class QueueChannel:
         self._named.add(name)
         return np.ndarray(shape, _ROW, buffer=shm.buf, offset=at)
 
-    def handle_ack(self, seq) -> None:
-        self.framing.ack(seq)
-
-    @property
-    def unacked(self) -> int:
-        return self.framing.in_flight
-
     def end_round(self) -> None:
-        """Once every frame of the round is acked and no view of a peer
-        mailbox is held: settle the mailbox and close the attachments no
-        frame of the round named."""
-        self.mailbox.settle()
+        """Once no view of a peer mailbox is held: settle the mailbox
+        (:attr:`retired` names what it outgrew) and close the
+        attachments no frame of the round named."""
+        self.retired = self.mailbox.settle()
         for name in set(self._attached) - self._named:
             self._attached.pop(name).close()
         self._named.clear()
@@ -299,10 +288,14 @@ class QueueChannel:
         self._attached.clear()
 
     def stats(self) -> dict:
+        # acks_sent / dups_suppressed: no frame is acked or deduplicated;
+        # the counters stay for the ledger's transport metrics
         return {
             "frames_sent": self.frames_sent,
+            "acks_sent": 0,
+            "dups_suppressed": 0,
             "mailbox_bytes": self.mailbox.nbytes,
-            **self.framing.stats(),
+            "retired": self.retired,
         }
 
 

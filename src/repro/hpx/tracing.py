@@ -7,7 +7,8 @@ traces via Eq. (1)-(2).  The tracer here records one interval per
 operation segment: ``(worker, op_class, t_start, t_end)``.
 
 Intervals accumulate in plain lists and are exported as numpy arrays on
-demand; for large runs :meth:`Tracer.utilization` bins on the fly.
+demand; :mod:`repro.analysis.utilization` bins them into the
+utilization fractions.
 
 Besides busy intervals this module also defines the *schedule decision
 trace* (:class:`ScheduleTrace`): the flat, replayable record of every

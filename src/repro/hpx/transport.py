@@ -46,6 +46,7 @@ protocol working, not an application hazard.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Any
 
 
@@ -78,77 +79,6 @@ class TransportError(RuntimeError):
                 f" seq={parcel.seq!r} attempts={attempts} retries={retries}]"
             )
         super().__init__(message + detail)
-
-
-class Framing:
-    """Sequence stamping, pending-until-ack and receiver dedup.
-
-    The exactly-once bookkeeping shared by every framed channel: the
-    simulated :class:`ReliableTransport` (retries over a lossy virtual
-    network) and the real-parallel queue channel
-    (:mod:`repro.hpx.parallel`), where OS queues are lossless but the
-    same pending/ack ledger provides the quiescence signal ("all my
-    frames were processed") and guards against duplicates.  One
-    instance serves both directions of one endpoint: it stamps and
-    tracks outgoing frames and dedups incoming ones ((src, seq) ids
-    never collide across endpoints).
-    """
-
-    __slots__ = ("_seq", "_pending", "_seen", "acks_sent", "dups_suppressed", "stale_acks")
-
-    def __init__(self):
-        # plain int (not itertools.count) so checkpoints can capture
-        # and rewind the stamp stream; see repro.hpx.checkpoint
-        self._seq = 0
-        self._pending: dict[Any, Any] = {}
-        self._seen: set[Any] = set()
-        self.acks_sent = 0
-        self.dups_suppressed = 0
-        self.stale_acks = 0
-
-    # -- sender side -------------------------------------------------------------
-    def stamp(self, src) -> tuple:
-        """A fresh (src, seq) frame id."""
-        seq = self._seq
-        self._seq = seq + 1
-        return (src, seq)
-
-    def track(self, seq, state) -> None:
-        """Remember sender-side state until the frame is acked."""
-        self._pending[seq] = state
-
-    def pending(self, seq):
-        """The tracked state of an unacked frame (None once acked)."""
-        return self._pending.get(seq)
-
-    def ack(self, seq):
-        """Process an incoming ack; returns the tracked state (None if
-        stale - a duplicate ack or the ack of a retransmission)."""
-        state = self._pending.pop(seq, None)
-        if state is None:
-            self.stale_acks += 1
-        return state
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
-
-    # -- receiver side -----------------------------------------------------------
-    def receive(self, seq) -> bool:
-        """Dedup one arriving frame; True when it is fresh."""
-        if seq in self._seen:
-            self.dups_suppressed += 1
-            return False
-        self._seen.add(seq)
-        return True
-
-    def stats(self) -> dict:
-        return {
-            "acks_sent": self.acks_sent,
-            "dups_suppressed": self.dups_suppressed,
-            "stale_acks": self.stale_acks,
-            "in_flight": len(self._pending),
-        }
 
 
 class _Event:
@@ -200,7 +130,10 @@ class ReliableTransport:
 
     Every entry point takes the scheduler that owns this transport (see
     :class:`_Event`); timers and resumes name their parcel by frame id,
-    so no event holds its own pending entry.
+    so no event holds its own pending entry.  One instance serves both
+    directions of every endpoint: it stamps and tracks outgoing parcels
+    and dedups incoming ones (``(src, seq)`` ids never collide across
+    endpoints).
     """
 
     reliable = True
@@ -218,7 +151,18 @@ class ReliableTransport:
         self.backoff = backoff
         self.retry_limit = retry_limit
         self.ack_bytes = ack_bytes
-        self.framing = Framing()
+        # a plain int (not itertools.count), so a checkpoint can rewind
+        # the stamp stream
+        self._seq = 0
+        #: frame id -> _Pending, until acked
+        self._pending: dict[Any, _Pending] = {}
+        #: frame ids delivered (receiver dedup)
+        self._seen: set[Any] = set()
+        self.acks_sent = 0
+        self.dups_suppressed = 0
+        #: acks that found no pending entry (a duplicate ack, or the ack
+        #: of a retransmission)
+        self.stale_acks = 0
         self.retries = 0
         #: parcels parked across a FaultyNetwork outage window, keyed by
         #: frame id: a retry-budget exhaustion attributable to a known
@@ -230,9 +174,9 @@ class ReliableTransport:
 
     # -- sender side -------------------------------------------------------------
     def send(self, sched, parcel, src: int, dst: int, t: float) -> None:
-        parcel.seq = self.framing.stamp(src)
-        entry = _Pending(parcel, src, dst)
-        self.framing.track(parcel.seq, entry)
+        parcel.seq = (src, self._seq)
+        self._seq += 1
+        entry = self._pending[parcel.seq] = _Pending(parcel, src, dst)
         self._transmit(sched, entry, t)
 
     def _transmit(self, sched, entry: _Pending, t: float) -> None:
@@ -264,7 +208,7 @@ class ReliableTransport:
         return (self.timeout + 2.0 * transfer) * (self.backoff**entry.attempts)
 
     def _on_timeout(self, sched, seq, t: float) -> None:
-        entry = self.framing.pending(seq)
+        entry = self._pending.get(seq)
         if entry is None:
             return  # acked between timer creation and firing
         if entry.attempts >= self.retry_limit:
@@ -322,7 +266,7 @@ class ReliableTransport:
 
     def _on_resume(self, sched, seq, t: float) -> None:
         self._suspended.pop(seq, None)
-        entry = self.framing.pending(seq)
+        entry = self._pending.get(seq)
         if entry is None:
             return  # a straggler copy got through while suspended
         self.resumes += 1
@@ -332,17 +276,22 @@ class ReliableTransport:
         self._transmit(sched, entry, t)
 
     def _on_ack(self, seq, t: float) -> None:
-        entry = self.framing.ack(seq)
+        entry = self._pending.pop(seq, None)
         if entry is None:
-            return  # duplicate ack, or ack of a retransmit (counted)
+            # a duplicate ack, or the ack of a retransmission
+            self.stale_acks += 1
+            return
         if entry.timer is not None:
             entry.timer.cancelled = True
 
     # -- receiver side -----------------------------------------------------------
     def _on_receive(self, sched, parcel, t: float) -> None:
         seq = parcel.seq
-        fresh = self.framing.receive(seq)
-        if not fresh:
+        fresh = seq not in self._seen
+        if fresh:
+            self._seen.add(seq)
+        else:
+            self.dups_suppressed += 1
             hz = sched.hazards
             if hz is not None:
                 hz.note_transport_dup(parcel)
@@ -352,7 +301,7 @@ class ReliableTransport:
             sched.deliver_parcel(parcel, t)
 
     def _send_ack(self, sched, parcel, t: float) -> None:
-        self.framing.acks_sent += 1
+        self.acks_sent += 1
         seq = parcel.seq
         for ta in sched.network.delivery_times(
             parcel.target_locality, parcel.origin, t, self.ack_bytes
@@ -361,27 +310,7 @@ class ReliableTransport:
                 ta, "call", _Event(lambda s, tt, q=seq: s.transport._on_ack(q, tt))
             )
 
-    # -- introspection -----------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return self.framing.in_flight
-
-    @property
-    def acks_sent(self) -> int:
-        return self.framing.acks_sent
-
-    @property
-    def dups_suppressed(self) -> int:
-        return self.framing.dups_suppressed
-
-    @property
-    def stale_acks(self) -> int:
-        return self.framing.stale_acks
-
-    @property
-    def suspended(self) -> int:
-        return len(self._suspended)
-
+    # -- introspection and checkpoints -------------------------------------------
     def stats(self) -> dict:
         return {
             "reliable": True,
@@ -389,5 +318,42 @@ class ReliableTransport:
             "suspensions": self.suspensions,
             "resumes": self.resumes,
             "suspended": len(self._suspended),
-            **self.framing.stats(),
+            "acks_sent": self.acks_sent,
+            "dups_suppressed": self.dups_suppressed,
+            "stale_acks": self.stale_acks,
+            "in_flight": len(self._pending),
         }
+
+    def checkpoint_state(self) -> dict:
+        """Snapshot of the ledger, the counters and the retry state of
+        every pending or suspended parcel.  Containers are copied one
+        level deep: entries, parcels and timer events are kept by
+        reference (:mod:`repro.hpx.checkpoint` rewinds the timers'
+        cancelled flags with the event heap)."""
+        state = {k: copy(getattr(self, k)) for k in _LEDGER}
+        entries = {**self._pending, **self._suspended}.values()
+        state["entries"] = [(e, e.attempts, e.last_send, e.timer) for e in entries]
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        """Write a :meth:`checkpoint_state` snapshot back in place (any
+        number of times: the containers are copied again)."""
+        for k in _LEDGER:
+            setattr(self, k, copy(state[k]))
+        for entry, attempts, last_send, timer in state["entries"]:
+            entry.attempts, entry.last_send, entry.timer = attempts, last_send, timer
+
+
+#: the mutable fields of a ReliableTransport a checkpoint captures
+_LEDGER = (
+    "_seq",
+    "_pending",
+    "_seen",
+    "acks_sent",
+    "dups_suppressed",
+    "stale_acks",
+    "retries",
+    "_suspended",
+    "suspensions",
+    "resumes",
+)

@@ -64,6 +64,7 @@ def make_kernel(name: str):
 
 def build(method: str, kernel_name: str, ps: str):
     """The (schema, DAG) a phantom evaluator builds for one golden cell."""
+    from repro.dag import validate_dag
     from repro.dashmm.evaluator import DashmmEvaluator
     from repro.tree.dualtree import build_dual_tree
 
@@ -74,11 +75,11 @@ def build(method: str, kernel_name: str, ps: str):
         threshold=threshold,
         theta=THETA,
         mode="phantom",
-        validate_dag=True,
     )
     pts = point_set(ps)
     dual = build_dual_tree(pts, pts, threshold)
     dag, _ = ev.build_dag(dual)
+    validate_dag(ev.schema, dag)
     return ev.schema, dag
 
 

@@ -43,7 +43,6 @@ SIGNATURES = {
         "theta",
         "eps",
         "factory",
-        "validate_dag",
     ),
     Registrar.__init__: (
         "runtime",

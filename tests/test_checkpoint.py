@@ -3,7 +3,7 @@
 The fail-safe contract: a run interrupted at a checkpoint and restored
 is *bit-identical* - potentials AND virtual clock - to one that was
 never interrupted, because a :class:`RuntimeCheckpoint` rewinds the
-live object graph (scheduler heap, LCO ledgers, GAS, transport framing,
+live object graph (scheduler heap, LCO ledgers, GAS, transport ledger,
 registrar accumulators, RNG streams) to exactly the state the
 uninterrupted run passed through.  Certified here across methods,
 kernels, fuzzed schedules and a faulty network, plus the structured
@@ -23,6 +23,8 @@ from repro.hpx import (
     RuntimeConfig,
     TransportError,
 )
+from repro.hpx.checkpoint import copy_state
+from repro.hpx.gas import GlobalAddress
 from repro.hpx.scheduler import Task
 from tests.reference_chain import assert_each_edge_counted_once
 
@@ -135,7 +137,7 @@ def test_restore_under_fuzzed_schedules(fuzz, laplace, laplace_factory, cloud):
 def test_restore_with_faulty_network_and_reliable_transport(
     laplace, laplace_factory, cloud
 ):
-    """Retry timers, the framing ledger and the fault-RNG all rewind."""
+    """Retry timers, the transport's ledger and the fault-RNG all rewind."""
     src, w, tgt = cloud
     ev = _evaluator(
         laplace,
@@ -150,6 +152,52 @@ def test_restore_with_faulty_network_and_reliable_transport(
     assert cps
     picks = sorted({0, len(cps) // 2, len(cps) - 1})
     _assert_resumes_bit_identical(ev, baseline, cps, picks)
+
+
+def test_restore_at_every_checkpoint_of_a_replayed_schedule(
+    laplace, laplace_factory, cloud
+):
+    """A replayed run snapshots the replayer's cursor: every kill point
+    of a run replaying a fuzzed trace resumes the same decisions."""
+    src, w, tgt = cloud
+    fuzzed = _evaluator(laplace, laplace_factory, fuzz_schedule=5).evaluate(src, w, tgt)
+    ev = _evaluator(
+        laplace,
+        laplace_factory,
+        checkpoint_every=3e-4,
+        replay_schedule=fuzzed.extras["schedule_trace"],
+    )
+    baseline = ev.evaluate(src, w, tgt)
+    assert baseline.time == fuzzed.time
+    cps = baseline.extras["checkpoints"]
+    assert len(cps) >= 3
+    _assert_resumes_bit_identical(ev, baseline, cps, range(len(cps)))
+
+
+def test_restore_at_every_checkpoint_across_an_outage(laplace, laplace_factory, cloud):
+    """An outage longer than the retry budget parks parcels in the
+    transport's suspended table; every kill point - those holding
+    parked parcels among them - resumes bit for bit."""
+    src, w, tgt = cloud
+    ev = _evaluator(
+        laplace,
+        laplace_factory,
+        checkpoint_every=2e-4,
+        reliable=True,
+        retry_timeout=20e-6,
+        retry_limit=3,
+        network=FaultyNetwork(outages=((1, 1e-4, 2.1e-3),), seed=5),
+    )
+    baseline = ev.evaluate(src, w, tgt)
+    assert baseline.runtime_stats["transport"]["suspensions"] > 0
+    runtime = baseline.extras["runtime"]
+    cps = baseline.extras["checkpoints"]
+    parked = 0
+    for cp in cps:
+        runtime.restore(cp)
+        parked += runtime.stats()["transport"]["suspended"] > 0
+    assert parked > 0
+    _assert_resumes_bit_identical(ev, baseline, cps, range(len(cps)))
 
 
 def test_abort_leaves_restorable_checkpoint():
@@ -187,6 +235,15 @@ def test_abort_leaves_restorable_checkpoint():
     assert rt.scheduler.now > t_fail
     assert ei2.value.attempts == ei.value.attempts
     assert rt.stats()["transport"]["resumes"] == 1
+
+
+def test_snapshot_copies_keep_global_addresses():
+    """A GlobalAddress is a tuple, but not a container: a snapshot keeps
+    it as it is rather than copying it into a plain tuple."""
+    addr = GlobalAddress(1, 2)
+    copied = copy_state({"at": [addr, (addr, 3)]})
+    assert copied["at"][0] is addr and copied["at"][1][0] is addr
+    assert type(copied["at"][1]) is tuple
 
 
 def test_restore_rejects_foreign_runtime():

@@ -238,10 +238,9 @@ def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud, workers)
     # groups it ran inside its waits and the span from GO to DONE, which
     # holds all of them and lies inside the parent's wall time; the plan
     # edges it executed (all rounds so far), and a frame count bounded by
-    # stages x peers - acked one for one before DONE
+    # stages x peers
     for rank in last:
         assert list(rank["stage_s"]) == list(rank["wait_s"]) == names
-        assert rank["in_flight"] == 0
         parts = [rank[k] for k in ("advance_s", "reset_s", "fill_s")]
         parts += [*rank["stage_s"].values(), *rank["wait_s"].values()]
         # (to rounding: the wait is its interval less the fills in it)
@@ -250,7 +249,6 @@ def test_parallel_workers_run_their_slice_of_the_plan(factories, cloud, workers)
     assert sum(r["tasks_run"] for r in last) - sum(r["tasks_run"] for r in first) == edges
     frames = sum(r["frames_sent"] for r in last) - sum(r["frames_sent"] for r in first)
     assert 0 < frames <= len(names) * workers * (workers - 1)
-    assert sum(r["acks_sent"] for r in last) == sum(r["frames_sent"] for r in last)
     assert all(r["tasks_run"] > 0 for r in cold.runtime_stats["workers"])
 
 

@@ -199,7 +199,7 @@ def test_frame_that_overtakes_go_waits_for_the_round(laplace, cloud):
         # a frame carries no row data: where in the sender's mailbox its
         # blocks lie, which nodes they hold and their shape
         prefix = fleet.arena.worker_prefix + "_0_"
-        for _, _, _, _, payload in late._held:
+        for _, _, _, payload in late._held:
             for name, offset, ids, shape in payload:
                 assert name.startswith(prefix) and offset >= 0
                 assert len(ids) == shape[0] > 0

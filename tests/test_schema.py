@@ -1,9 +1,9 @@
 """Declarative DAG schema: declarations, builder, validator, export/diff.
 
 Unit coverage for :mod:`repro.dag.schema`: the kind catalogs and method
-declarations, bit-identity of the validated builder against the per-box
+declarations, bit-identity of the builder against the per-box
 reference loops, the canonical export / fingerprint / diff tooling,
-priority stamping, and the structured validation errors.  The
+and the structured validation errors.  The
 cross-assembly executed-output oracle lives in
 ``tests/test_schema_oracle.py``; randomized validator properties in
 ``tests/test_schema_properties.py``.
@@ -11,13 +11,11 @@ cross-assembly executed-output oracle lives in
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
 import repro.dashmm.dag as dag_mod
-from repro.analysis.critical_path import GROUPS, node_priorities
+from repro.analysis.critical_path import GROUPS
 from repro.dag import (
     DagBuilder,
     MethodSchema,
@@ -247,52 +245,6 @@ def test_diff_accepts_exports_and_dags(dual, lists):
     assert dag_fingerprint(ex) == dag_fingerprint(dag)
     with pytest.raises(TypeError):
         diff_dags(dag, 42)
-
-
-# -- priority stamping --------------------------------------------------------------
-
-
-def test_stamp_priorities_matches_analysis(dual, lists):
-    from repro.sim.costmodel import CostModel
-
-    builder = DagBuilder(FMM_SCHEMA)
-    dag = builder.build(dual, lists=lists)
-    cm = CostModel()
-    values = builder.stamp_priorities(dag, cost_model=cm, levels=5)
-    assert dag.priorities == {"levels": 5, "values": values, "cost": cm}
-    assert values == node_priorities(dag, cost_model=cm, levels=5)
-
-
-def test_registrar_reuses_matching_stamp(dual, lists):
-    """A pre-stamped DAG skips re-grading; an unstamped (or mismatched)
-    one grades on the fly.  Either way the levels are identical."""
-    from repro.dashmm.registrar import Registrar
-    from repro.hpx.runtime import Runtime, RuntimeConfig
-    from repro.hpx.scheduler import CriticalPathPolicy
-    from repro.methods.fmm import FAR_FIELD_OPS, NEAR_FIELD_OPS
-    from repro.sim.costmodel import CostModel
-
-    builder = DagBuilder(FMM_SCHEMA)
-    dag = builder.build(dual, lists=lists)
-    pol = CriticalPathPolicy(near_ops=NEAR_FIELD_OPS, far_ops=FAR_FIELD_OPS)
-    cm = CostModel()
-    stamped = builder.stamp_priorities(dag, cost_model=cm, levels=pol.n_levels - 1)
-
-    def levels_of(d):
-        d.locality = np.zeros(len(d.nodes), dtype=np.int64)
-        rt = Runtime(RuntimeConfig(policy=pol))
-        reg = Registrar(rt, d, dual, None, None, mode="phantom", cost_model=cm)
-        reg.allocate()  # the policy wiring needs the runtime
-        return reg._node_levels
-
-    got = levels_of(dag)
-    assert got is stamped  # reused by identity, not recomputed
-    bare = copy.deepcopy(dag)
-    bare.priorities = None
-    assert levels_of(bare) == stamped
-    wrong = copy.deepcopy(dag)
-    wrong.priorities = {"levels": 99, "values": [0], "cost": cm}
-    assert levels_of(wrong) == stamped  # mismatch falls back to grading
 
 
 # -- structured validation errors --------------------------------------------------

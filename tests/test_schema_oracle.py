@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.schedules import fuzz_sweep
-from repro.dag import diff_dags
+from repro.dag import diff_dags, validate_dag
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
@@ -44,11 +44,11 @@ def _evaluate(kernel, cloud, method, chain, **cfg_kwargs):
     structures built by the ``"reference"`` loops and injected."""
     sources, weights, targets = cloud
     cfg = RuntimeConfig(n_localities=2, workers_per_locality=2, **cfg_kwargs)
-    ev = DashmmEvaluator(
-        kernel, method=method, threshold=30, runtime_config=cfg, validate_dag=True
-    )
+    ev = DashmmEvaluator(kernel, method=method, threshold=30, runtime_config=cfg)
     if chain == "declarative":
-        return ev.evaluate(sources, weights, targets)
+        report = ev.evaluate(sources, weights, targets)
+        validate_dag(ev.schema, report.dag)
+        return report
     assert chain == "reference"
     prebuilt = reference_setup(method, sources, weights, targets, 30, theta=ev.theta)
     return ev.evaluate(sources, weights, targets, **prebuilt)

@@ -46,7 +46,7 @@ def _build(method: str, seed: int, n: int, shape: str, threshold: int):
     pts = _cloud(seed, n, shape)
     dual = build_dual_tree(pts, pts, threshold)
     schema = method_schema(method)
-    builder = DagBuilder(schema, validate=False)
+    builder = DagBuilder(schema)
     if method == "bh":
         dag = builder.build(dual, mac_pairs=mac_pairs(dual, 0.5))
     else:
