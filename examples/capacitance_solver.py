@@ -10,9 +10,11 @@ held at unit potential,
     integral over plate  sigma(y) / |x - y|  dy  =  1   for x on the plate,
 
 discretized by point collocation, with scipy's GMRES whose matrix-vector
-product is the FMM - the dual tree, interaction lists and translation
-operators are built once and reused for every iteration, exactly the
-amortization the paper describes.  The resulting capacitance is checked
+product is the FMM - a charge-only submit to one
+:class:`~repro.dashmm.EvaluatorSession`: the dual tree, the DAG, its
+compiled plan, the translation operators and the geometry-derived
+operator rows are built once and reused for every iteration, exactly
+the amortization the paper describes.  The resulting capacitance is checked
 against the known value for the unit square plate (C ~ 0.367 in
 Gaussian units; see e.g. higher-order panel-method references).
 
@@ -22,10 +24,8 @@ Run:  python examples/capacitance_solver.py
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from repro.dashmm import DashmmEvaluator, EvaluatorSession
 from repro.kernels import LaplaceKernel
-from repro.methods.fmm import FmmEvaluator
-from repro.tree.dualtree import build_dual_tree
-from repro.tree.lists import build_lists
 
 
 def main() -> None:
@@ -37,11 +37,9 @@ def main() -> None:
     area = 1.0 / n  # panel area (unit plate)
 
     kernel = LaplaceKernel(p=8)
-    ev = FmmEvaluator(kernel, threshold=60)
-
-    # one-time setup, reused by every GMRES iteration
-    dual = build_dual_tree(panels, panels, 60, source_weights=np.ones(n))
-    lists = build_lists(dual)
+    # the panels never move: every matvec after the first is a
+    # charge-only resubmission over the same tree and DAG
+    session = EvaluatorSession(DashmmEvaluator(kernel, threshold=60))
 
     # self-interaction of a square panel of side a with itself:
     # integral of 1/r over the square, evaluated at its centre
@@ -52,14 +50,16 @@ def main() -> None:
 
     def matvec(sigma):
         matvecs.append(1)
-        dual.source.set_weights(sigma)
-        phi = ev.evaluate(panels, sigma, panels, dual=dual, lists=lists)
+        phi = session.submit(panels, sigma)
         return phi * area + self_term / area * sigma * area
 
     A = LinearOperator((n, n), matvec=matvec)
     rhs = np.ones(n)
-    sigma, info = gmres(A, rhs, rtol=1e-8, maxiter=200)
+    with session:
+        sigma, info = gmres(A, rhs, rtol=1e-8, maxiter=200)
+        warm = session.stats["template_hits"]
     assert info == 0, "GMRES did not converge"
+    assert warm == len(matvecs) - 1, "matvecs should reuse one template"
 
     # Gaussian units (phi = q/r): C = Q/V = total charge at unit potential
     capacitance = float(np.sum(sigma) * area)

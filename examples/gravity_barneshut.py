@@ -13,7 +13,10 @@ perturbed positions.  A cold ``evaluate()`` would re-carve the tree,
 rebuild interaction lists and re-assemble the DAG every step; the
 :class:`~repro.dashmm.service.EvaluatorSession` instead splices the
 previous tree and re-fires the cached DAG template, so per-step cost
-collapses to the numeric operator work.
+collapses to the numeric operator work.  The forces ride the same
+session: one ``submit(positions, masses, gradients=True)`` per step
+returns the potentials and their gradients together, both summed by
+the compiled plan's outputs stage.
 
 Run:  python examples/gravity_barneshut.py
 """
@@ -24,7 +27,6 @@ from repro.dashmm import DashmmEvaluator, EvaluatorSession
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels import LaplaceKernel
 from repro.methods.direct import direct_potentials
-from repro.methods.fmm import FmmEvaluator
 from repro.workloads.distributions import plummer_points
 
 
@@ -42,27 +44,20 @@ def main() -> None:
         theta=0.4,  # opening angle of the acceptance criterion
         runtime_config=RuntimeConfig(n_localities=4, workers_per_locality=4),
     )
-    # accelerations come from the synchronous FMM's gradient API; the
-    # kernel sums +1/r, gravity attracts, so a = +grad(sum m/r)
-    forces = FmmEvaluator(LaplaceKernel(p=8), threshold=30)
-
-    def accel(pos):
-        _, grad = forces.evaluate(pos, masses, pos, gradients=True)
-        return grad
-
     dt, steps = 2e-4, 5
     energies = []
     with EvaluatorSession(evaluator) as session:
-        acc = accel(positions)
+        # the kernel sums +1/r and gravity attracts, so the acceleration
+        # is +grad(sum m/r): the gradients a submit returns
+        _, acc = session.submit(positions, masses, gradients=True)
         for step in range(steps):
             # kick-drift-kick leapfrog
             velocities += 0.5 * dt * acc
             positions += dt * velocities
-            acc = accel(positions)
+            # potentials and forces of this step's configuration ride the
+            # session's warm path: spliced tree, cached DAG template
+            phi, acc = session.submit(positions, masses, gradients=True)
             velocities += 0.5 * dt * acc
-            # potentials for this step's configuration ride the session's
-            # warm path: spliced tree, cached DAG template
-            phi = session.submit(positions, masses)
             U = -0.5 * float(np.sum(masses * phi))
             K = 0.5 * float(np.sum(masses * np.sum(velocities**2, axis=1)))
             energies.append(K + U)

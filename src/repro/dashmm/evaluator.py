@@ -7,6 +7,7 @@ underlying runtime is required.  One call chain:
     ev = DashmmEvaluator(LaplaceKernel(p=10), method="fmm")
     report = ev.evaluate(sources, weights, targets)
     report.potentials      # numeric results (numeric mode)
+    report.gradients       # (n, 3) field gradients, with gradients=True
     report.time            # virtual evaluation time on the simulated cluster
     report.runtime_stats   # tasks, steals, parcels, remote bytes
     report.tracer          # per-operation event trace (Figs. 4/5)
@@ -39,6 +40,19 @@ from repro.tree.dualtree import DualTree, build_dual_tree
 from repro.tree.lists import InteractionLists, build_lists
 
 METHODS = ("fmm", "fmm-basic", "bh")
+
+
+def check_gradients(evaluator) -> None:
+    """Refuse a gradient request that no compiled plan of ``evaluator``
+    would serve: gradients are numeric, and computed on the simulator
+    backend only (a parallel round returns potentials)."""
+    if evaluator.mode != "numeric":
+        raise ValueError("gradients need mode='numeric': a phantom run computes no numbers")
+    if evaluator.runtime_config.backend == "parallel":
+        raise ValueError(
+            "gradients are computed on backend='sim' only: the parallel "
+            "backend's rounds return potentials"
+        )
 
 
 class _CollectorPaused:
@@ -75,6 +89,9 @@ class EvaluationReport:
     dag: DAG
     dual: DualTree
     lists: InteractionLists | None = None
+    #: (n, 3) field gradients at the targets, asked for with
+    #: ``gradients=True``; None otherwise
+    gradients: np.ndarray | None = None
     extras: dict[str, Any] = field(default_factory=dict)
 
 
@@ -99,7 +116,7 @@ class DashmmEvaluator:
         ``"numeric"`` computes real potentials; ``"phantom"`` simulates
         cost/communication only.
     theta:
-        Barnes-Hut opening angle (ignored for FMM).
+        Barnes-Hut opening angle, in (0, 1) (ignored for FMM).
     """
 
     def __init__(
@@ -120,6 +137,8 @@ class DashmmEvaluator:
     ):
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if not 0.0 < theta < 1.0:
+            raise ValueError(f"theta must be in (0, 1), got {theta!r}")
         self.kernel = kernel
         self.method = method
         self.threshold = threshold
@@ -193,12 +212,19 @@ class DashmmEvaluator:
         dual: DualTree | None = None,
         lists: InteractionLists | None = None,
         dag: DAG | None = None,
+        gradients: bool = False,
     ) -> EvaluationReport:
         """Evaluate potentials at ``targets`` due to weighted ``sources``.
 
         Prebuilt trees/lists/DAGs may be passed to amortize setup over
         repeated evaluations (the iterative use case of Section IV).
+        With ``gradients=True`` the outputs stage also sums the field
+        gradient at every target into ``report.gradients``, shape (N, 3)
+        - the negated force per unit weight; the potentials are the same
+        bits either way.
         """
+        if gradients:
+            check_gradients(self)
         if self.runtime_config.backend == "parallel":
             # real-core execution: every worker process rebuilds the
             # setup deterministically from the raw arrays, so prebuilt
@@ -209,13 +235,17 @@ class DashmmEvaluator:
                 self, sources, weights, targets, dual=dual, lists=lists, dag=dag
             )
         with _CollectorPaused():
-            return self._evaluate_sim(sources, weights, targets, dual, lists, dag)
+            return self._evaluate_sim(sources, weights, targets, dual, lists, dag, gradients)
 
-    def _evaluate_sim(self, sources, weights, targets, dual, lists, dag) -> EvaluationReport:
+    def _evaluate_sim(
+        self, sources, weights, targets, dual, lists, dag, gradients
+    ) -> EvaluationReport:
         if dual is None:
             dual = build_dual_tree(
                 sources, targets, self.threshold, source_weights=weights
             )
+        elif self.mode == "numeric" and dual.source.weights is None:
+            raise ValueError("prebuilt dual tree must carry source weights")
         if dag is None:
             dag, lists = self.build_dag(dual, lists)
         self.policy.assign(dag, dual, self.runtime_config.n_localities)
@@ -248,6 +278,8 @@ class DashmmEvaluator:
             coalesce=self.coalesce,
             sequential_edges=self.sequential_edges,
         )
+        if gradients:
+            reg.gradient = np.zeros((dual.target.n_points, 3))
         reg.allocate()
         reg.initial_tasks()
         return self._drive(runtime, reg, lists)
@@ -260,10 +292,13 @@ class DashmmEvaluator:
         t = runtime.run()
         dag, dual = reg.dag, reg.dual
         reg.flush_deferred()
-        potentials = None
+        potentials = grads = None
         if self.mode == "numeric":
             potentials = np.empty(dual.target.n_points)
             potentials[dual.target.perm] = reg.result
+        if reg.gradient is not None:
+            grads = np.empty_like(reg.gradient)
+            grads[dual.target.perm] = reg.gradient
         extras.update(
             untriggered=sum(1 for l in reg.lcos.values() if not l.triggered),
             # the live runtime and registrar, so a checkpointed
@@ -290,6 +325,7 @@ class DashmmEvaluator:
             dag=dag,
             dual=dual,
             lists=lists,
+            gradients=grads,
             extras=extras,
         )
 

@@ -309,6 +309,10 @@ class Registrar:
         #: the drain's LCOs, built by allocate()
         self.lcos: dict[int, ExpansionLCO] = {}
         self.result = np.zeros(dual.target.n_points) if dual is not None else None
+        #: the field gradient at every target point, ``(n, 3)`` in tree
+        #: order, summed like ``result`` by the outputs stage; None (the
+        #: stage computes none) unless the caller asks for gradients
+        self.gradient: np.ndarray | None = None
         #: box centers are a pure function of the box keys and the
         #: domain - i.e. of the tree *shape* - so they outlive rebind()
         self._centers = {
@@ -455,6 +459,8 @@ class Registrar:
         self._flush_pending = self.mode == "numeric"
         if zero_result and self.result is not None:
             self.result[:] = 0.0
+        if self.gradient is not None:
+            self.gradient[:] = 0.0
 
     def checkpoint_state(self) -> dict:
         """Mutable per-evaluation state for a runtime checkpoint.
@@ -463,7 +469,7 @@ class Registrar:
         (:mod:`repro.hpx.checkpoint`), all but their shared dedup store,
         which is snapshotted here.  A checkpoint is taken inside the
         drain, which carries no values, so all else it needs is whether
-        the plan is owed and the result vector.  The plans and drain
+        the plan is owed and the result vectors.  The plans and drain
         tables are functions of the DAG and the localities, neither of
         which a restore rewinds.
         """
@@ -471,6 +477,7 @@ class Registrar:
             "flush_pending": self._flush_pending,
             "seen": None if self._seen is None else bytes(self._seen),
             "result": None if self.result is None else self.result.copy(),
+            "gradient": None if self.gradient is None else self.gradient.copy(),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -490,6 +497,8 @@ class Registrar:
         if state["result"] is not None:
             # in place: closures and the evaluator hold this array
             self.result[:] = state["result"]
+        if state["gradient"] is not None:
+            self.gradient[:] = state["gradient"]
 
     def plan(self) -> Plan:
         """The compiled plan, built on first use."""
@@ -1115,7 +1124,9 @@ class LeafOutputs:
     per-edge path computes; the potentials add each target point's
     contributions slot by slot
     (:class:`~repro.dashmm.flushplan.LeafLayout`), in plan order, edge
-    by edge - the sequence a per-edge walk adds them in.
+    by edge - the sequence a per-edge walk adds them in.  A registrar
+    with a ``gradient`` array gets the field gradients the same way, in a
+    second plan-order vector ``gvals`` added in the same slot order.
 
     S->T reads points and charges only, so it need not wait for the
     expansions: :meth:`step` runs the *preparation* (the layout, the
@@ -1165,6 +1176,8 @@ class LeafOutputs:
                 plan, lay, reg._geom_gen, reg._moved, reg, direct
             )
         self.vals = np.empty(len(lay.point_idx))
+        #: the plan-order gradient contributions, when asked for
+        self.gvals = None if reg.gradient is None else np.empty((len(lay.point_idx), 3))
         self.bounds = lay.bounds.tolist()
         sbox = plan.out_sbox[lay.group_lo]
         src = reg.dual.source
@@ -1176,8 +1189,10 @@ class LeafOutputs:
         out, lay = self.vals[lo:hi], self.lay
         src, tgt, kernel = self.reg.dual.source, self.reg.dual.target, self.reg.kernel
         sw = src.weights[self.s_lo[i] : self.s_hi[i]]
+        spts = src.points[self.s_lo[i] : self.s_hi[i]]
+        if self.gvals is not None:
+            self.gvals[lo:hi] = kernel.direct_gradient(tgt.points[lay.point_idx[lo:hi]], spts, sw)
         if self.greens is None:
-            spts = src.points[self.s_lo[i] : self.s_hi[i]]
             out[:] = kernel.direct(tgt.points[lay.point_idx[lo:hi]], spts, sw)
             return
         # Kernel.direct chunk for chunk: the greens matrix depends on the
@@ -1187,7 +1202,7 @@ class LeafOutputs:
         block = self.greens.blocks[i]
         for c0 in range(lo, hi, CHUNK) if self.filling else ():
             idx = lay.point_idx[c0 : min(c0 + CHUNK, hi)]
-            G = pair_distances(tgt.points[idx], src.points[self.s_lo[i] : self.s_hi[i]])
+            G = pair_distances(tgt.points[idx], spts)
             block[c0 - lo : c0 - lo + CHUNK] = kernel.greens(G)
         if hi - lo <= CHUNK:
             np.matmul(block, sw, out=out)
@@ -1196,10 +1211,12 @@ class LeafOutputs:
             np.matmul(block[c0 : c0 + CHUNK], sw, out=out[c0 : c0 + CHUNK])
 
     def _rest(self) -> None:
-        """M->T and L->T into their ``vals`` slots, then the add."""
+        """M->T and L->T into their ``vals`` (and ``gvals``) slots, then
+        the add.  Gradients take the kernel's central difference of the
+        same per-point coefficient rows, never cached."""
         reg, plan, lay = self.reg, self.plan, self.lay
         dom, kernel, tgt = reg.dual.domain, reg.kernel, reg.dual.target
-        vals, bounds, filling = self.vals, self.bounds, self.filling
+        vals, gvals, bounds, filling = self.vals, self.gvals, self.bounds, self.filling
         for i, g in enumerate(plan.outputs):
             if g.op == "S2T":
                 continue
@@ -1218,20 +1235,27 @@ class LeafOutputs:
             # pays only the row-dot - the same (matrix * rows).sum
             # contraction as m2t_rows / l2t_rows, hence bit-identical
             matf = kernel.m2t_matrix if g.op == "M2T" else kernel.l2t_matrix
+            gradf = kernel.m2t_gradient if g.op == "M2T" else kernel.l2t_gradient
             block = None if self.rows is None else self.rows.blocks[i]
             for c0 in range(0, hi - lo, CHUNK):
                 sel = eidx[c0 : c0 + CHUNK]
+                if filling or gvals is not None:
+                    pts = tgt.points[lay.point_idx[lo + c0 : min(lo + c0 + CHUNK, hi)]]
+                    rel = (pts - centers[sel]) / h
                 if not filling:
                     mat = block[c0 : c0 + CHUNK]
                 else:
-                    pts = tgt.points[lay.point_idx[lo + c0 : min(lo + c0 + CHUNK, hi)]]
-                    mat = matf((pts - centers[sel]) / h, h)
+                    mat = matf(rel, h)
                     if block is not None:
                         block[c0 : c0 + CHUNK] = mat
                 out[c0 : c0 + CHUNK] = (mat * coeffs[sel]).sum(axis=1).real
+                if gvals is not None:
+                    gvals[lo + c0 : lo + c0 + len(sel)] = gradf(coeffs[sel], rel, h)
         if reg.geom_cache is not None:
             reg.geom_cache.gen["outputs"] = reg._geom_gen
         lay.add_into(reg.result, vals)
+        if gvals is not None:
+            lay.add_into(reg.gradient, gvals)
         # the last stage of a walk: every entry is current, so the next
         # walk, unless a rebind() comes first, needs no patch pass
         reg._moved = None

@@ -57,6 +57,7 @@ from typing import Any
 import numpy as np
 
 from repro.dashmm.dag import refresh_n_points
+from repro.dashmm.evaluator import check_gradients
 from repro.dashmm.geomcache import GeometryCache
 from repro.dashmm.registrar import Registrar
 from repro.tree.box import Domain
@@ -271,8 +272,16 @@ class EvaluatorSession:
         points: np.ndarray,
         charges: np.ndarray,
         targets: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Potentials at ``targets`` (default: ``points``) due to ``charges``."""
+        gradients: bool = False,
+    ):
+        """Potentials at ``targets`` (default: ``points``) due to ``charges``.
+
+        With ``gradients=True`` returns ``(potentials, gradients)``, the
+        second an (N, 3) array of field gradients (sim backend only; the
+        gradient operands are recomputed on every such submit).
+        """
+        if gradients:
+            check_gradients(self.evaluator)
         # validated here, before a bad first submit can pin the domain
         sources = np.ascontiguousarray(checked_points(points))
         charges = np.ascontiguousarray(checked_weights(charges, len(sources)))
@@ -288,7 +297,7 @@ class EvaluatorSession:
         self.stats["submits"] += 1
         if self.backend == "parallel":
             return self._submit_parallel(sources, charges, tgts)
-        return self._submit_sim(sources, charges, tgts)
+        return self._submit_sim(sources, charges, tgts, gradients)
 
     def submit_many(self, requests) -> list[np.ndarray]:
         """Evaluate a batch of ``(points, charges[, targets])`` requests.
@@ -316,7 +325,7 @@ class EvaluatorSession:
         return out
 
     # -- sim backend -------------------------------------------------------------
-    def _submit_sim(self, sources, weights, targets) -> np.ndarray:
+    def _submit_sim(self, sources, weights, targets, gradients):
         """``advance -> reset -> flush_deferred``: the same reset and
         plan a drained evaluate ends with, minus the drain."""
         if self._store is None:
@@ -324,12 +333,20 @@ class EvaluatorSession:
         store = self._store
         reg = store.advance(sources, weights, targets)
         self._count(store)
+        target = reg.dual.target
+        if not gradients:
+            reg.gradient = None
+        elif reg.gradient is None:
+            reg.gradient = np.zeros((target.n_points, 3))
         reg.reset()
         reg.flush_deferred()
-        target = reg.dual.target
         out = np.empty(target.n_points)
         out[target.perm] = reg.result
-        return out
+        if not gradients:
+            return out
+        grad = np.empty_like(reg.gradient)
+        grad[target.perm] = reg.gradient
+        return out, grad
 
     # -- parallel backend --------------------------------------------------------
     def _submit_parallel(self, sources, weights, targets) -> np.ndarray:

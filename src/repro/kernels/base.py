@@ -242,12 +242,14 @@ class Kernel(ABC):
         return grad
 
     def l2t_gradient(self, coeffs: np.ndarray, rel: np.ndarray, scale: float) -> np.ndarray:
-        """Gradient of a local expansion at points ``rel``; (N, 3)."""
-        return self._fd_gradient(self.l2t, coeffs, rel, scale)
+        """Gradient of a local expansion at points ``rel``; (N, 3).
+        ``coeffs`` is one coefficient vector or one row per point."""
+        return self._fd_gradient(self.l2t_rows, coeffs, rel, scale)
 
     def m2t_gradient(self, coeffs: np.ndarray, rel: np.ndarray, scale: float) -> np.ndarray:
-        """Gradient of a multipole expansion at points ``rel``; (N, 3)."""
-        return self._fd_gradient(self.m2t, coeffs, rel, scale)
+        """Gradient of a multipole expansion at points ``rel``; (N, 3).
+        ``coeffs`` is one coefficient vector or one row per point."""
+        return self._fd_gradient(self.m2t_rows, coeffs, rel, scale)
 
     # -- exponential (intermediate) representation --------------------------
     def expo_t(self, lam: np.ndarray, scale: float) -> np.ndarray:

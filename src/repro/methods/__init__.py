@@ -1,13 +1,12 @@
-"""Evaluation methods: direct summation, FMM (basic and advanced), Barnes-Hut.
+"""Evaluation methods: the FMM (basic and advanced) and Barnes-Hut as
+declared DAG schemas, plus O(N^2) direct summation.
 
-Each method computes potentials at target points due to weighted source
-points.  :mod:`repro.methods.fmm` is the synchronous reference
-implementation used for correctness testing and as the numerical ground
-truth for the AMT execution path in :mod:`repro.dashmm`.
+:mod:`repro.methods.fmm` and :mod:`repro.methods.barneshut` declare what
+each method's DAG holds (and Barnes-Hut's MAC traversal); the one
+evaluator of every method is :class:`repro.dashmm.DashmmEvaluator`.
+:func:`direct_potentials` is the accuracy reference.
 """
 
 from repro.methods.direct import direct_potentials
-from repro.methods.fmm import FmmEvaluator
-from repro.methods.barneshut import BarnesHutEvaluator
 
-__all__ = ["direct_potentials", "FmmEvaluator", "BarnesHutEvaluator"]
+__all__ = ["direct_potentials"]

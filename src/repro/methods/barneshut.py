@@ -1,4 +1,5 @@
-"""Barnes-Hut evaluator, the second HMM built into DASHMM.
+"""Barnes-Hut, the second HMM built into DASHMM: its DAG schema and the
+MAC traversal that wires it.
 
 Barnes-Hut uses only source-side expansions: multipoles are formed over
 the source tree (S->M, M->M) and evaluated directly at target points
@@ -12,15 +13,10 @@ exercise the runtime.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.dag import MethodSchema, edge_kinds, node_kinds
-from repro.kernels.base import Kernel
-from repro.kernels.fitops import OperatorFactory
-from repro.tree.dualtree import DualTree, build_dual_tree
+from repro.tree.dualtree import DualTree
 from repro.tree.lists import _ranges
 
 #: Declared DAG schema of Barnes-Hut: source-side multipole chain plus
@@ -39,14 +35,6 @@ BH_SCHEMA = MethodSchema(
 #: multipole pipeline and its leaf evaluations are far-field.
 NEAR_FIELD_OPS = BH_SCHEMA.near_ops
 FAR_FIELD_OPS = BH_SCHEMA.far_ops
-
-
-@dataclass
-class BhStats:
-    ops: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def add(self, op: str, n: int = 1) -> None:
-        self.ops[op] += n
 
 
 def mac_pairs(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
@@ -111,96 +99,3 @@ def mac_pairs(dual: DualTree, theta: float) -> dict[int, list[tuple[str, int]]]:
         ]
         out[int(t_sel[t_all[b]])] = ops
     return out
-
-
-class BarnesHutEvaluator:
-    """Barnes-Hut with multipole expansions of order ``kernel.p``.
-
-    ``theta`` is the opening angle of the MAC; smaller is more accurate
-    and more expensive (0.3-0.7 are typical).
-    """
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        threshold: int = 60,
-        theta: float = 0.5,
-        factory: OperatorFactory | None = None,
-    ):
-        if not (0.0 < theta < 1.0):
-            raise ValueError("theta must be in (0, 1)")
-        self.kernel = kernel
-        self.threshold = threshold
-        self.theta = theta
-        self.factory = factory or OperatorFactory.shared(kernel)
-        self.stats = BhStats()
-
-    def evaluate(
-        self,
-        sources: np.ndarray,
-        weights: np.ndarray,
-        targets: np.ndarray,
-        dual: DualTree | None = None,
-    ) -> np.ndarray:
-        """Potentials at ``targets`` due to ``sources``."""
-        self.stats = BhStats()
-        if dual is None:
-            dual = build_dual_tree(sources, targets, self.threshold, source_weights=weights)
-        src, tgt = dual.source, dual.target
-        dom = dual.domain
-        k = self.kernel
-
-        # upward pass over the source tree
-        M = np.zeros((len(src.boxes), k.size), dtype=complex)
-        centers = np.array([dom.box_center(b.key) for b in src.boxes])
-        for b in src.boxes:
-            if b.is_leaf and b.count > 0:
-                h = dom.box_size(b.level)
-                rel = (src.points[b.start : b.stop] - centers[b.index]) / h
-                M[b.index] = k.p2m(rel, src.weights[b.start : b.stop], h)
-                self.stats.add("S2M")
-        for level in range(src.depth, 0, -1):
-            h = dom.box_size(level)
-            # batched per octant
-            kids_by_oct: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
-            for bi in src.levels[level]:
-                b = src.boxes[bi]
-                kids_by_oct[b.key & 7][0].append(bi)
-                kids_by_oct[b.key & 7][1].append(src.key_to_index[b.parent])
-            for oct_, (kids, parents) in kids_by_oct.items():
-                T = self.factory.m2m(oct_, h)
-                M[parents] += M[kids] @ T.T
-                self.stats.add("M2M", len(kids))
-
-        # traversal per target leaf
-        phi = np.zeros(tgt.n_points)
-        for t in tgt.boxes:
-            if not (t.is_leaf and t.count > 0):
-                continue
-            tpts = tgt.points[t.start : t.stop]
-            tctr = dom.box_center(t.key)
-            stack = [0]
-            while stack:
-                si = stack.pop()
-                s = src.boxes[si]
-                h = dom.box_size(s.level)
-                dist = float(np.linalg.norm(centers[si] - tctr))
-                # conservative MAC: measured from the target box surface
-                t_rad = dom.box_radius(t.level)
-                if dist > 0 and h / max(dist - t_rad, 1e-300) < self.theta:
-                    rel = (tpts - centers[si]) / h
-                    phi[t.start : t.stop] += k.m2t(M[si], rel, h)
-                    self.stats.add("M2T")
-                elif s.is_leaf:
-                    phi[t.start : t.stop] += k.direct(
-                        tpts,
-                        src.points[s.start : s.stop],
-                        src.weights[s.start : s.stop],
-                    )
-                    self.stats.add("S2T")
-                else:
-                    stack.extend(src.key_to_index[c] for c in s.children)
-
-        out = np.empty_like(phi)
-        out[tgt.perm] = phi
-        return out

@@ -78,7 +78,8 @@ class Domain:
 @dataclass(frozen=True)
 class Box:
     """A read-only view of one row of a tree's box table
-    (:attr:`repro.tree.dualtree.Tree.boxes`).
+    (:attr:`repro.tree.dualtree.Tree.boxes`), for the tests and the
+    setup benchmarks; no evaluation path builds one.
 
     Points are stored once per tree in Morton order; each box holds the
     half-open index range ``[start, stop)`` of the points inside it.

@@ -91,8 +91,8 @@ class Tree:
         The refinement threshold used to build the tree.
 
     ``boxes``, ``key_to_index`` and ``levels`` are read-only views of
-    ``arrays``, built on first use for the per-box reference evaluators
-    and the tests; the setup and execution pipeline reads the columns.
+    ``arrays``, built on first use for the tests and the setup
+    benchmarks; the setup and execution pipeline reads the columns.
     """
 
     domain: Domain

@@ -10,18 +10,23 @@ and semantics are the business of the functional tests.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import repro
 import repro.dashmm.flushplan
 import repro.dashmm.parallel
 import repro.dashmm.service
 import repro.hpx.parallel
+import repro.methods
 import repro.tree.fingerprint
 from repro.dashmm.evaluator import DashmmEvaluator
 from repro.dashmm.parallel import PersistentParallelService
 from repro.dashmm.registrar import Registrar
+from repro.dashmm.service import EvaluatorSession
 from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.laplace import LaplaceKernel
 from repro.methods.barneshut import mac_pairs
@@ -44,6 +49,16 @@ SIGNATURES = {
         "eps",
         "factory",
     ),
+    DashmmEvaluator.evaluate: (
+        "sources",
+        "weights",
+        "targets",
+        "dual",
+        "lists",
+        "dag",
+        "gradients",
+    ),
+    EvaluatorSession.submit: ("points", "charges", "targets", "gradients"),
     Registrar.__init__: (
         "runtime",
         "dag",
@@ -139,3 +154,17 @@ def test_one_template_store():
     assert "Registrar" not in vars(repro.dashmm.parallel)
     assert "_Template" not in vars(repro.dashmm.service)
     assert not hasattr(repro.tree.fingerprint, "geometry_token")
+
+
+def test_one_evaluator_per_method():
+    """``DashmmEvaluator`` is the one class that computes potentials or
+    gradients: no per-method evaluator is exported, and no class of
+    :mod:`repro.methods` has an ``evaluate``."""
+    for module in (repro, repro.methods):
+        for name in ("FmmEvaluator", "BarnesHutEvaluator"):
+            assert not hasattr(module, name), (module.__name__, name)
+    for info in pkgutil.iter_modules(repro.methods.__path__, "repro.methods."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                assert not hasattr(obj, "evaluate"), f"{info.name}.{name}"

@@ -1,9 +1,11 @@
-"""Barnes-Hut: accuracy, MAC behavior, traversal coverage."""
+"""Barnes-Hut (``DashmmEvaluator(method="bh")``): accuracy, MAC
+behavior, traversal coverage."""
 
 import numpy as np
 import pytest
 
-from repro.methods.barneshut import BarnesHutEvaluator, mac_pairs
+from repro.dashmm import DashmmEvaluator
+from repro.methods.barneshut import mac_pairs
 from repro.methods.direct import direct_potentials
 from repro.tree.dualtree import build_dual_tree
 from repro.workloads.distributions import plummer_points
@@ -18,10 +20,13 @@ def _cloud(n=1200, seed=0):
     )
 
 
+def _bh(kernel, factory, theta, threshold=30):
+    return DashmmEvaluator(kernel, method="bh", threshold=threshold, theta=theta, factory=factory)
+
+
 def test_accuracy(laplace, laplace_factory):
     src, w, tgt = _cloud()
-    ev = BarnesHutEvaluator(laplace, threshold=30, theta=0.4, factory=laplace_factory)
-    phi = ev.evaluate(src, w, tgt)
+    phi = _bh(laplace, laplace_factory, 0.4).evaluate(src, w, tgt).potentials
     exact = direct_potentials(laplace, tgt, src, w)
     assert np.linalg.norm(phi - exact) / np.linalg.norm(exact) < 1e-3
 
@@ -31,8 +36,7 @@ def test_smaller_theta_is_more_accurate(laplace, laplace_factory):
     exact = direct_potentials(laplace, tgt, src, w)
     errs = []
     for theta in (0.8, 0.3):
-        ev = BarnesHutEvaluator(laplace, threshold=30, theta=theta, factory=laplace_factory)
-        phi = ev.evaluate(src, w, tgt)
+        phi = _bh(laplace, laplace_factory, theta).evaluate(src, w, tgt).potentials
         errs.append(np.linalg.norm(phi - exact) / np.linalg.norm(exact))
     assert errs[1] < errs[0]
 
@@ -41,9 +45,8 @@ def test_smaller_theta_does_more_work(laplace, laplace_factory):
     src, w, tgt = _cloud(800, 2)
     ops = []
     for theta in (0.8, 0.3):
-        ev = BarnesHutEvaluator(laplace, threshold=30, theta=theta, factory=laplace_factory)
-        ev.evaluate(src, w, tgt)
-        ops.append(ev.stats.ops["M2T"] + ev.stats.ops["S2T"])
+        edges = _bh(laplace, laplace_factory, theta).evaluate(src, w, tgt).dag.edge_stats()
+        ops.append(edges["M2T"]["count"] + edges["S2T"]["count"])
     assert ops[1] > ops[0]
 
 
@@ -67,14 +70,12 @@ def test_clustered_distribution(laplace, laplace_factory):
     src = plummer_points(1000, seed=4)
     tgt = plummer_points(1000, seed=5)
     w = np.random.default_rng(6).normal(size=1000)
-    ev = BarnesHutEvaluator(laplace, threshold=20, theta=0.4, factory=laplace_factory)
-    phi = ev.evaluate(src, w, tgt)
+    phi = _bh(laplace, laplace_factory, 0.4, threshold=20).evaluate(src, w, tgt).potentials
     exact = direct_potentials(laplace, tgt, src, w)
     assert np.linalg.norm(phi - exact) / np.linalg.norm(exact) < 2e-3
 
 
-def test_invalid_theta(laplace):
-    with pytest.raises(ValueError):
-        BarnesHutEvaluator(laplace, theta=0.0)
-    with pytest.raises(ValueError):
-        BarnesHutEvaluator(laplace, theta=1.5)
+def test_invalid_theta(laplace, laplace_factory):
+    for theta in (0.0, 1.0, 1.5, -1.0):
+        with pytest.raises(ValueError, match="theta"):
+            DashmmEvaluator(laplace, method="bh", theta=theta, factory=laplace_factory)

@@ -7,7 +7,7 @@ import pytest
 from repro.dashmm import BlockPolicy, DashmmEvaluator, FmmPolicy, RandomPolicy
 from repro.hpx.runtime import RuntimeConfig
 from repro.methods.direct import direct_potentials
-from repro.methods.fmm import FmmEvaluator
+from tests.reference_chain import per_edge_potentials
 
 TOL = 1e-3
 
@@ -42,18 +42,19 @@ def test_numeric_accuracy(method, laplace, laplace_factory, cloud):
 
 
 def test_amt_matches_sync_fmm(laplace, laplace_factory, cloud):
-    """Same operators, different execution order: results agree tightly."""
+    """Same operators, different execution order: the AMT evaluation
+    agrees tightly with a synchronous walk of its DAG, one operator per
+    edge (``tests/reference_chain.py``)."""
     src, w, tgt = cloud
-    sync = FmmEvaluator(laplace, threshold=30, factory=laplace_factory)
-    phi_sync = sync.evaluate(src, w, tgt)
     amt = DashmmEvaluator(
         laplace,
         threshold=30,
         runtime_config=RuntimeConfig(n_localities=2, workers_per_locality=4),
         factory=laplace_factory,
     )
-    phi_amt = amt.evaluate(src, w, tgt).potentials
-    assert _rel(phi_amt, phi_sync) < 1e-10
+    rep = amt.evaluate(src, w, tgt)
+    phi_sync = per_edge_potentials(rep.dag, rep.dual, laplace, laplace_factory)
+    assert _rel(rep.potentials, phi_sync) < 1e-10
 
 
 def test_yukawa_amt(yukawa, yukawa_factory, cloud):

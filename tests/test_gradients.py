@@ -1,12 +1,16 @@
-"""Field gradients (forces): analytic kernels, expansion derivatives, FMM."""
+"""Field gradients (forces): analytic kernels, expansion derivatives,
+and the outputs stage of the compiled plan (FMM and Barnes-Hut)."""
 
 import numpy as np
 import pytest
 
+from repro.dashmm import DashmmEvaluator, EvaluatorSession
+from repro.hpx.runtime import RuntimeConfig
 from repro.kernels.base import Kernel
+from repro.kernels.fitops import OperatorFactory
 from repro.kernels.laplace import LaplaceKernel
-from repro.kernels.yukawa import YukawaKernel
-from repro.methods.fmm import FmmEvaluator
+from repro.tree.dualtree import build_dual_tree
+from repro.workloads.distributions import sphere_points
 
 RNG = np.random.default_rng(90)
 
@@ -96,31 +100,103 @@ def test_expansion_gradients_match_direct(laplace, laplace_factory):
     assert np.max(np.abs(g_l - g_exact2)) / np.max(np.abs(g_exact2)) < 1e-4
 
 
+def _gradient_error(method, kernel, factory, src, w, tgt, probe=slice(0, 300)):
+    """Relative L2 error of a ``gradients=True`` evaluate against
+    ``direct_gradient`` at the probed targets; checks on the way that
+    asking for gradients leaves the potentials' bits alone."""
+    ev = DashmmEvaluator(kernel, method=method, threshold=30, factory=factory)
+    rep = ev.evaluate(src, w, tgt, gradients=True)
+    plain = ev.evaluate(src, w, tgt)
+    assert np.array_equal(rep.potentials, plain.potentials)
+    assert plain.gradients is None and rep.gradients.shape == (len(tgt), 3)
+    exact = kernel.direct_gradient(tgt[probe], src, w)
+    return np.linalg.norm(rep.gradients[probe] - exact) / np.linalg.norm(exact), rep
+
+
+def _kernel(kern, laplace, yukawa, laplace_factory, yukawa_factory):
+    if kern == "laplace":
+        return laplace, laplace_factory
+    return yukawa, yukawa_factory
+
+
+def _sphere(n=1000):
+    return sphere_points(n, seed=1), RNG.normal(size=n), sphere_points(n, seed=2)
+
+
 @pytest.mark.parametrize("kern", ["laplace", "yukawa"])
 def test_fmm_gradients(kern, laplace, yukawa, laplace_factory, yukawa_factory, small_cloud):
-    k = laplace if kern == "laplace" else yukawa
-    F = laplace_factory if kern == "laplace" else yukawa_factory
-    src, w, tgt = small_cloud
-    ev = FmmEvaluator(k, threshold=30, factory=F)
-    phi, grad = ev.evaluate(src, w, tgt, gradients=True)
-    probe = slice(0, 300)
-    exact = k.direct_gradient(tgt[probe], src, w)
-    err = np.linalg.norm(grad[probe] - exact) / np.linalg.norm(exact)
+    k, F = _kernel(kern, laplace, yukawa, laplace_factory, yukawa_factory)
+    err, _ = _gradient_error("fmm", k, F, *small_cloud)
     assert err < 2e-3
-    # the potentials are unchanged by asking for gradients
-    phi_only = ev.evaluate(src, w, tgt)
-    assert np.allclose(phi, phi_only)
 
 
-def test_fmm_gradients_with_adaptive_lists(laplace, laplace_factory):
+@pytest.mark.parametrize("kern", ["laplace", "yukawa"])
+def test_bh_gradients(kern, laplace, yukawa, laplace_factory, yukawa_factory, small_cloud):
+    k, F = _kernel(kern, laplace, yukawa, laplace_factory, yukawa_factory)
+    err, _ = _gradient_error("bh", k, F, *small_cloud)
+    assert err < 2e-3
+
+
+def test_fmm_gradients_with_adaptive_lists(laplace, yukawa, laplace_factory, yukawa_factory):
     """Sphere data exercises the M->T gradient path (list 3)."""
-    from repro.workloads.distributions import sphere_points
+    src, w, tgt = _sphere()
+    for k, F in ((laplace, laplace_factory), (yukawa, yukawa_factory)):
+        err, rep = _gradient_error("fmm", k, F, src, w, tgt, probe=slice(0, 200))
+        assert err < 2e-3
+        assert rep.dag.edge_stats()["M2T"]["count"] > 0
 
-    src = sphere_points(1500, seed=1)
-    tgt = sphere_points(1500, seed=2)
-    w = RNG.normal(size=1500)
-    ev = FmmEvaluator(laplace, threshold=30, factory=laplace_factory)
-    _, grad = ev.evaluate(src, w, tgt, gradients=True)
-    exact = laplace.direct_gradient(tgt[:200], src, w)
-    err = np.linalg.norm(grad[:200] - exact) / np.linalg.norm(exact)
-    assert err < 2e-3
+
+def test_bh_gradients_on_sphere_data(laplace, yukawa, laplace_factory, yukawa_factory):
+    src, w, tgt = _sphere()
+    for k, F in ((laplace, laplace_factory), (yukawa, yukawa_factory)):
+        err, _ = _gradient_error("bh", k, F, src, w, tgt, probe=slice(0, 200))
+        assert err < 2e-3
+
+
+@pytest.mark.parametrize("method", ["fmm", "bh"])
+def test_gradients_are_the_same_bits_on_every_path(method):
+    """On the simulator at one locality count, a cold evaluate, a
+    session's cold, warm and 50-point-drift submits, a
+    critical-path-policy run and its resumption from a checkpoint all
+    sum the same gradient bits, and a plain submit between two gradient
+    submits leaves no trace."""
+    rng = np.random.default_rng(91)
+    src, w = rng.uniform(0.0, 1.0, (800, 3)), rng.normal(size=800)
+    factory = OperatorFactory(LaplaceKernel(4), eps=1e-3)
+
+    def evaluator(policy="binary", **config):
+        cfg = RuntimeConfig(n_localities=2, workers_per_locality=2, policy=policy, **config)
+        return DashmmEvaluator(
+            factory.kernel, method=method, threshold=30, factory=factory, runtime_config=cfg
+        )
+
+    ev = evaluator()
+    cold = ev.evaluate(src, w, src, gradients=True)
+    checkpointed = evaluator("critical-path", checkpoint_every=2e-4)
+    critical = checkpointed.evaluate(src, w, src, gradients=True)
+    assert np.array_equal(critical.gradients, cold.gradients)
+    resumed = checkpointed.resume(critical, critical.extras["checkpoints"][0])
+    assert np.array_equal(resumed.gradients, cold.gradients)
+    moved = src.copy()
+    moved[:50] = np.clip(moved[:50] + rng.normal(scale=1e-3, size=(50, 3)), 0.0, 1.0)
+    with EvaluatorSession(ev) as session:
+        for _ in range(2):  # cold, then warm
+            phi, grad = session.submit(src, w, gradients=True)
+            assert np.array_equal(phi, cold.potentials)
+            assert np.array_equal(grad, cold.gradients)
+        assert np.array_equal(session.submit(src, w), cold.potentials)
+        assert np.array_equal(session.submit(src, w, gradients=True)[1], cold.gradients)
+        drift_phi, drift_grad = session.submit(moved, w, gradients=True)
+        assert session.stats["tree_updates"][-1]["source"] != "rebuilt"
+        domain = session.domain
+    dual = build_dual_tree(moved, moved, 30, source_weights=w, domain=domain)
+    ref = ev.evaluate(moved, w, moved, dual=dual, gradients=True)
+    assert np.array_equal(drift_phi, ref.potentials)
+    assert np.array_equal(drift_grad, ref.gradients)
+
+
+def test_gradients_need_a_numeric_simulator_run(laplace, laplace_factory, small_cloud):
+    src, w, tgt = small_cloud
+    phantom = DashmmEvaluator(laplace, threshold=30, mode="phantom", factory=laplace_factory)
+    with pytest.raises(ValueError, match="phantom"):
+        phantom.evaluate(src, w, tgt, gradients=True)

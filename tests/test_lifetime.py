@@ -279,10 +279,11 @@ def test_no_edge_object_in_a_worker_plan_compile(
 
 
 def test_no_box_on_an_evaluate_or_session_path(laplace, laplace_factory, cloud, monkeypatch):
-    """Trees are columns: cold fmm and bh evaluates and a session's
-    cold, charge-only, spliced, recarved and count-change submits never
-    make a ``Box`` (the per-box view is for the reference evaluators and
-    the tests)."""
+    """Trees are columns: cold fmm and bh evaluates, with and without
+    gradients, and a session's cold, charge-only, spliced, recarved and
+    count-change submits (the charge-only, spliced and count-change ones
+    with gradients) never make a ``Box`` (the per-box view is for the
+    tests and the setup benchmarks)."""
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a Box was built")
@@ -290,7 +291,9 @@ def test_no_box_on_an_evaluate_or_session_path(laplace, laplace_factory, cloud, 
     monkeypatch.setattr(Box, "__init__", refuse)
     src, w, tgt = cloud
     for method in ("fmm", "bh"):
-        _evaluator(laplace, laplace_factory, "numeric", method).evaluate(src, w, tgt)
+        ev = _evaluator(laplace, laplace_factory, "numeric", method)
+        ev.evaluate(src, w, tgt)
+        ev.evaluate(src, w, tgt, gradients=True)
     rng = np.random.default_rng(7)
     nudged = src.copy()
     nudged[:5] = np.clip(nudged[:5] + rng.normal(scale=1e-3, size=(5, 3)), 0.0, 1.0)
@@ -298,10 +301,10 @@ def test_no_box_on_an_evaluate_or_session_path(laplace, laplace_factory, cloud, 
     scattered[::3] = rng.uniform(0, 1, scattered[::3].shape)
     with EvaluatorSession(_evaluator(laplace, laplace_factory, "numeric", "fmm")) as session:
         session.submit(src, w)
-        session.submit(src, rng.normal(size=len(w)))
-        session.submit(nudged, w)
+        session.submit(src, rng.normal(size=len(w)), gradients=True)
+        session.submit(nudged, w, gradients=True)
         session.submit(scattered, w)
-        session.submit(scattered[:-10], w[:-10])
+        session.submit(scattered[:-10], w[:-10], gradients=True)
         updates = [u["source"] for u in session.stats["tree_updates"]]
     assert updates == ["rebuilt", "unchanged", "spliced", "recarved", "rebuilt"]
 

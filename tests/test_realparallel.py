@@ -506,6 +506,24 @@ def test_parallel_rejects_prebuilt_structures(laplace, laplace_factory, cloud):
     assert multiprocessing.active_children() == []
 
 
+def test_parallel_rejects_gradients_before_spawning(laplace, laplace_factory, cloud):
+    """Gradients come from the simulator's plan only: asked of the
+    parallel backend, an evaluate or a session submit is refused before
+    a worker, a fork server or a shared-memory segment exists."""
+    from repro.dashmm import EvaluatorSession
+
+    src, w, tgt = cloud
+    ev = _pair(laplace, "fmm", laplace_factory, "parallel")
+    with pytest.raises(ValueError, match="backend='sim'"):
+        ev.evaluate(src, w, tgt, gradients=True)
+    with EvaluatorSession(ev) as session:
+        with pytest.raises(ValueError, match="backend='sim'"):
+            session.submit(src, w, gradients=True)
+        assert session._parallel is None and session.stats["submits"] == 0
+    assert ShmArena.leaked(f"hmmgas_{os.getpid()}_") == []
+    assert multiprocessing.active_children() == []
+
+
 def test_runtime_rejects_parallel_backend_directly():
     with pytest.raises(ValueError, match="simulator engine"):
         Runtime(RuntimeConfig(backend="parallel"))
