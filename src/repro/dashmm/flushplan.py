@@ -54,11 +54,15 @@ Canonical composition (what makes every path produce the same bits):
 * folds add a node's in-edges in edge-column row order - by
   ``(src, out-list position)`` - the row being the edge's identity.
 
-The source- and target-side intermediate expansions of one level live in
-two dense matrices, one row per node and one block of ``nterms`` columns
-per direction the level translates in at all (``BridgeLevel.dirs``, in
-:data:`FULL_DIRS` order - a slab never goes up or down, a third of the
-M->I and I->L width); the plan holds the row of every node and one
+Every expansion has a fixed row in the *expansion store*, arrays the
+plan addresses (``Plan.holder`` / ``Plan.row``): the M and L rows in
+one ``(rows, kernel.size)`` matrix, and the source- and target-side
+intermediate expansions of each bridge level in two more, one row per
+node and one block of ``nterms`` columns per direction the level
+translates in at all (``BridgeLevel.dirs``, in :data:`FULL_DIRS` order -
+a slab never goes up or down, a third of the M->I and I->L width).
+Each array leads with the rows the plan computes; the rest are the rows
+a rank's stages read from its peers.  The plan holds one
 :class:`Translation` per (level, direction).
 
 Where the leaf outputs land is compiled apart, as a :class:`LeafLayout`
@@ -74,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dashmm.dag import OP_CODE
+from repro.dashmm.dag import EDGE_OPS, KIND_CODE, OP_CODE
 from repro.kernels.expo import DIRECTIONS, frame
 
 #: canonical direction order of the dense plane-wave matrices and of the
@@ -124,8 +128,8 @@ class BridgeLevel:
 
     Rows ``[0, n_is_local)`` of the source-side matrix are written by
     this plan's M->I groups; the remaining ``is_ids`` are sources of
-    local I->I edges whose M->I ran on another locality and are copied
-    in from the mirror.  Likewise for the target side and I->L.
+    local I->I edges whose M->I ran on another locality, delivered by
+    their owners' frames.  Likewise for the target side and I->L.
     """
 
     level: int
@@ -196,6 +200,14 @@ class Plan:
     #: nodes that this rank's stage reads}
     recvs: dict
     n_edges: int  # edges the plan's stages execute
+    #: the expansion store (module docstring), per node: the array that
+    #: holds its row - 0 the M and L rows, ``1 + 2 * k`` / ``2 + 2 * k``
+    #: the source / target side of ``bridge[k]``, -1 none - and the row
+    holder: np.ndarray
+    row: np.ndarray
+    #: per store array: (rows, leading rows the plan computes); the
+    #: others it only receives
+    store: list
 
 
 @dataclass(frozen=True)
@@ -509,6 +521,19 @@ def compile_plan(dag, dual, rank: int | None = None) -> Plan:
                 cuts = [((stage, lvl), at[level[side[at]] == lvl]) for lvl in levels]
             for name, on in cuts:
                 sends[name], recvs[name] = _crossing(cols.src[on], cols.dst[on], loc, rank)
+    # -- the expansion store -----------------------------------------------------
+    # M and L rows: the rank's own, then those its edges read from peers
+    spherical = np.isin(dag.kind, [KIND_CODE["M"], KIND_CODE["L"]])
+    computed = spherical if rank is None else spherical & (loc == rank)
+    read = np.bincount(cols.src[rows_of(*EDGE_OPS)], minlength=n) > 0
+    ml = np.concatenate([np.flatnonzero(computed), np.flatnonzero(read & spherical & ~computed)])
+    holder, row = np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64)
+    holder[ml], row[ml] = 0, np.arange(len(ml))
+    store = [(len(ml), int(computed.sum()))]
+    for k, b in enumerate(bridge):
+        for side, ids, n_local in ((1, b.is_ids, b.n_is_local), (2, b.it_ids, b.n_it_local)):
+            holder[ids], row[ids] = 2 * k + side, np.arange(len(ids))
+            store.append((len(ids), n_local))
     return Plan(
         m_folds=[(lvl, folds(m_rows[level[cols.dst[m_rows]] == lvl])) for lvl in m_levels],
         l_folds=folds(l_rows),
@@ -526,4 +551,7 @@ def compile_plan(dag, dual, rank: int | None = None) -> Plan:
         recvs=recvs,
         n_edges=len(m_rows) + len(l_rows) + len(m_src) + len(w_src) + len(l_src)
         + len(d_src) + len(o_src),
+        holder=holder,
+        row=row,
+        store=store,
     )

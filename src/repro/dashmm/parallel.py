@@ -22,8 +22,9 @@ Execution model - *replicated metadata, partitioned execution*:
   The fitted arrays go into the arena beside the inputs; a worker's
   factory adopts views of them and factorizes nothing.
 * A worker's store holds registrars with no runtime and no LCOs,
-  restricted to its rank (``_rank``), whose expansion store holds
-  *its* nodes.  It compiles the execution plan
+  restricted to its rank (``_rank``), whose expansion store holds a row
+  for each of *its* nodes and each node its edges read from a peer.  It
+  compiles the execution plan
   (:mod:`repro.dashmm.flushplan`) for that rank: the
   edges whose destination it owns, as one ordered stage list - leaf
   fits, the upward sweep level by level, the S->L / M->L folds, M->I,
@@ -41,15 +42,16 @@ re-drive on respawned workers are all the same message.
 
 The pipeline (:meth:`_WorkerBody._round`), per stage: *post* to every
 peer in ``sends[stage]`` one frame with the rows that peer's stage
-reads - stacked into this rank's shared-memory mailbox
-(:class:`~repro.hpx.parallel.Mailbox`), the frame itself carrying only
+reads - gathered from the registrar's expansion store straight into
+this rank's shared-memory mailbox (:class:`~repro.hpx.parallel.Mailbox`),
+one block per store array they lie in, the frame itself carrying only
 ``(segment name, offset, ids, shape)`` per block - *wait* for one frame
 from every peer in ``recvs[stage]``, *run* the stage.  A receiver
-attaches to a mailbox name once and puts views of the sender's block
-into the registrar's ``expansions``, beside the rank's own rows - the
-I->I stage's copy into its source-side matrix is the only copy an Is
-row makes after its post.  A stage's read of a remote node no frame
-delivered is a ``KeyError``.
+attaches to a mailbox name once and copies each block into its own
+store as the frame is handled, so no view of a peer's mailbox outlives
+the frame.  The reset before a round fills the rows a rank only
+receives with NaN: a stage reading a remote row no frame delivered
+computes NaN, not a number.
 
 * Every shipped value is final when it is sent: the stage order puts
   each producer before the stage its readers run, on every rank.  A
@@ -59,11 +61,11 @@ delivered is a ``KeyError``.
   follow each other without overlap, so nothing a sender posts later in
   a round reaches a block a peer may still read.  The next round
   rewrites them, which is safe because the parent posts GO of round k+1
-  only after every rank's DONE of round k, and a rank drops its views
-  of peer mailboxes before DONE.  A segment a rank outgrew mid-round is
-  closed by that rank at round end and named in its DONE statistics;
-  the parent unlinks it after the barrier, so between rounds each rank
-  has exactly one mailbox.  A frame of round k+1 that overtakes
+  only after every rank's DONE of round k, and a rank has copied every
+  frame addressed to it before its DONE.  A segment a rank outgrew
+  mid-round is closed by that rank at round end and named in its DONE
+  statistics; the parent unlinks it after the barrier, so between
+  rounds each rank has exactly one mailbox.  A frame of round k+1 that overtakes
   this rank's GO points into a block already rewritten for round k+1;
   it is held, not read, until the round's state is in place.
 * Deadlock rule: **a rank posts everything a stage's readers need
@@ -97,8 +99,8 @@ Why the result is bit-identical to the simulator:
   groups, GEMM groups and I->I rows are therefore row subsets of the
   full plan's, operand for operand - the plan a one-process session
   runs, which agrees with the drained ``evaluate()`` bit for bit.
-* What crosses ranks is copied, never recomputed, and a node nothing
-  contributed to crosses as exactly that (``None``, the zero expansion).
+* What crosses ranks is copied, never recomputed: a node nothing
+  contributed to crosses as its zero row.
 
 Nothing in a worker consults a priority or makes a schedule decision:
 ``RuntimeConfig.policy`` shapes the simulator's virtual clock only (any
@@ -156,7 +158,6 @@ class _WorkerBody:
         self._arrived: set = set()
         #: messages that overtook this rank's GO
         self._held: list = []
-        self._recvs: dict = {}
         #: the round's outputs stage's ``step`` - its preparation, then
         #: one S->T group per call - while any part is pending, else None
         self._fill = None
@@ -205,30 +206,19 @@ class _WorkerBody:
     # -- frames ----------------------------------------------------------------
     def _post(self, stage, owed: dict) -> None:
         """One frame per reading peer: the final rows of the nodes it
-        reads in ``stage``, as ``(ids, rows)`` blocks - one per row
-        width, i.e. one unless the bridge levels differ in width -
-        stacked into this rank's mailbox.  Nodes nothing contributed to
-        are left out; the receiver knows which ids to expect."""
-        exp = self.reg.expansions
+        reads in ``stage``, one block per store array they lie in,
+        gathered into this rank's mailbox."""
         for dst in sorted(owed):
-            blocks: dict[int, tuple[list, list]] = {}
-            for nid in owed[dst]:
-                row = exp[nid]
-                if row is not None:
-                    ids, rows = blocks.setdefault(len(row), ([], []))
-                    ids.append(nid)
-                    rows.append(row)
-            self.channel.send(dst, stage, list(blocks.values()))
+            self.channel.send(dst, stage, self.reg.locate(owed[dst]))
 
     def _handle(self, msg) -> None:
-        """One inbox message of a round in progress."""
+        """One inbox message of a round in progress; a frame's blocks are
+        copied into the store at once."""
         tag = msg[0]
         if tag == "frame":
             _, src, stage, payload = msg
-            exp = self.reg.expansions
-            exp.update(dict.fromkeys(self._recvs[stage][src]))
             for ids, rows in self.channel.views(payload):
-                exp.update(zip(ids, rows))
+                self.reg.write(ids, rows)
             self._arrived.add((stage, src))
         elif tag == "stop":
             raise _Stop
@@ -253,8 +243,8 @@ class _WorkerBody:
     # -- one round -------------------------------------------------------------
     def _round(self) -> None:
         """Advance the template store to the arena's inputs, reset the
-        expansions (the parent zeroes the shared result), then walk the
-        rank's stage list as a send-when-final / wait-when-needed
+        expansion store (the parent zeroes the shared result), then walk
+        the rank's stage list as a send-when-final / wait-when-needed
         pipeline (module docstring)."""
         t = time.perf_counter()
         reg = self.reg = self.store.advance(*self._inputs)
@@ -268,7 +258,6 @@ class _WorkerBody:
         }
         self._arrived.clear()
         plan = reg.plan()
-        self._recvs = plan.recvs
         for msg in self._held:
             self._handle(msg)
         self._held.clear()
@@ -280,7 +269,7 @@ class _WorkerBody:
         t = time.perf_counter()
         for name, stage in stages:
             self._post(name, plan.sends.get(name, {}))
-            need = {(name, peer) for peer in self._recvs.get(name, ())}
+            need = {(name, peer) for peer in plan.recvs.get(name, ())}
             filled = round_s["fill_s"]
             self._pump(lambda: need <= arrived)
             t_run = time.perf_counter()
@@ -289,12 +278,6 @@ class _WorkerBody:
             t = time.perf_counter()
             stage_s[name] = t - t_run
         self._fill = None  # the outputs stage ran whatever was left
-        # the peers' rows are views of their mailboxes, which the next
-        # round rewrites: none outlives this one
-        exp = reg.expansions
-        for stage, src in arrived:
-            for nid in self._recvs[stage][src]:
-                exp.pop(nid, None)
         self.channel.end_round()
         self.tasks_run += plan.n_edges
 

@@ -36,10 +36,11 @@ the drain ends.  ``mode`` decides only whether the numbers are computed:
   studies.
 
 The expansions are not in the LCOs: the plan's stages write and read
-one store, :attr:`Registrar.expansions`.  So the LCO network exists only
-where a drain runs - :meth:`Registrar.allocate` builds it, and is the
-one method that needs a runtime - and a session or a worker runs the
-plan on a ``Registrar(None, ...)``.
+one *expansion store*, dense arrays in which the plan gives every
+expansion a fixed row (``Plan.holder`` / ``Plan.row``).  So the LCO
+network exists only where a drain runs - :meth:`Registrar.allocate`
+builds it, and is the one method that needs a runtime - and a session
+or a worker runs the plan on a ``Registrar(None, ...)``.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class ExpansionLCO(CountingLCO):
     every LCO of a drain marks them in one store, a byte per edge row
     (``Registrar._seen``); without a store the LCO keeps a key set, as
     any LCO does.  The node's expansion is written by the
-    plan's stages after the drain, into :attr:`Registrar.expansions`.
+    plan's stages after the drain, into the registrar's expansion store.
     """
 
     def __init__(
@@ -288,9 +289,10 @@ class Registrar:
         #: the whole plan is owed: set by a numeric drain and by reset(),
         #: cleared by flush_deferred()
         self._flush_pending = False
-        #: per-level dense (source-side, target-side) plane-wave
-        #: matrices, alive between the bridge stages of one flush
-        self._waves: dict[int, list] = {}
+        #: the expansion store: one array per ``Plan.store`` entry - the
+        #: M and L rows, then each bridge level's source- and target-side
+        #: plane waves - allocated on first use and kept with the plan
+        self._exp: list[np.ndarray] | None = None
         #: source box index -> multipole, all leaves fitted in one
         #: stacked pass per level by the plan's first stage
         self._s2m: dict[int, np.ndarray] | None = None
@@ -299,13 +301,6 @@ class Registrar:
         #: parallel worker sets its own rank before its first round);
         #: None = all
         self._rank: int | None = None
-        #: node id -> expansion row, ``None`` the zero expansion of a
-        #: node nothing contributed to: every expansion node of this
-        #: rank, written by the plan's stages, plus in a worker the
-        #: remote rows its peers' stage frames delivered.  A read of a
-        #: remote node no frame delivered is a ``KeyError`` (a plan whose
-        #: ``recvs`` miss a node one of its stages reads), not a zero
-        self.expansions: dict[int, np.ndarray | None] = {}
         #: the drain's LCOs, built by allocate()
         self.lcos: dict[int, ExpansionLCO] = {}
         self.result = np.zeros(dual.target.n_points) if dual is not None else None
@@ -339,22 +334,6 @@ class Registrar:
         self._moved: dict | None = None
         #: where the plan's leaf outputs land, built on first use
         self._layout: LeafLayout | None = None
-        self._seed_expansions()
-
-    def _seed_expansions(self) -> None:
-        """Every expansion node of this rank at the zero expansion, and
-        no other entry."""
-        dag, rank = self.dag, self._rank
-        mine = _EXPANSION[dag.kind]
-        if rank is not None:
-            mine &= dag.locality == rank
-        self.expansions = dict.fromkeys(np.flatnonzero(mine).tolist())
-
-    def _stacked_data(self, node_ids) -> np.ndarray:
-        """Row-stacked spherical expansions of ``node_ids``."""
-        exp = self.expansions
-        zero = np.zeros(self.kernel.size, dtype=complex)
-        return np.stack([zero if (d := exp[i]) is None else d for i in node_ids])
 
     # -- allocation (Fig. 2, t0/t1) ------------------------------------------------
     def allocate(self) -> None:
@@ -445,16 +424,17 @@ class Registrar:
     def reset(self, zero_result: bool = True) -> None:
         """Rewind the per-evaluation state for a re-run of the plan.
 
-        Every expansion of this rank goes back to zero (a worker's
-        received rows are dropped), the leaf fits go, and in numeric mode
-        the whole plan is owed, so :meth:`flush_deferred` finishes the
-        evaluation - a session's submit is ``reset -> flush_deferred``.
-        Static shape-derived state - ``_centers``, the plans, the
-        geometry cache - survives, which is the point.  The LCOs are not
-        touched: they belong to a drain, which a reset registrar does not
-        run.
+        The expansion store's rows this rank computes go back to zero and
+        the rows it only receives to NaN (:meth:`_clear_store`), the leaf
+        fits go, and in numeric mode the whole plan is owed, so
+        :meth:`flush_deferred` finishes the evaluation - a session's
+        submit is ``reset -> flush_deferred``.  Static shape-derived
+        state - ``_centers``, the plans, the store's arrays, the geometry
+        cache - survives, which is the point.  The LCOs are not touched:
+        they belong to a drain, which a reset registrar does not run.
         """
-        self._seed_expansions()
+        if self._exp is not None:
+            self._clear_store()
         self._s2m = None
         self._flush_pending = self.mode == "numeric"
         if zero_result and self.result is not None:
@@ -483,16 +463,15 @@ class Registrar:
     def restore_state(self, state: dict) -> None:
         """Write a :meth:`checkpoint_state` snapshot back in place.
 
-        The restored drain has computed nothing: the expansions go back
-        to zero, the whole plan is owed again, and the drain's tables
-        are recompiled on first use.
+        The restored drain has computed nothing: the registrar is
+        :meth:`reset`, the plan is owed as the snapshot says, and the
+        drain's tables are recompiled on first use.
         """
+        self.reset(zero_result=False)
         self._flush_pending = state["flush_pending"]
         if state["seen"] is not None:
             # in place: every LCO of the drain holds this store
             self._seen[:] = state["seen"]
-        self._seed_expansions()
-        self._s2m = None
         self._drain = None
         if state["result"] is not None:
             # in place: closures and the evaluator hold this array
@@ -506,16 +485,63 @@ class Registrar:
             self._plan = compile_plan(self.dag, self.dual, self._rank)
         return self._plan
 
+    def _arrays(self) -> list:
+        """The expansion store's arrays, allocated for the plan and
+        cleared on first use."""
+        if self._exp is None:
+            plan, dom = self.plan(), self.dual.domain
+            widths = [self.kernel.size]
+            for b in plan.bridge:
+                nterms = self.factory.quadrature(dom.box_size(b.level)).nterms
+                widths += [len(b.dirs) * nterms] * 2
+            self._exp = [
+                np.empty((rows, width), dtype=complex)
+                for (rows, _), width in zip(plan.store, widths)
+            ]
+            self._clear_store()
+        return self._exp
+
+    def _clear_store(self) -> None:
+        """Zero the rows this rank computes and fill the rows it only
+        receives with NaN: a stage reading a row no frame delivered
+        poisons what it computes instead of reading a zero."""
+        for array, (_, computed) in zip(self._exp, self.plan().store):
+            array[:computed] = 0.0
+            array[computed:] = np.nan
+
+    def locate(self, ids) -> list:
+        """Where the rows of the nodes ``ids`` lie in the expansion store:
+        per array holding some of them, ``(those ids, the array, their
+        rows)``, in the order of ``ids``.  A frame's blocks are these,
+        gathered; a node the plan holds no row of is a ``KeyError``."""
+        plan, arrays = self.plan(), self._arrays()
+        ids = np.asarray(ids, dtype=np.int64)
+        holder = plan.holder[ids]
+        out = []
+        for k in np.unique(holder).tolist():
+            if k < 0:
+                raise KeyError(ids[holder < 0].tolist())
+            at = holder == k
+            out.append((ids[at].tolist(), arrays[k], plan.row[ids[at]]))
+        return out
+
+    def write(self, ids, block: np.ndarray) -> None:
+        """Copy ``block`` - the rows of ``ids``, in order, all held by one
+        store array, as a frame delivers them - into the store."""
+        ((_, array, rows),) = self.locate(ids)
+        array[rows] = block
+
     def invalidate_plans(self) -> None:
-        """Drop the plan, its leaf layout and the geometry cache.
+        """Drop the plan, its expansion store and leaf layout, and the
+        geometry cache.
 
         Required whenever node localities change under a live registrar:
         the plan bakes the locality-keyed group compositions - hence the
-        stacked operands - in, and geometry-cache entries are keyed by
-        those groups.  The next use recompiles from the DAG, and the
-        next :meth:`reset` seeds the expansions of the rank's new nodes.
+        stacked operands and the store's rows - in, and geometry-cache
+        entries are keyed by those groups.  The next use recompiles from
+        the DAG and allocates the store anew.
         """
-        self._plan = self._layout = None
+        self._plan = self._layout = self._exp = None
         self._i2i_ops = {}
         if self.geom_cache:
             self.geom_cache.clear()
@@ -791,14 +817,6 @@ class Registrar:
         self._run_group(ctx, self._table(), g)
 
     # -- the plan: upward sweep and local-expansion folds ------------------------------------
-    def _m2l_value(self, src: int, dst: int, delta):
-        """M->L contribution (lattice offset ``delta``) of one edge ``src
-        -> dst`` (``None`` from a zero multipole)."""
-        t = int(self.dag.box[dst])
-        h = self.dual.domain.box_size(int(self.dual.target.arrays.levels[t]))
-        M = self.expansions[src]
-        return None if M is None else self.factory.m2l(delta, h) @ M
-
     def _leaf_multipoles(self) -> dict[int, np.ndarray]:
         """Multipoles of every source leaf, one stacked fit per level.
 
@@ -896,7 +914,7 @@ class Registrar:
         I->I, I->L, L->L level by level (coarse first, so every parent
         local expansion is complete before its children read it), then
         the leaf outputs, which read the final local expansions.  Sources
-        are read from :attr:`expansions`, so a worker running its rank's
+        are read from the expansion store, so a worker running its rank's
         slice reads the rows its peers shipped: it posts the plan's
         ``sends`` and awaits its ``recvs`` in front of each stage, and
         runs the outputs stage's S->T groups while it waits
@@ -938,29 +956,29 @@ class Registrar:
     def _fold(self, folds: Folds, value) -> None:
         """Each fold's sum into its node's expansion: node ``folds.dst[i]``
         adds ``value(j)`` over its fold positions ``j``, in order."""
-        exp, bounds = self.expansions, folds.bounds
-        for i, nid in enumerate(folds.dst):
-            acc = None
-            for j in range(bounds[i], bounds[i + 1]):
-                v = value(j)
-                acc = v if acc is None else acc + v
-            exp[nid] = acc
+        exp, bounds = self._arrays()[0], folds.bounds
+        for i, row in enumerate(self.plan().row[folds.dst].tolist()):
+            acc = value(bounds[i])
+            for j in range(bounds[i] + 1, bounds[i + 1]):
+                acc = acc + value(j)
+            exp[row] = acc
 
     def _eager_m2m(self, folds: Folds) -> None:
         """The multipoles of one level, each folding its leaf fit and its
         children's shifted multipoles in canonical order."""
         cols = self.dag.edge_columns()
-        src = cols.src[folds.rows].tolist()
+        src = cols.src[folds.rows]
         leaf = (cols.op[folds.rows] == OP_CODE["S2M"]).tolist()
         octant = cols.octant[folds.rows].tolist()
         box, level = self.dag.box[src].tolist(), self.dag.level[src].tolist()
-        s2m, exp = self._s2m, self.expansions
+        row = self.plan().row[src].tolist()
+        s2m, exp = self._s2m, self._arrays()[0]
         m2m, dom = self.factory.m2m, self.dual.domain
 
         def value(j):
             if leaf[j]:
                 return s2m[box[j]]
-            return m2m(octant[j], dom.box_size(level[j])) @ exp[src[j]]
+            return m2m(octant[j], dom.box_size(level[j])) @ exp[row[j]]
 
         self._fold(folds, value)
 
@@ -974,13 +992,15 @@ class Registrar:
         folds = plan.l_folds
         rows = folds.rows.tolist()
         s2l = (cols.op[folds.rows] == OP_CODE["S2L"]).tolist()
-        src, dst = cols.src[folds.rows].tolist(), cols.dst[folds.rows].tolist()
+        src = plan.row[cols.src[folds.rows]].tolist()
+        level = self.dual.target.arrays.levels[self.dag.box[cols.dst[folds.rows]]].tolist()
         delta = cols.delta[folds.rows].tolist()
+        m2l, dom, exp = self.factory.m2l, self.dual.domain, self._arrays()[0]
 
         def value(j):
             if s2l[j]:
                 return values[rows[j]]
-            return self._m2l_value(src[j], dst[j], delta[j])
+            return m2l(delta[j], dom.box_size(level[j])) @ exp[src[j]]
 
         self._fold(folds, value)
 
@@ -989,24 +1009,18 @@ class Registrar:
         locality) group one ``(edges, size) @ (size, len(dirs) *
         nterms)`` product against the stack of the directions the level
         translates in, written straight into the rows of the level's
-        dense source-side matrix.  The product reads the operator once
-        for the whole group; of those directions, the ones a node does
-        not radiate into are computed and never gathered.
+        source-side matrix.  The product reads the operator once for the
+        whole group; of those directions, the ones a node does not
+        radiate into are computed and never gathered.
         """
-        dom, exp = self.dual.domain, self.expansions
-        self._waves = {}
-        for b in plan.bridge:
-            h = dom.box_size(b.level)
-            width = len(b.dirs) * self.factory.quadrature(h).nterms
-            src_side = np.empty((len(b.is_ids), width), dtype=complex)
+        dom, arrays, row = self.dual.domain, self._arrays(), plan.row
+        for b, src_side in zip(plan.bridge, arrays[1::2]):
             if b.m2i:
-                stack = self.factory.m2i_stack(tuple(FULL_DIRS[d] for d in b.dirs), h)
-            for lo, m_ids in b.m2i:
-                src_side[lo : lo + len(m_ids)] = (
-                    np.stack([exp[m] for m in m_ids]) @ stack.T
+                stack = self.factory.m2i_stack(
+                    tuple(FULL_DIRS[d] for d in b.dirs), dom.box_size(b.level)
                 )
-            exp.update(zip(b.is_ids[: b.n_is_local], src_side))
-            self._waves[b.level] = [src_side, None]
+            for lo, m_ids in b.m2i:
+                src_side[lo : lo + len(m_ids)] = arrays[0][row[m_ids]] @ stack.T
 
     def _i2i_operators(self, b: BridgeLevel) -> tuple:
         """The level's phase/decay tables and one 0/1 CSR matrix per
@@ -1040,14 +1054,9 @@ class Registrar:
         node, direction) slot is written by exactly one row of one
         translation; slots no translation reaches stay zero.
         """
-        exp = self.expansions
-        for b in plan.bridge:
-            waves = self._waves[b.level]
-            src_side = waves[0]
-            for nid, row in zip(b.is_ids[b.n_is_local :], src_side[b.n_is_local :]):
-                row[:] = exp[nid]
+        arrays = self._arrays()
+        for b, src_side, tgt_side in zip(plan.bridge, arrays[1::2], arrays[2::2]):
             nt = src_side.shape[1] // len(b.dirs)
-            tgt_side = waves[1] = np.zeros((len(b.it_ids), src_side.shape[1]), dtype=complex)
             x, y, z, mats = self._i2i_operators(b)
             kmax = len(x) // 2
             for g, mat in zip(b.i2i, mats):
@@ -1065,41 +1074,32 @@ class Registrar:
                 acc *= x[tu[:, 0]]
                 acc *= y[tu[:, 1]]
                 tgt_side[g.tgt_rows, lo : lo + nt] = acc
-            exp.update(zip(b.it_ids[: b.n_it_local], tgt_side))
 
     def _flush_i2l(self, plan: Plan) -> None:
         """Local-expansion contributions of the incoming plane waves:
         per (level, locality) group one GEMM of the gathered target-side
         rows against the stack of the level's directions (those a node
         receives nothing from are zero columns, which contribute exactly
-        nothing)."""
-        dom, exp = self.dual.domain, self.expansions
-        for b in plan.bridge:
-            tgt_side = self._waves[b.level][1]
-            for nid, row in zip(b.it_ids[b.n_it_local :], tgt_side[b.n_it_local :]):
-                row[:] = exp[nid]
+        nothing), added into the L rows - distinct within a group, since
+        the schema allows one I->L edge per L node (``in_unique``)."""
+        dom, arrays, row = self.dual.domain, self._arrays(), plan.row
+        for b, tgt_side in zip(plan.bridge, arrays[2::2]):
             if b.i2l:
                 stack = self.factory.i2l_stack(
                     tuple(FULL_DIRS[d] for d in b.dirs), dom.box_size(b.level)
                 )
             for it_rows, l_ids in b.i2l:
-                self._accumulate(l_ids, tgt_side[it_rows] @ stack.T)
-        self._waves = {}
+                arrays[0][row[l_ids]] += tgt_side[it_rows] @ stack.T
 
     def _flush_l2l_level(self, level: int, groups) -> None:
         """One downward-shift level: one GEMM per (octant, locality)
-        group.  A stage of its own so a worker can receive remote parent
-        expansions between levels."""
+        group, added into the children's rows (distinct: L->L is
+        ``in_unique``).  A stage of its own so a worker can receive
+        remote parent expansions between levels."""
         h = self.dual.domain.box_size(level)
+        exp, row = self._arrays()[0], self.plan().row
         for octant, parents, children in groups:
-            self._accumulate(children, self._stacked_data(parents) @ self.factory.l2l(octant, h).T)
-
-    def _accumulate(self, node_ids, rows) -> None:
-        """Add one contribution row into each node's local expansion."""
-        exp = self.expansions
-        for nid, row in zip(node_ids, rows):
-            old = exp[nid]
-            exp[nid] = row if old is None else old + row
+            exp[row[children]] += exp[row[parents]] @ self.factory.l2l(octant, h).T
 
     def leaf_layout(self) -> LeafLayout:
         """Where the plan's leaf outputs land, built on first use
@@ -1225,7 +1225,7 @@ class LeafOutputs:
             h = dom.box_size(g.sub)
             side = "source" if g.op == "M2T" else "target"
             centers = reg._centers[side][plan.out_sbox[g.lo : g.hi]]
-            coeffs = reg._stacked_data(plan.out_src[g.lo : g.hi])
+            coeffs = reg._arrays()[0][plan.row[plan.out_src[g.lo : g.hi]]]
             # which edge owns each concatenated point (the per-point
             # center/coefficient rows are gathered per chunk so every
             # temporary stays cache-resident)

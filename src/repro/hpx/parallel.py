@@ -5,9 +5,9 @@ whole cluster inside one interpreter on a virtual clock.  This module
 is the second backend (``RuntimeConfig(backend="parallel")``): each
 locality becomes a real ``multiprocessing`` worker process, bulk data
 lives in POSIX shared memory (:class:`repro.hpx.gas.ShmArena`), and
-the expansions that cross localities are read in place from the
-sender's shared-memory mailbox, announced by one-way frames over OS
-queues.  The pieces here are generic
+the expansions that cross localities are gathered into the sender's
+shared-memory mailbox, announced by one-way frames over OS queues and
+copied out by the receiver.  The pieces here are generic
 worker-side runtime machinery plus the parent's wait loop; the DASHMM
 worker body that walks its rank's execution plan over them, and the one
 parent-side fleet manager that spawns and respawns workers
@@ -23,11 +23,12 @@ Design points:
   belong to the simulator.  A worker's registrar has no runtime and no
   LCOs.
 * **Rows through mailboxes, frames through queues.**  Each worker owns
-  one shared-memory *mailbox* (:class:`Mailbox`) and stacks every row
+  one shared-memory *mailbox* (:class:`Mailbox`) and gathers every row
   block it sends straight into it; the frame that travels through the
   receiver's OS queue carries no row data, only ``(segment name,
   offset, ids, shape)`` per block.  The receiver attaches to a segment
-  name once and reads the rows in place.  Offsets restart at every
+  name once and copies each block out as it handles the frame, so it
+  holds no view of a peer's mailbox past that.  Offsets restart at every
   round and grow within one, so blocks of one round never overlap, and
   reusing them is safe because the parent posts GO of round k+1 only
   after every rank's DONE of round k.  Posts that outgrow the mailbox
@@ -173,16 +174,18 @@ class Mailbox:
         """Size of the current segment (0 before the first post)."""
         return 0 if self._shm is None else self._shm.size
 
-    def put(self, rows: list) -> tuple:
-        """Stack ``rows`` (equal-length vectors) into one block; returns
-        its ``(segment name, offset, shape)``."""
-        shape = (len(rows), len(rows[0]))
+    def put(self, array: np.ndarray, rows: np.ndarray) -> tuple:
+        """Gather ``array[rows]`` into one block; returns its ``(segment
+        name, offset, shape)``."""
+        shape = (len(rows), array.shape[1])
         size = shape[0] * shape[1] * _ROW.itemsize
         if self.offset + size > self.nbytes:
             self._grow(self.used + size)
         at = self.offset
         block = np.ndarray(shape, _ROW, buffer=self._shm.buf, offset=at)
-        np.stack(rows, out=block)
+        # ``rows`` are the caller's own row index, in range: "clip"
+        # spares take's bounds-checked detour through a buffer
+        np.take(array, rows, axis=0, out=block, mode="clip")
         step = -(-size // _ALIGN) * _ALIGN
         self.offset += step
         self.used += step
@@ -227,7 +230,7 @@ class QueueChannel:
     mailboxes.
 
     ``inboxes[r]`` is worker ``r``'s (multi-producer) inbox queue.  A
-    frame's row blocks are stacked into this rank's :class:`Mailbox`;
+    frame's row blocks are gathered into this rank's :class:`Mailbox`;
     the frame itself is ``("frame", src, stage, blocks)`` with ``(segment
     name, offset, ids, shape)`` per block.
     """
@@ -245,17 +248,18 @@ class QueueChannel:
         self._named: set = set()
 
     def send(self, dst: int, stage, blocks) -> None:
-        """One frame of ``(ids, rows)`` blocks to rank ``dst``."""
+        """One frame to rank ``dst`` of ``(ids, array, rows)`` blocks, each
+        the rows ``array[rows]`` of the nodes ``ids``."""
         payload = []
-        for ids, rows in blocks:
-            name, at, shape = self.mailbox.put(rows)
+        for ids, array, rows in blocks:
+            name, at, shape = self.mailbox.put(array, rows)
             payload.append((name, at, ids, shape))
         self.frames_sent += 1
         self.inboxes[dst].put(("frame", self.rank, stage, payload))
 
     def views(self, payload) -> list:
         """An arriving frame's ``(ids, rows)`` blocks, as views of the
-        sender's mailbox."""
+        sender's mailbox, valid until the sender's next round."""
         return [(ids, self._view(name, at, shape)) for name, at, ids, shape in payload]
 
     def _view(self, name: str, at: int, shape) -> np.ndarray:
@@ -269,9 +273,8 @@ class QueueChannel:
         return np.ndarray(shape, _ROW, buffer=shm.buf, offset=at)
 
     def end_round(self) -> None:
-        """Once no view of a peer mailbox is held: settle the mailbox
-        (:attr:`retired` names what it outgrew) and close the
-        attachments no frame of the round named."""
+        """Settle the mailbox (:attr:`retired` names what it outgrew) and
+        close the attachments no frame of the round named."""
         self.retired = self.mailbox.settle()
         for name in set(self._attached) - self._named:
             self._attached.pop(name).close()
@@ -283,7 +286,7 @@ class QueueChannel:
         for shm in self._attached.values():
             try:
                 shm.close()
-            except BufferError:  # a view outlived a round cut short
+            except BufferError:  # a view held by a failed round's traceback
                 pass
         self._attached.clear()
 

@@ -37,11 +37,11 @@ class LaplaceKernel(Kernel):
         return g
 
     def greens_gradient(self, d: np.ndarray) -> np.ndarray:
-        # grad_t 1/|d| = -d / |d|^3; |d| = 0 maps to r = inf so the
+        # grad_t 1/|d| = -d / |d|^3; |d| = 0 maps to r2 = inf so the
         # self-interaction gradient is exactly zero (d is the 0 vector)
-        r = np.linalg.norm(d, axis=-1)
-        safe = np.where(r > 0, r, np.inf)
-        return -d / safe[..., None] ** 3
+        r2 = (d * d).sum(-1)
+        safe = np.where(r2 > 0, r2, np.inf)
+        return -d / (safe * np.sqrt(safe))[..., None]
 
     def p2m_matrix(self, rel: np.ndarray, scale: float) -> np.ndarray:
         rel = np.atleast_2d(rel)

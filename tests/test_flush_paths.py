@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.dashmm import DashmmEvaluator, EvaluatorSession, FmmPolicy
-from repro.dashmm.dag import OP_CODE
+from repro.dashmm.dag import KIND_CODE, OP_CODE
 from repro.dashmm.distribution import DistributionPolicy, RandomPolicy
 from repro.dashmm.flushplan import compile_plan
 from repro.dashmm.registrar import Registrar
@@ -84,11 +84,31 @@ def _plan_only(reg) -> bool:
 
 def _rank_registrar(rank, dag, dual, factory) -> Registrar:
     """What a worker builds: no runtime, restricted to ``rank``, its
-    expansions seeded by the round's reset."""
+    expansion store cleared by the round's reset."""
     reg = Registrar(None, dag, dual, factory.kernel, factory)
     reg._rank = rank
     reg.reset()
     return reg
+
+
+def _deliver(sender: Registrar, receiver: Registrar, ids) -> int:
+    """Move the rows of ``ids`` from one expansion store into another as
+    a frame does - gathered by ``locate``, copied in by ``write``, the
+    helpers a worker's post and handle use; returns how many of the
+    rows were all zero."""
+    zeros = 0
+    for part, array, rows in sender.locate(ids):
+        block = array[rows]
+        receiver.write(part, block)
+        zeros += int((~block.any(axis=1)).sum())
+    return zeros
+
+
+def _rows(reg: Registrar, ids) -> dict:
+    """Node id -> a copy of its row in ``reg``'s expansion store."""
+    return {
+        nid: row for part, array, rows in reg.locate(ids) for nid, row in zip(part, array[rows])
+    }
 
 
 def _sibling_hop(dual, points):
@@ -448,13 +468,14 @@ def test_i2i_factored_equals_per_edge(factories, problem, kname):
         nt = factory.quadrature(h).nterms
         block = {FULL_DIRS[d]: slice(i * nt, (i + 1) * nt) for i, d in enumerate(b.dirs)}
         expected = {t: np.zeros(len(b.dirs) * nt, dtype=complex) for t in b.it_ids}
+        rows = _rows(reg, [*b.is_ids, *b.it_ids])
         for s in b.is_ids:
-            W = reg.expansions[s]
+            W = rows[s]
             assert W.shape == (len(b.dirs) * nt,)  # unused directions are not carried
             for e in dag.out_edges[s]:
                 d, delta = e.aux
                 expected[e.dst][block[d]] += W[block[d]] * factory.i2i(d, delta, h)
-        got = np.stack([reg.expansions[t] for t in b.it_ids])
+        got = np.stack([rows[t] for t in b.it_ids])
         want = np.stack([expected[t] for t in b.it_ids])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     if problem == "deep":
@@ -473,29 +494,24 @@ def test_rank_translations_reproduce_the_full_plans_rows(factories, cloud):
     with EvaluatorSession(ev, domain=domain) as session:
         session.submit(pts, w)
         full = session._store.current
-    nodes = full.dag.nodes
-    data = {
-        nid: row.copy()
-        for nid, row in full.expansions.items()
-        if nodes[nid].kind in {"M", "Is", "It"} and row is not None
-    }
+    dag = full.dag
     written = 0
     for rank in range(4):
-        reg = _rank_registrar(rank, full.dag, full.dual, factory)
-        # the rank reads everyone's multipoles and source-side rows as
-        # delivered rows; it must produce the target-side rows itself
-        reg.expansions.update(
-            (nid, None if nodes[nid].kind == "It" else v) for nid, v in data.items()
-        )
+        reg = _rank_registrar(rank, dag, full.dual, factory)
         plan = reg.plan()
+        # the rank's multipoles and its peers' source-side rows arrive as
+        # delivered rows; it must produce its own plane waves itself
+        held = np.flatnonzero(plan.holder >= 0)
+        kind, remote = dag.kind[held], dag.locality[held] != rank
+        _deliver(full, reg, held[(kind == KIND_CODE["M"]) | ((kind == KIND_CODE["Is"]) & remote)])
         reg._flush_m2i(plan)
         reg._flush_i2i(plan)
-        for b in plan.bridge:
-            for t in b.it_ids[: b.n_it_local]:
-                assert nodes[t].locality == rank
-                assert np.array_equal(reg.expansions[t], data[t])
-                written += 1
-    assert written == sum(nodes[nid].kind == "It" for nid in data)
+        own = [t for b in plan.bridge for t in b.it_ids[: b.n_it_local]]
+        assert (dag.locality[own] == rank).all()
+        got, want = _rows(reg, own), _rows(full, own)
+        assert all(np.array_equal(got[t], want[t]) for t in own)
+        written += len(own)
+    assert written == (dag.kind == KIND_CODE["It"]).sum()
 
 
 class _ScatterPolicy(DistributionPolicy):
@@ -557,16 +573,26 @@ def _fold_lists(plan) -> tuple[dict, dict, list]:
     return m, by_node(plan.l_folds), sorted(plan.s2l_groups)
 
 
-@pytest.mark.parametrize("partition", ["contiguous-2", "scatter-4"])
 @pytest.mark.parametrize(
-    "problem, method", [("cube", "fmm"), ("cube", "fmm-basic"), ("cube", "bh"), ("slab", "fmm")]
+    "problem, method, partition",
+    [
+        (problem, method, partition)
+        for partition in ("contiguous-2", "scatter-4")
+        for problem, method in (
+            ("cube", "fmm"), ("cube", "fmm-basic"), ("cube", "bh"), ("slab", "fmm")
+        )
+    ]
+    + [("cube", "fmm", "undelivered-2")],
 )
 def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, method, partition):
     """A worker's round without the worker: rank-restricted registrars
-    walk the one stage list, and before each stage every rank hands each
-    peer exactly the rows its ``sends`` name (a dict assignment, no
-    queue).  Expansions and potentials must equal the full plan's and a
-    drained ``evaluate()``'s bit for bit."""
+    walk the one stage list, and before each stage every rank receives
+    from each peer exactly the rows its ``recvs`` name (moved by the
+    store's ``locate`` / ``write``, no queue).  Expansions and
+    potentials must equal the full plan's and a drained ``evaluate()``'s
+    bit for bit - and with one id dropped from one stage's ``recvs``,
+    the row no frame delivered keeps the reset's NaN, which reaches the
+    potentials."""
     factory = factories["laplace"]
     if problem == "cube":
         # four levels, and coarse local expansions nothing contributes to
@@ -574,7 +600,7 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
     else:
         (pts, threshold), domain = TRANSLATION_PROBLEMS["slab"][:2], UNIT
         w = np.random.default_rng(6).normal(size=len(pts))
-    policy, n = {"contiguous-2": (None, 2), "scatter-4": (_ScatterPolicy(), 4)}[partition]
+    policy, n = {"scatter-4": (_ScatterPolicy(), 4)}.get(partition, (None, 2))
     ev = DashmmEvaluator(
         factory.kernel,
         method=method,
@@ -635,52 +661,66 @@ def test_rank_stage_lists_reproduce_the_full_plan(factories, cloud, problem, met
         if method != "bh":
             assert any(n_ids for stage, n_ids in crossing.items() if stage[0] == "l2l")
 
-    # (c) the walk: post what the stage's readers need, then run it
-    zeros = 0  # expansions that cross as None, the zero expansion
+    if partition == "undelivered-2":
+        # a multipole rank 1 reads past the upward sweep and in no other
+        # stage (the root's children only fold into a multipole nothing reads)
+        recvs = parts[1].recvs
+        elsewhere = {
+            nid for name, by in recvs.items() if name != "m2l" for ids in by.values() for nid in ids
+        }
+        ids = recvs["m2l"][0]
+        ids.remove(next(nid for nid in ids if nid not in elsewhere))
+
+    # (c) the walk: deliver what the stage reads, then run it
+    zeros = 0  # all-zero rows crossed
     for i, name in enumerate(names):
-        for a in ranks:
-            for b, ids in parts[a].sends.get(name, {}).items():
-                regs[b].expansions.update((nid, regs[a].expansions[nid]) for nid in ids)
-                zeros += sum(regs[b].expansions[nid] is None for nid in ids)
+        for b in ranks:
+            for a, ids in parts[b].recvs.get(name, {}).items():
+                zeros += _deliver(regs[a], regs[b], ids)
         for stages in stage_lists:
             stages[i][1]()
+    # the corner-filling tree's coarse local expansions nothing
+    # contributes to cross as zero rows
     assert bool(zeros) == (problem == "cube" and method != "bh")
+    out = np.empty(len(pts))
+    out[dual.target.perm] = result
+    if partition == "undelivered-2":
+        assert not np.isfinite(out).all()
+        return
     # every rank holds its own expansions, and together all of them
     owned = 0
     for r, reg in enumerate(regs):
-        for nid, want in full.expansions.items():
-            if dag.nodes[nid].locality != r:
-                continue
-            got = reg.expansions[nid]
-            owned += 1
-            if dag.nodes[nid].kind in ("M", "L"):
-                assert (got is None) == (want is None)
-                assert want is None or np.array_equal(got, want)
-    assert owned == len(full.expansions)
-    out = np.empty(len(pts))
-    out[dual.target.perm] = result
+        own = np.flatnonzero((dag.locality == r) & (reg.plan().holder >= 0))
+        got, want = _rows(reg, own), _rows(full, own)
+        assert all(np.array_equal(got[nid], want[nid]) for nid in own)
+        owned += len(own)
+    assert owned == sum(rows for rows, _ in whole.store)
     assert np.array_equal(out, drained)
 
 
 def test_a_rank_reads_no_row_it_was_not_sent(factories, cloud):
-    """A worker's store holds its own expansions and what frames
-    delivered: a stage reading a remote node no frame delivered raises
-    ``KeyError`` instead of computing with a zero."""
+    """A worker's expansion store holds a row for each node it owns and
+    each node its edges read from a peer.  The reset zeroes the first
+    and fills the others with NaN, so a walk that no frame reaches
+    computes NaN instead of reading zeros; a node the plan holds no row
+    of is a ``KeyError``."""
     factory = factories["laplace"]
     pts, w, domain = _corner_problem(cloud)
     dual = build_dual_tree(pts, pts, THRESHOLD, source_weights=w, domain=domain)
     dag, _ = _evaluator(factory, "fmm").build_dag(dual)
     _ScatterPolicy().assign(dag, dual, 2)
     reg = _rank_registrar(0, dag, dual, factory)
-    assert all(dag.nodes[nid].locality == 0 for nid in reg.expansions)
-    recvs = reg.plan().recvs
-    for name, stage in reg.stages():
-        if recvs.get(name):
-            break
-        stage()  # reads only rank 0's own rows
-    with pytest.raises(KeyError) as missing:
+    plan = reg.plan()
+    received = {nid for by_peer in plan.recvs.values() for ids in by_peer.values() for nid in ids}
+    held = np.flatnonzero(plan.holder >= 0)
+    assert received == set(held[dag.locality[held] != 0].tolist())
+    for nid, row in _rows(reg, held).items():
+        assert np.isnan(row).all() if nid in received else not row.any()
+    with pytest.raises(KeyError):
+        reg.locate(np.flatnonzero(plan.holder < 0)[:1])
+    for _, stage in reg.stages():
         stage()
-    assert missing.value.args[0] in {nid for ids in recvs[name].values() for nid in ids}
+    assert np.isnan(reg.result).any()
 
 
 @pytest.mark.parametrize("policy", [None, _ScatterPolicy()], ids=["fmm", "scatter"])
@@ -701,7 +741,7 @@ def test_a_ranks_outputs_touch_only_its_own_points(factories, cloud, policy):
     for r in range(3):
         reg = _rank_registrar(r, full.dag, full.dual, factory)
         # every expansion the stage may read, as the frames deliver them
-        reg.expansions = dict(full.expansions)
+        _deliver(full, reg, np.flatnonzero(reg.plan().holder == 0))
         own = reg.leaf_layout().own
         owns.append(own)
         reg.result = np.full(len(pts), np.pi)

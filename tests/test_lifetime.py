@@ -259,7 +259,7 @@ def test_no_edge_object_in_a_worker_plan_compile(
     laplace, laplace_factory, cloud, edges_made, nodes_made
 ):
     """What a real-parallel worker does before its first round -
-    assemble, distribute, seed its rank's expansions, compile both plan
+    assemble, distribute, allocate its rank's expansion store, compile both plan
     sections - checked in process, as in test_flush_paths."""
     from repro.tree.dualtree import build_dual_tree
 
@@ -272,7 +272,7 @@ def test_no_edge_object_in_a_worker_plan_compile(
         reg = Registrar(None, dag, dual, laplace, laplace_factory)
         reg._rank = rank
         reg.reset()
-        assert reg.expansions and reg.stages()
+        assert reg.locate(np.flatnonzero(reg.plan().holder >= 0)) and reg.stages()
         assert reg.plan().n_edges > 0
     assert edges_made == [] and nodes_made == []
     assert dag._view is None
